@@ -7,11 +7,8 @@ independent Monte Carlo link-level validator.
 """
 
 from .allocation import (MmfSolution, SseSolution, mmf_se_report, solve_mmf,
-                         solve_mmf_mrt, solve_mmf_zf, solve_sse,
-                         solve_sse_mrt, solve_sse_zf, sse_se_report, waterfill)
-from .closed_form import (MRT, PRECODERS, ZF, DownlinkPowers, SeReport,
-                          se_report, sinr_mrt_multicast, sinr_mrt_unicast,
-                          sinr_zf_multicast, sinr_zf_unicast)
+                         solve_sse, sse_se_report, waterfill)
+from .closed_form import MRT, PRECODERS, ZF, DownlinkPowers, SeReport, se_report
 from .errors import (DegenerateInputError, InvalidConfigError, MimocastError,
                      ZfInfeasibleError)
 from .model import (EstimationStats, FadingProfile, PowerSplit, SystemConfig,

@@ -1,6 +1,7 @@
 """Closed-form optimal resource allocation.
 
-Two problems, each solved for MRT and ZF precoding:
+Two problems, each solved by one closed form for MRT and ZF precoding
+alike (the precoder only sets the array gain and interference factors):
 
 * max-min fairness over all multicast UTs (pilot energies, pilot length,
   and per-group downlink powers), given a fixed unicast power budget;
@@ -19,7 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .closed_form import MRT, PRECODERS, ZF, DownlinkPowers, SeReport, require_zf_feasible, se_report
+from .closed_form import (BUDGET_RTOL, DownlinkPowers, SeReport, _precoder_factors,
+                          se_report)
 from .errors import DegenerateInputError
 from .model import FadingProfile, SystemConfig, estimation_variances, require_valid
 
@@ -33,8 +35,8 @@ class MmfSolution:
     gamma is the SINR every multicast UT attains at the optimum; upsilon
     holds each group's binding pilot-quality floor; x_caps the optimal
     pilot energies (power * pilot length, capped by the energy budgets);
-    b_values the per-group interference loads (ZF diagnostics, also
-    defined for MRT where downlink powers are proportional to them).
+    b_values the per-group interference loads B_j, to which the downlink
+    powers are proportional after the precoder's offset (B_j - c*P).
     """
 
     precoder: str
@@ -148,7 +150,7 @@ def waterfill_kkt_violation(weights: Sequence[float], offsets: Sequence[float],
 
 def _check_split(total: float, fixed: float, name: str) -> float:
     """Validate a fixed power share and return the non-negative remainder."""
-    if not (0.0 <= fixed <= total * (1.0 + 1e-12)):
+    if not (0.0 <= fixed <= total * (1.0 + BUDGET_RTOL)):
         raise ValueError(f"{name} must lie in [0, {total}], got {fixed}")
     return max(0.0, total - fixed)
 
@@ -180,68 +182,39 @@ def _interference_loads(cfg: SystemConfig, fading: FadingProfile,
     )
 
 
-def solve_mmf_mrt(cfg: SystemConfig, fading: FadingProfile,
-                  p_unicast_fixed: float) -> MmfSolution:
-    """Max-min multicast SE under MRT for a fixed unicast power."""
+def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
+              precoder: str) -> MmfSolution:
+    """Max-min multicast SE for a fixed unicast power.
+
+    With the precoder's factors (gain, c), every multicast UT reaches
+    gamma = gain*p_mu / sum_j (B_j - c*P) when group j gets the downlink
+    power q_j = p_mu*(B_j - c*P) / sum_j (B_j - c*P).
+    """
+    gain, c = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
     if cfg.n_groups == 0:
         raise DegenerateInputError("max-min multicast needs at least one group")
     p_mu = _check_split(cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
 
-    N = cfg.n_antennas
     P = cfg.total_power
     tau = cfg.n_streams
-    upsilon, x_caps = _group_quality_floors(cfg, fading)
-    b_values = _interference_loads(cfg, fading, upsilon)
-
-    gamma = N * p_mu / sum(b_values)
-    q_dl = tuple(
-        gamma / (N * u) * (1.0 + sum(x * g for x, g in zip(xs, gains)))
-        for u, xs, gains in zip(upsilon, x_caps, fading.multicast_gains)
-    )
-    prelog = 1.0 - tau / cfg.coherence_length
-    return MmfSolution(
-        precoder=MRT,
-        objective=prelog * math.log1p(gamma) / LN2,
-        pilot_length=tau,
-        uplink_pilot_powers=tuple(tuple(x / tau for x in xs) for xs in x_caps),
-        downlink_powers=q_dl,
-        gamma=gamma,
-        upsilon=upsilon,
-        x_caps=x_caps,
-        b_values=b_values,
-    )
-
-
-def solve_mmf_zf(cfg: SystemConfig, fading: FadingProfile,
-                 p_unicast_fixed: float) -> MmfSolution:
-    """Max-min multicast SE under ZF for a fixed unicast power."""
-    require_valid(cfg, fading)
-    if cfg.n_groups == 0:
-        raise DegenerateInputError("max-min multicast needs at least one group")
-    require_zf_feasible(cfg)
-    p_mu = _check_split(cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
-
-    P = cfg.total_power
-    tau = cfg.n_streams
-    dof = cfg.n_antennas - cfg.n_streams
     upsilon, x_caps = _group_quality_floors(cfg, fading)
     b_values = _interference_loads(cfg, fading, upsilon)
     # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
-    # denominators below cannot vanish for a valid config; guard anyway.
-    if any(b <= P for b in b_values):
-        raise DegenerateInputError("degenerate group interference load (B_j <= P)")
+    # loads below cannot vanish for a valid config; guard anyway.
+    loads = tuple(b - c * P for b in b_values)
+    if any(load <= 0.0 for load in loads):
+        raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
 
-    spread = sum(b - P for b in b_values)
-    gamma = dof * p_mu / spread
-    q_dl = tuple(p_mu * (b - P) / spread for b in b_values)
+    spread = sum(loads)
+    gamma = gain * p_mu / spread
     prelog = 1.0 - tau / cfg.coherence_length
     return MmfSolution(
-        precoder=ZF,
+        precoder=precoder,
         objective=prelog * math.log1p(gamma) / LN2,
         pilot_length=tau,
         uplink_pilot_powers=tuple(tuple(x / tau for x in xs) for xs in x_caps),
-        downlink_powers=q_dl,
+        downlink_powers=tuple(p_mu * load / spread for load in loads),
         gamma=gamma,
         upsilon=upsilon,
         x_caps=x_caps,
@@ -249,8 +222,14 @@ def solve_mmf_zf(cfg: SystemConfig, fading: FadingProfile,
     )
 
 
-def _solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float,
-               precoder: str) -> SseSolution:
+def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float,
+              precoder: str) -> SseSolution:
+    """Weighted sum SE of unicast UTs for a fixed multicast power.
+
+    Water-fills over the offsets (1 + (beta - c*theta)*P) / (gain*theta),
+    theta being each UT's estimate variance at full-cap pilot energy.
+    """
+    gain, c = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
     if cfg.n_unicast == 0:
         raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
@@ -260,14 +239,8 @@ def _solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: floa
     tau = cfg.n_streams
     theta = tuple(e * b * b / (1.0 + e * b)
                   for e, b in zip(cfg.unicast_energy_caps, fading.unicast_gains))
-    if precoder == ZF:
-        require_zf_feasible(cfg)
-        dof = cfg.n_antennas - cfg.n_streams
-        offsets = tuple((1.0 + (b - t) * P) / (dof * t)
-                        for b, t in zip(fading.unicast_gains, theta))
-    else:
-        offsets = tuple((1.0 + b * P) / (cfg.n_antennas * t)
-                        for b, t in zip(fading.unicast_gains, theta))
+    offsets = tuple((1.0 + (b - c * t) * P) / (gain * t)
+                    for b, t in zip(fading.unicast_gains, theta))
 
     levels, nu = waterfill(cfg.sse_weights, offsets, budget)
     prelog = 1.0 - tau / cfg.coherence_length
@@ -284,35 +257,12 @@ def _solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: floa
     )
 
 
-def solve_sse_mrt(cfg: SystemConfig, fading: FadingProfile,
-                  p_multicast_fixed: float) -> SseSolution:
-    """Weighted sum SE of unicast UTs under MRT for a fixed multicast power."""
-    return _solve_sse(cfg, fading, p_multicast_fixed, MRT)
-
-
-def solve_sse_zf(cfg: SystemConfig, fading: FadingProfile,
-                 p_multicast_fixed: float) -> SseSolution:
-    """Weighted sum SE of unicast UTs under ZF for a fixed multicast power."""
-    return _solve_sse(cfg, fading, p_multicast_fixed, ZF)
-
-
-def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
-              precoder: str) -> MmfSolution:
-    if precoder not in PRECODERS:
-        raise ValueError(f"unknown precoder {precoder!r}")
-    solver = solve_mmf_zf if precoder == ZF else solve_mmf_mrt
-    return solver(cfg, fading, p_unicast_fixed)
-
-
-def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float,
-              precoder: str) -> SseSolution:
-    if precoder not in PRECODERS:
-        raise ValueError(f"unknown precoder {precoder!r}")
-    return _solve_sse(cfg, fading, p_multicast_fixed, precoder)
-
-
-def _config_at(cfg: SystemConfig, pilot_length: int) -> SystemConfig:
-    return dataclasses.replace(cfg, pilot_length=pilot_length)
+def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolution,
+           pilots_unicast, pilots_multicast, powers: DownlinkPowers) -> SeReport:
+    """Closed-form SEs at the solution's pilot length and precoder."""
+    cfg_at = dataclasses.replace(cfg, pilot_length=sol.pilot_length)
+    stats = estimation_variances(cfg_at, fading, pilots_unicast, pilots_multicast)
+    return se_report(cfg_at, stats, fading, powers, sol.precoder)
 
 
 def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
@@ -325,17 +275,12 @@ def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
     """
     if cfg.n_unicast == 0 and p_unicast_fixed != 0.0:
         raise DegenerateInputError("no unicast UTs to carry a nonzero unicast power")
-    cfg_at = _config_at(cfg, sol.pilot_length)
-    stats = estimation_variances(
-        cfg_at, fading,
-        [e / sol.pilot_length for e in cfg.unicast_energy_caps],
-        sol.uplink_pilot_powers,
-    )
-    powers = DownlinkPowers(
-        unicast=(p_unicast_fixed / cfg.n_unicast,) * cfg.n_unicast if cfg.n_unicast else (),
-        multicast=sol.downlink_powers,
-    )
-    return se_report(cfg_at, stats, fading, powers, sol.precoder)
+    U = cfg.n_unicast
+    return _score(cfg, fading, sol,
+                  [e / sol.pilot_length for e in cfg.unicast_energy_caps],
+                  sol.uplink_pilot_powers,
+                  DownlinkPowers(unicast=(p_unicast_fixed / U,) * U if U else (),
+                                 multicast=sol.downlink_powers))
 
 
 def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
@@ -347,14 +292,9 @@ def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
     """
     if cfg.n_groups == 0 and p_multicast_fixed != 0.0:
         raise DegenerateInputError("no multicast groups to carry a nonzero multicast power")
-    cfg_at = _config_at(cfg, sol.pilot_length)
-    stats = estimation_variances(
-        cfg_at, fading,
-        sol.uplink_pilot_powers,
-        [[e / sol.pilot_length for e in caps] for caps in cfg.multicast_energy_caps],
-    )
-    powers = DownlinkPowers(
-        unicast=sol.downlink_powers,
-        multicast=(p_multicast_fixed / cfg.n_groups,) * cfg.n_groups if cfg.n_groups else (),
-    )
-    return se_report(cfg_at, stats, fading, powers, sol.precoder)
+    G = cfg.n_groups
+    return _score(cfg, fading, sol,
+                  sol.uplink_pilot_powers,
+                  [[e / sol.pilot_length for e in caps] for caps in cfg.multicast_energy_caps],
+                  DownlinkPowers(unicast=sol.downlink_powers,
+                                 multicast=(p_multicast_fixed / G,) * G if G else ()))

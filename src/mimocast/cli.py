@@ -24,8 +24,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, allocation, montecarlo, pareto
-from .closed_form import MRT, ZF
-from .errors import MimocastError
+from .closed_form import PRECODERS
+from .errors import MimocastError, ZfInfeasibleError
 from .model import FadingProfile, PowerSplit, SystemConfig, require_valid
 from .scenario import (CellGeometry, RadioParams, default_normalized_config,
                        place_users)
@@ -113,7 +113,8 @@ class RunManifest:
         }
 
 
-def _write_manifest(out_path: str, command: str, resolved: dict, seeds: dict):
+def _write_manifest(out_path: str, command: str, args: argparse.Namespace, seeds: dict):
+    resolved = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = RunManifest.build(command, resolved, seeds, [out_path])
     _write_text(str(out_path) + ".manifest.json", _json_text(manifest.to_dict()))
 
@@ -199,9 +200,7 @@ def cmd_scenario(args) -> int:
         "fading": fading.to_dict(),
     }
     _write_text(args.out, _json_text(doc))
-    _write_manifest(args.out, "scenario",
-                    {k: v for k, v in vars(args).items() if k != "func"},
-                    {"placement": seed})
+    _write_manifest(args.out, "scenario", args, {"placement": seed})
     return EXIT_OK
 
 
@@ -224,8 +223,7 @@ def cmd_mmf(args) -> int:
         "se_report": report.to_dict(),
     }
     _write_text(args.out, _json_text(doc))
-    _write_manifest(args.out, "mmf",
-                    {k: v for k, v in vars(args).items() if k != "func"}, {})
+    _write_manifest(args.out, "mmf", args, {})
     return EXIT_OK
 
 
@@ -247,8 +245,7 @@ def cmd_sse(args) -> int:
         "se_report": report.to_dict(),
     }
     _write_text(args.out, _json_text(doc))
-    _write_manifest(args.out, "sse",
-                    {k: v for k, v in vars(args).items() if k != "func"}, {})
+    _write_manifest(args.out, "sse", args, {})
     return EXIT_OK
 
 
@@ -264,8 +261,7 @@ def cmd_pareto(args) -> int:
     if args.convexity_out:
         report = pareto.check_convexity(boundary)
         _write_text(args.convexity_out, _json_text(report.to_dict()))
-    _write_manifest(args.out, "pareto",
-                    {k: v for k, v in vars(args).items() if k != "func"}, {})
+    _write_manifest(args.out, "pareto", args, {})
     return EXIT_OK
 
 
@@ -292,9 +288,7 @@ def cmd_validate(args) -> int:
         [[e / tau for e in caps] for caps in cfg.multicast_energy_caps],
         powers, args.precoder, args.trials, seed)
     _write_text(args.out, _json_text(report.to_dict()))
-    _write_manifest(args.out, "validate",
-                    {k: v for k, v in vars(args).items() if k != "func"},
-                    {"trials": seed})
+    _write_manifest(args.out, "validate", args, {"trials": seed})
     if not report.passed:
         print(f"validation FAILED: pass rate {report.pass_rate:.4f} < 0.99",
               file=sys.stderr)
@@ -316,33 +310,43 @@ def _drop_seed(seed: int, cell: int, drop: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(cell, drop))
 
 
+def _drop_means(args, seed, cfgs, solve) -> list[list[tuple[str, str, bool]]]:
+    """Per grid cell, (precoder, mean objective, feasible) for each precoder.
+
+    Each cell averages the objective at an even power split over args.drops
+    user placements; a precoder the cell cannot support is flagged
+    infeasible with a zero mean.
+    """
+    if args.drops < 1:
+        raise UsageError(f"--drops must be at least 1, got {args.drops}")
+    cells = []
+    for cell, cfg in enumerate(cfgs):
+        acc = {prec: [] for prec in PRECODERS}
+        for d in range(args.drops):
+            fading, _ = place_users(CellGeometry(), cfg.n_unicast, cfg.group_sizes,
+                                    _drop_seed(seed, cell, d))
+            for prec, vals in acc.items():
+                try:
+                    vals.append(solve(cfg, fading, cfg.total_power / 2.0, prec).objective)
+                except ZfInfeasibleError:
+                    pass
+        cells.append([(prec, _fmt(sum(vals) / len(vals) if vals else 0.0), bool(vals))
+                      for prec, vals in acc.items()])
+    return cells
+
+
 def _figure_rows_fig2(args, seed):
     """Max-min multicast SE over a (groups x group size x antennas) grid."""
     n_list = _int_list(args.antennas_list, "--antennas-list")
     g_list = _int_list(args.g_list, "--g-list")
     k_list = _int_list(args.k_list, "--k-list")
-    rows = []
-    cell = 0
-    for n in n_list:
-        for g in g_list:
-            for k in k_list:
-                sizes = (k,) * g
-                cfg = default_normalized_config(n, args.coherence, args.unicast, sizes)
-                acc = {MRT: [], ZF: []}
-                for d in range(args.drops):
-                    fading, _ = place_users(CellGeometry(), args.unicast, sizes,
-                                            _drop_seed(seed, cell, d))
-                    p_un = cfg.total_power / 2.0
-                    acc[MRT].append(allocation.solve_mmf_mrt(cfg, fading, p_un).objective)
-                    if n > cfg.n_streams:
-                        acc[ZF].append(allocation.solve_mmf_zf(cfg, fading, p_un).objective)
-                for prec in (MRT, ZF):
-                    vals = acc[prec]
-                    feasible = bool(vals)
-                    mean = sum(vals) / len(vals) if vals else 0.0
-                    rows.append([args.figure, prec, n, g, k, args.unicast,
-                                 args.drops, _fmt(mean), feasible])
-                cell += 1
+    grid = [(n, g, k) for n in n_list for g in g_list for k in k_list]
+    cfgs = (default_normalized_config(n, args.coherence, args.unicast, (k,) * g)
+            for n, g, k in grid)
+    rows = [[args.figure, prec, n, g, k, args.unicast, args.drops, mean, feasible]
+            for (n, g, k), cell in zip(grid, _drop_means(args, seed, cfgs,
+                                                         allocation.solve_mmf))
+            for prec, mean, feasible in cell]
     header = ["figure", "precoder", "n_antennas", "n_groups", "group_size",
               "n_unicast", "drops", "mmf_se", "feasible"]
     return header, rows
@@ -353,26 +357,13 @@ def _figure_rows_fig3(args, seed):
     n_list = _int_list(args.antennas_list, "--antennas-list")
     u_list = _int_list(args.u_list, "--u-list")
     sizes = (args.group_size,) * args.groups
-    rows = []
-    cell = 0
-    for n in n_list:
-        for u in u_list:
-            cfg = default_normalized_config(n, args.coherence, u, sizes)
-            acc = {MRT: [], ZF: []}
-            for d in range(args.drops):
-                fading, _ = place_users(CellGeometry(), u, sizes,
-                                        _drop_seed(seed, cell, d))
-                p_mu = cfg.total_power / 2.0
-                acc[MRT].append(allocation.solve_sse_mrt(cfg, fading, p_mu).objective)
-                if n > cfg.n_streams:
-                    acc[ZF].append(allocation.solve_sse_zf(cfg, fading, p_mu).objective)
-            for prec in (MRT, ZF):
-                vals = acc[prec]
-                feasible = bool(vals)
-                mean = sum(vals) / len(vals) if vals else 0.0
-                rows.append([args.figure, prec, n, u, args.groups, args.group_size,
-                             args.drops, _fmt(mean), feasible])
-            cell += 1
+    grid = [(n, u) for n in n_list for u in u_list]
+    cfgs = (default_normalized_config(n, args.coherence, u, sizes) for n, u in grid)
+    rows = [[args.figure, prec, n, u, args.groups, args.group_size, args.drops,
+             mean, feasible]
+            for (n, u), cell in zip(grid, _drop_means(args, seed, cfgs,
+                                                      allocation.solve_sse))
+            for prec, mean, feasible in cell]
     header = ["figure", "precoder", "n_antennas", "n_unicast", "n_groups",
               "group_size", "drops", "sse", "feasible"]
     return header, rows
@@ -386,10 +377,11 @@ def _figure_rows_fig4(args, seed):
     rows = []
     for n in n_list:
         cfg = default_normalized_config(n, args.coherence, args.unicast, sizes)
-        for prec in (MRT, ZF):
-            if prec == ZF and n <= cfg.n_streams:
+        for prec in PRECODERS:
+            try:
+                boundary = pareto.sweep_boundary(cfg, fading, prec, args.points)
+            except ZfInfeasibleError:
                 continue
-            boundary = pareto.sweep_boundary(cfg, fading, prec, args.points)
             for p in boundary.points:
                 rows.append([args.figure, prec, n, _fmt(p.p_unicast),
                              _fmt(p.p_multicast), _fmt(p.mmf_objective),
@@ -413,9 +405,7 @@ def cmd_figure(args) -> int:
     w.writerow(header)
     w.writerows(rows)
     _write_text(args.out, buf.getvalue())
-    _write_manifest(args.out, "figure",
-                    {k: v for k, v in vars(args).items() if k != "func"},
-                    {"drops": seed})
+    _write_manifest(args.out, "figure", args, {"drops": seed})
     return EXIT_OK
 
 
@@ -453,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                             ("sse", cmd_sse, "weighted sum-SE unicast allocation")):
         q = sub.add_parser(name, help=help_)
         q.add_argument("--scenario", required=True)
-        q.add_argument("--precoder", choices=[MRT, ZF], required=True)
+        q.add_argument("--precoder", choices=PRECODERS, required=True)
         q.add_argument("--p-un", type=float, default=None,
                        help="unicast downlink power (normalized)")
         q.add_argument("--split-ratio", type=str, default=None,
@@ -463,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("pareto", help="trade-off boundary sweep to CSV")
     pa.add_argument("--scenario", required=True)
-    pa.add_argument("--precoder", choices=[MRT, ZF], required=True)
+    pa.add_argument("--precoder", choices=PRECODERS, required=True)
     pa.add_argument("--points", type=int, default=21)
     pa.add_argument("--convexity-out", type=str, default=None)
     pa.add_argument("--out", required=True)
@@ -471,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("validate", help="Monte Carlo vs closed-form SINR check")
     va.add_argument("--scenario", required=True)
-    va.add_argument("--precoder", choices=[MRT, ZF], required=True)
+    va.add_argument("--precoder", choices=PRECODERS, required=True)
     va.add_argument("--trials", type=int, default=10000)
     va.add_argument("--seed", type=int, default=None)
     va.add_argument("--p-un", type=float, default=None,

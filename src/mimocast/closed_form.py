@@ -1,9 +1,11 @@
-"""Closed-form effective SINR and achievable SE for every combination of
-precoder (MRT, ZF) and traffic type (unicast, multicast).
+"""Closed-form effective SINR and achievable SE of every unicast and
+multicast UT under MRT or ZF precoding.
 
-The expressions are exact functions of the large-scale fading gains, the
+One expression covers every combination of precoder and traffic type; the
+precoder only sets its two factors (see ``_precoder_factors``).  The
+expressions are exact functions of the large-scale fading gains, the
 channel-estimate variances, and the downlink power lists.  The total
-transmitted powers appearing in the interference terms are always recomputed
+transmitted power appearing in the interference terms is always recomputed
 from the power lists, never passed separately.
 """
 
@@ -20,9 +22,9 @@ MRT = "mrt"
 ZF = "zf"
 PRECODERS = (MRT, ZF)
 
-# Slack for the power-budget check: optimal allocations sum to the budget up
-# to float rounding and must not be rejected.
-_BUDGET_RTOL = 1e-9
+# Relative slack of every power-budget check: optimal allocations sum to the
+# budget up to float rounding and must not be rejected.
+BUDGET_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def _check_powers(cfg: SystemConfig, powers: DownlinkPowers):
                          f"{cfg.n_groups} multicast entries")
     if any(p < 0 for p in powers.unicast) or any(q < 0 for q in powers.multicast):
         raise ValueError("downlink powers must be non-negative")
-    if powers.total > cfg.total_power * (1.0 + _BUDGET_RTOL):
+    if powers.total > cfg.total_power * (1.0 + BUDGET_RTOL):
         raise ValueError(f"downlink powers sum to {powers.total}, exceeding the "
                          f"budget {cfg.total_power}")
 
@@ -101,50 +103,22 @@ def require_zf_feasible(cfg: SystemConfig):
             f"G+U={cfg.n_streams} streams (zero degrees of freedom left)")
 
 
-def sinr_mrt_unicast(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
-                     powers: DownlinkPowers, m: int) -> float:
-    """MRT unicast SINR: N*p*var / (1 + gain*(total transmitted power))."""
-    _check_powers(cfg, powers)
-    if not 0 <= m < cfg.n_unicast:
-        raise IndexError(f"unicast index {m} out of range [0, {cfg.n_unicast})")
-    num = cfg.n_antennas * powers.unicast[m] * stats.unicast_var[m]
-    return num / (1.0 + fading.unicast_gains[m] * powers.total)
+def _precoder_factors(cfg: SystemConfig, precoder: str) -> tuple[int, float]:
+    """(array gain, c): the only two places MRT and ZF differ.
 
-
-def sinr_mrt_multicast(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
-                       powers: DownlinkPowers, j: int, k: int) -> float:
-    """MRT multicast SINR: N*q_j*var_jk / (1 + gain_jk*(total power))."""
-    _check_powers(cfg, powers)
-    if not 0 <= j < cfg.n_groups or not 0 <= k < cfg.group_sizes[j]:
-        raise IndexError(f"multicast index ({j},{k}) out of range")
-    num = cfg.n_antennas * powers.multicast[j] * stats.multicast_var[j][k]
-    return num / (1.0 + fading.multicast_gains[j][k] * powers.total)
-
-
-def sinr_zf_unicast(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
-                    powers: DownlinkPowers, m: int) -> float:
-    """ZF unicast SINR: beamforming gain drops to N-G-U, interference keeps
-    only the estimation-error part of the gain."""
-    require_zf_feasible(cfg)
-    _check_powers(cfg, powers)
-    if not 0 <= m < cfg.n_unicast:
-        raise IndexError(f"unicast index {m} out of range [0, {cfg.n_unicast})")
-    dof = cfg.n_antennas - cfg.n_streams
-    num = dof * powers.unicast[m] * stats.unicast_var[m]
-    err = fading.unicast_gains[m] - stats.unicast_var[m]
-    return num / (1.0 + err * powers.total)
-
-
-def sinr_zf_multicast(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
-                      powers: DownlinkPowers, j: int, k: int) -> float:
-    require_zf_feasible(cfg)
-    _check_powers(cfg, powers)
-    if not 0 <= j < cfg.n_groups or not 0 <= k < cfg.group_sizes[j]:
-        raise IndexError(f"multicast index ({j},{k}) out of range")
-    dof = cfg.n_antennas - cfg.n_streams
-    num = dof * powers.multicast[j] * stats.multicast_var[j][k]
-    err = fading.multicast_gains[j][k] - stats.multicast_var[j][k]
-    return num / (1.0 + err * powers.total)
+    A UT with large-scale gain beta and estimate variance var sees the
+    array gain times its own power times var as signal and the interference
+    gain beta - c*var times the total transmitted power.  MRT keeps the full
+    N antennas and all of beta (c = 0); ZF spends G+U degrees of freedom
+    nulling the other streams, leaving N-G-U, and cancels the estimated part
+    of the channel, leaving only the estimation error beta - var (c = 1).
+    """
+    if precoder == MRT:
+        return cfg.n_antennas, 0.0
+    if precoder == ZF:
+        require_zf_feasible(cfg)
+        return cfg.n_antennas - cfg.n_streams, 1.0
+    raise ValueError(f"unknown precoder {precoder!r}, expected one of {PRECODERS}")
 
 
 def se_from_sinr(prelog: float, sinr: float) -> float:
@@ -154,25 +128,25 @@ def se_from_sinr(prelog: float, sinr: float) -> float:
 
 def se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
               powers: DownlinkPowers, precoder: str) -> SeReport:
-    """Assemble per-UT SEs from the four SINR kernels with the pilot prelog."""
+    """Every UT's SINR gain*p*var / (1 + (beta - c*var)*P_total) and its SE
+    with the pilot prelog, for the precoder's factors (gain, c)."""
+    gain, c = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
     _check_powers(cfg, powers)
-    if precoder not in PRECODERS:
-        raise ValueError(f"unknown precoder {precoder!r}, expected one of {PRECODERS}")
-    if precoder == ZF:
-        require_zf_feasible(cfg)
-        uni_kernel = sinr_zf_unicast
-        mu_kernel = sinr_zf_multicast
-    else:
-        uni_kernel = sinr_mrt_unicast
-        mu_kernel = sinr_mrt_multicast
+    total = powers.total
 
+    def sinr(p: float, var: float, beta: float) -> float:
+        return gain * p * var / (1.0 + (beta - c * var) * total)
+
+    uni_sinr = tuple(sinr(p, var, beta) for p, var, beta in
+                     zip(powers.unicast, stats.unicast_var, fading.unicast_gains,
+                         strict=True))
+    mu_sinr = tuple(tuple(sinr(q, var, beta) for var, beta in
+                          zip(variances, betas, strict=True))
+                    for q, variances, betas in
+                    zip(powers.multicast, stats.multicast_var, fading.multicast_gains,
+                        strict=True))
     prelog = cfg.prelog
-    uni_sinr = tuple(uni_kernel(cfg, stats, fading, powers, m)
-                     for m in range(cfg.n_unicast))
-    mu_sinr = tuple(tuple(mu_kernel(cfg, stats, fading, powers, j, k)
-                          for k in range(cfg.group_sizes[j]))
-                    for j in range(cfg.n_groups))
     return SeReport(
         prelog=prelog,
         unicast_se=tuple(se_from_sinr(prelog, s) for s in uni_sinr),

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import closed_form
-from .closed_form import MRT, PRECODERS, ZF, DownlinkPowers, require_zf_feasible
+from .closed_form import PRECODERS, ZF, DownlinkPowers, require_zf_feasible
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, SystemConfig,
                     estimation_variances, require_valid)
@@ -379,20 +379,6 @@ def empirical_sinr(cfg: SystemConfig, fading: FadingProfile,
     return _statistics_for(terms, kind, index)
 
 
-def _closed_form_sinrs(cfg, stats, fading, powers, precoder):
-    if precoder == ZF:
-        uni = [closed_form.sinr_zf_unicast(cfg, stats, fading, powers, m)
-               for m in range(cfg.n_unicast)]
-        mu = [[closed_form.sinr_zf_multicast(cfg, stats, fading, powers, j, k)
-               for k in range(cfg.group_sizes[j])] for j in range(cfg.n_groups)]
-    else:
-        uni = [closed_form.sinr_mrt_unicast(cfg, stats, fading, powers, m)
-               for m in range(cfg.n_unicast)]
-        mu = [[closed_form.sinr_mrt_multicast(cfg, stats, fading, powers, j, k)
-               for k in range(cfg.group_sizes[j])] for j in range(cfg.n_groups)]
-    return uni, mu
-
-
 def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
                          pilot_powers_unicast, pilot_powers_multicast,
                          powers: DownlinkPowers, precoder: str,
@@ -406,7 +392,7 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
     terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
                         powers, precoder, n_trials, seed)
     stats = estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
-    cf_uni, cf_mu = _closed_form_sinrs(cfg, stats, fading, powers, precoder)
+    closed = closed_form.se_report(cfg, stats, fading, powers, precoder)
 
     records = []
 
@@ -422,11 +408,11 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
                                       empirical=ts.empirical_sinr,
                                       ci_halfwidth=ts.confidence_halfwidth, z=z))
 
-    for m in range(cfg.n_unicast):
-        add("unicast", m, cf_uni[m])
-    for j in range(cfg.n_groups):
-        for k in range(cfg.group_sizes[j]):
-            add("multicast", (j, k), cf_mu[j][k])
+    for m, cf in enumerate(closed.unicast_sinr):
+        add("unicast", m, cf)
+    for j, group in enumerate(closed.multicast_sinr):
+        for k, cf in enumerate(group):
+            add("multicast", (j, k), cf)
 
     n_ok = sum(1 for r in records if abs(r.z) <= 3.0)
     rate = n_ok / len(records) if records else 1.0

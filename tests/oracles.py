@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here re-derives objective values from elementary formula
-evaluations on dense grids or by bisection, on purpose sharing no code with
-the solvers it checks.  Grid candidates are all feasible points, so an
+evaluations on dense grids or by bisection, or evaluates one SINR per UT
+with a scalar formula per precoder and traffic type, on purpose sharing no
+code with the solvers and the SINR kernel it checks.  Grid candidates are all feasible points, so an
 oracle value can never exceed the true optimum.
 """
 
@@ -38,6 +39,35 @@ def bisect_waterfill(weights, offsets, budget, iters=200):
             hi = mid
     nu = 0.5 * (lo + hi)
     return np.maximum(0.0, c / nu - offsets), nu
+
+
+def sinr_mrt_unicast(cfg, stats, fading, powers, m):
+    """MRT unicast SINR: N*p*var / (1 + gain*(total transmitted power))."""
+    num = cfg.n_antennas * powers.unicast[m] * stats.unicast_var[m]
+    return num / (1.0 + fading.unicast_gains[m] * powers.total)
+
+
+def sinr_mrt_multicast(cfg, stats, fading, powers, j, k):
+    """MRT multicast SINR: N*q_j*var_jk / (1 + gain_jk*(total power))."""
+    num = cfg.n_antennas * powers.multicast[j] * stats.multicast_var[j][k]
+    return num / (1.0 + fading.multicast_gains[j][k] * powers.total)
+
+
+def sinr_zf_unicast(cfg, stats, fading, powers, m):
+    """ZF unicast SINR: beamforming gain drops to N-G-U, interference keeps
+    only the estimation-error part of the gain."""
+    dof = cfg.n_antennas - cfg.n_streams
+    num = dof * powers.unicast[m] * stats.unicast_var[m]
+    err = fading.unicast_gains[m] - stats.unicast_var[m]
+    return num / (1.0 + err * powers.total)
+
+
+def sinr_zf_multicast(cfg, stats, fading, powers, j, k):
+    """ZF multicast SINR, same shape as the unicast one."""
+    dof = cfg.n_antennas - cfg.n_streams
+    num = dof * powers.multicast[j] * stats.multicast_var[j][k]
+    err = fading.multicast_gains[j][k] - stats.multicast_var[j][k]
+    return num / (1.0 + err * powers.total)
 
 
 def _group_quality_factory(cfg, fading, j, precoder, n):

@@ -6,9 +6,8 @@ import time
 
 import numpy as np
 
-from mimocast.allocation import (mmf_se_report, solve_mmf, solve_mmf_mrt,
-                                 solve_mmf_zf, solve_sse, solve_sse_mrt,
-                                 solve_sse_zf, waterfill_kkt_violation)
+from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse,
+                                 waterfill_kkt_violation)
 from mimocast.closed_form import DownlinkPowers, se_report
 from mimocast.errors import ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
@@ -176,7 +175,7 @@ def test_ac7_antenna_growth_compensates_larger_multicast_load():
             fading, _ = place_users(CellGeometry(), 50, (k,) * g,
                                     np.random.SeedSequence(entropy=20240707,
                                                            spawn_key=(n, d)))
-            vals.append(solve_mmf_mrt(cfg, fading, cfg.total_power / 2.0).objective)
+            vals.append(solve_mmf(cfg, fading, cfg.total_power / 2.0, "mrt").objective)
         means.append(sum(vals) / drops)
     gap = abs(means[0] - means[1]) / max(means)
     report("AC-7", gap <= 0.10,
@@ -195,8 +194,8 @@ def test_ac8_zf_feasibility_edge():
                          (float(rng.uniform(0.2, 1.5)),)),
     )
     rejected = 0
-    for call in (lambda: solve_sse_zf(cfg, fading, 2.0),
-                 lambda: solve_mmf_zf(cfg, fading, 2.0)):
+    for call in (lambda: solve_sse(cfg, fading, 2.0, "zf"),
+                 lambda: solve_mmf(cfg, fading, 2.0, "zf")):
         try:
             call()
         except ZfInfeasibleError:
@@ -208,8 +207,8 @@ def test_ac8_zf_feasibility_edge():
         se_report(cfg, stats, fading, powers, "zf")
     except ZfInfeasibleError:
         rejected += 1
-    mrt_ok = (solve_sse_mrt(cfg, fading, 2.0).objective > 0.0
-              and solve_mmf_mrt(cfg, fading, 2.0).objective > 0.0
+    mrt_ok = (solve_sse(cfg, fading, 2.0, "mrt").objective > 0.0
+              and solve_mmf(cfg, fading, 2.0, "mrt").objective > 0.0
               and min(se_report(cfg, stats, fading, powers, "mrt").unicast_se) > 0.0)
     report("AC-8", rejected == 3 and mrt_ok,
            f"ZF rejected {rejected}/3 surfaces at N <= G+U; MRT accepts the "

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimocast.allocation import (mmf_se_report, solve_mmf, solve_mmf_mrt,
-                                 solve_mmf_zf, solve_sse, solve_sse_mrt,
-                                 solve_sse_zf, sse_se_report, waterfill,
-                                 waterfill_kkt_violation)
+from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse,
+                                 sse_se_report, waterfill, waterfill_kkt_violation)
+from mimocast.closed_form import MRT, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
-from mimocast.model import FadingProfile
+from mimocast.model import FadingProfile, estimation_variances
 
 from oracles import bisect_waterfill, random_desk_instance
 from test_model import make_config
@@ -74,7 +73,7 @@ class TestWaterfill:
 class TestMmfMrt:
     def test_frozen_single_group_example(self):
         cfg, fading = single_group_instance()
-        sol = solve_mmf_mrt(cfg, fading, 5.0)
+        sol = solve_mmf(cfg, fading, 5.0, MRT)
         assert sol.upsilon[0] == pytest.approx(2.0 / 11.0, rel=1e-12)
         assert sol.x_caps[0][0] == pytest.approx(2.0, rel=1e-12)
         assert sol.gamma == pytest.approx(500.0 / 16.5, rel=1e-12)
@@ -85,7 +84,7 @@ class TestMmfMrt:
 
     def test_no_multicast_power_zero_objective(self):
         cfg, fading = single_group_instance()
-        sol = solve_mmf_mrt(cfg, fading, 10.0)
+        sol = solve_mmf(cfg, fading, 10.0, MRT)
         assert sol.gamma == 0.0
         assert sol.objective == 0.0
         assert sol.downlink_powers == (0.0,)
@@ -95,34 +94,34 @@ class TestMmfMrt:
         cfg = make_config(n_unicast=1, group_sizes=(), pilot_length=1)
         fading = FadingProfile(unicast_gains=(1.0,), multicast_gains=())
         with pytest.raises(DegenerateInputError):
-            solve_mmf_mrt(cfg, fading, 0.0)
+            solve_mmf(cfg, fading, 0.0, MRT)
 
     def test_split_out_of_range_rejected(self):
         cfg, fading = single_group_instance()
         with pytest.raises(ValueError):
-            solve_mmf_mrt(cfg, fading, -0.5)
+            solve_mmf(cfg, fading, -0.5, MRT)
         with pytest.raises(ValueError):
-            solve_mmf_mrt(cfg, fading, 10.5)
+            solve_mmf(cfg, fading, 10.5, MRT)
 
 
 class TestMmfZf:
     def test_frozen_single_group_example(self):
         cfg, fading = single_group_instance()
-        sol = solve_mmf_zf(cfg, fading, 5.0)
+        sol = solve_mmf(cfg, fading, 5.0, ZF)
         assert sol.b_values[0] == pytest.approx(16.5, rel=1e-12)
         assert sol.gamma == pytest.approx(99.0 * 5.0 / 6.5, rel=1e-12)
         assert sol.objective == pytest.approx(6.238317841608733, rel=1e-12)
 
     def test_single_group_takes_whole_budget(self):
         cfg, fading = single_group_instance()
-        sol = solve_mmf_zf(cfg, fading, 3.0)
+        sol = solve_mmf(cfg, fading, 3.0, ZF)
         assert sol.downlink_powers[0] == pytest.approx(7.0, rel=1e-12)
 
     def test_too_few_antennas_rejected(self):
         cfg = make_config(n_unicast=3, group_sizes=(2,), pilot_length=4, n_antennas=4)
         fading = FadingProfile(unicast_gains=(1.0,) * 3, multicast_gains=((1.0, 1.0),))
         with pytest.raises(ZfInfeasibleError):
-            solve_mmf_zf(cfg, fading, 0.0)
+            solve_mmf(cfg, fading, 0.0, ZF)
 
 
 class TestMmfProperties:
@@ -162,7 +161,7 @@ class TestSseMrt:
     def test_frozen_two_user_waterfill(self):
         cfg = make_config(n_unicast=2, group_sizes=(), pilot_length=2)
         fading = FadingProfile(unicast_gains=(1.0, 0.1), multicast_gains=())
-        sol = solve_sse_mrt(cfg, fading, 5.0)
+        sol = solve_sse(cfg, fading, 5.0, MRT)
         assert sol.effective_vars == pytest.approx((2.0 / 3.0, 1.0 / 60.0), rel=1e-12)
         # offsets (0.165, 1.2); both active; levels computed by hand
         assert sol.downlink_powers == pytest.approx((3.0175, 1.9825), rel=1e-12)
@@ -175,27 +174,27 @@ class TestSseMrt:
     def test_single_user_takes_everything(self):
         cfg = make_config(n_unicast=1, group_sizes=(1,), pilot_length=2)
         fading = FadingProfile(unicast_gains=(0.7,), multicast_gains=((1.0,),))
-        sol = solve_sse_mrt(cfg, fading, 4.0)
+        sol = solve_sse(cfg, fading, 4.0, MRT)
         assert sol.downlink_powers == pytest.approx((6.0,), rel=1e-15)
 
     def test_identical_users_split_equally(self):
         cfg = make_config(n_unicast=2, group_sizes=(), pilot_length=2)
         fading = FadingProfile(unicast_gains=(0.8, 0.8), multicast_gains=())
-        sol = solve_sse_mrt(cfg, fading, 2.0)
+        sol = solve_sse(cfg, fading, 2.0, MRT)
         assert sol.downlink_powers[0] == pytest.approx(sol.downlink_powers[1], rel=1e-12)
         assert sum(sol.downlink_powers) == pytest.approx(8.0, rel=1e-15)
 
     def test_no_unicast_users_rejected(self):
         cfg, fading = single_group_instance()
         with pytest.raises(DegenerateInputError):
-            solve_sse_mrt(cfg, fading, 5.0)
+            solve_sse(cfg, fading, 5.0, MRT)
 
 
 class TestSseZf:
     def test_single_user_takes_everything(self):
         cfg = make_config(n_unicast=1, group_sizes=(1,), pilot_length=2)
         fading = FadingProfile(unicast_gains=(0.7,), multicast_gains=((1.0,),))
-        sol = solve_sse_zf(cfg, fading, 4.0)
+        sol = solve_sse(cfg, fading, 4.0, ZF)
         assert sol.downlink_powers == pytest.approx((6.0,), rel=1e-15)
 
     def test_huge_pilot_cap_removes_interference_offset(self):
@@ -204,7 +203,7 @@ class TestSseZf:
         beta = 0.7
         cfg = make_config(n_unicast=1, group_sizes=(1,), pilot_length=2, cap=1e12)
         fading = FadingProfile(unicast_gains=(beta,), multicast_gains=((1.0,),))
-        sol = solve_sse_zf(cfg, fading, 4.0)
+        sol = solve_sse(cfg, fading, 4.0, ZF)
         dof = cfg.n_antennas - cfg.n_streams
         assert sol.effective_vars[0] == pytest.approx(beta, rel=1e-9)
         # reconstruct the offset from the water level and the level
@@ -215,7 +214,7 @@ class TestSseZf:
         cfg = make_config(n_unicast=2, group_sizes=(1,), pilot_length=3, n_antennas=3)
         fading = FadingProfile(unicast_gains=(1.0, 1.0), multicast_gains=((1.0,),))
         with pytest.raises(ZfInfeasibleError):
-            solve_sse_zf(cfg, fading, 0.0)
+            solve_sse(cfg, fading, 0.0, ZF)
 
 
 class TestSseProperties:
@@ -268,7 +267,7 @@ class TestGridOracleAgreement:
 class TestScoringGuards:
     def test_mismatched_unicast_power_with_no_users(self):
         cfg, fading = single_group_instance()
-        sol = solve_mmf_mrt(cfg, fading, 0.0)
+        sol = solve_mmf(cfg, fading, 0.0, MRT)
         with pytest.raises(DegenerateInputError):
             mmf_se_report(cfg, fading, sol, 1.0)
 
@@ -279,3 +278,23 @@ class TestScoringGuards:
         sol = solve_mmf(cfg, fading, 0.0, "mrt")
         rep = mmf_se_report(cfg, fading, sol, 0.0)
         assert rep.prelog == pytest.approx(1.0 - cfg.n_streams / cfg.coherence_length)
+
+
+class TestBudgetTolerance:
+    @pytest.mark.parametrize("overshoot, accepted", [(0.5e-12, True), (2e-12, False)])
+    def test_split_and_scoring_share_one_bound(self, overshoot, accepted):
+        # A power that overshoots the budget by the same relative amount must
+        # get the same verdict as a solver split and as a scored power list.
+        cfg = make_config(n_unicast=1, group_sizes=(1,), pilot_length=2)
+        fading = FadingProfile(unicast_gains=(1.0,), multicast_gains=((1.0,),))
+        stats = estimation_variances(cfg, fading, [1.0], [[1.0]])
+        over = cfg.total_power * (1.0 + overshoot)
+        checks = (lambda: solve_mmf(cfg, fading, over, MRT),
+                  lambda: se_report(cfg, stats, fading,
+                                    DownlinkPowers(unicast=(over,), multicast=(0.0,)), MRT))
+        for check in checks:
+            if accepted:
+                check()
+            else:
+                with pytest.raises(ValueError):
+                    check()

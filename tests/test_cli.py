@@ -221,6 +221,15 @@ class TestFigure:
         assert len(rows) == 1 + 2 * 2 * 2   # one N, two G, two K, both precoders
         assert all(float(r[rows[0].index("mmf_se")]) > 0.0 for r in rows[1:])
 
+    @pytest.mark.parametrize("figure, drops", [("fig2", 0), ("fig3", -2)])
+    def test_drop_floor_enforced(self, tmp_path, figure, drops):
+        out = tmp_path / "f.csv"
+        assert run("figure", figure, "--antennas-list", "32", "--g-list", "1",
+                   "--k-list", "2", "--u-list", "2", "--unicast", 2,
+                   "--groups", 1, "--group-size", 2, "--drops", drops,
+                   "--seed", 4, "--out", out) == 1
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_scenario_file_is_io_error(self, tmp_path):

@@ -1,14 +1,14 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from mimocast.closed_form import (MRT, ZF, DownlinkPowers, se_report,
-                                  sinr_mrt_multicast, sinr_mrt_unicast,
-                                  sinr_zf_multicast, sinr_zf_unicast)
+from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import ZfInfeasibleError
-from mimocast.model import EstimationStats, FadingProfile
+from mimocast.model import EstimationStats, FadingProfile, estimation_variances
 
+import oracles
 from test_model import make_config
 
 
@@ -17,6 +17,14 @@ def stats_for(cfg, unicast_var=(), multicast_var=(), group_var=None):
         group_var = tuple(1.0 for _ in cfg.group_sizes)
     return EstimationStats(unicast_var=unicast_var, multicast_var=multicast_var,
                            group_var=group_var)
+
+
+def sinr_unicast(cfg, stats, fading, powers, precoder, m):
+    return se_report(cfg, stats, fading, powers, precoder).unicast_sinr[m]
+
+
+def sinr_multicast(cfg, stats, fading, powers, precoder, j, k):
+    return se_report(cfg, stats, fading, powers, precoder).multicast_sinr[j][k]
 
 
 class TestMrtUnicast:
@@ -28,24 +36,19 @@ class TestMrtUnicast:
 
     def test_hand_value(self):
         powers = DownlinkPowers(unicast=(2.0,), multicast=(7.0,))
-        assert sinr_mrt_unicast(self.cfg, self.stats, self.fading, powers, 0) \
+        assert sinr_unicast(self.cfg, self.stats, self.fading, powers, MRT, 0) \
             == pytest.approx(10.0, rel=1e-12)
 
     def test_zero_power_zero_sinr(self):
         powers = DownlinkPowers(unicast=(0.0,), multicast=(7.0,))
-        assert sinr_mrt_unicast(self.cfg, self.stats, self.fading, powers, 0) == 0.0
+        assert sinr_unicast(self.cfg, self.stats, self.fading, powers, MRT, 0) == 0.0
 
     def test_linear_in_antennas(self):
         powers = DownlinkPowers(unicast=(2.0,), multicast=(7.0,))
-        one = sinr_mrt_unicast(self.cfg, self.stats, self.fading, powers, 0)
+        one = sinr_unicast(self.cfg, self.stats, self.fading, powers, MRT, 0)
         cfg2 = make_config(n_unicast=1, group_sizes=(1,), pilot_length=2, n_antennas=200)
-        two = sinr_mrt_unicast(cfg2, self.stats, self.fading, powers, 0)
+        two = sinr_unicast(cfg2, self.stats, self.fading, powers, MRT, 0)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_index_out_of_range(self):
-        powers = DownlinkPowers(unicast=(2.0,), multicast=(7.0,))
-        with pytest.raises(IndexError):
-            sinr_mrt_unicast(self.cfg, self.stats, self.fading, powers, 1)
 
 
 class TestMrtMulticast:
@@ -57,18 +60,18 @@ class TestMrtMulticast:
     def test_hand_value(self):
         # N=100, q=5, var=0.2, gain=1, total power 10 -> 100/11.
         powers = DownlinkPowers(unicast=(5.0,), multicast=(5.0,))
-        assert sinr_mrt_multicast(self.cfg, self.stats, self.fading, powers, 0, 0) \
+        assert sinr_multicast(self.cfg, self.stats, self.fading, powers, MRT, 0, 0) \
             == pytest.approx(100.0 / 11.0, rel=1e-12)
 
     def test_zero_power(self):
         powers = DownlinkPowers(unicast=(5.0,), multicast=(0.0,))
-        assert sinr_mrt_multicast(self.cfg, self.stats, self.fading, powers, 0, 0) == 0.0
+        assert sinr_multicast(self.cfg, self.stats, self.fading, powers, MRT, 0, 0) == 0.0
 
     def test_linear_in_estimate_variance(self):
         powers = DownlinkPowers(unicast=(5.0,), multicast=(5.0,))
-        base = sinr_mrt_multicast(self.cfg, self.stats, self.fading, powers, 0, 0)
+        base = sinr_multicast(self.cfg, self.stats, self.fading, powers, MRT, 0, 0)
         scaled = stats_for(self.cfg, unicast_var=(0.5,), multicast_var=((0.6,),))
-        assert sinr_mrt_multicast(self.cfg, scaled, self.fading, powers, 0, 0) \
+        assert sinr_multicast(self.cfg, scaled, self.fading, powers, MRT, 0, 0) \
             == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -84,21 +87,21 @@ class TestZfUnicast:
     def test_hand_value(self):
         # p=1 for the target, total power 10 -> 96*0.5/(1+0.5*10) = 8.
         powers = DownlinkPowers(unicast=(1.0, 4.0), multicast=(2.0, 3.0))
-        assert sinr_zf_unicast(self.cfg, self.stats, self.fading, powers, 0) \
+        assert sinr_unicast(self.cfg, self.stats, self.fading, powers, ZF, 0) \
             == pytest.approx(8.0, rel=1e-12)
 
     def test_perfect_csi_removes_interference(self):
         stats = stats_for(self.cfg, unicast_var=(1.0, 0.5), multicast_var=((0.2,), (0.2,)))
         powers = DownlinkPowers(unicast=(1.0, 4.0), multicast=(2.0, 3.0))
         dof = self.cfg.n_antennas - self.cfg.n_streams
-        assert sinr_zf_unicast(self.cfg, stats, self.fading, powers, 0) \
+        assert sinr_unicast(self.cfg, stats, self.fading, powers, ZF, 0) \
             == pytest.approx(dof * 1.0 * 1.0, rel=1e-12)
 
     def test_zero_degrees_of_freedom_rejected(self):
         cfg = make_config(n_unicast=2, group_sizes=(1, 1), pilot_length=4, n_antennas=4)
         powers = DownlinkPowers(unicast=(1.0, 4.0), multicast=(2.0, 3.0))
         with pytest.raises(ZfInfeasibleError):
-            sinr_zf_unicast(cfg, self.stats, self.fading, powers, 0)
+            sinr_unicast(cfg, self.stats, self.fading, powers, ZF, 0)
 
 
 class TestZfMulticast:
@@ -112,19 +115,19 @@ class TestZfMulticast:
     def test_hand_value(self):
         # q=5, var=0.2, gain 1, total 10 -> 96*1/(1+0.8*10) = 96/9.
         powers = DownlinkPowers(unicast=(1.0, 4.0), multicast=(5.0, 0.0))
-        assert sinr_zf_multicast(self.cfg, self.stats, self.fading, powers, 0, 0) \
+        assert sinr_multicast(self.cfg, self.stats, self.fading, powers, ZF, 0, 0) \
             == pytest.approx(96.0 / 9.0, rel=1e-12)
 
     def test_full_estimate_kills_interference_term(self):
         stats = stats_for(self.cfg, unicast_var=(0.5, 0.5), multicast_var=((1.0,), (0.2,)))
         powers = DownlinkPowers(unicast=(1.0, 4.0), multicast=(5.0, 0.0))
         dof = self.cfg.n_antennas - self.cfg.n_streams
-        assert sinr_zf_multicast(self.cfg, stats, self.fading, powers, 0, 0) \
+        assert sinr_multicast(self.cfg, stats, self.fading, powers, ZF, 0, 0) \
             == pytest.approx(dof * 5.0, rel=1e-12)
 
     def test_zero_power(self):
         powers = DownlinkPowers(unicast=(1.0, 4.0), multicast=(0.0, 5.0))
-        assert sinr_zf_multicast(self.cfg, self.stats, self.fading, powers, 0, 0) == 0.0
+        assert sinr_multicast(self.cfg, self.stats, self.fading, powers, ZF, 0, 0) == 0.0
 
 
 class TestSeReport:
@@ -185,12 +188,12 @@ class TestKernelProperties:
         var = beta * vfrac
         stats = stats_for(cfg, unicast_var=(var,), multicast_var=((0.2,),))
         powers = DownlinkPowers(unicast=(p,), multicast=(q,))
-        zf = sinr_zf_unicast(cfg, stats, fading, powers, 0)
+        zf = sinr_unicast(cfg, stats, fading, powers, ZF, 0)
         shrunk = make_config(n_unicast=1, group_sizes=(1,), pilot_length=2,
                              n_antennas=cfg.n_antennas - cfg.n_streams,
                              total_power=1e9)
         eroded = FadingProfile(unicast_gains=(beta - var,), multicast_gains=((1.0,),))
-        mrt_mapped = sinr_mrt_unicast(shrunk, stats, eroded, powers, 0)
+        mrt_mapped = sinr_unicast(shrunk, stats, eroded, powers, MRT, 0)
         assert zf == pytest.approx(mrt_mapped, rel=1e-12)
 
     @given(q=pos, e1=pos, e2=pos, v1=frac, v2=frac, p_un=pos)
@@ -202,10 +205,10 @@ class TestKernelProperties:
         sa = stats_for(cfg, unicast_var=(0.5,), multicast_var=((e1 * v1, e2 * v2),))
         b = FadingProfile(unicast_gains=(1.0,), multicast_gains=((e2, e1),))
         sb = stats_for(cfg, unicast_var=(0.5,), multicast_var=((e2 * v2, e1 * v1),))
-        assert sinr_mrt_multicast(cfg, sa, a, powers, 0, 0) \
-            == pytest.approx(sinr_mrt_multicast(cfg, sb, b, powers, 0, 1), rel=1e-12)
-        assert sinr_mrt_multicast(cfg, sa, a, powers, 0, 1) \
-            == pytest.approx(sinr_mrt_multicast(cfg, sb, b, powers, 0, 0), rel=1e-12)
+        assert sinr_multicast(cfg, sa, a, powers, MRT, 0, 0) \
+            == pytest.approx(sinr_multicast(cfg, sb, b, powers, MRT, 0, 1), rel=1e-12)
+        assert sinr_multicast(cfg, sa, a, powers, MRT, 0, 1) \
+            == pytest.approx(sinr_multicast(cfg, sb, b, powers, MRT, 0, 0), rel=1e-12)
 
     @given(p1=pos, p2=pos, beta=pos, vfrac=frac)
     def test_increasing_own_power_at_fixed_total_raises_sinr(self, p1, p2, beta, vfrac):
@@ -222,5 +225,45 @@ class TestKernelProperties:
         powers_lo = DownlinkPowers(unicast=(lo, hi), multicast=(1.0,))
         powers_hi = DownlinkPowers(unicast=(hi, lo), multicast=(1.0,))
         assert powers_lo.total == powers_hi.total
-        assert sinr_mrt_unicast(cfg, stats, fading, powers_hi, 0) \
-            > sinr_mrt_unicast(cfg, stats, fading, powers_lo, 0)
+        assert sinr_unicast(cfg, stats, fading, powers_hi, MRT, 0) \
+            > sinr_unicast(cfg, stats, fading, powers_lo, MRT, 0)
+
+
+class TestScalarOracleAgreement:
+    @settings(max_examples=80)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           no_unicast=st.booleans(),
+           precoder=st.sampled_from(PRECODERS),
+           load=st.floats(min_value=0.0, max_value=0.999))
+    def test_kernel_matches_per_user_formulas(self, seed, no_unicast, precoder, load):
+        # The one SINR kernel against the four per-precoder, per-traffic-type
+        # scalar formulas it replaced, on random cells (U=0 included), random
+        # pilot powers below the caps, and random downlink powers.
+        rng = np.random.default_rng(seed)
+        cfg, fading = oracles.random_desk_instance(
+            rng, u_range=(0, 0) if no_unicast else (1, 8))
+        tau = cfg.pilot_length
+        stats = estimation_variances(
+            cfg, fading,
+            [e * rng.uniform(0.0, 1.0) / tau for e in cfg.unicast_energy_caps],
+            [[e * rng.uniform(0.0, 1.0) / tau for e in caps]
+             for caps in cfg.multicast_energy_caps])
+        shares = rng.uniform(0.0, 1.0, cfg.n_streams)
+        levels = shares * (load * cfg.total_power / max(shares.sum(), 1e-300))
+        powers = DownlinkPowers(unicast=levels[:cfg.n_unicast],
+                                multicast=levels[cfg.n_unicast:])
+        if precoder == ZF:
+            uni, mu = oracles.sinr_zf_unicast, oracles.sinr_zf_multicast
+        else:
+            uni, mu = oracles.sinr_mrt_unicast, oracles.sinr_mrt_multicast
+
+        rep = se_report(cfg, stats, fading, powers, precoder)
+        assert len(rep.unicast_sinr) == cfg.n_unicast
+        for m, got in enumerate(rep.unicast_sinr):
+            assert got == pytest.approx(uni(cfg, stats, fading, powers, m),
+                                        rel=1e-12, abs=0.0)
+        assert tuple(map(len, rep.multicast_sinr)) == cfg.group_sizes
+        for j, group in enumerate(rep.multicast_sinr):
+            for k, got in enumerate(group):
+                assert got == pytest.approx(mu(cfg, stats, fading, powers, j, k),
+                                            rel=1e-12, abs=0.0)

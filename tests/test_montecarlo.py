@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mimocast.closed_form import (DownlinkPowers, sinr_mrt_multicast,
-                                  sinr_mrt_unicast)
+from mimocast.closed_form import DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError
 from mimocast.model import FadingProfile, estimation_variances
 from mimocast.montecarlo import (build_mrt_precoders, build_zf_precoders,
@@ -245,7 +244,7 @@ class TestEmpiricalSinr:
         lo = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
         hi = DownlinkPowers(unicast=(4.0, 2.0), multicast=(6.0,))
         for powers in (lo, hi):
-            cf = sinr_mrt_unicast(cfg, stats, fading, powers, 0)
+            cf = se_report(cfg, stats, fading, powers, "mrt").unicast_sinr[0]
             ts = empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
                                 "unicast", 0, 3000, 41)
             assert ts.confidence_halfwidth > 0.0
@@ -325,7 +324,7 @@ class TestValidateClosedForm:
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         nominal = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
         inflated = DownlinkPowers(unicast=(2.42, 1.21), multicast=(3.63,))
-        cf = sinr_mrt_multicast(cfg, stats, fading, nominal, 0, 0)
+        cf = se_report(cfg, stats, fading, nominal, "mrt").multicast_sinr[0][0]
         ts = empirical_sinr(cfg, fading, pilots_un, pilots_mu, inflated, "mrt",
                             "multicast", (0, 0), 8000, 11)
         z = (ts.empirical_sinr - cf) / (ts.confidence_halfwidth / 1.96)
