@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .closed_form import (BUDGET_RTOL, DownlinkPowers, SeReport, _precoder_factors,
-                          se_report)
+                          _se_report, se_from_sinr)
 from .errors import DegenerateInputError
-from .model import FadingProfile, SystemConfig, estimation_variances, require_valid
+from .model import FadingProfile, SystemConfig, _estimation_variances, require_valid
 
 LN2 = math.log(2.0)
 
@@ -92,6 +92,17 @@ class SseSolution:
         }
 
 
+def _check_waterfill_users(weights: Sequence[float], offsets: Sequence[float]):
+    if len(weights) != len(offsets):
+        raise ValueError("weights and offsets must have equal length")
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
+    if any(o <= 0 for o in offsets):
+        raise ValueError("offsets must be positive")
+    if len(weights) == 0:
+        raise ValueError("need at least one user")
+
+
 def waterfill(weights: Sequence[float], offsets: Sequence[float],
               budget: float) -> tuple[tuple[float, ...], float]:
     """Water-filling: levels_m = max(0, w_m/(nu*ln2) - o_m) exhausting the budget.
@@ -100,17 +111,10 @@ def waterfill(weights: Sequence[float], offsets: Sequence[float],
     descending, closed-form nu per candidate active set, largest consistent
     set taken.  A zero budget returns all-zero levels with nu = +inf.
     """
-    if len(weights) != len(offsets):
-        raise ValueError("weights and offsets must have equal length")
+    _check_waterfill_users(weights, offsets)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    if any(o <= 0 for o in offsets):
-        raise ValueError("offsets must be positive")
     n = len(weights)
-    if n == 0:
-        raise ValueError("need at least one user")
     if budget == 0.0:
         return (0.0,) * n, math.inf
 
@@ -131,6 +135,38 @@ def waterfill(weights: Sequence[float], offsets: Sequence[float],
     for i in order[:n_active]:
         levels[i] = max(0.0, c[i] / nu - offsets[i])
     return tuple(levels), nu
+
+
+def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
+                     objective: float) -> float:
+    """The budget at which ``waterfill`` attains sum_m w_m*ln(1 + levels_m/o_m)
+    = objective: the inverse of water-filling.
+
+    A growing budget activates users in order of r = w/o descending.  With
+    A_k the sum of the first k weights, user k+1 joins at the budget
+    b_{k+1} = b_k + A_k*(1/r_{k+1} - 1/r_k), where the objective is
+    f_{k+1} = f_k + A_k*ln(r_k/r_{k+1}) (b_1 = f_1 = 0).  Between two
+    breakpoints the objective is f_k + A_k*ln((b + O_k)/(b_k + O_k)), O_k
+    being the sum of the first k offsets and b_k + O_k = A_k/r_k, so the
+    budget is b_k + A_k/r_k*expm1((f - f_k)/A_k).  Every increment is
+    non-negative, and expm1 keeps budgets near zero accurate.
+    """
+    _check_waterfill_users(weights, offsets)
+    if not 0.0 <= objective < math.inf:
+        raise ValueError(f"objective must be non-negative and finite, got {objective}")
+    users = sorted(zip(weights, offsets), key=lambda wo: wo[0] / wo[1], reverse=True)
+    ratios = [w / o for w, o in users]
+    budget = level_sum = wsum = 0.0   # b_k, f_k and A_k of the current segment
+    for k, (w, _) in enumerate(users):
+        wsum += w
+        if k + 1 == len(users):
+            break
+        next_level_sum = level_sum + wsum * math.log(ratios[k] / ratios[k + 1])
+        if next_level_sum > objective:
+            break
+        budget += wsum * (1.0 / ratios[k + 1] - 1.0 / ratios[k])
+        level_sum = next_level_sum
+    return budget + wsum / ratios[k] * math.expm1((objective - level_sum) / wsum)
 
 
 def waterfill_kkt_violation(weights: Sequence[float], offsets: Sequence[float],
@@ -182,6 +218,47 @@ def _interference_loads(cfg: SystemConfig, fading: FadingProfile,
     )
 
 
+def _solver_prelog(cfg: SystemConfig) -> float:
+    """Prelog at the solvers' pilot length, the shortest feasible one (U+G)."""
+    return 1.0 - cfg.n_streams / cfg.coherence_length
+
+
+def _multicast_loads(cfg: SystemConfig, fading: FadingProfile, c: float):
+    """Group floors upsilon_j, pilot energies, loads B_j and the precoder's
+    effective loads B_j - c*P, none of which depends on the power split."""
+    if cfg.n_groups == 0:
+        raise DegenerateInputError("max-min multicast needs at least one group")
+    P = cfg.total_power
+    upsilon, x_caps = _group_quality_floors(cfg, fading)
+    b_values = _interference_loads(cfg, fading, upsilon)
+    # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
+    # loads below cannot vanish for a valid config; guard anyway.
+    loads = tuple(b - c * P for b in b_values)
+    if any(load <= 0.0 for load in loads):
+        raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
+    return upsilon, x_caps, b_values, loads
+
+
+def _unicast_offsets(cfg: SystemConfig, fading: FadingProfile, gain: int, c: float):
+    """Full-cap estimate variances theta and the water-filling offsets
+    (1 + (beta - c*theta)*P) / (gain*theta), neither depending on the split."""
+    if cfg.n_unicast == 0:
+        raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
+    P = cfg.total_power
+    theta = tuple(e * b * b / (1.0 + e * b)
+                  for e, b in zip(cfg.unicast_energy_caps, fading.unicast_gains))
+    offsets = tuple((1.0 + (b - c * t) * P) / (gain * t)
+                    for b, t in zip(fading.unicast_gains, theta))
+    return theta, offsets
+
+
+def _sum_se(prelog: float, weights: Sequence[float], levels: Sequence[float],
+            offsets: Sequence[float]) -> float:
+    """Weighted sum SE of water-filled levels: prelog * sum a*log2(1 + p/o)."""
+    return prelog * sum(a * math.log1p(p / o) / LN2
+                        for a, p, o in zip(weights, levels, offsets))
+
+
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
               precoder: str) -> MmfSolution:
     """Max-min multicast SE for a fixed unicast power.
@@ -192,26 +269,15 @@ def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
     """
     gain, c = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
-    if cfg.n_groups == 0:
-        raise DegenerateInputError("max-min multicast needs at least one group")
+    upsilon, x_caps, b_values, loads = _multicast_loads(cfg, fading, c)
     p_mu = _check_split(cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
 
-    P = cfg.total_power
     tau = cfg.n_streams
-    upsilon, x_caps = _group_quality_floors(cfg, fading)
-    b_values = _interference_loads(cfg, fading, upsilon)
-    # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
-    # loads below cannot vanish for a valid config; guard anyway.
-    loads = tuple(b - c * P for b in b_values)
-    if any(load <= 0.0 for load in loads):
-        raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
-
     spread = sum(loads)
     gamma = gain * p_mu / spread
-    prelog = 1.0 - tau / cfg.coherence_length
     return MmfSolution(
         precoder=precoder,
-        objective=prelog * math.log1p(gamma) / LN2,
+        objective=se_from_sinr(_solver_prelog(cfg), gamma),
         pilot_length=tau,
         uplink_pilot_powers=tuple(tuple(x / tau for x in xs) for xs in x_caps),
         downlink_powers=tuple(p_mu * load / spread for load in loads),
@@ -231,24 +297,14 @@ def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float
     """
     gain, c = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
-    if cfg.n_unicast == 0:
-        raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
+    theta, offsets = _unicast_offsets(cfg, fading, gain, c)
     budget = _check_split(cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
 
-    P = cfg.total_power
     tau = cfg.n_streams
-    theta = tuple(e * b * b / (1.0 + e * b)
-                  for e, b in zip(cfg.unicast_energy_caps, fading.unicast_gains))
-    offsets = tuple((1.0 + (b - c * t) * P) / (gain * t)
-                    for b, t in zip(fading.unicast_gains, theta))
-
     levels, nu = waterfill(cfg.sse_weights, offsets, budget)
-    prelog = 1.0 - tau / cfg.coherence_length
-    objective = prelog * sum(a * math.log1p(p / o) / LN2
-                             for a, p, o in zip(cfg.sse_weights, levels, offsets))
     return SseSolution(
         precoder=precoder,
-        objective=objective,
+        objective=_sum_se(_solver_prelog(cfg), cfg.sse_weights, levels, offsets),
         pilot_length=tau,
         uplink_pilot_powers=tuple(e / tau for e in cfg.unicast_energy_caps),
         downlink_powers=levels,
@@ -257,12 +313,52 @@ def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float
     )
 
 
+def _mmf_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
+    """The max-min objective at full multicast power, and a function mapping
+    an objective in [0, that] to the multicast power at which ``solve_mmf``
+    attains it.
+
+    gamma = gain*p_mu / sum_j (B_j - c*P) is linear in p_mu and nothing
+    else depends on the split, so p_mu = expm1(objective*ln2/prelog) *
+    sum_j (B_j - c*P) / gain.
+    """
+    gain, c = _precoder_factors(cfg, precoder)
+    require_valid(cfg, fading)
+    spread = sum(_multicast_loads(cfg, fading, c)[3])
+    prelog = _solver_prelog(cfg)
+
+    def power_for(objective: float) -> float:
+        return math.expm1(objective * LN2 / prelog) * spread / gain
+
+    return se_from_sinr(prelog, gain * cfg.total_power / spread), power_for
+
+
+def _sse_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
+    """The sum-SE objective at full unicast power, and a function mapping an
+    objective in [0, that] to the unicast power at which ``solve_sse``
+    attains it (``waterfill_budget`` over the solver's offsets)."""
+    gain, c = _precoder_factors(cfg, precoder)
+    require_valid(cfg, fading)
+    _, offsets = _unicast_offsets(cfg, fading, gain, c)
+    prelog = _solver_prelog(cfg)
+    weights = cfg.sse_weights
+
+    def power_for(objective: float) -> float:
+        return waterfill_budget(weights, offsets, objective * LN2 / prelog)
+
+    levels, _ = waterfill(weights, offsets, cfg.total_power)
+    return _sum_se(prelog, weights, levels, offsets), power_for
+
+
 def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolution,
            pilots_unicast, pilots_multicast, powers: DownlinkPowers) -> SeReport:
-    """Closed-form SEs at the solution's pilot length and precoder."""
+    """Closed-form SEs at the solution's pilot length and precoder, with the
+    pair validated once for both the estimation and the SINR kernel."""
     cfg_at = dataclasses.replace(cfg, pilot_length=sol.pilot_length)
-    stats = estimation_variances(cfg_at, fading, pilots_unicast, pilots_multicast)
-    return se_report(cfg_at, stats, fading, powers, sol.precoder)
+    gain, c = _precoder_factors(cfg_at, sol.precoder)
+    require_valid(cfg_at, fading)
+    stats = _estimation_variances(cfg_at, fading, pilots_unicast, pilots_multicast)
+    return _se_report(cfg_at, stats, fading, powers, gain, c)
 
 
 def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,

@@ -132,6 +132,13 @@ def se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
     with the pilot prelog, for the precoder's factors (gain, c)."""
     gain, c = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
+    return _se_report(cfg, stats, fading, powers, gain, c)
+
+
+def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
+               powers: DownlinkPowers, gain: int, c: float) -> SeReport:
+    """``se_report`` for a (cfg, fading) pair already validated, with the
+    precoder's factors already looked up."""
     _check_powers(cfg, powers)
     total = powers.total
 

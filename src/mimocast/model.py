@@ -277,6 +277,14 @@ def estimation_variances(cfg: SystemConfig,
     has variance (sum_t tau*q_t*e_t)^2 / (1 + sum_t tau*q_t*e_t).
     """
     require_valid(cfg, fading)
+    return _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+
+
+def _estimation_variances(cfg: SystemConfig,
+                          fading: FadingProfile,
+                          pilot_powers_unicast: Sequence[float],
+                          pilot_powers_multicast: Sequence[Sequence[float]]) -> EstimationStats:
+    """``estimation_variances`` for a (cfg, fading) pair already validated."""
     _check_pilot_shapes(cfg, pilot_powers_unicast, pilot_powers_multicast)
     tau = cfg.pilot_length
 

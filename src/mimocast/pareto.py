@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
-from .allocation import MmfSolution, SseSolution, solve_mmf, solve_sse
+from .allocation import (MmfSolution, SseSolution, _mmf_inverse, _sse_inverse, solve_mmf,
+                         solve_sse)
 from .closed_form import PRECODERS
 from .model import FadingProfile, SystemConfig, require_valid
 
@@ -123,41 +125,17 @@ def check_convexity(boundary: ParetoBoundary) -> ConvexityReport:
     )
 
 
-def _bisect_split(boundary: ParetoBoundary, value: float, kind: str) -> float:
-    """Find the unicast power whose exact solve attains the target objective.
-
-    Both objectives are strictly monotone in the split, so plain bisection
-    on the unicast power converges; tolerance 1e-10 * P.
-    """
-    cfg, fading, precoder = boundary.cfg, boundary.fading, boundary.precoder
-    P = cfg.total_power
-
-    def score(p_un: float) -> float:
-        pt = solve_split(cfg, fading, precoder, p_un)
-        return pt.mmf_objective if kind == "mmf" else pt.sse_objective
-
-    lo, hi = 0.0, P
-    # mmf decreases in p_un, sse increases.
-    increasing = kind == "sse"
-    while hi - lo > 1e-10 * P:
-        mid = 0.5 * (lo + hi)
-        v = score(mid)
-        if (v < value) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def select_operating_point(boundary: ParetoBoundary,
                            ratio: tuple[float, float] | None = None,
                            target_mmf: float | None = None,
                            target_sse: float | None = None) -> OperatingPoint:
-    """Pick one boundary point by policy and re-solve it exactly.
+    """Pick one boundary point by policy and solve it exactly.
 
     Exactly one policy must be given: a unicast:multicast power ratio, a
-    target max-min multicast SE, or a target sum SE.  Targets outside the
-    achievable range return the nearest endpoint flagged as clamped.
+    target max-min multicast SE, or a target sum SE.  A target maps back to
+    its split in closed form, so the split is exact up to rounding and one
+    solve gives the point.  Targets outside the achievable range return the
+    nearest endpoint flagged as clamped.
     """
     chosen = [p for p in (ratio, target_mmf, target_sse) if p is not None]
     if len(chosen) != 1:
@@ -171,23 +149,21 @@ def select_operating_point(boundary: ParetoBoundary,
             raise ValueError(f"ratio parts must be non-negative with a positive sum, got {ratio}")
         return OperatingPoint(solve_split(cfg, fading, precoder, P * a / (a + b)), False)
 
-    endpoints = (solve_split(cfg, fading, precoder, 0.0),
-                 solve_split(cfg, fading, precoder, P))
-    if target_mmf is not None:
-        lo, hi = endpoints[1].mmf_objective, endpoints[0].mmf_objective
-        if target_mmf >= hi:
-            return OperatingPoint(endpoints[0], target_mmf > hi)
-        if target_mmf <= lo:
-            return OperatingPoint(endpoints[1], target_mmf < lo)
-        split = _bisect_split(boundary, target_mmf, "mmf")
+    mmf = target_mmf is not None
+    target = target_mmf if mmf else target_sse
+    if math.isnan(target):
+        raise ValueError("the target must not be NaN")
+    top, power_for = (_mmf_inverse if mmf else _sse_inverse)(cfg, fading, precoder)
+    # Each objective is exactly 0 when its side gets no power and rises
+    # strictly to `top` when it gets all of P.
+    if target >= top:
+        power, clamped = P, target > top
+    elif target <= 0.0:
+        power, clamped = 0.0, target < 0.0
     else:
-        lo, hi = endpoints[0].sse_objective, endpoints[1].sse_objective
-        if target_sse >= hi:
-            return OperatingPoint(endpoints[1], target_sse > hi)
-        if target_sse <= lo:
-            return OperatingPoint(endpoints[0], target_sse < lo)
-        split = _bisect_split(boundary, target_sse, "sse")
-    return OperatingPoint(solve_split(cfg, fading, precoder, split), False)
+        power, clamped = min(P, power_for(target)), False
+    split = P - power if mmf else power
+    return OperatingPoint(solve_split(cfg, fading, precoder, split), clamped)
 
 
 def boundary_csv(boundary: ParetoBoundary) -> str:

@@ -4,7 +4,9 @@ Everything here re-derives objective values from elementary formula
 evaluations on dense grids or by bisection, or evaluates one SINR per UT
 with a scalar formula per precoder and traffic type, on purpose sharing no
 code with the solvers and the SINR kernel it checks.  Grid candidates are all feasible points, so an
-oracle value can never exceed the true optimum.
+oracle value can never exceed the true optimum.  The one exception,
+``bisect_split``, bisects over the exact solves to check the closed-form
+inverse of the trade-off boundary, with which it shares no code.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import numpy as np
 
 from mimocast.closed_form import ZF, DownlinkPowers, se_report
 from mimocast.model import FadingProfile, SystemConfig, estimation_variances
+from mimocast.pareto import ParetoBoundary, solve_split
 
 LN2 = math.log(2.0)
 
@@ -39,6 +42,32 @@ def bisect_waterfill(weights, offsets, budget, iters=200):
             hi = mid
     nu = 0.5 * (lo + hi)
     return np.maximum(0.0, c / nu - offsets), nu
+
+
+def bisect_split(boundary: ParetoBoundary, value: float, kind: str) -> float:
+    """Find the unicast power whose exact solve attains the target objective.
+
+    Both objectives are strictly monotone in the split, so plain bisection
+    on the unicast power converges; tolerance 1e-10 * P.
+    """
+    cfg, fading, precoder = boundary.cfg, boundary.fading, boundary.precoder
+    P = cfg.total_power
+
+    def score(p_un: float) -> float:
+        pt = solve_split(cfg, fading, precoder, p_un)
+        return pt.mmf_objective if kind == "mmf" else pt.sse_objective
+
+    lo, hi = 0.0, P
+    # mmf decreases in p_un, sse increases.
+    increasing = kind == "sse"
+    while hi - lo > 1e-10 * P:
+        mid = 0.5 * (lo + hi)
+        v = score(mid)
+        if (v < value) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def sinr_mrt_unicast(cfg, stats, fading, powers, m):

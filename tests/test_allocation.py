@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse,
-                                 sse_se_report, waterfill, waterfill_kkt_violation)
+from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse, sse_se_report,
+                                 waterfill, waterfill_budget, waterfill_kkt_violation)
 from mimocast.closed_form import MRT, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
@@ -68,6 +68,80 @@ class TestWaterfill:
         assert waterfill_kkt_violation(weights, offsets, levels, nu) <= 1e-10
         ref_levels, _ = bisect_waterfill(weights, offsets, budget)
         assert np.allclose(levels, ref_levels, rtol=1e-8, atol=1e-8)
+
+
+def log_utility(weights, offsets, levels):
+    """sum_m w_m*ln(1 + levels_m/o_m), the objective waterfill_budget inverts."""
+    return sum(w * math.log1p(p / o) for w, o, p in zip(weights, offsets, levels))
+
+
+class TestWaterfillBudget:
+    # Weights (1, 1, 1), offsets (1, 2, 4): user 2 joins at budget 1, where
+    # the objective is ln 2, and user 3 at budget 5, where it is 3 ln 2.
+    W, O = (1.0, 1.0, 1.0), (1.0, 2.0, 4.0)
+
+    @settings(max_examples=80)
+    @given(
+        weights=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=6),
+        offsets=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=6),
+        budget=st.floats(min_value=1e-6, max_value=50.0),
+    )
+    def test_round_trip(self, weights, offsets, budget):
+        k = min(len(weights), len(offsets))
+        weights, offsets = tuple(weights[:k]), tuple(offsets[:k])
+        levels, _ = waterfill(weights, offsets, budget)
+        got = waterfill_budget(weights, offsets, log_utility(weights, offsets, levels))
+        assert abs(got - budget) <= 1e-12 * (budget + sum(offsets))
+
+    def test_exact_at_breakpoints(self):
+        assert waterfill_budget(self.W, self.O, LN2) == pytest.approx(1.0, rel=1e-15)
+        assert waterfill_budget(self.W, self.O, 3.0 * LN2) == pytest.approx(5.0, rel=1e-15)
+        for budget in (1.0, 5.0):
+            levels, _ = waterfill(self.W, self.O, budget)
+            f = log_utility(self.W, self.O, levels)
+            assert waterfill_budget(self.W, self.O, f) == pytest.approx(budget, rel=1e-14)
+
+    def test_inside_a_segment(self):
+        # Objective ln 4 lies between the first two breakpoints: levels
+        # 2*sqrt2 - 1 and 2*sqrt2 - 2 spend 4*sqrt2 - 3.
+        got = waterfill_budget(self.W, self.O, 2.0 * LN2)
+        assert got == pytest.approx(4.0 * math.sqrt(2.0) - 3.0, rel=1e-15)
+
+    def test_single_user(self):
+        assert waterfill_budget((1.5,), (0.4,), 2.0) == pytest.approx(
+            0.4 * math.expm1(2.0 / 1.5), rel=1e-15)
+
+    def test_tied_ratios_form_zero_width_segments(self):
+        # Every user has w/o = 1/2, so all join at once and
+        # f = 6*ln((b + 12)/12): b = 12*expm1(f/6).
+        weights, offsets = (1.0, 2.0, 3.0), (2.0, 4.0, 6.0)
+        for f in (0.0, 1e-9, 0.3, 4.0):
+            assert waterfill_budget(weights, offsets, f) == pytest.approx(
+                12.0 * math.expm1(f / 6.0), rel=1e-14, abs=0.0)
+        levels, _ = waterfill(weights, offsets, 7.0)
+        f = log_utility(weights, offsets, levels)
+        assert waterfill_budget(weights, offsets, f) == pytest.approx(7.0, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-12, 3e-13, 1e-14])
+    def test_tiny_budgets_keep_full_precision(self, scale):
+        budget = scale * max(self.O)
+        f = math.log1p(budget / self.O[0])   # below the first breakpoint
+        assert waterfill_budget(self.W, self.O, f) == pytest.approx(budget, rel=1e-14, abs=0.0)
+
+    def test_zero_objective_is_zero_budget(self):
+        assert waterfill_budget(self.W, self.O, 0.0) == 0.0
+        assert waterfill_budget((2.0,), (0.3,), 0.0) == 0.0
+
+    def test_bad_inputs(self):
+        for objective in (-1e-12, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                waterfill_budget(self.W, self.O, objective)
+        with pytest.raises(ValueError):
+            waterfill_budget((), (), 1.0)
+        with pytest.raises(ValueError):
+            waterfill_budget((1.0, 1.0), (1.0,), 1.0)
+        with pytest.raises(ValueError):
+            waterfill_budget((1.0,), (0.0,), 1.0)
 
 
 class TestMmfMrt:

@@ -132,7 +132,7 @@ class TestPareto:
         conv = tmp_path / "conv.json"
         assert run("pareto", "--scenario", scenario_path, "--precoder", "mrt",
                    "--points", 21, "--convexity-out", conv, "--out", out) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["p_un", "p_mu", "mmf_se", "sse", "precoder", "N"]
         assert len(rows) == 22
         assert float(rows[1][3]) == 0.0       # no unicast power, no sum SE
@@ -191,7 +191,7 @@ class TestFigure:
         assert run("figure", "fig4", "--antennas-list", "24,32", "--unicast", 2,
                    "--groups", 2, "--group-size", 2, "--points", 5,
                    "--seed", 9, "--out", out) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 1 + 2 * 2 * 5    # two N, both precoders, 5 points
 
     def test_fig3_flags_zf_infeasible_cells(self, tmp_path):
@@ -199,7 +199,7 @@ class TestFigure:
         assert run("figure", "fig3", "--antennas-list", "16", "--u-list", "4,20",
                    "--groups", 2, "--group-size", 2, "--drops", 2,
                    "--seed", 9, "--out", out) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         header = rows[0]
         by = {(r[header.index("precoder")], int(r[header.index("n_unicast")])): r
               for r in rows[1:]}
@@ -217,7 +217,7 @@ class TestFigure:
                        "--g-list", "1,2", "--k-list", "2,3", "--unicast", 2,
                        "--drops", 3, "--seed", 4, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
-        rows = list(csv.reader(a.open()))
+        rows = list(csv.reader(a.read_text().splitlines()))
         assert len(rows) == 1 + 2 * 2 * 2   # one N, two G, two K, both precoders
         assert all(float(r[rows[0].index("mmf_se")]) > 0.0 for r in rows[1:])
 

@@ -4,14 +4,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mimocast.closed_form import DownlinkPowers, se_report
+from mimocast.closed_form import PRECODERS, DownlinkPowers, se_report
 from mimocast.model import estimation_variances
 from mimocast.pareto import (ParetoBoundary, boundary_csv, check_convexity,
                              select_operating_point, solve_split,
                              sweep_boundary)
+from mimocast.scenario import CellGeometry, default_normalized_config, place_users
 
-from oracles import random_desk_instance
+from oracles import bisect_split, random_desk_instance
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +137,73 @@ class TestSelect:
             select_operating_point(boundary)
         with pytest.raises(ValueError):
             select_operating_point(boundary, ratio=(1, 1), target_mmf=1.0)
+
+    def test_nan_target_rejected(self, boundary):
+        for kind in ("target_mmf", "target_sse"):
+            with pytest.raises(ValueError):
+                select_operating_point(boundary, **{kind: float("nan")})
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_endpoint_targets_return_endpoints_unclamped(self, instance, precoder):
+        # The closed-form range must equal the solved endpoints bit for bit,
+        # or a target read off an endpoint would come back clamped.
+        cfg, fading = instance
+        P = cfg.total_power
+        b = sweep_boundary(cfg, fading, precoder, 2)
+        cases = [("target_mmf", b.points[0].mmf_objective, 0.0),
+                 ("target_mmf", b.points[-1].mmf_objective, P),
+                 ("target_sse", b.points[0].sse_objective, 0.0),
+                 ("target_sse", b.points[-1].sse_objective, P)]
+        for kind, target, split in cases:
+            op = select_operating_point(b, **{kind: target})
+            assert not op.clamped
+            assert op.point.p_unicast == split
+        above = select_operating_point(b, target_sse=b.points[-1].sse_objective * (1 + 1e-15))
+        assert above.clamped and above.point.p_unicast == P
+
+
+PAPER_CELL = {"n_antennas": 100, "coherence_length": 200, "n_unicast": 50,
+              "group_sizes": (100,) * 10}
+
+
+def assert_selection_matches_bisection(cfg, fading, precoder, kind, u):
+    """The closed-form split lies within 1e-9*P of the bisection oracle's,
+    and away from the ends its objective hits the target to 1e-12."""
+    P = cfg.total_power
+    b = sweep_boundary(cfg, fading, precoder, 2)
+    ends = [p.mmf_objective if kind == "mmf" else p.sse_objective for p in b.points]
+    target = min(ends) + u * (max(ends) - min(ends))
+    op = select_operating_point(b, **{f"target_{kind}": target})
+    assert not op.clamped
+    split = op.point.p_unicast
+    assert abs(split - bisect_split(b, target, kind)) <= 1e-9 * P
+    if 0.01 * P <= split <= 0.99 * P:
+        got = op.point.mmf_objective if kind == "mmf" else op.point.sse_objective
+        assert got == pytest.approx(target, rel=1e-12, abs=0.0)
+
+
+class TestClosedFormSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           precoder=st.sampled_from(PRECODERS), kind=st.sampled_from(("mmf", "sse")),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    def test_desk_instances_match_bisection(self, seed, precoder, kind, u):
+        rng = np.random.default_rng(seed)
+        cfg, fading = random_desk_instance(rng, u_range=(1, 8))
+        # The solvers use the shortest pilot length whatever the config says.
+        cfg = dataclasses.replace(cfg, pilot_length=int(
+            rng.integers(cfg.n_streams, cfg.coherence_length, endpoint=True)))
+        assert_selection_matches_bisection(cfg, fading, precoder, kind, u)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           precoder=st.sampled_from(PRECODERS), kind=st.sampled_from(("mmf", "sse")),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    def test_paper_cell_drops_match_bisection(self, seed, precoder, kind, u):
+        cfg = default_normalized_config(**PAPER_CELL)
+        fading, _ = place_users(CellGeometry(), PAPER_CELL["n_unicast"],
+                                PAPER_CELL["group_sizes"], seed)
+        assert_selection_matches_bisection(cfg, fading, precoder, kind, u)
 
 
 def random_feasible_bundle(cfg, fading, rng):
