@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .closed_form import (BUDGET_RTOL, DownlinkPowers, SeReport, _precoder_factors,
+import numpy as np
+
+from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _precoder_factors,
                           _se_report, se_from_sinr)
 from .errors import DegenerateInputError
-from .model import FadingProfile, SystemConfig, _estimation_variances, require_valid
-
-LN2 = math.log(2.0)
+from .model import (FadingProfile, SystemConfig, _estimation_variances, _group_min,
+                    _group_sums, _per_member, _sizes, _tuple_rows, require_valid)
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,20 @@ class SseSolution:
         }
 
 
-def _check_waterfill_users(weights: Sequence[float], offsets: Sequence[float]):
+def _waterfill_users(weights: Sequence[float],
+                     offsets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The users' weights and offsets as float arrays, once checked."""
     if len(weights) != len(offsets):
         raise ValueError("weights and offsets must have equal length")
-    if any(w <= 0 for w in weights):
+    w = np.asarray(weights, dtype=np.float64)
+    o = np.asarray(offsets, dtype=np.float64)
+    if (w <= 0).any():
         raise ValueError("weights must be positive")
-    if any(o <= 0 for o in offsets):
+    if (o <= 0).any():
         raise ValueError("offsets must be positive")
-    if len(weights) == 0:
+    if w.size == 0:
         raise ValueError("need at least one user")
+    return w, o
 
 
 def waterfill(weights: Sequence[float], offsets: Sequence[float],
@@ -111,30 +117,25 @@ def waterfill(weights: Sequence[float], offsets: Sequence[float],
     descending, closed-form nu per candidate active set, largest consistent
     set taken.  A zero budget returns all-zero levels with nu = +inf.
     """
-    _check_waterfill_users(weights, offsets)
+    w, o = _waterfill_users(weights, offsets)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    n = len(weights)
     if budget == 0.0:
-        return (0.0,) * n, math.inf
+        return (0.0,) * w.size, math.inf
 
-    c = [w / LN2 for w in weights]
-    order = sorted(range(n), key=lambda i: c[i] / offsets[i], reverse=True)
-    csum = 0.0
-    osum = 0.0
-    nu = math.nan
-    n_active = 0
-    for rank, i in enumerate(order, start=1):
-        csum += c[i]
-        osum += offsets[i]
-        cand = csum / (budget + osum)
-        if cand < c[i] / offsets[i]:
-            nu = cand
-            n_active = rank
-    levels = [0.0] * n
-    for i in order[:n_active]:
-        levels[i] = max(0.0, c[i] / nu - offsets[i])
-    return tuple(levels), nu
+    c = w / LN2
+    ratio = c / o
+    order = np.argsort(-ratio, kind="stable")   # ties keep their input order
+    cand = np.cumsum(c[order]) / (budget + np.cumsum(o[order]))
+    consistent = np.flatnonzero(cand < ratio[order])
+    levels = np.zeros(w.size)
+    if consistent.size == 0:
+        return tuple(levels.tolist()), math.nan
+    n_active = int(consistent[-1]) + 1
+    nu = float(cand[n_active - 1])
+    active = order[:n_active]
+    levels[active] = np.maximum(0.0, c[active] / nu - o[active])
+    return tuple(levels.tolist()), nu
 
 
 def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
@@ -151,7 +152,7 @@ def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
     budget is b_k + A_k/r_k*expm1((f - f_k)/A_k).  Every increment is
     non-negative, and expm1 keeps budgets near zero accurate.
     """
-    _check_waterfill_users(weights, offsets)
+    weights, offsets = (a.tolist() for a in _waterfill_users(weights, offsets))
     if not 0.0 <= objective < math.inf:
         raise ValueError(f"objective must be non-negative and finite, got {objective}")
     users = sorted(zip(weights, offsets), key=lambda wo: wo[0] / wo[1], reverse=True)
@@ -192,30 +193,27 @@ def _check_split(total: float, fixed: float, name: str) -> float:
 
 
 def _group_quality_floors(cfg: SystemConfig, fading: FadingProfile):
-    """Per-group pilot-quality floor and the optimal capped pilot energies.
+    """Per-group pilot-quality floor and the optimal capped pilot energies
+    (flat, one per multicast UT).
 
     Each member's individually attainable quality is E*g^2/(1+g*P); the
     group floor is the worst of them and every member scales its pilot
     energy down to match, so the floor member sits exactly at its cap.
     """
     P = cfg.total_power
-    upsilon = []
-    x_caps = []
-    for caps, gains in zip(cfg.multicast_energy_caps, fading.multicast_gains):
-        per_user = [e * g * g / (1.0 + g * P) for e, g in zip(caps, gains)]
-        floor = min(per_user)
-        upsilon.append(floor)
-        x_caps.append(tuple(e * (floor / q) for e, q in zip(caps, per_user)))
-    return tuple(upsilon), tuple(x_caps)
+    caps, gains = cfg.multicast_energy_caps_flat, fading.multicast_gains_flat
+    per_user = caps * gains * gains / (1.0 + gains * P)
+    if not per_user.all():
+        raise DegenerateInputError("a multicast UT's pilot quality underflows to zero")
+    floors = _group_min(per_user, cfg.group_offsets)
+    return floors, caps * (_per_member(floors, cfg.group_offsets) / per_user)
 
 
 def _interference_loads(cfg: SystemConfig, fading: FadingProfile,
-                        upsilon: Sequence[float]) -> tuple[float, ...]:
-    P = cfg.total_power
-    return tuple(
-        1.0 / u + sum(1.0 / g for g in gains) + len(gains) * P
-        for u, gains in zip(upsilon, fading.multicast_gains)
-    )
+                        upsilon: np.ndarray) -> np.ndarray:
+    offsets = cfg.group_offsets
+    return (1.0 / upsilon + _group_sums(1.0 / fading.multicast_gains_flat, offsets)
+            + _sizes(offsets) * cfg.total_power)
 
 
 def _solver_prelog(cfg: SystemConfig) -> float:
@@ -228,13 +226,12 @@ def _multicast_loads(cfg: SystemConfig, fading: FadingProfile, c: float):
     effective loads B_j - c*P, none of which depends on the power split."""
     if cfg.n_groups == 0:
         raise DegenerateInputError("max-min multicast needs at least one group")
-    P = cfg.total_power
     upsilon, x_caps = _group_quality_floors(cfg, fading)
     b_values = _interference_loads(cfg, fading, upsilon)
     # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
     # loads below cannot vanish for a valid config; guard anyway.
-    loads = tuple(b - c * P for b in b_values)
-    if any(load <= 0.0 for load in loads):
+    loads = b_values - c * cfg.total_power
+    if (loads <= 0.0).any():
         raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
     return upsilon, x_caps, b_values, loads
 
@@ -244,12 +241,11 @@ def _unicast_offsets(cfg: SystemConfig, fading: FadingProfile, gain: int, c: flo
     (1 + (beta - c*theta)*P) / (gain*theta), neither depending on the split."""
     if cfg.n_unicast == 0:
         raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
-    P = cfg.total_power
-    theta = tuple(e * b * b / (1.0 + e * b)
-                  for e, b in zip(cfg.unicast_energy_caps, fading.unicast_gains))
-    offsets = tuple((1.0 + (b - c * t) * P) / (gain * t)
-                    for b, t in zip(fading.unicast_gains, theta))
-    return theta, offsets
+    e, b = cfg.unicast_energy_caps, fading.unicast_gains
+    theta = e * b * b / (1.0 + e * b)
+    if not theta.all():
+        raise DegenerateInputError("a unicast UT's estimate variance underflows to zero")
+    return theta, (1.0 + (b - c * theta) * cfg.total_power) / (gain * theta)
 
 
 def _sum_se(prelog: float, weights: Sequence[float], levels: Sequence[float],
@@ -257,6 +253,62 @@ def _sum_se(prelog: float, weights: Sequence[float], levels: Sequence[float],
     """Weighted sum SE of water-filled levels: prelog * sum a*log2(1 + p/o)."""
     return prelog * sum(a * math.log1p(p / o) / LN2
                         for a, p, o in zip(weights, levels, offsets))
+
+
+def _mmf_at(cfg: SystemConfig, fading: FadingProfile, precoder: str, factors):
+    """``solve_mmf`` on a validated pair as a function of the unicast power,
+    with everything that does not depend on the split computed once."""
+    gain, c = factors
+    upsilon, x_caps, b_values, loads = _multicast_loads(cfg, fading, c)
+    tau = cfg.n_streams
+    prelog = _solver_prelog(cfg)
+    spread = sum(loads.tolist())
+    pilots = _tuple_rows(x_caps / tau, cfg.group_offsets)
+    upsilon, x_caps = tuple(upsilon.tolist()), _tuple_rows(x_caps, cfg.group_offsets)
+    b_values = tuple(b_values.tolist())
+
+    def solve(p_unicast_fixed: float) -> MmfSolution:
+        p_mu = _check_split(cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
+        gamma = gain * p_mu / spread
+        return MmfSolution(
+            precoder=precoder,
+            objective=se_from_sinr(prelog, gamma),
+            pilot_length=tau,
+            uplink_pilot_powers=pilots,
+            downlink_powers=tuple((p_mu * loads / spread).tolist()),
+            gamma=gamma,
+            upsilon=upsilon,
+            x_caps=x_caps,
+            b_values=b_values,
+        )
+
+    return solve
+
+
+def _sse_at(cfg: SystemConfig, fading: FadingProfile, precoder: str, factors):
+    """``solve_sse`` on a validated pair as a function of the multicast
+    power, with everything that does not depend on the split computed once."""
+    gain, c = factors
+    theta, offsets = _unicast_offsets(cfg, fading, gain, c)
+    tau = cfg.n_streams
+    prelog = _solver_prelog(cfg)
+    weights, offsets = cfg.sse_weights.tolist(), offsets.tolist()
+    pilots, theta = tuple((cfg.unicast_energy_caps / tau).tolist()), tuple(theta.tolist())
+
+    def solve(p_multicast_fixed: float) -> SseSolution:
+        budget = _check_split(cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
+        levels, nu = waterfill(weights, offsets, budget)
+        return SseSolution(
+            precoder=precoder,
+            objective=_sum_se(prelog, weights, levels, offsets),
+            pilot_length=tau,
+            uplink_pilot_powers=pilots,
+            downlink_powers=levels,
+            water_level=nu,
+            effective_vars=theta,
+        )
+
+    return solve
 
 
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
@@ -267,25 +319,9 @@ def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
     gamma = gain*p_mu / sum_j (B_j - c*P) when group j gets the downlink
     power q_j = p_mu*(B_j - c*P) / sum_j (B_j - c*P).
     """
-    gain, c = _precoder_factors(cfg, precoder)
+    factors = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
-    upsilon, x_caps, b_values, loads = _multicast_loads(cfg, fading, c)
-    p_mu = _check_split(cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
-
-    tau = cfg.n_streams
-    spread = sum(loads)
-    gamma = gain * p_mu / spread
-    return MmfSolution(
-        precoder=precoder,
-        objective=se_from_sinr(_solver_prelog(cfg), gamma),
-        pilot_length=tau,
-        uplink_pilot_powers=tuple(tuple(x / tau for x in xs) for xs in x_caps),
-        downlink_powers=tuple(p_mu * load / spread for load in loads),
-        gamma=gamma,
-        upsilon=upsilon,
-        x_caps=x_caps,
-        b_values=b_values,
-    )
+    return _mmf_at(cfg, fading, precoder, factors)(p_unicast_fixed)
 
 
 def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float,
@@ -295,22 +331,9 @@ def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float
     Water-fills over the offsets (1 + (beta - c*theta)*P) / (gain*theta),
     theta being each UT's estimate variance at full-cap pilot energy.
     """
-    gain, c = _precoder_factors(cfg, precoder)
+    factors = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
-    theta, offsets = _unicast_offsets(cfg, fading, gain, c)
-    budget = _check_split(cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
-
-    tau = cfg.n_streams
-    levels, nu = waterfill(cfg.sse_weights, offsets, budget)
-    return SseSolution(
-        precoder=precoder,
-        objective=_sum_se(_solver_prelog(cfg), cfg.sse_weights, levels, offsets),
-        pilot_length=tau,
-        uplink_pilot_powers=tuple(e / tau for e in cfg.unicast_energy_caps),
-        downlink_powers=levels,
-        water_level=nu,
-        effective_vars=theta,
-    )
+    return _sse_at(cfg, fading, precoder, factors)(p_multicast_fixed)
 
 
 def _mmf_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
@@ -324,7 +347,7 @@ def _mmf_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
     """
     gain, c = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
-    spread = sum(_multicast_loads(cfg, fading, c)[3])
+    spread = sum(_multicast_loads(cfg, fading, c)[3].tolist())
     prelog = _solver_prelog(cfg)
 
     def power_for(objective: float) -> float:
@@ -341,7 +364,7 @@ def _sse_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
     require_valid(cfg, fading)
     _, offsets = _unicast_offsets(cfg, fading, gain, c)
     prelog = _solver_prelog(cfg)
-    weights = cfg.sse_weights
+    weights, offsets = cfg.sse_weights.tolist(), offsets.tolist()
 
     def power_for(objective: float) -> float:
         return waterfill_budget(weights, offsets, objective * LN2 / prelog)
@@ -373,7 +396,7 @@ def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
         raise DegenerateInputError("no unicast UTs to carry a nonzero unicast power")
     U = cfg.n_unicast
     return _score(cfg, fading, sol,
-                  [e / sol.pilot_length for e in cfg.unicast_energy_caps],
+                  cfg.unicast_energy_caps / sol.pilot_length,
                   sol.uplink_pilot_powers,
                   DownlinkPowers(unicast=(p_unicast_fixed / U,) * U if U else (),
                                  multicast=sol.downlink_powers))
@@ -391,6 +414,6 @@ def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
     G = cfg.n_groups
     return _score(cfg, fading, sol,
                   sol.uplink_pilot_powers,
-                  [[e / sol.pilot_length for e in caps] for caps in cfg.multicast_energy_caps],
+                  [caps / sol.pilot_length for caps in cfg.multicast_energy_caps],
                   DownlinkPowers(unicast=sol.downlink_powers,
                                  multicast=(p_multicast_fixed / G,) * G if G else ()))

@@ -150,9 +150,11 @@ def _load_scenario(path: str):
     try:
         cfg = SystemConfig.from_dict(doc["system"])
         fading = FadingProfile.from_dict(doc["fading"])
+        require_valid(cfg, fading)
     except KeyError as e:
         raise UsageError(f"scenario file {path} is missing field {e}") from e
-    require_valid(cfg, fading)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"scenario file {path} holds a malformed value: {e}") from e
     return cfg, fading, doc
 
 
@@ -284,8 +286,8 @@ def cmd_validate(args) -> int:
     tau = cfg.pilot_length
     report = montecarlo.validate_closed_form(
         cfg, fading,
-        [e / tau for e in cfg.unicast_energy_caps],
-        [[e / tau for e in caps] for caps in cfg.multicast_energy_caps],
+        cfg.unicast_energy_caps / tau,
+        [caps / tau for caps in cfg.multicast_energy_caps],
         powers, args.precoder, args.trials, seed)
     _write_text(args.out, _json_text(report.to_dict()))
     _write_manifest(args.out, "validate", args, {"trials": seed})

@@ -15,12 +15,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ZfInfeasibleError
-from .model import EstimationStats, FadingProfile, SystemConfig, require_valid
+from .model import (EstimationStats, FadingProfile, SystemConfig, _per_member,
+                    _tuple_rows, require_valid)
 
 MRT = "mrt"
 ZF = "zf"
 PRECODERS = (MRT, ZF)
+LN2 = math.log(2.0)
 
 # Relative slack of every power-budget check: optimal allocations sum to the
 # budget up to float rounding and must not be rejected.
@@ -123,7 +127,7 @@ def _precoder_factors(cfg: SystemConfig, precoder: str) -> tuple[int, float]:
 
 def se_from_sinr(prelog: float, sinr: float) -> float:
     """SE in bits/s/Hz; log1p keeps accuracy for SINR much below one."""
-    return prelog * math.log1p(sinr) / math.log(2.0)
+    return prelog * math.log1p(sinr) / LN2
 
 
 def se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
@@ -140,24 +144,27 @@ def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
     """``se_report`` for a (cfg, fading) pair already validated, with the
     precoder's factors already looked up."""
     _check_powers(cfg, powers)
+    if (stats.unicast_var.shape != fading.unicast_gains.shape
+            or tuple(map(len, stats.multicast_var)) != cfg.group_sizes):
+        raise ValueError("estimation stats must be shaped like the config")
     total = powers.total
+    offsets = cfg.group_offsets
 
-    def sinr(p: float, var: float, beta: float) -> float:
-        return gain * p * var / (1.0 + (beta - c * var) * total)
+    def sinr(p, var, beta) -> list[float]:
+        return (gain * p * var / (1.0 + (beta - c * var) * total)).tolist()
 
-    uni_sinr = tuple(sinr(p, var, beta) for p, var, beta in
-                     zip(powers.unicast, stats.unicast_var, fading.unicast_gains,
-                         strict=True))
-    mu_sinr = tuple(tuple(sinr(q, var, beta) for var, beta in
-                          zip(variances, betas, strict=True))
-                    for q, variances, betas in
-                    zip(powers.multicast, stats.multicast_var, fading.multicast_gains,
-                        strict=True))
+    uni_sinr = sinr(np.asarray(powers.unicast), stats.unicast_var, fading.unicast_gains)
+    mu_sinr = sinr(_per_member(powers.multicast, offsets), stats.multicast_var_flat,
+                   fading.multicast_gains_flat)
     prelog = cfg.prelog
+
+    def se(sinrs: list[float]) -> list[float]:
+        return [prelog * math.log1p(s) / LN2 for s in sinrs]   # as se_from_sinr
+
     return SeReport(
         prelog=prelog,
-        unicast_se=tuple(se_from_sinr(prelog, s) for s in uni_sinr),
-        multicast_se=tuple(tuple(se_from_sinr(prelog, s) for s in grp) for grp in mu_sinr),
-        unicast_sinr=uni_sinr,
-        multicast_sinr=mu_sinr,
+        unicast_se=tuple(se(uni_sinr)),
+        multicast_se=_tuple_rows(se(mu_sinr), offsets),
+        unicast_sinr=tuple(uni_sinr),
+        multicast_sinr=_tuple_rows(mu_sinr, offsets),
     )

@@ -4,13 +4,23 @@ channel-estimation variance formulas every other module consumes.
 All powers are stored pre-normalized to unit noise variance; the scenario
 module owns the physical-unit conversion.  Types are immutable after
 construction and all operations are pure functions.
+
+Per-UT data is stored flat.  Every per-UT field is a read-only float64
+array; the multicast UTs of all groups share one array, group after group,
+and ``group_offsets`` (G + 1 entries) marks where each group starts in it.
+The per-group fields (``multicast_gains[g]``, ...) are read-only views into
+that array.  Constructors accept any (nested) sequence of numbers.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidConfigError
 
@@ -19,16 +29,117 @@ from .errors import InvalidConfigError
 MIN_GAIN = 1e-300
 
 
-def _tuple1(xs) -> tuple:
-    return tuple(float(x) for x in xs)
+def _vector(xs) -> np.ndarray:
+    """Read-only float64 copy of a flat sequence of numbers.
+
+    Anything but a 1-D array is converted entry by entry with float(), so a
+    non-numeric entry raises what float() raises.
+    """
+    if isinstance(xs, np.ndarray) and xs.ndim == 1:
+        a = xs.astype(np.float64)
+    else:
+        a = np.array([float(x) for x in xs], dtype=np.float64)
+    a.setflags(write=False)
+    return a
 
 
-def _tuple2(xss) -> tuple:
-    return tuple(tuple(float(x) for x in xs) for xs in xss)
+def _offsets(sizes) -> np.ndarray:
+    """Where each group starts in a flat per-member array, then its length."""
+    offsets = np.array([0, *itertools.accumulate(sizes)], dtype=np.intp)
+    offsets.setflags(write=False)
+    return offsets
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    bounds = offsets.tolist()
+    return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _grouped(rows) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Rows of numbers as one read-only float64 array, the row offsets and
+    a read-only view per row."""
+    vectors = [_vector(row) for row in rows]
+    flat = np.concatenate(vectors) if vectors else np.empty(0)
+    flat.setflags(write=False)
+    offsets = _offsets(len(v) for v in vectors)
+    return flat, offsets, _views(flat, offsets)
+
+
+def _sizes(offsets: np.ndarray) -> np.ndarray:
+    return offsets[1:] - offsets[:-1]
+
+
+def _group_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each (non-empty) group's sum, added left to right as Python's sum()
+    adds, so it matches a per-group loop bit for bit (np.sum adds pairwise).
+    Unequal groups are padded with trailing zeros, which leave sums as they are."""
+    sizes = _sizes(offsets)
+    if sizes.size == 0:
+        return np.empty(0)
+    longest = int(sizes.max())
+    if values.size == sizes.size * longest:
+        rows = values.reshape(sizes.size, longest)
+    else:
+        rows = np.zeros((sizes.size, longest))
+        rows[np.arange(longest) < sizes[:, None]] = values
+    return np.cumsum(rows, axis=1)[:, -1]
+
+
+def _group_min(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each (non-empty) group's smallest entry."""
+    return np.minimum.reduceat(values, offsets[:-1])
+
+
+def _per_member(values, offsets: np.ndarray) -> np.ndarray:
+    """One per-group value repeated for every member of the group."""
+    return np.repeat(values, _sizes(offsets))
+
+
+def _tuple_rows(values, offsets: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """A flat per-member array (or list) as one tuple of floats per group."""
+    xs = values.tolist() if isinstance(values, np.ndarray) else values
+    bounds = offsets.tolist()
+    return tuple(tuple(xs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.shape == b.shape and bool(np.array_equal(a, b)))
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _hashable(v):
+    if isinstance(v, np.ndarray):
+        return v.shape, tuple(v.ravel().tolist())
+    if isinstance(v, tuple):
+        return tuple(_hashable(x) for x in v)
+    return v
+
+
+class _ArrayRecord:
+    """Value equality and hashing for frozen dataclasses holding arrays."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _same(self._values(), other._values())
+
+    def __hash__(self):
+        return hash(_hashable(self._values()))
+
+
+def _flat_field():
+    return field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, eq=False)
+class SystemConfig(_ArrayRecord):
     """Static system parameters, powers normalized to unit noise.
 
     n_antennas            BS antenna count
@@ -38,8 +149,12 @@ class SystemConfig:
     pilot_length          uplink pilot symbols per coherence interval
     total_power           downlink power budget at the BS
     unicast_energy_caps   per-UT pilot energy budget (pilot power * symbols)
-    multicast_energy_caps same, per multicast UT, shaped like group_sizes
+    multicast_energy_caps same, per multicast UT, one row per group
     sse_weights           per-unicast-UT weight in the weighted sum SE
+
+    ``multicast_energy_caps`` rows are views into
+    ``multicast_energy_caps_flat``; ``group_offsets`` is derived from
+    ``group_sizes``.
     """
 
     n_antennas: int
@@ -48,15 +163,21 @@ class SystemConfig:
     group_sizes: tuple[int, ...]
     pilot_length: int
     total_power: float
-    unicast_energy_caps: tuple[float, ...]
-    multicast_energy_caps: tuple[tuple[float, ...], ...]
-    sse_weights: tuple[float, ...]
+    unicast_energy_caps: np.ndarray
+    multicast_energy_caps: tuple[np.ndarray, ...]
+    sse_weights: np.ndarray
+    multicast_energy_caps_flat: np.ndarray = _flat_field()
+    group_offsets: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
-        object.__setattr__(self, "unicast_energy_caps", _tuple1(self.unicast_energy_caps))
-        object.__setattr__(self, "multicast_energy_caps", _tuple2(self.multicast_energy_caps))
-        object.__setattr__(self, "sse_weights", _tuple1(self.sse_weights))
+        sizes = tuple(int(k) for k in self.group_sizes)
+        object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "unicast_energy_caps", _vector(self.unicast_energy_caps))
+        flat, _, rows = _grouped(self.multicast_energy_caps)
+        object.__setattr__(self, "multicast_energy_caps", rows)
+        object.__setattr__(self, "multicast_energy_caps_flat", flat)
+        object.__setattr__(self, "sse_weights", _vector(self.sse_weights))
+        object.__setattr__(self, "group_offsets", _offsets(sizes))
 
     @property
     def n_groups(self) -> int:
@@ -81,9 +202,9 @@ class SystemConfig:
             group_sizes=tuple(d["group_sizes"]),
             pilot_length=d["pilot_length"],
             total_power=d["total_power"],
-            unicast_energy_caps=tuple(d["unicast_energy_caps"]),
-            multicast_energy_caps=tuple(tuple(e) for e in d["multicast_energy_caps"]),
-            sse_weights=tuple(d["sse_weights"]),
+            unicast_energy_caps=d["unicast_energy_caps"],
+            multicast_energy_caps=d["multicast_energy_caps"],
+            sse_weights=d["sse_weights"],
         )
 
     def to_dict(self) -> dict:
@@ -94,34 +215,40 @@ class SystemConfig:
             "group_sizes": list(self.group_sizes),
             "pilot_length": self.pilot_length,
             "total_power": self.total_power,
-            "unicast_energy_caps": list(self.unicast_energy_caps),
-            "multicast_energy_caps": [list(e) for e in self.multicast_energy_caps],
-            "sse_weights": list(self.sse_weights),
+            "unicast_energy_caps": self.unicast_energy_caps.tolist(),
+            "multicast_energy_caps": [e.tolist() for e in self.multicast_energy_caps],
+            "sse_weights": self.sse_weights.tolist(),
         }
 
 
-@dataclass(frozen=True)
-class FadingProfile:
-    """Large-scale fading coefficients for every UT in the system."""
+@dataclass(frozen=True, eq=False)
+class FadingProfile(_ArrayRecord):
+    """Large-scale fading coefficients for every UT in the system.
 
-    unicast_gains: tuple[float, ...]
-    multicast_gains: tuple[tuple[float, ...], ...]
+    ``multicast_gains`` rows are views into ``multicast_gains_flat``;
+    ``group_offsets`` marks where each row starts in it.
+    """
+
+    unicast_gains: np.ndarray
+    multicast_gains: tuple[np.ndarray, ...]
+    multicast_gains_flat: np.ndarray = _flat_field()
+    group_offsets: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        object.__setattr__(self, "unicast_gains", _tuple1(self.unicast_gains))
-        object.__setattr__(self, "multicast_gains", _tuple2(self.multicast_gains))
+        object.__setattr__(self, "unicast_gains", _vector(self.unicast_gains))
+        flat, offsets, rows = _grouped(self.multicast_gains)
+        object.__setattr__(self, "multicast_gains", rows)
+        object.__setattr__(self, "multicast_gains_flat", flat)
+        object.__setattr__(self, "group_offsets", offsets)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FadingProfile":
-        return cls(
-            unicast_gains=tuple(d["unicast_gains"]),
-            multicast_gains=tuple(tuple(g) for g in d["multicast_gains"]),
-        )
+        return cls(unicast_gains=d["unicast_gains"], multicast_gains=d["multicast_gains"])
 
     def to_dict(self) -> dict:
         return {
-            "unicast_gains": list(self.unicast_gains),
-            "multicast_gains": [list(g) for g in self.multicast_gains],
+            "unicast_gains": self.unicast_gains.tolist(),
+            "multicast_gains": [g.tolist() for g in self.multicast_gains],
         }
 
 
@@ -140,23 +267,29 @@ class PowerSplit:
         return cls(total * unicast_share / s, total * multicast_share / s)
 
 
-@dataclass(frozen=True)
-class EstimationStats:
+@dataclass(frozen=True, eq=False)
+class EstimationStats(_ArrayRecord):
     """Variances of the MMSE channel estimates.
 
     unicast_var[u]       variance of a unicast UT's estimated channel entry
     multicast_var[g][k]  same for multicast UT k in group g (shared pilot)
     group_var[g]         variance of the composite per-group estimate
+
+    Stored like the fading profile: read-only float64 arrays, with
+    ``multicast_var`` rows viewing ``multicast_var_flat``.
     """
 
-    unicast_var: tuple[float, ...]
-    multicast_var: tuple[tuple[float, ...], ...]
-    group_var: tuple[float, ...]
+    unicast_var: np.ndarray
+    multicast_var: tuple[np.ndarray, ...]
+    group_var: np.ndarray
+    multicast_var_flat: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        object.__setattr__(self, "unicast_var", _tuple1(self.unicast_var))
-        object.__setattr__(self, "multicast_var", _tuple2(self.multicast_var))
-        object.__setattr__(self, "group_var", _tuple1(self.group_var))
+        object.__setattr__(self, "unicast_var", _vector(self.unicast_var))
+        flat, _, rows = _grouped(self.multicast_var)
+        object.__setattr__(self, "multicast_var", rows)
+        object.__setattr__(self, "multicast_var_flat", flat)
+        object.__setattr__(self, "group_var", _vector(self.group_var))
 
 
 @dataclass(frozen=True)
@@ -171,10 +304,25 @@ class Violation:
         return f"{self.field}={self.value!r}: {self.message}"
 
 
-def _check_positive_gains(name: str, gains: Sequence[float], out: list[Violation]):
-    for i, g in enumerate(gains):
-        if not math.isfinite(g) or g <= MIN_GAIN:
-            out.append(Violation(f"{name}[{i}]", g, "non-positive, sub-normal, or non-finite gain"))
+def _flag(out: list[Violation], name: str, values: np.ndarray, lower: float,
+          message: str, offsets: np.ndarray | None = None):
+    """One Violation per entry outside (lower, inf), NaN included, in index
+    order.  With group offsets the entries are named ``name[group][member]``,
+    else ``name[index]``."""
+    if values.size == 0 or (values.min() > lower and values.max() < math.inf):
+        return
+    bad = ~((values > lower) & (values < math.inf))
+    bounds = None if offsets is None else offsets.tolist()
+    for i in np.flatnonzero(bad).tolist():
+        if bounds is None:
+            where = f"[{i}]"
+        else:
+            g = bisect.bisect_right(bounds, i) - 1
+            where = f"[{g}][{i - bounds[g]}]"
+        out.append(Violation(f"{name}{where}", float(values[i]), message))
+
+
+_BAD_GAIN = "non-positive, sub-normal, or non-finite gain"
 
 
 def validate_config(cfg: SystemConfig, fading: FadingProfile) -> list[Violation]:
@@ -198,42 +346,40 @@ def validate_config(cfg: SystemConfig, fading: FadingProfile) -> list[Violation]
     if not (math.isfinite(cfg.total_power) and cfg.total_power > 0):
         v.append(Violation("total_power", cfg.total_power, "must be positive and finite"))
 
-    if len(cfg.unicast_energy_caps) != cfg.n_unicast:
-        v.append(Violation("unicast_energy_caps", len(cfg.unicast_energy_caps),
+    caps = cfg.unicast_energy_caps
+    if len(caps) != cfg.n_unicast:
+        v.append(Violation("unicast_energy_caps", len(caps),
                            f"length must equal n_unicast = {cfg.n_unicast}"))
     else:
-        for i, e in enumerate(cfg.unicast_energy_caps):
-            if not (math.isfinite(e) and e > 0):
-                v.append(Violation(f"unicast_energy_caps[{i}]", e, "energy cap must be positive"))
-    if tuple(len(e) for e in cfg.multicast_energy_caps) != cfg.group_sizes:
-        v.append(Violation("multicast_energy_caps",
-                           tuple(len(e) for e in cfg.multicast_energy_caps),
+        _flag(v, "unicast_energy_caps", caps, 0.0, "energy cap must be positive")
+    shape = tuple(len(e) for e in cfg.multicast_energy_caps)
+    if shape != cfg.group_sizes:
+        v.append(Violation("multicast_energy_caps", shape,
                            f"shape must match group_sizes = {cfg.group_sizes}"))
     else:
-        for g, caps in enumerate(cfg.multicast_energy_caps):
-            for k, e in enumerate(caps):
-                if not (math.isfinite(e) and e > 0):
-                    v.append(Violation(f"multicast_energy_caps[{g}][{k}]", e,
-                                       "energy cap must be positive"))
-    if len(cfg.sse_weights) != cfg.n_unicast:
-        v.append(Violation("sse_weights", len(cfg.sse_weights),
+        caps = cfg.multicast_energy_caps_flat
+        _flag(v, "multicast_energy_caps", caps, 0.0, "energy cap must be positive",
+              cfg.group_offsets)
+    weights = cfg.sse_weights
+    if len(weights) != cfg.n_unicast:
+        v.append(Violation("sse_weights", len(weights),
                            f"length must equal n_unicast = {cfg.n_unicast}"))
     else:
-        for i, a in enumerate(cfg.sse_weights):
-            if not (math.isfinite(a) and a > 0):
-                v.append(Violation(f"sse_weights[{i}]", a, "weight must be positive"))
+        _flag(v, "sse_weights", weights, 0.0, "weight must be positive")
 
-    if len(fading.unicast_gains) != cfg.n_unicast:
-        v.append(Violation("unicast_gains", len(fading.unicast_gains),
+    gains = fading.unicast_gains
+    if len(gains) != cfg.n_unicast:
+        v.append(Violation("unicast_gains", len(gains),
                            f"length must equal n_unicast = {cfg.n_unicast}"))
     else:
-        _check_positive_gains("unicast_gains", fading.unicast_gains, v)
-    if tuple(len(g) for g in fading.multicast_gains) != cfg.group_sizes:
-        v.append(Violation("multicast_gains", tuple(len(g) for g in fading.multicast_gains),
+        _flag(v, "unicast_gains", gains, MIN_GAIN, _BAD_GAIN)
+    shape = tuple(len(g) for g in fading.multicast_gains)
+    if shape != cfg.group_sizes:
+        v.append(Violation("multicast_gains", shape,
                            f"shape must match group_sizes = {cfg.group_sizes}"))
     else:
-        for g, gains in enumerate(fading.multicast_gains):
-            _check_positive_gains(f"multicast_gains[{g}]", gains, v)
+        gains = fading.multicast_gains_flat
+        _flag(v, "multicast_gains", gains, MIN_GAIN, _BAD_GAIN, fading.group_offsets)
     return v
 
 
@@ -245,23 +391,26 @@ def require_valid(cfg: SystemConfig, fading: FadingProfile) -> tuple[SystemConfi
     return cfg, fading
 
 
-def _check_pilot_shapes(cfg: SystemConfig,
-                        pilot_powers_unicast: Sequence[float],
-                        pilot_powers_multicast: Sequence[Sequence[float]]):
+def _pilot_arrays(cfg: SystemConfig,
+                  pilot_powers_unicast: Sequence[float],
+                  pilot_powers_multicast: Sequence[Sequence[float]]):
+    """The pilot powers as flat float64 arrays, once their shapes and signs
+    are checked."""
     if len(pilot_powers_unicast) != cfg.n_unicast:
         raise ValueError(f"expected {cfg.n_unicast} unicast pilot powers, "
                          f"got {len(pilot_powers_unicast)}")
-    if tuple(len(q) for q in pilot_powers_multicast) != cfg.group_sizes:
+    shape = tuple(len(q) for q in pilot_powers_multicast)
+    if shape != cfg.group_sizes:
         raise ValueError(f"multicast pilot powers must be shaped like group_sizes "
-                         f"{cfg.group_sizes}, got "
-                         f"{tuple(len(q) for q in pilot_powers_multicast)}")
-    for p in pilot_powers_unicast:
-        if p < 0:
-            raise ValueError(f"negative unicast pilot power {p}")
-    for q in pilot_powers_multicast:
-        for x in q:
-            if x < 0:
-                raise ValueError(f"negative multicast pilot power {x}")
+                         f"{cfg.group_sizes}, got {shape}")
+    p = np.asarray(pilot_powers_unicast, dtype=np.float64)
+    q = (np.concatenate([np.asarray(row, dtype=np.float64) for row in pilot_powers_multicast])
+         if pilot_powers_multicast else np.empty(0))
+    if (p < 0).any():
+        raise ValueError(f"negative unicast pilot power {p[p < 0][0]}")
+    if (q < 0).any():
+        raise ValueError(f"negative multicast pilot power {q[q < 0][0]}")
+    return p, q
 
 
 def estimation_variances(cfg: SystemConfig,
@@ -285,19 +434,16 @@ def _estimation_variances(cfg: SystemConfig,
                           pilot_powers_unicast: Sequence[float],
                           pilot_powers_multicast: Sequence[Sequence[float]]) -> EstimationStats:
     """``estimation_variances`` for a (cfg, fading) pair already validated."""
-    _check_pilot_shapes(cfg, pilot_powers_unicast, pilot_powers_multicast)
+    p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
     tau = cfg.pilot_length
+    offsets = cfg.group_offsets
 
-    uni = []
-    for p, b in zip(pilot_powers_unicast, fading.unicast_gains):
-        tpb = tau * p * b
-        uni.append(tpb * b / (1.0 + tpb))
-
-    multi = []
-    grp = []
-    for q_row, e_row in zip(pilot_powers_multicast, fading.multicast_gains):
-        s = sum(tau * q * e for q, e in zip(q_row, e_row))
-        multi.append(tuple(tau * q * e * e / (1.0 + s) for q, e in zip(q_row, e_row)))
-        grp.append(s * s / (1.0 + s))
-    return EstimationStats(unicast_var=tuple(uni), multicast_var=tuple(multi),
-                           group_var=tuple(grp))
+    b = fading.unicast_gains
+    tpb = tau * p * b
+    e = fading.multicast_gains_flat
+    tqe = tau * q * e
+    s = _group_sums(tqe, offsets)
+    return EstimationStats(unicast_var=tpb * b / (1.0 + tpb),
+                           multicast_var=_views(tqe * e / (1.0 + _per_member(s, offsets)),
+                                                offsets),
+                           group_var=s * s / (1.0 + s))

@@ -24,8 +24,8 @@ import numpy as np
 from . import closed_form
 from .closed_form import PRECODERS, ZF, DownlinkPowers, require_zf_feasible
 from .errors import DegenerateInputError
-from .model import (EstimationStats, FadingProfile, SystemConfig,
-                    estimation_variances, require_valid)
+from .model import (EstimationStats, FadingProfile, SystemConfig, _estimation_variances,
+                    _pilot_arrays, _views, estimation_variances, require_valid)
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,7 @@ class EstimateSet:
 
     unicast_estimates: np.ndarray   # N x U complex
     group_estimates: np.ndarray     # N x G complex
-    member_coeffs: tuple[tuple[float, ...], ...]
+    member_coeffs: tuple[np.ndarray, ...]   # per group: K_g real coefficients
 
     def multicast_estimate(self, g: int, k: int) -> np.ndarray:
         return self.member_coeffs[g][k] * self.group_estimates[:, g]
@@ -123,9 +123,22 @@ def _cn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
+def _cn_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """``rows`` complex Gaussian vectors of length n, row r drawn as
+    ``_cn(rng, n)`` would draw it after rows 0..r-1 (real part, then
+    imaginary part, row by row)."""
+    z = rng.standard_normal((rows, 2, n))
+    return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+
+
 def draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
     """Independent Rayleigh channels with the profile's per-UT variances."""
     require_valid(cfg, fading)
+    return _draw_channels(cfg, fading, rng_seed)
+
+
+def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
+    """``draw_channels`` for a (cfg, fading) pair already validated."""
     rng = np.random.default_rng(rng_seed)
     N = cfg.n_antennas
     uni = _cn(rng, (N, cfg.n_unicast)) * np.sqrt(np.asarray(fading.unicast_gains))
@@ -150,27 +163,21 @@ def mmse_estimate(cfg: SystemConfig, fading: FadingProfile,
     rng = np.random.default_rng(noise_seed)
     tau = cfg.pilot_length
     N = cfg.n_antennas
+    p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
 
-    f_hat = np.zeros((N, cfg.n_unicast), dtype=complex)
-    for u in range(cfg.n_unicast):
-        p, b = pilot_powers_unicast[u], fading.unicast_gains[u]
-        noise = _cn(rng, N)
-        amp = math.sqrt(tau * p)
-        f_hat[:, u] = (amp * b / (1.0 + tau * p * b)) * (amp * draw.unicast_channels[:, u] + noise)
+    b = fading.unicast_gains
+    amp = np.sqrt(tau * p)
+    noise = _cn_rows(rng, cfg.n_unicast, N).T
+    f_hat = (amp * b / (1.0 + tau * p * b)) * (amp * draw.unicast_channels + noise)
 
     g_hat = np.zeros((N, cfg.n_groups), dtype=complex)
+    noise = _cn_rows(rng, cfg.n_groups, N)
     coeffs = []
-    for g in range(cfg.n_groups):
-        q_row = np.asarray(pilot_powers_multicast[g], dtype=float)
-        e_row = np.asarray(fading.multicast_gains[g], dtype=float)
-        noise = _cn(rng, N)
-        received = draw.multicast_channels[g] @ np.sqrt(tau * q_row) + noise
+    for g, (q_row, e_row) in enumerate(zip(_views(q, cfg.group_offsets), fading.multicast_gains)):
+        received = draw.multicast_channels[g] @ np.sqrt(tau * q_row) + noise[g]
         s = float(np.sum(tau * q_row * e_row))
         g_hat[:, g] = (s / (1.0 + s)) * received
-        if s > 0:
-            coeffs.append(tuple(np.sqrt(tau * q_row) * e_row / s))
-        else:
-            coeffs.append((0.0,) * len(q_row))
+        coeffs.append(np.sqrt(tau * q_row) * e_row / s if s > 0 else np.zeros(len(q_row)))
     return EstimateSet(unicast_estimates=f_hat, group_estimates=g_hat,
                        member_coeffs=tuple(coeffs))
 
@@ -179,29 +186,31 @@ class RankDeficientDraw(RuntimeError):
     """The stacked estimate matrix lost rank in one draw; discard the trial."""
 
 
+def _stream_powers(powers: DownlinkPowers) -> tuple[np.ndarray, np.ndarray]:
+    p = np.asarray(powers.unicast, dtype=np.float64)
+    q = np.asarray(powers.multicast, dtype=np.float64)
+    if (p < 0).any() or (q < 0).any():
+        raise ValueError("downlink powers must be non-negative")
+    return p, q
+
+
 def build_mrt_precoders(cfg: SystemConfig, estimates: EstimateSet,
                         powers: DownlinkPowers, stats: EstimationStats):
     """MRT: each column is the matching estimate scaled to its power."""
     N = cfg.n_antennas
-    V = np.zeros((N, cfg.n_unicast), dtype=complex)
-    for m in range(cfg.n_unicast):
-        p = powers.unicast[m]
-        if p == 0.0:
-            continue
-        var = stats.unicast_var[m]
-        if var == 0.0:
-            raise DegenerateInputError(f"unicast UT {m} has power but no channel estimate")
-        V[:, m] = math.sqrt(p / (N * var)) * estimates.unicast_estimates[:, m]
-    W = np.zeros((N, cfg.n_groups), dtype=complex)
-    for j in range(cfg.n_groups):
-        q = powers.multicast[j]
-        if q == 0.0:
-            continue
-        var = stats.group_var[j]
-        if var == 0.0:
-            raise DegenerateInputError(f"group {j} has power but no channel estimate")
-        W[:, j] = math.sqrt(q / (N * var)) * estimates.group_estimates[:, j]
-    return V, W
+
+    def columns(estimates_: np.ndarray, p: np.ndarray, variances: np.ndarray, what: str):
+        on = p != 0.0
+        dead = np.flatnonzero(on & (variances == 0.0))
+        if dead.size:
+            raise DegenerateInputError(f"{what} {dead[0]} has power but no channel estimate")
+        cols = np.zeros(estimates_.shape, dtype=complex)
+        cols[:, on] = np.sqrt(p[on] / (N * variances[on])) * estimates_[:, on]
+        return cols
+
+    p, q = _stream_powers(powers)
+    return (columns(estimates.unicast_estimates, p, stats.unicast_var, "unicast UT"),
+            columns(estimates.group_estimates, q, stats.group_var, "group"))
 
 
 def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
@@ -225,11 +234,8 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
     gram = Cn.conj().T @ Cn
     if np.linalg.cond(gram) > MAX_GRAM_COND:
         raise RankDeficientDraw(f"Gram condition number exceeds {MAX_GRAM_COND:g}")
-    scales = np.zeros(cfg.n_streams)
-    for m in range(cfg.n_unicast):
-        scales[m] = math.sqrt(dof * powers.unicast[m] * stats.unicast_var[m])
-    for j in range(cfg.n_groups):
-        scales[cfg.n_unicast + j] = math.sqrt(dof * powers.multicast[j] * stats.group_var[j])
+    p, q = _stream_powers(powers)
+    scales = np.sqrt(np.concatenate([dof * p * stats.unicast_var, dof * q * stats.group_var]))
     cols = Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
     return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]
 
@@ -255,7 +261,7 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     require_valid(cfg, fading)
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
-    stats = estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
 
     U, G = cfg.n_unicast, cfg.n_groups
     uni_des = np.zeros((n_trials, U), dtype=complex)
@@ -269,7 +275,7 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     discarded = 0
     for t in range(n_trials):
         rng = trial_rng(seed, t)
-        draw = draw_channels(cfg, fading, rng)
+        draw = _draw_channels(cfg, fading, rng)
         est = mmse_estimate(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
                             draw, rng)
         try:

@@ -14,9 +14,9 @@ import io
 import math
 from dataclasses import dataclass
 
-from .allocation import (MmfSolution, SseSolution, _mmf_inverse, _sse_inverse, solve_mmf,
-                         solve_sse)
-from .closed_form import PRECODERS
+from .allocation import (MmfSolution, SseSolution, _mmf_at, _mmf_inverse, _sse_at,
+                         _sse_inverse, solve_mmf, solve_sse)
+from .closed_form import PRECODERS, _precoder_factors
 from .model import FadingProfile, SystemConfig, require_valid
 
 
@@ -65,12 +65,12 @@ class OperatingPoint:
     clamped: bool
 
 
-def solve_split(cfg: SystemConfig, fading: FadingProfile, precoder: str,
-                p_unicast: float) -> ParetoPoint:
-    """Solve both allocation problems exactly at one full-budget split."""
-    p_multicast = max(0.0, cfg.total_power - p_unicast)
-    mmf = solve_mmf(cfg, fading, p_unicast, precoder)
-    sse = solve_sse(cfg, fading, p_multicast, precoder)
+def _point(total: float, p_unicast: float, mmf_at, sse_at) -> ParetoPoint:
+    """Both problems solved at one full-budget split, by solvers taking the
+    unicast and the multicast power respectively."""
+    p_multicast = max(0.0, total - p_unicast)
+    mmf = mmf_at(p_unicast)
+    sse = sse_at(p_multicast)
     return ParetoPoint(
         p_unicast=p_unicast,
         p_multicast=p_multicast,
@@ -81,9 +81,21 @@ def solve_split(cfg: SystemConfig, fading: FadingProfile, precoder: str,
     )
 
 
+def solve_split(cfg: SystemConfig, fading: FadingProfile, precoder: str,
+                p_unicast: float) -> ParetoPoint:
+    """Solve both allocation problems exactly at one full-budget split."""
+    return _point(cfg.total_power, p_unicast,
+                  lambda p: solve_mmf(cfg, fading, p, precoder),
+                  lambda p: solve_sse(cfg, fading, p, precoder))
+
+
 def sweep_boundary(cfg: SystemConfig, fading: FadingProfile, precoder: str,
                    n_points: int) -> ParetoBoundary:
-    """Uniform sweep of the unicast power share over [0, P]."""
+    """Uniform sweep of the unicast power share over [0, P].
+
+    The pair is validated once, and the solvers' split-independent work
+    (group floors, loads, offsets) is done once for all points.
+    """
     require_valid(cfg, fading)
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
@@ -92,7 +104,10 @@ def sweep_boundary(cfg: SystemConfig, fading: FadingProfile, precoder: str,
     P = cfg.total_power
     splits = [i * P / (n_points - 1) for i in range(n_points)]
     splits[-1] = P  # exact endpoint regardless of rounding
-    points = tuple(solve_split(cfg, fading, precoder, s) for s in splits)
+    factors = _precoder_factors(cfg, precoder)
+    mmf_at = _mmf_at(cfg, fading, precoder, factors)
+    sse_at = _sse_at(cfg, fading, precoder, factors)
+    points = tuple(_point(P, s, mmf_at, sse_at) for s in splits)
     return ParetoBoundary(points=points, precoder=precoder, cfg=cfg, fading=fading)
 
 

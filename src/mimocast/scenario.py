@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FadingProfile, SystemConfig
+from .model import FadingProfile, SystemConfig, _ArrayRecord
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,32 @@ class RadioParams:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Polar user positions (radius m, angle rad) from one placement draw."""
+def _points(xs) -> np.ndarray:
+    a = np.array(xs, dtype=np.float64)
+    if a.size == 0:
+        a = a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"positions must be (radius, angle) pairs, got shape {a.shape}")
+    a.setflags(write=False)
+    return a
 
-    unicast: tuple[tuple[float, float], ...]
-    multicast: tuple[tuple[tuple[float, float], ...], ...]
+
+@dataclass(frozen=True, eq=False)
+class Placement(_ArrayRecord):
+    """Polar user positions (radius m, angle rad) from one placement draw,
+    as read-only (users, 2) arrays: one for the unicast UTs, one per group."""
+
+    unicast: np.ndarray
+    multicast: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "unicast", _points(self.unicast))
+        object.__setattr__(self, "multicast", tuple(_points(g) for g in self.multicast))
 
     def to_dict(self) -> dict:
         return {
-            "unicast": [list(p) for p in self.unicast],
-            "multicast": [[list(p) for p in grp] for grp in self.multicast],
+            "unicast": self.unicast.tolist(),
+            "multicast": [grp.tolist() for grp in self.multicast],
         }
 
 
@@ -87,10 +102,11 @@ def pathloss(geometry: CellGeometry, distance_m: float, check_range: bool = True
 
 def _draw_polar(geometry: CellGeometry, rng: np.random.Generator, n: int) -> np.ndarray:
     # Uniform over area: radius is the sqrt of a uniform draw on squared radii.
+    polar = np.empty((n, 2))
     r2 = rng.uniform(geometry.exclusion_radius ** 2, geometry.cell_radius ** 2, size=n)
-    r = np.sqrt(r2)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return np.stack([r, theta], axis=1)
+    polar[:, 0] = np.sqrt(r2)
+    polar[:, 1] = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return polar
 
 
 def place_users(geometry: CellGeometry,
@@ -111,16 +127,13 @@ def place_users(geometry: CellGeometry,
     groups = [_draw_polar(geometry, rng, k) for k in group_sizes]
 
     def gains(r):  # drawn radii are in range by construction
-        return tuple((geometry.attenuation_const / r ** geometry.pathloss_exponent).tolist())
+        return geometry.attenuation_const / r ** geometry.pathloss_exponent
 
     profile = FadingProfile(
         unicast_gains=gains(uni[:, 0]),
         multicast_gains=tuple(gains(g[:, 0]) for g in groups),
     )
-    placement = Placement(
-        unicast=tuple((float(r), float(t)) for r, t in uni),
-        multicast=tuple(tuple((float(r), float(t)) for r, t in g) for g in groups),
-    )
+    placement = Placement(unicast=uni, multicast=tuple(groups))
     return profile, placement
 
 
@@ -140,9 +153,8 @@ def normalize_powers(radio: RadioParams, cfg: SystemConfig) -> SystemConfig:
     return dataclasses.replace(
         cfg,
         total_power=cfg.total_power * scale,
-        unicast_energy_caps=tuple(e * scale for e in cfg.unicast_energy_caps),
-        multicast_energy_caps=tuple(tuple(e * scale for e in row)
-                                    for row in cfg.multicast_energy_caps),
+        unicast_energy_caps=cfg.unicast_energy_caps * scale,
+        multicast_energy_caps=tuple(row * scale for row in cfg.multicast_energy_caps),
     )
 
 
@@ -167,8 +179,9 @@ def default_normalized_config(n_antennas: int,
         group_sizes=group_sizes,
         pilot_length=n_unicast + len(group_sizes),
         total_power=radio.tx_power_watts,
-        unicast_energy_caps=(e_phys,) * n_unicast,
-        multicast_energy_caps=tuple((e_phys,) * k for k in group_sizes),
-        sse_weights=(1.0,) * n_unicast,
+        # A negative count gives an empty field, which validation reports.
+        unicast_energy_caps=np.full(max(n_unicast, 0), e_phys),
+        multicast_energy_caps=tuple(np.full(max(k, 0), e_phys) for k in group_sizes),
+        sse_weights=np.ones(max(n_unicast, 0)),
     )
     return normalize_powers(radio, cfg)

@@ -7,15 +7,25 @@ code with the solvers and the SINR kernel it checks.  Grid candidates are all fe
 oracle value can never exceed the true optimum.  The one exception,
 ``bisect_split``, bisects over the exact solves to check the closed-form
 inverse of the trade-off boundary, with which it shares no code.
+
+The last section keeps the per-UT loops over tuples that the library ran
+before it stored per-UT data as flat arrays: validation, the solvers'
+split-independent pieces, the estimate variances and the Monte Carlo
+estimation and precoders.  They read the pair through ``tuple_layout`` and
+must agree with the array code bit for bit.
 """
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from mimocast.closed_form import ZF, DownlinkPowers, se_report
-from mimocast.model import FadingProfile, SystemConfig, estimation_variances
+from mimocast.errors import DegenerateInputError
+from mimocast.model import MIN_GAIN, FadingProfile, SystemConfig, Violation, estimation_variances
+from mimocast.montecarlo import (_cn, EstimateSet, RankDeficientDraw, MAX_GRAM_COND,
+                                 require_zf_feasible)
 from mimocast.pareto import ParetoBoundary, solve_split
 
 LN2 = math.log(2.0)
@@ -240,3 +250,243 @@ def random_desk_instance(rng, n_range=(50, 200), u_range=(0, 8), g_range=(1, 4),
                               for k in sizes),
     )
     return cfg, fading
+
+
+# ----------------------------------------------- tuple-loop reference path
+
+
+def tuple_layout(cfg: SystemConfig, fading: FadingProfile):
+    """The pair with every per-UT field as a tuple (of tuples) of floats,
+    the layout the loops below were written for."""
+    cfg_t = SimpleNamespace(
+        **{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.init},
+        n_groups=cfg.n_groups, n_streams=cfg.n_streams)
+    cfg_t.unicast_energy_caps = tuple(cfg.unicast_energy_caps.tolist())
+    cfg_t.multicast_energy_caps = tuple(tuple(e.tolist()) for e in cfg.multicast_energy_caps)
+    cfg_t.sse_weights = tuple(cfg.sse_weights.tolist())
+    fading_t = SimpleNamespace(
+        unicast_gains=tuple(fading.unicast_gains.tolist()),
+        multicast_gains=tuple(tuple(g.tolist()) for g in fading.multicast_gains))
+    return cfg_t, fading_t
+
+
+def _check_positive_gains(name, gains, out):
+    for i, g in enumerate(gains):
+        if not math.isfinite(g) or g <= MIN_GAIN:
+            out.append(Violation(f"{name}[{i}]", g, "non-positive, sub-normal, or non-finite gain"))
+
+
+def validate_config(cfg, fading):
+    """Check every type invariant; return the (possibly empty) violation list."""
+    cfg, fading = tuple_layout(cfg, fading)
+    v = []
+    if cfg.n_antennas < 1:
+        v.append(Violation("n_antennas", cfg.n_antennas, "must be a positive integer"))
+    if cfg.coherence_length < 1:
+        v.append(Violation("coherence_length", cfg.coherence_length, "must be a positive integer"))
+    if cfg.n_unicast < 0:
+        v.append(Violation("n_unicast", cfg.n_unicast, "must be non-negative"))
+    for g, k in enumerate(cfg.group_sizes):
+        if k < 1:
+            v.append(Violation(f"group_sizes[{g}]", k, "every group needs at least one UT"))
+    if cfg.pilot_length < cfg.n_streams:
+        v.append(Violation("pilot_length", cfg.pilot_length,
+                           f"orthogonal pilots need at least U+G = {cfg.n_streams} symbols"))
+    if cfg.pilot_length > cfg.coherence_length:
+        v.append(Violation("pilot_length", cfg.pilot_length,
+                           "cannot exceed the coherence length"))
+    if not (math.isfinite(cfg.total_power) and cfg.total_power > 0):
+        v.append(Violation("total_power", cfg.total_power, "must be positive and finite"))
+
+    if len(cfg.unicast_energy_caps) != cfg.n_unicast:
+        v.append(Violation("unicast_energy_caps", len(cfg.unicast_energy_caps),
+                           f"length must equal n_unicast = {cfg.n_unicast}"))
+    else:
+        for i, e in enumerate(cfg.unicast_energy_caps):
+            if not (math.isfinite(e) and e > 0):
+                v.append(Violation(f"unicast_energy_caps[{i}]", e, "energy cap must be positive"))
+    if tuple(len(e) for e in cfg.multicast_energy_caps) != cfg.group_sizes:
+        v.append(Violation("multicast_energy_caps",
+                           tuple(len(e) for e in cfg.multicast_energy_caps),
+                           f"shape must match group_sizes = {cfg.group_sizes}"))
+    else:
+        for g, caps in enumerate(cfg.multicast_energy_caps):
+            for k, e in enumerate(caps):
+                if not (math.isfinite(e) and e > 0):
+                    v.append(Violation(f"multicast_energy_caps[{g}][{k}]", e,
+                                       "energy cap must be positive"))
+    if len(cfg.sse_weights) != cfg.n_unicast:
+        v.append(Violation("sse_weights", len(cfg.sse_weights),
+                           f"length must equal n_unicast = {cfg.n_unicast}"))
+    else:
+        for i, a in enumerate(cfg.sse_weights):
+            if not (math.isfinite(a) and a > 0):
+                v.append(Violation(f"sse_weights[{i}]", a, "weight must be positive"))
+
+    if len(fading.unicast_gains) != cfg.n_unicast:
+        v.append(Violation("unicast_gains", len(fading.unicast_gains),
+                           f"length must equal n_unicast = {cfg.n_unicast}"))
+    else:
+        _check_positive_gains("unicast_gains", fading.unicast_gains, v)
+    if tuple(len(g) for g in fading.multicast_gains) != cfg.group_sizes:
+        v.append(Violation("multicast_gains", tuple(len(g) for g in fading.multicast_gains),
+                           f"shape must match group_sizes = {cfg.group_sizes}"))
+    else:
+        for g, gains in enumerate(fading.multicast_gains):
+            _check_positive_gains(f"multicast_gains[{g}]", gains, v)
+    return v
+
+
+def waterfill_loop(weights, offsets, budget):
+    """``allocation.waterfill`` over Python floats, one user at a time."""
+    n = len(weights)
+    if budget == 0.0:
+        return (0.0,) * n, math.inf
+    c = [w / LN2 for w in weights]
+    order = sorted(range(n), key=lambda i: c[i] / offsets[i], reverse=True)
+    csum = 0.0
+    osum = 0.0
+    nu = math.nan
+    n_active = 0
+    for rank, i in enumerate(order, start=1):
+        csum += c[i]
+        osum += offsets[i]
+        cand = csum / (budget + osum)
+        if cand < c[i] / offsets[i]:
+            nu = cand
+            n_active = rank
+    levels = [0.0] * n
+    for i in order[:n_active]:
+        levels[i] = max(0.0, c[i] / nu - offsets[i])
+    return tuple(levels), nu
+
+
+def group_quality_floors(cfg, fading):
+    """Per-group pilot-quality floor and the optimal capped pilot energies."""
+    cfg, fading = tuple_layout(cfg, fading)
+    P = cfg.total_power
+    upsilon = []
+    x_caps = []
+    for caps, gains in zip(cfg.multicast_energy_caps, fading.multicast_gains):
+        per_user = [e * g * g / (1.0 + g * P) for e, g in zip(caps, gains)]
+        floor = min(per_user)
+        upsilon.append(floor)
+        x_caps.append(tuple(e * (floor / q) for e, q in zip(caps, per_user)))
+    return tuple(upsilon), tuple(x_caps)
+
+
+def interference_loads(cfg, fading, upsilon):
+    cfg, fading = tuple_layout(cfg, fading)
+    P = cfg.total_power
+    return tuple(
+        1.0 / u + sum(1.0 / g for g in gains) + len(gains) * P
+        for u, gains in zip(upsilon, fading.multicast_gains)
+    )
+
+
+def unicast_offsets(cfg, fading, gain, c):
+    """Full-cap estimate variances theta and the water-filling offsets."""
+    cfg, fading = tuple_layout(cfg, fading)
+    if cfg.n_unicast == 0:
+        raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
+    P = cfg.total_power
+    theta = tuple(e * b * b / (1.0 + e * b)
+                  for e, b in zip(cfg.unicast_energy_caps, fading.unicast_gains))
+    offsets = tuple((1.0 + (b - c * t) * P) / (gain * t)
+                    for b, t in zip(fading.unicast_gains, theta))
+    return theta, offsets
+
+
+def estimation_variances_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast):
+    """(unicast_var, multicast_var, group_var) as tuples, one UT at a time."""
+    cfg, fading = tuple_layout(cfg, fading)
+    tau = cfg.pilot_length
+
+    uni = []
+    for p, b in zip(pilot_powers_unicast, fading.unicast_gains):
+        tpb = tau * p * b
+        uni.append(tpb * b / (1.0 + tpb))
+
+    multi = []
+    grp = []
+    for q_row, e_row in zip(pilot_powers_multicast, fading.multicast_gains):
+        s = sum(tau * q * e for q, e in zip(q_row, e_row))
+        multi.append(tuple(tau * q * e * e / (1.0 + s) for q, e in zip(q_row, e_row)))
+        grp.append(s * s / (1.0 + s))
+    return tuple(uni), tuple(multi), tuple(grp)
+
+
+def mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                       draw, noise_seed):
+    """``montecarlo.mmse_estimate`` drawing and scaling one UT at a time."""
+    rng = np.random.default_rng(noise_seed)
+    tau = cfg.pilot_length
+    N = cfg.n_antennas
+
+    f_hat = np.zeros((N, cfg.n_unicast), dtype=complex)
+    for u in range(cfg.n_unicast):
+        p, b = pilot_powers_unicast[u], float(fading.unicast_gains[u])
+        noise = _cn(rng, N)
+        amp = math.sqrt(tau * p)
+        f_hat[:, u] = (amp * b / (1.0 + tau * p * b)) * (amp * draw.unicast_channels[:, u] + noise)
+
+    g_hat = np.zeros((N, cfg.n_groups), dtype=complex)
+    coeffs = []
+    for g in range(cfg.n_groups):
+        q_row = np.asarray(pilot_powers_multicast[g], dtype=float)
+        e_row = np.asarray(fading.multicast_gains[g], dtype=float)
+        noise = _cn(rng, N)
+        received = draw.multicast_channels[g] @ np.sqrt(tau * q_row) + noise
+        s = float(np.sum(tau * q_row * e_row))
+        g_hat[:, g] = (s / (1.0 + s)) * received
+        if s > 0:
+            coeffs.append(tuple(np.sqrt(tau * q_row) * e_row / s))
+        else:
+            coeffs.append((0.0,) * len(q_row))
+    return EstimateSet(unicast_estimates=f_hat, group_estimates=g_hat,
+                       member_coeffs=tuple(coeffs))
+
+
+def build_mrt_precoders_loop(cfg, estimates, powers, stats):
+    """``montecarlo.build_mrt_precoders`` one column at a time."""
+    N = cfg.n_antennas
+    V = np.zeros((N, cfg.n_unicast), dtype=complex)
+    for m in range(cfg.n_unicast):
+        p = powers.unicast[m]
+        if p == 0.0:
+            continue
+        var = float(stats.unicast_var[m])
+        if var == 0.0:
+            raise DegenerateInputError(f"unicast UT {m} has power but no channel estimate")
+        V[:, m] = math.sqrt(p / (N * var)) * estimates.unicast_estimates[:, m]
+    W = np.zeros((N, cfg.n_groups), dtype=complex)
+    for j in range(cfg.n_groups):
+        q = powers.multicast[j]
+        if q == 0.0:
+            continue
+        var = float(stats.group_var[j])
+        if var == 0.0:
+            raise DegenerateInputError(f"group {j} has power but no channel estimate")
+        W[:, j] = math.sqrt(q / (N * var)) * estimates.group_estimates[:, j]
+    return V, W
+
+
+def build_zf_precoders_loop(cfg, estimates, powers, stats):
+    """``montecarlo.build_zf_precoders`` with the stream scales set one at a time."""
+    require_zf_feasible(cfg)
+    dof = cfg.n_antennas - cfg.n_streams
+    C = np.concatenate([estimates.unicast_estimates, estimates.group_estimates], axis=1)
+    norms = np.linalg.norm(C, axis=0)
+    if np.any(norms == 0.0):
+        raise RankDeficientDraw("estimate matrix has an all-zero column")
+    Cn = C / norms
+    gram = Cn.conj().T @ Cn
+    if np.linalg.cond(gram) > MAX_GRAM_COND:
+        raise RankDeficientDraw(f"Gram condition number exceeds {MAX_GRAM_COND:g}")
+    scales = np.zeros(cfg.n_streams)
+    for m in range(cfg.n_unicast):
+        scales[m] = math.sqrt(dof * powers.unicast[m] * float(stats.unicast_var[m]))
+    for j in range(cfg.n_groups):
+        scales[cfg.n_unicast + j] = math.sqrt(dof * powers.multicast[j] * float(stats.group_var[j]))
+    cols = Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
+    return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]

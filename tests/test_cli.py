@@ -1,7 +1,14 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mimocast
 
 from mimocast.allocation import mmf_se_report, sse_se_report
 from mimocast.allocation import MmfSolution, SseSolution
@@ -244,3 +251,71 @@ class TestExitCodes:
         rc = run("mmf", "--scenario", scenario_path, "--precoder", "mrt",
                  "--split-ratio", "banana", "--out", tmp_path / "x.json")
         assert rc == 1
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("system", "n_antennas", "100"),
+        ("system", "total_power", None),
+        ("system", "group_sizes", 3),
+        ("fading", "unicast_gains", "nested"),
+    ])
+    def test_malformed_scenario_value_is_usage_error(self, scenario_path, tmp_path, capsys,
+                                                     section, field, value):
+        doc = json.loads(scenario_path.read_text())
+        if value == "nested":
+            value = doc[section][field]
+            value[1] = [value[1]]
+        doc[section][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = run("mmf", "--scenario", bad, "--precoder", "mrt", "--split-ratio", "1:1",
+                 "--out", tmp_path / "x.json")
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
+
+
+def test_python_m_mimocast_runs_the_cli():
+    src = str(Path(mimocast.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mimocast", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"mimocast {mimocast.__version__}\n"
+
+
+# sha256 of output files at fixed seeds, recorded before per-UT data moved
+# from tuples to flat arrays; the figure, scenario and pareto bytes must not
+# change with the storage layout.
+PINNED_FIGURES = {
+    "fig2": "7999e09fd2eeb8204a449e132847bd47eabab8e9d0394b851968e3e8b1e6453c",
+    "fig3": "203a2204d1fea7199a858d98c660a168d02228cb3a0249acbdaef1a3aade472f",
+    "fig4": "d89cee3d11837915df993a5613697cd2c29b4e9748cb2459de1e8dfd0c848a7f",
+}
+PINNED_SCENARIO = "58d77eac63a40576427df949b7e4c7c0bc7d5b1603c5b22e622a2dcfa74f2fe6"
+PINNED_PARETO = {
+    "mrt": "6ada47b4407b5bd58c2f35d6b7be9cffa757bef6e571795c764793c3fb58e8e5",
+    "zf": "bf67f289240757a48843381da8e9bea6ac4800d6d74d4bd2bfa548d356f09b54",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("figure", sorted(PINNED_FIGURES))
+    def test_figure_bytes(self, tmp_path, figure):
+        out = tmp_path / f"{figure}.csv"
+        assert run("figure", figure, "--antennas-list", "100,250", "--drops", 2,
+                   "--seed", 5, "--out", out) == 0
+        assert sha256(out) == PINNED_FIGURES[figure]
+
+    def test_scenario_and_pareto_bytes(self, tmp_path):
+        scen = tmp_path / "scen.json"
+        assert run("scenario", "--seed", 5, "--out", scen) == 0
+        assert sha256(scen) == PINNED_SCENARIO
+        for precoder, digest in PINNED_PARETO.items():
+            out = tmp_path / f"pareto_{precoder}.csv"
+            assert run("pareto", "--scenario", scen, "--precoder", precoder,
+                       "--points", 11, "--out", out) == 0
+            assert sha256(out) == digest

@@ -1,0 +1,328 @@
+"""The flat-array layout of per-UT data, checked against the per-UT loops
+over tuples that it replaced (``oracles``, tuple-loop section): the array
+code must give the same numbers bit for bit and the same violation lists."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mimocast import allocation, model, montecarlo
+from mimocast.closed_form import PRECODERS, DownlinkPowers
+from mimocast.model import FadingProfile, SystemConfig, validate_config
+from mimocast.montecarlo import empirical_sinr, validate_closed_form
+from mimocast.pareto import solve_split, sweep_boundary
+from mimocast.scenario import CellGeometry, default_normalized_config, place_users
+
+import oracles
+from oracles import random_desk_instance
+
+PAPER_CELL = {"n_antennas": 100, "coherence_length": 200, "n_unicast": 50,
+              "group_sizes": (100,) * 10}
+# NaN, +-inf, zeros of both signs, subnormals, MIN_GAIN itself and negatives.
+BAD_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e-300,
+              -1.0, -1e-300)
+
+
+def paper_cell(seed):
+    cfg = default_normalized_config(**PAPER_CELL)
+    fading, _ = place_users(CellGeometry(), PAPER_CELL["n_unicast"],
+                            PAPER_CELL["group_sizes"], seed)
+    return cfg, fading
+
+
+def desk_cell(seed):
+    return random_desk_instance(np.random.default_rng(seed))
+
+
+class TestLayout:
+    def test_per_ut_fields_are_read_only_float_arrays(self):
+        cfg, fading = desk_cell(3)
+        for a in (cfg.unicast_energy_caps, cfg.sse_weights, cfg.multicast_energy_caps_flat,
+                  fading.unicast_gains, fading.multicast_gains_flat,
+                  *cfg.multicast_energy_caps, *fading.multicast_gains):
+            assert a.dtype == np.float64 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            fading.multicast_gains[0][0] = 1.0
+
+    def test_rows_view_the_flat_array_at_the_group_offsets(self):
+        cfg, fading = desk_cell(4)
+        bounds = fading.group_offsets.tolist()
+        assert bounds == [0, *np.cumsum(cfg.group_sizes).tolist()]
+        assert cfg.group_offsets.tolist() == bounds
+        for g, row in enumerate(fading.multicast_gains):
+            assert np.shares_memory(row, fading.multicast_gains_flat)
+            assert row.tolist() == fading.multicast_gains_flat[bounds[g]:bounds[g + 1]].tolist()
+
+    def test_constructor_copies_its_input(self):
+        gains = np.array([1.0, 2.0])
+        fading = FadingProfile(unicast_gains=gains, multicast_gains=[[3.0], [4.0, 5.0]])
+        gains[0] = 9.0
+        assert fading.unicast_gains.tolist() == [1.0, 2.0]
+
+    def test_equality_and_hash_follow_the_values(self):
+        cfg, fading = desk_cell(5)
+        same = SystemConfig.from_dict(cfg.to_dict())
+        assert same == cfg and hash(same) == hash(cfg)
+        assert FadingProfile.from_dict(fading.to_dict()) == fading
+        moved = dataclasses.replace(cfg, sse_weights=cfg.sse_weights * 2.0)
+        assert moved != cfg
+        regrouped = FadingProfile(unicast_gains=fading.unicast_gains,
+                                  multicast_gains=[fading.multicast_gains_flat])
+        assert regrouped != fading or cfg.n_groups == 1
+
+    def test_non_numbers_raise_what_float_raises(self):
+        with pytest.raises(TypeError):
+            FadingProfile(unicast_gains=[1.0, None], multicast_gains=[])
+        with pytest.raises(TypeError):
+            FadingProfile(unicast_gains=[1.0, [2.0]], multicast_gains=[])
+        with pytest.raises(ValueError):
+            FadingProfile(unicast_gains=["x"], multicast_gains=[])
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 4, 2), (5,)])
+    def test_group_sums_add_left_to_right(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        values = rng.uniform(0.0, 1.0, sum(sizes)) * 10.0 ** rng.integers(-9, 9, sum(sizes))
+        offsets = model._offsets(sizes)
+        bounds = offsets.tolist()
+        expected = [sum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        assert model._group_sums(values, offsets).tolist() == expected
+
+
+def violation_keys(violations):
+    return [(v.field, type(v.value), repr(v.value), v.message) for v in violations]
+
+
+def corrupt(cfg, fading, rng):
+    """The pair with random entries set to invalid values and random fields
+    reshaped, built through the public constructors."""
+    fields = {
+        "unicast_energy_caps": cfg.unicast_energy_caps.tolist(),
+        "sse_weights": cfg.sse_weights.tolist(),
+        "unicast_gains": fading.unicast_gains.tolist(),
+        "multicast_energy_caps": [r.tolist() for r in cfg.multicast_energy_caps],
+        "multicast_gains": [r.tolist() for r in fading.multicast_gains],
+    }
+    for name, rows in fields.items():
+        action = rng.integers(4)
+        nested = name.startswith("multicast")
+        if action == 1:                       # bad entries
+            flat = [(g, k) for g in range(len(rows)) for k in range(len(rows[g]))] \
+                if nested else list(range(len(rows)))
+            for _ in range(int(rng.integers(1, 4)) if flat else 0):
+                where = flat[int(rng.integers(len(flat)))]
+                value = BAD_VALUES[int(rng.integers(len(BAD_VALUES)))]
+                if nested:
+                    rows[where[0]][where[1]] = value
+                else:
+                    rows[where] = value
+        elif action == 2 and rows:            # one entry, or one group, missing
+            if nested and rng.integers(2):
+                rows.pop(int(rng.integers(len(rows))))
+            else:
+                target = rows[int(rng.integers(len(rows)))] if nested else rows
+                if target:
+                    target.pop()
+        elif action == 3:                     # one entry, or one group, too many
+            if nested and rows and rng.integers(2):
+                rows[int(rng.integers(len(rows)))].append(1.0)
+            else:
+                rows.append([1.0] if nested else 1.0)
+    sizes = list(cfg.group_sizes)
+    if rng.integers(4) == 0 and sizes:
+        sizes[int(rng.integers(len(sizes)))] = int(rng.integers(-1, 1))
+    bad_cfg = SystemConfig(
+        n_antennas=cfg.n_antennas, coherence_length=cfg.coherence_length,
+        n_unicast=cfg.n_unicast, group_sizes=sizes,
+        pilot_length=cfg.pilot_length - int(rng.integers(2)),
+        total_power=cfg.total_power if rng.integers(3) else
+        BAD_VALUES[int(rng.integers(len(BAD_VALUES)))],
+        unicast_energy_caps=fields["unicast_energy_caps"],
+        multicast_energy_caps=fields["multicast_energy_caps"],
+        sse_weights=fields["sse_weights"])
+    bad_fading = FadingProfile(unicast_gains=fields["unicast_gains"],
+                               multicast_gains=fields["multicast_gains"])
+    return bad_cfg, bad_fading
+
+
+class TestValidationOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_corrupted_desk_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg, fading = corrupt(*desk_cell(seed), rng)
+        assert violation_keys(validate_config(cfg, fading)) == \
+            violation_keys(oracles.validate_config(cfg, fading))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_corrupted_paper_cell_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg, fading = corrupt(*paper_cell(seed), rng)
+        assert violation_keys(validate_config(cfg, fading)) == \
+            violation_keys(oracles.validate_config(cfg, fading))
+
+    @pytest.mark.parametrize("cell", [desk_cell, paper_cell])
+    def test_valid_pairs_have_no_violations(self, cell):
+        cfg, fading = cell(11)
+        assert validate_config(cfg, fading) == oracles.validate_config(cfg, fading) == []
+
+
+def flat(rows):
+    return [x for row in rows for x in row]
+
+
+def assert_pieces_match_loops(cfg, fading, rng):
+    upsilon, x_caps = allocation._group_quality_floors(cfg, fading)
+    upsilon_o, x_caps_o = oracles.group_quality_floors(cfg, fading)
+    assert upsilon.tolist() == list(upsilon_o)
+    assert x_caps.tolist() == flat(x_caps_o)
+    assert allocation._interference_loads(cfg, fading, upsilon).tolist() == \
+        list(oracles.interference_loads(cfg, fading, upsilon_o))
+    if cfg.n_unicast:
+        for gain, c in ((cfg.n_antennas, 0.0), (max(1, cfg.n_antennas - cfg.n_streams), 1.0)):
+            theta, offsets = allocation._unicast_offsets(cfg, fading, gain, c)
+            theta_o, offsets_o = oracles.unicast_offsets(cfg, fading, gain, c)
+            assert theta.tolist() == list(theta_o)
+            assert offsets.tolist() == list(offsets_o)
+    tau = cfg.pilot_length
+    # Random pilot powers within the caps, some exactly zero.
+    pilots_un = [float(rng.uniform(0.0, e) * rng.integers(2)) / tau
+                 for e in cfg.unicast_energy_caps]
+    pilots_mu = [[float(rng.uniform(0.0, e) * rng.integers(2)) / tau for e in caps]
+                 for caps in cfg.multicast_energy_caps]
+    stats = model._estimation_variances(cfg, fading, pilots_un, pilots_mu)
+    uni, multi, grp = oracles.estimation_variances_loop(cfg, fading, pilots_un, pilots_mu)
+    assert stats.unicast_var.tolist() == list(uni)
+    assert [r.tolist() for r in stats.multicast_var] == [list(r) for r in multi]
+    assert stats.group_var.tolist() == list(grp)
+
+
+class TestSolverPiecesOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_desk_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg, fading = random_desk_instance(rng)
+        assert_pieces_match_loops(cfg, fading, rng)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_paper_cell_drops(self, seed):
+        cfg, fading = paper_cell(seed)
+        assert_pieces_match_loops(cfg, fading, np.random.default_rng(seed))
+
+
+class TestWaterfillOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=60))
+    def test_levels_and_water_level_match_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, so many users tie in w/o and the order among
+        # tied users (their input order) matters to the last bit.
+        weights = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], n).tolist()
+        offsets = (rng.choice([0.25, 0.5, 1.0, 1.5, 3.0], n) * rng.choice([1.0, 1.1], n)).tolist()
+        budget = float(rng.uniform(0.0, 3.0 * n))
+        levels, nu = allocation.waterfill(weights, offsets, budget)
+        levels_o, nu_o = oracles.waterfill_loop(weights, offsets, budget)
+        assert levels == levels_o
+        assert nu == nu_o
+
+
+def count_validations(monkeypatch):
+    calls = []
+    real = model.validate_config
+
+    def counted(cfg, fading):
+        calls.append(1)
+        return real(cfg, fading)
+
+    monkeypatch.setattr(model, "validate_config", counted)
+    return calls
+
+
+class TestSweepOnce:
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("cell", [desk_cell, paper_cell])
+    def test_points_equal_per_split_solves(self, cell, precoder):
+        cfg, fading = cell(7)
+        boundary = sweep_boundary(cfg, fading, precoder, 9)
+        for p in boundary.points:
+            q = solve_split(cfg, fading, precoder, p.p_unicast)
+            assert (p.p_multicast, p.mmf_objective, p.sse_objective) == \
+                (q.p_multicast, q.mmf_objective, q.sse_objective)
+            assert p.mmf_solution == q.mmf_solution
+            assert p.sse_solution == q.sse_solution
+
+    def test_sweep_validates_once(self, monkeypatch):
+        cfg, fading = desk_cell(8)
+        calls = count_validations(monkeypatch)
+        sweep_boundary(cfg, fading, "mrt", 11)
+        assert len(calls) == 1
+
+
+def small_mc_cell(seed, precoder):
+    rng = np.random.default_rng(seed)
+    cfg, fading = random_desk_instance(rng, n_range=(40, 60), u_range=(0, 4),
+                                       g_range=(1, 3), k_range=(1, 4))
+    tau = cfg.pilot_length
+    pilots_un = [e / tau for e in cfg.unicast_energy_caps]
+    pilots_mu = [[e / tau for e in caps] for caps in cfg.multicast_energy_caps]
+    uni = rng.uniform(0.0, 1.0, cfg.n_unicast)
+    mu = rng.uniform(0.0, 1.0, cfg.n_groups)
+    if precoder == "mrt":
+        # Zero pilots and zero powers take the estimators' and MRT's edge
+        # paths (under ZF a zero estimate makes every draw rank-deficient).
+        if cfg.n_groups > 1:
+            mu[-1] = 0.0
+            pilots_mu[-1] = [0.0] * len(pilots_mu[-1])
+        if cfg.n_unicast > 1:
+            uni[0] = 0.0
+            pilots_un[0] = 0.0
+    scale = cfg.total_power / (uni.sum() + mu.sum())
+    powers = DownlinkPowers(unicast=tuple(uni * scale), multicast=tuple(mu * scale))
+    return cfg, fading, pilots_un, pilots_mu, powers
+
+
+class TestMonteCarloOracle:
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_estimates_and_precoders_match_loops(self, seed, precoder):
+        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder)
+        stats = model.estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        rng = montecarlo.trial_rng(seed, 0)
+        draw = montecarlo.draw_channels(cfg, fading, rng)
+        state = rng.bit_generator.state
+        est = montecarlo.mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, rng)
+        rng.bit_generator.state = state
+        est_o = oracles.mmse_estimate_loop(cfg, fading, pilots_un, pilots_mu, draw, rng)
+        assert np.array_equal(est.unicast_estimates, est_o.unicast_estimates)
+        assert np.array_equal(est.group_estimates, est_o.group_estimates)
+        assert [c.tolist() for c in est.member_coeffs] == \
+            [[float(x) for x in c] for c in est_o.member_coeffs]
+        new, old = {
+            "mrt": (montecarlo.build_mrt_precoders, oracles.build_mrt_precoders_loop),
+            "zf": (montecarlo.build_zf_precoders, oracles.build_zf_precoders_loop),
+        }[precoder]
+        for a, b in zip(new(cfg, est, powers, stats), old(cfg, est, powers, stats)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_reports_bit_identical_to_loop_path(self, monkeypatch, precoder):
+        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(1, precoder)
+        args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 150, 99)
+        report = validate_closed_form(*args).to_dict()
+        monkeypatch.setattr(montecarlo, "mmse_estimate", oracles.mmse_estimate_loop)
+        monkeypatch.setattr(montecarlo, "build_mrt_precoders", oracles.build_mrt_precoders_loop)
+        monkeypatch.setattr(montecarlo, "build_zf_precoders", oracles.build_zf_precoders_loop)
+        assert validate_closed_form(*args).to_dict() == report
+
+    def test_trials_validate_once_per_run(self, monkeypatch):
+        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(2, "mrt")
+        calls = count_validations(monkeypatch)
+        empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
+                       "multicast", (0, 0), 100, 5)
+        assert len(calls) == 1
