@@ -16,8 +16,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import secrets
 import sys
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -37,7 +39,12 @@ EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
-    """Bad command line or bad input values; maps to exit code 1."""
+    """Bad command line or bad input values; maps to exit code 1.
+
+    Library calls that check user input raise ValueError; the CLI turns
+    those into UsageError where it makes them, so a ValueError that reaches
+    ``main`` is a bug and exits 3.
+    """
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,15 +128,20 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace, seeds
 
 def _ensure_seed(seed: int | None) -> int:
     """Explicit seed, or a fresh one that the manifest will record."""
+    if seed is not None and seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {seed}")
     return secrets.randbits(63) if seed is None else seed
 
 
 def _parse_ratio(text: str) -> tuple[float, float]:
     try:
         a, b = text.split(":")
-        return float(a), float(b)
+        a, b = float(a), float(b)
     except ValueError as e:
         raise UsageError(f"--split-ratio must look like A:B, got {text!r}") from e
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise UsageError(f"--split-ratio parts must be finite, got {text!r}")
+    return a, b
 
 
 def _resolve_p_un(args, total: float) -> float:
@@ -141,7 +153,10 @@ def _resolve_p_un(args, total: float) -> float:
         return args.p_un
     if args.split_ratio is not None:
         a, b = _parse_ratio(args.split_ratio)
-        return PowerSplit.from_ratio(a, b, total).p_unicast
+        try:
+            return PowerSplit.from_ratio(a, b, total).p_unicast
+        except ValueError as e:
+            raise UsageError(f"--split-ratio {args.split_ratio}: {e}") from e
     raise UsageError("one of --p-un or --split-ratio is required")
 
 
@@ -184,12 +199,14 @@ def cmd_scenario(args) -> int:
         noise_psd_dbm_hz=args.noise_psd,
         tx_power_watts=args.tx_power,
     )
-    geometry.validate()
-    radio.validate()
     sizes = _group_sizes_from_args(args)
     seed = _ensure_seed(args.seed)
-
-    fading, placement = place_users(geometry, args.unicast, sizes, seed)
+    try:
+        geometry.validate()
+        radio.validate()
+        fading, placement = place_users(geometry, args.unicast, sizes, seed)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     cfg = default_normalized_config(args.antennas, args.coherence, args.unicast,
                                     sizes, radio)
     require_valid(cfg, fading)
@@ -258,6 +275,8 @@ def cmd_pareto(args) -> int:
     cfg, fading, _ = _load_scenario(args.scenario)
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
+    if args.convexity_out and args.points < 3:
+        raise UsageError(f"--convexity-out needs --points of at least 3, got {args.points}")
     boundary = pareto.sweep_boundary(cfg, fading, args.precoder, args.points)
     _write_text(args.out, pareto.boundary_csv(boundary))
     if args.convexity_out:
@@ -312,6 +331,14 @@ def _drop_seed(seed: int, cell: int, drop: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(cell, drop))
 
 
+def _place(n_unicast: int, group_sizes, seed) -> FadingProfile:
+    """A default-geometry drop for user-given UT counts."""
+    try:
+        return place_users(CellGeometry(), n_unicast, group_sizes, seed)[0]
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+
+
 def _drop_means(args, seed, cfgs, solve) -> list[list[tuple[str, str, bool]]]:
     """Per grid cell, (precoder, mean objective, feasible) for each precoder.
 
@@ -325,8 +352,7 @@ def _drop_means(args, seed, cfgs, solve) -> list[list[tuple[str, str, bool]]]:
     for cell, cfg in enumerate(cfgs):
         acc = {prec: [] for prec in PRECODERS}
         for d in range(args.drops):
-            fading, _ = place_users(CellGeometry(), cfg.n_unicast, cfg.group_sizes,
-                                    _drop_seed(seed, cell, d))
+            fading = _place(cfg.n_unicast, cfg.group_sizes, _drop_seed(seed, cell, d))
             for prec, vals in acc.items():
                 try:
                     vals.append(solve(cfg, fading, cfg.total_power / 2.0, prec).objective)
@@ -374,8 +400,10 @@ def _figure_rows_fig3(args, seed):
 def _figure_rows_fig4(args, seed):
     """Trade-off boundaries for each antenna count and both precoders."""
     n_list = _int_list(args.antennas_list, "--antennas-list")
+    if args.points < 2:
+        raise UsageError(f"--points must be at least 2, got {args.points}")
     sizes = (args.group_size,) * args.groups
-    fading, _ = place_users(CellGeometry(), args.unicast, sizes, seed)
+    fading = _place(args.unicast, sizes, seed)
     rows = []
     for n in n_list:
         cfg = default_normalized_config(n, args.coherence, args.unicast, sizes)
@@ -496,13 +524,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, MimocastError, ValueError) as e:
+    except (UsageError, MimocastError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
+        traceback.print_exc(file=sys.stderr)
         print(f"internal error: {e!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

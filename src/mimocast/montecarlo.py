@@ -1,11 +1,17 @@
 """Independent link-level validation of the closed-form SINR expressions.
 
-Per trial: draw small-scale Rayleigh channels, run MMSE estimation with one
-shared pilot per multicast group, build MRT or ZF precoders, and record
-every inner product entering the effective-SINR definition.  The empirical
+Per trial: draw small-scale Rayleigh channels for every UT into one matrix,
+run MMSE estimation with one shared pilot per multicast group, build MRT or
+ZF precoders, and form every UT's effective channel to every stream.  A
+trial keeps two numbers per UT: the effective channel on the UT's own
+stream (the desired term) and the power the UT receives summed over all
+streams.  That is 24 bytes per UT per trial; the per-stream received
+powers only enter a running (UTs x streams) sum.  The empirical
 SINR is assembled from sample means exactly as the definition states, with
-the effective-channel variance entering as E[|x|^2] - |E[x]|^2; nothing is
-shared with the closed-form code path except the input parameters.
+the effective-channel variance entering as E[|x|^2] - |E[x]|^2; its
+jackknife needs no more, since leaving one trial out changes a UT's total
+received power by that trial's sum.  Nothing is shared with the
+closed-form code path except the input parameters.
 
 Trials use independent counter-based sub-streams derived from
 (seed, trial index), so results are order-independent and bit-identical
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,8 +45,13 @@ MAX_GRAM_COND = 1e12
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    """One small-scale fading realization for every UT."""
+    """One small-scale fading realization for every UT.
 
+    ``channels`` holds one column per UT, the unicast UTs first and then
+    each group's members; the other two fields are views into it.
+    """
+
+    channels: np.ndarray                         # N x (U + sum K) complex
     unicast_channels: np.ndarray                 # N x U complex
     multicast_channels: tuple[np.ndarray, ...]   # per group: N x K_g complex
 
@@ -118,17 +130,18 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussian samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
 def _cn_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """``rows`` complex Gaussian vectors of length n, row r drawn as
-    ``_cn(rng, n)`` would draw it after rows 0..r-1 (real part, then
-    imaginary part, row by row)."""
+    """``rows`` standard circularly-symmetric complex Gaussian vectors of
+    length n, row by row, each as its n real parts and then its n
+    imaginary parts."""
     z = rng.standard_normal((rows, 2, n))
     return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+
+
+def _ut_blocks(cfg: SystemConfig) -> list[tuple[int, int]]:
+    """Column ranges of the per-UT arrays: the unicast UTs, then each group."""
+    edges = [0, *(cfg.n_unicast + cfg.group_offsets).tolist()]
+    return list(zip(edges, edges[1:]))
 
 
 def draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
@@ -138,15 +151,26 @@ def draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> Channel
 
 
 def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """``draw_channels`` for a (cfg, fading) pair already validated."""
+    """``draw_channels`` for a (cfg, fading) pair already validated.
+
+    Each block of UTs (the unicast UTs, then each group) draws its N x K
+    real parts and then its N x K imaginary parts.  Scaling a part by
+    1/sqrt(2) and then by the UT's sqrt(gain) gives the same bits as the
+    complex arithmetic (re + 1j*im) / sqrt(2) * sqrt(gain).
+    """
     rng = np.random.default_rng(rng_seed)
     N = cfg.n_antennas
-    uni = _cn(rng, (N, cfg.n_unicast)) * np.sqrt(np.asarray(fading.unicast_gains))
-    groups = tuple(
-        _cn(rng, (N, k)) * np.sqrt(np.asarray(gains))
-        for k, gains in zip(cfg.group_sizes, fading.multicast_gains)
-    )
-    return ChannelDraw(unicast_channels=uni, multicast_channels=groups)
+    amp = np.sqrt(np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]))
+    z = rng.standard_normal(2 * N * amp.size)
+    z *= 1.0 / math.sqrt(2.0)
+    H = np.empty((N, amp.size), dtype=complex)
+    blocks = _ut_blocks(cfg)
+    for a, b in blocks:
+        re, im = z[2 * N * a:2 * N * b].reshape(2, N, b - a)
+        np.multiply(re, amp[a:b], out=H.real[:, a:b])
+        np.multiply(im, amp[a:b], out=H.imag[:, a:b])
+    return ChannelDraw(channels=H, unicast_channels=H[:, :cfg.n_unicast],
+                       multicast_channels=tuple(H[:, a:b] for a, b in blocks[1:]))
 
 
 def mmse_estimate(cfg: SystemConfig, fading: FadingProfile,
@@ -241,15 +265,13 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
 
 
 @dataclass(frozen=True)
-class _TrialTerms:
-    """Per-trial inner products for every UT, plus bookkeeping."""
+class _Trials:
+    """What the estimator reads from the kept trials, one row per UT in
+    ``ChannelDraw.channels`` order."""
 
-    uni_des: np.ndarray            # (n, U) complex: own-stream effective channel
-    uni_pow_uni: np.ndarray        # (n, U, U): |channel x unicast precoder|^2
-    uni_pow_mu: np.ndarray         # (n, U, G)
-    mu_des: tuple[np.ndarray, ...]      # per group: (n, K_g) complex
-    mu_pow_mu: tuple[np.ndarray, ...]   # per group: (n, K_g, G)
-    mu_pow_uni: tuple[np.ndarray, ...]  # per group: (n, K_g, U)
+    desired: np.ndarray      # (users, n) complex: effective channel on the UT's own stream
+    received: np.ndarray     # (users, n): received power summed over all streams
+    power_sums: np.ndarray   # (users, streams): received power per stream, summed over trials
     n_kept: int
     n_discarded: int
 
@@ -257,19 +279,22 @@ class _TrialTerms:
 def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                 pilot_powers_unicast, pilot_powers_multicast,
                 powers: DownlinkPowers, precoder: str,
-                n_trials: int, seed: int) -> _TrialTerms:
+                n_trials: int, seed: int) -> _Trials:
     require_valid(cfg, fading)
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
 
-    U, G = cfg.n_unicast, cfg.n_groups
-    uni_des = np.zeros((n_trials, U), dtype=complex)
-    uni_pow_uni = np.zeros((n_trials, U, U))
-    uni_pow_mu = np.zeros((n_trials, U, G))
-    mu_des = [np.zeros((n_trials, k), dtype=complex) for k in cfg.group_sizes]
-    mu_pow_mu = [np.zeros((n_trials, k, G)) for k in cfg.group_sizes]
-    mu_pow_uni = [np.zeros((n_trials, k, U)) for k in cfg.group_sizes]
+    U = cfg.n_unicast
+    blocks = _ut_blocks(cfg)
+    users = blocks[-1][1]
+    # Each UT's own stream: its unicast stream, or its group's.
+    own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
+    every = np.arange(users)
+    desired = np.empty((users, n_trials), dtype=complex)
+    received = np.empty((users, n_trials))
+    power_sums = np.zeros((users, cfg.n_streams))
+    effective = np.empty((users, cfg.n_streams), dtype=complex)
 
     kept = 0
     discarded = 0
@@ -287,17 +312,18 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
             discarded += 1
             continue
 
-        FhV = draw.unicast_channels.conj().T @ V      # U x U
-        FhW = draw.unicast_channels.conj().T @ W      # U x G
-        uni_des[kept] = np.diag(FhV)
-        uni_pow_uni[kept] = np.abs(FhV) ** 2
-        uni_pow_mu[kept] = np.abs(FhW) ** 2
-        for j in range(G):
-            GhW = draw.multicast_channels[j].conj().T @ W   # K_j x G
-            GhV = draw.multicast_channels[j].conj().T @ V   # K_j x U
-            mu_des[j][kept] = GhW[:, j]
-            mu_pow_mu[j][kept] = np.abs(GhW) ** 2
-            mu_pow_uni[j][kept] = np.abs(GhV) ** 2
+        # h_u^H x_s for every UT u and stream s, one block of UTs times V or
+        # W at a time.  Each entry then rounds as in a per-group product; one
+        # product over all UTs and streams groups the sums differently, and
+        # the SINR denominator amplifies last-bit changes by up to the SINR.
+        for a, b in blocks:
+            hh = draw.channels[:, a:b].conj().T
+            effective[a:b, :U] = hh @ V
+            effective[a:b, U:] = hh @ W
+        power = np.abs(effective) ** 2
+        power_sums += power
+        received[:, kept] = power.sum(axis=1)
+        desired[:, kept] = effective[every, own]
         kept += 1
 
     if discarded:
@@ -305,69 +331,58 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                     discarded, n_trials)
     if kept < 2:
         raise DegenerateInputError("fewer than 2 usable trials")
-    return _TrialTerms(
-        uni_des=uni_des[:kept],
-        uni_pow_uni=uni_pow_uni[:kept],
-        uni_pow_mu=uni_pow_mu[:kept],
-        mu_des=tuple(a[:kept] for a in mu_des),
-        mu_pow_mu=tuple(a[:kept] for a in mu_pow_mu),
-        mu_pow_uni=tuple(a[:kept] for a in mu_pow_uni),
-        n_kept=kept,
-        n_discarded=discarded,
-    )
+    return _Trials(desired=desired[:, :kept], received=received[:, :kept],
+                   power_sums=power_sums, n_kept=kept, n_discarded=discarded)
 
 
-def _sinr_from_means(des_mean: complex, pow_terms_mean: np.ndarray) -> float:
+def _sinr_from_means(des_mean: np.ndarray, power_mean: np.ndarray) -> np.ndarray:
     """Effective SINR from the term means: |E[des]|^2 over unit noise plus
-    total received power minus the coherent part."""
-    num = abs(des_mean) ** 2
-    return num / (1.0 - num + float(np.sum(pow_terms_mean)))
+    total received power minus the coherent part.
 
-
-def _jackknife(des: np.ndarray, pow_terms: np.ndarray) -> tuple[float, float]:
-    """Plug-in SINR and its jackknife standard error over trials.
-
-    des: (n,) complex; pow_terms: (n, T) squared magnitudes.  Leave-one-out
-    means are formed in closed form, the SINR re-assembled for each, and the
-    usual jackknife variance taken.
+    The denominator cancels |E[des]|^2 against the received power, so an
+    error in the last bit of |E[des]| moves the SINR by up to the SINR
+    times that bit.  hypot rounds |E[des]| as Python's abs() does for one
+    complex number; np.abs on complex arrays takes a CPU-dependent
+    vectorized path that can differ in the last bit.
     """
-    n = des.shape[0]
-    des_sum = des.sum()
-    pow_sum = pow_terms.sum(axis=0)
-    full = _sinr_from_means(des_sum / n, pow_sum / n)
+    num = np.hypot(des_mean.real, des_mean.imag) ** 2
+    return num / (1.0 - num + power_mean)
 
-    loo_des = (des_sum - des) / (n - 1)
-    loo_pow = (pow_sum[None, :] - pow_terms) / (n - 1)
-    num = np.abs(loo_des) ** 2
-    loo = num / (1.0 - num + loo_pow.sum(axis=1))
-    se = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
+
+def _jackknife(trials: _Trials, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in SINR of UTs a..b-1 and its jackknife standard error over
+    trials, in one pass with trials x (b - a) temporaries.
+
+    The plug-in SINR sums the per-stream mean powers.  Leaving trial t out
+    moves a UT's means to (sum - x_t) / (n - 1), with x_t its desired term
+    and its received-power total, so every leave-one-out SINR comes from
+    the row sums.
+    """
+    n = trials.n_kept
+    desired, received = trials.desired[a:b], trials.received[a:b]
+    des_sum = desired.sum(axis=1, keepdims=True)
+    full = _sinr_from_means(des_sum[:, 0] / n, (trials.power_sums[a:b] / n).sum(axis=1))
+    loo = _sinr_from_means((des_sum - desired) / (n - 1),
+                           (received.sum(axis=1, keepdims=True) - received) / (n - 1))
+    se = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=1, keepdims=True)) ** 2, axis=1))
     return full, se
 
 
-def _target_arrays(terms: _TrialTerms, kind: str, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(desired, unicast power terms, multicast power terms) for one UT."""
+def _target_column(cfg: SystemConfig, kind: str, index) -> int:
+    """The per-UT column of ("unicast", m) or ("multicast", (j, k))."""
     if kind == "unicast":
-        m = int(index)
-        return terms.uni_des[:, m], terms.uni_pow_uni[:, m, :], terms.uni_pow_mu[:, m, :]
+        m = operator.index(index)
+        if not 0 <= m < cfg.n_unicast:
+            raise ValueError(f"unicast index {m} outside [0, {cfg.n_unicast})")
+        return m
     if kind == "multicast":
-        j, k = index
-        return terms.mu_des[j][:, k], terms.mu_pow_uni[j][:, k, :], terms.mu_pow_mu[j][:, k, :]
-    raise ValueError(f"unknown target kind {kind!r}")
-
-
-def _statistics_for(terms: _TrialTerms, kind: str, index) -> TrialStatistics:
-    des, pow_uni, pow_mu = _target_arrays(terms, kind, index)
-    pow_all = np.concatenate([pow_uni, pow_mu], axis=1)
-    sinr, se = _jackknife(des, pow_all)
-    n = terms.n_kept
-    return TrialStatistics(
-        desired_power_mean=abs(des.sum() / n) ** 2,
-        interference_unicast=tuple(pow_uni.mean(axis=0)),
-        interference_multicast=tuple(pow_mu.mean(axis=0)),
-        empirical_sinr=sinr,
-        confidence_halfwidth=Z95 * se,
-        n_trials=n,
-    )
+        j, k = map(operator.index, index)
+        if not 0 <= j < cfg.n_groups:
+            raise ValueError(f"group index {j} outside [0, {cfg.n_groups})")
+        if not 0 <= k < cfg.group_sizes[j]:
+            raise ValueError(f"member index {k} outside [0, {cfg.group_sizes[j]}) of group {j}")
+        return cfg.n_unicast + int(cfg.group_offsets[j]) + k
+    raise ValueError(f"unknown target kind {kind!r}, expected 'unicast' or 'multicast'")
 
 
 def empirical_sinr(cfg: SystemConfig, fading: FadingProfile,
@@ -380,9 +395,20 @@ def empirical_sinr(cfg: SystemConfig, fading: FadingProfile,
     """
     if n_trials < 100:
         raise ValueError(f"need at least 100 trials, got {n_trials}")
-    terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                        powers, precoder, n_trials, seed)
-    return _statistics_for(terms, kind, index)
+    u = _target_column(cfg, kind, index)
+    trials = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                         powers, precoder, n_trials, seed)
+    n = trials.n_kept
+    sinr, se = _jackknife(trials, u, u + 1)
+    means = trials.power_sums[u] / n
+    return TrialStatistics(
+        desired_power_mean=abs(trials.desired[u].sum() / n) ** 2,
+        interference_unicast=tuple(means[:cfg.n_unicast].tolist()),
+        interference_multicast=tuple(means[cfg.n_unicast:].tolist()),
+        empirical_sinr=float(sinr[0]),
+        confidence_halfwidth=Z95 * float(se[0]),
+        n_trials=n,
+    )
 
 
 def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
@@ -395,38 +421,34 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
     """
     if n_trials < 100:
         raise ValueError(f"need at least 100 trials, got {n_trials}")
-    terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                        powers, precoder, n_trials, seed)
+    trials = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                         powers, precoder, n_trials, seed)
     stats = estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
     closed = closed_form.se_report(cfg, stats, fading, powers, precoder)
 
-    records = []
+    # One pass per block of UTs keeps the temporaries at trials x block size.
+    empirical, se = (np.concatenate(parts) for parts in
+                     zip(*(_jackknife(trials, a, b) for a, b in _ut_blocks(cfg))))
+    cf = np.array([*closed.unicast_sinr, *(s for row in closed.multicast_sinr for s in row)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, (empirical - cf) / se, np.where(empirical == cf, 0.0, math.inf))
 
-    def add(kind, index, cf):
-        ts = _statistics_for(terms, kind, index)
-        se = ts.confidence_halfwidth / Z95
-        if se > 0:
-            z = (ts.empirical_sinr - cf) / se
-        else:
-            z = 0.0 if ts.empirical_sinr == cf else math.inf
-        idx = (index,) if kind == "unicast" else tuple(index)
-        records.append(UserValidation(kind=kind, index=idx, closed_form=cf,
-                                      empirical=ts.empirical_sinr,
-                                      ci_halfwidth=ts.confidence_halfwidth, z=z))
-
-    for m, cf in enumerate(closed.unicast_sinr):
-        add("unicast", m, cf)
-    for j, group in enumerate(closed.multicast_sinr):
-        for k, cf in enumerate(group):
-            add("multicast", (j, k), cf)
+    targets = [("unicast", (m,)) for m in range(cfg.n_unicast)]
+    targets += [("multicast", (j, k)) for j, size in enumerate(cfg.group_sizes)
+                for k in range(size)]
+    records = tuple(
+        UserValidation(kind=kind, index=index, closed_form=c, empirical=e,
+                       ci_halfwidth=h, z=zz)
+        for (kind, index), c, e, h, zz in zip(targets, cf.tolist(), empirical.tolist(),
+                                              (Z95 * se).tolist(), z.tolist()))
 
     n_ok = sum(1 for r in records if abs(r.z) <= 3.0)
     rate = n_ok / len(records) if records else 1.0
     return ValidationReport(
         precoder=precoder,
-        n_trials=terms.n_kept,
-        n_discarded=terms.n_discarded,
-        records=tuple(records),
+        n_trials=trials.n_kept,
+        n_discarded=trials.n_discarded,
+        records=records,
         pass_rate=rate,
         passed=rate >= 0.99,
     )

@@ -13,22 +13,39 @@ before it stored per-UT data as flat arrays: validation, the solvers'
 split-independent pieces, the estimate variances and the Monte Carlo
 estimation and precoders.  They read the pair through ``tuple_layout`` and
 must agree with the array code bit for bit.
+
+The stored-terms section keeps the Monte Carlo validator as it was before
+it streamed its trials: every per-trial inner product stored, then one
+jackknife per UT.  Its reports must agree with the streamed ones to
+rounding, and its complex-arithmetic channel draw bit for bit.
 """
 
 import dataclasses
+import logging
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from mimocast.closed_form import ZF, DownlinkPowers, se_report
+from mimocast.closed_form import PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError
-from mimocast.model import MIN_GAIN, FadingProfile, SystemConfig, Violation, estimation_variances
-from mimocast.montecarlo import (_cn, EstimateSet, RankDeficientDraw, MAX_GRAM_COND,
-                                 require_zf_feasible)
+from mimocast.model import (MIN_GAIN, FadingProfile, SystemConfig, Violation,
+                            _estimation_variances, estimation_variances, require_valid)
+from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDraw, MAX_GRAM_COND,
+                                 TrialStatistics, UserValidation, ValidationReport,
+                                 build_mrt_precoders, build_zf_precoders, mmse_estimate,
+                                 require_zf_feasible, trial_rng)
 from mimocast.pareto import ParetoBoundary, solve_split
 
 LN2 = math.log(2.0)
+
+log = logging.getLogger(__name__)
+
+
+def _cn(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard circularly-symmetric complex Gaussian samples."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
 def bisect_waterfill(weights, offsets, budget, iters=200):
@@ -490,3 +507,205 @@ def build_zf_precoders_loop(cfg, estimates, powers, stats):
         scales[cfg.n_unicast + j] = math.sqrt(dof * powers.multicast[j] * float(stats.group_var[j]))
     cols = Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
     return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]
+
+
+# ------------------------------------------- stored-terms Monte Carlo path
+
+
+def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
+    """``montecarlo.draw_channels`` in complex arithmetic, one block at a time."""
+    rng = np.random.default_rng(rng_seed)
+    N = cfg.n_antennas
+    uni = _cn(rng, (N, cfg.n_unicast)) * np.sqrt(np.asarray(fading.unicast_gains))
+    groups = tuple(
+        _cn(rng, (N, k)) * np.sqrt(np.asarray(gains))
+        for k, gains in zip(cfg.group_sizes, fading.multicast_gains)
+    )
+    return ChannelDraw(channels=np.concatenate([uni, *groups], axis=1),
+                       unicast_channels=uni, multicast_channels=groups)
+
+
+@dataclass(frozen=True)
+class _TrialTerms:
+    """Per-trial inner products for every UT, plus bookkeeping."""
+
+    uni_des: np.ndarray            # (n, U) complex: own-stream effective channel
+    uni_pow_uni: np.ndarray        # (n, U, U): |channel x unicast precoder|^2
+    uni_pow_mu: np.ndarray         # (n, U, G)
+    mu_des: tuple[np.ndarray, ...]      # per group: (n, K_g) complex
+    mu_pow_mu: tuple[np.ndarray, ...]   # per group: (n, K_g, G)
+    mu_pow_uni: tuple[np.ndarray, ...]  # per group: (n, K_g, U)
+    n_kept: int
+    n_discarded: int
+
+
+def _run_trials(cfg: SystemConfig, fading: FadingProfile,
+                pilot_powers_unicast, pilot_powers_multicast,
+                powers: DownlinkPowers, precoder: str,
+                n_trials: int, seed: int) -> _TrialTerms:
+    require_valid(cfg, fading)
+    if precoder not in PRECODERS:
+        raise ValueError(f"unknown precoder {precoder!r}")
+    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+
+    U, G = cfg.n_unicast, cfg.n_groups
+    uni_des = np.zeros((n_trials, U), dtype=complex)
+    uni_pow_uni = np.zeros((n_trials, U, U))
+    uni_pow_mu = np.zeros((n_trials, U, G))
+    mu_des = [np.zeros((n_trials, k), dtype=complex) for k in cfg.group_sizes]
+    mu_pow_mu = [np.zeros((n_trials, k, G)) for k in cfg.group_sizes]
+    mu_pow_uni = [np.zeros((n_trials, k, U)) for k in cfg.group_sizes]
+
+    kept = 0
+    discarded = 0
+    for t in range(n_trials):
+        rng = trial_rng(seed, t)
+        draw = _draw_channels(cfg, fading, rng)
+        est = mmse_estimate(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                            draw, rng)
+        try:
+            if precoder == ZF:
+                V, W = build_zf_precoders(cfg, est, powers, stats)
+            else:
+                V, W = build_mrt_precoders(cfg, est, powers, stats)
+        except RankDeficientDraw:
+            discarded += 1
+            continue
+
+        FhV = draw.unicast_channels.conj().T @ V      # U x U
+        FhW = draw.unicast_channels.conj().T @ W      # U x G
+        uni_des[kept] = np.diag(FhV)
+        uni_pow_uni[kept] = np.abs(FhV) ** 2
+        uni_pow_mu[kept] = np.abs(FhW) ** 2
+        for j in range(G):
+            GhW = draw.multicast_channels[j].conj().T @ W   # K_j x G
+            GhV = draw.multicast_channels[j].conj().T @ V   # K_j x U
+            mu_des[j][kept] = GhW[:, j]
+            mu_pow_mu[j][kept] = np.abs(GhW) ** 2
+            mu_pow_uni[j][kept] = np.abs(GhV) ** 2
+        kept += 1
+
+    if discarded:
+        log.warning("discarded %d of %d trials (rank-deficient estimate matrix)",
+                    discarded, n_trials)
+    if kept < 2:
+        raise DegenerateInputError("fewer than 2 usable trials")
+    return _TrialTerms(
+        uni_des=uni_des[:kept],
+        uni_pow_uni=uni_pow_uni[:kept],
+        uni_pow_mu=uni_pow_mu[:kept],
+        mu_des=tuple(a[:kept] for a in mu_des),
+        mu_pow_mu=tuple(a[:kept] for a in mu_pow_mu),
+        mu_pow_uni=tuple(a[:kept] for a in mu_pow_uni),
+        n_kept=kept,
+        n_discarded=discarded,
+    )
+
+
+def _sinr_from_means(des_mean: complex, pow_terms_mean: np.ndarray) -> float:
+    """Effective SINR from the term means: |E[des]|^2 over unit noise plus
+    total received power minus the coherent part."""
+    num = abs(des_mean) ** 2
+    return num / (1.0 - num + float(np.sum(pow_terms_mean)))
+
+
+def _jackknife(des: np.ndarray, pow_terms: np.ndarray) -> tuple[float, float]:
+    """Plug-in SINR and its jackknife standard error over trials.
+
+    des: (n,) complex; pow_terms: (n, T) squared magnitudes.  Leave-one-out
+    means are formed in closed form, the SINR re-assembled for each, and the
+    usual jackknife variance taken.
+    """
+    n = des.shape[0]
+    des_sum = des.sum()
+    pow_sum = pow_terms.sum(axis=0)
+    full = _sinr_from_means(des_sum / n, pow_sum / n)
+
+    loo_des = (des_sum - des) / (n - 1)
+    loo_pow = (pow_sum[None, :] - pow_terms) / (n - 1)
+    num = np.abs(loo_des) ** 2
+    loo = num / (1.0 - num + loo_pow.sum(axis=1))
+    se = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
+    return full, se
+
+
+def _target_arrays(terms: _TrialTerms, kind: str, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(desired, unicast power terms, multicast power terms) for one UT."""
+    if kind == "unicast":
+        m = int(index)
+        return terms.uni_des[:, m], terms.uni_pow_uni[:, m, :], terms.uni_pow_mu[:, m, :]
+    if kind == "multicast":
+        j, k = index
+        return terms.mu_des[j][:, k], terms.mu_pow_uni[j][:, k, :], terms.mu_pow_mu[j][:, k, :]
+    raise ValueError(f"unknown target kind {kind!r}")
+
+
+def _statistics_for(terms: _TrialTerms, kind: str, index) -> TrialStatistics:
+    des, pow_uni, pow_mu = _target_arrays(terms, kind, index)
+    pow_all = np.concatenate([pow_uni, pow_mu], axis=1)
+    sinr, se = _jackknife(des, pow_all)
+    n = terms.n_kept
+    return TrialStatistics(
+        desired_power_mean=abs(des.sum() / n) ** 2,
+        interference_unicast=tuple(pow_uni.mean(axis=0)),
+        interference_multicast=tuple(pow_mu.mean(axis=0)),
+        empirical_sinr=sinr,
+        confidence_halfwidth=Z95 * se,
+        n_trials=n,
+    )
+
+
+def empirical_sinr_stored(cfg: SystemConfig, fading: FadingProfile,
+                          pilot_powers_unicast, pilot_powers_multicast,
+                          powers: DownlinkPowers, precoder: str,
+                          kind: str, index, n_trials: int, seed: int) -> TrialStatistics:
+    """``montecarlo.empirical_sinr`` over stored inner products."""
+    if n_trials < 100:
+        raise ValueError(f"need at least 100 trials, got {n_trials}")
+    terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                        powers, precoder, n_trials, seed)
+    return _statistics_for(terms, kind, index)
+
+
+def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
+                                pilot_powers_unicast, pilot_powers_multicast,
+                                powers: DownlinkPowers, precoder: str,
+                                n_trials: int, seed: int) -> ValidationReport:
+    """``montecarlo.validate_closed_form`` over stored inner products."""
+    if n_trials < 100:
+        raise ValueError(f"need at least 100 trials, got {n_trials}")
+    terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                        powers, precoder, n_trials, seed)
+    stats = estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    closed = se_report(cfg, stats, fading, powers, precoder)
+
+    records = []
+
+    def add(kind, index, cf):
+        ts = _statistics_for(terms, kind, index)
+        se = ts.confidence_halfwidth / Z95
+        if se > 0:
+            z = (ts.empirical_sinr - cf) / se
+        else:
+            z = 0.0 if ts.empirical_sinr == cf else math.inf
+        idx = (index,) if kind == "unicast" else tuple(index)
+        records.append(UserValidation(kind=kind, index=idx, closed_form=cf,
+                                      empirical=ts.empirical_sinr,
+                                      ci_halfwidth=ts.confidence_halfwidth, z=z))
+
+    for m, cf in enumerate(closed.unicast_sinr):
+        add("unicast", m, cf)
+    for j, group in enumerate(closed.multicast_sinr):
+        for k, cf in enumerate(group):
+            add("multicast", (j, k), cf)
+
+    n_ok = sum(1 for r in records if abs(r.z) <= 3.0)
+    rate = n_ok / len(records) if records else 1.0
+    return ValidationReport(
+        precoder=precoder,
+        n_trials=terms.n_kept,
+        n_discarded=terms.n_discarded,
+        records=tuple(records),
+        pass_rate=rate,
+        passed=rate >= 0.99,
+    )

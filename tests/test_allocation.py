@@ -372,3 +372,43 @@ class TestBudgetTolerance:
             else:
                 with pytest.raises(ValueError):
                     check()
+
+
+class TestHighPowerLimit:
+    """AC-7's leading-order derivation, as a limit.
+
+    gamma = gain*p_mu / sum_j (B_j - c*P) with B_j = 1/upsilon_j + sum_k 1/g_jk
+    + K_j*P.  Scale the budget P and every pilot energy cap E by s, as a
+    noise floor falling by s does: upsilon_j = min_k E*g^2/(1 + g*P) tends
+    to min_k E*g/P, so R = sum_j (1/upsilon_j + sum_k 1/g_jk) stays bounded
+    while the loads grow as P.  Hence gamma*P*load/(gain*p_mu) = 1 - R/(load*P
+    + R) -> 1 with (gain, load) = (N, sum K) under MRT and (N-U-G, sum K - G)
+    under ZF.  (1 + g*s*P)/(s*E*g^2) falls with s, so R at s = 1 bounds
+    the residual's R for every s >= 1.
+    """
+
+    @pytest.mark.parametrize("precoder", [MRT, ZF])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           share=st.floats(min_value=0.05, max_value=0.95))
+    def test_gamma_tends_to_leading_order(self, precoder, seed, share):
+        # Groups of two or more, so that sum K - G > 0.
+        cfg, fading = random_desk_instance(np.random.default_rng(seed), k_range=(2, 6))
+        n, u, g = cfg.n_antennas, cfg.n_unicast, cfg.n_groups
+        k_total = sum(cfg.group_sizes)
+        gain, load = (n, k_total) if precoder == MRT else (n - u - g, k_total - g)
+        p0 = cfg.total_power
+        r_bound = 0.0
+        for caps, gains in zip(cfg.multicast_energy_caps, fading.multicast_gains):
+            r_bound += float(np.max((1.0 + gains * p0) / (caps * gains * gains)))
+            r_bound += float(np.sum(1.0 / gains))
+        for s in (1e6, 1e8):
+            cfg_s = dataclasses.replace(
+                cfg, total_power=p0 * s, unicast_energy_caps=cfg.unicast_energy_caps * s,
+                multicast_energy_caps=tuple(row * s for row in cfg.multicast_energy_caps))
+            big_p = cfg_s.total_power
+            p_un = share * big_p if u else 0.0
+            p_mu = big_p - p_un
+            gamma = solve_mmf(cfg_s, fading, p_un, precoder).gamma
+            residual = 1.0 - gamma * big_p * load / (gain * p_mu)
+            assert -1e-12 <= residual <= r_bound / (load * big_p) + 1e-12, (s, residual)

@@ -252,6 +252,37 @@ class TestExitCodes:
                  "--split-ratio", "banana", "--out", tmp_path / "x.json")
         assert rc == 1
 
+    @pytest.mark.parametrize("ratio", ["-1:1", "0:0", "inf:1", "nan:1"])
+    def test_bad_ratio_values_are_usage_errors(self, scenario_path, tmp_path, ratio):
+        rc = run("mmf", "--scenario", scenario_path, "--precoder", "mrt",
+                 "--split-ratio", ratio, "--out", tmp_path / "x.json")
+        assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("scenario", "--seed", -1),
+        ("scenario", "--unicast", -1),
+        ("scenario", "--group-sizes", "2,0"),
+        ("figure", "fig2", "--k-list", "0", "--antennas-list", "16", "--g-list", "1",
+         "--drops", 1, "--seed", 1),
+        ("figure", "fig4", "--points", 1, "--antennas-list", "16", "--unicast", 1,
+         "--groups", 1, "--group-size", 2, "--seed", 1),
+    ])
+    def test_bad_counts_and_seeds_are_usage_errors(self, tmp_path, argv):
+        assert run(*argv, "--out", tmp_path / "x") == 1
+
+    def test_library_value_error_is_internal(self, scenario_path, tmp_path, capsys,
+                                             monkeypatch):
+        import mimocast.cli as cli_mod
+
+        def broken_solver(*args):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(cli_mod.allocation, "solve_mmf", broken_solver)
+        rc = run("mmf", "--scenario", scenario_path, "--precoder", "mrt",
+                 "--split-ratio", "1:1", "--out", tmp_path / "x.json")
+        assert rc == 3
+        assert "internal error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, field, value", [
         ("system", "n_antennas", "100"),
         ("system", "total_power", None),

@@ -264,10 +264,10 @@ class TestSweepOnce:
         assert len(calls) == 1
 
 
-def small_mc_cell(seed, precoder):
+def small_mc_cell(seed, precoder, u_range=(0, 4), g_range=(1, 3)):
     rng = np.random.default_rng(seed)
-    cfg, fading = random_desk_instance(rng, n_range=(40, 60), u_range=(0, 4),
-                                       g_range=(1, 3), k_range=(1, 4))
+    cfg, fading = random_desk_instance(rng, n_range=(40, 60), u_range=u_range,
+                                       g_range=g_range, k_range=(1, 4))
     tau = cfg.pilot_length
     pilots_un = [e / tau for e in cfg.unicast_energy_caps]
     pilots_mu = [[e / tau for e in caps] for caps in cfg.multicast_energy_caps]

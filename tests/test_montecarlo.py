@@ -1,16 +1,21 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mimocast.closed_form import DownlinkPowers, se_report
+from mimocast import montecarlo
+from mimocast.closed_form import PRECODERS, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError
 from mimocast.model import FadingProfile, estimation_variances
 from mimocast.montecarlo import (build_mrt_precoders, build_zf_precoders,
                                  draw_channels, empirical_sinr, mmse_estimate,
                                  trial_rng, validate_closed_form)
 
+import oracles
+from test_flat_arrays import small_mc_cell
 from test_model import make_config
 
 
@@ -329,3 +334,128 @@ class TestValidateClosedForm:
                             "multicast", (0, 0), 8000, 11)
         z = (ts.empirical_sinr - cf) / (ts.confidence_halfwidth / 1.96)
         assert z > 4.0
+
+
+class TestEmpiricalSinrTarget:
+    @pytest.mark.parametrize("kind, index", [
+        ("unicast", -1),          # would wrap to the last unicast UT
+        ("unicast", 2),           # U
+        ("multicast", (1, 0)),    # G
+        ("multicast", (0, 2)),    # K_0
+        ("multicast", (0, -1)),
+        ("broadcast", 0),
+    ])
+    def test_bad_target_rejected_before_any_draw(self, monkeypatch, kind, index):
+        cfg, fading = small_system(n_unicast=2, group_sizes=(2,))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,))
+
+        def no_draw(*args):
+            raise AssertionError("drew channels before checking the target")
+
+        monkeypatch.setattr(montecarlo, "_draw_channels", no_draw)
+        with pytest.raises(ValueError):
+            empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
+                           kind, index, 100, 1)
+
+
+SHAPES = {"mixed": {"u_range": (1, 4), "g_range": (1, 3)},
+          "no unicast": {"u_range": (0, 0), "g_range": (1, 3)},
+          "no groups": {"u_range": (1, 4), "g_range": (0, 0)}}
+
+
+def close(a, b, rel):
+    return a == b or abs(a - b) <= rel * abs(b)
+
+
+class TestStreamedAgainstStoredTerms:
+    """The streamed validator against the one that stored every per-trial
+    inner product (``oracles``, stored-terms section)."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           shape=st.sampled_from(sorted(SHAPES)))
+    def test_reports_match(self, precoder, seed, shape):
+        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder, **SHAPES[shape])
+        args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 100, seed)
+        new = validate_closed_form(*args)
+        old = oracles.validate_closed_form_stored(*args)
+        assert (new.precoder, new.n_trials, new.n_discarded, new.pass_rate, new.passed) == \
+            (old.precoder, old.n_trials, old.n_discarded, old.pass_rate, old.passed)
+        assert len(new.records) == len(old.records) == cfg.n_unicast + sum(cfg.group_sizes)
+        for a, b in zip(new.records, old.records):
+            assert (a.kind, a.index, a.closed_form) == (b.kind, b.index, b.closed_form)
+            assert close(a.empirical, b.empirical, 1e-12), (a, b)
+            assert close(a.ci_halfwidth, b.ci_halfwidth, 1e-8), (a, b)
+            assert a.z == b.z or abs(a.z - b.z) <= 1e-8 * max(1.0, abs(b.z)), (a, b)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           shape=st.sampled_from(sorted(SHAPES)), pick=st.integers(min_value=0))
+    def test_one_target_matches(self, precoder, seed, shape, pick):
+        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder, **SHAPES[shape])
+        targets = [("unicast", m) for m in range(cfg.n_unicast)]
+        targets += [("multicast", (j, k)) for j, size in enumerate(cfg.group_sizes)
+                    for k in range(size)]
+        kind, index = targets[pick % len(targets)]
+        args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, kind, index, 100, seed)
+        new = empirical_sinr(*args)
+        old = oracles.empirical_sinr_stored(*args)
+        assert new.n_trials == old.n_trials
+        assert close(new.desired_power_mean, old.desired_power_mean, 1e-12)
+        assert close(new.empirical_sinr, old.empirical_sinr, 1e-12)
+        assert close(new.confidence_halfwidth, old.confidence_halfwidth, 1e-8)
+        for a, b in ((new.interference_unicast, old.interference_unicast),
+                     (new.interference_multicast, old.interference_multicast)):
+            assert len(a) == len(b)
+            assert all(close(x, y, 1e-12) for x, y in zip(a, b)), (a, b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           shape=st.sampled_from(sorted(SHAPES)))
+    def test_channels_bit_identical_to_complex_draw(self, seed, shape):
+        cfg, fading, *_ = small_mc_cell(seed, "mrt", **SHAPES[shape])
+        rng, rng_o = trial_rng(seed, 0), trial_rng(seed, 0)
+        new = draw_channels(cfg, fading, rng)
+        old = oracles._draw_channels(cfg, fading, rng_o)
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        assert np.array_equal(bits(new.channels), bits(old.channels))
+        assert np.array_equal(bits(new.unicast_channels), bits(old.unicast_channels))
+        assert len(new.multicast_channels) == len(old.multicast_channels)
+        for a, b in zip(new.multicast_channels, old.multicast_channels):
+            assert np.shares_memory(a, new.channels)
+            assert np.array_equal(bits(a), bits(b))
+        # The estimation noise continues the same stream.
+        assert rng.standard_normal(4).tolist() == rng_o.standard_normal(4).tolist()
+
+
+class TestMemory:
+    def test_peak_grows_by_at_most_64_bytes_per_ut_per_trial(self):
+        # Many streams per UT: storing every per-stream power would cost
+        # 8 * (U + G) = 192 bytes per UT per trial.
+        u, sizes = 20, (10,) * 4
+        cfg = make_config(n_unicast=u, group_sizes=sizes, pilot_length=u + len(sizes),
+                          n_antennas=64, cap=2.0)
+        rng = np.random.default_rng(1)
+        fading = FadingProfile(unicast_gains=rng.uniform(0.2, 1.5, u),
+                               multicast_gains=tuple(rng.uniform(0.2, 1.5, k) for k in sizes))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        powers = DownlinkPowers.equal_split(cfg.total_power / 2.0, u,
+                                            cfg.total_power / 2.0, len(sizes))
+
+        def peak(n_trials):
+            tracemalloc.start()
+            try:
+                validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
+                                     n_trials, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = (peak(800) - peak(200)) / 600 / (u + sum(sizes))
+        assert growth <= 64.0, f"{growth:.1f} bytes per UT per trial"
