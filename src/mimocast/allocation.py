@@ -25,8 +25,9 @@ import numpy as np
 from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _precoder_factors,
                           _se_report, se_from_sinr)
 from .errors import DegenerateInputError
-from .model import (FadingProfile, SystemConfig, _estimation_variances, _group_min,
-                    _group_sums, _per_member, _sizes, _tuple_rows, require_valid)
+from .model import (FadingProfile, FadingStack, SystemConfig, _estimation_variances,
+                    _group_min, _group_sums, _per_member, _row_sums, _sizes, _tuple_rows,
+                    require_valid)
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,29 @@ def _waterfill_users(weights: Sequence[float],
     return w, o
 
 
+def _waterfill(weights: np.ndarray, offsets: np.ndarray,
+               budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """``waterfill`` on checked arrays: weights (U,) shared by every row of
+    offsets (..., U), each row one problem with the same budget.  Returns
+    the levels, shaped like the offsets, and one water level per row."""
+    if budget == 0.0:
+        return np.zeros(offsets.shape), np.full(offsets.shape[:-1], math.inf)
+    n = weights.size
+    o = offsets.reshape(-1, n)
+    rows = np.arange(len(o))[:, None]
+    c = weights / LN2
+    order = np.argsort(-(c / o), axis=1, kind="stable")   # ties keep their input order
+    c_s, o_s = c[order], o[rows, order]
+    cand = np.cumsum(c_s, axis=1) / (budget + np.cumsum(o_s, axis=1))
+    # The largest consistent active set ends at the last consistent candidate.
+    last = np.where(cand < c_s / o_s, np.arange(n), -1).max(axis=1)
+    nu = np.where(last >= 0, cand[rows[:, 0], np.maximum(last, 0)], math.nan)
+    levels = np.zeros(o.shape)
+    levels[rows, order] = np.where(np.arange(n) <= last[:, None],
+                                   np.maximum(0.0, c_s / nu[:, None] - o_s), 0.0)
+    return levels.reshape(offsets.shape), nu.reshape(offsets.shape[:-1])
+
+
 def waterfill(weights: Sequence[float], offsets: Sequence[float],
               budget: float) -> tuple[tuple[float, ...], float]:
     """Water-filling: levels_m = max(0, w_m/(nu*ln2) - o_m) exhausting the budget.
@@ -120,22 +144,8 @@ def waterfill(weights: Sequence[float], offsets: Sequence[float],
     w, o = _waterfill_users(weights, offsets)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if budget == 0.0:
-        return (0.0,) * w.size, math.inf
-
-    c = w / LN2
-    ratio = c / o
-    order = np.argsort(-ratio, kind="stable")   # ties keep their input order
-    cand = np.cumsum(c[order]) / (budget + np.cumsum(o[order]))
-    consistent = np.flatnonzero(cand < ratio[order])
-    levels = np.zeros(w.size)
-    if consistent.size == 0:
-        return tuple(levels.tolist()), math.nan
-    n_active = int(consistent[-1]) + 1
-    nu = float(cand[n_active - 1])
-    active = order[:n_active]
-    levels[active] = np.maximum(0.0, c[active] / nu - o[active])
-    return tuple(levels.tolist()), nu
+    levels, nu = _waterfill(w, o, budget)
+    return tuple(levels.tolist()), float(nu)
 
 
 def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
@@ -170,21 +180,6 @@ def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
     return budget + wsum / ratios[k] * math.expm1((objective - level_sum) / wsum)
 
 
-def waterfill_kkt_violation(weights: Sequence[float], offsets: Sequence[float],
-                            levels: Sequence[float], water_level: float) -> float:
-    """Largest KKT residual: active users must sit exactly at w/(nu*ln2)-o,
-    inactive users must have w/(nu*ln2) <= o.  Residuals are scaled by
-    max(1, magnitude) so the value is comparable across problem scales."""
-    worst = 0.0
-    for w, o, p in zip(weights, offsets, levels):
-        marginal = w / (water_level * LN2) if math.isfinite(water_level) else 0.0
-        if p > 0:
-            worst = max(worst, abs(marginal - o - p) / max(1.0, abs(p)))
-        else:
-            worst = max(worst, (marginal - o) / max(1.0, o))
-    return worst
-
-
 def _check_split(total: float, fixed: float, name: str) -> float:
     """Validate a fixed power share and return the non-negative remainder."""
     if not (0.0 <= fixed <= total * (1.0 + BUDGET_RTOL)):
@@ -192,7 +187,11 @@ def _check_split(total: float, fixed: float, name: str) -> float:
     return max(0.0, total - fixed)
 
 
-def _group_quality_floors(cfg: SystemConfig, fading: FadingProfile):
+# The split-independent pieces below read one drop (a FadingProfile) or a
+# FadingStack; with a stack every result has a leading drop axis.
+
+
+def _group_quality_floors(cfg: SystemConfig, fading: FadingProfile | FadingStack):
     """Per-group pilot-quality floor and the optimal capped pilot energies
     (flat, one per multicast UT).
 
@@ -209,7 +208,7 @@ def _group_quality_floors(cfg: SystemConfig, fading: FadingProfile):
     return floors, caps * (_per_member(floors, cfg.group_offsets) / per_user)
 
 
-def _interference_loads(cfg: SystemConfig, fading: FadingProfile,
+def _interference_loads(cfg: SystemConfig, fading: FadingProfile | FadingStack,
                         upsilon: np.ndarray) -> np.ndarray:
     offsets = cfg.group_offsets
     return (1.0 / upsilon + _group_sums(1.0 / fading.multicast_gains_flat, offsets)
@@ -221,7 +220,7 @@ def _solver_prelog(cfg: SystemConfig) -> float:
     return 1.0 - cfg.n_streams / cfg.coherence_length
 
 
-def _multicast_loads(cfg: SystemConfig, fading: FadingProfile, c: float):
+def _multicast_loads(cfg: SystemConfig, fading: FadingProfile | FadingStack, c: float):
     """Group floors upsilon_j, pilot energies, loads B_j and the precoder's
     effective loads B_j - c*P, none of which depends on the power split."""
     if cfg.n_groups == 0:
@@ -236,7 +235,7 @@ def _multicast_loads(cfg: SystemConfig, fading: FadingProfile, c: float):
     return upsilon, x_caps, b_values, loads
 
 
-def _unicast_offsets(cfg: SystemConfig, fading: FadingProfile, gain: int, c: float):
+def _unicast_offsets(cfg: SystemConfig, fading: FadingProfile | FadingStack, gain: int, c: float):
     """Full-cap estimate variances theta and the water-filling offsets
     (1 + (beta - c*theta)*P) / (gain*theta), neither depending on the split."""
     if cfg.n_unicast == 0:
@@ -248,11 +247,14 @@ def _unicast_offsets(cfg: SystemConfig, fading: FadingProfile, gain: int, c: flo
     return theta, (1.0 + (b - c * theta) * cfg.total_power) / (gain * theta)
 
 
-def _sum_se(prelog: float, weights: Sequence[float], levels: Sequence[float],
-            offsets: Sequence[float]) -> float:
-    """Weighted sum SE of water-filled levels: prelog * sum a*log2(1 + p/o)."""
-    return prelog * sum(a * math.log1p(p / o) / LN2
-                        for a, p, o in zip(weights, levels, offsets))
+def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
+            offsets: np.ndarray) -> np.ndarray:
+    """Weighted sum SE of water-filled levels along the last axis:
+    prelog * sum a*log2(1 + p/o), with math.log1p per user and the terms
+    added left to right."""
+    ratios = levels / offsets
+    logs = np.array([math.log1p(x) for x in ratios.ravel().tolist()]).reshape(ratios.shape)
+    return prelog * _row_sums(weights * logs / LN2)
 
 
 def _mmf_at(cfg: SystemConfig, fading: FadingProfile, precoder: str, factors):
@@ -262,7 +264,7 @@ def _mmf_at(cfg: SystemConfig, fading: FadingProfile, precoder: str, factors):
     upsilon, x_caps, b_values, loads = _multicast_loads(cfg, fading, c)
     tau = cfg.n_streams
     prelog = _solver_prelog(cfg)
-    spread = sum(loads.tolist())
+    spread = float(_row_sums(loads))
     pilots = _tuple_rows(x_caps / tau, cfg.group_offsets)
     upsilon, x_caps = tuple(upsilon.tolist()), _tuple_rows(x_caps, cfg.group_offsets)
     b_values = tuple(b_values.tolist())
@@ -292,19 +294,19 @@ def _sse_at(cfg: SystemConfig, fading: FadingProfile, precoder: str, factors):
     theta, offsets = _unicast_offsets(cfg, fading, gain, c)
     tau = cfg.n_streams
     prelog = _solver_prelog(cfg)
-    weights, offsets = cfg.sse_weights.tolist(), offsets.tolist()
+    weights = cfg.sse_weights
     pilots, theta = tuple((cfg.unicast_energy_caps / tau).tolist()), tuple(theta.tolist())
 
     def solve(p_multicast_fixed: float) -> SseSolution:
         budget = _check_split(cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
-        levels, nu = waterfill(weights, offsets, budget)
+        levels, nu = _waterfill(weights, offsets, budget)
         return SseSolution(
             precoder=precoder,
-            objective=_sum_se(prelog, weights, levels, offsets),
+            objective=float(_sum_se(prelog, weights, levels, offsets)),
             pilot_length=tau,
             uplink_pilot_powers=pilots,
-            downlink_powers=levels,
-            water_level=nu,
+            downlink_powers=tuple(levels.tolist()),
+            water_level=float(nu),
             effective_vars=theta,
         )
 
@@ -336,6 +338,29 @@ def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float
     return _sse_at(cfg, fading, precoder, factors)(p_multicast_fixed)
 
 
+def _mmf_objectives(cfg: SystemConfig, drops: FadingStack, p_unicast_fixed: float,
+                    precoder: str) -> list[float]:
+    """``solve_mmf``'s objective for every drop of a stack already validated
+    (``require_valid_drops``), in one pass over the drops."""
+    gain, c = _precoder_factors(cfg, precoder)
+    loads = _multicast_loads(cfg, drops, c)[3]
+    p_mu = _check_split(cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
+    prelog = _solver_prelog(cfg)
+    return [se_from_sinr(prelog, gamma)
+            for gamma in (gain * p_mu / _row_sums(loads)).tolist()]
+
+
+def _sse_objectives(cfg: SystemConfig, drops: FadingStack, p_multicast_fixed: float,
+                    precoder: str) -> list[float]:
+    """``solve_sse``'s objective for every drop of a stack already validated
+    (``require_valid_drops``), in one pass over the drops."""
+    gain, c = _precoder_factors(cfg, precoder)
+    _, offsets = _unicast_offsets(cfg, drops, gain, c)
+    budget = _check_split(cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
+    levels, _ = _waterfill(cfg.sse_weights, offsets, budget)
+    return _sum_se(_solver_prelog(cfg), cfg.sse_weights, levels, offsets).tolist()
+
+
 def _mmf_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
     """The max-min objective at full multicast power, and a function mapping
     an objective in [0, that] to the multicast power at which ``solve_mmf``
@@ -347,7 +372,7 @@ def _mmf_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
     """
     gain, c = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
-    spread = sum(_multicast_loads(cfg, fading, c)[3].tolist())
+    spread = float(_row_sums(_multicast_loads(cfg, fading, c)[3]))
     prelog = _solver_prelog(cfg)
 
     def power_for(objective: float) -> float:
@@ -364,13 +389,13 @@ def _sse_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
     require_valid(cfg, fading)
     _, offsets = _unicast_offsets(cfg, fading, gain, c)
     prelog = _solver_prelog(cfg)
-    weights, offsets = cfg.sse_weights.tolist(), offsets.tolist()
+    weights = cfg.sse_weights
 
     def power_for(objective: float) -> float:
         return waterfill_budget(weights, offsets, objective * LN2 / prelog)
 
-    levels, _ = waterfill(weights, offsets, cfg.total_power)
-    return _sum_se(prelog, weights, levels, offsets), power_for
+    levels, _ = _waterfill(weights, offsets, cfg.total_power)
+    return float(_sum_se(prelog, weights, levels, offsets)), power_for
 
 
 def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolution,

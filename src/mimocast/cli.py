@@ -28,8 +28,9 @@ import numpy as np
 from . import __version__, allocation, montecarlo, pareto
 from .closed_form import PRECODERS
 from .errors import MimocastError, ZfInfeasibleError
-from .model import FadingProfile, PowerSplit, SystemConfig, require_valid
-from .scenario import (CellGeometry, RadioParams, default_normalized_config,
+from .model import (FadingProfile, FadingStack, PowerSplit, SystemConfig, require_valid,
+                    require_valid_drops)
+from .scenario import (CellGeometry, RadioParams, default_normalized_config, place_drops,
                        place_users)
 
 EXIT_OK = 0
@@ -176,6 +177,14 @@ def _load_scenario(path: str):
 # ----------------------------------------------------------------- scenario
 
 
+def _group_count(count: int, flag: str) -> int:
+    """A group count from the command line.  A negative one would silently
+    mean no groups at all, since (k,) * -1 == ()."""
+    if count < 0:
+        raise UsageError(f"{flag} must be non-negative, got {count}")
+    return count
+
+
 def _group_sizes_from_args(args) -> tuple[int, ...]:
     if args.group_sizes:
         try:
@@ -183,7 +192,7 @@ def _group_sizes_from_args(args) -> tuple[int, ...]:
         except ValueError as e:
             raise UsageError(f"--group-sizes must be comma-separated integers: {e}") from e
     else:
-        sizes = (args.group_size,) * args.groups
+        sizes = (args.group_size,) * _group_count(args.groups, "--groups")
     return sizes
 
 
@@ -331,49 +340,52 @@ def _drop_seed(seed: int, cell: int, drop: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(cell, drop))
 
 
-def _place(n_unicast: int, group_sizes, seed) -> FadingProfile:
-    """A default-geometry drop for user-given UT counts."""
+def _place(n_unicast: int, group_sizes, seeds) -> FadingStack:
+    """Default-geometry drops, one per seed, for user-given UT counts."""
     try:
-        return place_users(CellGeometry(), n_unicast, group_sizes, seed)[0]
+        return place_drops(CellGeometry(), n_unicast, group_sizes, seeds)
     except ValueError as e:
         raise UsageError(str(e)) from e
 
 
-def _drop_means(args, seed, cfgs, solve) -> list[list[tuple[str, str, bool]]]:
+def _drop_means(args, seed, cfgs, objectives) -> list[list[tuple[str, str, bool]]]:
     """Per grid cell, (precoder, mean objective, feasible) for each precoder.
 
     Each cell averages the objective at an even power split over args.drops
     user placements; a precoder the cell cannot support is flagged
-    infeasible with a zero mean.
+    infeasible with a zero mean.  A cell's drops are placed as one stack,
+    validated once and solved in one pass per precoder by ``objectives``
+    (the stacked form of ``solve_mmf`` or ``solve_sse``).
     """
     if args.drops < 1:
         raise UsageError(f"--drops must be at least 1, got {args.drops}")
     cells = []
     for cell, cfg in enumerate(cfgs):
-        acc = {prec: [] for prec in PRECODERS}
-        for d in range(args.drops):
-            fading = _place(cfg.n_unicast, cfg.group_sizes, _drop_seed(seed, cell, d))
-            for prec, vals in acc.items():
-                try:
-                    vals.append(solve(cfg, fading, cfg.total_power / 2.0, prec).objective)
-                except ZfInfeasibleError:
-                    pass
-        cells.append([(prec, _fmt(sum(vals) / len(vals) if vals else 0.0), bool(vals))
-                      for prec, vals in acc.items()])
+        drops = _place(cfg.n_unicast, cfg.group_sizes,
+                       [_drop_seed(seed, cell, d) for d in range(args.drops)])
+        require_valid_drops(cfg, drops)
+        row = []
+        for prec in PRECODERS:
+            try:
+                vals = objectives(cfg, drops, cfg.total_power / 2.0, prec)
+            except ZfInfeasibleError:
+                vals = []
+            row.append((prec, _fmt(sum(vals) / len(vals) if vals else 0.0), bool(vals)))
+        cells.append(row)
     return cells
 
 
 def _figure_rows_fig2(args, seed):
     """Max-min multicast SE over a (groups x group size x antennas) grid."""
     n_list = _int_list(args.antennas_list, "--antennas-list")
-    g_list = _int_list(args.g_list, "--g-list")
+    g_list = [_group_count(g, "--g-list") for g in _int_list(args.g_list, "--g-list")]
     k_list = _int_list(args.k_list, "--k-list")
     grid = [(n, g, k) for n in n_list for g in g_list for k in k_list]
     cfgs = (default_normalized_config(n, args.coherence, args.unicast, (k,) * g)
             for n, g, k in grid)
     rows = [[args.figure, prec, n, g, k, args.unicast, args.drops, mean, feasible]
             for (n, g, k), cell in zip(grid, _drop_means(args, seed, cfgs,
-                                                         allocation.solve_mmf))
+                                                         allocation._mmf_objectives))
             for prec, mean, feasible in cell]
     header = ["figure", "precoder", "n_antennas", "n_groups", "group_size",
               "n_unicast", "drops", "mmf_se", "feasible"]
@@ -384,13 +396,13 @@ def _figure_rows_fig3(args, seed):
     """Unicast sum SE over a (unicast count x antennas) grid."""
     n_list = _int_list(args.antennas_list, "--antennas-list")
     u_list = _int_list(args.u_list, "--u-list")
-    sizes = (args.group_size,) * args.groups
+    sizes = (args.group_size,) * _group_count(args.groups, "--groups")
     grid = [(n, u) for n in n_list for u in u_list]
     cfgs = (default_normalized_config(n, args.coherence, u, sizes) for n, u in grid)
     rows = [[args.figure, prec, n, u, args.groups, args.group_size, args.drops,
              mean, feasible]
             for (n, u), cell in zip(grid, _drop_means(args, seed, cfgs,
-                                                      allocation.solve_sse))
+                                                      allocation._sse_objectives))
             for prec, mean, feasible in cell]
     header = ["figure", "precoder", "n_antennas", "n_unicast", "n_groups",
               "group_size", "drops", "sse", "feasible"]
@@ -402,8 +414,8 @@ def _figure_rows_fig4(args, seed):
     n_list = _int_list(args.antennas_list, "--antennas-list")
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
-    sizes = (args.group_size,) * args.groups
-    fading = _place(args.unicast, sizes, seed)
+    sizes = (args.group_size,) * _group_count(args.groups, "--groups")
+    fading = _place(args.unicast, sizes, [seed]).drop(0)
     rows = []
     for n in n_list:
         cfg = default_normalized_config(n, args.coherence, args.unicast, sizes)

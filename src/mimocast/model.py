@@ -69,30 +69,36 @@ def _sizes(offsets: np.ndarray) -> np.ndarray:
     return offsets[1:] - offsets[:-1]
 
 
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Sums along the last (non-empty) axis, added left to right, so they
+    match a Python loop bit for bit (np.sum adds pairwise)."""
+    return np.cumsum(values, axis=-1)[..., -1]
+
+
 def _group_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each (non-empty) group's sum, added left to right as Python's sum()
-    adds, so it matches a per-group loop bit for bit (np.sum adds pairwise).
+    """Each (non-empty) group's sum along the last axis, added left to right.
     Unequal groups are padded with trailing zeros, which leave sums as they are."""
     sizes = _sizes(offsets)
+    lead = values.shape[:-1]
     if sizes.size == 0:
-        return np.empty(0)
+        return np.empty((*lead, 0))
     longest = int(sizes.max())
-    if values.size == sizes.size * longest:
-        rows = values.reshape(sizes.size, longest)
+    if values.shape[-1] == sizes.size * longest:
+        rows = values.reshape(*lead, sizes.size, longest)
     else:
-        rows = np.zeros((sizes.size, longest))
-        rows[np.arange(longest) < sizes[:, None]] = values
-    return np.cumsum(rows, axis=1)[:, -1]
+        rows = np.zeros((*lead, sizes.size, longest))
+        rows[..., np.arange(longest) < sizes[:, None]] = values
+    return _row_sums(rows)
 
 
 def _group_min(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each (non-empty) group's smallest entry."""
-    return np.minimum.reduceat(values, offsets[:-1])
+    """Each (non-empty) group's smallest entry along the last axis."""
+    return np.minimum.reduceat(values, offsets[:-1], axis=-1)
 
 
 def _per_member(values, offsets: np.ndarray) -> np.ndarray:
-    """One per-group value repeated for every member of the group."""
-    return np.repeat(values, _sizes(offsets))
+    """One per-group value (last axis) repeated for every member of the group."""
+    return np.repeat(values, _sizes(offsets), axis=-1)
 
 
 def _tuple_rows(values, offsets: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -252,6 +258,34 @@ class FadingProfile(_ArrayRecord):
         }
 
 
+@dataclass(frozen=True, eq=False)
+class FadingStack:
+    """Large-scale fading of several drops of one cell, one row per drop:
+    (drops, U) unicast gains and (drops, sum K) multicast gains, each row
+    laid out like ``FadingProfile.multicast_gains_flat``.  The solvers'
+    split-independent pieces read either this or a FadingProfile, and give
+    one row of results per drop."""
+
+    unicast_gains: np.ndarray
+    multicast_gains_flat: np.ndarray
+    group_offsets: np.ndarray
+
+    def __post_init__(self):
+        for name in ("unicast_gains", "multicast_gains_flat"):
+            a = np.array(getattr(self, name), dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def n_drops(self) -> int:
+        return len(self.unicast_gains)
+
+    def drop(self, d: int) -> FadingProfile:
+        return FadingProfile(unicast_gains=self.unicast_gains[d],
+                             multicast_gains=_views(self.multicast_gains_flat[d],
+                                                    self.group_offsets))
+
+
 @dataclass(frozen=True)
 class PowerSplit:
     """Downlink power committed to unicast vs multicast transmission."""
@@ -304,14 +338,24 @@ class Violation:
         return f"{self.field}={self.value!r}: {self.message}"
 
 
+def _within(values: np.ndarray, lower: float) -> bool:
+    """Whether every entry lies in (lower, inf); False for any NaN."""
+    return values.size == 0 or (values.min() > lower and values.max() < math.inf)
+
+
+def _outside(values: np.ndarray, lower: float) -> np.ndarray:
+    """Which entries lie outside (lower, inf), NaN included."""
+    return ~((values > lower) & (values < math.inf))
+
+
 def _flag(out: list[Violation], name: str, values: np.ndarray, lower: float,
           message: str, offsets: np.ndarray | None = None):
     """One Violation per entry outside (lower, inf), NaN included, in index
     order.  With group offsets the entries are named ``name[group][member]``,
     else ``name[index]``."""
-    if values.size == 0 or (values.min() > lower and values.max() < math.inf):
+    if _within(values, lower):
         return
-    bad = ~((values > lower) & (values < math.inf))
+    bad = _outside(values, lower)
     bounds = None if offsets is None else offsets.tolist()
     for i in np.flatnonzero(bad).tolist():
         if bounds is None:
@@ -389,6 +433,22 @@ def require_valid(cfg: SystemConfig, fading: FadingProfile) -> tuple[SystemConfi
     if violations:
         raise InvalidConfigError(violations)
     return cfg, fading
+
+
+def require_valid_drops(cfg: SystemConfig, drops: FadingStack) -> FadingStack:
+    """``require_valid`` for every drop of a stack, with ``validate_config``
+    run once: on the config and the first drop.  The other drops share its
+    shapes, so only their gains are left, and one check over the whole gain
+    matrices covers them.  An invalid drop raises what ``require_valid`` on
+    the first invalid one raises."""
+    if drops.n_drops == 0:
+        raise ValueError("need at least one drop")
+    require_valid(cfg, drops.drop(0))
+    gains = (drops.unicast_gains, drops.multicast_gains_flat)
+    if not all(_within(g, MIN_GAIN) for g in gains):
+        bad = np.logical_or(*(_outside(g, MIN_GAIN).any(axis=-1) for g in gains))
+        require_valid(cfg, drops.drop(int(np.argmax(bad))))
+    return drops
 
 
 def _pilot_arrays(cfg: SystemConfig,

@@ -256,7 +256,10 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
         raise RankDeficientDraw("estimate matrix has an all-zero column")
     Cn = C / norms
     gram = Cn.conj().T @ Cn
-    if np.linalg.cond(gram) > MAX_GRAM_COND:
+    # The Gram is Hermitian positive semidefinite, so its condition number is
+    # the ratio of its extreme eigenvalues.
+    eig = np.linalg.eigvalsh(gram)   # ascending
+    if eig[0] <= 0.0 or eig[-1] > MAX_GRAM_COND * eig[0]:
         raise RankDeficientDraw(f"Gram condition number exceeds {MAX_GRAM_COND:g}")
     p, q = _stream_powers(powers)
     scales = np.sqrt(np.concatenate([dof * p * stats.unicast_var, dof * q * stats.group_var]))

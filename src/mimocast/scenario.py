@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FadingProfile, SystemConfig, _ArrayRecord
+from .model import FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _offsets, _views
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,57 @@ def pathloss(geometry: CellGeometry, distance_m: float, check_range: bool = True
     return geometry.attenuation_const / distance_m ** geometry.pathloss_exponent
 
 
-def _draw_polar(geometry: CellGeometry, rng: np.random.Generator, n: int) -> np.ndarray:
-    # Uniform over area: radius is the sqrt of a uniform draw on squared radii.
-    polar = np.empty((n, 2))
-    r2 = rng.uniform(geometry.exclusion_radius ** 2, geometry.cell_radius ** 2, size=n)
-    polar[:, 0] = np.sqrt(r2)
-    polar[:, 1] = rng.uniform(0.0, 2.0 * math.pi, size=n)
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Map draws u in [0, 1) to [low, high) as rng.uniform(low, high) does."""
+    return low + (high - low) * u
+
+
+def _draw_drops(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[int],
+                seeds: Sequence) -> np.ndarray:
+    """Polar positions (radius m, angle rad) of every UT, one placement per
+    seed, as a (seeds, users, 2) array: the unicast UTs, then each group.
+
+    Each seed gets its own generator and one ``rng.random(2 * users)``
+    call.  Block by block (the unicast UTs, then each group) the draw gives
+    that block's squared radii and then its angles, mapped as
+    ``rng.uniform`` maps them, so a placement equals one drawn with two
+    ``rng.uniform`` calls per block, bit for bit.  Uniform over area: the
+    radius is the sqrt of a uniform draw on squared radii.
+    """
+    geometry.validate()
+    if n_unicast < 0 or any(k < 1 for k in group_sizes):
+        raise ValueError("need n_unicast >= 0 and every group size >= 1")
+    sizes = [n_unicast, *group_sizes]
+    n = sum(sizes)
+    u = np.empty((len(seeds), 2 * n))
+    for row, seed in zip(u, seeds):
+        row[:] = np.random.default_rng(seed).random(2 * n)
+    # A block starting at UT s with b UTs holds draws [2s, 2s + 2b): its
+    # radii, then its angles.
+    radii = np.arange(n) + np.repeat(_offsets(sizes)[:-1], sizes)
+    angles = radii + np.repeat(sizes, sizes)
+    polar = np.empty((len(seeds), n, 2))
+    polar[..., 0] = np.sqrt(_uniform(u[:, radii], geometry.exclusion_radius ** 2,
+                                     geometry.cell_radius ** 2))
+    polar[..., 1] = _uniform(u[:, angles], 0.0, 2.0 * math.pi)
     return polar
+
+
+def _gains(geometry: CellGeometry, radii: np.ndarray) -> np.ndarray:
+    # Drawn radii are in range by construction.
+    return geometry.attenuation_const / radii ** geometry.pathloss_exponent
+
+
+def place_drops(geometry: CellGeometry,
+                n_unicast: int,
+                group_sizes: Sequence[int],
+                seeds: Sequence) -> FadingStack:
+    """The fading gains of one placement per seed, stacked: row d holds the
+    gains ``place_users(geometry, n_unicast, group_sizes, seeds[d])`` gives."""
+    gains = _gains(geometry, _draw_drops(geometry, n_unicast, group_sizes, seeds)[..., 0])
+    return FadingStack(unicast_gains=gains[:, :n_unicast],
+                       multicast_gains_flat=gains[:, n_unicast:],
+                       group_offsets=_offsets(group_sizes))
 
 
 def place_users(geometry: CellGeometry,
@@ -118,22 +162,13 @@ def place_users(geometry: CellGeometry,
     Same seed gives identical placements on every platform.  Angles are
     drawn but only distances feed the fading model.
     """
-    geometry.validate()
-    if n_unicast < 0 or any(k < 1 for k in group_sizes):
-        raise ValueError("need n_unicast >= 0 and every group size >= 1")
-    rng = np.random.default_rng(rng_seed)
-
-    uni = _draw_polar(geometry, rng, n_unicast)
-    groups = [_draw_polar(geometry, rng, k) for k in group_sizes]
-
-    def gains(r):  # drawn radii are in range by construction
-        return geometry.attenuation_const / r ** geometry.pathloss_exponent
-
-    profile = FadingProfile(
-        unicast_gains=gains(uni[:, 0]),
-        multicast_gains=tuple(gains(g[:, 0]) for g in groups),
-    )
-    placement = Placement(unicast=uni, multicast=tuple(groups))
+    polar = _draw_drops(geometry, n_unicast, group_sizes, [rng_seed])[0]
+    gains = _gains(geometry, polar[:, 0])
+    offsets = _offsets(group_sizes)
+    profile = FadingProfile(unicast_gains=gains[:n_unicast],
+                            multicast_gains=_views(gains[n_unicast:], offsets))
+    placement = Placement(unicast=polar[:n_unicast],
+                          multicast=_views(polar[n_unicast:], offsets))
     return profile, placement
 
 

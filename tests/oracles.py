@@ -18,6 +18,12 @@ The stored-terms section keeps the Monte Carlo validator as it was before
 it streamed its trials: every per-trial inner product stored, then one
 jackknife per UT.  Its reports must agree with the streamed ones to
 rounding, and its complex-arithmetic channel draw bit for bit.
+
+The per-drop figure-grid section keeps the grid loop as it was before a
+cell's drops were placed and solved as one stack: one placement per drop,
+drawn block by block, then one ``solve_mmf`` or ``solve_sse`` call per
+precoder.  The figure CSVs it gives must equal the stacked ones byte for
+byte.
 """
 
 import dataclasses
@@ -28,8 +34,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from mimocast.cli import UsageError, _drop_seed, _fmt
 from mimocast.closed_form import PRECODERS, ZF, DownlinkPowers, se_report
-from mimocast.errors import DegenerateInputError
+from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, FadingProfile, SystemConfig, Violation,
                             _estimation_variances, estimation_variances, require_valid)
 from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDraw, MAX_GRAM_COND,
@@ -37,6 +44,7 @@ from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDra
                                  build_mrt_precoders, build_zf_precoders, mmse_estimate,
                                  require_zf_feasible, trial_rng)
 from mimocast.pareto import ParetoBoundary, solve_split
+from mimocast.scenario import CellGeometry, Placement
 
 LN2 = math.log(2.0)
 
@@ -378,6 +386,20 @@ def waterfill_loop(weights, offsets, budget):
     return tuple(levels), nu
 
 
+def waterfill_kkt_violation(weights, offsets, levels, water_level) -> float:
+    """Largest KKT residual: active users must sit exactly at w/(nu*ln2)-o,
+    inactive users must have w/(nu*ln2) <= o.  Residuals are scaled by
+    max(1, magnitude) so the value is comparable across problem scales."""
+    worst = 0.0
+    for w, o, p in zip(weights, offsets, levels):
+        marginal = w / (water_level * LN2) if math.isfinite(water_level) else 0.0
+        if p > 0:
+            worst = max(worst, abs(marginal - o - p) / max(1.0, abs(p)))
+        else:
+            worst = max(worst, (marginal - o) / max(1.0, o))
+    return worst
+
+
 def group_quality_floors(cfg, fading):
     """Per-group pilot-quality floor and the optimal capped pilot energies."""
     cfg, fading = tuple_layout(cfg, fading)
@@ -412,6 +434,26 @@ def unicast_offsets(cfg, fading, gain, c):
     offsets = tuple((1.0 + (b - c * t) * P) / (gain * t)
                     for b, t in zip(fading.unicast_gains, theta))
     return theta, offsets
+
+
+def mmf_objective_loop(cfg, fading, p_unicast, gain, c):
+    """``solve_mmf``'s objective for the precoder factors (gain, c), from the
+    loops above: the SE at gamma = gain*p_mu / sum_j (B_j - c*P)."""
+    upsilon, _ = group_quality_floors(cfg, fading)
+    P = cfg.total_power
+    loads = [b - c * P for b in interference_loads(cfg, fading, upsilon)]
+    prelog = 1.0 - cfg.n_streams / cfg.coherence_length
+    return prelog * math.log1p(gain * max(0.0, P - p_unicast) / sum(loads)) / LN2
+
+
+def sse_objective_loop(cfg, fading, p_multicast, gain, c):
+    """``solve_sse``'s objective for the precoder factors (gain, c), from the
+    loops above: water-filled levels scored one UT at a time."""
+    _, offsets = unicast_offsets(cfg, fading, gain, c)
+    weights = cfg.sse_weights.tolist()
+    levels, _ = waterfill_loop(weights, offsets, max(0.0, cfg.total_power - p_multicast))
+    prelog = 1.0 - cfg.n_streams / cfg.coherence_length
+    return prelog * sum(a * math.log1p(p / o) / LN2 for a, p, o in zip(weights, levels, offsets))
 
 
 def estimation_variances_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast):
@@ -709,3 +751,60 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
         pass_rate=rate,
         passed=rate >= 0.99,
     )
+
+
+# --------------------------------------------------- per-drop figure grids
+
+
+def _draw_polar(geometry: CellGeometry, rng: np.random.Generator, n: int) -> np.ndarray:
+    polar = np.empty((n, 2))
+    r2 = rng.uniform(geometry.exclusion_radius ** 2, geometry.cell_radius ** 2, size=n)
+    polar[:, 0] = np.sqrt(r2)
+    polar[:, 1] = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return polar
+
+
+def place_users_loop(geometry: CellGeometry, n_unicast: int, group_sizes, rng_seed):
+    """``scenario.place_users`` drawing each block of UTs with its own two
+    ``rng.uniform`` calls: radii, then angles."""
+    geometry.validate()
+    if n_unicast < 0 or any(k < 1 for k in group_sizes):
+        raise ValueError("need n_unicast >= 0 and every group size >= 1")
+    rng = np.random.default_rng(rng_seed)
+
+    uni = _draw_polar(geometry, rng, n_unicast)
+    groups = [_draw_polar(geometry, rng, k) for k in group_sizes]
+
+    def gains(r):
+        return geometry.attenuation_const / r ** geometry.pathloss_exponent
+
+    profile = FadingProfile(
+        unicast_gains=gains(uni[:, 0]),
+        multicast_gains=tuple(gains(g[:, 0]) for g in groups),
+    )
+    return profile, Placement(unicast=uni, multicast=tuple(groups))
+
+
+def drop_means_loop(args, seed, cfgs, solve) -> list[list[tuple[str, str, bool]]]:
+    """``cli._drop_means`` placing and solving one drop at a time: per drop
+    one placement, then ``solve`` (``solve_mmf`` or ``solve_sse``) once per
+    precoder, each validating the drop."""
+    if args.drops < 1:
+        raise UsageError(f"--drops must be at least 1, got {args.drops}")
+    cells = []
+    for cell, cfg in enumerate(cfgs):
+        acc = {prec: [] for prec in PRECODERS}
+        for d in range(args.drops):
+            try:
+                fading = place_users_loop(CellGeometry(), cfg.n_unicast, cfg.group_sizes,
+                                          _drop_seed(seed, cell, d))[0]
+            except ValueError as e:
+                raise UsageError(str(e)) from e
+            for prec, vals in acc.items():
+                try:
+                    vals.append(solve(cfg, fading, cfg.total_power / 2.0, prec).objective)
+                except ZfInfeasibleError:
+                    pass
+        cells.append([(prec, _fmt(sum(vals) / len(vals) if vals else 0.0), bool(vals))
+                      for prec, vals in acc.items()])
+    return cells

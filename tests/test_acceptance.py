@@ -6,8 +6,7 @@ import time
 
 import numpy as np
 
-from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse,
-                                 waterfill_kkt_violation)
+from mimocast.allocation import mmf_se_report, solve_mmf, solve_sse
 from mimocast.closed_form import DownlinkPowers, se_report
 from mimocast.errors import ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
@@ -15,7 +14,8 @@ from mimocast.montecarlo import validate_closed_form
 from mimocast.pareto import check_convexity, sweep_boundary
 from mimocast.scenario import CellGeometry, default_normalized_config, place_users
 
-from oracles import grid_mmf_objective, grid_sse_objective, random_desk_instance
+from oracles import (grid_mmf_objective, grid_sse_objective, random_desk_instance,
+                     waterfill_kkt_violation)
 from test_model import make_config
 
 LN2 = math.log(2.0)

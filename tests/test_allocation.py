@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse, sse_se_report,
-                                 waterfill, waterfill_budget, waterfill_kkt_violation)
+                                 waterfill, waterfill_budget)
 from mimocast.closed_form import MRT, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
 
-from oracles import bisect_waterfill, random_desk_instance
+from oracles import bisect_waterfill, random_desk_instance, waterfill_kkt_violation
 from test_model import make_config
 
 LN2 = math.log(2.0)

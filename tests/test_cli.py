@@ -270,6 +270,22 @@ class TestExitCodes:
     def test_bad_counts_and_seeds_are_usage_errors(self, tmp_path, argv):
         assert run(*argv, "--out", tmp_path / "x") == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("figure", "fig3", "--groups", -1, "--antennas-list", "16", "--u-list", "2",
+          "--group-size", 2, "--drops", 1, "--seed", 1), "--groups"),
+        (("scenario", "--groups", -3), "--groups"),
+        (("figure", "fig2", "--g-list", "1,-1", "--antennas-list", "16", "--k-list", "2",
+          "--drops", 1, "--seed", 1), "--g-list"),
+        (("figure", "fig4", "--groups", -2, "--antennas-list", "16", "--unicast", 1,
+          "--group-size", 2, "--points", 3, "--seed", 1), "--groups"),
+    ])
+    def test_negative_group_counts_are_usage_errors(self, tmp_path, capsys, argv, flag):
+        # (k,) * -1 == (): without the check these ran as zero-group cells.
+        out = tmp_path / "x"
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be non-negative")
+        assert not out.exists()
+
     def test_library_value_error_is_internal(self, scenario_path, tmp_path, capsys,
                                              monkeypatch):
         import mimocast.cli as cli_mod
@@ -322,6 +338,12 @@ PINNED_FIGURES = {
     "fig3": "203a2204d1fea7199a858d98c660a168d02228cb3a0249acbdaef1a3aade472f",
     "fig4": "d89cee3d11837915df993a5613697cd2c29b4e9748cb2459de1e8dfd0c848a7f",
 }
+# The same at the full default grids (--drops 10 --seed 5), recorded while
+# each cell's drops were still placed and solved one at a time.
+PINNED_DEFAULT_GRIDS = {
+    "fig2": "30e4ce5469c177f2df72ed4a2bb0f2a4e6b4167fa530f36d9d1989d8340ebd0c",
+    "fig3": "1fb634cea2aa419e5430177f320dd37871094b5dc431450bcf6463ef4903a14c",
+}
 PINNED_SCENARIO = "58d77eac63a40576427df949b7e4c7c0bc7d5b1603c5b22e622a2dcfa74f2fe6"
 PINNED_PARETO = {
     "mrt": "6ada47b4407b5bd58c2f35d6b7be9cffa757bef6e571795c764793c3fb58e8e5",
@@ -341,6 +363,12 @@ class TestPinnedOutputs:
                    "--seed", 5, "--out", out) == 0
         assert sha256(out) == PINNED_FIGURES[figure]
 
+    @pytest.mark.parametrize("figure", sorted(PINNED_DEFAULT_GRIDS))
+    def test_default_grid_bytes(self, tmp_path, figure):
+        out = tmp_path / f"{figure}.csv"
+        assert run("figure", figure, "--drops", 10, "--seed", 5, "--out", out) == 0
+        assert sha256(out) == PINNED_DEFAULT_GRIDS[figure]
+
     def test_scenario_and_pareto_bytes(self, tmp_path):
         scen = tmp_path / "scen.json"
         assert run("scenario", "--seed", 5, "--out", scen) == 0
@@ -350,3 +378,48 @@ class TestPinnedOutputs:
             assert run("pareto", "--scenario", scen, "--precoder", precoder,
                        "--points", 11, "--out", out) == 0
             assert sha256(out) == digest
+
+
+# Exit code and stderr of figure runs at edge inputs, recorded while each
+# cell's drops were still placed and solved one at a time.  Each edge flag
+# follows a small base grid and overrides its value there.
+FIGURE_BASE = {
+    "fig2": ("--antennas-list", "32", "--g-list", "1", "--k-list", "2", "--unicast", "2",
+             "--drops", "1", "--seed", "1"),
+    "fig3": ("--antennas-list", "32", "--u-list", "2", "--groups", "1", "--group-size", "2",
+             "--drops", "1", "--seed", "1"),
+}
+_COHERENCE_0 = ("error: invalid configuration: coherence_length=0: must be a positive "
+                "integer; pilot_length=3: cannot exceed the coherence length; "
+                + "; ".join(f"{name}={0.0!r}: energy cap must be positive"
+                            for name in ("unicast_energy_caps[0]", "unicast_energy_caps[1]",
+                                         "multicast_energy_caps[0][0]",
+                                         "multicast_energy_caps[0][1]")))
+PINNED_FIGURE_EDGES = [
+    ("fig2", ("--g-list", "0"), 1, "error: max-min multicast needs at least one group"),
+    ("fig2", ("--antennas-list", "0"), 1,
+     "error: invalid configuration: n_antennas=0: must be a positive integer"),
+    ("fig2", ("--unicast", "0"), 0, ""),
+    ("fig2", ("--unicast", "-1"), 1,
+     "error: need n_unicast >= 0 and every group size >= 1"),
+    ("fig2", ("--coherence", "2"), 1,
+     "error: invalid configuration: pilot_length=3: cannot exceed the coherence length"),
+    ("fig3", ("--u-list", "0"), 1,
+     "error: sum-SE allocation needs at least one unicast UT"),
+    ("fig3", ("--groups", "0"), 0, ""),
+    ("fig3", ("--group-size", "0"), 1,
+     "error: need n_unicast >= 0 and every group size >= 1"),
+    ("fig3", ("--coherence", "0"), 1, _COHERENCE_0),
+    ("fig3", ("--antennas-list", "-5"), 1,
+     "error: invalid configuration: n_antennas=-5: must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("figure, edge, code, message", PINNED_FIGURE_EDGES,
+                         ids=[f"{f}{''.join(e)}" for f, e, *_ in PINNED_FIGURE_EDGES])
+def test_figure_edge_inputs_keep_exit_code_and_message(tmp_path, capsys, figure, edge,
+                                                        code, message):
+    out = tmp_path / "f.csv"
+    assert run("figure", figure, *FIGURE_BASE[figure], *edge, "--out", out) == code
+    assert capsys.readouterr().err == (message + "\n" if message else "")
+    assert out.exists() == (code == 0)

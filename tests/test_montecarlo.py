@@ -190,6 +190,23 @@ class TestZfPrecoders:
         assert acc_v / n_draws == pytest.approx(powers.unicast, rel=0.02)
         assert acc_w / n_draws == pytest.approx(powers.multicast, rel=0.02)
 
+    @pytest.mark.parametrize("stream, copy_of, scale", [(1, 0, 1.0), (1, 0, -2.5j), (2, 0, 3.0)])
+    def test_duplicated_estimate_column_is_rank_deficient(self, stream, copy_of, scale):
+        cfg, fading = small_system(n_antennas=32)
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(1.0,))
+        rng = trial_rng(900, 0)
+        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
+                            draw_channels(cfg, fading, rng), rng)
+        C = np.concatenate([est.unicast_estimates, est.group_estimates], axis=1)
+        C[:, stream] = scale * C[:, copy_of]
+        U = cfg.n_unicast
+        dup = dataclasses.replace(est, unicast_estimates=C[:, :U], group_estimates=C[:, U:])
+        build_zf_precoders(cfg, est, powers, stats)   # the draw itself has full rank
+        with pytest.raises(montecarlo.RankDeficientDraw):
+            build_zf_precoders(cfg, dup, powers, stats)
+
     def test_minimal_antenna_margin_keeps_rank(self):
         # One spatial degree of freedom left: the Gram must stay invertible
         # in every one of 10^4 draws.
