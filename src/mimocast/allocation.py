@@ -10,7 +10,10 @@ alike (the precoder only sets the array gain and interference factors):
 
 Both solvers spend the entire remaining downlink budget and use the
 shortest feasible pilot length; the max-min optimum equalizes every
-multicast UT's SE.
+multicast UT's SE.  Each problem's split-independent pieces are worked out
+once (``_mmf_problem``, ``_sse_problem``), for one drop or a FadingStack;
+the solve at a split, every drop's objective, the objective's inverse and
+the boundary sweep all read them.
 """
 
 from __future__ import annotations
@@ -22,16 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _precoder_factors,
-                          _se_report, se_from_sinr)
+from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _log1p,
+                          _precoder_factors, _se_report, se_from_sinr)
 from .errors import DegenerateInputError
-from .model import (FadingProfile, FadingStack, SystemConfig, _estimation_variances,
-                    _group_min, _group_sums, _per_member, _row_sums, _sizes, _tuple_rows,
-                    require_valid)
+from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
+                    _estimation_variances, _freeze, _group_min, _group_sums, _per_member,
+                    _row_sums, _sizes, _views, require_valid)
 
 
-@dataclass(frozen=True)
-class MmfSolution:
+@dataclass(frozen=True, eq=False)
+class MmfSolution(_ArrayRecord):
     """Optimal max-min multicast allocation for one power split.
 
     gamma is the SINR every multicast UT attains at the optimum; upsilon
@@ -39,59 +42,45 @@ class MmfSolution:
     pilot energies (power * pilot length, capped by the energy budgets);
     b_values the per-group interference loads B_j, to which the downlink
     powers are proportional after the precoder's offset (B_j - c*P).
+    Per-UT and per-group fields are read-only float64 arrays, the per-UT
+    ones one view per group.
     """
 
     precoder: str
     objective: float
     pilot_length: int
-    uplink_pilot_powers: tuple[tuple[float, ...], ...]
-    downlink_powers: tuple[float, ...]
+    uplink_pilot_powers: tuple[np.ndarray, ...]
+    downlink_powers: np.ndarray
     gamma: float
-    upsilon: tuple[float, ...]
-    x_caps: tuple[tuple[float, ...], ...]
-    b_values: tuple[float, ...]
+    upsilon: np.ndarray
+    x_caps: tuple[np.ndarray, ...]
+    b_values: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "precoder": self.precoder,
-            "objective": self.objective,
-            "pilot_length": self.pilot_length,
-            "uplink_pilot_powers": [list(q) for q in self.uplink_pilot_powers],
-            "downlink_powers": list(self.downlink_powers),
-            "gamma": self.gamma,
-            "upsilon": list(self.upsilon),
-            "x_caps": [list(x) for x in self.x_caps],
-            "b_values": list(self.b_values),
-        }
+    def __post_init__(self):
+        _freeze(self, ("downlink_powers", "upsilon", "b_values"),
+                ("uplink_pilot_powers", "x_caps"))
 
 
-@dataclass(frozen=True)
-class SseSolution:
+@dataclass(frozen=True, eq=False)
+class SseSolution(_ArrayRecord):
     """Optimal weighted-sum-SE unicast allocation for one power split.
 
     effective_vars are the channel-estimate variances at full-cap pilot
     energy; water_level is the dual variable of the power constraint
-    (+inf when the budget is zero and nothing is allocated).
+    (+inf when the budget is zero and nothing is allocated).  Per-UT fields
+    are read-only float64 arrays.
     """
 
     precoder: str
     objective: float
     pilot_length: int
-    uplink_pilot_powers: tuple[float, ...]
-    downlink_powers: tuple[float, ...]
+    uplink_pilot_powers: np.ndarray
+    downlink_powers: np.ndarray
     water_level: float
-    effective_vars: tuple[float, ...]
+    effective_vars: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "precoder": self.precoder,
-            "objective": self.objective,
-            "pilot_length": self.pilot_length,
-            "uplink_pilot_powers": list(self.uplink_pilot_powers),
-            "downlink_powers": list(self.downlink_powers),
-            "water_level": self.water_level,
-            "effective_vars": list(self.effective_vars),
-        }
+    def __post_init__(self):
+        _freeze(self, ("uplink_pilot_powers", "downlink_powers", "effective_vars"))
 
 
 def _waterfill_users(weights: Sequence[float],
@@ -134,18 +123,20 @@ def _waterfill(weights: np.ndarray, offsets: np.ndarray,
 
 
 def waterfill(weights: Sequence[float], offsets: Sequence[float],
-              budget: float) -> tuple[tuple[float, ...], float]:
+              budget: float) -> tuple[np.ndarray, float]:
     """Water-filling: levels_m = max(0, w_m/(nu*ln2) - o_m) exhausting the budget.
 
     nu is found by exact breakpoint enumeration: users sorted by w/(o*ln2)
     descending, closed-form nu per candidate active set, largest consistent
-    set taken.  A zero budget returns all-zero levels with nu = +inf.
+    set taken.  A zero budget returns all-zero levels with nu = +inf.  The
+    levels come as a read-only float64 array.
     """
     w, o = _waterfill_users(weights, offsets)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     levels, nu = _waterfill(w, o, budget)
-    return tuple(levels.tolist()), float(nu)
+    levels.setflags(write=False)
+    return levels, float(nu)
 
 
 def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
@@ -220,21 +211,6 @@ def _solver_prelog(cfg: SystemConfig) -> float:
     return 1.0 - cfg.n_streams / cfg.coherence_length
 
 
-def _multicast_loads(cfg: SystemConfig, fading: FadingProfile | FadingStack, c: float):
-    """Group floors upsilon_j, pilot energies, loads B_j and the precoder's
-    effective loads B_j - c*P, none of which depends on the power split."""
-    if cfg.n_groups == 0:
-        raise DegenerateInputError("max-min multicast needs at least one group")
-    upsilon, x_caps = _group_quality_floors(cfg, fading)
-    b_values = _interference_loads(cfg, fading, upsilon)
-    # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
-    # loads below cannot vanish for a valid config; guard anyway.
-    loads = b_values - c * cfg.total_power
-    if (loads <= 0.0).any():
-        raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
-    return upsilon, x_caps, b_values, loads
-
-
 def _unicast_offsets(cfg: SystemConfig, fading: FadingProfile | FadingStack, gain: int, c: float):
     """Full-cap estimate variances theta and the water-filling offsets
     (1 + (beta - c*theta)*P) / (gain*theta), neither depending on the split."""
@@ -252,65 +228,122 @@ def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
     """Weighted sum SE of water-filled levels along the last axis:
     prelog * sum a*log2(1 + p/o), with math.log1p per user and the terms
     added left to right."""
-    ratios = levels / offsets
-    logs = np.array([math.log1p(x) for x in ratios.ravel().tolist()]).reshape(ratios.shape)
-    return prelog * _row_sums(weights * logs / LN2)
+    return prelog * _row_sums(weights * _log1p(levels / offsets) / LN2)
 
 
-def _mmf_at(cfg: SystemConfig, fading: FadingProfile, precoder: str, factors):
-    """``solve_mmf`` on a validated pair as a function of the unicast power,
-    with everything that does not depend on the split computed once."""
-    gain, c = factors
-    upsilon, x_caps, b_values, loads = _multicast_loads(cfg, fading, c)
-    tau = cfg.n_streams
-    prelog = _solver_prelog(cfg)
-    spread = float(_row_sums(loads))
-    pilots = _tuple_rows(x_caps / tau, cfg.group_offsets)
-    upsilon, x_caps = tuple(upsilon.tolist()), _tuple_rows(x_caps, cfg.group_offsets)
-    b_values = tuple(b_values.tolist())
+@dataclass(frozen=True, eq=False)
+class _MmfProblem:
+    """The max-min problem of a validated drop, or of every drop of a
+    FadingStack, with everything that does not depend on the power split
+    worked out once: group floors upsilon_j, pilot energies (flat), loads
+    B_j, the precoder's effective loads B_j - c*P and their sum, one per
+    drop."""
 
-    def solve(p_unicast_fixed: float) -> MmfSolution:
-        p_mu = _check_split(cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
-        gamma = gain * p_mu / spread
+    cfg: SystemConfig
+    precoder: str
+    gain: int
+    upsilon: np.ndarray
+    x_caps: np.ndarray
+    b_values: np.ndarray
+    loads: np.ndarray
+    spread: np.ndarray
+
+    def _gamma(self, p_unicast_fixed: float):
+        """The multicast power and the SINR gain*p_mu / sum_j (B_j - c*P)."""
+        p_mu = _check_split(self.cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
+        return p_mu, self.gain * p_mu / self.spread
+
+    def objectives(self, p_unicast_fixed: float) -> np.ndarray:
+        """``solve_mmf``'s objective, one per drop."""
+        return _solver_prelog(self.cfg) * _log1p(self._gamma(p_unicast_fixed)[1]) / LN2
+
+    def solve(self, p_unicast_fixed: float) -> MmfSolution:
+        """``solve_mmf`` on the one drop."""
+        p_mu, gamma = self._gamma(p_unicast_fixed)
+        gamma, tau, offsets = float(gamma), self.cfg.n_streams, self.cfg.group_offsets
         return MmfSolution(
-            precoder=precoder,
-            objective=se_from_sinr(prelog, gamma),
+            precoder=self.precoder,
+            objective=se_from_sinr(_solver_prelog(self.cfg), gamma),
             pilot_length=tau,
-            uplink_pilot_powers=pilots,
-            downlink_powers=tuple((p_mu * loads / spread).tolist()),
+            uplink_pilot_powers=_views(self.x_caps / tau, offsets),
+            downlink_powers=p_mu * self.loads / self.spread,
             gamma=gamma,
-            upsilon=upsilon,
-            x_caps=x_caps,
-            b_values=b_values,
+            upsilon=self.upsilon,
+            x_caps=_views(self.x_caps, offsets),
+            b_values=self.b_values,
         )
 
-    return solve
+    def power_for(self, objective: float) -> float:
+        """The multicast power at which the one drop's objective is
+        ``objective``: gamma is linear in p_mu and nothing else depends on
+        the split, so p_mu = expm1(objective*ln2/prelog) * sum_j (B_j - c*P) / gain."""
+        return (math.expm1(objective * LN2 / _solver_prelog(self.cfg)) * float(self.spread)
+                / self.gain)
 
 
-def _sse_at(cfg: SystemConfig, fading: FadingProfile, precoder: str, factors):
-    """``solve_sse`` on a validated pair as a function of the multicast
-    power, with everything that does not depend on the split computed once."""
-    gain, c = factors
-    theta, offsets = _unicast_offsets(cfg, fading, gain, c)
-    tau = cfg.n_streams
-    prelog = _solver_prelog(cfg)
-    weights = cfg.sse_weights
-    pilots, theta = tuple((cfg.unicast_energy_caps / tau).tolist()), tuple(theta.tolist())
+def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
+                 precoder: str) -> _MmfProblem:
+    """The max-min problem of a validated pair (or config and stack)."""
+    gain, c = _precoder_factors(cfg, precoder)
+    if cfg.n_groups == 0:
+        raise DegenerateInputError("max-min multicast needs at least one group")
+    upsilon, x_caps = _group_quality_floors(cfg, fading)
+    b_values = _interference_loads(cfg, fading, upsilon)
+    # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
+    # loads below cannot vanish for a valid config; guard anyway.
+    loads = b_values - c * cfg.total_power
+    if (loads <= 0.0).any():
+        raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
+    return _MmfProblem(cfg, precoder, gain, upsilon, x_caps, b_values, loads, _row_sums(loads))
 
-    def solve(p_multicast_fixed: float) -> SseSolution:
-        budget = _check_split(cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
-        levels, nu = _waterfill(weights, offsets, budget)
+
+@dataclass(frozen=True, eq=False)
+class _SseProblem:
+    """The sum-SE problem of a validated drop, or of every drop of a
+    FadingStack, with the full-cap estimate variances theta and the
+    water-filling offsets worked out once."""
+
+    cfg: SystemConfig
+    precoder: str
+    theta: np.ndarray
+    offsets: np.ndarray
+
+    def _fill(self, p_multicast_fixed: float):
+        """Water-filled levels, water levels and objectives, one per drop."""
+        budget = _check_split(self.cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
+        levels, nu = _waterfill(self.cfg.sse_weights, self.offsets, budget)
+        return levels, nu, _sum_se(_solver_prelog(self.cfg), self.cfg.sse_weights, levels,
+                                   self.offsets)
+
+    def objectives(self, p_multicast_fixed: float) -> np.ndarray:
+        """``solve_sse``'s objective, one per drop."""
+        return self._fill(p_multicast_fixed)[2]
+
+    def solve(self, p_multicast_fixed: float) -> SseSolution:
+        """``solve_sse`` on the one drop."""
+        levels, nu, objective = self._fill(p_multicast_fixed)
         return SseSolution(
-            precoder=precoder,
-            objective=float(_sum_se(prelog, weights, levels, offsets)),
-            pilot_length=tau,
-            uplink_pilot_powers=pilots,
-            downlink_powers=tuple(levels.tolist()),
+            precoder=self.precoder,
+            objective=float(objective),
+            pilot_length=self.cfg.n_streams,
+            uplink_pilot_powers=self.cfg.unicast_energy_caps / self.cfg.n_streams,
+            downlink_powers=levels,
             water_level=float(nu),
-            effective_vars=theta,
+            effective_vars=self.theta,
         )
 
-    return solve
+    def power_for(self, objective: float) -> float:
+        """The unicast power at which the one drop's objective is
+        ``objective``: ``waterfill_budget`` over the solver's offsets."""
+        return waterfill_budget(self.cfg.sse_weights, self.offsets,
+                                objective * LN2 / _solver_prelog(self.cfg))
+
+
+def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
+                 precoder: str) -> _SseProblem:
+    """The sum-SE problem of a validated pair (or config and stack)."""
+    gain, c = _precoder_factors(cfg, precoder)
+    return _SseProblem(cfg, precoder, *_unicast_offsets(cfg, fading, gain, c))
 
 
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
@@ -321,9 +354,8 @@ def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
     gamma = gain*p_mu / sum_j (B_j - c*P) when group j gets the downlink
     power q_j = p_mu*(B_j - c*P) / sum_j (B_j - c*P).
     """
-    factors = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
-    return _mmf_at(cfg, fading, precoder, factors)(p_unicast_fixed)
+    return _mmf_problem(cfg, fading, precoder).solve(p_unicast_fixed)
 
 
 def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float,
@@ -333,69 +365,8 @@ def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float
     Water-fills over the offsets (1 + (beta - c*theta)*P) / (gain*theta),
     theta being each UT's estimate variance at full-cap pilot energy.
     """
-    factors = _precoder_factors(cfg, precoder)
     require_valid(cfg, fading)
-    return _sse_at(cfg, fading, precoder, factors)(p_multicast_fixed)
-
-
-def _mmf_objectives(cfg: SystemConfig, drops: FadingStack, p_unicast_fixed: float,
-                    precoder: str) -> list[float]:
-    """``solve_mmf``'s objective for every drop of a stack already validated
-    (``require_valid_drops``), in one pass over the drops."""
-    gain, c = _precoder_factors(cfg, precoder)
-    loads = _multicast_loads(cfg, drops, c)[3]
-    p_mu = _check_split(cfg.total_power, p_unicast_fixed, "p_unicast_fixed")
-    prelog = _solver_prelog(cfg)
-    return [se_from_sinr(prelog, gamma)
-            for gamma in (gain * p_mu / _row_sums(loads)).tolist()]
-
-
-def _sse_objectives(cfg: SystemConfig, drops: FadingStack, p_multicast_fixed: float,
-                    precoder: str) -> list[float]:
-    """``solve_sse``'s objective for every drop of a stack already validated
-    (``require_valid_drops``), in one pass over the drops."""
-    gain, c = _precoder_factors(cfg, precoder)
-    _, offsets = _unicast_offsets(cfg, drops, gain, c)
-    budget = _check_split(cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
-    levels, _ = _waterfill(cfg.sse_weights, offsets, budget)
-    return _sum_se(_solver_prelog(cfg), cfg.sse_weights, levels, offsets).tolist()
-
-
-def _mmf_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
-    """The max-min objective at full multicast power, and a function mapping
-    an objective in [0, that] to the multicast power at which ``solve_mmf``
-    attains it.
-
-    gamma = gain*p_mu / sum_j (B_j - c*P) is linear in p_mu and nothing
-    else depends on the split, so p_mu = expm1(objective*ln2/prelog) *
-    sum_j (B_j - c*P) / gain.
-    """
-    gain, c = _precoder_factors(cfg, precoder)
-    require_valid(cfg, fading)
-    spread = float(_row_sums(_multicast_loads(cfg, fading, c)[3]))
-    prelog = _solver_prelog(cfg)
-
-    def power_for(objective: float) -> float:
-        return math.expm1(objective * LN2 / prelog) * spread / gain
-
-    return se_from_sinr(prelog, gain * cfg.total_power / spread), power_for
-
-
-def _sse_inverse(cfg: SystemConfig, fading: FadingProfile, precoder: str):
-    """The sum-SE objective at full unicast power, and a function mapping an
-    objective in [0, that] to the unicast power at which ``solve_sse``
-    attains it (``waterfill_budget`` over the solver's offsets)."""
-    gain, c = _precoder_factors(cfg, precoder)
-    require_valid(cfg, fading)
-    _, offsets = _unicast_offsets(cfg, fading, gain, c)
-    prelog = _solver_prelog(cfg)
-    weights = cfg.sse_weights
-
-    def power_for(objective: float) -> float:
-        return waterfill_budget(weights, offsets, objective * LN2 / prelog)
-
-    levels, _ = _waterfill(weights, offsets, cfg.total_power)
-    return float(_sum_se(prelog, weights, levels, offsets)), power_for
+    return _sse_problem(cfg, fading, precoder).solve(p_multicast_fixed)
 
 
 def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolution,
@@ -419,12 +390,11 @@ def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
     """
     if cfg.n_unicast == 0 and p_unicast_fixed != 0.0:
         raise DegenerateInputError("no unicast UTs to carry a nonzero unicast power")
-    U = cfg.n_unicast
+    equal = DownlinkPowers.equal_split(p_unicast_fixed, cfg.n_unicast, 0.0, 0)
     return _score(cfg, fading, sol,
                   cfg.unicast_energy_caps / sol.pilot_length,
                   sol.uplink_pilot_powers,
-                  DownlinkPowers(unicast=(p_unicast_fixed / U,) * U if U else (),
-                                 multicast=sol.downlink_powers))
+                  DownlinkPowers(equal.unicast, sol.downlink_powers))
 
 
 def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
@@ -436,9 +406,8 @@ def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
     """
     if cfg.n_groups == 0 and p_multicast_fixed != 0.0:
         raise DegenerateInputError("no multicast groups to carry a nonzero multicast power")
-    G = cfg.n_groups
+    equal = DownlinkPowers.equal_split(0.0, 0, p_multicast_fixed, cfg.n_groups)
     return _score(cfg, fading, sol,
                   sol.uplink_pilot_powers,
                   [caps / sol.pilot_length for caps in cfg.multicast_energy_caps],
-                  DownlinkPowers(unicast=sol.downlink_powers,
-                                 multicast=(p_multicast_fixed / G,) * G if G else ()))
+                  DownlinkPowers(sol.downlink_powers, equal.multicast))

@@ -75,7 +75,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise OSError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise UsageError(f"{path} is not valid JSON: {e}") from e
 
 
@@ -121,10 +121,12 @@ class RunManifest:
         }
 
 
-def _write_manifest(out_path: str, command: str, args: argparse.Namespace, seeds: dict):
+def _write_manifest(outputs: list, command: str, args: argparse.Namespace, seeds: dict):
+    """One manifest listing every output of the run, next to each of them."""
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = RunManifest.build(command, resolved, seeds, [out_path])
-    _write_text(str(out_path) + ".manifest.json", _json_text(manifest.to_dict()))
+    text = _json_text(RunManifest.build(command, resolved, seeds, outputs).to_dict())
+    for out_path in outputs:
+        _write_text(str(out_path) + ".manifest.json", text)
 
 
 def _ensure_seed(seed: int | None) -> int:
@@ -228,7 +230,7 @@ def cmd_scenario(args) -> int:
         "fading": fading.to_dict(),
     }
     _write_text(args.out, _json_text(doc))
-    _write_manifest(args.out, "scenario", args, {"placement": seed})
+    _write_manifest([args.out], "scenario", args, {"placement": seed})
     return EXIT_OK
 
 
@@ -251,7 +253,7 @@ def cmd_mmf(args) -> int:
         "se_report": report.to_dict(),
     }
     _write_text(args.out, _json_text(doc))
-    _write_manifest(args.out, "mmf", args, {})
+    _write_manifest([args.out], "mmf", args, {})
     return EXIT_OK
 
 
@@ -273,7 +275,7 @@ def cmd_sse(args) -> int:
         "se_report": report.to_dict(),
     }
     _write_text(args.out, _json_text(doc))
-    _write_manifest(args.out, "sse", args, {})
+    _write_manifest([args.out], "sse", args, {})
     return EXIT_OK
 
 
@@ -288,10 +290,12 @@ def cmd_pareto(args) -> int:
         raise UsageError(f"--convexity-out needs --points of at least 3, got {args.points}")
     boundary = pareto.sweep_boundary(cfg, fading, args.precoder, args.points)
     _write_text(args.out, pareto.boundary_csv(boundary))
+    outputs = [args.out]
     if args.convexity_out:
         report = pareto.check_convexity(boundary)
         _write_text(args.convexity_out, _json_text(report.to_dict()))
-    _write_manifest(args.out, "pareto", args, {})
+        outputs.append(args.convexity_out)
+    _write_manifest(outputs, "pareto", args, {})
     return EXIT_OK
 
 
@@ -318,7 +322,7 @@ def cmd_validate(args) -> int:
         [caps / tau for caps in cfg.multicast_energy_caps],
         powers, args.precoder, args.trials, seed)
     _write_text(args.out, _json_text(report.to_dict()))
-    _write_manifest(args.out, "validate", args, {"trials": seed})
+    _write_manifest([args.out], "validate", args, {"trials": seed})
     if not report.passed:
         print(f"validation FAILED: pass rate {report.pass_rate:.4f} < 0.99",
               file=sys.stderr)
@@ -348,14 +352,14 @@ def _place(n_unicast: int, group_sizes, seeds) -> FadingStack:
         raise UsageError(str(e)) from e
 
 
-def _drop_means(args, seed, cfgs, objectives) -> list[list[tuple[str, str, bool]]]:
+def _drop_means(args, seed, cfgs, problem) -> list[list[tuple[str, str, bool]]]:
     """Per grid cell, (precoder, mean objective, feasible) for each precoder.
 
     Each cell averages the objective at an even power split over args.drops
     user placements; a precoder the cell cannot support is flagged
     infeasible with a zero mean.  A cell's drops are placed as one stack,
-    validated once and solved in one pass per precoder by ``objectives``
-    (the stacked form of ``solve_mmf`` or ``solve_sse``).
+    validated once and solved in one pass per precoder through ``problem``
+    (``allocation._mmf_problem`` or ``_sse_problem``).
     """
     if args.drops < 1:
         raise UsageError(f"--drops must be at least 1, got {args.drops}")
@@ -367,7 +371,7 @@ def _drop_means(args, seed, cfgs, objectives) -> list[list[tuple[str, str, bool]
         row = []
         for prec in PRECODERS:
             try:
-                vals = objectives(cfg, drops, cfg.total_power / 2.0, prec)
+                vals = problem(cfg, drops, prec).objectives(cfg.total_power / 2.0).tolist()
             except ZfInfeasibleError:
                 vals = []
             row.append((prec, _fmt(sum(vals) / len(vals) if vals else 0.0), bool(vals)))
@@ -385,7 +389,7 @@ def _figure_rows_fig2(args, seed):
             for n, g, k in grid)
     rows = [[args.figure, prec, n, g, k, args.unicast, args.drops, mean, feasible]
             for (n, g, k), cell in zip(grid, _drop_means(args, seed, cfgs,
-                                                         allocation._mmf_objectives))
+                                                         allocation._mmf_problem))
             for prec, mean, feasible in cell]
     header = ["figure", "precoder", "n_antennas", "n_groups", "group_size",
               "n_unicast", "drops", "mmf_se", "feasible"]
@@ -402,7 +406,7 @@ def _figure_rows_fig3(args, seed):
     rows = [[args.figure, prec, n, u, args.groups, args.group_size, args.drops,
              mean, feasible]
             for (n, u), cell in zip(grid, _drop_means(args, seed, cfgs,
-                                                      allocation._sse_objectives))
+                                                      allocation._sse_problem))
             for prec, mean, feasible in cell]
     header = ["figure", "precoder", "n_antennas", "n_unicast", "n_groups",
               "group_size", "drops", "sse", "feasible"]
@@ -447,7 +451,7 @@ def cmd_figure(args) -> int:
     w.writerow(header)
     w.writerows(rows)
     _write_text(args.out, buf.getvalue())
-    _write_manifest(args.out, "figure", args, {"drops": seed})
+    _write_manifest([args.out], "figure", args, {"drops": seed})
     return EXIT_OK
 
 

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ZfInfeasibleError
-from .model import (EstimationStats, FadingProfile, SystemConfig, _per_member,
-                    _tuple_rows, require_valid)
+from .model import (EstimationStats, FadingProfile, SystemConfig, _ArrayRecord, _flat_field,
+                    _freeze, _per_member, _views, require_valid)
 
 MRT = "mrt"
 ZF = "zf"
@@ -31,24 +31,24 @@ LN2 = math.log(2.0)
 BUDGET_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DownlinkPowers:
-    """Per-stream downlink powers: one entry per unicast UT and per group."""
+@dataclass(frozen=True, eq=False)
+class DownlinkPowers(_ArrayRecord):
+    """Per-stream downlink powers: one entry per unicast UT and per group,
+    as read-only float64 arrays."""
 
-    unicast: tuple[float, ...]
-    multicast: tuple[float, ...]
+    unicast: np.ndarray
+    multicast: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "unicast", tuple(float(p) for p in self.unicast))
-        object.__setattr__(self, "multicast", tuple(float(q) for q in self.multicast))
+        _freeze(self, ("unicast", "multicast"))
 
     @property
     def p_unicast(self) -> float:
-        return sum(self.unicast)
+        return sum(self.unicast.tolist())
 
     @property
     def p_multicast(self) -> float:
-        return sum(self.multicast)
+        return sum(self.multicast.tolist())
 
     @property
     def total(self) -> float:
@@ -63,37 +63,37 @@ class DownlinkPowers:
         )
 
 
-@dataclass(frozen=True)
-class SeReport:
-    """Achievable SEs (bits/s/Hz) and the SINRs they derive from."""
+@dataclass(frozen=True, eq=False)
+class SeReport(_ArrayRecord):
+    """Achievable SEs (bits/s/Hz) and the SINRs they derive from.
+
+    Per-UT fields are read-only float64 arrays; the multicast ones hold one
+    view per group into ``multicast_se_flat`` / ``multicast_sinr_flat``.
+    """
 
     prelog: float
-    unicast_se: tuple[float, ...]
-    multicast_se: tuple[tuple[float, ...], ...]
-    unicast_sinr: tuple[float, ...]
-    multicast_sinr: tuple[tuple[float, ...], ...]
+    unicast_se: np.ndarray
+    multicast_se: tuple[np.ndarray, ...]
+    unicast_sinr: np.ndarray
+    multicast_sinr: tuple[np.ndarray, ...]
+    multicast_se_flat: np.ndarray = _flat_field()
+    multicast_sinr_flat: np.ndarray = _flat_field()
+
+    def __post_init__(self):
+        _freeze(self, ("unicast_se", "unicast_sinr"), ("multicast_se", "multicast_sinr"))
 
     def min_multicast_se(self) -> float:
-        return min(se for grp in self.multicast_se for se in grp)
+        return float(self.multicast_se_flat.min())
 
     def weighted_sum_unicast_se(self, weights: Sequence[float]) -> float:
         return float(sum(a * se for a, se in zip(weights, self.unicast_se)))
-
-    def to_dict(self) -> dict:
-        return {
-            "prelog": self.prelog,
-            "unicast_se": list(self.unicast_se),
-            "multicast_se": [list(g) for g in self.multicast_se],
-            "unicast_sinr": list(self.unicast_sinr),
-            "multicast_sinr": [list(g) for g in self.multicast_sinr],
-        }
 
 
 def _check_powers(cfg: SystemConfig, powers: DownlinkPowers):
     if len(powers.unicast) != cfg.n_unicast or len(powers.multicast) != cfg.n_groups:
         raise ValueError(f"power lists must have {cfg.n_unicast} unicast and "
                          f"{cfg.n_groups} multicast entries")
-    if any(p < 0 for p in powers.unicast) or any(q < 0 for q in powers.multicast):
+    if (powers.unicast < 0).any() or (powers.multicast < 0).any():
         raise ValueError("downlink powers must be non-negative")
     if powers.total > cfg.total_power * (1.0 + BUDGET_RTOL):
         raise ValueError(f"downlink powers sum to {powers.total}, exceeding the "
@@ -130,6 +130,12 @@ def se_from_sinr(prelog: float, sinr: float) -> float:
     return prelog * math.log1p(sinr) / LN2
 
 
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """log1p of every entry through math.log1p, so array results round as
+    the scalar ``se_from_sinr`` does."""
+    return np.fromiter(map(math.log1p, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
 def se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
               powers: DownlinkPowers, precoder: str) -> SeReport:
     """Every UT's SINR gain*p*var / (1 + (beta - c*var)*P_total) and its SE
@@ -150,21 +156,17 @@ def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
     total = powers.total
     offsets = cfg.group_offsets
 
-    def sinr(p, var, beta) -> list[float]:
-        return (gain * p * var / (1.0 + (beta - c * var) * total)).tolist()
+    def sinr(p, var, beta) -> np.ndarray:
+        return gain * p * var / (1.0 + (beta - c * var) * total)
 
-    uni_sinr = sinr(np.asarray(powers.unicast), stats.unicast_var, fading.unicast_gains)
+    uni_sinr = sinr(powers.unicast, stats.unicast_var, fading.unicast_gains)
     mu_sinr = sinr(_per_member(powers.multicast, offsets), stats.multicast_var_flat,
                    fading.multicast_gains_flat)
     prelog = cfg.prelog
-
-    def se(sinrs: list[float]) -> list[float]:
-        return [prelog * math.log1p(s) / LN2 for s in sinrs]   # as se_from_sinr
-
     return SeReport(
         prelog=prelog,
-        unicast_se=tuple(se(uni_sinr)),
-        multicast_se=_tuple_rows(se(mu_sinr), offsets),
-        unicast_sinr=tuple(uni_sinr),
-        multicast_sinr=_tuple_rows(mu_sinr, offsets),
+        unicast_se=prelog * _log1p(uni_sinr) / LN2,
+        multicast_se=_views(prelog * _log1p(mu_sinr) / LN2, offsets),
+        unicast_sinr=uni_sinr,
+        multicast_sinr=_views(mu_sinr, offsets),
     )

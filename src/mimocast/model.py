@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -55,14 +56,16 @@ def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-def _grouped(rows) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Rows of numbers as one read-only float64 array, the row offsets and
-    a read-only view per row."""
-    vectors = [_vector(row) for row in rows]
-    flat = np.concatenate(vectors) if vectors else np.empty(0)
+def _grouped(rows) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Rows of numbers as one read-only float64 array and a read-only view
+    per row.  Rows that are 1-D arrays are copied by the concatenation
+    alone; others go through ``_vector``."""
+    vectors = [row if isinstance(row, np.ndarray) and row.ndim == 1 else _vector(row)
+               for row in rows]
+    flat = (np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors
+            else np.empty(0))
     flat.setflags(write=False)
-    offsets = _offsets(len(v) for v in vectors)
-    return flat, offsets, _views(flat, offsets)
+    return flat, _views(flat, _offsets(map(len, vectors)))
 
 
 def _sizes(offsets: np.ndarray) -> np.ndarray:
@@ -101,13 +104,6 @@ def _per_member(values, offsets: np.ndarray) -> np.ndarray:
     return np.repeat(values, _sizes(offsets), axis=-1)
 
 
-def _tuple_rows(values, offsets: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    """A flat per-member array (or list) as one tuple of floats per group."""
-    xs = values.tolist() if isinstance(values, np.ndarray) else values
-    bounds = offsets.tolist()
-    return tuple(tuple(xs[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-
 def _same(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
@@ -125,11 +121,24 @@ def _hashable(v):
     return v
 
 
+def _plain(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return v
+
+
 class _ArrayRecord:
-    """Value equality and hashing for frozen dataclasses holding arrays."""
+    """Value equality, hashing and ``to_dict`` for frozen dataclasses
+    holding arrays."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def to_dict(self) -> dict:
+        """The constructor's fields with arrays and tuples as (nested) lists."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.init}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -142,6 +151,26 @@ class _ArrayRecord:
 
 def _flat_field():
     return field(init=False, repr=False, compare=False)
+
+
+def _freeze(record, vectors=(), grouped=()):
+    """Store fields of a frozen record as read-only float64 arrays: each field
+    named in ``vectors`` as one array, each in ``grouped`` as one view per
+    row, whose flat array goes to ``<name>_flat`` where the record has it."""
+    for name in vectors:
+        object.__setattr__(record, name, _vector(getattr(record, name)))
+    for name in grouped:
+        flat, rows = _grouped(getattr(record, name))
+        object.__setattr__(record, name, rows)
+        if name + "_flat" in record.__dataclass_fields__:
+            object.__setattr__(record, name + "_flat", flat)
+
+
+def _count(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,14 +205,10 @@ class SystemConfig(_ArrayRecord):
     group_offsets: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        sizes = tuple(int(k) for k in self.group_sizes)
+        sizes = tuple(map(operator.index, self.group_sizes))
         object.__setattr__(self, "group_sizes", sizes)
-        object.__setattr__(self, "unicast_energy_caps", _vector(self.unicast_energy_caps))
-        flat, _, rows = _grouped(self.multicast_energy_caps)
-        object.__setattr__(self, "multicast_energy_caps", rows)
-        object.__setattr__(self, "multicast_energy_caps_flat", flat)
-        object.__setattr__(self, "sse_weights", _vector(self.sse_weights))
         object.__setattr__(self, "group_offsets", _offsets(sizes))
+        _freeze(self, ("unicast_energy_caps", "sse_weights"), ("multicast_energy_caps",))
 
     @property
     def n_groups(self) -> int:
@@ -201,30 +226,20 @@ class SystemConfig(_ArrayRecord):
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemConfig":
+        """The config a ``to_dict`` document describes.  A count that is not
+        an integer (64.0, 6.5) raises TypeError naming its field."""
         return cls(
-            n_antennas=d["n_antennas"],
-            coherence_length=d["coherence_length"],
-            n_unicast=d["n_unicast"],
-            group_sizes=tuple(d["group_sizes"]),
-            pilot_length=d["pilot_length"],
+            n_antennas=_count(d["n_antennas"], "n_antennas"),
+            coherence_length=_count(d["coherence_length"], "coherence_length"),
+            n_unicast=_count(d["n_unicast"], "n_unicast"),
+            group_sizes=tuple(_count(k, f"group_sizes[{g}]")
+                              for g, k in enumerate(d["group_sizes"])),
+            pilot_length=_count(d["pilot_length"], "pilot_length"),
             total_power=d["total_power"],
             unicast_energy_caps=d["unicast_energy_caps"],
             multicast_energy_caps=d["multicast_energy_caps"],
             sse_weights=d["sse_weights"],
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_antennas": self.n_antennas,
-            "coherence_length": self.coherence_length,
-            "n_unicast": self.n_unicast,
-            "group_sizes": list(self.group_sizes),
-            "pilot_length": self.pilot_length,
-            "total_power": self.total_power,
-            "unicast_energy_caps": self.unicast_energy_caps.tolist(),
-            "multicast_energy_caps": [e.tolist() for e in self.multicast_energy_caps],
-            "sse_weights": self.sse_weights.tolist(),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,21 +256,12 @@ class FadingProfile(_ArrayRecord):
     group_offsets: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        object.__setattr__(self, "unicast_gains", _vector(self.unicast_gains))
-        flat, offsets, rows = _grouped(self.multicast_gains)
-        object.__setattr__(self, "multicast_gains", rows)
-        object.__setattr__(self, "multicast_gains_flat", flat)
-        object.__setattr__(self, "group_offsets", offsets)
+        _freeze(self, ("unicast_gains",), ("multicast_gains",))
+        object.__setattr__(self, "group_offsets", _offsets(map(len, self.multicast_gains)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FadingProfile":
         return cls(unicast_gains=d["unicast_gains"], multicast_gains=d["multicast_gains"])
-
-    def to_dict(self) -> dict:
-        return {
-            "unicast_gains": self.unicast_gains.tolist(),
-            "multicast_gains": [g.tolist() for g in self.multicast_gains],
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,11 +325,7 @@ class EstimationStats(_ArrayRecord):
     multicast_var_flat: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        object.__setattr__(self, "unicast_var", _vector(self.unicast_var))
-        flat, _, rows = _grouped(self.multicast_var)
-        object.__setattr__(self, "multicast_var", rows)
-        object.__setattr__(self, "multicast_var_flat", flat)
-        object.__setattr__(self, "group_var", _vector(self.group_var))
+        _freeze(self, ("unicast_var", "group_var"), ("multicast_var",))
 
 
 @dataclass(frozen=True)

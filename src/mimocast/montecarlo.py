@@ -211,8 +211,7 @@ class RankDeficientDraw(RuntimeError):
 
 
 def _stream_powers(powers: DownlinkPowers) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(powers.unicast, dtype=np.float64)
-    q = np.asarray(powers.multicast, dtype=np.float64)
+    p, q = powers.unicast, powers.multicast
     if (p < 0).any() or (q < 0).any():
         raise ValueError("downlink powers must be non-negative")
     return p, q
@@ -432,7 +431,7 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
     # One pass per block of UTs keeps the temporaries at trials x block size.
     empirical, se = (np.concatenate(parts) for parts in
                      zip(*(_jackknife(trials, a, b) for a, b in _ut_blocks(cfg))))
-    cf = np.array([*closed.unicast_sinr, *(s for row in closed.multicast_sinr for s in row)])
+    cf = np.concatenate([closed.unicast_sinr, closed.multicast_sinr_flat])
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, (empirical - cf) / se, np.where(empirical == cf, 0.0, math.inf))
 

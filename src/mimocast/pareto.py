@@ -14,9 +14,9 @@ import io
 import math
 from dataclasses import dataclass
 
-from .allocation import (MmfSolution, SseSolution, _mmf_at, _mmf_inverse, _sse_at,
-                         _sse_inverse, solve_mmf, solve_sse)
-from .closed_form import PRECODERS, _precoder_factors
+from .allocation import (MmfSolution, SseSolution, _MmfProblem, _mmf_problem, _SseProblem,
+                         _sse_problem)
+from .closed_form import PRECODERS
 from .model import FadingProfile, SystemConfig, require_valid
 
 
@@ -65,28 +65,32 @@ class OperatingPoint:
     clamped: bool
 
 
-def _point(total: float, p_unicast: float, mmf_at, sse_at) -> ParetoPoint:
-    """Both problems solved at one full-budget split, by solvers taking the
-    unicast and the multicast power respectively."""
-    p_multicast = max(0.0, total - p_unicast)
-    mmf = mmf_at(p_unicast)
-    sse = sse_at(p_multicast)
+def _point(mmf: _MmfProblem, sse: _SseProblem, p_unicast: float) -> ParetoPoint:
+    """Both problems solved at one full-budget split."""
+    p_multicast = max(0.0, mmf.cfg.total_power - p_unicast)
+    mmf_solution = mmf.solve(p_unicast)
+    sse_solution = sse.solve(p_multicast)
     return ParetoPoint(
         p_unicast=p_unicast,
         p_multicast=p_multicast,
-        mmf_objective=mmf.objective,
-        sse_objective=sse.objective,
-        mmf_solution=mmf,
-        sse_solution=sse,
+        mmf_objective=mmf_solution.objective,
+        sse_objective=sse_solution.objective,
+        mmf_solution=mmf_solution,
+        sse_solution=sse_solution,
     )
+
+
+def _problems(cfg: SystemConfig, fading: FadingProfile,
+              precoder: str) -> tuple[_MmfProblem, _SseProblem]:
+    """Both allocation problems of a validated pair."""
+    return _mmf_problem(cfg, fading, precoder), _sse_problem(cfg, fading, precoder)
 
 
 def solve_split(cfg: SystemConfig, fading: FadingProfile, precoder: str,
                 p_unicast: float) -> ParetoPoint:
     """Solve both allocation problems exactly at one full-budget split."""
-    return _point(cfg.total_power, p_unicast,
-                  lambda p: solve_mmf(cfg, fading, p, precoder),
-                  lambda p: solve_sse(cfg, fading, p, precoder))
+    require_valid(cfg, fading)
+    return _point(*_problems(cfg, fading, precoder), p_unicast)
 
 
 def sweep_boundary(cfg: SystemConfig, fading: FadingProfile, precoder: str,
@@ -104,10 +108,8 @@ def sweep_boundary(cfg: SystemConfig, fading: FadingProfile, precoder: str,
     P = cfg.total_power
     splits = [i * P / (n_points - 1) for i in range(n_points)]
     splits[-1] = P  # exact endpoint regardless of rounding
-    factors = _precoder_factors(cfg, precoder)
-    mmf_at = _mmf_at(cfg, fading, precoder, factors)
-    sse_at = _sse_at(cfg, fading, precoder, factors)
-    points = tuple(_point(P, s, mmf_at, sse_at) for s in splits)
+    mmf, sse = _problems(cfg, fading, precoder)
+    points = tuple(_point(mmf, sse, s) for s in splits)
     return ParetoBoundary(points=points, precoder=precoder, cfg=cfg, fading=fading)
 
 
@@ -155,30 +157,31 @@ def select_operating_point(boundary: ParetoBoundary,
     chosen = [p for p in (ratio, target_mmf, target_sse) if p is not None]
     if len(chosen) != 1:
         raise ValueError("give exactly one of ratio, target_mmf, target_sse")
-    cfg, fading, precoder = boundary.cfg, boundary.fading, boundary.precoder
-    P = cfg.total_power
-
     if ratio is not None:
         a, b = ratio
         if a < 0 or b < 0 or a + b <= 0:
             raise ValueError(f"ratio parts must be non-negative with a positive sum, got {ratio}")
-        return OperatingPoint(solve_split(cfg, fading, precoder, P * a / (a + b)), False)
-
-    mmf = target_mmf is not None
-    target = target_mmf if mmf else target_sse
-    if math.isnan(target):
+    elif math.isnan(chosen[0]):
         raise ValueError("the target must not be NaN")
-    top, power_for = (_mmf_inverse if mmf else _sse_inverse)(cfg, fading, precoder)
+    cfg, fading, precoder = boundary.cfg, boundary.fading, boundary.precoder
+    P = cfg.total_power
+    require_valid(cfg, fading)
+    mmf, sse = _problems(cfg, fading, precoder)
+    if ratio is not None:
+        return OperatingPoint(_point(mmf, sse, P * a / (a + b)), False)
+
+    target, problem = chosen[0], (mmf if target_mmf is not None else sse)
     # Each objective is exactly 0 when its side gets no power and rises
-    # strictly to `top` when it gets all of P.
+    # strictly to `top` when it gets all of P (the other side's fixed share 0).
+    top = float(problem.objectives(0.0))
     if target >= top:
         power, clamped = P, target > top
     elif target <= 0.0:
         power, clamped = 0.0, target < 0.0
     else:
-        power, clamped = min(P, power_for(target)), False
-    split = P - power if mmf else power
-    return OperatingPoint(solve_split(cfg, fading, precoder, split), clamped)
+        power, clamped = min(P, problem.power_for(target)), False
+    split = P - power if problem is mmf else power
+    return OperatingPoint(_point(mmf, sse, split), clamped)
 
 
 def boundary_csv(boundary: ParetoBoundary) -> str:

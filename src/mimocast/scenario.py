@@ -85,12 +85,6 @@ class Placement(_ArrayRecord):
         object.__setattr__(self, "unicast", _points(self.unicast))
         object.__setattr__(self, "multicast", tuple(_points(g) for g in self.multicast))
 
-    def to_dict(self) -> dict:
-        return {
-            "unicast": self.unicast.tolist(),
-            "multicast": [grp.tolist() for grp in self.multicast],
-        }
-
 
 def pathloss(geometry: CellGeometry, distance_m: float, check_range: bool = True) -> float:
     """Distance-based channel gain: attenuation_const / distance^exponent."""

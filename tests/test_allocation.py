@@ -27,7 +27,7 @@ def single_group_instance():
 class TestWaterfill:
     def test_zero_budget(self):
         levels, nu = waterfill((1.0, 2.0), (0.5, 0.7), 0.0)
-        assert levels == (0.0, 0.0)
+        assert levels.tolist() == [0.0, 0.0]
         assert nu == math.inf
 
     def test_single_user_closed_form(self):
@@ -161,7 +161,7 @@ class TestMmfMrt:
         sol = solve_mmf(cfg, fading, 10.0, MRT)
         assert sol.gamma == 0.0
         assert sol.objective == 0.0
-        assert sol.downlink_powers == (0.0,)
+        assert sol.downlink_powers.tolist() == [0.0]
         assert sol.uplink_pilot_powers[0][0] > 0.0  # pilots stay defined
 
     def test_empty_groups_rejected(self):

@@ -157,6 +157,18 @@ class TestPareto:
         assert run("pareto", "--scenario", scenario_path, "--precoder", "mrt",
                    "--points", 1, "--out", tmp_path / "x.csv") == 1
 
+    def test_every_output_gets_a_manifest_listing_both(self, scenario_path, tmp_path):
+        out, conv = tmp_path / "b.csv", tmp_path / "conv.json"
+        assert run("pareto", "--scenario", scenario_path, "--precoder", "mrt",
+                   "--points", 5, "--convexity-out", conv, "--out", out) == 0
+        manifests = [json.loads(Path(f"{f}.manifest.json").read_text()) for f in (out, conv)]
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["outputs"] == [str(out), str(conv)]
+        # The hash still covers only the command, arguments and seeds.
+        body = {k: manifests[0][k] for k in ("command", "args", "seeds")}
+        assert manifests[0]["config_sha256"] == hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()).hexdigest()
+
 
 class TestValidate:
     def test_report_written_and_parses(self, scenario_path, tmp_path):
@@ -320,6 +332,47 @@ class TestExitCodes:
         assert str(bad) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_antennas", 64.0, "n_antennas must be an integer, got 64.0"),
+        ("pilot_length", 6.5, "pilot_length must be an integer, got 6.5"),
+        ("group_sizes", [3.7, 3], "group_sizes[0] must be an integer, got 3.7"),
+    ])
+    def test_non_integer_count_is_usage_error(self, tmp_path, capsys, field, value, message):
+        # 64.0 used to reach the channel draw (exit 3), 6.5 ran the solver
+        # (exit 0) and 3.7 was truncated to a group of 3.
+        scen = tmp_path / "scen.json"
+        assert run("scenario", "--unicast", 4, "--groups", 2, "--group-size", 3,
+                   "--antennas", 64, "--seed", 11, "--out", scen) == 0
+        doc = json.loads(scen.read_text())
+        doc["system"][field] = value
+        scen.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (("mmf", "--split-ratio", "1:1"), ("validate", "--trials", 100, "--seed", 1)):
+            out = tmp_path / "x.json"
+            assert run(*argv, "--scenario", scen, "--precoder", "mrt", "--out", out) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_scenario_file_not_utf8_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"system": "caf\u00e9"}'.encode("latin-1"))
+        assert run("mmf", "--scenario", bad, "--precoder", "mrt", "--split-ratio", "1:1",
+                   "--out", tmp_path / "x.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not valid JSON") and "Traceback" not in err
+
+    def test_long_violation_lists_are_summarized(self, tmp_path, capsys):
+        # The first cell of the default grid has 10 unicast and 1000
+        # multicast energy caps, all zero at --coherence 0.
+        out = tmp_path / "f.csv"
+        assert run("figure", "fig3", "--coherence", 0, "--seed", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 1000
+        assert err.count("energy cap must be positive") == 6
+        assert "; … and 7 more unicast_energy_caps violations; " in err
+        assert err.endswith("; … and 997 more multicast_energy_caps violations\n")
+
+
 def test_python_m_mimocast_runs_the_cli():
     src = str(Path(mimocast.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -351,6 +404,19 @@ PINNED_PARETO = {
 }
 
 
+# sha256 of the solver and validator outputs on the small scenario (the
+# ``scenario_path`` fixture) at an even split, recorded while solver results
+# still held tuples: the array-valued results must write the same JSON.
+PINNED_SOLVER_OUTPUTS = {
+    ("mmf", "mrt"): "a8f2665bee651db4aafd579687169d990c5c998be7f382bfb55180ffe61e27cc",
+    ("mmf", "zf"): "01a7ea6a7ea75363d55c4eef975c27a1783e82c320b2fbb2eee896bbb1fad61e",
+    ("sse", "mrt"): "6f8e2fb750945821becfdc20acc49649852d9de89e6d83d0489a4f466b8e607b",
+    ("sse", "zf"): "abf4664e35c88ad25f88bdaf4606f884b476003749391debc71afe18360c8112",
+    ("validate", "mrt"): "4fd1a5d92b03a2aaabc941466629aa9215a9a4d61405aeead06e071623177b9f",
+    ("validate", "zf"): "17cb7c4b1b89108163215d99e9ebcfdbab15724641acd619014fbffbfc6ef223",
+}
+
+
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -368,6 +434,15 @@ class TestPinnedOutputs:
         out = tmp_path / f"{figure}.csv"
         assert run("figure", figure, "--drops", 10, "--seed", 5, "--out", out) == 0
         assert sha256(out) == PINNED_DEFAULT_GRIDS[figure]
+
+    @pytest.mark.parametrize("command, precoder", sorted(PINNED_SOLVER_OUTPUTS))
+    def test_solver_and_validate_bytes(self, scenario_path, tmp_path, command, precoder):
+        out = tmp_path / f"{command}_{precoder}.json"
+        flags = (("--trials", 100, "--seed", 3) if command == "validate"
+                 else ("--split-ratio", "1:1"))
+        assert run(command, "--scenario", scenario_path, "--precoder", precoder, *flags,
+                   "--out", out) == 0
+        assert sha256(out) == PINNED_SOLVER_OUTPUTS[command, precoder]
 
     def test_scenario_and_pareto_bytes(self, tmp_path):
         scen = tmp_path / "scen.json"

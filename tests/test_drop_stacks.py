@@ -101,9 +101,10 @@ def per_drop(solve, cfg, stack, p, precoder):
         return type(e), str(e)
 
 
-def stacked(objectives, cfg, stack, p, precoder):
+def stacked(problem, cfg, stack, p, precoder):
+    """Objective per drop through one stacked problem, or the error."""
     try:
-        return objectives(cfg, stack, p, precoder)
+        return problem(cfg, stack, precoder).objectives(p).tolist()
     except (ZfInfeasibleError, DegenerateInputError) as e:
         return type(e), str(e)
 
@@ -119,8 +120,8 @@ class TestStackedSolvers:
         gain, c = (cfg.n_antennas, 0.0) if precoder == "mrt" else \
             (cfg.n_antennas - cfg.n_streams, 1.0)
         for p in splits(rng, cfg.total_power):
-            mmf = stacked(allocation._mmf_objectives, cfg, stack, p, precoder)
-            sse = stacked(allocation._sse_objectives, cfg, stack, p, precoder)
+            mmf = stacked(allocation._mmf_problem, cfg, stack, p, precoder)
+            sse = stacked(allocation._sse_problem, cfg, stack, p, precoder)
             assert mmf == per_drop(solve_mmf, cfg, stack, p, precoder)
             assert sse == per_drop(solve_sse, cfg, stack, p, precoder)
             # ...and both equal the objectives scored one UT at a time.
@@ -142,10 +143,10 @@ class TestStackedSolvers:
             levels, nu = allocation._waterfill(weights, offsets, budget)
             for d in range(n_drops):
                 levels_d, nu_d = waterfill(weights, offsets[d], budget)
-                assert tuple(levels[d].tolist()) == levels_d
+                assert levels[d].tolist() == levels_d.tolist()
                 assert float(nu[d]) == nu_d or (math.isnan(nu[d]) and math.isnan(nu_d))
-                assert (levels_d, nu_d) == oracles.waterfill_loop(weights.tolist(),
-                                                                  offsets[d].tolist(), budget)
+                assert (tuple(levels_d.tolist()), nu_d) == oracles.waterfill_loop(
+                    weights.tolist(), offsets[d].tolist(), budget)
 
     @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 4, 2), (5,)])
     def test_group_pieces_work_row_by_row(self, sizes):
@@ -214,12 +215,12 @@ class TestStackedValidation:
         assert len(calls) == 1
 
 
-SOLVERS = {allocation._mmf_objectives: allocation.solve_mmf,
-           allocation._sse_objectives: allocation.solve_sse}
+SOLVERS = {allocation._mmf_problem: allocation.solve_mmf,
+           allocation._sse_problem: allocation.solve_sse}
 
 
-def oracle_drop_means(args, seed, cfgs, objectives):
-    return oracles.drop_means_loop(args, seed, cfgs, SOLVERS[objectives])
+def oracle_drop_means(args, seed, cfgs, problem):
+    return oracles.drop_means_loop(args, seed, cfgs, SOLVERS[problem])
 
 
 def run_figure(argv):

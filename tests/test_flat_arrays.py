@@ -3,6 +3,7 @@ over tuples that it replaced (``oracles``, tuple-loop section): the array
 code must give the same numbers bit for bit and the same violation lists."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from mimocast import allocation, model, montecarlo
 from mimocast.closed_form import PRECODERS, DownlinkPowers
 from mimocast.model import FadingProfile, SystemConfig, validate_config
 from mimocast.montecarlo import empirical_sinr, validate_closed_form
-from mimocast.pareto import solve_split, sweep_boundary
+from mimocast.pareto import select_operating_point, solve_split, sweep_boundary
 from mimocast.scenario import CellGeometry, default_normalized_config, place_users
 
 import oracles
@@ -228,20 +229,19 @@ class TestWaterfillOracle:
         budget = float(rng.uniform(0.0, 3.0 * n))
         levels, nu = allocation.waterfill(weights, offsets, budget)
         levels_o, nu_o = oracles.waterfill_loop(weights, offsets, budget)
-        assert levels == levels_o
+        assert levels.tolist() == list(levels_o)
         assert nu == nu_o
 
 
-def count_validations(monkeypatch):
+def count_calls(monkeypatch, module, name):
     calls = []
-    real = model.validate_config
-
-    def counted(cfg, fading):
-        calls.append(1)
-        return real(cfg, fading)
-
-    monkeypatch.setattr(model, "validate_config", counted)
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
     return calls
+
+
+def count_validations(monkeypatch):
+    return count_calls(monkeypatch, model, "validate_config")
 
 
 class TestSweepOnce:
@@ -262,6 +262,77 @@ class TestSweepOnce:
         calls = count_validations(monkeypatch)
         sweep_boundary(cfg, fading, "mrt", 11)
         assert len(calls) == 1
+
+
+class TestOneBuildPerProblem:
+    """Each allocation problem's split-independent pieces (group floors for
+    max-min, estimate variances and offsets for sum SE) are built once per
+    call, and each public entry point validates its pair once."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("kind", ["ratio", "target_mmf", "target_sse"])
+    def test_operating_point_op(self, monkeypatch, precoder, kind):
+        cfg, fading = paper_cell(3)
+        boundary = sweep_boundary(cfg, fading, precoder, 5)
+        mid = boundary.points[2]
+        value = {"ratio": (1.0, 3.0), "target_mmf": mid.mmf_objective,
+                 "target_sse": mid.sse_objective}[kind]
+        validations = count_validations(monkeypatch)
+        builds = [count_calls(monkeypatch, allocation, name)
+                  for name in ("_group_quality_floors", "_unicast_offsets")]
+        point = select_operating_point(boundary, **{kind: value}).point
+        assert (len(validations), *map(len, builds)) == (1, 1, 1)
+        allocation.mmf_se_report(cfg, fading, point.mmf_solution, point.p_unicast)
+        allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast)
+        assert (len(validations), *map(len, builds)) == (3, 1, 1)
+        assert point == solve_split(cfg, fading, precoder, point.p_unicast)
+
+    def test_sweep(self, monkeypatch):
+        cfg, fading = paper_cell(4)
+        validations = count_validations(monkeypatch)
+        builds = [count_calls(monkeypatch, allocation, name)
+                  for name in ("_group_quality_floors", "_unicast_offsets")]
+        sweep_boundary(cfg, fading, "zf", 7)
+        assert (len(validations), *map(len, builds)) == (1, 1, 1)
+
+
+class TestResultArrays:
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_fields_are_read_only_arrays_and_scalars_floats(self, precoder):
+        cfg, fading = paper_cell(6)
+        point = solve_split(cfg, fading, precoder, cfg.total_power / 3.0)
+        mmf, sse = point.mmf_solution, point.sse_solution
+        report = allocation.mmf_se_report(cfg, fading, mmf, point.p_unicast)
+        powers = DownlinkPowers.equal_split(1.0, cfg.n_unicast, 1.0, cfg.n_groups)
+        for a in (mmf.downlink_powers, mmf.upsilon, mmf.b_values, *mmf.uplink_pilot_powers,
+                  *mmf.x_caps, sse.uplink_pilot_powers, sse.downlink_powers,
+                  sse.effective_vars, report.unicast_se, report.unicast_sinr,
+                  *report.multicast_se, *report.multicast_sinr, report.multicast_sinr_flat,
+                  powers.unicast, powers.multicast):
+            assert a.dtype == np.float64 and not a.flags.writeable
+        for rows in (mmf.uplink_pilot_powers, mmf.x_caps, report.multicast_se,
+                     report.multicast_sinr):
+            assert type(rows) is tuple and tuple(map(len, rows)) == cfg.group_sizes
+        assert np.shares_memory(report.multicast_sinr[-1], report.multicast_sinr_flat)
+        for x in (mmf.objective, mmf.gamma, sse.objective, sse.water_level, report.prelog,
+                  point.p_unicast, point.p_multicast):
+            assert type(x) is float
+
+    def test_equality_hash_and_json_round_trip(self):
+        cfg, fading = paper_cell(7)
+        point = solve_split(cfg, fading, "zf", cfg.total_power / 2.0)
+        report = allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast)
+        for record in (point.mmf_solution, point.sse_solution, report):
+            text = json.dumps(record.to_dict())
+            again = type(record)(**json.loads(text))
+            assert again == record and hash(again) == hash(record)
+            assert json.dumps(again.to_dict()) == text
+        assert point == solve_split(cfg, fading, "zf", cfg.total_power / 2.0)
+        scaled = dataclasses.replace(point.mmf_solution,
+                                     downlink_powers=point.mmf_solution.downlink_powers * 2.0)
+        assert scaled != point.mmf_solution
+        assert DownlinkPowers((1.0, 2.0), (3.0,)) == DownlinkPowers([1.0, 2.0], np.array([3.0]))
+        assert DownlinkPowers((1.0, 2.0), (3.0,)) != DownlinkPowers((1.0, 2.0), (3.5,))
 
 
 def small_mc_cell(seed, precoder, u_range=(0, 4), g_range=(1, 3)):

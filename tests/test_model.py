@@ -69,6 +69,21 @@ class TestValidateConfig:
         cfg = make_config(n_unicast=0, group_sizes=(1,), pilot_length=300)
         assert any(v.field == "pilot_length" for v in validate_config(cfg, flat_profile(cfg)))
 
+    def test_message_counts_a_field_after_three_entries(self):
+        cfg = make_config(n_unicast=4, group_sizes=(3, 3), cap=0.0)
+        fading = FadingProfile(unicast_gains=(1.0, 0.0, 1.0, 1.0),
+                               multicast_gains=((1.0,) * 3, (1.0,) * 3))
+        with pytest.raises(InvalidConfigError) as e:
+            require_valid(cfg, fading)
+        assert len(e.value.violations) == 4 + 6 + 1
+        assert str(e.value) == "invalid configuration: " + "; ".join([
+            *(f"unicast_energy_caps[{i}]=0.0: energy cap must be positive" for i in range(3)),
+            "… and 1 more unicast_energy_caps violations",
+            *(f"multicast_energy_caps[0][{k}]=0.0: energy cap must be positive"
+              for k in range(3)),
+            "… and 3 more multicast_energy_caps violations",
+            "unicast_gains[1]=0.0: non-positive, sub-normal, or non-finite gain"])
+
     def test_json_round_trip(self):
         cfg = make_config(n_unicast=2, group_sizes=(2, 1))
         fading = FadingProfile(unicast_gains=(0.5, 1.5),
