@@ -19,6 +19,7 @@ the boundary sweep all read them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,8 +30,8 @@ from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _log1p,
                           _precoder_factors, _se_report, se_from_sinr)
 from .errors import DegenerateInputError
 from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
-                    _estimation_variances, _freeze, _group_min, _group_sums, _per_member,
-                    _row_sums, _sizes, _views, require_valid)
+                    _estimation_variances, _freeze, _frozen_rows, _group_min, _group_sums,
+                    _per_member, _row_sums, _shared, _sizes, require_valid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,19 +258,28 @@ class _MmfProblem:
         """``solve_mmf``'s objective, one per drop."""
         return _solver_prelog(self.cfg) * _log1p(self._gamma(p_unicast_fixed)[1]) / LN2
 
+    @functools.cached_property
+    def _rows(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The one drop's pilot powers x/tau and pilot energies x, one frozen
+        view per group, which every solve's record shares."""
+        offsets = self.cfg.group_offsets
+        return (_frozen_rows(self.x_caps / self.cfg.n_streams, offsets),
+                _frozen_rows(self.x_caps, offsets))
+
     def solve(self, p_unicast_fixed: float) -> MmfSolution:
         """``solve_mmf`` on the one drop."""
         p_mu, gamma = self._gamma(p_unicast_fixed)
-        gamma, tau, offsets = float(gamma), self.cfg.n_streams, self.cfg.group_offsets
+        gamma = float(gamma)
+        pilot_powers, x_caps = self._rows
         return MmfSolution(
             precoder=self.precoder,
             objective=se_from_sinr(_solver_prelog(self.cfg), gamma),
-            pilot_length=tau,
-            uplink_pilot_powers=_views(self.x_caps / tau, offsets),
+            pilot_length=self.cfg.n_streams,
+            uplink_pilot_powers=pilot_powers,
             downlink_powers=p_mu * self.loads / self.spread,
             gamma=gamma,
             upsilon=self.upsilon,
-            x_caps=_views(self.x_caps, offsets),
+            x_caps=x_caps,
             b_values=self.b_values,
         )
 
@@ -294,7 +304,8 @@ def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
     loads = b_values - c * cfg.total_power
     if (loads <= 0.0).any():
         raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
-    return _MmfProblem(cfg, precoder, gain, upsilon, x_caps, b_values, loads, _row_sums(loads))
+    return _MmfProblem(cfg, precoder, gain, _shared(upsilon), x_caps, _shared(b_values), loads,
+                       _row_sums(loads))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,6 +330,12 @@ class _SseProblem:
         """``solve_sse``'s objective, one per drop."""
         return self._fill(p_multicast_fixed)[2]
 
+    @functools.cached_property
+    def _pilot_powers(self) -> np.ndarray:
+        """Full-cap pilot powers at the solvers' pilot length, which every
+        solve's record shares."""
+        return _shared(self.cfg.unicast_energy_caps / self.cfg.n_streams)
+
     def solve(self, p_multicast_fixed: float) -> SseSolution:
         """``solve_sse`` on the one drop."""
         levels, nu, objective = self._fill(p_multicast_fixed)
@@ -326,7 +343,7 @@ class _SseProblem:
             precoder=self.precoder,
             objective=float(objective),
             pilot_length=self.cfg.n_streams,
-            uplink_pilot_powers=self.cfg.unicast_energy_caps / self.cfg.n_streams,
+            uplink_pilot_powers=self._pilot_powers,
             downlink_powers=levels,
             water_level=float(nu),
             effective_vars=self.theta,
@@ -343,7 +360,8 @@ def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
                  precoder: str) -> _SseProblem:
     """The sum-SE problem of a validated pair (or config and stack)."""
     gain, c = _precoder_factors(cfg, precoder)
-    return _SseProblem(cfg, precoder, *_unicast_offsets(cfg, fading, gain, c))
+    theta, offsets = _unicast_offsets(cfg, fading, gain, c)
+    return _SseProblem(cfg, precoder, _shared(theta), offsets)
 
 
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
@@ -373,7 +391,8 @@ def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolut
            pilots_unicast, pilots_multicast, powers: DownlinkPowers) -> SeReport:
     """Closed-form SEs at the solution's pilot length and precoder, with the
     pair validated once for both the estimation and the SINR kernel."""
-    cfg_at = dataclasses.replace(cfg, pilot_length=sol.pilot_length)
+    cfg_at = (cfg if sol.pilot_length == cfg.pilot_length
+              else dataclasses.replace(cfg, pilot_length=sol.pilot_length))
     gain, c = _precoder_factors(cfg_at, sol.precoder)
     require_valid(cfg_at, fading)
     stats = _estimation_variances(cfg_at, fading, pilots_unicast, pilots_multicast)

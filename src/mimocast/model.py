@@ -30,12 +30,30 @@ from .errors import InvalidConfigError
 MIN_GAIN = 1e-300
 
 
+def _shared(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, returned as a view of itself, which the records
+    built from it store without copying (see ``_frozen_view``)."""
+    a.setflags(write=False)
+    return a.view()
+
+
+def _frozen_view(a) -> bool:
+    """Whether ``a`` is a read-only 1-D float64 view of a read-only array.
+    Neither can be made writeable through the view, so records share it."""
+    return (isinstance(a, np.ndarray) and not a.flags.writeable
+            and isinstance(a.base, np.ndarray) and not a.base.flags.writeable
+            and a.ndim == 1 and a.dtype == np.float64)
+
+
 def _vector(xs) -> np.ndarray:
-    """Read-only float64 copy of a flat sequence of numbers.
+    """Read-only float64 copy of a flat sequence of numbers, or the array
+    itself if it is a frozen view.
 
     Anything but a 1-D array is converted entry by entry with float(), so a
     non-numeric entry raises what float() raises.
     """
+    if _frozen_view(xs):
+        return xs
     if isinstance(xs, np.ndarray) and xs.ndim == 1:
         a = xs.astype(np.float64)
     else:
@@ -56,10 +74,28 @@ def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
+class _FrozenRows(tuple):
+    """One read-only view per group of the read-only float64 array ``flat``,
+    which ``_freeze`` stores as they are (see ``_frozen_rows``)."""
+
+    flat: np.ndarray
+
+
+def _frozen_rows(flat: np.ndarray, offsets: np.ndarray) -> _FrozenRows:
+    """``flat`` (1-D float64, owning its data) made read-only, as one view
+    per group."""
+    flat.setflags(write=False)
+    rows = _FrozenRows(_views(flat, offsets))
+    rows.flat = flat
+    return rows
+
+
 def _grouped(rows) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Rows of numbers as one read-only float64 array and a read-only view
-    per row.  Rows that are 1-D arrays are copied by the concatenation
-    alone; others go through ``_vector``."""
+    per row.  ``_FrozenRows`` are kept as they are; rows that are 1-D arrays
+    are copied by the concatenation alone; others go through ``_vector``."""
+    if isinstance(rows, _FrozenRows):
+        return rows.flat, tuple(rows)
     vectors = [row if isinstance(row, np.ndarray) and row.ndim == 1 else _vector(row)
                for row in rows]
     flat = (np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors

@@ -14,8 +14,14 @@ received power by that trial's sum.  Nothing is shared with the
 closed-form code path except the input parameters.
 
 Trials use independent counter-based sub-streams derived from
-(seed, trial index), so results are order-independent and bit-identical
-regardless of scheduling.
+(seed, trial index).  They run on worker threads, one per CPU the process
+may use (at most MAX_WORKERS), each reusing its own draw, channel and
+product buffers; numpy's random fills, ufuncs, BLAS and LAPACK release the
+GIL.  A trial enters the running sums only once every earlier trial has
+entered or been discarded, so the sums add in trial order and every result
+is bit-identical whatever the number of CPUs.  A trial that raises stops
+the run with the error of the lowest failing trial, as a serial loop would.
+With one usable CPU the trials run on the calling thread.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -150,23 +158,35 @@ def draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> Channel
     return _draw_channels(cfg, fading, rng_seed)
 
 
-def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """``draw_channels`` for a (cfg, fading) pair already validated.
+def _draw_buffers(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """What ``_draw_channels`` fills: the N x users channel matrix and room
+    for one block's real and imaginary parts."""
+    N, blocks = cfg.n_antennas, _ut_blocks(cfg)
+    return (np.empty((N, blocks[-1][1]), dtype=complex),
+            np.empty(2 * N * max(b - a for a, b in blocks)))
+
+
+def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed,
+                   buffers: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelDraw:
+    """``draw_channels`` for a (cfg, fading) pair already validated, into
+    ``buffers`` from ``_draw_buffers`` where given.
 
     Each block of UTs (the unicast UTs, then each group) draws its N x K
     real parts and then its N x K imaginary parts.  Scaling a part by
     1/sqrt(2) and then by the UT's sqrt(gain) gives the same bits as the
-    complex arithmetic (re + 1j*im) / sqrt(2) * sqrt(gain).
+    complex arithmetic (re + 1j*im) / sqrt(2) * sqrt(gain).  Drawing block
+    by block reads the generator's stream as one draw of every block would.
     """
     rng = np.random.default_rng(rng_seed)
     N = cfg.n_antennas
     amp = np.sqrt(np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]))
-    z = rng.standard_normal(2 * N * amp.size)
-    z *= 1.0 / math.sqrt(2.0)
-    H = np.empty((N, amp.size), dtype=complex)
     blocks = _ut_blocks(cfg)
+    H, z = buffers or _draw_buffers(cfg)
     for a, b in blocks:
-        re, im = z[2 * N * a:2 * N * b].reshape(2, N, b - a)
+        part = z[:2 * N * (b - a)]
+        rng.standard_normal(out=part)
+        part *= 1.0 / math.sqrt(2.0)
+        re, im = part.reshape(2, N, b - a)
         np.multiply(re, amp[a:b], out=H.real[:, a:b])
         np.multiply(im, amp[a:b], out=H.imag[:, a:b])
     return ChannelDraw(channels=H, unicast_channels=H[:, :cfg.n_unicast],
@@ -268,73 +288,222 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
 
 @dataclass(frozen=True)
 class _Trials:
-    """What the estimator reads from the kept trials, one row per UT in
-    ``ChannelDraw.channels`` order."""
+    """What the estimator reads from the kept trials, one row per formed UT
+    in ``ChannelDraw.channels`` order."""
 
-    desired: np.ndarray      # (users, n) complex: effective channel on the UT's own stream
-    received: np.ndarray     # (users, n): received power summed over all streams
-    power_sums: np.ndarray   # (users, streams): received power per stream, summed over trials
+    desired: np.ndarray      # (rows, n) complex: effective channel on the UT's own stream
+    received: np.ndarray     # (rows, n): received power summed over all streams
+    power_sums: np.ndarray   # (rows, streams): received power per stream, summed over trials
     n_kept: int
     n_discarded: int
+
+
+@dataclass(frozen=True)
+class _Job:
+    """What every trial of one run reads: the validated inputs, the pilot
+    powers as arrays, and the ranges of UT columns whose products are formed."""
+
+    cfg: SystemConfig
+    fading: FadingProfile
+    pilots_unicast: np.ndarray
+    pilots_multicast: tuple[np.ndarray, ...]
+    powers: DownlinkPowers
+    precoder: str
+    stats: EstimationStats
+    seed: int
+    rows: tuple[tuple[int, int], ...]
+    own: np.ndarray          # each formed row's own stream
+
+    @property
+    def n_rows(self) -> int:
+        return self.own.size
+
+
+class _Kernel:
+    """One worker's trial: draw, estimate, precode, form the products and
+    the per-stream powers, into buffers allocated once per worker."""
+
+    def __init__(self, job: _Job):
+        cfg = job.cfg
+        self.job = job
+        self.draw = _draw_buffers(cfg)
+        self.effective = np.empty((job.n_rows, cfg.n_streams), dtype=complex)
+        self.power = np.empty((job.n_rows, cfg.n_streams))
+        self.received = np.empty(job.n_rows)
+        self.desired = np.empty(job.n_rows, dtype=complex)
+
+    def __call__(self, t: int) -> bool:
+        """Run trial t; False when its draw lost rank and is discarded."""
+        job, cfg = self.job, self.job.cfg
+        rng = trial_rng(job.seed, t)
+        draw = _draw_channels(cfg, job.fading, rng, self.draw)
+        est = mmse_estimate(cfg, job.fading, job.pilots_unicast, job.pilots_multicast,
+                            draw, rng)
+        try:
+            if job.precoder == ZF:
+                V, W = build_zf_precoders(cfg, est, job.powers, job.stats)
+            else:
+                V, W = build_mrt_precoders(cfg, est, job.powers, job.stats)
+        except RankDeficientDraw:
+            return False
+
+        # h_u^H x_s for every formed UT u and stream s, one block of UTs
+        # times V or W at a time.  Each entry then rounds as in a per-group
+        # product; one product over all UTs and streams groups the sums
+        # differently, and the SINR denominator amplifies last-bit changes
+        # by up to the SINR.
+        U, row = cfg.n_unicast, 0
+        for a, b in job.rows:
+            hh = draw.channels[:, a:b].conj().T
+            self.effective[row:row + b - a, :U] = hh @ V
+            self.effective[row:row + b - a, U:] = hh @ W
+            row += b - a
+        np.abs(self.effective, out=self.power)
+        np.square(self.power, out=self.power)
+        self.power.sum(axis=1, out=self.received)
+        self.desired[:] = self.effective[np.arange(job.n_rows), job.own]
+        return True
+
+
+class _Sums:
+    """The run's accumulators, which trials enter in trial order."""
+
+    def __init__(self, job: _Job, n_trials: int):
+        self.desired = np.empty((job.n_rows, n_trials), dtype=complex)
+        self.received = np.empty((job.n_rows, n_trials))
+        self.power_sums = np.zeros((job.n_rows, job.cfg.n_streams))
+        self.kept = 0
+        self.discarded = 0
+
+    def commit(self, kernel: _Kernel, kept: bool) -> None:
+        if not kept:
+            self.discarded += 1
+            return
+        self.power_sums += kernel.power
+        self.received[:, self.kept] = kernel.received
+        self.desired[:, self.kept] = kernel.desired
+        self.kept += 1
+
+
+# Most worker threads one run uses.  Each worker holds its own channel,
+# draw and product buffers, about 3.4 MB at the paper cell (100 antennas,
+# 1050 UTs, 60 streams).
+MAX_WORKERS = 8
+
+
+def _worker_count(n_trials: int) -> int:
+    """Workers for a run: the CPUs this process may use, at most one per
+    trial and at most MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_trials, MAX_WORKERS))
+
+
+class _Turnstile:
+    """Hands out trials to worker threads and lets trial t commit only once
+    every trial before it has committed or been discarded.
+
+    A trial that raises stops the run when its turn comes, so the error kept
+    is the one from the lowest failing trial, as in a serial loop.
+    """
+
+    def __init__(self, sums: _Sums, n_trials: int):
+        self.sums = sums
+        self.n_trials = n_trials
+        self.cond = threading.Condition()
+        self.next_trial = 0
+        self.turn = 0
+        self.error: BaseException | None = None
+
+    def work(self, kernel: _Kernel) -> None:
+        t = None
+        try:
+            while True:
+                with self.cond:
+                    if self.error is not None or self.next_trial == self.n_trials:
+                        return
+                    t = self.next_trial
+                    self.next_trial += 1
+                kept = kernel(t)
+                with self.cond:
+                    self.cond.wait_for(lambda: self.turn == t or self.error is not None)
+                    if self.error is not None:
+                        return
+                    self.sums.commit(kernel, kept)
+                    self.turn += 1
+                    self.cond.notify_all()
+        except BaseException as e:
+            self.stop(e, t)
+
+    def stop(self, error: BaseException, t: int | None = None) -> None:
+        """Record ``error`` once every trial before t has committed (at once
+        for None), unless an earlier trial's error is recorded first."""
+        with self.cond:
+            self.cond.wait_for(lambda: t is None or self.turn >= t or self.error is not None)
+            if self.error is None:
+                self.error = error
+            self.cond.notify_all()
+
+    def run(self, kernels: list[_Kernel]) -> None:
+        started = []
+        try:
+            for i, kernel in enumerate(kernels):
+                thread = threading.Thread(target=self.work, args=(kernel,),
+                                          name=f"montecarlo-{i}")
+                thread.start()
+                started.append(thread)
+            for thread in started:
+                thread.join()
+        except BaseException as e:   # a worker did not start, or interrupted: stop the rest
+            self.stop(e)
+            for thread in started:
+                thread.join()
+            raise
+        if self.error is not None:
+            raise self.error
 
 
 def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                 pilot_powers_unicast, pilot_powers_multicast,
                 powers: DownlinkPowers, precoder: str,
-                n_trials: int, seed: int) -> _Trials:
+                n_trials: int, seed: int, target: int | None = None) -> _Trials:
+    """Run the trials and keep what the estimator reads, for every UT or,
+    with ``target``, for that one column of ``ChannelDraw.channels``.
+
+    Trials run on ``_worker_count`` workers, inline on the calling thread
+    when there is one, and enter the sums in trial order, so the result is
+    the same bits for any worker count.
+    """
     require_valid(cfg, fading)
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
 
     U = cfg.n_unicast
-    blocks = _ut_blocks(cfg)
-    users = blocks[-1][1]
     # Each UT's own stream: its unicast stream, or its group's.
     own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
-    every = np.arange(users)
-    desired = np.empty((users, n_trials), dtype=complex)
-    received = np.empty((users, n_trials))
-    power_sums = np.zeros((users, cfg.n_streams))
-    effective = np.empty((users, cfg.n_streams), dtype=complex)
+    rows = tuple(_ut_blocks(cfg)) if target is None else ((target, target + 1),)
+    job = _Job(cfg, fading, p, _views(q, cfg.group_offsets), powers, precoder, stats, seed,
+               rows, np.concatenate([own[a:b] for a, b in rows]))
+    sums = _Sums(job, n_trials)
+    kernels = [_Kernel(job) for _ in range(_worker_count(n_trials))]
+    if len(kernels) == 1:
+        for t in range(n_trials):
+            sums.commit(kernels[0], kernels[0](t))
+    else:
+        _Turnstile(sums, n_trials).run(kernels)
 
-    kept = 0
-    discarded = 0
-    for t in range(n_trials):
-        rng = trial_rng(seed, t)
-        draw = _draw_channels(cfg, fading, rng)
-        est = mmse_estimate(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                            draw, rng)
-        try:
-            if precoder == ZF:
-                V, W = build_zf_precoders(cfg, est, powers, stats)
-            else:
-                V, W = build_mrt_precoders(cfg, est, powers, stats)
-        except RankDeficientDraw:
-            discarded += 1
-            continue
-
-        # h_u^H x_s for every UT u and stream s, one block of UTs times V or
-        # W at a time.  Each entry then rounds as in a per-group product; one
-        # product over all UTs and streams groups the sums differently, and
-        # the SINR denominator amplifies last-bit changes by up to the SINR.
-        for a, b in blocks:
-            hh = draw.channels[:, a:b].conj().T
-            effective[a:b, :U] = hh @ V
-            effective[a:b, U:] = hh @ W
-        power = np.abs(effective) ** 2
-        power_sums += power
-        received[:, kept] = power.sum(axis=1)
-        desired[:, kept] = effective[every, own]
-        kept += 1
-
+    kept, discarded = sums.kept, sums.discarded
     if discarded:
         log.warning("discarded %d of %d trials (rank-deficient estimate matrix)",
                     discarded, n_trials)
     if kept < 2:
         raise DegenerateInputError("fewer than 2 usable trials")
-    return _Trials(desired=desired[:, :kept], received=received[:, :kept],
-                   power_sums=power_sums, n_kept=kept, n_discarded=discarded)
+    return _Trials(desired=sums.desired[:, :kept], received=sums.received[:, :kept],
+                   power_sums=sums.power_sums, n_kept=kept, n_discarded=discarded)
 
 
 def _sinr_from_means(des_mean: np.ndarray, power_mean: np.ndarray) -> np.ndarray:
@@ -394,17 +563,19 @@ def empirical_sinr(cfg: SystemConfig, fading: FadingProfile,
     """Monte Carlo estimate of one UT's effective SINR.
 
     kind/index select the target: ("unicast", m) or ("multicast", (j, k)).
+    Every trial draws, estimates and precodes for the whole cell, but forms
+    only the target's products, so memory grows with the trials alone.
     """
     if n_trials < 100:
         raise ValueError(f"need at least 100 trials, got {n_trials}")
-    u = _target_column(cfg, kind, index)
     trials = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                         powers, precoder, n_trials, seed)
+                         powers, precoder, n_trials, seed,
+                         target=_target_column(cfg, kind, index))
     n = trials.n_kept
-    sinr, se = _jackknife(trials, u, u + 1)
-    means = trials.power_sums[u] / n
+    sinr, se = _jackknife(trials, 0, 1)
+    means = trials.power_sums[0] / n
     return TrialStatistics(
-        desired_power_mean=abs(trials.desired[u].sum() / n) ** 2,
+        desired_power_mean=abs(trials.desired[0].sum() / n) ** 2,
         interference_unicast=tuple(means[:cfg.n_unicast].tolist()),
         interference_multicast=tuple(means[cfg.n_unicast:].tolist()),
         empirical_sinr=float(sinr[0]),

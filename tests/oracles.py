@@ -19,6 +19,11 @@ it streamed its trials: every per-trial inner product stored, then one
 jackknife per UT.  Its reports must agree with the streamed ones to
 rounding, and its complex-arithmetic channel draw bit for bit.
 
+The serial streamed section keeps the Monte Carlo trial loop as it was
+before trials ran on worker threads: one loop on the calling thread, each
+trial's arrays allocated afresh.  Reports built on it must equal the
+threaded ones byte for byte, whatever the worker count.
+
 The per-drop figure-grid section keeps the grid loop as it was before a
 cell's drops were placed and solved as one stack: one placement per drop,
 drawn block by block, then one ``solve_mmf`` or ``solve_sse`` call per
@@ -34,6 +39,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from mimocast import montecarlo
 from mimocast.cli import UsageError, _drop_seed, _fmt
 from mimocast.closed_form import PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
@@ -751,6 +757,67 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
         pass_rate=rate,
         passed=rate >= 0.99,
     )
+
+
+# ---------------------------------------- serial streamed Monte Carlo path
+
+
+def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
+                      pilot_powers_unicast, pilot_powers_multicast,
+                      powers: DownlinkPowers, precoder: str,
+                      n_trials: int, seed: int) -> montecarlo._Trials:
+    """``montecarlo._run_trials`` as one loop on the calling thread, every
+    trial's arrays allocated afresh.  It reads the per-trial steps through
+    the ``montecarlo`` module, so a test that replaces one of them there
+    replaces it here as well."""
+    require_valid(cfg, fading)
+    if precoder not in PRECODERS:
+        raise ValueError(f"unknown precoder {precoder!r}")
+    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+
+    U = cfg.n_unicast
+    blocks = montecarlo._ut_blocks(cfg)
+    users = blocks[-1][1]
+    own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
+    every = np.arange(users)
+    desired = np.empty((users, n_trials), dtype=complex)
+    received = np.empty((users, n_trials))
+    power_sums = np.zeros((users, cfg.n_streams))
+    effective = np.empty((users, cfg.n_streams), dtype=complex)
+
+    kept = 0
+    discarded = 0
+    for t in range(n_trials):
+        rng = montecarlo.trial_rng(seed, t)
+        draw = montecarlo._draw_channels(cfg, fading, rng)
+        est = montecarlo.mmse_estimate(cfg, fading, pilot_powers_unicast,
+                                       pilot_powers_multicast, draw, rng)
+        try:
+            if precoder == ZF:
+                V, W = montecarlo.build_zf_precoders(cfg, est, powers, stats)
+            else:
+                V, W = montecarlo.build_mrt_precoders(cfg, est, powers, stats)
+        except RankDeficientDraw:
+            discarded += 1
+            continue
+
+        for a, b in blocks:
+            hh = draw.channels[:, a:b].conj().T
+            effective[a:b, :U] = hh @ V
+            effective[a:b, U:] = hh @ W
+        power = np.abs(effective) ** 2
+        power_sums += power
+        received[:, kept] = power.sum(axis=1)
+        desired[:, kept] = effective[every, own]
+        kept += 1
+
+    if discarded:
+        log.warning("discarded %d of %d trials (rank-deficient estimate matrix)",
+                    discarded, n_trials)
+    if kept < 2:
+        raise DegenerateInputError("fewer than 2 usable trials")
+    return montecarlo._Trials(desired=desired[:, :kept], received=received[:, :kept],
+                              power_sums=power_sums, n_kept=kept, n_discarded=discarded)
 
 
 # --------------------------------------------------- per-drop figure grids

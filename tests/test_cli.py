@@ -373,14 +373,33 @@ class TestExitCodes:
         assert err.endswith("; … and 997 more multicast_energy_caps violations\n")
 
 
-def test_python_m_mimocast_runs_the_cli():
+def _python_m_mimocast(*argv, preexec_fn=None):
     src = str(Path(mimocast.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "mimocast", "--version"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "mimocast", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+
+
+def test_python_m_mimocast_runs_the_cli():
+    proc = _python_m_mimocast("--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"mimocast {mimocast.__version__}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity masks")
+@pytest.mark.parametrize("precoder", ["mrt", "zf"])
+def test_validate_bytes_do_not_depend_on_usable_cpus(scenario_path, tmp_path, precoder):
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outputs = []
+    for name, preexec_fn in (("all", None), ("one", lambda: os.sched_setaffinity(0, one_cpu))):
+        out = tmp_path / f"{name}.json"
+        proc = _python_m_mimocast("validate", "--scenario", scenario_path, "--precoder",
+                                  precoder, "--trials", 300, "--seed", 8, "--out", out,
+                                  preexec_fn=preexec_fn)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # sha256 of output files at fixed seeds, recorded before per-UT data moved

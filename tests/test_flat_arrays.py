@@ -63,6 +63,37 @@ class TestLayout:
         gains[0] = 9.0
         assert fading.unicast_gains.tolist() == [1.0, 2.0]
 
+    def test_constructor_keeps_only_views_nothing_writes_through(self):
+        base = np.array([1.0, 2.0, 3.0])
+        base.setflags(write=False)
+        frozen = base[1:]
+        assert FadingProfile(unicast_gains=frozen, multicast_gains=[[3.0]]).unicast_gains \
+            is frozen
+        # A read-only view of a writeable array, or a writeable view of a
+        # read-only one, could change under the record: both are copied.
+        open_base = np.array([1.0, 2.0])
+        read_only_view = open_base[:]
+        read_only_view.setflags(write=False)
+        closed_base = np.array([4.0, 5.0])
+        writeable_view = closed_base[:]
+        closed_base.setflags(write=False)
+        for gains, source in ((read_only_view, open_base), (writeable_view, writeable_view)):
+            kept = FadingProfile(unicast_gains=gains, multicast_gains=[[3.0]]).unicast_gains
+            before = kept.tolist()
+            source[0] = 9.0
+            assert kept.tolist() == before
+
+    def test_frozen_rows_are_kept_and_plain_rows_copied(self):
+        flat = np.arange(5.0)
+        rows = model._frozen_rows(flat, np.array([0, 2, 5]))
+        assert not flat.flags.writeable
+        kept_flat, kept = model._grouped(rows)
+        assert kept_flat is flat and type(kept) is tuple
+        assert all(a is b for a, b in zip(kept, rows))
+        copied_flat, copied = model._grouped(tuple(rows))
+        assert not np.shares_memory(copied_flat, flat)
+        assert [row.tolist() for row in copied] == [[0.0, 1.0], [2.0, 3.0, 4.0]]
+
     def test_equality_and_hash_follow_the_values(self):
         cfg, fading = desk_cell(5)
         same = SystemConfig.from_dict(cfg.to_dict())
@@ -317,6 +348,29 @@ class TestResultArrays:
         for x in (mmf.objective, mmf.gamma, sse.objective, sse.water_level, report.prelog,
                   point.p_unicast, point.p_multicast):
             assert type(x) is float
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_sweep_points_share_one_base_per_field(self, precoder):
+        cfg, fading = paper_cell(8)
+        points = sweep_boundary(cfg, fading, precoder, 21).points
+
+        def bases(point):
+            mmf, sse = point.mmf_solution, point.sse_solution
+            rows = (mmf.uplink_pilot_powers, mmf.x_caps)
+            assert all(len({id(row.base) for row in group}) == 1 for group in rows)
+            return [group[0].base for group in rows] + [
+                a.base for a in (mmf.upsilon, mmf.b_values, sse.uplink_pilot_powers,
+                                 sse.effective_vars)]
+
+        first = bases(points[0])
+        assert all(base is not None and not base.flags.writeable for base in first)
+        assert len({id(base) for base in first}) == len(first)
+        for point in points[1:]:
+            assert all(a is b for a, b in zip(bases(point), first))
+        # The shared pilot powers are what the solver reports.
+        x = np.concatenate(points[3].mmf_solution.x_caps)
+        assert np.concatenate(points[3].mmf_solution.uplink_pilot_powers).tolist() \
+            == (x / cfg.n_streams).tolist()
 
     def test_equality_hash_and_json_round_trip(self):
         cfg, fading = paper_cell(7)

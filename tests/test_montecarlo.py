@@ -1,5 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -476,3 +481,167 @@ class TestMemory:
 
         growth = (peak(800) - peak(200)) / 600 / (u + sum(sizes))
         assert growth <= 64.0, f"{growth:.1f} bytes per UT per trial"
+
+    def test_one_target_keeps_bytes_per_trial_not_per_ut(self, monkeypatch):
+        # Storing every UT's two numbers would cost 24 * 60 = 1440 bytes per
+        # trial.  One worker keeps the peak free of thread timing.
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
+        u, sizes = 20, (10,) * 4
+        cfg = make_config(n_unicast=u, group_sizes=sizes, pilot_length=u + len(sizes),
+                          n_antennas=64, cap=2.0)
+        rng = np.random.default_rng(1)
+        fading = FadingProfile(unicast_gains=rng.uniform(0.2, 1.5, u),
+                               multicast_gains=tuple(rng.uniform(0.2, 1.5, k) for k in sizes))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        powers = DownlinkPowers.equal_split(cfg.total_power / 2.0, u,
+                                            cfg.total_power / 2.0, len(sizes))
+
+        def peak(n_trials):
+            tracemalloc.start()
+            try:
+                empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
+                               "multicast", (2, 3), n_trials, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)
+        growth = (peak(2200) - peak(200)) / 2000
+        assert growth <= 256.0, f"{growth:.1f} bytes per trial"
+
+
+def fail_in_trials(monkeypatch, errors, delays=None):
+    """Make the precoder builders raise ``errors[t](...)`` in trial t, and
+    sleep ``delays[t]`` seconds before, on whichever thread runs trial t.
+    The serial oracle reads the same module attributes."""
+    local = threading.local()
+    trial_rng_ = montecarlo.trial_rng
+    delays = delays or {}
+
+    def tagged_rng(seed, t):
+        local.trial = t
+        return trial_rng_(seed, t)
+
+    monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
+    for name in ("build_mrt_precoders", "build_zf_precoders"):
+        def build(*args, _build=getattr(montecarlo, name)):
+            time.sleep(delays.get(local.trial, 0.0))
+            if local.trial in errors:
+                raise errors[local.trial](f"forced in trial {local.trial}")
+            return _build(*args)
+        monkeypatch.setattr(montecarlo, name, build)
+
+
+def report_bytes(report) -> bytes:
+    return json.dumps(report.to_dict(), sort_keys=True).encode()
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestWorkerThreads:
+    """Trials on worker threads against the serial loop (``oracles``,
+    serial streamed section), with the worker count forced."""
+
+    # The first trial, a run of neighbours and the last one.
+    DISCARDED = (0, 1, 2, 40, 41, 99)
+
+    @staticmethod
+    def cell(precoder):
+        cfg, fading = small_system(n_antennas=64, n_unicast=4, group_sizes=(3, 3))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers.equal_split(half, cfg.n_unicast, half, cfg.n_groups)
+        return cfg, fading, pilots_un, pilots_mu, powers, precoder
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_same_bytes_for_every_worker_count(self, monkeypatch, precoder):
+        args = (*self.cell(precoder), 100, 19)
+        # Trial-dependent delays let later trials finish before earlier ones.
+        fail_in_trials(monkeypatch, dict.fromkeys(self.DISCARDED, montecarlo.RankDeficientDraw),
+                       {t: 0.001 * (7 * t % 4) for t in range(100)})
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
+            runs[workers] = (montecarlo._run_trials(*args),
+                             report_bytes(validate_closed_form(*args)))
+        monkeypatch.setattr(montecarlo, "_run_trials", oracles.run_trials_serial)
+        serial = oracles.run_trials_serial(*args)
+        serial_bytes = report_bytes(validate_closed_form(*args))
+
+        assert (serial.n_kept, serial.n_discarded) == (100 - len(self.DISCARDED),
+                                                       len(self.DISCARDED))
+        for workers, (trials, report) in runs.items():
+            assert (trials.n_kept, trials.n_discarded) == (serial.n_kept, serial.n_discarded)
+            # Column order and the order of the power sums, bit for bit.
+            for name in ("desired", "received", "power_sums"):
+                assert np.array_equal(bits(getattr(trials, name)), bits(getattr(serial, name))), \
+                    (workers, name)
+            assert report == serial_bytes, workers
+
+    def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
+        args = (*self.cell("mrt"), 300, 23)
+        serial = oracles.run_trials_serial(*args)
+        monkeypatch.setattr(montecarlo, "_worker_count",
+                            lambda n_trials: min((os.cpu_count() or 1) + 3, 16))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trials = montecarlo._run_trials(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (trials.n_kept, trials.n_discarded) == (300, 0)
+        for name in ("desired", "received", "power_sums"):
+            assert np.array_equal(bits(getattr(trials, name)), bits(getattr(serial, name))), name
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_lowest_failing_trial_raises_and_no_thread_remains(self, monkeypatch, workers):
+        # Trial 23 fails as a degenerate input would, but only after trial
+        # 24 has already failed with another type.
+        args = (*self.cell("zf"), 100, 5)
+        fail_in_trials(monkeypatch, {3: montecarlo.RankDeficientDraw,
+                                     23: DegenerateInputError, 24: ValueError},
+                       {23: 0.05})
+        with pytest.raises(DegenerateInputError, match="trial 23"):
+            oracles.run_trials_serial(*args)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
+        before = threading.active_count()
+        with pytest.raises(DegenerateInputError, match="trial 23"):
+            validate_closed_form(*args)
+        assert threading.active_count() == before
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        validate_closed_form(*self.cell("mrt"), 100, 5)
+        assert started == []
+
+    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert montecarlo._worker_count(100) == 3
+        assert montecarlo._worker_count(2) == 2
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid: set(range(4 * montecarlo.MAX_WORKERS)))
+        assert montecarlo._worker_count(10_000) == montecarlo.MAX_WORKERS
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo._worker_count(100) == 1
+
+    def test_worker_that_cannot_start_stops_the_others(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 3)
+        start = threading.Thread.start
+        calls = []
+
+        def fail_third_start(self):
+            calls.append(self)
+            if len(calls) == 3:
+                raise RuntimeError("can't start new thread")
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", fail_third_start)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            validate_closed_form(*self.cell("mrt"), 100, 5)
+        assert threading.active_count() == before
