@@ -30,8 +30,8 @@ from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _log1p,
                           _precoder_factors, _se_report, se_from_sinr)
 from .errors import DegenerateInputError
 from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
-                    _estimation_variances, _freeze, _frozen_rows, _group_min, _group_sums,
-                    _per_member, _row_sums, _shared, _sizes, require_valid)
+                    _Shared, _estimation_variances, _freeze, _group_min, _group_sums,
+                    _per_member, _row_sums, _sizes, require_valid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,18 +259,18 @@ class _MmfProblem:
         return _solver_prelog(self.cfg) * _log1p(self._gamma(p_unicast_fixed)[1]) / LN2
 
     @functools.cached_property
-    def _rows(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """The one drop's pilot powers x/tau and pilot energies x, one frozen
-        view per group, which every solve's record shares."""
+    def _shared(self) -> tuple[_Shared, _Shared, _Shared, _Shared]:
+        """The one drop's pilot powers x/tau, pilot energies x, upsilon and
+        B_j, which every solve's record shares."""
         offsets = self.cfg.group_offsets
-        return (_frozen_rows(self.x_caps / self.cfg.n_streams, offsets),
-                _frozen_rows(self.x_caps, offsets))
+        return (_Shared(self.x_caps / self.cfg.n_streams, offsets),
+                _Shared(self.x_caps, offsets), _Shared(self.upsilon), _Shared(self.b_values))
 
     def solve(self, p_unicast_fixed: float) -> MmfSolution:
         """``solve_mmf`` on the one drop."""
         p_mu, gamma = self._gamma(p_unicast_fixed)
         gamma = float(gamma)
-        pilot_powers, x_caps = self._rows
+        pilot_powers, x_caps, upsilon, b_values = self._shared
         return MmfSolution(
             precoder=self.precoder,
             objective=se_from_sinr(_solver_prelog(self.cfg), gamma),
@@ -278,9 +278,9 @@ class _MmfProblem:
             uplink_pilot_powers=pilot_powers,
             downlink_powers=p_mu * self.loads / self.spread,
             gamma=gamma,
-            upsilon=self.upsilon,
+            upsilon=upsilon,
             x_caps=x_caps,
-            b_values=self.b_values,
+            b_values=b_values,
         )
 
     def power_for(self, objective: float) -> float:
@@ -304,8 +304,7 @@ def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
     loads = b_values - c * cfg.total_power
     if (loads <= 0.0).any():
         raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
-    return _MmfProblem(cfg, precoder, gain, _shared(upsilon), x_caps, _shared(b_values), loads,
-                       _row_sums(loads))
+    return _MmfProblem(cfg, precoder, gain, upsilon, x_caps, b_values, loads, _row_sums(loads))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,22 +330,23 @@ class _SseProblem:
         return self._fill(p_multicast_fixed)[2]
 
     @functools.cached_property
-    def _pilot_powers(self) -> np.ndarray:
-        """Full-cap pilot powers at the solvers' pilot length, which every
-        solve's record shares."""
-        return _shared(self.cfg.unicast_energy_caps / self.cfg.n_streams)
+    def _shared(self) -> tuple[_Shared, _Shared]:
+        """The one drop's full-cap pilot powers at the solvers' pilot length
+        and theta, which every solve's record shares."""
+        return _Shared(self.cfg.unicast_energy_caps / self.cfg.n_streams), _Shared(self.theta)
 
     def solve(self, p_multicast_fixed: float) -> SseSolution:
         """``solve_sse`` on the one drop."""
         levels, nu, objective = self._fill(p_multicast_fixed)
+        pilot_powers, theta = self._shared
         return SseSolution(
             precoder=self.precoder,
             objective=float(objective),
             pilot_length=self.cfg.n_streams,
-            uplink_pilot_powers=self._pilot_powers,
+            uplink_pilot_powers=pilot_powers,
             downlink_powers=levels,
             water_level=float(nu),
-            effective_vars=self.theta,
+            effective_vars=theta,
         )
 
     def power_for(self, objective: float) -> float:
@@ -360,8 +360,7 @@ def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
                  precoder: str) -> _SseProblem:
     """The sum-SE problem of a validated pair (or config and stack)."""
     gain, c = _precoder_factors(cfg, precoder)
-    theta, offsets = _unicast_offsets(cfg, fading, gain, c)
-    return _SseProblem(cfg, precoder, _shared(theta), offsets)
+    return _SseProblem(cfg, precoder, *_unicast_offsets(cfg, fading, gain, c))
 
 
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,

@@ -30,30 +30,15 @@ from .errors import InvalidConfigError
 MIN_GAIN = 1e-300
 
 
-def _shared(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only, returned as a view of itself, which the records
-    built from it store without copying (see ``_frozen_view``)."""
-    a.setflags(write=False)
-    return a.view()
-
-
-def _frozen_view(a) -> bool:
-    """Whether ``a`` is a read-only 1-D float64 view of a read-only array.
-    Neither can be made writeable through the view, so records share it."""
-    return (isinstance(a, np.ndarray) and not a.flags.writeable
-            and isinstance(a.base, np.ndarray) and not a.base.flags.writeable
-            and a.ndim == 1 and a.dtype == np.float64)
-
-
 def _vector(xs) -> np.ndarray:
-    """Read-only float64 copy of a flat sequence of numbers, or the array
-    itself if it is a frozen view.
+    """Read-only float64 copy of a flat sequence of numbers, or the view a
+    ``_Shared`` array carries.
 
     Anything but a 1-D array is converted entry by entry with float(), so a
     non-numeric entry raises what float() raises.
     """
-    if _frozen_view(xs):
-        return xs
+    if isinstance(xs, _Shared):
+        return xs.view
     if isinstance(xs, np.ndarray) and xs.ndim == 1:
         a = xs.astype(np.float64)
     else:
@@ -74,28 +59,28 @@ def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-class _FrozenRows(tuple):
-    """One read-only view per group of the read-only float64 array ``flat``,
-    which ``_freeze`` stores as they are (see ``_frozen_rows``)."""
+class _Shared:
+    """A float64 array the package computed, made read-only, which records
+    store without copying: as ``view`` for a flat field, or as ``rows``,
+    one view per group at ``offsets``, for a per-group field.  No view of a
+    read-only array can be made writeable.  Whatever else a record is given
+    it copies, so no caller's array is shared."""
 
-    flat: np.ndarray
+    __slots__ = ("view", "rows")
 
-
-def _frozen_rows(flat: np.ndarray, offsets: np.ndarray) -> _FrozenRows:
-    """``flat`` (1-D float64, owning its data) made read-only, as one view
-    per group."""
-    flat.setflags(write=False)
-    rows = _FrozenRows(_views(flat, offsets))
-    rows.flat = flat
-    return rows
+    def __init__(self, array: np.ndarray, offsets: np.ndarray | None = None):
+        array.setflags(write=False)
+        self.view = array.view()
+        self.rows = None if offsets is None else _views(array, offsets)
 
 
 def _grouped(rows) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Rows of numbers as one read-only float64 array and a read-only view
-    per row.  ``_FrozenRows`` are kept as they are; rows that are 1-D arrays
-    are copied by the concatenation alone; others go through ``_vector``."""
-    if isinstance(rows, _FrozenRows):
-        return rows.flat, tuple(rows)
+    per row.  A ``_Shared`` array's views are kept as they are; rows that
+    are 1-D arrays are copied by the concatenation alone; others go through
+    ``_vector``."""
+    if isinstance(rows, _Shared):
+        return rows.view, rows.rows
     vectors = [row if isinstance(row, np.ndarray) and row.ndim == 1 else _vector(row)
                for row in rows]
     flat = (np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors

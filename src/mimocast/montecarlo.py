@@ -327,7 +327,8 @@ class _Kernel:
         cfg = job.cfg
         self.job = job
         self.draw = _draw_buffers(cfg)
-        self.effective = np.empty((job.n_rows, cfg.n_streams), dtype=complex)
+        self.effective = np.empty((max(b - a for a, b in job.rows), cfg.n_streams),
+                                  dtype=complex)
         self.power = np.empty((job.n_rows, cfg.n_streams))
         self.received = np.empty(job.n_rows)
         self.desired = np.empty(job.n_rows, dtype=complex)
@@ -351,17 +352,19 @@ class _Kernel:
         # times V or W at a time.  Each entry then rounds as in a per-group
         # product; one product over all UTs and streams groups the sums
         # differently, and the SINR denominator amplifies last-bit changes
-        # by up to the SINR.
+        # by up to the SINR.  Only the block's products are held at once.
         U, row = cfg.n_unicast, 0
         for a, b in job.rows:
+            rows = slice(row, row + b - a)
             hh = draw.channels[:, a:b].conj().T
-            self.effective[row:row + b - a, :U] = hh @ V
-            self.effective[row:row + b - a, U:] = hh @ W
-            row += b - a
-        np.abs(self.effective, out=self.power)
-        np.square(self.power, out=self.power)
-        self.power.sum(axis=1, out=self.received)
-        self.desired[:] = self.effective[np.arange(job.n_rows), job.own]
+            effective, power = self.effective[:b - a], self.power[rows]
+            effective[:, :U] = hh @ V
+            effective[:, U:] = hh @ W
+            np.abs(effective, out=power)
+            np.square(power, out=power)
+            power.sum(axis=1, out=self.received[rows])
+            self.desired[rows] = effective[np.arange(b - a), job.own[rows]]
+            row = rows.stop
         return True
 
 
@@ -386,9 +389,11 @@ class _Sums:
 
 
 # Most worker threads one run uses.  Each worker holds its own channel,
-# draw and product buffers, about 3.4 MB at the paper cell (100 antennas,
-# 1050 UTs, 60 streams).
-MAX_WORKERS = 8
+# draw and product buffers, about 2.5 MB at the paper cell (100 antennas,
+# 1050 UTs, 60 streams), and adds about 3.1 MB to the peak RSS of a
+# 200-trial validation there with its trial's temporaries: 3 workers stay
+# within 5% of the serial loop's peak, 4 exceed it.
+MAX_WORKERS = 3
 
 
 def _worker_count(n_trials: int) -> int:

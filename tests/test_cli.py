@@ -373,12 +373,12 @@ class TestExitCodes:
         assert err.endswith("; … and 997 more multicast_energy_caps violations\n")
 
 
-def _python_m_mimocast(*argv, preexec_fn=None):
+def _python_m_mimocast(*argv, timeout=60, preexec_fn=None):
     src = str(Path(mimocast.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "mimocast", *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def test_python_m_mimocast_runs_the_cli():
@@ -396,7 +396,7 @@ def test_validate_bytes_do_not_depend_on_usable_cpus(scenario_path, tmp_path, pr
         out = tmp_path / f"{name}.json"
         proc = _python_m_mimocast("validate", "--scenario", scenario_path, "--precoder",
                                   precoder, "--trials", 300, "--seed", 8, "--out", out,
-                                  preexec_fn=preexec_fn)
+                                  timeout=120, preexec_fn=preexec_fn)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

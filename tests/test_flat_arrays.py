@@ -63,34 +63,34 @@ class TestLayout:
         gains[0] = 9.0
         assert fading.unicast_gains.tolist() == [1.0, 2.0]
 
-    def test_constructor_keeps_only_views_nothing_writes_through(self):
+    def test_constructor_copies_frozen_views_of_caller_arrays(self):
+        # A read-only view of a read-only base is still the caller's: once
+        # the base is made writeable again, writing to it must not reach
+        # the record.
         base = np.array([1.0, 2.0, 3.0])
         base.setflags(write=False)
-        frozen = base[1:]
-        assert FadingProfile(unicast_gains=frozen, multicast_gains=[[3.0]]).unicast_gains \
-            is frozen
-        # A read-only view of a writeable array, or a writeable view of a
-        # read-only one, could change under the record: both are copied.
-        open_base = np.array([1.0, 2.0])
-        read_only_view = open_base[:]
-        read_only_view.setflags(write=False)
-        closed_base = np.array([4.0, 5.0])
-        writeable_view = closed_base[:]
-        closed_base.setflags(write=False)
-        for gains, source in ((read_only_view, open_base), (writeable_view, writeable_view)):
-            kept = FadingProfile(unicast_gains=gains, multicast_gains=[[3.0]]).unicast_gains
-            before = kept.tolist()
-            source[0] = 9.0
-            assert kept.tolist() == before
+        gains = base[1:]
+        rows = [base[:1]]
+        fading = FadingProfile(unicast_gains=gains, multicast_gains=rows)
+        assert not np.shares_memory(fading.unicast_gains, base)
+        assert not np.shares_memory(fading.multicast_gains_flat, base)
+        base.setflags(write=True)
+        base[:] = 9.0
+        assert fading.unicast_gains.tolist() == [2.0, 3.0]
+        assert fading.multicast_gains_flat.tolist() == [1.0]
 
-    def test_frozen_rows_are_kept_and_plain_rows_copied(self):
+    def test_shared_arrays_are_kept_as_read_only_views(self):
         flat = np.arange(5.0)
-        rows = model._frozen_rows(flat, np.array([0, 2, 5]))
+        shared = model._Shared(flat, np.array([0, 2, 5]))
         assert not flat.flags.writeable
-        kept_flat, kept = model._grouped(rows)
-        assert kept_flat is flat and type(kept) is tuple
-        assert all(a is b for a, b in zip(kept, rows))
-        copied_flat, copied = model._grouped(tuple(rows))
+        kept_flat, kept = model._grouped(shared)
+        assert kept_flat is shared.view and kept_flat.base is flat
+        assert all(row.base is flat for row in kept)
+        assert [row.tolist() for row in kept] == [[0.0, 1.0], [2.0, 3.0, 4.0]]
+        assert model._vector(shared) is shared.view
+        with pytest.raises(ValueError):
+            kept[0].setflags(write=True)
+        copied_flat, copied = model._grouped(tuple(kept))
         assert not np.shares_memory(copied_flat, flat)
         assert [row.tolist() for row in copied] == [[0.0, 1.0], [2.0, 3.0, 4.0]]
 
