@@ -11,9 +11,10 @@ alike (the precoder only sets the array gain and interference factors):
 Both solvers spend the entire remaining downlink budget and use the
 shortest feasible pilot length; the max-min optimum equalizes every
 multicast UT's SE.  Each problem's split-independent pieces are worked out
-once (``_mmf_problem``, ``_sse_problem``), for one drop or a FadingStack;
-the solve at a split, every drop's objective, the objective's inverse and
-the boundary sweep all read them.
+once, for one drop or a FadingStack: those no precoder changes
+(``_mmf_pieces``, ``_sse_pieces``), then the precoder's own step
+(``_mmf_problem``, ``_sse_problem``).  The solve at a split, every drop's
+objective, the objective's inverse and the boundary sweep all read them.
 """
 
 from __future__ import annotations
@@ -212,16 +213,22 @@ def _solver_prelog(cfg: SystemConfig) -> float:
     return 1.0 - cfg.n_streams / cfg.coherence_length
 
 
-def _unicast_offsets(cfg: SystemConfig, fading: FadingProfile | FadingStack, gain: int, c: float):
-    """Full-cap estimate variances theta and the water-filling offsets
-    (1 + (beta - c*theta)*P) / (gain*theta), neither depending on the split."""
+def _unicast_theta(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> np.ndarray:
+    """Full-cap estimate variances theta, which no precoder changes."""
     if cfg.n_unicast == 0:
         raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
     e, b = cfg.unicast_energy_caps, fading.unicast_gains
     theta = e * b * b / (1.0 + e * b)
     if not theta.all():
         raise DegenerateInputError("a unicast UT's estimate variance underflows to zero")
-    return theta, (1.0 + (b - c * theta) * cfg.total_power) / (gain * theta)
+    return theta
+
+
+def _unicast_offsets(cfg: SystemConfig, gains: np.ndarray, theta: np.ndarray, gain: int,
+                     c: float) -> np.ndarray:
+    """The water-filling offsets (1 + (beta - c*theta)*P) / (gain*theta)
+    under the precoder's factors; the split leaves them alone."""
+    return (1.0 + (gains - c * theta) * cfg.total_power) / (gain * theta)
 
 
 def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
@@ -233,21 +240,50 @@ def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class _MmfProblem:
-    """The max-min problem of a validated drop, or of every drop of a
-    FadingStack, with everything that does not depend on the power split
-    worked out once: group floors upsilon_j, pilot energies (flat), loads
-    B_j, the precoder's effective loads B_j - c*P and their sum, one per
-    drop."""
+class _MmfPieces:
+    """What the max-min problem of a validated drop, or of every drop of a
+    FadingStack, needs under any precoder: group floors upsilon_j, pilot
+    energies (flat) and loads B_j."""
 
     cfg: SystemConfig
-    precoder: str
-    gain: int
     upsilon: np.ndarray
     x_caps: np.ndarray
     b_values: np.ndarray
+
+    def problem(self, precoder: str) -> _MmfProblem:
+        """The problem under the precoder, which adds only its factors."""
+        gain, c = _precoder_factors(self.cfg, precoder)
+        # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
+        # loads below cannot vanish for a valid config; guard anyway.
+        loads = self.b_values - c * self.cfg.total_power
+        if (loads <= 0.0).any():
+            raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
+        return _MmfProblem(self, precoder, gain, loads, _row_sums(loads))
+
+
+def _mmf_pieces(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> _MmfPieces:
+    """The max-min pieces of a validated pair (or config and stack)."""
+    if cfg.n_groups == 0:
+        raise DegenerateInputError("max-min multicast needs at least one group")
+    upsilon, x_caps = _group_quality_floors(cfg, fading)
+    return _MmfPieces(cfg, upsilon, x_caps, _interference_loads(cfg, fading, upsilon))
+
+
+@dataclass(frozen=True, eq=False)
+class _MmfProblem:
+    """The max-min problem under one precoder, with everything that does
+    not depend on the power split worked out once: the pieces, the
+    precoder's effective loads B_j - c*P and their sum, one per drop."""
+
+    pieces: _MmfPieces
+    precoder: str
+    gain: int
     loads: np.ndarray
     spread: np.ndarray
+
+    @property
+    def cfg(self) -> SystemConfig:
+        return self.pieces.cfg
 
     def _gamma(self, p_unicast_fixed: float):
         """The multicast power and the SINR gain*p_mu / sum_j (B_j - c*P)."""
@@ -262,9 +298,9 @@ class _MmfProblem:
     def _shared(self) -> tuple[_Shared, _Shared, _Shared, _Shared]:
         """The one drop's pilot powers x/tau, pilot energies x, upsilon and
         B_j, which every solve's record shares."""
-        offsets = self.cfg.group_offsets
-        return (_Shared(self.x_caps / self.cfg.n_streams, offsets),
-                _Shared(self.x_caps, offsets), _Shared(self.upsilon), _Shared(self.b_values))
+        p, offsets = self.pieces, self.cfg.group_offsets
+        return (_Shared(p.x_caps / self.cfg.n_streams, offsets),
+                _Shared(p.x_caps, offsets), _Shared(p.upsilon), _Shared(p.b_values))
 
     def solve(self, p_unicast_fixed: float) -> MmfSolution:
         """``solve_mmf`` on the one drop."""
@@ -294,29 +330,45 @@ class _MmfProblem:
 def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
                  precoder: str) -> _MmfProblem:
     """The max-min problem of a validated pair (or config and stack)."""
-    gain, c = _precoder_factors(cfg, precoder)
-    if cfg.n_groups == 0:
-        raise DegenerateInputError("max-min multicast needs at least one group")
-    upsilon, x_caps = _group_quality_floors(cfg, fading)
-    b_values = _interference_loads(cfg, fading, upsilon)
-    # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
-    # loads below cannot vanish for a valid config; guard anyway.
-    loads = b_values - c * cfg.total_power
-    if (loads <= 0.0).any():
-        raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
-    return _MmfProblem(cfg, precoder, gain, upsilon, x_caps, b_values, loads, _row_sums(loads))
+    _precoder_factors(cfg, precoder)   # a precoder error comes before the pieces' own
+    return _mmf_pieces(cfg, fading).problem(precoder)
+
+
+@dataclass(frozen=True, eq=False)
+class _SsePieces:
+    """What the sum-SE problem of a validated drop, or of every drop of a
+    FadingStack, needs under any precoder: the unicast gains and the
+    full-cap estimate variances theta."""
+
+    cfg: SystemConfig
+    gains: np.ndarray
+    theta: np.ndarray
+
+    def problem(self, precoder: str) -> _SseProblem:
+        """The problem under the precoder, whose factors set the
+        water-filling offsets."""
+        gain, c = _precoder_factors(self.cfg, precoder)
+        return _SseProblem(self, precoder,
+                           _unicast_offsets(self.cfg, self.gains, self.theta, gain, c))
+
+
+def _sse_pieces(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> _SsePieces:
+    """The sum-SE pieces of a validated pair (or config and stack)."""
+    return _SsePieces(cfg, fading.unicast_gains, _unicast_theta(cfg, fading))
 
 
 @dataclass(frozen=True, eq=False)
 class _SseProblem:
-    """The sum-SE problem of a validated drop, or of every drop of a
-    FadingStack, with the full-cap estimate variances theta and the
-    water-filling offsets worked out once."""
+    """The sum-SE problem under one precoder: the pieces and the
+    water-filling offsets, worked out once."""
 
-    cfg: SystemConfig
+    pieces: _SsePieces
     precoder: str
-    theta: np.ndarray
     offsets: np.ndarray
+
+    @property
+    def cfg(self) -> SystemConfig:
+        return self.pieces.cfg
 
     def _fill(self, p_multicast_fixed: float):
         """Water-filled levels, water levels and objectives, one per drop."""
@@ -333,7 +385,8 @@ class _SseProblem:
     def _shared(self) -> tuple[_Shared, _Shared]:
         """The one drop's full-cap pilot powers at the solvers' pilot length
         and theta, which every solve's record shares."""
-        return _Shared(self.cfg.unicast_energy_caps / self.cfg.n_streams), _Shared(self.theta)
+        return (_Shared(self.cfg.unicast_energy_caps / self.cfg.n_streams),
+                _Shared(self.pieces.theta))
 
     def solve(self, p_multicast_fixed: float) -> SseSolution:
         """``solve_sse`` on the one drop."""
@@ -359,8 +412,8 @@ class _SseProblem:
 def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
                  precoder: str) -> _SseProblem:
     """The sum-SE problem of a validated pair (or config and stack)."""
-    gain, c = _precoder_factors(cfg, precoder)
-    return _SseProblem(cfg, precoder, *_unicast_offsets(cfg, fading, gain, c))
+    _precoder_factors(cfg, precoder)   # a precoder error comes before the pieces' own
+    return _sse_pieces(cfg, fading).problem(precoder)
 
 
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,

@@ -340,8 +340,83 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} must be comma-separated integers: {e}") from e
 
 
-def _drop_seed(seed: int, cell: int, drop: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(cell, drop))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
+# mix_entropy, generate_state), a documented and stable stream contract.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix of a word (a Python int or a uint32 array)
+    and the hash constant it passes on; constants stay Python ints."""
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_word(pool: list, word, const):
+    """Mix one entropy word into every pool word, as mix_entropy does with
+    the words past the pool size."""
+    for i in range(len(pool)):
+        h, const = _hashmix(word, const)
+        pool[i] = _mix(pool[i], h)
+    return const
+
+
+def _drop_states(seed: int, n_cells: int, n_drops: int) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(cell, drop)).generate_state(4,
+    np.uint64)`` of every cell and drop, as a (cells, drops, 4) array.
+
+    A spawn key pads the seed's 32-bit words with zeros to the pool size
+    (4) and follows them, so every drop shares the pool the seed's own
+    words mix into: that part runs once, on Python ints.  The cell and drop
+    words and the state that follows run on uint32 arrays (which wrap, as
+    the hash does) over every cell and drop at once.
+    """
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool, const = [], _INIT_A
+    for w in words[:4]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[4:]:
+        const = _mix_word(pool, w, const)
+    const = _mix_word(pool, np.arange(n_cells, dtype=np.uint32)[:, None], const)
+    _mix_word(pool, np.arange(n_drops, dtype=np.uint32), const)
+    state, const = np.empty((n_cells, n_drops, 8), dtype="<u4"), _INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        v = v * const & _MASK32
+        state[..., i] = v ^ v >> 16
+    # As generate_state does: word pairs read as little-endian uint64s.
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+class _DropSeed(np.random.bit_generator.ISeedSequence):
+    """One drop's seed: the words its SeedSequence would generate for
+    PCG64, which asks for exactly ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a drop seed only holds the 4 uint64 words PCG64 reads")
+        return self.state
 
 
 def _place(n_unicast: int, group_sizes, seeds) -> FadingStack:
@@ -352,26 +427,31 @@ def _place(n_unicast: int, group_sizes, seeds) -> FadingStack:
         raise UsageError(str(e)) from e
 
 
-def _drop_means(args, seed, cfgs, problem) -> list[list[tuple[str, str, bool]]]:
+def _drop_means(args, seed, grid, config, pieces) -> list[list[tuple[str, str, bool]]]:
     """Per grid cell, (precoder, mean objective, feasible) for each precoder.
 
-    Each cell averages the objective at an even power split over args.drops
-    user placements; a precoder the cell cannot support is flagged
-    infeasible with a zero mean.  A cell's drops are placed as one stack,
-    validated once and solved in one pass per precoder through ``problem``
-    (``allocation._mmf_problem`` or ``_sse_problem``).
+    Cell c is ``config(*grid[c])``; it averages the objective at an even
+    power split over args.drops user placements, drop d placed from
+    ``SeedSequence(entropy=seed, spawn_key=(c, d))``.  A precoder the cell
+    cannot support is flagged infeasible with a zero mean.  The seeds of
+    every drop come from one pass (``_drop_states``).  A cell's drops are
+    placed as one stack, validated once, and ``pieces``
+    (``allocation._mmf_pieces`` or ``_sse_pieces``) works out what both
+    precoders share; each precoder then adds its own step and solves every
+    drop in one pass.
     """
     if args.drops < 1:
         raise UsageError(f"--drops must be at least 1, got {args.drops}")
     cells = []
-    for cell, cfg in enumerate(cfgs):
-        drops = _place(cfg.n_unicast, cfg.group_sizes,
-                       [_drop_seed(seed, cell, d) for d in range(args.drops)])
-        require_valid_drops(cfg, drops)
+    for point, states in zip(grid, _drop_states(seed, len(grid), args.drops)):
+        cfg = config(*point)
+        drops = require_valid_drops(cfg, _place(cfg.n_unicast, cfg.group_sizes,
+                                                [_DropSeed(s) for s in states]))
+        shared = pieces(cfg, drops)
         row = []
         for prec in PRECODERS:
             try:
-                vals = problem(cfg, drops, prec).objectives(cfg.total_power / 2.0).tolist()
+                vals = shared.problem(prec).objectives(cfg.total_power / 2.0).tolist()
             except ZfInfeasibleError:
                 vals = []
             row.append((prec, _fmt(sum(vals) / len(vals) if vals else 0.0), bool(vals)))
@@ -385,11 +465,13 @@ def _figure_rows_fig2(args, seed):
     g_list = [_group_count(g, "--g-list") for g in _int_list(args.g_list, "--g-list")]
     k_list = _int_list(args.k_list, "--k-list")
     grid = [(n, g, k) for n in n_list for g in g_list for k in k_list]
-    cfgs = (default_normalized_config(n, args.coherence, args.unicast, (k,) * g)
-            for n, g, k in grid)
+
+    def config(n, g, k):
+        return default_normalized_config(n, args.coherence, args.unicast, (k,) * g)
+
     rows = [[args.figure, prec, n, g, k, args.unicast, args.drops, mean, feasible]
-            for (n, g, k), cell in zip(grid, _drop_means(args, seed, cfgs,
-                                                         allocation._mmf_problem))
+            for (n, g, k), cell in zip(grid, _drop_means(args, seed, grid, config,
+                                                         allocation._mmf_pieces))
             for prec, mean, feasible in cell]
     header = ["figure", "precoder", "n_antennas", "n_groups", "group_size",
               "n_unicast", "drops", "mmf_se", "feasible"]
@@ -402,11 +484,14 @@ def _figure_rows_fig3(args, seed):
     u_list = _int_list(args.u_list, "--u-list")
     sizes = (args.group_size,) * _group_count(args.groups, "--groups")
     grid = [(n, u) for n in n_list for u in u_list]
-    cfgs = (default_normalized_config(n, args.coherence, u, sizes) for n, u in grid)
+
+    def config(n, u):
+        return default_normalized_config(n, args.coherence, u, sizes)
+
     rows = [[args.figure, prec, n, u, args.groups, args.group_size, args.drops,
              mean, feasible]
-            for (n, u), cell in zip(grid, _drop_means(args, seed, cfgs,
-                                                      allocation._sse_problem))
+            for (n, u), cell in zip(grid, _drop_means(args, seed, grid, config,
+                                                      allocation._sse_pieces))
             for prec, mean, feasible in cell]
     header = ["figure", "precoder", "n_antennas", "n_unicast", "n_groups",
               "group_size", "drops", "sse", "feasible"]

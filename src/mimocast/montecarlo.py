@@ -37,10 +37,11 @@ from typing import Sequence
 import numpy as np
 
 from . import closed_form
-from .closed_form import PRECODERS, ZF, DownlinkPowers, require_zf_feasible
+from .closed_form import (PRECODERS, ZF, DownlinkPowers, _precoder_factors,
+                          require_zf_feasible)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _estimation_variances,
-                    _pilot_arrays, _views, estimation_variances, require_valid)
+                    _pilot_arrays, _views, require_valid)
 
 log = logging.getLogger(__name__)
 
@@ -296,6 +297,7 @@ class _Trials:
     power_sums: np.ndarray   # (rows, streams): received power per stream, summed over trials
     n_kept: int
     n_discarded: int
+    stats: EstimationStats   # the estimate variances every trial's precoders read
 
 
 @dataclass(frozen=True)
@@ -508,7 +510,8 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     if kept < 2:
         raise DegenerateInputError("fewer than 2 usable trials")
     return _Trials(desired=sums.desired[:, :kept], received=sums.received[:, :kept],
-                   power_sums=sums.power_sums, n_kept=kept, n_discarded=discarded)
+                   power_sums=sums.power_sums, n_kept=kept, n_discarded=discarded,
+                   stats=job.stats)
 
 
 def _sinr_from_means(des_mean: np.ndarray, power_mean: np.ndarray) -> np.ndarray:
@@ -601,8 +604,9 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
         raise ValueError(f"need at least 100 trials, got {n_trials}")
     trials = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
                          powers, precoder, n_trials, seed)
-    stats = estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
-    closed = closed_form.se_report(cfg, stats, fading, powers, precoder)
+    # _run_trials validated the pair and worked out the estimate variances.
+    gain, c = _precoder_factors(cfg, precoder)
+    closed = closed_form._se_report(cfg, trials.stats, fading, powers, gain, c)
 
     # One pass per block of UTs keeps the temporaries at trials x block size.
     empirical, se = (np.concatenate(parts) for parts in

@@ -99,17 +99,13 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _draw_drops(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[int],
-                seeds: Sequence) -> np.ndarray:
-    """Polar positions (radius m, angle rad) of every UT, one placement per
-    seed, as a (seeds, users, 2) array: the unicast UTs, then each group.
+def _unit_draws(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[int],
+                seeds: Sequence) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each seed's ``rng.random(2 * users)`` row, one row per seed, with the
+    columns that hold the radius draws and the block sizes.
 
-    Each seed gets its own generator and one ``rng.random(2 * users)``
-    call.  Block by block (the unicast UTs, then each group) the draw gives
-    that block's squared radii and then its angles, mapped as
-    ``rng.uniform`` maps them, so a placement equals one drawn with two
-    ``rng.uniform`` calls per block, bit for bit.  Uniform over area: the
-    radius is the sqrt of a uniform draw on squared radii.
+    Block by block (the unicast UTs, then each group) a row gives that
+    block's squared-radius draws and then its angle draws.
     """
     geometry.validate()
     if n_unicast < 0 or any(k < 1 for k in group_sizes):
@@ -118,15 +114,32 @@ def _draw_drops(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[in
     n = sum(sizes)
     u = np.empty((len(seeds), 2 * n))
     for row, seed in zip(u, seeds):
-        row[:] = np.random.default_rng(seed).random(2 * n)
+        np.random.default_rng(seed).random(out=row)
     # A block starting at UT s with b UTs holds draws [2s, 2s + 2b): its
     # radii, then its angles.
-    radii = np.arange(n) + np.repeat(_offsets(sizes)[:-1], sizes)
-    angles = radii + np.repeat(sizes, sizes)
-    polar = np.empty((len(seeds), n, 2))
-    polar[..., 0] = np.sqrt(_uniform(u[:, radii], geometry.exclusion_radius ** 2,
-                                     geometry.cell_radius ** 2))
-    polar[..., 1] = _uniform(u[:, angles], 0.0, 2.0 * math.pi)
+    return u, np.arange(n) + np.repeat(_offsets(sizes)[:-1], sizes), sizes
+
+
+def _radii(geometry: CellGeometry, u: np.ndarray) -> np.ndarray:
+    """Radii from draws u in [0, 1): uniform over area, so the sqrt of a
+    uniform draw on squared radii, mapped as ``rng.uniform`` maps it."""
+    return np.sqrt(_uniform(u, geometry.exclusion_radius ** 2, geometry.cell_radius ** 2))
+
+
+def _draw_drops(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[int],
+                seeds: Sequence) -> np.ndarray:
+    """Polar positions (radius m, angle rad) of every UT, one placement per
+    seed, as a (seeds, users, 2) array: the unicast UTs, then each group.
+
+    Each seed gets its own generator and one ``rng.random(2 * users)``
+    call, mapped as ``rng.uniform`` maps its draws, so a placement equals
+    one drawn with two ``rng.uniform`` calls per block (radii, then angles),
+    bit for bit.
+    """
+    u, radii, sizes = _unit_draws(geometry, n_unicast, group_sizes, seeds)
+    polar = np.empty((len(seeds), radii.size, 2))
+    polar[..., 0] = _radii(geometry, u[:, radii])
+    polar[..., 1] = _uniform(u[:, radii + np.repeat(sizes, sizes)], 0.0, 2.0 * math.pi)
     return polar
 
 
@@ -140,8 +153,10 @@ def place_drops(geometry: CellGeometry,
                 group_sizes: Sequence[int],
                 seeds: Sequence) -> FadingStack:
     """The fading gains of one placement per seed, stacked: row d holds the
-    gains ``place_users(geometry, n_unicast, group_sizes, seeds[d])`` gives."""
-    gains = _gains(geometry, _draw_drops(geometry, n_unicast, group_sizes, seeds)[..., 0])
+    gains ``place_users(geometry, n_unicast, group_sizes, seeds[d])`` gives.
+    Only the radii are mapped; the angles feed nothing here."""
+    u, radii, _ = _unit_draws(geometry, n_unicast, group_sizes, seeds)
+    gains = _gains(geometry, _radii(geometry, u[:, radii]))
     return FadingStack(unicast_gains=gains[:, :n_unicast],
                        multicast_gains_flat=gains[:, n_unicast:],
                        group_offsets=_offsets(group_sizes))
@@ -171,14 +186,19 @@ def noise_power_w_per_hz(radio: RadioParams) -> float:
     return 10.0 ** ((radio.noise_psd_dbm_hz - 30.0) / 10.0)
 
 
+def _noise_scale(radio: RadioParams) -> float:
+    """Factor taking watts to the unit-noise scale: 1 / (bandwidth * noise PSD)."""
+    radio.validate()
+    return 1.0 / (radio.bandwidth_hz * noise_power_w_per_hz(radio))
+
+
 def normalize_powers(radio: RadioParams, cfg: SystemConfig) -> SystemConfig:
     """Convert a config holding physical powers into the unit-noise scale.
 
     ``cfg.total_power`` is read as watts and every energy cap as a
     watt-symbol product; all are divided by bandwidth * noise PSD.
     """
-    radio.validate()
-    scale = 1.0 / (radio.bandwidth_hz * noise_power_w_per_hz(radio))
+    scale = _noise_scale(radio)
     return dataclasses.replace(
         cfg,
         total_power=cfg.total_power * scale,
@@ -198,19 +218,24 @@ def default_normalized_config(n_antennas: int,
                               group_sizes: Sequence[int],
                               radio: RadioParams = RadioParams()) -> SystemConfig:
     """Build the stock normalized config: full power budget, stock pilot
-    energy caps, unit weights, and the shortest feasible pilot length."""
+    energy caps, unit weights, and the shortest feasible pilot length.
+
+    It is built once, in normalized units, and equals
+    ``normalize_powers(radio, ...)`` of the same config in physical units:
+    each power is the same product with the same scale factor.
+    """
     group_sizes = tuple(int(k) for k in group_sizes)
-    e_phys = default_energy_cap_physical(coherence_length)
-    cfg = SystemConfig(
+    scale = _noise_scale(radio)
+    e = default_energy_cap_physical(coherence_length) * scale
+    return SystemConfig(
         n_antennas=n_antennas,
         coherence_length=coherence_length,
         n_unicast=n_unicast,
         group_sizes=group_sizes,
         pilot_length=n_unicast + len(group_sizes),
-        total_power=radio.tx_power_watts,
+        total_power=radio.tx_power_watts * scale,
         # A negative count gives an empty field, which validation reports.
-        unicast_energy_caps=np.full(max(n_unicast, 0), e_phys),
-        multicast_energy_caps=tuple(np.full(max(k, 0), e_phys) for k in group_sizes),
+        unicast_energy_caps=np.full(max(n_unicast, 0), e),
+        multicast_energy_caps=tuple(np.full(max(k, 0), e) for k in group_sizes),
         sse_weights=np.ones(max(n_unicast, 0)),
     )
-    return normalize_powers(radio, cfg)

@@ -25,9 +25,9 @@ trial's arrays allocated afresh.  Reports built on it must equal the
 threaded ones byte for byte, whatever the worker count.
 
 The per-drop figure-grid section keeps the grid loop as it was before a
-cell's drops were placed and solved as one stack: one placement per drop,
-drawn block by block, then one ``solve_mmf`` or ``solve_sse`` call per
-precoder.  The figure CSVs it gives must equal the stacked ones byte for
+cell's drops were placed and solved as one stack: one SeedSequence and one
+placement per drop, drawn block by block, then one ``solve_mmf`` or
+``solve_sse`` call per precoder.  The figure CSVs it gives must equal the stacked ones byte for
 byte.
 """
 
@@ -40,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from mimocast import montecarlo
-from mimocast.cli import UsageError, _drop_seed, _fmt
+from mimocast.cli import UsageError, _fmt
 from mimocast.closed_form import PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, FadingProfile, SystemConfig, Violation,
@@ -50,7 +50,8 @@ from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDra
                                  build_mrt_precoders, build_zf_precoders, mmse_estimate,
                                  require_zf_feasible, trial_rng)
 from mimocast.pareto import ParetoBoundary, solve_split
-from mimocast.scenario import CellGeometry, Placement
+from mimocast.scenario import (CellGeometry, Placement, default_energy_cap_physical,
+                               normalize_powers)
 
 LN2 = math.log(2.0)
 
@@ -817,7 +818,8 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     if kept < 2:
         raise DegenerateInputError("fewer than 2 usable trials")
     return montecarlo._Trials(desired=desired[:, :kept], received=received[:, :kept],
-                              power_sums=power_sums, n_kept=kept, n_discarded=discarded)
+                              power_sums=power_sums, n_kept=kept, n_discarded=discarded,
+                              stats=stats)
 
 
 # --------------------------------------------------- per-drop figure grids
@@ -852,19 +854,46 @@ def place_users_loop(geometry: CellGeometry, n_unicast: int, group_sizes, rng_se
     return profile, Placement(unicast=uni, multicast=tuple(groups))
 
 
-def drop_means_loop(args, seed, cfgs, solve) -> list[list[tuple[str, str, bool]]]:
-    """``cli._drop_means`` placing and solving one drop at a time: per drop
-    one placement, then ``solve`` (``solve_mmf`` or ``solve_sse``) once per
-    precoder, each validating the drop."""
+def default_normalized_config_twice(n_antennas, coherence_length, n_unicast, group_sizes,
+                                    radio):
+    """``default_normalized_config`` as it was built before: in physical
+    units first, then through ``normalize_powers``."""
+    group_sizes = tuple(int(k) for k in group_sizes)
+    e_phys = default_energy_cap_physical(coherence_length)
+    cfg = SystemConfig(
+        n_antennas=n_antennas,
+        coherence_length=coherence_length,
+        n_unicast=n_unicast,
+        group_sizes=group_sizes,
+        pilot_length=n_unicast + len(group_sizes),
+        total_power=radio.tx_power_watts,
+        unicast_energy_caps=np.full(max(n_unicast, 0), e_phys),
+        multicast_energy_caps=tuple(np.full(max(k, 0), e_phys) for k in group_sizes),
+        sse_weights=np.ones(max(n_unicast, 0)),
+    )
+    return normalize_powers(radio, cfg)
+
+
+def drop_seed(seed: int, cell: int, drop: int) -> np.random.SeedSequence:
+    """The seed of drop ``drop`` of grid cell ``cell``, one SeedSequence per
+    drop as the figure grid built it before its seeds came from one pass."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(cell, drop))
+
+
+def drop_means_loop(args, seed, grid, config, solve) -> list[list[tuple[str, str, bool]]]:
+    """``cli._drop_means`` seeding, placing and solving one drop at a time:
+    per drop one SeedSequence, one placement, then ``solve`` (``solve_mmf``
+    or ``solve_sse``) once per precoder, each validating the drop."""
     if args.drops < 1:
         raise UsageError(f"--drops must be at least 1, got {args.drops}")
     cells = []
-    for cell, cfg in enumerate(cfgs):
+    for cell, point in enumerate(grid):
+        cfg = config(*point)
         acc = {prec: [] for prec in PRECODERS}
         for d in range(args.drops):
             try:
                 fading = place_users_loop(CellGeometry(), cfg.n_unicast, cfg.group_sizes,
-                                          _drop_seed(seed, cell, d))[0]
+                                          drop_seed(seed, cell, d))[0]
             except ValueError as e:
                 raise UsageError(str(e)) from e
             for prec, vals in acc.items():

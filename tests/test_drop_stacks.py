@@ -29,11 +29,46 @@ from mimocast.scenario import CellGeometry, _draw_drops, place_drops, place_user
 import oracles
 from oracles import random_desk_instance
 
-seeds_ = st.integers(min_value=0, max_value=2**32 - 1)
+# Seeds of one 32-bit word and of several: SeedSequence splits a seed into
+# 32-bit words, and only words past the fourth are mixed in a second loop.
+seeds_ = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**160))
 
 
 def drop_seeds(seed, n):
     return [np.random.SeedSequence(entropy=seed, spawn_key=(0, d)) for d in range(n)]
+
+
+class TestDropSeeds:
+    """One seed pass per figure gives drop d of grid cell c the generator
+    ``SeedSequence(entropy=seed, spawn_key=(c, d))`` gives."""
+
+    @staticmethod
+    def assert_states_equal(seed, n_cells, n_drops):
+        states = cli._drop_states(seed, n_cells, n_drops)
+        assert states.shape == (n_cells, n_drops, 4) and states.dtype == np.uint64
+        for c in range(n_cells):
+            for d in range(n_drops):
+                want = oracles.drop_seed(seed, c, d)
+                assert np.array_equal(states[c, d], want.generate_state(4, np.uint64))
+                got = np.random.default_rng(cli._DropSeed(states[c, d]))
+                assert np.array_equal(got.random(8), np.random.default_rng(want).random(8))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 + 1])
+    @pytest.mark.parametrize("n_cells, n_drops", [(1, 1), (1, 10), (3, 1), (2, 10)])
+    def test_states_equal_seed_sequences(self, seed, n_cells, n_drops):
+        self.assert_states_equal(seed, n_cells, n_drops)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds_, n_cells=st.integers(1, 4), n_drops=st.integers(1, 4))
+    def test_any_seed(self, seed, n_cells, n_drops):
+        self.assert_states_equal(seed, n_cells, n_drops)
+
+    def test_drop_seed_serves_only_pcg64(self):
+        seed = cli._DropSeed(cli._drop_states(3, 1, 1)[0, 0])
+        with pytest.raises(ValueError):
+            seed.generate_state(2, np.uint64)
+        with pytest.raises(ValueError):
+            seed.generate_state(4, np.uint32)
 
 
 class TestStackedPlacement:
@@ -215,12 +250,12 @@ class TestStackedValidation:
         assert len(calls) == 1
 
 
-SOLVERS = {allocation._mmf_problem: allocation.solve_mmf,
-           allocation._sse_problem: allocation.solve_sse}
+SOLVERS = {allocation._mmf_pieces: allocation.solve_mmf,
+           allocation._sse_pieces: allocation.solve_sse}
 
 
-def oracle_drop_means(args, seed, cfgs, problem):
-    return oracles.drop_means_loop(args, seed, cfgs, SOLVERS[problem])
+def oracle_drop_means(args, seed, grid, config, pieces):
+    return oracles.drop_means_loop(args, seed, grid, config, SOLVERS[pieces])
 
 
 def run_figure(argv):
@@ -265,6 +300,20 @@ class TestFigureGridOracle:
         with mock.patch.object(cli, "_drop_means", oracle_drop_means):
             want = run_figure(argv)
         assert got == want
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, 2**128 + 1])
+    @pytest.mark.parametrize("argv", [
+        ("fig2", "--antennas-list", "5,64", "--g-list", "1,2", "--k-list", "2,3",
+         "--unicast", "3"),
+        ("fig3", "--antennas-list", "8,64", "--u-list", "2,7", "--groups", "1",
+         "--group-size", "2"),
+    ])
+    def test_multi_word_seeds(self, argv, seed):
+        argv = ["figure", *argv, "--drops", "3", "--seed", str(seed)]
+        got = run_figure(argv)
+        with mock.patch.object(cli, "_drop_means", oracle_drop_means):
+            want = run_figure(argv)
+        assert got[0] == 0 and got == want
 
     def test_small_grids_reach_infeasible_cells(self):
         # Grids as small as the strategy above draws have ZF-infeasible cells.

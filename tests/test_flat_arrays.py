@@ -215,7 +215,8 @@ def assert_pieces_match_loops(cfg, fading, rng):
         list(oracles.interference_loads(cfg, fading, upsilon_o))
     if cfg.n_unicast:
         for gain, c in ((cfg.n_antennas, 0.0), (max(1, cfg.n_antennas - cfg.n_streams), 1.0)):
-            theta, offsets = allocation._unicast_offsets(cfg, fading, gain, c)
+            theta = allocation._unicast_theta(cfg, fading)
+            offsets = allocation._unicast_offsets(cfg, fading.unicast_gains, theta, gain, c)
             theta_o, offsets_o = oracles.unicast_offsets(cfg, fading, gain, c)
             assert theta.tolist() == list(theta_o)
             assert offsets.tolist() == list(offsets_o)
@@ -451,3 +452,15 @@ class TestMonteCarloOracle:
         empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
                        "multicast", (0, 0), 100, 5)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_validator_validates_and_estimates_once(self, monkeypatch, precoder):
+        # The closed-form side reads the trials' estimate variances.
+        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(3, precoder)
+        args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 100, 5)
+        report = validate_closed_form(*args).to_dict()
+        validations = count_validations(monkeypatch)
+        estimates = [count_calls(monkeypatch, module, "_estimation_variances")
+                     for module in (model, montecarlo)]
+        assert validate_closed_form(*args).to_dict() == report
+        assert (len(validations), sum(map(len, estimates))) == (1, 1)

@@ -8,6 +8,8 @@ from mimocast.scenario import (CellGeometry, RadioParams,
                                default_normalized_config, noise_power_w_per_hz,
                                normalize_powers, pathloss, place_users)
 
+import oracles
+
 
 class TestPathloss:
     def test_cell_edge_matches_reference_attenuation(self):
@@ -107,6 +109,22 @@ class TestNormalizePowers:
         base = default_normalized_config(10, 100, 1, (1,), RadioParams(tx_power_watts=10.0))
         double = default_normalized_config(10, 100, 1, (1,), RadioParams(tx_power_watts=20.0))
         assert double.total_power == pytest.approx(2.0 * base.total_power, rel=1e-15)
+
+    @pytest.mark.parametrize("radio", [
+        RadioParams(),
+        RadioParams(bandwidth_hz=2.0, noise_psd_dbm_hz=30.0, tx_power_watts=4.0),
+        RadioParams(bandwidth_hz=1.4e6, noise_psd_dbm_hz=-171.3, tx_power_watts=0.7),
+    ])
+    @pytest.mark.parametrize("n_unicast, sizes", [
+        (5, (3, 2)), (50, (100,) * 10), (0, (4,)), (3, ()), (0, ()), (-1, (2, 0, -1)),
+    ])
+    def test_default_config_equals_normalized_physical(self, n_unicast, sizes, radio):
+        # Built once in normalized units, it holds the same bits as the
+        # physical-unit config passed through normalize_powers.
+        got = default_normalized_config(64, 150, n_unicast, sizes, radio)
+        want = oracles.default_normalized_config_twice(64, 150, n_unicast, sizes, radio)
+        assert got == want
+        assert repr(got.to_dict()) == repr(want.to_dict())
 
     def test_normalize_scales_every_power_field(self):
         radio = RadioParams(bandwidth_hz=2.0, noise_psd_dbm_hz=30.0, tx_power_watts=4.0)
