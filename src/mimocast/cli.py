@@ -307,14 +307,18 @@ def cmd_validate(args) -> int:
     if args.trials < 100:
         raise UsageError(f"--trials must be at least 100, got {args.trials}")
     seed = _ensure_seed(args.seed)
-    if args.p_un is None and args.split_ratio is None:
-        p_un = cfg.total_power / 2.0
-    else:
+    if args.p_un is not None or args.split_ratio is not None:
         p_un = _resolve_p_un(args, cfg.total_power)
+    else:   # an equal share for each side the scenario has
+        sides = (cfg.n_unicast > 0) + (cfg.n_groups > 0)
+        p_un = cfg.total_power / sides if cfg.n_unicast else 0.0
     p_mu = cfg.total_power - p_un
-    powers = montecarlo.DownlinkPowers.equal_split(
-        p_un if cfg.n_unicast else 0.0, cfg.n_unicast,
-        p_mu if cfg.n_groups else 0.0, cfg.n_groups)
+    if cfg.n_unicast == 0 and p_un != 0.0:
+        raise UsageError("scenario has no unicast UTs; --p-un must be 0")
+    if cfg.n_groups == 0 and p_mu != 0.0:
+        raise UsageError("scenario has no multicast groups; the full budget "
+                         "must go to unicast (--split-ratio 1:0)")
+    powers = montecarlo.DownlinkPowers.equal_split(p_un, cfg.n_unicast, p_mu, cfg.n_groups)
     tau = cfg.pilot_length
     report = montecarlo.validate_closed_form(
         cfg, fading,
@@ -596,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--trials", type=int, default=10000)
     va.add_argument("--seed", type=int, default=None)
     va.add_argument("--p-un", type=float, default=None,
-                    help="unicast downlink power (default: half the budget)")
+                    help="unicast downlink power (default: half the budget, or "
+                         "all of it to the only side the scenario has)")
     va.add_argument("--split-ratio", type=str, default=None,
                     help="unicast:multicast power ratio, e.g. 1:1")
     va.add_argument("--out", required=True)

@@ -14,23 +14,24 @@ received power by that trial's sum.  Nothing is shared with the
 closed-form code path except the input parameters.
 
 Trials use independent counter-based sub-streams derived from
-(seed, trial index).  They run on worker threads, one per CPU the process
-may use (at most MAX_WORKERS), each reusing its own draw, channel and
-product buffers; numpy's random fills, ufuncs, BLAS and LAPACK release the
-GIL.  A trial enters the running sums only once every earlier trial has
-entered or been discarded, so the sums add in trial order and every result
-is bit-identical whatever the number of CPUs.  A trial that raises stops
-the run with the error of the lowest failing trial, as a serial loop would.
-With one usable CPU the trials run on the calling thread.
+(seed, trial index).  They run on a pool of worker threads, one per CPU the
+process may use (at most MAX_WORKERS), each reusing its own draw, channel
+and product buffers; numpy's random fills, ufuncs, BLAS and LAPACK release
+the GIL.  The calling thread keeps at most one pending trial per worker and
+adds each trial's products to the running sums in trial order, so every
+result is bit-identical whatever the number of CPUs.  A trial that raises
+stops the run with the error of the lowest failing trial, as a serial loop
+would.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
 import os
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,18 +80,6 @@ class EstimateSet:
 
     def multicast_estimate(self, g: int, k: int) -> np.ndarray:
         return self.member_coeffs[g][k] * self.group_estimates[:, g]
-
-
-@dataclass(frozen=True)
-class TrialStatistics:
-    """Sample-mean estimates of the terms in one UT's effective SINR."""
-
-    desired_power_mean: float
-    interference_unicast: tuple[float, ...]
-    interference_multicast: tuple[float, ...]
-    empirical_sinr: float
-    confidence_halfwidth: float
-    n_trials: int
 
 
 @dataclass(frozen=True)
@@ -289,12 +278,12 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
 
 @dataclass(frozen=True)
 class _Trials:
-    """What the estimator reads from the kept trials, one row per formed UT
-    in ``ChannelDraw.channels`` order."""
+    """What the estimator reads from the kept trials, one row per UT in
+    ``ChannelDraw.channels`` order."""
 
-    desired: np.ndarray      # (rows, n) complex: effective channel on the UT's own stream
-    received: np.ndarray     # (rows, n): received power summed over all streams
-    power_sums: np.ndarray   # (rows, streams): received power per stream, summed over trials
+    desired: np.ndarray      # (users, n) complex: effective channel on the UT's own stream
+    received: np.ndarray     # (users, n): received power summed over all streams
+    power_sums: np.ndarray   # (users, streams): received power per stream, summed over trials
     n_kept: int
     n_discarded: int
     stats: EstimationStats   # the estimate variances every trial's precoders read
@@ -302,8 +291,8 @@ class _Trials:
 
 @dataclass(frozen=True)
 class _Job:
-    """What every trial of one run reads: the validated inputs, the pilot
-    powers as arrays, and the ranges of UT columns whose products are formed."""
+    """What every trial of one run reads: the validated inputs and the pilot
+    powers as arrays."""
 
     cfg: SystemConfig
     fading: FadingProfile
@@ -313,33 +302,38 @@ class _Job:
     precoder: str
     stats: EstimationStats
     seed: int
-    rows: tuple[tuple[int, int], ...]
-    own: np.ndarray          # each formed row's own stream
+    own: np.ndarray          # each UT's own stream
 
-    @property
-    def n_rows(self) -> int:
-        return self.own.size
+
+# One trial's products: every UT's per-stream received powers, their row
+# sums and the effective channel on its own stream.
+_Result = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _Kernel:
-    """One worker's trial: draw, estimate, precode, form the products and
-    the per-stream powers, into buffers allocated once per worker."""
+    """One run's trial: draw, estimate, precode, form the products and the
+    per-stream powers.  Each thread that runs trials allocates its draw and
+    product buffers on its first trial and reuses them."""
 
     def __init__(self, job: _Job):
-        cfg = job.cfg
         self.job = job
-        self.draw = _draw_buffers(cfg)
-        self.effective = np.empty((max(b - a for a, b in job.rows), cfg.n_streams),
-                                  dtype=complex)
-        self.power = np.empty((job.n_rows, cfg.n_streams))
-        self.received = np.empty(job.n_rows)
-        self.desired = np.empty(job.n_rows, dtype=complex)
+        self.blocks = _ut_blocks(job.cfg)
+        self.local = threading.local()
 
-    def __call__(self, t: int) -> bool:
-        """Run trial t; False when its draw lost rank and is discarded."""
+    def _buffers(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        local = self.local
+        if not hasattr(local, "draw"):
+            local.draw = _draw_buffers(self.job.cfg)
+            local.effective = np.empty((max(b - a for a, b in self.blocks),
+                                        self.job.cfg.n_streams), dtype=complex)
+        return local.draw, local.effective
+
+    def __call__(self, t: int) -> _Result | None:
+        """Run trial t; None when its draw lost rank and is discarded."""
         job, cfg = self.job, self.job.cfg
+        draw_buffers, effective_buffer = self._buffers()
         rng = trial_rng(job.seed, t)
-        draw = _draw_channels(cfg, job.fading, rng, self.draw)
+        draw = _draw_channels(cfg, job.fading, rng, draw_buffers)
         est = mmse_estimate(cfg, job.fading, job.pilots_unicast, job.pilots_multicast,
                             draw, rng)
         try:
@@ -348,45 +342,48 @@ class _Kernel:
             else:
                 V, W = build_mrt_precoders(cfg, est, job.powers, job.stats)
         except RankDeficientDraw:
-            return False
+            return None
 
-        # h_u^H x_s for every formed UT u and stream s, one block of UTs
-        # times V or W at a time.  Each entry then rounds as in a per-group
-        # product; one product over all UTs and streams groups the sums
-        # differently, and the SINR denominator amplifies last-bit changes
-        # by up to the SINR.  Only the block's products are held at once.
-        U, row = cfg.n_unicast, 0
-        for a, b in job.rows:
-            rows = slice(row, row + b - a)
+        # h_u^H x_s for every UT u and stream s, one block of UTs times V or
+        # W at a time.  Each entry then rounds as in a per-group product; one
+        # product over all UTs and streams groups the sums differently, and
+        # the SINR denominator amplifies last-bit changes by up to the SINR.
+        # Only the block's products are held at once.
+        U = cfg.n_unicast
+        power = np.empty((job.own.size, cfg.n_streams))
+        received = np.empty(job.own.size)
+        desired = np.empty(job.own.size, dtype=complex)
+        for a, b in self.blocks:
             hh = draw.channels[:, a:b].conj().T
-            effective, power = self.effective[:b - a], self.power[rows]
+            effective, block_power = effective_buffer[:b - a], power[a:b]
             effective[:, :U] = hh @ V
             effective[:, U:] = hh @ W
-            np.abs(effective, out=power)
-            np.square(power, out=power)
-            power.sum(axis=1, out=self.received[rows])
-            self.desired[rows] = effective[np.arange(b - a), job.own[rows]]
-            row = rows.stop
-        return True
+            np.abs(effective, out=block_power)
+            np.square(block_power, out=block_power)
+            block_power.sum(axis=1, out=received[a:b])
+            desired[a:b] = effective[np.arange(b - a), job.own[a:b]]
+        return power, received, desired
 
 
 class _Sums:
     """The run's accumulators, which trials enter in trial order."""
 
     def __init__(self, job: _Job, n_trials: int):
-        self.desired = np.empty((job.n_rows, n_trials), dtype=complex)
-        self.received = np.empty((job.n_rows, n_trials))
-        self.power_sums = np.zeros((job.n_rows, job.cfg.n_streams))
+        users = job.own.size
+        self.desired = np.empty((users, n_trials), dtype=complex)
+        self.received = np.empty((users, n_trials))
+        self.power_sums = np.zeros((users, job.cfg.n_streams))
         self.kept = 0
         self.discarded = 0
 
-    def commit(self, kernel: _Kernel, kept: bool) -> None:
-        if not kept:
+    def commit(self, result: _Result | None) -> None:
+        if result is None:
             self.discarded += 1
             return
-        self.power_sums += kernel.power
-        self.received[:, self.kept] = kernel.received
-        self.desired[:, self.kept] = kernel.desired
+        power, received, desired = result
+        self.power_sums += power
+        self.received[:, self.kept] = received
+        self.desired[:, self.kept] = desired
         self.kept += 1
 
 
@@ -408,82 +405,19 @@ def _worker_count(n_trials: int) -> int:
     return max(1, min(cpus, n_trials, MAX_WORKERS))
 
 
-class _Turnstile:
-    """Hands out trials to worker threads and lets trial t commit only once
-    every trial before it has committed or been discarded.
-
-    A trial that raises stops the run when its turn comes, so the error kept
-    is the one from the lowest failing trial, as in a serial loop.
-    """
-
-    def __init__(self, sums: _Sums, n_trials: int):
-        self.sums = sums
-        self.n_trials = n_trials
-        self.cond = threading.Condition()
-        self.next_trial = 0
-        self.turn = 0
-        self.error: BaseException | None = None
-
-    def work(self, kernel: _Kernel) -> None:
-        t = None
-        try:
-            while True:
-                with self.cond:
-                    if self.error is not None or self.next_trial == self.n_trials:
-                        return
-                    t = self.next_trial
-                    self.next_trial += 1
-                kept = kernel(t)
-                with self.cond:
-                    self.cond.wait_for(lambda: self.turn == t or self.error is not None)
-                    if self.error is not None:
-                        return
-                    self.sums.commit(kernel, kept)
-                    self.turn += 1
-                    self.cond.notify_all()
-        except BaseException as e:
-            self.stop(e, t)
-
-    def stop(self, error: BaseException, t: int | None = None) -> None:
-        """Record ``error`` once every trial before t has committed (at once
-        for None), unless an earlier trial's error is recorded first."""
-        with self.cond:
-            self.cond.wait_for(lambda: t is None or self.turn >= t or self.error is not None)
-            if self.error is None:
-                self.error = error
-            self.cond.notify_all()
-
-    def run(self, kernels: list[_Kernel]) -> None:
-        started = []
-        try:
-            for i, kernel in enumerate(kernels):
-                thread = threading.Thread(target=self.work, args=(kernel,),
-                                          name=f"montecarlo-{i}")
-                thread.start()
-                started.append(thread)
-            for thread in started:
-                thread.join()
-        except BaseException as e:   # a worker did not start, or interrupted: stop the rest
-            self.stop(e)
-            for thread in started:
-                thread.join()
-            raise
-        if self.error is not None:
-            raise self.error
-
-
 def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                 pilot_powers_unicast, pilot_powers_multicast,
                 powers: DownlinkPowers, precoder: str,
-                n_trials: int, seed: int, target: int | None = None) -> _Trials:
-    """Run the trials and keep what the estimator reads, for every UT or,
-    with ``target``, for that one column of ``ChannelDraw.channels``.
+                n_trials: int, seed: int) -> _Trials:
+    """Run the trials and keep what the estimator reads for every UT.
 
-    Trials run on ``_worker_count`` workers, inline on the calling thread
-    when there is one, and enter the sums in trial order, so the result is
-    the same bits for any worker count.
+    Trials run on a pool of ``_worker_count`` threads.  The calling thread
+    keeps at most one pending trial per thread and enters the results in
+    trial order, so the sums are the same bits for any worker count and the
+    error raised is the lowest failing trial's.
     """
     require_valid(cfg, fading)
+    closed_form._check_powers(cfg, powers)
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
@@ -492,16 +426,18 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     U = cfg.n_unicast
     # Each UT's own stream: its unicast stream, or its group's.
     own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
-    rows = tuple(_ut_blocks(cfg)) if target is None else ((target, target + 1),)
-    job = _Job(cfg, fading, p, _views(q, cfg.group_offsets), powers, precoder, stats, seed,
-               rows, np.concatenate([own[a:b] for a, b in rows]))
+    job = _Job(cfg, fading, p, _views(q, cfg.group_offsets), powers, precoder, stats, seed, own)
+    kernel = _Kernel(job)
     sums = _Sums(job, n_trials)
-    kernels = [_Kernel(job) for _ in range(_worker_count(n_trials))]
-    if len(kernels) == 1:
+    workers = _worker_count(n_trials)
+    with ThreadPoolExecutor(workers, thread_name_prefix="montecarlo") as pool:
+        pending = deque()
         for t in range(n_trials):
-            sums.commit(kernels[0], kernels[0](t))
-    else:
-        _Turnstile(sums, n_trials).run(kernels)
+            if len(pending) == workers:
+                sums.commit(pending.popleft().result())
+            pending.append(pool.submit(kernel, t))
+        while pending:
+            sums.commit(pending.popleft().result())
 
     kept, discarded = sums.kept, sums.discarded
     if discarded:
@@ -545,51 +481,6 @@ def _jackknife(trials: _Trials, a: int, b: int) -> tuple[np.ndarray, np.ndarray]
                            (received.sum(axis=1, keepdims=True) - received) / (n - 1))
     se = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=1, keepdims=True)) ** 2, axis=1))
     return full, se
-
-
-def _target_column(cfg: SystemConfig, kind: str, index) -> int:
-    """The per-UT column of ("unicast", m) or ("multicast", (j, k))."""
-    if kind == "unicast":
-        m = operator.index(index)
-        if not 0 <= m < cfg.n_unicast:
-            raise ValueError(f"unicast index {m} outside [0, {cfg.n_unicast})")
-        return m
-    if kind == "multicast":
-        j, k = map(operator.index, index)
-        if not 0 <= j < cfg.n_groups:
-            raise ValueError(f"group index {j} outside [0, {cfg.n_groups})")
-        if not 0 <= k < cfg.group_sizes[j]:
-            raise ValueError(f"member index {k} outside [0, {cfg.group_sizes[j]}) of group {j}")
-        return cfg.n_unicast + int(cfg.group_offsets[j]) + k
-    raise ValueError(f"unknown target kind {kind!r}, expected 'unicast' or 'multicast'")
-
-
-def empirical_sinr(cfg: SystemConfig, fading: FadingProfile,
-                   pilot_powers_unicast, pilot_powers_multicast,
-                   powers: DownlinkPowers, precoder: str,
-                   kind: str, index, n_trials: int, seed: int) -> TrialStatistics:
-    """Monte Carlo estimate of one UT's effective SINR.
-
-    kind/index select the target: ("unicast", m) or ("multicast", (j, k)).
-    Every trial draws, estimates and precodes for the whole cell, but forms
-    only the target's products, so memory grows with the trials alone.
-    """
-    if n_trials < 100:
-        raise ValueError(f"need at least 100 trials, got {n_trials}")
-    trials = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                         powers, precoder, n_trials, seed,
-                         target=_target_column(cfg, kind, index))
-    n = trials.n_kept
-    sinr, se = _jackknife(trials, 0, 1)
-    means = trials.power_sums[0] / n
-    return TrialStatistics(
-        desired_power_mean=abs(trials.desired[0].sum() / n) ** 2,
-        interference_unicast=tuple(means[:cfg.n_unicast].tolist()),
-        interference_multicast=tuple(means[cfg.n_unicast:].tolist()),
-        empirical_sinr=float(sinr[0]),
-        confidence_halfwidth=Z95 * float(se[0]),
-        n_trials=n,
-    )
 
 
 def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,

@@ -46,7 +46,7 @@ from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, FadingProfile, SystemConfig, Violation,
                             _estimation_variances, estimation_variances, require_valid)
 from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDraw, MAX_GRAM_COND,
-                                 TrialStatistics, UserValidation, ValidationReport,
+                                 UserValidation, ValidationReport,
                                  build_mrt_precoders, build_zf_precoders, mmse_estimate,
                                  require_zf_feasible, trial_rng)
 from mimocast.pareto import ParetoBoundary, solve_split
@@ -689,31 +689,10 @@ def _target_arrays(terms: _TrialTerms, kind: str, index) -> tuple[np.ndarray, np
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-def _statistics_for(terms: _TrialTerms, kind: str, index) -> TrialStatistics:
+def _statistics_for(terms: _TrialTerms, kind: str, index) -> tuple[float, float]:
+    """One UT's plug-in SINR and its jackknife standard error."""
     des, pow_uni, pow_mu = _target_arrays(terms, kind, index)
-    pow_all = np.concatenate([pow_uni, pow_mu], axis=1)
-    sinr, se = _jackknife(des, pow_all)
-    n = terms.n_kept
-    return TrialStatistics(
-        desired_power_mean=abs(des.sum() / n) ** 2,
-        interference_unicast=tuple(pow_uni.mean(axis=0)),
-        interference_multicast=tuple(pow_mu.mean(axis=0)),
-        empirical_sinr=sinr,
-        confidence_halfwidth=Z95 * se,
-        n_trials=n,
-    )
-
-
-def empirical_sinr_stored(cfg: SystemConfig, fading: FadingProfile,
-                          pilot_powers_unicast, pilot_powers_multicast,
-                          powers: DownlinkPowers, precoder: str,
-                          kind: str, index, n_trials: int, seed: int) -> TrialStatistics:
-    """``montecarlo.empirical_sinr`` over stored inner products."""
-    if n_trials < 100:
-        raise ValueError(f"need at least 100 trials, got {n_trials}")
-    terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                        powers, precoder, n_trials, seed)
-    return _statistics_for(terms, kind, index)
+    return _jackknife(des, np.concatenate([pow_uni, pow_mu], axis=1))
 
 
 def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
@@ -731,16 +710,14 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
     records = []
 
     def add(kind, index, cf):
-        ts = _statistics_for(terms, kind, index)
-        se = ts.confidence_halfwidth / Z95
+        sinr, se = _statistics_for(terms, kind, index)
         if se > 0:
-            z = (ts.empirical_sinr - cf) / se
+            z = (sinr - cf) / se
         else:
-            z = 0.0 if ts.empirical_sinr == cf else math.inf
+            z = 0.0 if sinr == cf else math.inf
         idx = (index,) if kind == "unicast" else tuple(index)
-        records.append(UserValidation(kind=kind, index=idx, closed_form=cf,
-                                      empirical=ts.empirical_sinr,
-                                      ci_halfwidth=ts.confidence_halfwidth, z=z))
+        records.append(UserValidation(kind=kind, index=idx, closed_form=cf, empirical=sinr,
+                                      ci_halfwidth=Z95 * se, z=z))
 
     for m, cf in enumerate(closed.unicast_sinr):
         add("unicast", m, cf)

@@ -204,6 +204,41 @@ class TestValidate:
         assert (tmp_path / "v.json").exists()   # report still written
 
 
+class TestValidateOneSided:
+    SCENARIOS = {"unicast": ("--unicast", 0, "--groups", 2, "--group-size", 2),
+                 "multicast": ("--unicast", 3, "--groups", 0)}
+
+    @pytest.fixture(params=sorted(SCENARIOS))
+    def one_sided(self, request, tmp_path):
+        """A scenario without unicast UTs or without groups, and its budget."""
+        scen = tmp_path / "one.json"
+        assert run("scenario", *self.SCENARIOS[request.param], "--antennas", 32,
+                   "--seed", 4, "--out", scen) == 0
+        return scen, json.loads(scen.read_text())["system"]["total_power"]
+
+    def test_powering_the_missing_side_exits_1(self, one_sided, tmp_path, capsys):
+        scen, total = one_sided
+        for split in (("--p-un", total / 2.0), ("--split-ratio", "1:1")):
+            assert run("validate", "--scenario", scen, "--precoder", "mrt", "--trials", 100,
+                       "--seed", 1, *split, "--out", tmp_path / "v.json") == 1, split
+            assert "scenario has no" in capsys.readouterr().err
+
+    def test_default_gives_the_budget_to_the_side_present(self, one_sided, tmp_path,
+                                                          monkeypatch):
+        import mimocast.cli as cli_mod
+        scen, total = one_sided
+        validate, seen = cli_mod.montecarlo.validate_closed_form, []
+
+        def spy(cfg, fading, pilots_un, pilots_mu, powers, *rest):
+            seen.append(powers)
+            return validate(cfg, fading, pilots_un, pilots_mu, powers, *rest)
+
+        monkeypatch.setattr(cli_mod.montecarlo, "validate_closed_form", spy)
+        assert run("validate", "--scenario", scen, "--precoder", "mrt", "--trials", 100,
+                   "--seed", 1, "--out", tmp_path / "v.json") == 0
+        assert seen[0].total == pytest.approx(total, rel=1e-12)
+
+
 class TestFigure:
     def test_fig4_row_count(self, tmp_path):
         out = tmp_path / "f4.csv"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mimocast import allocation, model, montecarlo
 from mimocast.closed_form import PRECODERS, DownlinkPowers
 from mimocast.model import FadingProfile, SystemConfig, validate_config
-from mimocast.montecarlo import empirical_sinr, validate_closed_form
+from mimocast.montecarlo import validate_closed_form
 from mimocast.pareto import select_operating_point, solve_split, sweep_boundary
 from mimocast.scenario import CellGeometry, default_normalized_config, place_users
 
@@ -445,13 +445,6 @@ class TestMonteCarloOracle:
         monkeypatch.setattr(montecarlo, "build_mrt_precoders", oracles.build_mrt_precoders_loop)
         monkeypatch.setattr(montecarlo, "build_zf_precoders", oracles.build_zf_precoders_loop)
         assert validate_closed_form(*args).to_dict() == report
-
-    def test_trials_validate_once_per_run(self, monkeypatch):
-        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(2, "mrt")
-        calls = count_validations(monkeypatch)
-        empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
-                       "multicast", (0, 0), 100, 5)
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     def test_validator_validates_and_estimates_once(self, monkeypatch, precoder):

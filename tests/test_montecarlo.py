@@ -16,8 +16,8 @@ from mimocast.closed_form import PRECODERS, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError
 from mimocast.model import FadingProfile, estimation_variances
 from mimocast.montecarlo import (build_mrt_precoders, build_zf_precoders,
-                                 draw_channels, empirical_sinr, mmse_estimate,
-                                 trial_rng, validate_closed_form)
+                                 draw_channels, mmse_estimate, trial_rng,
+                                 validate_closed_form)
 
 import oracles
 from test_flat_arrays import small_mc_cell
@@ -226,39 +226,40 @@ class TestZfPrecoders:
             build_zf_precoders(cfg, est, powers, stats)  # must not raise
 
 
-class TestEmpiricalSinr:
+def record(report, kind, index):
+    """The record of one UT in a validation report."""
+    return next(r for r in report.records if (r.kind, r.index) == (kind, index))
+
+
+class TestValidationRecords:
     def test_too_few_trials_rejected(self):
         cfg, fading = small_system()
         pilots_un, pilots_mu = cap_pilots(cfg)
         powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,))
         with pytest.raises(ValueError):
-            empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
-                           "unicast", 0, 99, 1)
+            validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt", 99, 1)
 
-    def test_zero_power_target_reads_zero(self):
+    def test_zero_power_ut_reads_zero(self):
         cfg, fading = small_system()
         pilots_un, pilots_mu = cap_pilots(cfg)
         powers = DownlinkPowers(unicast=(0.0, 1.0), multicast=(2.0,))
-        ts = empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
-                            "unicast", 0, 200, 2)
-        assert ts.empirical_sinr == 0.0
+        report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt", 200, 2)
+        assert record(report, "unicast", (0,)).empirical == 0.0
 
     def test_pilot_length_invariant_at_fixed_energy(self):
         # Estimates depend on pilot power only through energy = tau * power,
         # so halving powers while doubling tau reproduces the trials bit for
-        # bit and the empirical SINR exactly.
+        # bit and every empirical SINR exactly.
         cfg, fading = small_system()
         pilots_un, pilots_mu = cap_pilots(cfg)
         powers = DownlinkPowers(unicast=(1.5, 1.0), multicast=(2.0,))
-        a = empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
-                           "multicast", (0, 1), 300, 77)
+        a = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt", 300, 77)
         cfg2 = dataclasses.replace(cfg, pilot_length=cfg.pilot_length * 2)
         pilots_un2 = [p / 2.0 for p in pilots_un]
         pilots_mu2 = [[q / 2.0 for q in row] for row in pilots_mu]
-        b = empirical_sinr(cfg2, fading, pilots_un2, pilots_mu2, powers, "mrt",
-                           "multicast", (0, 1), 300, 77)
-        assert a.empirical_sinr == b.empirical_sinr
-        assert a.confidence_halfwidth == b.confidence_halfwidth
+        b = validate_closed_form(cfg2, fading, pilots_un2, pilots_mu2, powers, "mrt", 300, 77)
+        assert [(r.empirical, r.ci_halfwidth) for r in a.records] == \
+            [(r.empirical, r.ci_halfwidth) for r in b.records]
 
     def test_interference_scaling_tracks_closed_form(self):
         # Doubling every downlink power doubles the numerator but also the
@@ -272,11 +273,12 @@ class TestEmpiricalSinr:
         hi = DownlinkPowers(unicast=(4.0, 2.0), multicast=(6.0,))
         for powers in (lo, hi):
             cf = se_report(cfg, stats, fading, powers, "mrt").unicast_sinr[0]
-            ts = empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
-                                "unicast", 0, 3000, 41)
-            assert ts.confidence_halfwidth > 0.0
-            assert ts.n_trials == 3000
-            assert abs(ts.empirical_sinr - cf) <= 3.0 * ts.confidence_halfwidth / 1.96
+            report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
+                                          3000, 41)
+            rec = record(report, "unicast", (0,))
+            assert rec.ci_halfwidth > 0.0
+            assert report.n_trials == 3000
+            assert abs(rec.empirical - cf) <= 3.0 * rec.ci_halfwidth / 1.96
 
 
 class TestValidateClosedForm:
@@ -338,6 +340,25 @@ class TestValidateClosedForm:
                 assert rec.closed_form == pytest.approx(sol.gamma, rel=1e-9)
                 assert abs(rec.empirical - sol.gamma) <= 3.0 * rec.ci_halfwidth / 1.96
 
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("unicast, multicast", [
+        ((9.0, 1.0), (2.0,)),   # over the budget of 10
+        ((1.0,), (2.0,)),       # one entry short
+        ((-1.0, 1.0), (2.0,)),  # negative
+    ])
+    def test_bad_powers_rejected_before_any_draw(self, monkeypatch, precoder, unicast, multicast):
+        cfg, fading = small_system()
+        pilots_un, pilots_mu = cap_pilots(cfg)
+
+        def no_draw(*args):
+            raise AssertionError("drew channels before checking the powers")
+
+        monkeypatch.setattr(montecarlo, "_draw_channels", no_draw)
+        with pytest.raises(ValueError):
+            validate_closed_form(cfg, fading, pilots_un, pilots_mu,
+                                 DownlinkPowers(unicast=unicast, multicast=multicast),
+                                 precoder, 100, 1)
+
     def test_misscaled_power_is_detected(self):
         # Injected defect: simulate with an amplitude-1.1 (power 1.21)
         # mis-scaled precoder while the closed form keeps nominal powers.
@@ -352,33 +373,10 @@ class TestValidateClosedForm:
         nominal = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
         inflated = DownlinkPowers(unicast=(2.42, 1.21), multicast=(3.63,))
         cf = se_report(cfg, stats, fading, nominal, "mrt").multicast_sinr[0][0]
-        ts = empirical_sinr(cfg, fading, pilots_un, pilots_mu, inflated, "mrt",
-                            "multicast", (0, 0), 8000, 11)
-        z = (ts.empirical_sinr - cf) / (ts.confidence_halfwidth / 1.96)
+        rec = record(validate_closed_form(cfg, fading, pilots_un, pilots_mu, inflated, "mrt",
+                                          8000, 11), "multicast", (0, 0))
+        z = (rec.empirical - cf) / (rec.ci_halfwidth / 1.96)
         assert z > 4.0
-
-
-class TestEmpiricalSinrTarget:
-    @pytest.mark.parametrize("kind, index", [
-        ("unicast", -1),          # would wrap to the last unicast UT
-        ("unicast", 2),           # U
-        ("multicast", (1, 0)),    # G
-        ("multicast", (0, 2)),    # K_0
-        ("multicast", (0, -1)),
-        ("broadcast", 0),
-    ])
-    def test_bad_target_rejected_before_any_draw(self, monkeypatch, kind, index):
-        cfg, fading = small_system(n_unicast=2, group_sizes=(2,))
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,))
-
-        def no_draw(*args):
-            raise AssertionError("drew channels before checking the target")
-
-        monkeypatch.setattr(montecarlo, "_draw_channels", no_draw)
-        with pytest.raises(ValueError):
-            empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
-                           kind, index, 100, 1)
 
 
 SHAPES = {"mixed": {"u_range": (1, 4), "g_range": (1, 3)},
@@ -411,28 +409,6 @@ class TestStreamedAgainstStoredTerms:
             assert close(a.empirical, b.empirical, 1e-12), (a, b)
             assert close(a.ci_halfwidth, b.ci_halfwidth, 1e-8), (a, b)
             assert a.z == b.z or abs(a.z - b.z) <= 1e-8 * max(1.0, abs(b.z)), (a, b)
-
-    @pytest.mark.parametrize("precoder", PRECODERS)
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           shape=st.sampled_from(sorted(SHAPES)), pick=st.integers(min_value=0))
-    def test_one_target_matches(self, precoder, seed, shape, pick):
-        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder, **SHAPES[shape])
-        targets = [("unicast", m) for m in range(cfg.n_unicast)]
-        targets += [("multicast", (j, k)) for j, size in enumerate(cfg.group_sizes)
-                    for k in range(size)]
-        kind, index = targets[pick % len(targets)]
-        args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, kind, index, 100, seed)
-        new = empirical_sinr(*args)
-        old = oracles.empirical_sinr_stored(*args)
-        assert new.n_trials == old.n_trials
-        assert close(new.desired_power_mean, old.desired_power_mean, 1e-12)
-        assert close(new.empirical_sinr, old.empirical_sinr, 1e-12)
-        assert close(new.confidence_halfwidth, old.confidence_halfwidth, 1e-8)
-        for a, b in ((new.interference_unicast, old.interference_unicast),
-                     (new.interference_multicast, old.interference_multicast)):
-            assert len(a) == len(b)
-            assert all(close(x, y, 1e-12) for x, y in zip(a, b)), (a, b)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -481,33 +457,6 @@ class TestMemory:
 
         growth = (peak(800) - peak(200)) / 600 / (u + sum(sizes))
         assert growth <= 64.0, f"{growth:.1f} bytes per UT per trial"
-
-    def test_one_target_keeps_bytes_per_trial_not_per_ut(self, monkeypatch):
-        # Storing every UT's two numbers would cost 24 * 60 = 1440 bytes per
-        # trial.  One worker keeps the peak free of thread timing.
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
-        u, sizes = 20, (10,) * 4
-        cfg = make_config(n_unicast=u, group_sizes=sizes, pilot_length=u + len(sizes),
-                          n_antennas=64, cap=2.0)
-        rng = np.random.default_rng(1)
-        fading = FadingProfile(unicast_gains=rng.uniform(0.2, 1.5, u),
-                               multicast_gains=tuple(rng.uniform(0.2, 1.5, k) for k in sizes))
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        powers = DownlinkPowers.equal_split(cfg.total_power / 2.0, u,
-                                            cfg.total_power / 2.0, len(sizes))
-
-        def peak(n_trials):
-            tracemalloc.start()
-            try:
-                empirical_sinr(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
-                               "multicast", (2, 3), n_trials, 3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(100)
-        growth = (peak(2200) - peak(200)) / 2000
-        assert growth <= 256.0, f"{growth:.1f} bytes per trial"
 
 
 def fail_in_trials(monkeypatch, errors, delays=None):
@@ -611,12 +560,33 @@ class TestWorkerThreads:
             validate_closed_form(*args)
         assert threading.active_count() == before
 
-    def test_one_worker_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
-        validate_closed_form(*self.cell("mrt"), 100, 5)
-        assert started == []
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_started_trials_stay_within_a_window(self, monkeypatch, workers):
+        # Trial 0 stalls, so a pool handed every trial at once would run
+        # the later ones far ahead of the commits.
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
+        lock = threading.Lock()
+        counts = {"started": 0, "committed": 0, "ahead": 0}
+        trial_rng_, commit = montecarlo.trial_rng, montecarlo._Sums.commit
+
+        def counted_rng(seed, t):
+            with lock:
+                counts["started"] += 1
+                counts["ahead"] = max(counts["ahead"], counts["started"] - counts["committed"])
+            if t == 0:
+                time.sleep(0.05)
+            return trial_rng_(seed, t)
+
+        def counted_commit(self, result):
+            with lock:
+                counts["committed"] += 1
+            commit(self, result)
+
+        monkeypatch.setattr(montecarlo, "trial_rng", counted_rng)
+        monkeypatch.setattr(montecarlo._Sums, "commit", counted_commit)
+        validate_closed_form(*self.cell("mrt"), 300, 7)
+        assert counts["started"] == counts["committed"] == 300
+        assert counts["ahead"] <= 2 * workers, counts
 
     def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
