@@ -295,6 +295,11 @@ class _MmfProblem:
         return _solver_prelog(self.cfg) * _log1p(self._gamma(p_unicast_fixed)[1]) / LN2
 
     @functools.cached_property
+    def top(self) -> float:
+        """The one drop's objective with the whole budget."""
+        return float(self.objectives(0.0))
+
+    @functools.cached_property
     def _shared(self) -> tuple[_Shared, _Shared, _Shared, _Shared]:
         """The one drop's pilot powers x/tau, pilot energies x, upsilon and
         B_j, which every solve's record shares."""
@@ -380,6 +385,11 @@ class _SseProblem:
     def objectives(self, p_multicast_fixed: float) -> np.ndarray:
         """``solve_sse``'s objective, one per drop."""
         return self._fill(p_multicast_fixed)[2]
+
+    @functools.cached_property
+    def top(self) -> float:
+        """The one drop's objective with the whole budget."""
+        return float(self.objectives(0.0))
 
     @functools.cached_property
     def _shared(self) -> tuple[_Shared, _Shared]:

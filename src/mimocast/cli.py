@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -625,8 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)   # built on the process's first call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

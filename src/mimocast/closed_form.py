@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ZfInfeasibleError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _ArrayRecord, _flat_field,
-                    _freeze, _per_member, _views, require_valid)
+                    _freeze, _per_member, _Shared, require_valid)
 
 MRT = "mrt"
 ZF = "zf"
@@ -165,8 +165,8 @@ def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
     prelog = cfg.prelog
     return SeReport(
         prelog=prelog,
-        unicast_se=prelog * _log1p(uni_sinr) / LN2,
-        multicast_se=_views(prelog * _log1p(mu_sinr) / LN2, offsets),
-        unicast_sinr=uni_sinr,
-        multicast_sinr=_views(mu_sinr, offsets),
+        unicast_se=_Shared(prelog * _log1p(uni_sinr) / LN2),
+        multicast_se=_Shared(prelog * _log1p(mu_sinr) / LN2, offsets),
+        unicast_sinr=_Shared(uni_sinr),
+        multicast_sinr=_Shared(mu_sinr, offsets),
     )

@@ -40,18 +40,21 @@ def _vector(xs) -> np.ndarray:
     if isinstance(xs, _Shared):
         return xs.view
     if isinstance(xs, np.ndarray) and xs.ndim == 1:
-        a = xs.astype(np.float64)
-    else:
-        a = np.array([float(x) for x in xs], dtype=np.float64)
-    a.setflags(write=False)
-    return a
+        return _read_only(xs.astype(np.float64))
+    return _read_only(np.array([float(x) for x in xs], dtype=np.float64))
+
+
+def _read_only(owner: np.ndarray) -> np.ndarray:
+    """A view of an array that owns its memory, which is made read-only.
+    The owner itself could be made writeable again; no view of a read-only
+    owner can."""
+    owner.setflags(write=False)
+    return owner.view()
 
 
 def _offsets(sizes) -> np.ndarray:
     """Where each group starts in a flat per-member array, then its length."""
-    offsets = np.array([0, *itertools.accumulate(sizes)], dtype=np.intp)
-    offsets.setflags(write=False)
-    return offsets
+    return _read_only(np.array([0, *itertools.accumulate(sizes)], dtype=np.intp))
 
 
 def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -60,17 +63,16 @@ def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _Shared:
-    """A float64 array the package computed, made read-only, which records
-    store without copying: as ``view`` for a flat field, or as ``rows``,
-    one view per group at ``offsets``, for a per-group field.  No view of a
-    read-only array can be made writeable.  Whatever else a record is given
-    it copies, so no caller's array is shared."""
+    """A float64 array the package computed and owns, made read-only, which
+    records store without copying: as ``view`` for a flat field, or as
+    ``rows``, one view per group at ``offsets``, for a per-group field.
+    Whatever else a record is given it copies, so no caller's array is
+    shared."""
 
     __slots__ = ("view", "rows")
 
     def __init__(self, array: np.ndarray, offsets: np.ndarray | None = None):
-        array.setflags(write=False)
-        self.view = array.view()
+        self.view = _read_only(array)
         self.rows = None if offsets is None else _views(array, offsets)
 
 
@@ -83,9 +85,8 @@ def _grouped(rows) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         return rows.view, rows.rows
     vectors = [row if isinstance(row, np.ndarray) and row.ndim == 1 else _vector(row)
                for row in rows]
-    flat = (np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors
-            else np.empty(0))
-    flat.setflags(write=False)
+    flat = _read_only(np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors
+                      else np.empty(0))
     return flat, _views(flat, _offsets(map(len, vectors)))
 
 
@@ -298,10 +299,9 @@ class FadingStack:
     group_offsets: np.ndarray
 
     def __post_init__(self):
-        for name in ("unicast_gains", "multicast_gains_flat"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        for name, dtype in (("unicast_gains", np.float64), ("multicast_gains_flat", np.float64),
+                            ("group_offsets", np.intp)):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
 
     @property
     def n_drops(self) -> int:
@@ -526,7 +526,7 @@ def _estimation_variances(cfg: SystemConfig,
     e = fading.multicast_gains_flat
     tqe = tau * q * e
     s = _group_sums(tqe, offsets)
-    return EstimationStats(unicast_var=tpb * b / (1.0 + tpb),
-                           multicast_var=_views(tqe * e / (1.0 + _per_member(s, offsets)),
-                                                offsets),
-                           group_var=s * s / (1.0 + s))
+    return EstimationStats(unicast_var=_Shared(tpb * b / (1.0 + tpb)),
+                           multicast_var=_Shared(tqe * e / (1.0 + _per_member(s, offsets)),
+                                                 offsets),
+                           group_var=_Shared(s * s / (1.0 + s)))

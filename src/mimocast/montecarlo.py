@@ -313,12 +313,14 @@ _Result = tuple[np.ndarray, np.ndarray, np.ndarray]
 class _Kernel:
     """One run's trial: draw, estimate, precode, form the products and the
     per-stream powers.  Each thread that runs trials allocates its draw and
-    product buffers on its first trial and reuses them."""
+    product buffers on its first trial and reuses them; a trial's
+    per-stream powers go into a buffer it takes from ``spare``."""
 
-    def __init__(self, job: _Job):
+    def __init__(self, job: _Job, spare: deque):
         self.job = job
         self.blocks = _ut_blocks(job.cfg)
         self.local = threading.local()
+        self.spare = spare
 
     def _buffers(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         local = self.local
@@ -350,7 +352,7 @@ class _Kernel:
         # the SINR denominator amplifies last-bit changes by up to the SINR.
         # Only the block's products are held at once.
         U = cfg.n_unicast
-        power = np.empty((job.own.size, cfg.n_streams))
+        power = self.spare.pop()
         received = np.empty(job.own.size)
         desired = np.empty(job.own.size, dtype=complex)
         for a, b in self.blocks:
@@ -366,13 +368,16 @@ class _Kernel:
 
 
 class _Sums:
-    """The run's accumulators, which trials enter in trial order."""
+    """The run's accumulators, which trials enter in trial order, and one
+    per-stream power buffer per worker: a trial takes one and entering its
+    result hands it back, so with one pending trial per worker one is free."""
 
-    def __init__(self, job: _Job, n_trials: int):
+    def __init__(self, job: _Job, n_trials: int, workers: int):
         users = job.own.size
         self.desired = np.empty((users, n_trials), dtype=complex)
         self.received = np.empty((users, n_trials))
         self.power_sums = np.zeros((users, job.cfg.n_streams))
+        self.spare = deque(np.empty((users, job.cfg.n_streams)) for _ in range(workers))
         self.kept = 0
         self.discarded = 0
 
@@ -382,6 +387,7 @@ class _Sums:
             return
         power, received, desired = result
         self.power_sums += power
+        self.spare.append(power)
         self.received[:, self.kept] = received
         self.desired[:, self.kept] = desired
         self.kept += 1
@@ -427,9 +433,9 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     # Each UT's own stream: its unicast stream, or its group's.
     own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
     job = _Job(cfg, fading, p, _views(q, cfg.group_offsets), powers, precoder, stats, seed, own)
-    kernel = _Kernel(job)
-    sums = _Sums(job, n_trials)
     workers = _worker_count(n_trials)
+    sums = _Sums(job, n_trials, workers)
+    kernel = _Kernel(job, sums.spare)
     with ThreadPoolExecutor(workers, thread_name_prefix="montecarlo") as pool:
         pending = deque()
         for t in range(n_trials):

@@ -10,6 +10,7 @@ which the midpoint-concavity check verifies numerically.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -34,12 +35,20 @@ class ParetoPoint:
 
 @dataclass(frozen=True)
 class ParetoBoundary:
-    """Sweep points ordered by increasing unicast power."""
+    """Sweep points ordered by increasing unicast power.  ``problems`` are
+    both allocation problems of the pair, which selections read: a sweep
+    keeps the ones it built from the pair it validated, and any other
+    boundary validates its pair and builds them on its first selection."""
 
     points: tuple[ParetoPoint, ...]
     precoder: str
     cfg: SystemConfig
     fading: FadingProfile
+
+    @functools.cached_property
+    def problems(self) -> tuple[_MmfProblem, _SseProblem]:
+        require_valid(self.cfg, self.fading)
+        return _problems(self.cfg, self.fading, self.precoder)
 
 
 @dataclass(frozen=True)
@@ -109,8 +118,10 @@ def sweep_boundary(cfg: SystemConfig, fading: FadingProfile, precoder: str,
     splits = [i * P / (n_points - 1) for i in range(n_points)]
     splits[-1] = P  # exact endpoint regardless of rounding
     mmf, sse = _problems(cfg, fading, precoder)
-    points = tuple(_point(mmf, sse, s) for s in splits)
-    return ParetoBoundary(points=points, precoder=precoder, cfg=cfg, fading=fading)
+    boundary = ParetoBoundary(points=tuple(_point(mmf, sse, s) for s in splits),
+                              precoder=precoder, cfg=cfg, fading=fading)
+    vars(boundary)["problems"] = mmf, sse   # the cached property's value
+    return boundary
 
 
 def check_convexity(boundary: ParetoBoundary) -> ConvexityReport:
@@ -152,7 +163,9 @@ def select_operating_point(boundary: ParetoBoundary,
     target max-min multicast SE, or a target sum SE.  A target maps back to
     its split in closed form, so the split is exact up to rounding and one
     solve gives the point.  Targets outside the achievable range return the
-    nearest endpoint flagged as clamped.
+    nearest endpoint flagged as clamped.  On a swept boundary nothing is
+    validated or built again; any other boundary does both once, on its
+    first selection.
     """
     chosen = [p for p in (ratio, target_mmf, target_sse) if p is not None]
     if len(chosen) != 1:
@@ -163,17 +176,15 @@ def select_operating_point(boundary: ParetoBoundary,
             raise ValueError(f"ratio parts must be non-negative with a positive sum, got {ratio}")
     elif math.isnan(chosen[0]):
         raise ValueError("the target must not be NaN")
-    cfg, fading, precoder = boundary.cfg, boundary.fading, boundary.precoder
-    P = cfg.total_power
-    require_valid(cfg, fading)
-    mmf, sse = _problems(cfg, fading, precoder)
+    mmf, sse = boundary.problems
+    P = boundary.cfg.total_power
     if ratio is not None:
         return OperatingPoint(_point(mmf, sse, P * a / (a + b)), False)
 
     target, problem = chosen[0], (mmf if target_mmf is not None else sse)
     # Each objective is exactly 0 when its side gets no power and rises
     # strictly to `top` when it gets all of P (the other side's fixed share 0).
-    top = float(problem.objectives(0.0))
+    top = problem.top
     if target >= top:
         power, clamped = P, target > top
     elif target <= 0.0:

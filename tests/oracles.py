@@ -24,6 +24,11 @@ before trials ran on worker threads: one loop on the calling thread, each
 trial's arrays allocated afresh.  Reports built on it must equal the
 threaded ones byte for byte, whatever the worker count.
 
+The per-call selection section keeps ``select_operating_point`` as it was
+before a boundary kept its allocation problems: every call validates the
+boundary's pair and builds both problems again.  Its points must equal the
+ones selected on the kept problems, field for field.
+
 The per-drop figure-grid section keeps the grid loop as it was before a
 cell's drops were placed and solved as one stack: one SeedSequence and one
 placement per drop, drawn block by block, then one ``solve_mmf`` or
@@ -49,7 +54,7 @@ from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDra
                                  UserValidation, ValidationReport,
                                  build_mrt_precoders, build_zf_precoders, mmse_estimate,
                                  require_zf_feasible, trial_rng)
-from mimocast.pareto import ParetoBoundary, solve_split
+from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
 from mimocast.scenario import (CellGeometry, Placement, default_energy_cap_physical,
                                normalize_powers)
 
@@ -797,6 +802,41 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     return montecarlo._Trials(desired=desired[:, :kept], received=received[:, :kept],
                               power_sums=power_sums, n_kept=kept, n_discarded=discarded,
                               stats=stats)
+
+
+# -------------------------------------------------- per-call selection
+
+
+def select_operating_point_rebuilt(boundary: ParetoBoundary, ratio=None, target_mmf=None,
+                                   target_sse=None) -> OperatingPoint:
+    """``pareto.select_operating_point`` validating the boundary's pair and
+    building both allocation problems on every call."""
+    chosen = [p for p in (ratio, target_mmf, target_sse) if p is not None]
+    if len(chosen) != 1:
+        raise ValueError("give exactly one of ratio, target_mmf, target_sse")
+    if ratio is not None:
+        a, b = ratio
+        if a < 0 or b < 0 or a + b <= 0:
+            raise ValueError(f"ratio parts must be non-negative with a positive sum, got {ratio}")
+    elif math.isnan(chosen[0]):
+        raise ValueError("the target must not be NaN")
+    cfg, fading, precoder = boundary.cfg, boundary.fading, boundary.precoder
+    P = cfg.total_power
+    require_valid(cfg, fading)
+    mmf, sse = _problems(cfg, fading, precoder)
+    if ratio is not None:
+        return OperatingPoint(_point(mmf, sse, P * a / (a + b)), False)
+
+    target, problem = chosen[0], (mmf if target_mmf is not None else sse)
+    top = float(problem.objectives(0.0))
+    if target >= top:
+        power, clamped = P, target > top
+    elif target <= 0.0:
+        power, clamped = 0.0, target < 0.0
+    else:
+        power, clamped = min(P, problem.power_for(target)), False
+    split = P - power if problem is mmf else power
+    return OperatingPoint(_point(mmf, sse, split), clamped)
 
 
 # --------------------------------------------------- per-drop figure grids

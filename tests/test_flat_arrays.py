@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from mimocast import allocation, model, montecarlo
 from mimocast.closed_form import PRECODERS, DownlinkPowers
-from mimocast.model import FadingProfile, SystemConfig, validate_config
+from mimocast.model import (EstimationStats, FadingProfile, FadingStack, SystemConfig,
+                            validate_config)
 from mimocast.montecarlo import validate_closed_form
-from mimocast.pareto import select_operating_point, solve_split, sweep_boundary
+from mimocast.pareto import ParetoBoundary, select_operating_point, solve_split, sweep_boundary
 from mimocast.scenario import CellGeometry, default_normalized_config, place_users
 
 import oracles
@@ -299,7 +300,8 @@ class TestSweepOnce:
 class TestOneBuildPerProblem:
     """Each allocation problem's split-independent pieces (group floors for
     max-min, estimate variances and offsets for sum SE) are built once per
-    call, and each public entry point validates its pair once."""
+    call, and each public entry point validates its pair once.  A selection
+    on a swept boundary reads the problems the sweep built."""
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     @pytest.mark.parametrize("kind", ["ratio", "target_mmf", "target_sse"])
@@ -313,11 +315,29 @@ class TestOneBuildPerProblem:
         builds = [count_calls(monkeypatch, allocation, name)
                   for name in ("_group_quality_floors", "_unicast_offsets")]
         point = select_operating_point(boundary, **{kind: value}).point
-        assert (len(validations), *map(len, builds)) == (1, 1, 1)
+        assert (len(validations), *map(len, builds)) == (0, 0, 0)
         allocation.mmf_se_report(cfg, fading, point.mmf_solution, point.p_unicast)
         allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast)
-        assert (len(validations), *map(len, builds)) == (3, 1, 1)
+        assert (len(validations), *map(len, builds)) == (2, 0, 0)
         assert point == solve_split(cfg, fading, precoder, point.p_unicast)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_hand_built_boundary_selects(self, monkeypatch, precoder):
+        # Its first selection validates and builds once; later ones do neither.
+        cfg, fading = desk_cell(9)
+        swept = sweep_boundary(cfg, fading, precoder, 3)
+        boundary = ParetoBoundary(swept.points, precoder, cfg, fading)
+        validations = count_validations(monkeypatch)
+        builds = [count_calls(monkeypatch, allocation, name)
+                  for name in ("_group_quality_floors", "_unicast_offsets")]
+        first = select_operating_point(boundary, ratio=(1.0, 2.0))
+        assert (len(validations), *map(len, builds)) == (1, 1, 1)
+        mid = swept.points[1]
+        again = [select_operating_point(boundary, ratio=(1.0, 2.0)),
+                 select_operating_point(boundary, target_mmf=mid.mmf_objective),
+                 select_operating_point(boundary, target_sse=mid.sse_objective)]
+        assert (len(validations), *map(len, builds)) == (1, 1, 1)
+        assert again[0] == first == select_operating_point(swept, ratio=(1.0, 2.0))
 
     def test_sweep(self, monkeypatch):
         cfg, fading = paper_cell(4)
@@ -326,6 +346,45 @@ class TestOneBuildPerProblem:
                   for name in ("_group_quality_floors", "_unicast_offsets")]
         sweep_boundary(cfg, fading, "zf", 7)
         assert (len(validations), *map(len, builds)) == (1, 1, 1)
+
+
+def array_fields(record):
+    """Every array a record holds: its array fields and each group row."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
+            yield from value
+
+
+class TestNoArrayCanBeMadeWriteable:
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_every_record_type(self, precoder):
+        cfg, fading = desk_cell(12)
+        point = solve_split(cfg, fading, precoder, cfg.total_power / 3.0)
+        tau = cfg.pilot_length
+        stats = model.estimation_variances(cfg, fading, cfg.unicast_energy_caps / tau,
+                                           [caps / tau for caps in cfg.multicast_energy_caps])
+        gains = np.ones((2, cfg.n_unicast + sum(cfg.group_sizes)))
+        records = [
+            cfg, fading, stats, point.mmf_solution, point.sse_solution,
+            FadingStack(unicast_gains=gains[:, :cfg.n_unicast],
+                        multicast_gains_flat=gains[:, cfg.n_unicast:],
+                        group_offsets=np.array(cfg.group_offsets)),
+            EstimationStats(unicast_var=[0.5] * cfg.n_unicast,
+                            multicast_var=[[0.5] * k for k in cfg.group_sizes],
+                            group_var=np.ones(cfg.n_groups)),
+            DownlinkPowers.equal_split(1.0, cfg.n_unicast, 1.0, cfg.n_groups),
+            allocation.mmf_se_report(cfg, fading, point.mmf_solution, point.p_unicast),
+            allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast),
+        ]
+        for record in records:
+            arrays = list(array_fields(record))
+            assert arrays, type(record).__name__
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)
 
 
 class TestResultArrays:

@@ -588,6 +588,22 @@ class TestWorkerThreads:
         assert counts["started"] == counts["committed"] == 300
         assert counts["ahead"] <= 2 * workers, counts
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_power_buffer_per_worker(self, monkeypatch, workers):
+        # One distinct power buffer per worker, each handed back by the
+        # commit of the trial that took it.
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
+        runs = []
+        init = montecarlo._Sums.__init__
+        monkeypatch.setattr(montecarlo._Sums, "__init__",
+                            lambda self, *a: runs.append(self) or init(self, *a))
+        args = (*self.cell("mrt"), 60, 3)
+        trials = montecarlo._run_trials(*args)
+        spare = runs[0].spare
+        assert len(spare) == len({id(a) for a in spare}) == workers
+        assert np.array_equal(bits(trials.power_sums),
+                              bits(oracles.run_trials_serial(*args).power_sums))
+
     def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         assert montecarlo._worker_count(100) == 3

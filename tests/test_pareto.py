@@ -1,19 +1,23 @@
 import csv
 import dataclasses
+import functools
 import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mimocast.allocation import mmf_se_report, sse_se_report
 from mimocast.closed_form import PRECODERS, DownlinkPowers, se_report
-from mimocast.model import estimation_variances
+from mimocast.errors import InvalidConfigError
+from mimocast.model import FadingProfile, estimation_variances
 from mimocast.pareto import (ParetoBoundary, boundary_csv, check_convexity,
                              select_operating_point, solve_split,
                              sweep_boundary)
 from mimocast.scenario import CellGeometry, default_normalized_config, place_users
 
-from oracles import bisect_split, random_desk_instance
+from oracles import bisect_split, random_desk_instance, select_operating_point_rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +208,92 @@ class TestClosedFormSelection:
         fading, _ = place_users(CellGeometry(), PAPER_CELL["n_unicast"],
                                 PAPER_CELL["group_sizes"], seed)
         assert_selection_matches_bisection(cfg, fading, precoder, kind, u)
+
+
+@functools.lru_cache(maxsize=None)
+def paper_cell_boundary(seed, precoder):
+    """One swept paper-cell boundary per (seed, precoder), selected on again
+    and again, as an application would."""
+    cfg = default_normalized_config(**PAPER_CELL)
+    fading, _ = place_users(CellGeometry(), PAPER_CELL["n_unicast"],
+                            PAPER_CELL["group_sizes"], seed)
+    return sweep_boundary(cfg, fading, precoder, 2)
+
+
+def policy(boundary, kind, u, v):
+    """A selection policy: a ratio (u, v), or a target at fraction u of the
+    objective's range, which lies outside it for u < 0 or u > 1."""
+    if kind == "ratio":
+        return {"ratio": (abs(u), abs(v)) if u or v else (1.0, 0.0)}
+    ends = [getattr(p, f"{kind[7:]}_objective") for p in boundary.points]
+    return {kind: min(ends) + u * (max(ends) - min(ends))}
+
+
+def assert_selection_matches_rebuilt(boundary, kind, u, v):
+    """The selection on the boundary's kept problems equals the oracle's,
+    which validates and rebuilds, and both points score to the same bytes."""
+    chosen = policy(boundary, kind, u, v)
+    got = select_operating_point(boundary, **chosen)
+    want = select_operating_point_rebuilt(boundary, **chosen)
+    assert (got.point, got.clamped) == (want.point, want.clamped)
+    cfg, fading = boundary.cfg, boundary.fading
+    for score, solution, share in ((mmf_se_report, "mmf_solution", "p_unicast"),
+                                   (sse_se_report, "sse_solution", "p_multicast")):
+        got_report, want_report = (
+            score(cfg, fading, getattr(op.point, solution), getattr(op.point, share))
+            for op in (got, want))
+        assert json.dumps(got_report.to_dict()) == json.dumps(want_report.to_dict())
+
+
+POLICY = dict(kind=st.sampled_from(("ratio", "target_mmf", "target_sse")),
+              u=st.floats(min_value=-0.5, max_value=1.5),
+              v=st.floats(min_value=0.0, max_value=1.5))
+
+
+class TestKeptProblems:
+    """A boundary keeps both allocation problems of its pair, so a selection
+    neither validates the pair nor builds a problem again."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           precoder=st.sampled_from(PRECODERS), **POLICY)
+    def test_desk_instances_match_rebuilt_selection(self, seed, precoder, kind, u, v):
+        rng = np.random.default_rng(seed)
+        cfg, fading = random_desk_instance(rng, u_range=(1, 8))
+        boundary = sweep_boundary(cfg, fading, precoder, 3)
+        assert_selection_matches_rebuilt(boundary, kind, u, v)
+        assert_selection_matches_rebuilt(boundary, kind, v, u)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=3),
+           precoder=st.sampled_from(PRECODERS), **POLICY)
+    def test_paper_cell_drops_match_rebuilt_selection(self, seed, precoder, kind, u, v):
+        assert_selection_matches_rebuilt(paper_cell_boundary(seed, precoder), kind, u, v)
+
+    def test_invalid_pair_and_unknown_precoder_still_raise(self, instance, boundary):
+        _, fading = instance
+        bad = FadingProfile(unicast_gains=[0.0, *fading.unicast_gains[1:].tolist()],
+                            multicast_gains=fading.multicast_gains)
+        invalid = dataclasses.replace(boundary, fading=bad)
+        for _ in range(2):   # a failed first selection leaves nothing behind
+            with pytest.raises(InvalidConfigError):
+                select_operating_point(invalid, ratio=(1.0, 1.0))
+        unknown = dataclasses.replace(boundary, precoder="mmse")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                select_operating_point(unknown, target_mmf=0.1)
+
+    def test_replaced_pair_selects_with_its_own_problems(self, instance, boundary):
+        cfg, fading = instance
+        select_operating_point(boundary, ratio=(1.0, 1.0))   # the old pair's problems are kept
+        other = FadingProfile(unicast_gains=fading.unicast_gains * 0.5,
+                              multicast_gains=[g * 2.0 for g in fading.multicast_gains])
+        moved = dataclasses.replace(boundary, fading=other)
+        for chosen in ({"ratio": (1.0, 1.0)}, {"target_mmf": 0.05}, {"target_sse": 0.05}):
+            got = select_operating_point(moved, **chosen)
+            assert got == select_operating_point_rebuilt(moved, **chosen)
+            assert got.point == solve_split(cfg, other, "mrt", got.point.p_unicast)
+            assert got.point != select_operating_point(boundary, **chosen).point
 
 
 def random_feasible_bundle(cfg, fading, rng):
