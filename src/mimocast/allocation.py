@@ -471,11 +471,11 @@ def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
     """
     if cfg.n_unicast == 0 and p_unicast_fixed != 0.0:
         raise DegenerateInputError("no unicast UTs to carry a nonzero unicast power")
-    equal = DownlinkPowers.equal_split(p_unicast_fixed, cfg.n_unicast, 0.0, 0)
+    equal = np.full(cfg.n_unicast, p_unicast_fixed / max(cfg.n_unicast, 1))   # empty, not p/0
     return _score(cfg, fading, sol,
                   cfg.unicast_energy_caps / sol.pilot_length,
                   sol.uplink_pilot_powers,
-                  DownlinkPowers(equal.unicast, sol.downlink_powers))
+                  DownlinkPowers(equal, sol.downlink_powers))
 
 
 def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
@@ -487,8 +487,8 @@ def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
     """
     if cfg.n_groups == 0 and p_multicast_fixed != 0.0:
         raise DegenerateInputError("no multicast groups to carry a nonzero multicast power")
-    equal = DownlinkPowers.equal_split(0.0, 0, p_multicast_fixed, cfg.n_groups)
+    equal = np.full(cfg.n_groups, p_multicast_fixed / max(cfg.n_groups, 1))   # empty, not p/0
     return _score(cfg, fading, sol,
                   sol.uplink_pilot_powers,
                   [caps / sol.pilot_length for caps in cfg.multicast_energy_caps],
-                  DownlinkPowers(sol.downlink_powers, equal.multicast))
+                  DownlinkPowers(sol.downlink_powers, equal))

@@ -1,10 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: it parses the flags, calls the library and
+formats what it returns.
 
 Subcommands: ``scenario`` (generate a cell drop), ``mmf`` / ``sse`` (run one
 allocation solver), ``pareto`` (trade-off sweep to CSV), ``validate``
-(Monte Carlo vs closed form), and ``figure`` (grid sweeps).  Every output
-file gets a sibling ``<name>.manifest.json`` holding the resolved arguments,
-seeds, and a config hash, enough to re-run it bit-identically.
+(Monte Carlo vs closed form), and ``figure`` (the grids of
+``mimocast.figures`` to CSV).  Every output file gets a sibling
+``<name>.manifest.json`` holding the resolved arguments, seeds, and a
+config hash, enough to re-run it bit-identically.
 
 Exit codes: 0 success, 1 validation or infeasibility, 2 I/O, 3 internal.
 """
@@ -21,18 +23,13 @@ import math
 import secrets
 import sys
 import traceback
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__, allocation, montecarlo, pareto
+from . import __version__, allocation, figures, montecarlo, pareto
 from .closed_form import PRECODERS
-from .errors import MimocastError, ZfInfeasibleError
-from .model import (FadingProfile, FadingStack, PowerSplit, SystemConfig, require_valid,
-                    require_valid_drops)
-from .scenario import (CellGeometry, RadioParams, default_normalized_config, place_drops,
-                       place_users)
+from .errors import MimocastError
+from .model import FadingProfile, PowerSplit, SystemConfig, require_valid
+from .scenario import CellGeometry, RadioParams, default_normalized_config, place_users
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -45,7 +42,8 @@ class UsageError(Exception):
 
     Library calls that check user input raise ValueError; the CLI turns
     those into UsageError where it makes them, so a ValueError that reaches
-    ``main`` is a bug and exits 3.
+    ``main`` is a bug and exits 3, unless it is also a MimocastError (a
+    ``PlacementError``), which exits 1.
     """
 
 
@@ -80,52 +78,21 @@ def _read_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {e}") from e
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every output file.
-
-    The config hash covers command, resolved arguments, and seeds: anything
-    that determines the output bytes.  Timestamps are informational only.
-    """
-
-    command: str
-    args: dict
-    seeds: dict
-    outputs: tuple[str, ...]
-    tool_version: str
-    config_sha256: str
-    created_utc: str
-
-    @classmethod
-    def build(cls, command: str, args: dict, seeds: dict, outputs) -> "RunManifest":
-        body = {"command": command, "args": args, "seeds": seeds}
-        return cls(
-            command=command,
-            args=args,
-            seeds=seeds,
-            outputs=tuple(str(o) for o in outputs),
-            tool_version=__version__,
-            config_sha256=hashlib.sha256(
-                json.dumps(body, sort_keys=True).encode()).hexdigest(),
-            created_utc=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "args": self.args,
-            "seeds": self.seeds,
-            "outputs": list(self.outputs),
-            "tool_version": self.tool_version,
-            "config_sha256": self.config_sha256,
-            "created_utc": self.created_utc,
-        }
-
-
 def _write_manifest(outputs: list, command: str, args: argparse.Namespace, seeds: dict):
-    """One manifest listing every output of the run, next to each of them."""
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    text = _json_text(RunManifest.build(command, resolved, seeds, outputs).to_dict())
+    """One reproducibility record listing every output of the run, written
+    next to each of them.  Its config hash covers the command, the resolved
+    arguments and the seeds, which determine the output bytes; the
+    timestamp is informational only."""
+    body = {"command": command,
+            "args": {k: v for k, v in vars(args).items() if k != "func"},
+            "seeds": seeds}
+    text = _json_text({
+        **body,
+        "outputs": [str(o) for o in outputs],
+        "tool_version": __version__,
+        "config_sha256": hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest(),
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    })
     for out_path in outputs:
         _write_text(str(out_path) + ".manifest.json", text)
 
@@ -180,6 +147,13 @@ def _load_scenario(path: str):
 # ----------------------------------------------------------------- scenario
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as e:
+        raise UsageError(f"{flag} must be comma-separated integers: {e}") from e
+
+
 def _group_count(count: int, flag: str) -> int:
     """A group count from the command line.  A negative one would silently
     mean no groups at all, since (k,) * -1 == ()."""
@@ -190,13 +164,8 @@ def _group_count(count: int, flag: str) -> int:
 
 def _group_sizes_from_args(args) -> tuple[int, ...]:
     if args.group_sizes:
-        try:
-            sizes = tuple(int(s) for s in args.group_sizes.split(","))
-        except ValueError as e:
-            raise UsageError(f"--group-sizes must be comma-separated integers: {e}") from e
-    else:
-        sizes = (args.group_size,) * _group_count(args.groups, "--groups")
-    return sizes
+        return tuple(_int_list(args.group_sizes, "--group-sizes"))
+    return (args.group_size,) * _group_count(args.groups, "--groups")
 
 
 def cmd_scenario(args) -> int:
@@ -238,45 +207,38 @@ def cmd_scenario(args) -> int:
 # ---------------------------------------------------------------- mmf / sse
 
 
-def cmd_mmf(args) -> int:
-    cfg, fading, _ = _load_scenario(args.scenario)
-    p_un = _resolve_p_un(args, cfg.total_power)
+def _require_sides(cfg: SystemConfig, p_un: float, p_mu: float):
+    """A side the scenario lacks must get no power."""
     if cfg.n_unicast == 0 and p_un != 0.0:
         raise UsageError("scenario has no unicast UTs; --p-un must be 0")
-    sol = allocation.solve_mmf(cfg, fading, p_un, args.precoder)
-    report = allocation.mmf_se_report(cfg, fading, sol, p_un)
-    doc = {
-        "problem": "mmf",
-        "precoder": args.precoder,
-        "p_unicast": p_un,
-        "p_multicast": max(0.0, cfg.total_power - p_un),
-        "solution": sol.to_dict(),
-        "se_report": report.to_dict(),
-    }
-    _write_text(args.out, _json_text(doc))
-    _write_manifest([args.out], "mmf", args, {})
-    return EXIT_OK
-
-
-def cmd_sse(args) -> int:
-    cfg, fading, _ = _load_scenario(args.scenario)
-    p_un = _resolve_p_un(args, cfg.total_power)
-    p_mu = max(0.0, cfg.total_power - p_un)
     if cfg.n_groups == 0 and p_mu != 0.0:
         raise UsageError("scenario has no multicast groups; the full budget "
                          "must go to unicast (--split-ratio 1:0)")
-    sol = allocation.solve_sse(cfg, fading, p_mu, args.precoder)
-    report = allocation.sse_se_report(cfg, fading, sol, p_mu)
+
+
+def cmd_solve(args) -> int:
+    """``mmf`` or ``sse``: solve the problem for the other side's fixed
+    power, then score the solution."""
+    cfg, fading, _ = _load_scenario(args.scenario)
+    p_un = _resolve_p_un(args, cfg.total_power)
+    p_mu = max(0.0, cfg.total_power - p_un)
+    if args.command == "mmf":
+        _require_sides(cfg, p_un, 0.0)
+        fixed, solve, score = p_un, allocation.solve_mmf, allocation.mmf_se_report
+    else:
+        _require_sides(cfg, 0.0, p_mu)
+        fixed, solve, score = p_mu, allocation.solve_sse, allocation.sse_se_report
+    sol = solve(cfg, fading, fixed, args.precoder)
     doc = {
-        "problem": "sse",
+        "problem": args.command,
         "precoder": args.precoder,
         "p_unicast": p_un,
         "p_multicast": p_mu,
         "solution": sol.to_dict(),
-        "se_report": report.to_dict(),
+        "se_report": score(cfg, fading, sol, fixed).to_dict(),
     }
     _write_text(args.out, _json_text(doc))
-    _write_manifest([args.out], "sse", args, {})
+    _write_manifest([args.out], args.command, args, {})
     return EXIT_OK
 
 
@@ -314,11 +276,7 @@ def cmd_validate(args) -> int:
         sides = (cfg.n_unicast > 0) + (cfg.n_groups > 0)
         p_un = cfg.total_power / sides if cfg.n_unicast else 0.0
     p_mu = cfg.total_power - p_un
-    if cfg.n_unicast == 0 and p_un != 0.0:
-        raise UsageError("scenario has no unicast UTs; --p-un must be 0")
-    if cfg.n_groups == 0 and p_mu != 0.0:
-        raise UsageError("scenario has no multicast groups; the full budget "
-                         "must go to unicast (--split-ratio 1:0)")
+    _require_sides(cfg, p_un, p_mu)
     powers = montecarlo.DownlinkPowers.equal_split(p_un, cfg.n_unicast, p_mu, cfg.n_groups)
     tau = cfg.pilot_length
     report = montecarlo.validate_closed_form(
@@ -338,130 +296,17 @@ def cmd_validate(args) -> int:
 # ------------------------------------------------------------------- figure
 
 
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError as e:
-        raise UsageError(f"{flag} must be comma-separated integers: {e}") from e
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
-# mix_entropy, generate_state), a documented and stable stream contract.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _hashmix(value, const):
-    """SeedSequence's hashmix of a word (a Python int or a uint32 array)
-    and the hash constant it passes on; constants stay Python ints."""
-    value = value ^ const
-    const = const * _MULT_A & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-    return r ^ r >> 16
-
-
-def _mix_word(pool: list, word, const):
-    """Mix one entropy word into every pool word, as mix_entropy does with
-    the words past the pool size."""
-    for i in range(len(pool)):
-        h, const = _hashmix(word, const)
-        pool[i] = _mix(pool[i], h)
-    return const
-
-
-def _drop_states(seed: int, n_cells: int, n_drops: int) -> np.ndarray:
-    """``SeedSequence(entropy=seed, spawn_key=(cell, drop)).generate_state(4,
-    np.uint64)`` of every cell and drop, as a (cells, drops, 4) array.
-
-    A spawn key pads the seed's 32-bit words with zeros to the pool size
-    (4) and follows them, so every drop shares the pool the seed's own
-    words mix into: that part runs once, on Python ints.  The cell and drop
-    words and the state that follows run on uint32 arrays (which wrap, as
-    the hash does) over every cell and drop at once.
-    """
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool, const = [], _INIT_A
-    for w in words[:4]:
-        h, const = _hashmix(w, const)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    for w in words[4:]:
-        const = _mix_word(pool, w, const)
-    const = _mix_word(pool, np.arange(n_cells, dtype=np.uint32)[:, None], const)
-    _mix_word(pool, np.arange(n_drops, dtype=np.uint32), const)
-    state, const = np.empty((n_cells, n_drops, 8), dtype="<u4"), _INIT_B
-    for i in range(8):
-        v = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        v = v * const & _MASK32
-        state[..., i] = v ^ v >> 16
-    # As generate_state does: word pairs read as little-endian uint64s.
-    return state.view("<u8").astype(np.uint64, copy=False)
-
-
-class _DropSeed(np.random.bit_generator.ISeedSequence):
-    """One drop's seed: the words its SeedSequence would generate for
-    PCG64, which asks for exactly ``generate_state(4, np.uint64)``."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a drop seed only holds the 4 uint64 words PCG64 reads")
-        return self.state
-
-
-def _place(n_unicast: int, group_sizes, seeds) -> FadingStack:
-    """Default-geometry drops, one per seed, for user-given UT counts."""
-    try:
-        return place_drops(CellGeometry(), n_unicast, group_sizes, seeds)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
-
-
-def _drop_means(args, seed, grid, config, pieces) -> list[list[tuple[str, str, bool]]]:
-    """Per grid cell, (precoder, mean objective, feasible) for each precoder.
-
-    Cell c is ``config(*grid[c])``; it averages the objective at an even
-    power split over args.drops user placements, drop d placed from
-    ``SeedSequence(entropy=seed, spawn_key=(c, d))``.  A precoder the cell
-    cannot support is flagged infeasible with a zero mean.  The seeds of
-    every drop come from one pass (``_drop_states``).  A cell's drops are
-    placed as one stack, validated once, and ``pieces``
-    (``allocation._mmf_pieces`` or ``_sse_pieces``) works out what both
-    precoders share; each precoder then adds its own step and solves every
-    drop in one pass.
-    """
+def _grid_rows(args, seed, cells, objective):
+    """Per cell (N, U, G, K) and precoder: the cell, the precoder, and the
+    formatted drop mean and feasibility of ``figures.drop_means``."""
     if args.drops < 1:
         raise UsageError(f"--drops must be at least 1, got {args.drops}")
-    cells = []
-    for point, states in zip(grid, _drop_states(seed, len(grid), args.drops)):
-        cfg = config(*point)
-        drops = require_valid_drops(cfg, _place(cfg.n_unicast, cfg.group_sizes,
-                                                [_DropSeed(s) for s in states]))
-        shared = pieces(cfg, drops)
-        row = []
-        for prec in PRECODERS:
-            try:
-                vals = shared.problem(prec).objectives(cfg.total_power / 2.0).tolist()
-            except ZfInfeasibleError:
-                vals = []
-            row.append((prec, _fmt(sum(vals) / len(vals) if vals else 0.0), bool(vals)))
-        cells.append(row)
-    return cells
+    configs = [default_normalized_config(n, args.coherence, u, (k,) * g)
+               for n, u, g, k in cells]
+    means, feasible = figures.drop_means(configs, objective, args.drops, seed)
+    return [(cell, prec, _fmt(mean), ok)
+            for cell, cell_means, cell_ok in zip(cells, means.tolist(), feasible.tolist())
+            for prec, mean, ok in zip(PRECODERS, cell_means, cell_ok)]
 
 
 def _figure_rows_fig2(args, seed):
@@ -469,15 +314,9 @@ def _figure_rows_fig2(args, seed):
     n_list = _int_list(args.antennas_list, "--antennas-list")
     g_list = [_group_count(g, "--g-list") for g in _int_list(args.g_list, "--g-list")]
     k_list = _int_list(args.k_list, "--k-list")
-    grid = [(n, g, k) for n in n_list for g in g_list for k in k_list]
-
-    def config(n, g, k):
-        return default_normalized_config(n, args.coherence, args.unicast, (k,) * g)
-
-    rows = [[args.figure, prec, n, g, k, args.unicast, args.drops, mean, feasible]
-            for (n, g, k), cell in zip(grid, _drop_means(args, seed, grid, config,
-                                                         allocation._mmf_pieces))
-            for prec, mean, feasible in cell]
+    cells = [(n, args.unicast, g, k) for n in n_list for g in g_list for k in k_list]
+    rows = [[args.figure, prec, n, g, k, u, args.drops, mean, ok]
+            for (n, u, g, k), prec, mean, ok in _grid_rows(args, seed, cells, "mmf")]
     header = ["figure", "precoder", "n_antennas", "n_groups", "group_size",
               "n_unicast", "drops", "mmf_se", "feasible"]
     return header, rows
@@ -487,17 +326,10 @@ def _figure_rows_fig3(args, seed):
     """Unicast sum SE over a (unicast count x antennas) grid."""
     n_list = _int_list(args.antennas_list, "--antennas-list")
     u_list = _int_list(args.u_list, "--u-list")
-    sizes = (args.group_size,) * _group_count(args.groups, "--groups")
-    grid = [(n, u) for n in n_list for u in u_list]
-
-    def config(n, u):
-        return default_normalized_config(n, args.coherence, u, sizes)
-
-    rows = [[args.figure, prec, n, u, args.groups, args.group_size, args.drops,
-             mean, feasible]
-            for (n, u), cell in zip(grid, _drop_means(args, seed, grid, config,
-                                                      allocation._sse_pieces))
-            for prec, mean, feasible in cell]
+    g = _group_count(args.groups, "--groups")
+    cells = [(n, u, g, args.group_size) for n in n_list for u in u_list]
+    rows = [[args.figure, prec, n, u, g, k, args.drops, mean, ok]
+            for (n, u, g, k), prec, mean, ok in _grid_rows(args, seed, cells, "sse")]
     header = ["figure", "precoder", "n_antennas", "n_unicast", "n_groups",
               "group_size", "drops", "sse", "feasible"]
     return header, rows
@@ -509,33 +341,21 @@ def _figure_rows_fig4(args, seed):
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
     sizes = (args.group_size,) * _group_count(args.groups, "--groups")
-    fading = _place(args.unicast, sizes, [seed]).drop(0)
-    rows = []
-    for n in n_list:
-        cfg = default_normalized_config(n, args.coherence, args.unicast, sizes)
-        for prec in PRECODERS:
-            try:
-                boundary = pareto.sweep_boundary(cfg, fading, prec, args.points)
-            except ZfInfeasibleError:
-                continue
-            for p in boundary.points:
-                rows.append([args.figure, prec, n, _fmt(p.p_unicast),
-                             _fmt(p.p_multicast), _fmt(p.mmf_objective),
-                             _fmt(p.sse_objective)])
+    configs = [default_normalized_config(n, args.coherence, args.unicast, sizes)
+               for n in n_list]
+    rows = [[args.figure, b.precoder, b.cfg.n_antennas, _fmt(p.p_unicast),
+             _fmt(p.p_multicast), _fmt(p.mmf_objective), _fmt(p.sse_objective)]
+            for b in figures.boundaries(configs, args.points, seed) for p in b.points]
     header = ["figure", "precoder", "n_antennas", "p_un", "p_mu", "mmf_se", "sse"]
     return header, rows
 
 
+_FIGURES = {"fig2": _figure_rows_fig2, "fig3": _figure_rows_fig3, "fig4": _figure_rows_fig4}
+
+
 def cmd_figure(args) -> int:
     seed = _ensure_seed(args.seed)
-    builders = {"fig2": _figure_rows_fig2, "fig3": _figure_rows_fig3,
-                "fig4": _figure_rows_fig4}
-    try:
-        builder = builders[args.figure]
-    except KeyError:
-        raise UsageError(f"unknown figure id {args.figure!r}; "
-                         f"expected one of {sorted(builders)}")
-    header, rows = builder(args, seed)
+    header, rows = _FIGURES[args.figure](args, seed)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -575,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--out", required=True)
     sc.set_defaults(func=cmd_scenario)
 
-    for name, fn, help_ in (("mmf", cmd_mmf, "max-min multicast allocation"),
-                            ("sse", cmd_sse, "weighted sum-SE unicast allocation")):
+    for name, help_ in (("mmf", "max-min multicast allocation"),
+                        ("sse", "weighted sum-SE unicast allocation")):
         q = sub.add_parser(name, help=help_)
         q.add_argument("--scenario", required=True)
         q.add_argument("--precoder", choices=PRECODERS, required=True)
@@ -585,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--split-ratio", type=str, default=None,
                        help="unicast:multicast power ratio, e.g. 1:1")
         q.add_argument("--out", required=True)
-        q.set_defaults(func=fn)
+        q.set_defaults(func=cmd_solve)
 
     pa = sub.add_parser("pareto", help="trade-off boundary sweep to CSV")
     pa.add_argument("--scenario", required=True)
@@ -609,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     va.set_defaults(func=cmd_validate)
 
     fg = sub.add_parser("figure", help="grid sweep CSVs")
-    fg.add_argument("figure", choices=["fig2", "fig3", "fig4"])
+    fg.add_argument("figure", choices=sorted(_FIGURES))
     fg.add_argument("--antennas-list", type=str, default="100,250,500")
     fg.add_argument("--g-list", type=str, default="2,4,6,8,10")
     fg.add_argument("--k-list", type=str, default="10,20,30,40,50,60,70,80,90,100")

@@ -40,3 +40,8 @@ class ZfInfeasibleError(MimocastError):
 
 class DegenerateInputError(MimocastError):
     """An input combination outside a solver's domain (e.g. empty groups)."""
+
+
+class PlacementError(MimocastError, ValueError):
+    """User counts no placement can draw: a negative unicast count or an
+    empty group."""

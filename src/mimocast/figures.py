@@ -1,0 +1,159 @@
+"""The paper's figure grids as arrays.
+
+``drop_means`` gives fig2 and fig3: per grid cell (a config) and precoder,
+the mean max-min or sum-SE objective at an even power split over random
+user placements, and whether the precoder can serve the cell.
+``boundaries`` gives fig4: the trade-off boundary of one placement under
+each config and precoder.  Both place users in the default geometry.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from . import allocation, pareto
+from .closed_form import PRECODERS
+from .errors import ZfInfeasibleError
+from .model import SystemConfig, require_valid_drops
+from .scenario import CellGeometry, place_drops
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
+# mix_entropy, generate_state), a documented and stable stream contract.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix of a word (a Python int or a uint32 array)
+    and the hash constant it passes on; constants stay Python ints."""
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_word(pool: list, word, const):
+    """Mix one entropy word into every pool word, as mix_entropy does with
+    the words past the pool size."""
+    for i in range(len(pool)):
+        h, const = _hashmix(word, const)
+        pool[i] = _mix(pool[i], h)
+    return const
+
+
+def _drop_states(seed: int, n_cells: int, n_drops: int) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(cell, drop)).generate_state(4,
+    np.uint64)`` of every cell and drop, as a (cells, drops, 4) array.
+
+    A spawn key pads the seed's 32-bit words with zeros to the pool size
+    (4) and follows them, so every drop shares the pool the seed's own
+    words mix into: that part runs once, on Python ints.  The cell and drop
+    words and the state that follows run on uint32 arrays (which wrap, as
+    the hash does) over every cell and drop at once.
+    """
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool, const = [], _INIT_A
+    for w in words[:4]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[4:]:
+        const = _mix_word(pool, w, const)
+    const = _mix_word(pool, np.arange(n_cells, dtype=np.uint32)[:, None], const)
+    _mix_word(pool, np.arange(n_drops, dtype=np.uint32), const)
+    state, const = np.empty((n_cells, n_drops, 8), dtype="<u4"), _INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        v = v * const & _MASK32
+        state[..., i] = v ^ v >> 16
+    # As generate_state does: word pairs read as little-endian uint64s.
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+class _DropSeed(np.random.bit_generator.ISeedSequence):
+    """One drop's seed: the words its SeedSequence would generate for
+    PCG64, which asks for exactly ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a drop seed only holds the 4 uint64 words PCG64 reads")
+        return self.state
+
+
+# Each objective's precoder-free pieces (see ``allocation``).
+_PIECES = {"mmf": allocation._mmf_pieces, "sse": allocation._sse_pieces}
+
+
+def drop_means(configs: Sequence[SystemConfig], objective: str, n_drops: int,
+               seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per config (grid cell) and precoder (in ``PRECODERS`` order), the
+    mean ``objective`` ("mmf" or "sse") at an even power split over
+    ``n_drops`` user placements, and whether the precoder is feasible: two
+    (cells, precoders) arrays, float64 and bool.  An infeasible precoder
+    has a zero mean.
+
+    Drop d of cell c is placed from ``SeedSequence(entropy=seed,
+    spawn_key=(c, d))``; the seeds of every drop come from one pass.  A
+    cell's drops are placed as one stack and validated once, the pieces
+    both precoders share are worked out once, and each precoder solves
+    every drop in one pass.  The drops' objectives are added left to right.
+    """
+    if objective not in _PIECES:
+        raise ValueError(f"unknown objective {objective!r}, expected one of {sorted(_PIECES)}")
+    if n_drops < 1:
+        raise ValueError(f"need at least one drop, got {n_drops}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    means = np.zeros((len(configs), len(PRECODERS)))
+    feasible = np.zeros(means.shape, dtype=bool)
+    for c, (cfg, states) in enumerate(zip(configs, _drop_states(seed, len(configs), n_drops))):
+        drops = require_valid_drops(cfg, place_drops(CellGeometry(), cfg.n_unicast,
+                                                     cfg.group_sizes,
+                                                     [_DropSeed(s) for s in states]))
+        shared = _PIECES[objective](cfg, drops)
+        for p, prec in enumerate(PRECODERS):
+            try:
+                vals = shared.problem(prec).objectives(cfg.total_power / 2.0).tolist()
+            except ZfInfeasibleError:
+                continue
+            means[c, p], feasible[c, p] = sum(vals) / len(vals), True
+    return means, feasible
+
+
+def boundaries(configs: Sequence[SystemConfig], n_points: int,
+               seed: int) -> list[pareto.ParetoBoundary]:
+    """The ``n_points``-point trade-off boundary of one placement, drawn
+    with ``numpy.random.default_rng(seed)``, under each config and each
+    precoder it can serve, in config then ``PRECODERS`` order.  The configs
+    differ only in what the placement does not read: it takes its UT counts
+    from the first."""
+    if not configs:
+        return []
+    first = configs[0]
+    fading = place_drops(CellGeometry(), first.n_unicast, first.group_sizes, [seed]).drop(0)
+    out = []
+    for cfg in configs:
+        for prec in PRECODERS:
+            try:
+                out.append(pareto.sweep_boundary(cfg, fading, prec, n_points))
+            except ZfInfeasibleError:
+                continue
+    return out

@@ -10,6 +10,7 @@ which the midpoint-concavity check verifies numerically.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from .allocation import (MmfSolution, SseSolution, _MmfProblem, _mmf_problem, _SseProblem,
                          _sse_problem)
 from .closed_form import PRECODERS
-from .model import FadingProfile, SystemConfig, require_valid
+from .model import FadingProfile, PowerSplit, SystemConfig, require_valid
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,7 @@ class ConvexityReport:
     scale: float
 
     def to_dict(self) -> dict:
-        return {
-            "is_concave_boundary": self.is_concave_boundary,
-            "worst_violation": self.worst_violation,
-            "scale": self.scale,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -170,16 +167,15 @@ def select_operating_point(boundary: ParetoBoundary,
     chosen = [p for p in (ratio, target_mmf, target_sse) if p is not None]
     if len(chosen) != 1:
         raise ValueError("give exactly one of ratio, target_mmf, target_sse")
+    P = boundary.cfg.total_power
     if ratio is not None:
         a, b = ratio
-        if a < 0 or b < 0 or a + b <= 0:
-            raise ValueError(f"ratio parts must be non-negative with a positive sum, got {ratio}")
+        p_unicast = PowerSplit.from_ratio(a, b, P).p_unicast
     elif math.isnan(chosen[0]):
         raise ValueError("the target must not be NaN")
     mmf, sse = boundary.problems
-    P = boundary.cfg.total_power
     if ratio is not None:
-        return OperatingPoint(_point(mmf, sse, P * a / (a + b)), False)
+        return OperatingPoint(_point(mmf, sse, p_unicast), False)
 
     target, problem = chosen[0], (mmf if target_mmf is not None else sse)
     # Each objective is exactly 0 when its side gets no power and rises

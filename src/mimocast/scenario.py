@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import PlacementError
 from .model import FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _offsets, _views
 
 
@@ -109,7 +110,7 @@ def _unit_draws(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[in
     """
     geometry.validate()
     if n_unicast < 0 or any(k < 1 for k in group_sizes):
-        raise ValueError("need n_unicast >= 0 and every group size >= 1")
+        raise PlacementError("need n_unicast >= 0 and every group size >= 1")
     sizes = [n_unicast, *group_sizes]
     n = sum(sizes)
     u = np.empty((len(seeds), 2 * n))

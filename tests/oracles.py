@@ -45,9 +45,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from mimocast import montecarlo
-from mimocast.cli import UsageError, _fmt
+from mimocast.allocation import solve_mmf, solve_sse
 from mimocast.closed_form import PRECODERS, ZF, DownlinkPowers, se_report
-from mimocast.errors import DegenerateInputError, ZfInfeasibleError
+from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, FadingProfile, SystemConfig, Violation,
                             _estimation_variances, estimation_variances, require_valid)
 from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDraw, MAX_GRAM_COND,
@@ -897,27 +897,27 @@ def drop_seed(seed: int, cell: int, drop: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(cell, drop))
 
 
-def drop_means_loop(args, seed, grid, config, solve) -> list[list[tuple[str, str, bool]]]:
-    """``cli._drop_means`` seeding, placing and solving one drop at a time:
-    per drop one SeedSequence, one placement, then ``solve`` (``solve_mmf``
-    or ``solve_sse``) once per precoder, each validating the drop."""
-    if args.drops < 1:
-        raise UsageError(f"--drops must be at least 1, got {args.drops}")
-    cells = []
-    for cell, point in enumerate(grid):
-        cfg = config(*point)
+def drop_means_loop(configs, objective, n_drops, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``figures.drop_means`` seeding, placing and solving one drop at a
+    time: per drop one SeedSequence, one placement, then ``solve_mmf`` or
+    ``solve_sse`` once per precoder, each validating the drop."""
+    solve = {"mmf": solve_mmf, "sse": solve_sse}[objective]
+    means = np.zeros((len(configs), len(PRECODERS)))
+    feasible = np.zeros(means.shape, dtype=bool)
+    for cell, cfg in enumerate(configs):
         acc = {prec: [] for prec in PRECODERS}
-        for d in range(args.drops):
+        for d in range(n_drops):
             try:
                 fading = place_users_loop(CellGeometry(), cfg.n_unicast, cfg.group_sizes,
                                           drop_seed(seed, cell, d))[0]
             except ValueError as e:
-                raise UsageError(str(e)) from e
+                raise PlacementError(str(e)) from e
             for prec, vals in acc.items():
                 try:
                     vals.append(solve(cfg, fading, cfg.total_power / 2.0, prec).objective)
                 except ZfInfeasibleError:
                     pass
-        cells.append([(prec, _fmt(sum(vals) / len(vals) if vals else 0.0), bool(vals))
-                      for prec, vals in acc.items()])
-    return cells
+        for p, vals in enumerate(acc.values()):
+            if vals:
+                means[cell, p], feasible[cell, p] = sum(vals) / len(vals), True
+    return means, feasible

@@ -345,6 +345,20 @@ class TestScoringGuards:
         with pytest.raises(DegenerateInputError):
             mmf_se_report(cfg, fading, sol, 1.0)
 
+    def test_free_side_without_streams_scores(self):
+        # The side a score fills with an equal split has no streams: no
+        # groups for sum SE, no unicast UTs for max-min.
+        cfg = make_config(n_unicast=2, group_sizes=(), pilot_length=2)
+        fading = FadingProfile(unicast_gains=(1.0, 0.1), multicast_gains=())
+        sol = solve_sse(cfg, fading, 0.0, MRT)
+        rep = sse_se_report(cfg, fading, sol, 0.0)
+        assert rep.weighted_sum_unicast_se(cfg.sse_weights) == pytest.approx(sol.objective,
+                                                                             rel=1e-9)
+        cfg, fading = single_group_instance()
+        sol = solve_mmf(cfg, fading, 0.0, MRT)
+        assert mmf_se_report(cfg, fading, sol, 0.0).min_multicast_se() == pytest.approx(
+            sol.objective, rel=1e-9)
+
     def test_report_uses_solution_pilot_length(self):
         rng = np.random.default_rng(3)
         cfg, fading = random_desk_instance(rng, u_range=(1, 2), g_range=(1, 2))

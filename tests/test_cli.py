@@ -346,6 +346,21 @@ class TestExitCodes:
         assert rc == 3
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("figure", ["fig2", "fig3"])
+    def test_figure_solver_value_error_is_internal(self, tmp_path, capsys, monkeypatch,
+                                                   figure):
+        from mimocast import allocation
+
+        def broken_objectives(*args):
+            raise ValueError("solver bug")
+
+        for problem in (allocation._MmfProblem, allocation._SseProblem):
+            monkeypatch.setattr(problem, "objectives", broken_objectives)
+        out = tmp_path / "f.csv"
+        assert run("figure", figure, *FIGURE_BASE[figure], "--out", out) == 3
+        assert "internal error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, field, value", [
         ("system", "n_antennas", "100"),
         ("system", "total_power", None),

@@ -19,12 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimocast import allocation, cli, model
+from mimocast import allocation, cli, figures, model
 from mimocast.allocation import solve_mmf, solve_sse, waterfill
 from mimocast.closed_form import PRECODERS
 from mimocast.errors import DegenerateInputError, InvalidConfigError, ZfInfeasibleError
 from mimocast.model import FadingStack, require_valid, require_valid_drops
-from mimocast.scenario import CellGeometry, _draw_drops, place_drops, place_users
+from mimocast.pareto import sweep_boundary
+from mimocast.scenario import (CellGeometry, _draw_drops, default_normalized_config, place_drops,
+                               place_users)
 
 import oracles
 from oracles import random_desk_instance
@@ -44,13 +46,13 @@ class TestDropSeeds:
 
     @staticmethod
     def assert_states_equal(seed, n_cells, n_drops):
-        states = cli._drop_states(seed, n_cells, n_drops)
+        states = figures._drop_states(seed, n_cells, n_drops)
         assert states.shape == (n_cells, n_drops, 4) and states.dtype == np.uint64
         for c in range(n_cells):
             for d in range(n_drops):
                 want = oracles.drop_seed(seed, c, d)
                 assert np.array_equal(states[c, d], want.generate_state(4, np.uint64))
-                got = np.random.default_rng(cli._DropSeed(states[c, d]))
+                got = np.random.default_rng(figures._DropSeed(states[c, d]))
                 assert np.array_equal(got.random(8), np.random.default_rng(want).random(8))
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 + 1])
@@ -64,7 +66,7 @@ class TestDropSeeds:
         self.assert_states_equal(seed, n_cells, n_drops)
 
     def test_drop_seed_serves_only_pcg64(self):
-        seed = cli._DropSeed(cli._drop_states(3, 1, 1)[0, 0])
+        seed = figures._DropSeed(figures._drop_states(3, 1, 1)[0, 0])
         with pytest.raises(ValueError):
             seed.generate_state(2, np.uint64)
         with pytest.raises(ValueError):
@@ -250,14 +252,6 @@ class TestStackedValidation:
         assert len(calls) == 1
 
 
-SOLVERS = {allocation._mmf_pieces: allocation.solve_mmf,
-           allocation._sse_pieces: allocation.solve_sse}
-
-
-def oracle_drop_means(args, seed, grid, config, pieces):
-    return oracles.drop_means_loop(args, seed, grid, config, SOLVERS[pieces])
-
-
 def run_figure(argv):
     """Exit code, stderr and output bytes (None if not written) of one run."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -297,7 +291,7 @@ class TestFigureGridOracle:
     @given(argv=figure_argv())
     def test_runs_equal_the_per_drop_loop(self, argv):
         got = run_figure(argv)
-        with mock.patch.object(cli, "_drop_means", oracle_drop_means):
+        with mock.patch.object(figures, "drop_means", oracles.drop_means_loop):
             want = run_figure(argv)
         assert got == want
 
@@ -311,7 +305,7 @@ class TestFigureGridOracle:
     def test_multi_word_seeds(self, argv, seed):
         argv = ["figure", *argv, "--drops", "3", "--seed", str(seed)]
         got = run_figure(argv)
-        with mock.patch.object(cli, "_drop_means", oracle_drop_means):
+        with mock.patch.object(figures, "drop_means", oracles.drop_means_loop):
             want = run_figure(argv)
         assert got[0] == 0 and got == want
 
@@ -337,3 +331,22 @@ class TestFigureGridOracle:
         code, _, _ = run_figure(["figure", *argv, "--drops", "3", "--seed", "2"])
         assert code == 0
         assert len(calls) == cells
+
+
+class TestFigureLibrary:
+    def test_drop_means_rejects_bad_arguments(self):
+        configs = [default_normalized_config(16, 200, 2, (2,))]
+        for objective, n_drops, seed in (("mse", 1, 0), ("mmf", 0, 0), ("mmf", 1, -1)):
+            with pytest.raises(ValueError):
+                figures.drop_means(configs, objective, n_drops, seed)
+
+    def test_boundaries_sweep_one_placement(self):
+        # N=4 serves U+G=4 streams: no ZF boundary there.
+        configs = [default_normalized_config(n, 200, 2, (2, 2)) for n in (4, 16)]
+        fading = place_users(CellGeometry(), 2, (2, 2), 9)[0]
+        want = [sweep_boundary(cfg, fading, prec, 5) for cfg in configs for prec in PRECODERS
+                if prec == "mrt" or cfg.n_antennas > cfg.n_streams]
+        got = figures.boundaries(configs, 5, 9)
+        assert [(b.precoder, b.cfg.n_antennas, b.points) for b in got] == \
+            [(b.precoder, b.cfg.n_antennas, b.points) for b in want]
+        assert figures.boundaries([], 5, 9) == []

@@ -1,0 +1,69 @@
+"""The CLI reaches the library only through its public names.
+
+``cli.py`` parses flags and formats results; whatever it needs from another
+mimocast module must be public there.  This parses the module and fails on
+any ``_``-prefixed name (dunders aside) imported from, or read as an
+attribute of, another mimocast module.
+"""
+
+import ast
+from pathlib import Path
+
+import mimocast
+
+CLI = Path(mimocast.__file__).with_name("cli.py")
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _root(node: ast.expr) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def private_uses(source: str) -> list[str]:
+    """``module.name`` of every private mimocast name the source imports or reads."""
+    tree = ast.parse(source)
+    modules, found = {}, []   # local name -> the mimocast module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("mimocast")):
+            base = node.module or "mimocast"
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{base}.{alias.name}")
+                elif not node.module:   # `from . import allocation` binds a module
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mimocast":
+                    modules[alias.asname or alias.name.split(".")[0]] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and _root(node.value) in modules):
+            found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_cli_reads_no_private_library_name():
+    assert private_uses(CLI.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_private_imports_and_attributes():
+    source = """
+from . import __version__, allocation
+from .model import _count, require_valid
+import mimocast.pareto as p
+import mimocast
+allocation._mmf_pieces(cfg, drops).problem("mrt")
+p._point(mmf, sse, 0.0)
+mimocast.figures._drop_states(1, 2, 3)
+allocation.solve_mmf.__name__
+_local()
+"""
+    assert sorted(private_uses(source)) == sorted([
+        "model._count", "allocation._mmf_pieces", "p._point",
+        "mimocast.figures._drop_states"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mimocast.allocation import mmf_se_report, sse_se_report
 from mimocast.closed_form import PRECODERS, DownlinkPowers, se_report
 from mimocast.errors import InvalidConfigError
+from mimocast import model
 from mimocast.model import FadingProfile, estimation_variances
 from mimocast.pareto import (ParetoBoundary, boundary_csv, check_convexity,
                              select_operating_point, solve_split,
@@ -141,6 +142,16 @@ class TestSelect:
             select_operating_point(boundary)
         with pytest.raises(ValueError):
             select_operating_point(boundary, ratio=(1, 1), target_mmf=1.0)
+
+    @pytest.mark.parametrize("ratio", [(-1.0, 1.0), (1.0, -0.5), (0.0, 0.0)])
+    def test_bad_ratio_rejected_before_anything_is_built(self, instance, monkeypatch, ratio):
+        cfg, fading = instance
+        unswept = ParetoBoundary(points=(), precoder="mrt", cfg=cfg, fading=fading)
+        calls = []
+        monkeypatch.setattr(model, "validate_config", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="ratio"):
+            select_operating_point(unswept, ratio=ratio)
+        assert calls == [] and "problems" not in vars(unswept)
 
     def test_nan_target_rejected(self, boundary):
         for kind in ("target_mmf", "target_sse"):
