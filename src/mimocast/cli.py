@@ -19,7 +19,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import secrets
 import sys
 import traceback
@@ -110,8 +109,6 @@ def _parse_ratio(text: str) -> tuple[float, float]:
         a, b = float(a), float(b)
     except ValueError as e:
         raise UsageError(f"--split-ratio must look like A:B, got {text!r}") from e
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise UsageError(f"--split-ratio parts must be finite, got {text!r}")
     return a, b
 
 

@@ -28,8 +28,8 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _hashmix(value, const):
-    """SeedSequence's hashmix of a word (a Python int or a uint32 array)
-    and the hash constant it passes on; constants stay Python ints."""
+    """SeedSequence's hashmix of a uint32 array of words and the hash
+    constant it passes on, which stays a Python int."""
     value = value ^ const
     const = const * _MULT_A & _MASK32
     value = value * const & _MASK32
@@ -55,24 +55,16 @@ def _drop_states(seed: int, n_cells: int, n_drops: int) -> np.ndarray:
     np.uint64)`` of every cell and drop, as a (cells, drops, 4) array.
 
     A spawn key pads the seed's 32-bit words with zeros to the pool size
-    (4) and follows them, so every drop shares the pool the seed's own
-    words mix into: that part runs once, on Python ints.  The cell and drop
-    words and the state that follows run on uint32 arrays (which wrap, as
-    the hash does) over every cell and drop at once.
+    (4) and follows them, so every drop starts from the pool the seed's own
+    words mix into, which is ``SeedSequence(seed).pool``.  Those words took
+    4 hashmix calls each, and 4 per pool word at least, so the hash
+    constant has passed ``4 * max(words, 4)`` multiplications by _MULT_A.
+    The cell and drop words and the state that follows run on uint32
+    arrays (which wrap, as the hash does) over every cell and drop at once.
     """
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool, const = [], _INIT_A
-    for w in words[:4]:
-        h, const = _hashmix(w, const)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    for w in words[4:]:
-        const = _mix_word(pool, w, const)
+    n_words = max(-(-seed.bit_length() // 32), 4)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    const = _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
     const = _mix_word(pool, np.arange(n_cells, dtype=np.uint32)[:, None], const)
     _mix_word(pool, np.arange(n_drops, dtype=np.uint32), const)
     state, const = np.empty((n_cells, n_drops, 8), dtype="<u4"), _INIT_B

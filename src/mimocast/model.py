@@ -322,9 +322,11 @@ class PowerSplit:
 
     @classmethod
     def from_ratio(cls, unicast_share: float, multicast_share: float, total: float) -> "PowerSplit":
-        if unicast_share < 0 or multicast_share < 0 or unicast_share + multicast_share <= 0:
-            raise ValueError("split ratio parts must be non-negative with a positive sum")
         s = unicast_share + multicast_share
+        # NaN fails every comparison, so it is caught with the infinities.
+        if not (0.0 <= unicast_share < math.inf and 0.0 <= multicast_share < math.inf and s > 0):
+            raise ValueError("split ratio parts must be finite and non-negative with a "
+                             "positive sum")
         return cls(total * unicast_share / s, total * multicast_share / s)
 
 
@@ -413,40 +415,26 @@ def validate_config(cfg: SystemConfig, fading: FadingProfile) -> list[Violation]
     if not (math.isfinite(cfg.total_power) and cfg.total_power > 0):
         v.append(Violation("total_power", cfg.total_power, "must be positive and finite"))
 
-    caps = cfg.unicast_energy_caps
-    if len(caps) != cfg.n_unicast:
-        v.append(Violation("unicast_energy_caps", len(caps),
-                           f"length must equal n_unicast = {cfg.n_unicast}"))
-    else:
-        _flag(v, "unicast_energy_caps", caps, 0.0, "energy cap must be positive")
-    shape = tuple(len(e) for e in cfg.multicast_energy_caps)
-    if shape != cfg.group_sizes:
-        v.append(Violation("multicast_energy_caps", shape,
-                           f"shape must match group_sizes = {cfg.group_sizes}"))
-    else:
-        caps = cfg.multicast_energy_caps_flat
-        _flag(v, "multicast_energy_caps", caps, 0.0, "energy cap must be positive",
-              cfg.group_offsets)
-    weights = cfg.sse_weights
-    if len(weights) != cfg.n_unicast:
-        v.append(Violation("sse_weights", len(weights),
-                           f"length must equal n_unicast = {cfg.n_unicast}"))
-    else:
-        _flag(v, "sse_weights", weights, 0.0, "weight must be positive")
-
-    gains = fading.unicast_gains
-    if len(gains) != cfg.n_unicast:
-        v.append(Violation("unicast_gains", len(gains),
-                           f"length must equal n_unicast = {cfg.n_unicast}"))
-    else:
-        _flag(v, "unicast_gains", gains, MIN_GAIN, _BAD_GAIN)
-    shape = tuple(len(g) for g in fading.multicast_gains)
-    if shape != cfg.group_sizes:
-        v.append(Violation("multicast_gains", shape,
-                           f"shape must match group_sizes = {cfg.group_sizes}"))
-    else:
-        gains = fading.multicast_gains_flat
-        _flag(v, "multicast_gains", gains, MIN_GAIN, _BAD_GAIN, fading.group_offsets)
+    # The per-UT fields: name, every entry, the per-group rows (None for a
+    # per-unicast-UT field), the bound every entry must exceed, and why.
+    per_ut = (
+        ("unicast_energy_caps", cfg.unicast_energy_caps, None, 0.0, "energy cap must be positive"),
+        ("multicast_energy_caps", cfg.multicast_energy_caps_flat, cfg.multicast_energy_caps, 0.0,
+         "energy cap must be positive"),
+        ("sse_weights", cfg.sse_weights, None, 0.0, "weight must be positive"),
+        ("unicast_gains", fading.unicast_gains, None, MIN_GAIN, _BAD_GAIN),
+        ("multicast_gains", fading.multicast_gains_flat, fading.multicast_gains, MIN_GAIN,
+         _BAD_GAIN),
+    )
+    for name, values, rows, lower, message in per_ut:
+        if rows is None:
+            got, want, rule = len(values), cfg.n_unicast, "length must equal n_unicast"
+        else:
+            got, want, rule = tuple(map(len, rows)), cfg.group_sizes, "shape must match group_sizes"
+        if got != want:
+            v.append(Violation(name, got, f"{rule} = {want}"))
+        else:
+            _flag(v, name, values, lower, message, None if rows is None else cfg.group_offsets)
     return v
 
 

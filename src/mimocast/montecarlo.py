@@ -10,8 +10,14 @@ powers only enter a running (UTs x streams) sum.  The empirical
 SINR is assembled from sample means exactly as the definition states, with
 the effective-channel variance entering as E[|x|^2] - |E[x]|^2; its
 jackknife needs no more, since leaving one trial out changes a UT's total
-received power by that trial's sum.  Nothing is shared with the
-closed-form code path except the input parameters.
+received power by that trial's sum.
+
+Besides the input parameters, two things come from the closed-form side:
+the powers pass ``closed_form._check_powers``, and the precoders are scaled
+by the estimate variances of ``model._estimation_variances``, which the
+closed form reads too.  That does not make the check circular: the
+variances only set each stream's transmit power, while the SINR is
+measured from the drawn channels and estimates.
 
 Trials use independent counter-based sub-streams derived from
 (seed, trial index).  They run on a pool of worker threads, one per CPU the
@@ -38,8 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from . import closed_form
-from .closed_form import (PRECODERS, ZF, DownlinkPowers, _precoder_factors,
-                          require_zf_feasible)
+from .closed_form import ZF, DownlinkPowers, _check_powers, _precoder_factors, require_zf_feasible
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _estimation_variances,
                     _pilot_arrays, _views, require_valid)
@@ -220,13 +225,6 @@ class RankDeficientDraw(RuntimeError):
     """The stacked estimate matrix lost rank in one draw; discard the trial."""
 
 
-def _stream_powers(powers: DownlinkPowers) -> tuple[np.ndarray, np.ndarray]:
-    p, q = powers.unicast, powers.multicast
-    if (p < 0).any() or (q < 0).any():
-        raise ValueError("downlink powers must be non-negative")
-    return p, q
-
-
 def build_mrt_precoders(cfg: SystemConfig, estimates: EstimateSet,
                         powers: DownlinkPowers, stats: EstimationStats):
     """MRT: each column is the matching estimate scaled to its power."""
@@ -241,9 +239,9 @@ def build_mrt_precoders(cfg: SystemConfig, estimates: EstimateSet,
         cols[:, on] = np.sqrt(p[on] / (N * variances[on])) * estimates_[:, on]
         return cols
 
-    p, q = _stream_powers(powers)
-    return (columns(estimates.unicast_estimates, p, stats.unicast_var, "unicast UT"),
-            columns(estimates.group_estimates, q, stats.group_var, "group"))
+    _check_powers(cfg, powers)
+    return (columns(estimates.unicast_estimates, powers.unicast, stats.unicast_var, "unicast UT"),
+            columns(estimates.group_estimates, powers.multicast, stats.group_var, "group"))
 
 
 def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
@@ -258,6 +256,7 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
     and raises RankDeficientDraw so the caller can discard the trial.
     """
     require_zf_feasible(cfg)
+    _check_powers(cfg, powers)
     dof = cfg.n_antennas - cfg.n_streams
     C = np.concatenate([estimates.unicast_estimates, estimates.group_estimates], axis=1)
     norms = np.linalg.norm(C, axis=0)
@@ -270,8 +269,8 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
     eig = np.linalg.eigvalsh(gram)   # ascending
     if eig[0] <= 0.0 or eig[-1] > MAX_GRAM_COND * eig[0]:
         raise RankDeficientDraw(f"Gram condition number exceeds {MAX_GRAM_COND:g}")
-    p, q = _stream_powers(powers)
-    scales = np.sqrt(np.concatenate([dof * p * stats.unicast_var, dof * q * stats.group_var]))
+    scales = np.sqrt(np.concatenate([dof * powers.unicast * stats.unicast_var,
+                                     dof * powers.multicast * stats.group_var]))
     cols = Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
     return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]
 
@@ -289,22 +288,6 @@ class _Trials:
     stats: EstimationStats   # the estimate variances every trial's precoders read
 
 
-@dataclass(frozen=True)
-class _Job:
-    """What every trial of one run reads: the validated inputs and the pilot
-    powers as arrays."""
-
-    cfg: SystemConfig
-    fading: FadingProfile
-    pilots_unicast: np.ndarray
-    pilots_multicast: tuple[np.ndarray, ...]
-    powers: DownlinkPowers
-    precoder: str
-    stats: EstimationStats
-    seed: int
-    own: np.ndarray          # each UT's own stream
-
-
 # One trial's products: every UT's per-stream received powers, their row
 # sums and the effective channel on its own stream.
 _Result = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -316,33 +299,38 @@ class _Kernel:
     product buffers on its first trial and reuses them; a trial's
     per-stream powers go into a buffer it takes from ``spare``."""
 
-    def __init__(self, job: _Job, spare: deque):
-        self.job = job
-        self.blocks = _ut_blocks(job.cfg)
+    def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
+                 pilot_powers_multicast, powers: DownlinkPowers, precoder: str,
+                 stats: EstimationStats, seed: int, spare: deque):
+        self.cfg, self.fading, self.powers, self.precoder = cfg, fading, powers, precoder
+        p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
+        self.pilots = p, _views(q, cfg.group_offsets)
+        self.stats, self.seed, self.spare = stats, seed, spare
+        self.blocks = _ut_blocks(cfg)
+        U = cfg.n_unicast
+        # Each UT's own stream: its unicast stream, or its group's.
+        self.own = np.concatenate([np.arange(U),
+                                   U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
         self.local = threading.local()
-        self.spare = spare
 
     def _buffers(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         local = self.local
         if not hasattr(local, "draw"):
-            local.draw = _draw_buffers(self.job.cfg)
+            local.draw = _draw_buffers(self.cfg)
             local.effective = np.empty((max(b - a for a, b in self.blocks),
-                                        self.job.cfg.n_streams), dtype=complex)
+                                        self.cfg.n_streams), dtype=complex)
         return local.draw, local.effective
 
     def __call__(self, t: int) -> _Result | None:
         """Run trial t; None when its draw lost rank and is discarded."""
-        job, cfg = self.job, self.job.cfg
+        cfg = self.cfg
         draw_buffers, effective_buffer = self._buffers()
-        rng = trial_rng(job.seed, t)
-        draw = _draw_channels(cfg, job.fading, rng, draw_buffers)
-        est = mmse_estimate(cfg, job.fading, job.pilots_unicast, job.pilots_multicast,
-                            draw, rng)
+        rng = trial_rng(self.seed, t)
+        draw = _draw_channels(cfg, self.fading, rng, draw_buffers)
+        est = mmse_estimate(cfg, self.fading, *self.pilots, draw, rng)
+        build = build_zf_precoders if self.precoder == ZF else build_mrt_precoders
         try:
-            if job.precoder == ZF:
-                V, W = build_zf_precoders(cfg, est, job.powers, job.stats)
-            else:
-                V, W = build_mrt_precoders(cfg, est, job.powers, job.stats)
+            V, W = build(cfg, est, self.powers, self.stats)
         except RankDeficientDraw:
             return None
 
@@ -353,8 +341,8 @@ class _Kernel:
         # Only the block's products are held at once.
         U = cfg.n_unicast
         power = self.spare.pop()
-        received = np.empty(job.own.size)
-        desired = np.empty(job.own.size, dtype=complex)
+        received = np.empty(self.own.size)
+        desired = np.empty(self.own.size, dtype=complex)
         for a, b in self.blocks:
             hh = draw.channels[:, a:b].conj().T
             effective, block_power = effective_buffer[:b - a], power[a:b]
@@ -363,7 +351,7 @@ class _Kernel:
             np.abs(effective, out=block_power)
             np.square(block_power, out=block_power)
             block_power.sum(axis=1, out=received[a:b])
-            desired[a:b] = effective[np.arange(b - a), job.own[a:b]]
+            desired[a:b] = effective[np.arange(b - a), self.own[a:b]]
         return power, received, desired
 
 
@@ -372,12 +360,11 @@ class _Sums:
     per-stream power buffer per worker: a trial takes one and entering its
     result hands it back, so with one pending trial per worker one is free."""
 
-    def __init__(self, job: _Job, n_trials: int, workers: int):
-        users = job.own.size
+    def __init__(self, users: int, streams: int, n_trials: int, workers: int):
         self.desired = np.empty((users, n_trials), dtype=complex)
         self.received = np.empty((users, n_trials))
-        self.power_sums = np.zeros((users, job.cfg.n_streams))
-        self.spare = deque(np.empty((users, job.cfg.n_streams)) for _ in range(workers))
+        self.power_sums = np.zeros((users, streams))
+        self.spare = deque(np.empty((users, streams)) for _ in range(workers))
         self.kept = 0
         self.discarded = 0
 
@@ -423,19 +410,13 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     error raised is the lowest failing trial's.
     """
     require_valid(cfg, fading)
-    closed_form._check_powers(cfg, powers)
-    if precoder not in PRECODERS:
-        raise ValueError(f"unknown precoder {precoder!r}")
+    _check_powers(cfg, powers)
+    _precoder_factors(cfg, precoder)
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
-    p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-
-    U = cfg.n_unicast
-    # Each UT's own stream: its unicast stream, or its group's.
-    own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
-    job = _Job(cfg, fading, p, _views(q, cfg.group_offsets), powers, precoder, stats, seed, own)
     workers = _worker_count(n_trials)
-    sums = _Sums(job, n_trials, workers)
-    kernel = _Kernel(job, sums.spare)
+    sums = _Sums(cfg.n_unicast + cfg.group_offsets[-1], cfg.n_streams, n_trials, workers)
+    kernel = _Kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
+                     precoder, stats, seed, sums.spare)
     with ThreadPoolExecutor(workers, thread_name_prefix="montecarlo") as pool:
         pending = deque()
         for t in range(n_trials):
@@ -453,7 +434,7 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
         raise DegenerateInputError("fewer than 2 usable trials")
     return _Trials(desired=sums.desired[:, :kept], received=sums.received[:, :kept],
                    power_sums=sums.power_sums, n_kept=kept, n_discarded=discarded,
-                   stats=job.stats)
+                   stats=stats)
 
 
 def _sinr_from_means(des_mean: np.ndarray, power_mean: np.ndarray) -> np.ndarray:

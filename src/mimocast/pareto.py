@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .allocation import (MmfSolution, SseSolution, _MmfProblem, _mmf_problem, _SseProblem,
                          _sse_problem)
-from .closed_form import PRECODERS
+from .closed_form import _precoder_factors
 from .model import FadingProfile, PowerSplit, SystemConfig, require_valid
 
 
@@ -107,8 +107,7 @@ def sweep_boundary(cfg: SystemConfig, fading: FadingProfile, precoder: str,
     (group floors, loads, offsets) is done once for all points.
     """
     require_valid(cfg, fading)
-    if precoder not in PRECODERS:
-        raise ValueError(f"unknown precoder {precoder!r}")
+    _precoder_factors(cfg, precoder)
     if n_points < 2:
         raise ValueError(f"need at least 2 sweep points, got {n_points}")
     P = cfg.total_power

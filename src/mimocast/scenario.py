@@ -127,23 +127,6 @@ def _radii(geometry: CellGeometry, u: np.ndarray) -> np.ndarray:
     return np.sqrt(_uniform(u, geometry.exclusion_radius ** 2, geometry.cell_radius ** 2))
 
 
-def _draw_drops(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[int],
-                seeds: Sequence) -> np.ndarray:
-    """Polar positions (radius m, angle rad) of every UT, one placement per
-    seed, as a (seeds, users, 2) array: the unicast UTs, then each group.
-
-    Each seed gets its own generator and one ``rng.random(2 * users)``
-    call, mapped as ``rng.uniform`` maps its draws, so a placement equals
-    one drawn with two ``rng.uniform`` calls per block (radii, then angles),
-    bit for bit.
-    """
-    u, radii, sizes = _unit_draws(geometry, n_unicast, group_sizes, seeds)
-    polar = np.empty((len(seeds), radii.size, 2))
-    polar[..., 0] = _radii(geometry, u[:, radii])
-    polar[..., 1] = _uniform(u[:, radii + np.repeat(sizes, sizes)], 0.0, 2.0 * math.pi)
-    return polar
-
-
 def _gains(geometry: CellGeometry, radii: np.ndarray) -> np.ndarray:
     # Drawn radii are in range by construction.
     return geometry.attenuation_const / radii ** geometry.pathloss_exponent
@@ -169,10 +152,15 @@ def place_users(geometry: CellGeometry,
                 rng_seed) -> tuple[FadingProfile, Placement]:
     """Drop UTs uniformly over the annulus and derive their fading gains.
 
-    Same seed gives identical placements on every platform.  Angles are
-    drawn but only distances feed the fading model.
+    One ``rng.random(2 * users)`` call, mapped as ``rng.uniform`` maps its
+    draws, gives the placement of two ``rng.uniform`` calls per block
+    (radii, then angles), bit for bit and on every platform.  Only the
+    distances feed the fading model.
     """
-    polar = _draw_drops(geometry, n_unicast, group_sizes, [rng_seed])[0]
+    (u,), radii, sizes = _unit_draws(geometry, n_unicast, group_sizes, [rng_seed])
+    polar = np.empty((radii.size, 2))
+    polar[:, 0] = _radii(geometry, u[radii])
+    polar[:, 1] = _uniform(u[radii + np.repeat(sizes, sizes)], 0.0, 2.0 * math.pi)
     gains = _gains(geometry, polar[:, 0])
     offsets = _offsets(group_sizes)
     profile = FadingProfile(unicast_gains=gains[:n_unicast],

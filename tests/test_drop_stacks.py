@@ -25,8 +25,7 @@ from mimocast.closed_form import PRECODERS
 from mimocast.errors import DegenerateInputError, InvalidConfigError, ZfInfeasibleError
 from mimocast.model import FadingStack, require_valid, require_valid_drops
 from mimocast.pareto import sweep_boundary
-from mimocast.scenario import (CellGeometry, _draw_drops, default_normalized_config, place_drops,
-                               place_users)
+from mimocast.scenario import CellGeometry, default_normalized_config, place_drops, place_users
 
 import oracles
 from oracles import random_desk_instance
@@ -55,7 +54,10 @@ class TestDropSeeds:
                 got = np.random.default_rng(figures._DropSeed(states[c, d]))
                 assert np.array_equal(got.random(8), np.random.default_rng(want).random(8))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 + 1])
+    # 2**128 - 1 and 2**200 + 12345 have 4 and 7 words: the hash constant's
+    # start, 4 * max(words, 4) steps on, at both ends of its count.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 - 1,
+                                      2**128 + 1, 2**200 + 12345])
     @pytest.mark.parametrize("n_cells, n_drops", [(1, 1), (1, 10), (3, 1), (2, 10)])
     def test_states_equal_seed_sequences(self, seed, n_cells, n_drops):
         self.assert_states_equal(seed, n_cells, n_drops)
@@ -86,13 +88,10 @@ class TestStackedPlacement:
             pathloss_exponent=float(rng.uniform(2.1, 4.5)))
         seeds = drop_seeds(seed, n_drops)
         stack = place_drops(geometry, n_unicast, sizes, seeds)
-        polar = _draw_drops(geometry, n_unicast, sizes, seeds)
         assert stack.n_drops == n_drops
         for d, s in enumerate(seeds):
             profile, placement = place_users(geometry, n_unicast, sizes, s)
             assert stack.drop(d) == profile
-            assert np.array_equal(polar[d], np.concatenate([placement.unicast,
-                                                            *placement.multicast]))
             # ...and both equal one rng.uniform call per block and quantity.
             assert (profile, placement) == oracles.place_users_loop(geometry, n_unicast,
                                                                     sizes, s)

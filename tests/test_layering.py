@@ -1,9 +1,14 @@
-"""The CLI reaches the library only through its public names.
+"""Layering rules checked on the source.
 
-``cli.py`` parses flags and formats results; whatever it needs from another
+The CLI reaches the library only through its public names: ``cli.py``
+parses flags and formats results, and whatever it needs from another
 mimocast module must be public there.  This parses the module and fails on
 any ``_``-prefixed name (dunders aside) imported from, or read as an
 attribute of, another mimocast module.
+
+Which precoders exist is ``closed_form``'s rule: any other module checks a
+precoder through ``closed_form._precoder_factors`` and never tests
+membership in ``PRECODERS`` itself; looping over them is fine.
 """
 
 import ast
@@ -11,7 +16,8 @@ from pathlib import Path
 
 import mimocast
 
-CLI = Path(mimocast.__file__).with_name("cli.py")
+PACKAGE = Path(mimocast.__file__).parent
+CLI = PACKAGE / "cli.py"
 
 
 def _private(name: str) -> bool:
@@ -67,3 +73,38 @@ _local()
     assert sorted(private_uses(source)) == sorted([
         "model._count", "allocation._mmf_pieces", "p._point",
         "mimocast.figures._drop_states"])
+
+
+def precoder_membership_tests(source: str) -> list[int]:
+    """Lines of every ``in``/``not in`` test against ``PRECODERS`` (a bare
+    name or an attribute of that name)."""
+    def names_precoders(node: ast.expr) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "PRECODERS"
+                or isinstance(node, ast.Attribute) and node.attr == "PRECODERS")
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.In, ast.NotIn)) and names_precoders(right)
+                    for op, right in zip(node.ops, node.comparators))]
+
+
+def test_only_closed_form_tests_precoder_membership():
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "closed_form.py"
+             and (lines := precoder_membership_tests(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_check_sees_precoder_membership_tests():
+    source = """
+if precoder not in PRECODERS:
+    pass
+ok = p in closed_form.PRECODERS
+ok = 0 < n and p in PRECODERS
+for p in PRECODERS:
+    pass
+names = [p for p in PRECODERS]
+ok = p == PRECODERS
+ok = PRECODERS in table
+"""
+    assert precoder_membership_tests(source) == [2, 4, 5]

@@ -189,7 +189,7 @@ class TestPowerSplit:
         assert s.p_unicast == pytest.approx(19.0) and s.p_multicast == pytest.approx(1.0)
 
     def test_bad_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            PowerSplit.from_ratio(-1.0, 2.0, 10.0)
-        with pytest.raises(ValueError):
-            PowerSplit.from_ratio(0.0, 0.0, 10.0)
+        for ratio in [(-1.0, 2.0), (0.0, 0.0), (1.0, math.inf), (math.inf, 1.0),
+                      (math.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                PowerSplit.from_ratio(*ratio, 10.0)

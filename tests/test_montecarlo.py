@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mimocast import montecarlo
 from mimocast.closed_form import PRECODERS, DownlinkPowers, se_report
-from mimocast.errors import DegenerateInputError
+from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
 from mimocast.montecarlo import (build_mrt_precoders, build_zf_precoders,
                                  draw_channels, mmse_estimate, trial_rng,
@@ -358,6 +358,40 @@ class TestValidateClosedForm:
             validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                  DownlinkPowers(unicast=unicast, multicast=multicast),
                                  precoder, 100, 1)
+
+    @pytest.mark.parametrize("n_antennas, precoder, error", [
+        (5, "zf", ZfInfeasibleError),   # N = U+G: no degree of freedom left
+        (64, "bogus", ValueError),
+    ])
+    def test_bad_precoder_rejected_before_any_draw(self, monkeypatch, n_antennas, precoder,
+                                                    error):
+        cfg, fading = small_system(n_antennas=n_antennas, n_unicast=4, group_sizes=(3,))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+
+        def no_draw(*args):
+            raise AssertionError("drew channels before checking the precoder")
+
+        monkeypatch.setattr(montecarlo, "_draw_channels", no_draw)
+        with pytest.raises(error):
+            validate_closed_form(cfg, fading, pilots_un, pilots_mu,
+                                 DownlinkPowers(unicast=(1.0,) * 4, multicast=(2.0,)),
+                                 precoder, 100, 1)
+
+    @pytest.mark.parametrize("build", [build_mrt_precoders, build_zf_precoders])
+    @pytest.mark.parametrize("unicast, multicast", [
+        ((9.0, 1.0), (2.0,)),   # over the budget of 10
+        ((1.0,), (2.0,)),       # one entry short
+        ((-1.0, 1.0), (2.0,)),  # negative
+    ])
+    def test_builders_check_powers(self, build, unicast, multicast):
+        cfg, fading = small_system(n_antennas=32)
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        rng = trial_rng(900, 0)
+        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
+                            draw_channels(cfg, fading, rng), rng)
+        with pytest.raises(ValueError):
+            build(cfg, est, DownlinkPowers(unicast=unicast, multicast=multicast), stats)
 
     def test_misscaled_power_is_detected(self):
         # Injected defect: simulate with an amplitude-1.1 (power 1.21)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -143,7 +144,8 @@ class TestSelect:
         with pytest.raises(ValueError):
             select_operating_point(boundary, ratio=(1, 1), target_mmf=1.0)
 
-    @pytest.mark.parametrize("ratio", [(-1.0, 1.0), (1.0, -0.5), (0.0, 0.0)])
+    @pytest.mark.parametrize("ratio", [(-1.0, 1.0), (1.0, -0.5), (0.0, 0.0), (1.0, math.inf),
+                                       (math.inf, 1.0), (math.nan, 1.0)])
     def test_bad_ratio_rejected_before_anything_is_built(self, instance, monkeypatch, ratio):
         cfg, fading = instance
         unswept = ParetoBoundary(points=(), precoder="mrt", cfg=cfg, fading=fading)
