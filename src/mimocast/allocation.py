@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _log1p,
+from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_shares, _log1p,
                           _precoder_factors, _se_report, se_from_sinr)
 from .errors import DegenerateInputError
 from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
@@ -469,13 +469,11 @@ def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
     they are filled with full-cap pilots and an equal split, which does not
     affect the multicast SEs (only the unicast total enters them).
     """
-    if cfg.n_unicast == 0 and p_unicast_fixed != 0.0:
-        raise DegenerateInputError("no unicast UTs to carry a nonzero unicast power")
-    equal = np.full(cfg.n_unicast, p_unicast_fixed / max(cfg.n_unicast, 1))   # empty, not p/0
     return _score(cfg, fading, sol,
                   cfg.unicast_energy_caps / sol.pilot_length,
                   sol.uplink_pilot_powers,
-                  DownlinkPowers(equal, sol.downlink_powers))
+                  DownlinkPowers(_equal_shares(p_unicast_fixed, cfg.n_unicast, "unicast"),
+                                 sol.downlink_powers))
 
 
 def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
@@ -485,10 +483,8 @@ def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
     Multicast pilots and the per-group split are filled with full-cap
     pilots and an equal split; the unicast SEs only see the multicast total.
     """
-    if cfg.n_groups == 0 and p_multicast_fixed != 0.0:
-        raise DegenerateInputError("no multicast groups to carry a nonzero multicast power")
-    equal = np.full(cfg.n_groups, p_multicast_fixed / max(cfg.n_groups, 1))   # empty, not p/0
     return _score(cfg, fading, sol,
                   sol.uplink_pilot_powers,
                   [caps / sol.pilot_length for caps in cfg.multicast_energy_caps],
-                  DownlinkPowers(sol.downlink_powers, equal))
+                  DownlinkPowers(sol.downlink_powers,
+                                 _equal_shares(p_multicast_fixed, cfg.n_groups, "multicast")))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ZfInfeasibleError
+from .errors import DegenerateInputError, ZfInfeasibleError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _ArrayRecord, _flat_field,
                     _freeze, _per_member, _Shared, require_valid)
 
@@ -57,10 +57,17 @@ class DownlinkPowers(_ArrayRecord):
     @classmethod
     def equal_split(cls, p_unicast: float, n_unicast: int,
                     p_multicast: float, n_groups: int) -> "DownlinkPowers":
-        return cls(
-            unicast=(p_unicast / n_unicast,) * n_unicast if n_unicast else (),
-            multicast=(p_multicast / n_groups,) * n_groups if n_groups else (),
-        )
+        return cls(unicast=_equal_shares(p_unicast, n_unicast, "unicast"),
+                   multicast=_equal_shares(p_multicast, n_groups, "multicast"))
+
+
+def _equal_shares(p: float, n: int, side: str) -> np.ndarray:
+    """n equal shares of a side's power p.  A side without streams has
+    nowhere to send power, so it must be given none."""
+    if n == 0 and p != 0.0:
+        streams = "unicast UTs" if side == "unicast" else "multicast groups"
+        raise DegenerateInputError(f"no {streams} to carry a nonzero {side} power")
+    return np.full(n, p / max(n, 1))   # empty, not p/0
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,13 +21,12 @@ measured from the drawn channels and estimates.
 
 Trials use independent counter-based sub-streams derived from
 (seed, trial index).  They run on a pool of worker threads, one per CPU the
-process may use (at most MAX_WORKERS), each reusing its own draw, channel
-and product buffers; numpy's random fills, ufuncs, BLAS and LAPACK release
-the GIL.  The calling thread keeps at most one pending trial per worker and
-adds each trial's products to the running sums in trial order, so every
-result is bit-identical whatever the number of CPUs.  A trial that raises
-stops the run with the error of the lowest failing trial, as a serial loop
-would.
+process may use (at most MAX_WORKERS); numpy's random draws, ufuncs, BLAS
+and LAPACK release the GIL.  The calling thread keeps at most one pending
+trial per worker and adds each trial's products to the running sums in
+trial order, so every result is bit-identical whatever the number of CPUs.
+A trial that raises stops the run with the error of the lowest failing
+trial, as a serial loop would.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -153,18 +151,8 @@ def draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> Channel
     return _draw_channels(cfg, fading, rng_seed)
 
 
-def _draw_buffers(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """What ``_draw_channels`` fills: the N x users channel matrix and room
-    for one block's real and imaginary parts."""
-    N, blocks = cfg.n_antennas, _ut_blocks(cfg)
-    return (np.empty((N, blocks[-1][1]), dtype=complex),
-            np.empty(2 * N * max(b - a for a, b in blocks)))
-
-
-def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed,
-                   buffers: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelDraw:
-    """``draw_channels`` for a (cfg, fading) pair already validated, into
-    ``buffers`` from ``_draw_buffers`` where given.
+def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
+    """``draw_channels`` for a (cfg, fading) pair already validated.
 
     Each block of UTs (the unicast UTs, then each group) draws its N x K
     real parts and then its N x K imaginary parts.  Scaling a part by
@@ -176,14 +164,12 @@ def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed,
     N = cfg.n_antennas
     amp = np.sqrt(np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]))
     blocks = _ut_blocks(cfg)
-    H, z = buffers or _draw_buffers(cfg)
+    H = np.empty((N, blocks[-1][1]), dtype=complex)
     for a, b in blocks:
-        part = z[:2 * N * (b - a)]
-        rng.standard_normal(out=part)
-        part *= 1.0 / math.sqrt(2.0)
-        re, im = part.reshape(2, N, b - a)
-        np.multiply(re, amp[a:b], out=H.real[:, a:b])
-        np.multiply(im, amp[a:b], out=H.imag[:, a:b])
+        z = rng.standard_normal((2, N, b - a))
+        z *= 1.0 / math.sqrt(2.0)
+        np.multiply(z[0], amp[a:b], out=H.real[:, a:b])
+        np.multiply(z[1], amp[a:b], out=H.imag[:, a:b])
     return ChannelDraw(channels=H, unicast_channels=H[:, :cfg.n_unicast],
                        multicast_channels=tuple(H[:, a:b] for a, b in blocks[1:]))
 
@@ -225,23 +211,31 @@ class RankDeficientDraw(RuntimeError):
     """The stacked estimate matrix lost rank in one draw; discard the trial."""
 
 
+def _require_estimates(powers: DownlinkPowers, stats: EstimationStats):
+    """Under either precoder, a stream with power needs a channel estimate to
+    point it: a unicast UT or group with no pilot power must get no power."""
+    for p, variances, what in ((powers.unicast, stats.unicast_var, "unicast UT"),
+                               (powers.multicast, stats.group_var, "group")):
+        dead = np.flatnonzero((p != 0.0) & (variances == 0.0))
+        if dead.size:
+            raise DegenerateInputError(f"{what} {dead[0]} has power but no channel estimate")
+
+
 def build_mrt_precoders(cfg: SystemConfig, estimates: EstimateSet,
                         powers: DownlinkPowers, stats: EstimationStats):
     """MRT: each column is the matching estimate scaled to its power."""
     N = cfg.n_antennas
 
-    def columns(estimates_: np.ndarray, p: np.ndarray, variances: np.ndarray, what: str):
+    def columns(estimates_: np.ndarray, p: np.ndarray, variances: np.ndarray):
         on = p != 0.0
-        dead = np.flatnonzero(on & (variances == 0.0))
-        if dead.size:
-            raise DegenerateInputError(f"{what} {dead[0]} has power but no channel estimate")
         cols = np.zeros(estimates_.shape, dtype=complex)
         cols[:, on] = np.sqrt(p[on] / (N * variances[on])) * estimates_[:, on]
         return cols
 
     _check_powers(cfg, powers)
-    return (columns(estimates.unicast_estimates, powers.unicast, stats.unicast_var, "unicast UT"),
-            columns(estimates.group_estimates, powers.multicast, stats.group_var, "group"))
+    _require_estimates(powers, stats)
+    return (columns(estimates.unicast_estimates, powers.unicast, stats.unicast_var),
+            columns(estimates.group_estimates, powers.multicast, stats.group_var))
 
 
 def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
@@ -257,6 +251,7 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
     """
     require_zf_feasible(cfg)
     _check_powers(cfg, powers)
+    _require_estimates(powers, stats)
     dof = cfg.n_antennas - cfg.n_streams
     C = np.concatenate([estimates.unicast_estimates, estimates.group_estimates], axis=1)
     norms = np.linalg.norm(C, axis=0)
@@ -295,9 +290,7 @@ _Result = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 class _Kernel:
     """One run's trial: draw, estimate, precode, form the products and the
-    per-stream powers.  Each thread that runs trials allocates its draw and
-    product buffers on its first trial and reuses them; a trial's
-    per-stream powers go into a buffer it takes from ``spare``."""
+    per-stream powers.  Only the powers go into a buffer, from ``spare``."""
 
     def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
                  pilot_powers_multicast, powers: DownlinkPowers, precoder: str,
@@ -311,22 +304,12 @@ class _Kernel:
         # Each UT's own stream: its unicast stream, or its group's.
         self.own = np.concatenate([np.arange(U),
                                    U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
-        self.local = threading.local()
-
-    def _buffers(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        local = self.local
-        if not hasattr(local, "draw"):
-            local.draw = _draw_buffers(self.cfg)
-            local.effective = np.empty((max(b - a for a, b in self.blocks),
-                                        self.cfg.n_streams), dtype=complex)
-        return local.draw, local.effective
 
     def __call__(self, t: int) -> _Result | None:
         """Run trial t; None when its draw lost rank and is discarded."""
         cfg = self.cfg
-        draw_buffers, effective_buffer = self._buffers()
         rng = trial_rng(self.seed, t)
-        draw = _draw_channels(cfg, self.fading, rng, draw_buffers)
+        draw = _draw_channels(cfg, self.fading, rng)
         est = mmse_estimate(cfg, self.fading, *self.pilots, draw, rng)
         build = build_zf_precoders if self.precoder == ZF else build_mrt_precoders
         try:
@@ -345,7 +328,8 @@ class _Kernel:
         desired = np.empty(self.own.size, dtype=complex)
         for a, b in self.blocks:
             hh = draw.channels[:, a:b].conj().T
-            effective, block_power = effective_buffer[:b - a], power[a:b]
+            effective = np.empty((b - a, cfg.n_streams), dtype=complex)
+            block_power = power[a:b]
             effective[:, :U] = hh @ V
             effective[:, U:] = hh @ W
             np.abs(effective, out=block_power)
@@ -380,11 +364,11 @@ class _Sums:
         self.kept += 1
 
 
-# Most worker threads one run uses.  Each worker holds its own channel,
-# draw and product buffers, about 2.5 MB at the paper cell (100 antennas,
-# 1050 UTs, 60 streams), and adds about 3.1 MB to the peak RSS of a
-# 200-trial validation there with its trial's temporaries: 3 workers stay
-# within 5% of the serial loop's peak, 4 exceed it.
+# Most worker threads one run uses.  Each worker's trial in flight holds its
+# own channel matrix (1.7 MB at the paper cell: 100 antennas, 1050 UTs) and
+# products.  A 200-trial validation there peaks at 46.6 MB RSS with one
+# worker, 51.9 MB with three and 54.9 MB with four (MRT; ZF 48.1, 53.7 and
+# 56.8 MB), so each worker adds about 2.8 MB.
 MAX_WORKERS = 3
 
 
@@ -413,6 +397,7 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     _check_powers(cfg, powers)
     _precoder_factors(cfg, precoder)
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    _require_estimates(powers, stats)
     workers = _worker_count(n_trials)
     sums = _Sums(cfg.n_unicast + cfg.group_offsets[-1], cfg.n_streams, n_trials, workers)
     kernel = _Kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,

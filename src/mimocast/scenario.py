@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PlacementError
-from .model import FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _offsets, _views
+from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _offsets, _read_only,
+                    _views)
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,18 @@ class RadioParams:
 
 
 def _points(xs) -> np.ndarray:
-    a = np.array(xs, dtype=np.float64)
+    """Read-only float64 copy of (radius, angle) pairs.  Anything but an
+    array is converted entry by entry with float(), as ``model._vector``
+    converts, so a non-numeric entry raises what float() raises."""
+    if isinstance(xs, np.ndarray):
+        a = xs.astype(np.float64)
+    else:
+        a = np.array([[float(x) for x in pair] for pair in xs], dtype=np.float64)
     if a.size == 0:
-        a = a.reshape(0, 2)
+        a = np.empty((0, 2))
     if a.ndim != 2 or a.shape[1] != 2:
         raise ValueError(f"positions must be (radius, angle) pairs, got shape {a.shape}")
-    a.setflags(write=False)
-    return a
+    return _read_only(a)
 
 
 @dataclass(frozen=True, eq=False)

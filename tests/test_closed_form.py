@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, se_report
-from mimocast.errors import ZfInfeasibleError
+from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import EstimationStats, FadingProfile, estimation_variances
 
 import oracles
@@ -171,6 +171,18 @@ class TestSeReport:
     def test_unknown_precoder_rejected(self):
         with pytest.raises(ValueError):
             se_report(self.cfg, self.stats, self.fading, self.powers, "rzf")
+
+
+class TestEqualSplit:
+    def test_side_without_streams_takes_no_power(self):
+        with pytest.raises(DegenerateInputError, match="no unicast UTs"):
+            DownlinkPowers.equal_split(5.0, 0, 1.0, 2)
+        with pytest.raises(DegenerateInputError, match="no multicast groups"):
+            DownlinkPowers.equal_split(1.0, 2, 5.0, 0)
+        powers = DownlinkPowers.equal_split(0.0, 0, 1.0, 2)
+        assert powers.unicast.size == 0 and powers.multicast.tolist() == [0.5, 0.5]
+        powers = DownlinkPowers.equal_split(1.0, 2, 0.0, 0)
+        assert powers.unicast.tolist() == [0.5, 0.5] and powers.multicast.size == 0
 
 
 pos = st.floats(min_value=1e-3, max_value=1e2)

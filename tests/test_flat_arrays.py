@@ -16,7 +16,7 @@ from mimocast.model import (EstimationStats, FadingProfile, FadingStack, SystemC
                             validate_config)
 from mimocast.montecarlo import validate_closed_form
 from mimocast.pareto import ParetoBoundary, select_operating_point, solve_split, sweep_boundary
-from mimocast.scenario import CellGeometry, default_normalized_config, place_users
+from mimocast.scenario import CellGeometry, Placement, default_normalized_config, place_users
 
 import oracles
 from oracles import random_desk_instance
@@ -113,6 +113,8 @@ class TestLayout:
             FadingProfile(unicast_gains=[1.0, [2.0]], multicast_gains=[])
         with pytest.raises(ValueError):
             FadingProfile(unicast_gains=["x"], multicast_gains=[])
+        with pytest.raises(TypeError):
+            Placement(unicast=[[None, 1.0]], multicast=())
 
     @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 4, 2), (5,)])
     def test_group_sums_add_left_to_right(self, sizes):
@@ -378,6 +380,8 @@ class TestNoArrayCanBeMadeWriteable:
             DownlinkPowers.equal_split(1.0, cfg.n_unicast, 1.0, cfg.n_groups),
             allocation.mmf_se_report(cfg, fading, point.mmf_solution, point.p_unicast),
             allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast),
+            place_users(CellGeometry(), 4, (3, 3), 11)[1],
+            Placement(unicast=[[30.0, 0.5]], multicast=([[40.0, 1.0], [50.0, 2.0]],)),
         ]
         for record in records:
             arrays = list(array_fields(record))

@@ -212,6 +212,18 @@ class TestZfPrecoders:
         with pytest.raises(montecarlo.RankDeficientDraw):
             build_zf_precoders(cfg, dup, powers, stats)
 
+    def test_power_without_estimate_rejected(self):
+        cfg, fading = small_system(n_antennas=32)
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        pilots_mu[0] = [0.0] * cfg.group_sizes[0]
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,))
+        rng = trial_rng(900, 0)
+        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
+                            draw_channels(cfg, fading, rng), rng)
+        with pytest.raises(DegenerateInputError, match="group 0 has power"):
+            build_zf_precoders(cfg, est, powers, stats)
+
     def test_minimal_antenna_margin_keeps_rank(self):
         # One spatial degree of freedom left: the Gram must stay invertible
         # in every one of 10^4 draws.
@@ -357,6 +369,29 @@ class TestValidateClosedForm:
         with pytest.raises(ValueError):
             validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                  DownlinkPowers(unicast=unicast, multicast=multicast),
+                                 precoder, 100, 1)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("silent", ["unicast UT 1", "group 1"])
+    def test_power_without_estimate_rejected_before_any_draw(self, monkeypatch, precoder,
+                                                             silent):
+        # A stream whose UTs send no pilot has no estimate to point it.
+        cfg, fading = small_system(n_antennas=64, n_unicast=4, group_sizes=(3, 3))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        if silent == "unicast UT 1":
+            pilots_un[1] = 0.0
+        else:
+            pilots_mu[1] = [0.0] * 3
+
+        def no_draw(*args):
+            raise AssertionError("drew channels before checking the estimates")
+
+        monkeypatch.setattr(montecarlo, "_draw_channels", no_draw)
+        half = cfg.total_power / 2.0
+        with pytest.raises(DegenerateInputError,
+                           match=f"{silent} has power but no channel estimate"):
+            validate_closed_form(cfg, fading, pilots_un, pilots_mu,
+                                 DownlinkPowers.equal_split(half, 4, half, 2),
                                  precoder, 100, 1)
 
     @pytest.mark.parametrize("n_antennas, precoder, error", [
