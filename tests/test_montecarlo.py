@@ -307,8 +307,11 @@ class TestValidateClosedForm:
     @pytest.mark.parametrize("precoder", ["mrt", "zf"])
     def test_twenty_combo_equivalence_matrix(self, precoder):
         # Ten (topology, power-split) combinations per precoder; every
-        # per-user empirical SINR must sit within 3 half-widths of its
-        # closed form.
+        # per-user z-score must satisfy |z| <= 3*sqrt(2).  Over 46 calibrated
+        # z-scores per precoder, a bound of 3 fails by chance in about one
+        # stream of seven; 3*sqrt(2) at twice the trials flags a fixed bias
+        # of 3 standard errors at 600 trials as often, and fails by chance
+        # about once in a thousand.
         topologies = [
             dict(n_antennas=24, n_unicast=1, group_sizes=(1,)),
             dict(n_antennas=48, n_unicast=2, group_sizes=(2,)),
@@ -326,9 +329,9 @@ class TestValidateClosedForm:
                     cfg.total_power * (1.0 - un_share), g)
                 report = validate_closed_form(
                     cfg, fading, pilots_un, pilots_mu, powers, precoder,
-                    n_trials=600, seed=9000 + 10 * t_idx + s_idx)
+                    n_trials=1200, seed=9000 + 10 * t_idx + s_idx)
                 worst = max(abs(r.z) for r in report.records)
-                assert worst <= 3.0, (topo, un_share, precoder, worst)
+                assert worst <= 3.0 * math.sqrt(2.0), (topo, un_share, precoder, worst)
 
     @pytest.mark.parametrize("precoder", ["mrt", "zf"])
     def test_mmf_operating_point_end_to_end(self, precoder):
