@@ -30,16 +30,23 @@ from .errors import InvalidConfigError
 MIN_GAIN = 1e-300
 
 
+def _cast_converts(xs) -> bool:
+    """Whether one cast to float64 converts ``xs`` as float() converts each
+    entry: true for arrays, but not of object dtype, whose entries may be
+    None or other non-numbers that a cast turns into NaN."""
+    return isinstance(xs, np.ndarray) and xs.dtype != object
+
+
 def _vector(xs) -> np.ndarray:
     """Read-only float64 copy of a flat sequence of numbers, or the view a
     ``_Shared`` array carries.
 
-    Anything but a 1-D array is converted entry by entry with float(), so a
-    non-numeric entry raises what float() raises.
+    Anything but a 1-D array that ``_cast_converts`` is converted entry by
+    entry with float(), so a non-numeric entry raises what float() raises.
     """
     if isinstance(xs, _Shared):
         return xs.view
-    if isinstance(xs, np.ndarray) and xs.ndim == 1:
+    if _cast_converts(xs) and xs.ndim == 1:
         return _read_only(xs.astype(np.float64))
     return _read_only(np.array([float(x) for x in xs], dtype=np.float64))
 
@@ -79,11 +86,11 @@ class _Shared:
 def _grouped(rows) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Rows of numbers as one read-only float64 array and a read-only view
     per row.  A ``_Shared`` array's views are kept as they are; rows that
-    are 1-D arrays are copied by the concatenation alone; others go through
-    ``_vector``."""
+    are 1-D arrays ``_cast_converts`` are copied by the concatenation alone;
+    others go through ``_vector``."""
     if isinstance(rows, _Shared):
         return rows.view, rows.rows
-    vectors = [row if isinstance(row, np.ndarray) and row.ndim == 1 else _vector(row)
+    vectors = [row if _cast_converts(row) and row.ndim == 1 else _vector(row)
                for row in rows]
     flat = _read_only(np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors
                       else np.empty(0))

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PlacementError
-from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _offsets, _read_only,
-                    _views)
+from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _cast_converts,
+                    _offsets, _read_only, _views)
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,10 @@ class RadioParams:
 
 def _points(xs) -> np.ndarray:
     """Read-only float64 copy of (radius, angle) pairs.  Anything but an
-    array is converted entry by entry with float(), as ``model._vector``
-    converts, so a non-numeric entry raises what float() raises."""
-    if isinstance(xs, np.ndarray):
+    array that ``model._cast_converts`` is converted entry by entry with
+    float(), as ``model._vector`` converts, so a non-numeric entry raises
+    what float() raises."""
+    if _cast_converts(xs):
         a = xs.astype(np.float64)
     else:
         a = np.array([[float(x) for x in pair] for pair in xs], dtype=np.float64)

@@ -116,6 +116,27 @@ class TestLayout:
         with pytest.raises(TypeError):
             Placement(unicast=[[None, 1.0]], multicast=())
 
+    def test_fading_profile_object_array_with_none_raises(self):
+        # A cast would store None as NaN.
+        with pytest.raises(TypeError):
+            FadingProfile(unicast_gains=np.array([1.0, None], dtype=object), multicast_gains=[])
+        with pytest.raises(TypeError):
+            FadingProfile(unicast_gains=[1.0],
+                          multicast_gains=[np.array([1.0, None], dtype=object)])
+        fading = FadingProfile(unicast_gains=np.array([1.0, 2], dtype=object),
+                               multicast_gains=[np.array([0.5], dtype=object)])
+        assert fading.unicast_gains.tolist() == [1.0, 2.0]
+        assert fading.multicast_gains_flat.tolist() == [0.5]
+
+    def test_placement_object_array_with_none_raises(self):
+        with pytest.raises(TypeError):
+            Placement(unicast=np.array([[None, 1.0]], dtype=object), multicast=())
+        with pytest.raises(TypeError):
+            Placement(unicast=np.empty((0, 2)),
+                      multicast=(np.array([[30.0, None]], dtype=object),))
+        placement = Placement(unicast=np.array([[30.0, 1]], dtype=object), multicast=())
+        assert placement.unicast.tolist() == [[30.0, 1.0]]
+
     @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 4, 2), (5,)])
     def test_group_sums_add_left_to_right(self, sizes):
         rng = np.random.default_rng(sum(sizes))
