@@ -19,14 +19,15 @@ closed form reads too.  That does not make the check circular: the
 variances only set each stream's transmit power, while the SINR is
 measured from the drawn channels and estimates.
 
-Trials use independent counter-based sub-streams derived from
-(seed, trial index).  They run on a pool of worker threads, one per CPU the
-process may use (at most MAX_WORKERS); numpy's random draws, ufuncs, BLAS
-and LAPACK release the GIL.  The calling thread keeps at most one pending
-trial per worker and adds each trial's products to the running sums in
-trial order, so every result is bit-identical whatever the number of CPUs.
-A trial that raises stops the run with the error of the lowest failing
-trial, as a serial loop would.
+Each trial draws from its own SFC64 generator, seeded by the spawn of
+(seed, trial index) from one SeedSequence; spawned sequences keep the trial
+streams independent.  Trials run on a pool of worker threads, one per CPU
+the process may use (at most MAX_WORKERS); numpy's random draws, ufuncs,
+BLAS and LAPACK release the GIL.  The calling thread keeps at most one
+pending trial per worker and adds each trial's products to the running sums
+in trial order, so every result is bit-identical whatever the number of
+CPUs.  A trial that raises stops the run with the error of the lowest
+failing trial, as a serial loop would.
 """
 
 from __future__ import annotations
@@ -126,17 +127,19 @@ class ValidationReport:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based generator for one trial, independent of all others."""
+    """Generator for one trial, independent of all others."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
-def _cn_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """``rows`` standard circularly-symmetric complex Gaussian vectors of
-    length n, row by row, each as its n real parts and then its n
-    imaginary parts."""
-    z = rng.standard_normal((rows, 2, n))
-    return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+def _cn(rng: np.random.Generator, shape: tuple[int, int], std=1.0) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian entries with standard deviation
+    ``std`` (a scalar, or one per column), drawn in C order, each as its real
+    and then its imaginary part, and scaled once, by std/sqrt(2)."""
+    z = np.empty(shape, dtype=complex)
+    rng.standard_normal(out=z.view(np.float64))
+    z *= std / math.sqrt(2.0)
+    return z
 
 
 def _ut_blocks(cfg: SystemConfig) -> list[tuple[int, int]]:
@@ -152,26 +155,14 @@ def draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> Channel
 
 
 def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """``draw_channels`` for a (cfg, fading) pair already validated.
-
-    Each block of UTs (the unicast UTs, then each group) draws its N x K
-    real parts and then its N x K imaginary parts.  Scaling a part by
-    1/sqrt(2) and then by the UT's sqrt(gain) gives the same bits as the
-    complex arithmetic (re + 1j*im) / sqrt(2) * sqrt(gain).  Drawing block
-    by block reads the generator's stream as one draw of every block would.
-    """
+    """``draw_channels`` for a (cfg, fading) pair already validated: one
+    ``_cn`` draw fills the whole N x users matrix, every UT's column with
+    standard deviation sqrt(gain)."""
     rng = np.random.default_rng(rng_seed)
-    N = cfg.n_antennas
     amp = np.sqrt(np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]))
-    blocks = _ut_blocks(cfg)
-    H = np.empty((N, blocks[-1][1]), dtype=complex)
-    for a, b in blocks:
-        z = rng.standard_normal((2, N, b - a))
-        z *= 1.0 / math.sqrt(2.0)
-        np.multiply(z[0], amp[a:b], out=H.real[:, a:b])
-        np.multiply(z[1], amp[a:b], out=H.imag[:, a:b])
+    H = _cn(rng, (cfg.n_antennas, amp.size), amp)
     return ChannelDraw(channels=H, unicast_channels=H[:, :cfg.n_unicast],
-                       multicast_channels=tuple(H[:, a:b] for a, b in blocks[1:]))
+                       multicast_channels=tuple(H[:, a:b] for a, b in _ut_blocks(cfg)[1:]))
 
 
 def mmse_estimate(cfg: SystemConfig, fading: FadingProfile,
@@ -192,11 +183,11 @@ def mmse_estimate(cfg: SystemConfig, fading: FadingProfile,
 
     b = fading.unicast_gains
     amp = np.sqrt(tau * p)
-    noise = _cn_rows(rng, cfg.n_unicast, N).T
+    noise = _cn(rng, (cfg.n_unicast, N)).T
     f_hat = (amp * b / (1.0 + tau * p * b)) * (amp * draw.unicast_channels + noise)
 
     g_hat = np.zeros((N, cfg.n_groups), dtype=complex)
-    noise = _cn_rows(rng, cfg.n_groups, N)
+    noise = _cn(rng, (cfg.n_groups, N))
     coeffs = []
     for g, (q_row, e_row) in enumerate(zip(_views(q, cfg.group_offsets), fading.multicast_gains)):
         received = draw.multicast_channels[g] @ np.sqrt(tau * q_row) + noise[g]
@@ -317,25 +308,23 @@ class _Kernel:
         except RankDeficientDraw:
             return None
 
-        # h_u^H x_s for every UT u and stream s, one block of UTs times V or
-        # W at a time.  Each entry then rounds as in a per-group product; one
-        # product over all UTs and streams groups the sums differently, and
-        # the SINR denominator amplifies last-bit changes by up to the SINR.
-        # Only the block's products are held at once.
-        U = cfg.n_unicast
+        # conj(h_u^H x_s) = h_u^T conj(x_s) for every UT u and stream s, one
+        # product per block of UTs, so only the block's products are held at
+        # once.  One product over all UTs is faster, but it raised the peak
+        # RSS of a 200-trial paper-cell validation by 0.9-2.3 MB (2-5%) with
+        # one to three workers.
+        streams = np.concatenate([V, W], axis=1)
+        np.conjugate(streams, out=streams)
         power = self.spare.pop()
         received = np.empty(self.own.size)
         desired = np.empty(self.own.size, dtype=complex)
         for a, b in self.blocks:
-            hh = draw.channels[:, a:b].conj().T
-            effective = np.empty((b - a, cfg.n_streams), dtype=complex)
-            block_power = power[a:b]
-            effective[:, :U] = hh @ V
-            effective[:, U:] = hh @ W
-            np.abs(effective, out=block_power)
-            np.square(block_power, out=block_power)
-            block_power.sum(axis=1, out=received[a:b])
-            desired[a:b] = effective[np.arange(b - a), self.own[a:b]]
+            effective = draw.channels[:, a:b].T @ streams
+            desired[a:b] = effective[np.arange(b - a), self.own[a:b]].conj()
+            parts = effective.view(np.float64)
+            np.square(parts, out=parts)
+            np.add(effective.real, effective.imag, out=power[a:b])
+            power[a:b].sum(axis=1, out=received[a:b])
         return power, received, desired
 
 
@@ -366,9 +355,9 @@ class _Sums:
 
 # Most worker threads one run uses.  Each worker's trial in flight holds its
 # own channel matrix (1.7 MB at the paper cell: 100 antennas, 1050 UTs) and
-# products.  A 200-trial validation there peaks at 46.6 MB RSS with one
-# worker, 51.9 MB with three and 54.9 MB with four (MRT; ZF 48.1, 53.7 and
-# 56.8 MB), so each worker adds about 2.8 MB.
+# products.  A 200-trial validation there peaks at 45.4 MB RSS with one
+# worker, 50.0 MB with three and 52.7 MB with four (MRT; ZF 46.9, 51.8 and
+# 54.9 MB), so each worker adds about 2.4 MB.
 MAX_WORKERS = 3
 
 

@@ -21,8 +21,9 @@ rounding, and its complex-arithmetic channel draw bit for bit.
 
 The serial streamed section keeps the Monte Carlo trial loop as it was
 before trials ran on worker threads: one loop on the calling thread, each
-trial's arrays allocated afresh.  Reports built on it must equal the
-threaded ones byte for byte, whatever the worker count.
+trial's arrays allocated afresh, with the kernel's per-trial arithmetic.
+Reports built on it must equal the threaded ones byte for byte, whatever
+the worker count.
 
 The per-call selection section keeps ``select_operating_point`` as it was
 before a boundary kept its allocation problems: every call validates the
@@ -63,9 +64,17 @@ LN2 = math.log(2.0)
 log = logging.getLogger(__name__)
 
 
+def _normal_parts(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of complex samples of the given shape, drawn
+    in C order, each entry's real part and then its imaginary part."""
+    z = rng.standard_normal((*np.atleast_1d(shape), 2))
+    return z[..., 0], z[..., 1]
+
+
 def _cn(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussian samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    re, im = _normal_parts(rng, shape)
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
 def bisect_waterfill(weights, offsets, budget, iters=200):
@@ -239,27 +248,6 @@ def grid_sse_objective(cfg: SystemConfig, fading: FadingProfile, p_multicast: fl
                                + alpha[1] * np.log1p((s - p1) * f[1]) / LN2))
         best = max(best, prelog * obj)
     return best
-
-
-def score_candidate_mmf(cfg, fading, p_unicast, q_dl, x_energies, precoder):
-    """Score one feasible multicast candidate through the library path.
-
-    Used to cross-check that the oracle's internal formula agrees with the
-    production SE evaluation at sampled grid points.
-    """
-    tau = cfg.n_streams
-    cfg_at = dataclasses.replace(cfg, pilot_length=tau)
-    stats = estimation_variances(
-        cfg_at, fading,
-        [e / tau for e in cfg.unicast_energy_caps],
-        [[x / tau for x in row] for row in x_energies],
-    )
-    powers = DownlinkPowers(
-        unicast=(p_unicast / cfg.n_unicast,) * cfg.n_unicast if cfg.n_unicast else (),
-        multicast=tuple(q_dl),
-    )
-    rep = se_report(cfg_at, stats, fading, powers, precoder)
-    return rep.min_multicast_se()
 
 
 def random_desk_instance(rng, n_range=(50, 200), u_range=(0, 8), g_range=(1, 4),
@@ -567,16 +555,15 @@ def build_zf_precoders_loop(cfg, estimates, powers, stats):
 
 
 def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """``montecarlo.draw_channels`` in complex arithmetic, one block at a time."""
+    """``montecarlo.draw_channels`` in complex arithmetic."""
     rng = np.random.default_rng(rng_seed)
-    N = cfg.n_antennas
-    uni = _cn(rng, (N, cfg.n_unicast)) * np.sqrt(np.asarray(fading.unicast_gains))
-    groups = tuple(
-        _cn(rng, (N, k)) * np.sqrt(np.asarray(gains))
-        for k, gains in zip(cfg.group_sizes, fading.multicast_gains)
-    )
-    return ChannelDraw(channels=np.concatenate([uni, *groups], axis=1),
-                       unicast_channels=uni, multicast_channels=groups)
+    gains = np.concatenate([np.asarray(fading.unicast_gains, dtype=float),
+                            *(np.asarray(g, dtype=float) for g in fading.multicast_gains)])
+    re, im = _normal_parts(rng, (cfg.n_antennas, gains.size))
+    H = (re + 1j * im) * (np.sqrt(gains) / math.sqrt(2.0))
+    edges = np.cumsum([cfg.n_unicast, *cfg.group_sizes]).tolist()
+    return ChannelDraw(channels=H, unicast_channels=H[:, :cfg.n_unicast],
+                       multicast_channels=tuple(H[:, a:b] for a, b in zip(edges, edges[1:])))
 
 
 @dataclass(frozen=True)
@@ -784,14 +771,14 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
             discarded += 1
             continue
 
+        # conj(h^H x), one product per block of UTs.
+        streams = np.concatenate([V, W], axis=1).conj()
         for a, b in blocks:
-            hh = draw.channels[:, a:b].conj().T
-            effective[a:b, :U] = hh @ V
-            effective[a:b, U:] = hh @ W
-        power = np.abs(effective) ** 2
+            effective[a:b] = draw.channels[:, a:b].T @ streams
+        power = effective.real ** 2 + effective.imag ** 2
         power_sums += power
         received[:, kept] = power.sum(axis=1)
-        desired[:, kept] = effective[every, own]
+        desired[:, kept] = effective[every, own].conj()
         kept += 1
 
     if discarded:

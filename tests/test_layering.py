@@ -6,6 +6,10 @@ mimocast module must be public there.  This parses the module and fails on
 any ``_``-prefixed name (dunders aside) imported from, or read as an
 attribute of, another mimocast module.
 
+How to draw circularly-symmetric complex Gaussian samples is
+``montecarlo._cn``'s rule: no other code in ``montecarlo.py`` names a
+normal draw.
+
 Which precoders exist is ``closed_form``'s rule: any other module checks a
 precoder through ``closed_form._precoder_factors`` and never tests
 membership in ``PRECODERS`` itself; looping over them is fine.
@@ -18,6 +22,7 @@ import mimocast
 
 PACKAGE = Path(mimocast.__file__).parent
 CLI = PACKAGE / "cli.py"
+MONTECARLO = PACKAGE / "montecarlo.py"
 
 
 def _private(name: str) -> bool:
@@ -108,3 +113,43 @@ ok = p == PRECODERS
 ok = PRECODERS in table
 """
     assert precoder_membership_tests(source) == [2, 4, 5]
+
+
+NORMAL_DRAWS = {"standard_normal", "normal"}
+
+
+def normal_draw_owners(source: str) -> list[str]:
+    """The innermost enclosing function (or ``<module>``) of every name,
+    attribute or string naming a normal draw, in source order."""
+    found = []
+
+    def visit(node: ast.AST, owner: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in NORMAL_DRAWS
+                or isinstance(node, ast.Name) and node.id in NORMAL_DRAWS
+                or isinstance(node, ast.Constant) and node.value in NORMAL_DRAWS):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_one_helper_draws_normals_in_montecarlo():
+    assert normal_draw_owners(MONTECARLO.read_text(encoding="utf-8")) == ["_cn"]
+
+
+def test_check_sees_every_normal_draw():
+    source = """
+z = rng.standard_normal(3)
+class Kernel:
+    def __call__(self, rng):
+        def inner():
+            return rng.normal(size=2)
+        return getattr(rng, "standard_normal")(4), inner()
+def helper(rng, standard_normal=None):
+    return rng.integers(2), NormalDist().inv_cdf(0.5)
+"""
+    assert normal_draw_owners(source) == ["<module>", "inner", "__call__"]

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -462,16 +463,19 @@ def close(a, b, rel):
 
 class TestStreamedAgainstStoredTerms:
     """The streamed validator against the one that stored every per-trial
-    inner product (``oracles``, stored-terms section)."""
+    inner product (``oracles``, stored-terms section): the same draws, with
+    the old product arithmetic, np.abs(h^H x) ** 2."""
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("precoder", PRECODERS)
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            shape=st.sampled_from(sorted(SHAPES)))
-    def test_reports_match(self, precoder, seed, shape):
+    def test_reports_match(self, precoder, workers, seed, shape):
         cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder, **SHAPES[shape])
         args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 100, seed)
-        new = validate_closed_form(*args)
+        with mock.patch.object(montecarlo, "_worker_count", lambda n_trials: workers):
+            new = validate_closed_form(*args)
         old = oracles.validate_closed_form_stored(*args)
         assert (new.precoder, new.n_trials, new.n_discarded, new.pass_rate, new.passed) == \
             (old.precoder, old.n_trials, old.n_discarded, old.pass_rate, old.passed)
