@@ -64,14 +64,14 @@ LN2 = math.log(2.0)
 log = logging.getLogger(__name__)
 
 
-def _normal_parts(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+def _normal_parts(rng: np.random.Generator, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of complex samples of the given shape, drawn
     in C order, each entry's real part and then its imaginary part."""
-    z = rng.standard_normal((*np.atleast_1d(shape), 2))
+    z = rng.standard_normal((*shape, 2))
     return z[..., 0], z[..., 1]
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
+def _cn(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussian samples."""
     re, im = _normal_parts(rng, shape)
     return (re + 1j * im) / math.sqrt(2.0)
@@ -485,7 +485,7 @@ def mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast
     f_hat = np.zeros((N, cfg.n_unicast), dtype=complex)
     for u in range(cfg.n_unicast):
         p, b = pilot_powers_unicast[u], float(fading.unicast_gains[u])
-        noise = _cn(rng, N)
+        noise = _cn(rng, (N,))
         amp = math.sqrt(tau * p)
         f_hat[:, u] = (amp * b / (1.0 + tau * p * b)) * (amp * draw.unicast_channels[:, u] + noise)
 
@@ -494,7 +494,7 @@ def mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast
     for g in range(cfg.n_groups):
         q_row = np.asarray(pilot_powers_multicast[g], dtype=float)
         e_row = np.asarray(fading.multicast_gains[g], dtype=float)
-        noise = _cn(rng, N)
+        noise = _cn(rng, (N,))
         received = draw.multicast_channels[g] @ np.sqrt(tau * q_row) + noise
         s = float(np.sum(tau * q_row * e_row))
         g_hat[:, g] = (s / (1.0 + s)) * received

@@ -149,7 +149,7 @@ class Kernel:
         def inner():
             return rng.normal(size=2)
         return getattr(rng, "standard_normal")(4), inner()
-def helper(rng, standard_normal=None):
+def helper(rng):
     return rng.integers(2), NormalDist().inv_cdf(0.5)
 """
     assert normal_draw_owners(source) == ["<module>", "inner", "__call__"]
