@@ -310,9 +310,10 @@ class TestValidateClosedForm:
         # Ten (topology, power-split) combinations per precoder; every
         # per-user z-score must satisfy |z| <= 3*sqrt(2).  Over 46 calibrated
         # z-scores per precoder, a bound of 3 fails by chance in about one
-        # stream of seven; 3*sqrt(2) at twice the trials flags a fixed bias
-        # of 3 standard errors at 600 trials as often, and fails by chance
-        # about once in a thousand.
+        # stream of seven.  A fixed bias's z grows as sqrt(trials), so at
+        # twice the trials 3*sqrt(2) still flags a bias of 3 standard errors
+        # at 600 trials in half its runs, as |z| <= 3 did at 600, and fails
+        # by chance about once in a thousand.
         topologies = [
             dict(n_antennas=24, n_unicast=1, group_sizes=(1,)),
             dict(n_antennas=48, n_unicast=2, group_sizes=(2,)),
