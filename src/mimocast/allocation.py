@@ -15,6 +15,11 @@ once, for one drop or a FadingStack: those no precoder changes
 (``_mmf_pieces``, ``_sse_pieces``), then the precoder's own step
 (``_mmf_problem``, ``_sse_problem``).  The solve at a split, every drop's
 objective, the objective's inverse and the boundary sweep all read them.
+Each solution keeps the problem that built it, and the scores
+(``mmf_se_report``, ``sse_se_report``) read that problem's split-independent
+pieces too: the config at the solution's pilot length and the estimate
+variances, which every solution of one problem shares.  They do so only for
+the very pair the problem was built from, which was validated then.
 """
 
 from __future__ import annotations
@@ -30,9 +35,14 @@ import numpy as np
 from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_shares, _log1p,
                           _precoder_factors, _se_report, se_from_sinr)
 from .errors import DegenerateInputError
-from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
+from .model import (EstimationStats, FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
                     _Shared, _estimation_variances, _freeze, _group_min, _group_sums,
-                    _per_member, _row_sums, _sizes, require_valid)
+                    _per_member, _row_sums, _sizes, _within, require_valid)
+
+
+def _problem_field():
+    """The problem a solve records on its solution, out of every field list."""
+    return dataclasses.field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +67,7 @@ class MmfSolution(_ArrayRecord):
     upsilon: np.ndarray
     x_caps: tuple[np.ndarray, ...]
     b_values: np.ndarray
+    _problem: _MmfProblem | None = _problem_field()
 
     def __post_init__(self):
         _freeze(self, ("downlink_powers", "upsilon", "b_values"),
@@ -80,6 +91,7 @@ class SseSolution(_ArrayRecord):
     downlink_powers: np.ndarray
     water_level: float
     effective_vars: np.ndarray
+    _problem: _SseProblem | None = _problem_field()
 
     def __post_init__(self):
         _freeze(self, ("uplink_pilot_powers", "downlink_powers", "effective_vars"))
@@ -92,10 +104,10 @@ def _waterfill_users(weights: Sequence[float],
         raise ValueError("weights and offsets must have equal length")
     w = np.asarray(weights, dtype=np.float64)
     o = np.asarray(offsets, dtype=np.float64)
-    if (w <= 0).any():
-        raise ValueError("weights must be positive")
-    if (o <= 0).any():
-        raise ValueError("offsets must be positive")
+    if not _within(w, 0.0):
+        raise ValueError("weights must be positive and finite")
+    if not _within(o, 0.0):
+        raise ValueError("offsets must be positive and finite")
     if w.size == 0:
         raise ValueError("need at least one user")
     return w, o
@@ -134,8 +146,8 @@ def waterfill(weights: Sequence[float], offsets: Sequence[float],
     levels come as a read-only float64 array.
     """
     w, o = _waterfill_users(weights, offsets)
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    if not 0.0 <= budget < math.inf:
+        raise ValueError(f"budget must be non-negative and finite, got {budget}")
     levels, nu = _waterfill(w, o, budget)
     levels.setflags(write=False)
     return levels, float(nu)
@@ -239,6 +251,29 @@ def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
     return prelog * _row_sums(weights * _log1p(levels / offsets) / LN2)
 
 
+def _built_by(problem: _MmfProblem | _SseProblem, solution):
+    """The solution, with the problem that built it recorded on it."""
+    object.__setattr__(solution, "_problem", problem)
+    return solution
+
+
+def _at_pilot_length(cfg: SystemConfig, pilot_length: int) -> SystemConfig:
+    return (cfg if pilot_length == cfg.pilot_length
+            else dataclasses.replace(cfg, pilot_length=pilot_length))
+
+
+def _score_stats(cfg_at: SystemConfig, fading: FadingProfile, kind: type,
+                 pilot_powers) -> EstimationStats:
+    """The estimate variances a score of a ``kind`` solution reads, for a
+    pair valid at the solution's pilot length (``cfg_at``): the solution's
+    own pilot powers, and full-cap pilots caps / pilot length for the UTs
+    it leaves free (unicast under max-min, multicast under sum SE)."""
+    tau = cfg_at.pilot_length
+    pilots = ((cfg_at.unicast_energy_caps / tau, pilot_powers) if kind is MmfSolution
+              else (pilot_powers, [caps / tau for caps in cfg_at.multicast_energy_caps]))
+    return _estimation_variances(cfg_at, fading, *pilots)
+
+
 @dataclass(frozen=True, eq=False)
 class _MmfPieces:
     """What the max-min problem of a validated drop, or of every drop of a
@@ -246,6 +281,7 @@ class _MmfPieces:
     energies (flat) and loads B_j."""
 
     cfg: SystemConfig
+    fading: FadingProfile | FadingStack
     upsilon: np.ndarray
     x_caps: np.ndarray
     b_values: np.ndarray
@@ -266,7 +302,7 @@ def _mmf_pieces(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> _MmfP
     if cfg.n_groups == 0:
         raise DegenerateInputError("max-min multicast needs at least one group")
     upsilon, x_caps = _group_quality_floors(cfg, fading)
-    return _MmfPieces(cfg, upsilon, x_caps, _interference_loads(cfg, fading, upsilon))
+    return _MmfPieces(cfg, fading, upsilon, x_caps, _interference_loads(cfg, fading, upsilon))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,12 +343,20 @@ class _MmfProblem:
         return (_Shared(p.x_caps / self.cfg.n_streams, offsets),
                 _Shared(p.x_caps, offsets), _Shared(p.upsilon), _Shared(p.b_values))
 
+    @functools.cached_property
+    def _scoring(self) -> tuple[SystemConfig, EstimationStats]:
+        """What a score of any solve reads besides the split: the config at
+        the solver's pilot length and the estimate variances of full-cap
+        unicast pilots and the shared multicast rows."""
+        cfg_at = _at_pilot_length(self.cfg, self.cfg.n_streams)
+        return cfg_at, _score_stats(cfg_at, self.pieces.fading, MmfSolution, self._shared[0].rows)
+
     def solve(self, p_unicast_fixed: float) -> MmfSolution:
         """``solve_mmf`` on the one drop."""
         p_mu, gamma = self._gamma(p_unicast_fixed)
         gamma = float(gamma)
         pilot_powers, x_caps, upsilon, b_values = self._shared
-        return MmfSolution(
+        return _built_by(self, MmfSolution(
             precoder=self.precoder,
             objective=se_from_sinr(_solver_prelog(self.cfg), gamma),
             pilot_length=self.cfg.n_streams,
@@ -322,7 +366,7 @@ class _MmfProblem:
             upsilon=upsilon,
             x_caps=x_caps,
             b_values=b_values,
-        )
+        ))
 
     def power_for(self, objective: float) -> float:
         """The multicast power at which the one drop's objective is
@@ -342,11 +386,11 @@ def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
 @dataclass(frozen=True, eq=False)
 class _SsePieces:
     """What the sum-SE problem of a validated drop, or of every drop of a
-    FadingStack, needs under any precoder: the unicast gains and the
-    full-cap estimate variances theta."""
+    FadingStack, needs under any precoder: the full-cap estimate variances
+    theta."""
 
     cfg: SystemConfig
-    gains: np.ndarray
+    fading: FadingProfile | FadingStack
     theta: np.ndarray
 
     def problem(self, precoder: str) -> _SseProblem:
@@ -354,12 +398,13 @@ class _SsePieces:
         water-filling offsets."""
         gain, c = _precoder_factors(self.cfg, precoder)
         return _SseProblem(self, precoder,
-                           _unicast_offsets(self.cfg, self.gains, self.theta, gain, c))
+                           _unicast_offsets(self.cfg, self.fading.unicast_gains, self.theta,
+                                            gain, c))
 
 
 def _sse_pieces(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> _SsePieces:
     """The sum-SE pieces of a validated pair (or config and stack)."""
-    return _SsePieces(cfg, fading.unicast_gains, _unicast_theta(cfg, fading))
+    return _SsePieces(cfg, fading, _unicast_theta(cfg, fading))
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,11 +443,19 @@ class _SseProblem:
         return (_Shared(self.cfg.unicast_energy_caps / self.cfg.n_streams),
                 _Shared(self.pieces.theta))
 
+    @functools.cached_property
+    def _scoring(self) -> tuple[SystemConfig, EstimationStats]:
+        """What a score of any solve reads besides the split: the config at
+        the solver's pilot length and the estimate variances of the shared
+        unicast pilots and full-cap multicast pilots."""
+        cfg_at = _at_pilot_length(self.cfg, self.cfg.n_streams)
+        return cfg_at, _score_stats(cfg_at, self.pieces.fading, SseSolution, self._shared[0].view)
+
     def solve(self, p_multicast_fixed: float) -> SseSolution:
         """``solve_sse`` on the one drop."""
         levels, nu, objective = self._fill(p_multicast_fixed)
         pilot_powers, theta = self._shared
-        return SseSolution(
+        return _built_by(self, SseSolution(
             precoder=self.precoder,
             objective=float(objective),
             pilot_length=self.cfg.n_streams,
@@ -410,7 +463,7 @@ class _SseProblem:
             downlink_powers=levels,
             water_level=float(nu),
             effective_vars=theta,
-        )
+        ))
 
     def power_for(self, objective: float) -> float:
         """The unicast power at which the one drop's objective is
@@ -450,14 +503,22 @@ def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float
 
 
 def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolution,
-           pilots_unicast, pilots_multicast, powers: DownlinkPowers) -> SeReport:
-    """Closed-form SEs at the solution's pilot length and precoder, with the
-    pair validated once for both the estimation and the SINR kernel."""
-    cfg_at = (cfg if sol.pilot_length == cfg.pilot_length
-              else dataclasses.replace(cfg, pilot_length=sol.pilot_length))
-    gain, c = _precoder_factors(cfg_at, sol.precoder)
-    require_valid(cfg_at, fading)
-    stats = _estimation_variances(cfg_at, fading, pilots_unicast, pilots_multicast)
+           kind: type, powers: DownlinkPowers) -> SeReport:
+    """Closed-form SEs at the solution's pilot length and precoder.  Scored
+    against the very pair its problem was built from, and so validated, a
+    solution reads the problem's config and estimate variances; any other
+    pair is validated once for both the estimation and the SINR kernel."""
+    if not isinstance(sol, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(sol).__name__}")
+    problem = sol._problem
+    if problem is not None and problem.pieces.cfg is cfg and problem.pieces.fading is fading:
+        cfg_at, stats = problem._scoring
+        gain, c = _precoder_factors(cfg_at, sol.precoder)
+    else:
+        cfg_at = _at_pilot_length(cfg, sol.pilot_length)
+        gain, c = _precoder_factors(cfg_at, sol.precoder)
+        require_valid(cfg_at, fading)
+        stats = _score_stats(cfg_at, fading, kind, sol.uplink_pilot_powers)
     return _se_report(cfg_at, stats, fading, powers, gain, c)
 
 
@@ -469,9 +530,7 @@ def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
     they are filled with full-cap pilots and an equal split, which does not
     affect the multicast SEs (only the unicast total enters them).
     """
-    return _score(cfg, fading, sol,
-                  cfg.unicast_energy_caps / sol.pilot_length,
-                  sol.uplink_pilot_powers,
+    return _score(cfg, fading, sol, MmfSolution,
                   DownlinkPowers(_equal_shares(p_unicast_fixed, cfg.n_unicast, "unicast"),
                                  sol.downlink_powers))
 
@@ -483,8 +542,6 @@ def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
     Multicast pilots and the per-group split are filled with full-cap
     pilots and an equal split; the unicast SEs only see the multicast total.
     """
-    return _score(cfg, fading, sol,
-                  sol.uplink_pilot_powers,
-                  [caps / sol.pilot_length for caps in cfg.multicast_energy_caps],
+    return _score(cfg, fading, sol, SseSolution,
                   DownlinkPowers(sol.downlink_powers,
                                  _equal_shares(p_multicast_fixed, cfg.n_groups, "multicast")))

@@ -93,7 +93,8 @@ class SeReport(_ArrayRecord):
         return float(self.multicast_se_flat.min())
 
     def weighted_sum_unicast_se(self, weights: Sequence[float]) -> float:
-        return float(sum(a * se for a, se in zip(weights, self.unicast_se)))
+        """sum_m weights[m] * unicast_se[m]; one weight per unicast UT."""
+        return float(sum(a * se for a, se in zip(weights, self.unicast_se, strict=True)))
 
 
 def _check_powers(cfg: SystemConfig, powers: DownlinkPowers):

@@ -31,10 +31,19 @@ MIN_GAIN = 1e-300
 
 
 def _cast_converts(xs) -> bool:
-    """Whether one cast to float64 converts ``xs`` as float() converts each
-    entry: true for arrays, but not of object dtype, whose entries may be
-    None or other non-numbers that a cast turns into NaN."""
-    return isinstance(xs, np.ndarray) and xs.dtype != object
+    """Whether one cast to float64 converts ``xs`` as ``_real`` converts
+    each entry: true for arrays, but not of object dtype, whose entries may
+    be None or other non-numbers that a cast turns into NaN, nor of complex
+    dtype, whose cast drops the imaginary parts."""
+    return isinstance(xs, np.ndarray) and xs.dtype.kind not in "Oc"
+
+
+def _real(x) -> float:
+    """float(x), except that a numpy complex scalar raises TypeError as a
+    Python complex does; float() would drop its imaginary part."""
+    if isinstance(x, np.complexfloating):
+        raise TypeError(f"expected a real number, got {x!r}")
+    return float(x)
 
 
 def _vector(xs) -> np.ndarray:
@@ -42,13 +51,13 @@ def _vector(xs) -> np.ndarray:
     ``_Shared`` array carries.
 
     Anything but a 1-D array that ``_cast_converts`` is converted entry by
-    entry with float(), so a non-numeric entry raises what float() raises.
+    entry with ``_real``, so a non-numeric or complex entry raises TypeError.
     """
     if isinstance(xs, _Shared):
         return xs.view
     if _cast_converts(xs) and xs.ndim == 1:
         return _read_only(xs.astype(np.float64))
-    return _read_only(np.array([float(x) for x in xs], dtype=np.float64))
+    return _read_only(np.array([_real(x) for x in xs], dtype=np.float64))
 
 
 def _read_only(owner: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import PlacementError
 from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _cast_converts,
-                    _offsets, _read_only, _views)
+                    _offsets, _read_only, _real, _views)
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,12 @@ class RadioParams:
 def _points(xs) -> np.ndarray:
     """Read-only float64 copy of (radius, angle) pairs.  Anything but an
     array that ``model._cast_converts`` is converted entry by entry with
-    float(), as ``model._vector`` converts, so a non-numeric entry raises
-    what float() raises."""
+    ``model._real``, as ``model._vector`` converts, so a non-numeric or
+    complex entry raises TypeError."""
     if _cast_converts(xs):
         a = xs.astype(np.float64)
     else:
-        a = np.array([[float(x) for x in pair] for pair in xs], dtype=np.float64)
+        a = np.array([[_real(x) for x in pair] for pair in xs], dtype=np.float64)
     if a.size == 0:
         a = np.empty((0, 2))
     if a.ndim != 2 or a.shape[1] != 2:

@@ -30,6 +30,12 @@ before a boundary kept its allocation problems: every call validates the
 boundary's pair and builds both problems again.  Its points must equal the
 ones selected on the kept problems, field for field.
 
+The per-call score section keeps ``mmf_se_report``/``sse_se_report`` as
+they were before a solution kept the problem that built it: every call
+validates the pair at the solution's pilot length and works out the
+estimate variances again.  Its reports must equal the kept-problem ones
+byte for byte.
+
 The per-drop figure-grid section keeps the grid loop as it was before a
 cell's drops were placed and solved as one stack: one SeedSequence and one
 placement per drop, drawn block by block, then one ``solve_mmf`` or
@@ -47,7 +53,8 @@ import numpy as np
 
 from mimocast import montecarlo
 from mimocast.allocation import solve_mmf, solve_sse
-from mimocast.closed_form import PRECODERS, ZF, DownlinkPowers, se_report
+from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _equal_shares,
+                                  _precoder_factors, _se_report, se_report)
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, FadingProfile, SystemConfig, Violation,
                             _estimation_variances, estimation_variances, require_valid)
@@ -824,6 +831,42 @@ def select_operating_point_rebuilt(boundary: ParetoBoundary, ratio=None, target_
         power, clamped = min(P, problem.power_for(target)), False
     split = P - power if problem is mmf else power
     return OperatingPoint(_point(mmf, sse, split), clamped)
+
+
+# ------------------------------------------------------- per-call scores
+
+
+def _score_rebuilt(cfg: SystemConfig, fading: FadingProfile, sol, pilots_unicast,
+                   pilots_multicast, powers: DownlinkPowers) -> SeReport:
+    """Closed-form SEs at the solution's pilot length and precoder, with the
+    pair validated once for both the estimation and the SINR kernel."""
+    cfg_at = (cfg if sol.pilot_length == cfg.pilot_length
+              else dataclasses.replace(cfg, pilot_length=sol.pilot_length))
+    gain, c = _precoder_factors(cfg_at, sol.precoder)
+    require_valid(cfg_at, fading)
+    stats = _estimation_variances(cfg_at, fading, pilots_unicast, pilots_multicast)
+    return _se_report(cfg_at, stats, fading, powers, gain, c)
+
+
+def mmf_se_report_rebuilt(cfg: SystemConfig, fading: FadingProfile, sol,
+                          p_unicast_fixed: float) -> SeReport:
+    """``allocation.mmf_se_report`` validating and estimating on every call."""
+    return _score_rebuilt(cfg, fading, sol,
+                          cfg.unicast_energy_caps / sol.pilot_length,
+                          sol.uplink_pilot_powers,
+                          DownlinkPowers(_equal_shares(p_unicast_fixed, cfg.n_unicast, "unicast"),
+                                         sol.downlink_powers))
+
+
+def sse_se_report_rebuilt(cfg: SystemConfig, fading: FadingProfile, sol,
+                          p_multicast_fixed: float) -> SeReport:
+    """``allocation.sse_se_report`` validating and estimating on every call."""
+    return _score_rebuilt(cfg, fading, sol,
+                          sol.uplink_pilot_powers,
+                          [caps / sol.pilot_length for caps in cfg.multicast_energy_caps],
+                          DownlinkPowers(sol.downlink_powers,
+                                         _equal_shares(p_multicast_fixed, cfg.n_groups,
+                                                       "multicast")))
 
 
 # --------------------------------------------------- per-drop figure grids

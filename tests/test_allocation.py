@@ -53,6 +53,33 @@ class TestWaterfill:
         with pytest.raises(ValueError):
             waterfill((1.0,), (1.0,), -1.0)
 
+    def test_nan_weight_rejected(self):
+        # It used to drop the NaN user and give the other the whole budget.
+        with pytest.raises(ValueError, match="weights"):
+            waterfill((math.nan, 1.0), (1.0, 1.0), 1.0)
+
+    def test_nan_offset_rejected(self):
+        with pytest.raises(ValueError, match="offsets"):
+            waterfill((1.0, 1.0), (math.nan, 1.0), 1.0)
+
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(ValueError, match="weights"):
+            waterfill((math.inf, 1.0), (1.0, 1.0), 1.0)
+
+    def test_infinite_offset_rejected(self):
+        with pytest.raises(ValueError, match="offsets"):
+            waterfill((1.0, 1.0), (math.inf, 1.0), 1.0)
+
+    def test_infinite_budget_rejected(self):
+        # It used to divide by zero and return infinite levels.
+        with pytest.raises(ValueError, match="budget"):
+            waterfill((1.0, 1.0), (1.0, 2.0), math.inf)
+
+    def test_nan_budget_rejected(self):
+        # It used to return zero levels with a NaN water level.
+        with pytest.raises(ValueError, match="budget"):
+            waterfill((1.0, 1.0), (1.0, 2.0), math.nan)
+
     @settings(max_examples=60)
     @given(
         weights=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=6),
@@ -142,6 +169,16 @@ class TestWaterfillBudget:
             waterfill_budget((1.0, 1.0), (1.0,), 1.0)
         with pytest.raises(ValueError):
             waterfill_budget((1.0,), (0.0,), 1.0)
+
+    def test_nan_weight_rejected(self):
+        # It used to return NaN.
+        with pytest.raises(ValueError, match="weights"):
+            waterfill_budget((math.nan,), (1.0,), 1.0)
+
+    def test_non_finite_offset_rejected(self):
+        for offset in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="offsets"):
+                waterfill_budget((1.0, 1.0), (offset, 1.0), 1.0)
 
 
 class TestMmfMrt:

@@ -172,6 +172,19 @@ class TestSeReport:
         with pytest.raises(ValueError):
             se_report(self.cfg, self.stats, self.fading, self.powers, "rzf")
 
+    def test_weighted_sum_needs_one_weight_per_unicast_ut(self):
+        # With 4 unicast UTs, 1 weight used to sum one term and 9 were accepted.
+        cfg = make_config(n_unicast=4, group_sizes=(1,), pilot_length=5)
+        fading = FadingProfile(unicast_gains=(0.8, 0.6, 0.4, 0.2), multicast_gains=((1.0,),))
+        stats = stats_for(cfg, unicast_var=(0.4, 0.3, 0.2, 0.1), multicast_var=((0.3,),))
+        rep = se_report(cfg, stats, fading,
+                        DownlinkPowers(unicast=(1.0,) * 4, multicast=(1.0,)), MRT)
+        assert rep.weighted_sum_unicast_se([2.0] * 4) == pytest.approx(
+            2.0 * sum(rep.unicast_se.tolist()), rel=1e-15)
+        for n in (0, 1, 3, 5, 9):
+            with pytest.raises(ValueError):
+                rep.weighted_sum_unicast_se([1.0] * n)
+
 
 class TestEqualSplit:
     def test_side_without_streams_takes_no_power(self):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mimocast import allocation, model, montecarlo
 from mimocast.closed_form import PRECODERS, DownlinkPowers
+from mimocast.errors import InvalidConfigError
 from mimocast.model import (EstimationStats, FadingProfile, FadingStack, SystemConfig,
                             validate_config)
 from mimocast.montecarlo import validate_closed_form
@@ -136,6 +137,40 @@ class TestLayout:
                       multicast=(np.array([[30.0, None]], dtype=object),))
         placement = Placement(unicast=np.array([[30.0, 1]], dtype=object), multicast=())
         assert placement.unicast.tolist() == [[30.0, 1.0]]
+
+    # Complex entries raise TypeError, as a Python complex in a list does;
+    # a cast, or float() of a numpy complex, kept only the real part.
+    def test_fading_profile_complex_array_raises(self):
+        with pytest.raises(TypeError):
+            FadingProfile(unicast_gains=np.array([1.0 + 2j]), multicast_gains=[])
+        with pytest.raises(TypeError):
+            FadingProfile(unicast_gains=[1.0 + 2j], multicast_gains=[])
+
+    def test_fading_profile_numpy_complex_entry_raises(self):
+        for entry in (np.complex128(1.0 + 2j), np.complex64(1.0), np.clongdouble(1.0 + 2j)):
+            with pytest.raises(TypeError):
+                FadingProfile(unicast_gains=[1.0, entry], multicast_gains=[])
+
+    def test_fading_profile_complex_multicast_row_raises(self):
+        with pytest.raises(TypeError):
+            FadingProfile(unicast_gains=[], multicast_gains=[np.array([1.0 + 0j, 2.0 + 1j])])
+        with pytest.raises(TypeError):
+            FadingProfile(unicast_gains=[], multicast_gains=[[1.0, np.complex128(2.0)]])
+
+    def test_system_config_complex_energy_caps_raise(self):
+        cfg, _ = random_desk_instance(np.random.default_rng(3), u_range=(1, 4))
+        for caps in ({"unicast_energy_caps": cfg.unicast_energy_caps.astype(complex)},
+                     {"multicast_energy_caps": [row.astype(complex)
+                                                for row in cfg.multicast_energy_caps]},
+                     {"sse_weights": list(cfg.sse_weights.astype(np.complex64))}):
+            with pytest.raises(TypeError):
+                dataclasses.replace(cfg, **caps)
+
+    def test_placement_complex_positions_raise(self):
+        with pytest.raises(TypeError):
+            Placement(unicast=np.array([[30.0 + 1j, 0.5]]), multicast=())
+        with pytest.raises(TypeError):
+            Placement(unicast=np.empty((0, 2)), multicast=([[np.complex128(40.0), 1.0]],))
 
     @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 4, 2), (5,)])
     def test_group_sums_add_left_to_right(self, sizes):
@@ -324,7 +359,8 @@ class TestOneBuildPerProblem:
     """Each allocation problem's split-independent pieces (group floors for
     max-min, estimate variances and offsets for sum SE) are built once per
     call, and each public entry point validates its pair once.  A selection
-    on a swept boundary reads the problems the sweep built."""
+    on a swept boundary reads the problems the sweep built, and the scores
+    of its solutions read them too, with no validation."""
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     @pytest.mark.parametrize("kind", ["ratio", "target_mmf", "target_sse"])
@@ -341,7 +377,7 @@ class TestOneBuildPerProblem:
         assert (len(validations), *map(len, builds)) == (0, 0, 0)
         allocation.mmf_se_report(cfg, fading, point.mmf_solution, point.p_unicast)
         allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast)
-        assert (len(validations), *map(len, builds)) == (2, 0, 0)
+        assert (len(validations), *map(len, builds)) == (0, 0, 0)
         assert point == solve_split(cfg, fading, precoder, point.p_unicast)
 
     @pytest.mark.parametrize("precoder", PRECODERS)
@@ -369,6 +405,102 @@ class TestOneBuildPerProblem:
                   for name in ("_group_quality_floors", "_unicast_offsets")]
         sweep_boundary(cfg, fading, "zf", 7)
         assert (len(validations), *map(len, builds)) == (1, 1, 1)
+
+
+SCORES = ((allocation.mmf_se_report, oracles.mmf_se_report_rebuilt, "mmf_solution", "p_unicast"),
+          (allocation.sse_se_report, oracles.sse_se_report_rebuilt, "sse_solution", "p_multicast"))
+
+
+def score_pairs(cfg, fading, point, **solutions):
+    """Each score of the point against the pair, then the per-call oracle's,
+    with the point's solutions unless ``solutions`` names others."""
+    for score, oracle, solution, fixed in SCORES:
+        sol = solutions.get(solution, getattr(point, solution))
+        yield (score(cfg, fading, sol, getattr(point, fixed)),
+               oracle(cfg, fading, sol, getattr(point, fixed)))
+
+
+class TestScoresReadTheirProblem:
+    """A score of a solution against the very pair its problem was built
+    from reads that problem's config and estimate variances, and validates
+    nothing again; against any other pair it takes the per-call path.  Both
+    give the per-call oracle's bytes (``oracles``, per-call score section)."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("extra_pilots", [0, 5])
+    @pytest.mark.parametrize("cell", ["desk-1", "desk-2", "desk-3", "paper"])
+    def test_reports_equal_per_call_scores(self, cell, extra_pilots, precoder):
+        cfg, fading = (paper_cell(5) if cell == "paper" else
+                       random_desk_instance(np.random.default_rng(int(cell[-1])), u_range=(1, 6)))
+        cfg = dataclasses.replace(cfg, pilot_length=cfg.n_streams + extra_pilots)
+        points = sweep_boundary(cfg, fading, precoder, 3).points
+        P = cfg.total_power
+        assert [p.p_unicast for p in points] == [0.0, P / 2.0, P]
+        for point in points:
+            for got, want in score_pairs(cfg, fading, point):
+                assert got.to_dict() == want.to_dict()
+                assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_second_score_neither_validates_nor_estimates(self, monkeypatch, precoder):
+        cfg, fading = paper_cell(5)
+        boundary = sweep_boundary(cfg, fading, precoder, 5)
+        point = select_operating_point(boundary, ratio=(1.0, 2.0)).point
+        for score, _, solution, fixed in SCORES:
+            validations = count_validations(monkeypatch)
+            estimates = count_calls(monkeypatch, allocation, "_estimation_variances")
+            first = score(cfg, fading, getattr(point, solution), getattr(point, fixed))
+            assert (len(validations), len(estimates)) == (0, 1)
+            again = score(cfg, fading, getattr(point, solution), getattr(point, fixed))
+            assert (len(validations), len(estimates)) == (0, 1)
+            assert again == first
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_other_pairs_take_the_per_call_path(self, monkeypatch, precoder):
+        cfg, fading = random_desk_instance(np.random.default_rng(4), u_range=(1, 6))
+        point = sweep_boundary(cfg, fading, precoder, 3).points[1]
+        replaced = {"mmf_solution": dataclasses.replace(point.mmf_solution),
+                    "sse_solution": dataclasses.replace(point.sse_solution)}
+        twin = FadingProfile.from_dict(fading.to_dict())
+        assert twin == fading and twin is not fading
+        for pair, solutions in (((cfg, fading), replaced), ((cfg, twin), {}),
+                                ((SystemConfig.from_dict(cfg.to_dict()), fading), {})):
+            validations = count_validations(monkeypatch)
+            estimates = count_calls(monkeypatch, allocation, "_estimation_variances")
+            for got, want in score_pairs(*pair, point, **solutions):
+                assert got.to_dict() == want.to_dict()
+            # Each score once, and each oracle once.
+            assert (len(validations), len(estimates)) == (4, 2)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_invalid_fading_still_raises(self, precoder):
+        cfg, fading = random_desk_instance(np.random.default_rng(5), u_range=(1, 6))
+        point = sweep_boundary(cfg, fading, precoder, 3).points[1]
+        invalid = dataclasses.replace(fading, unicast_gains=[0.0, *fading.unicast_gains[1:]])
+        for score, _, solution, fixed in SCORES:
+            with pytest.raises(InvalidConfigError, match=r"unicast_gains\[0\]"):
+                score(cfg, invalid, getattr(point, solution), getattr(point, fixed))
+
+    def test_solution_of_the_other_kind_raises(self):
+        # Its problem's estimate variances hold the other side's pilots.
+        cfg, fading = desk_cell(6)
+        point = solve_split(cfg, fading, "mrt", cfg.total_power / 2.0)
+        with pytest.raises(TypeError, match="MmfSolution"):
+            allocation.mmf_se_report(cfg, fading, point.sse_solution, point.p_unicast)
+        with pytest.raises(TypeError, match="SseSolution"):
+            allocation.sse_se_report(cfg, fading, point.mmf_solution, point.p_multicast)
+
+    def test_record_leaves_its_problem_out(self):
+        cfg, fading = desk_cell(6)
+        point = solve_split(cfg, fading, "mrt", cfg.total_power / 2.0)
+        for sol in (point.mmf_solution, point.sse_solution):
+            assert sol._problem is not None
+            bare = dataclasses.replace(sol)
+            assert bare._problem is None
+            assert bare == sol and hash(bare) == hash(sol) and repr(bare) == repr(sol)
+            assert bare.to_dict() == sol.to_dict() and "_problem" not in sol.to_dict()
 
 
 def array_fields(record):

@@ -8,7 +8,9 @@ attribute of, another mimocast module.
 
 How to draw circularly-symmetric complex Gaussian samples is
 ``montecarlo._cn``'s rule: no other code in ``montecarlo.py`` names a
-normal draw.
+normal draw.  Likewise, which pilots a score estimates is
+``allocation._score_stats``'s rule: no other code in ``allocation.py``
+names ``_estimation_variances``.
 
 Which precoders exist is ``closed_form``'s rule: any other module checks a
 precoder through ``closed_form._precoder_factors`` and never tests
@@ -23,6 +25,7 @@ import mimocast
 PACKAGE = Path(mimocast.__file__).parent
 CLI = PACKAGE / "cli.py"
 MONTECARLO = PACKAGE / "montecarlo.py"
+ALLOCATION = PACKAGE / "allocation.py"
 
 
 def _private(name: str) -> bool:
@@ -118,17 +121,17 @@ ok = PRECODERS in table
 NORMAL_DRAWS = {"standard_normal", "normal"}
 
 
-def normal_draw_owners(source: str) -> list[str]:
+def owners(source: str, names: set[str]) -> list[str]:
     """The innermost enclosing function (or ``<module>``) of every name,
-    attribute or string naming a normal draw, in source order."""
+    attribute or string that is one of ``names``, in source order."""
     found = []
 
     def visit(node: ast.AST, owner: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Attribute) and node.attr in NORMAL_DRAWS
-                or isinstance(node, ast.Name) and node.id in NORMAL_DRAWS
-                or isinstance(node, ast.Constant) and node.value in NORMAL_DRAWS):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Constant) and node.value in names):
             found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -138,7 +141,7 @@ def normal_draw_owners(source: str) -> list[str]:
 
 
 def test_only_one_helper_draws_normals_in_montecarlo():
-    assert normal_draw_owners(MONTECARLO.read_text(encoding="utf-8")) == ["_cn"]
+    assert owners(MONTECARLO.read_text(encoding="utf-8"), NORMAL_DRAWS) == ["_cn"]
 
 
 def test_check_sees_every_normal_draw():
@@ -152,4 +155,24 @@ class Kernel:
 def helper(rng):
     return rng.integers(2), NormalDist().inv_cdf(0.5)
 """
-    assert normal_draw_owners(source) == ["<module>", "inner", "__call__"]
+    assert owners(source, NORMAL_DRAWS) == ["<module>", "inner", "__call__"]
+
+
+def test_only_one_helper_estimates_in_allocation():
+    assert owners(ALLOCATION.read_text(encoding="utf-8"),
+                  {"_estimation_variances"}) == ["_score_stats"]
+
+
+def test_check_sees_every_estimation_call():
+    source = """
+from .model import _estimation_variances
+stats = _estimation_variances(cfg, fading, p, q)
+class Problem:
+    @cached_property
+    def scoring(self):
+        return model._estimation_variances(self.cfg, self.fading, p, q)
+def score(cfg, fading, sol):
+    estimate = _estimation_variances
+    return estimate(cfg, fading, p, q), estimation_variances(cfg, fading, p, q)
+"""
+    assert owners(source, {"_estimation_variances"}) == ["<module>", "scoring", "score"]
