@@ -196,21 +196,36 @@ def _check_split(total: float, fixed: float, name: str) -> float:
 # FadingStack; with a stack every result has a leading drop axis.
 
 
-def _group_quality_floors(cfg: SystemConfig, fading: FadingProfile | FadingStack):
-    """Per-group pilot-quality floor and the optimal capped pilot energies
-    (flat, one per multicast UT).
-
-    Each member's individually attainable quality is E*g^2/(1+g*P); the
-    group floor is the worst of them and every member scales its pilot
-    energy down to match, so the floor member sits exactly at its cap.
-    """
-    P = cfg.total_power
-    caps, gains = cfg.multicast_energy_caps_flat, fading.multicast_gains_flat
-    per_user = caps * gains * gains / (1.0 + gains * P)
+def _pilot_qualities(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> np.ndarray:
+    """Each multicast UT's individually attainable pilot quality E*g^2/(1+g*P)
+    at its energy cap E (flat, one per multicast UT)."""
+    gains = fading.multicast_gains_flat
+    # Worked out in two buffers shaped like the gains, with the same roundings.
+    per_user = cfg.multicast_energy_caps_flat * gains
+    per_user *= gains
+    load = gains * cfg.total_power
+    load += 1.0
+    per_user /= load
     if not per_user.all():
         raise DegenerateInputError("a multicast UT's pilot quality underflows to zero")
-    floors = _group_min(per_user, cfg.group_offsets)
-    return floors, caps * (_per_member(floors, cfg.group_offsets) / per_user)
+    return per_user
+
+
+def _group_quality_floors(cfg: SystemConfig,
+                          fading: FadingProfile | FadingStack) -> np.ndarray:
+    """Per-group pilot-quality floor upsilon_j: the worst quality in the group."""
+    return _group_min(_pilot_qualities(cfg, fading), cfg.group_offsets)
+
+
+def _pilot_energies(cfg: SystemConfig, fading: FadingProfile | FadingStack,
+                    upsilon: np.ndarray) -> np.ndarray:
+    """The optimal capped pilot energies (flat, one per multicast UT) under
+    the group floors upsilon, the worst pilot quality in each group: every
+    member scales its energy down to match the floor, so the floor member
+    sits exactly at its cap."""
+    offsets = cfg.group_offsets
+    return cfg.multicast_energy_caps_flat * (_per_member(upsilon, offsets)
+                                             / _pilot_qualities(cfg, fading))
 
 
 def _interference_loads(cfg: SystemConfig, fading: FadingProfile | FadingStack,
@@ -236,8 +251,8 @@ def _unicast_theta(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> np
     return theta
 
 
-def _unicast_offsets(cfg: SystemConfig, gains: np.ndarray, theta: np.ndarray, gain: int,
-                     c: float) -> np.ndarray:
+def _unicast_offsets(cfg: SystemConfig, gains: np.ndarray, theta: np.ndarray,
+                     gain: int | np.ndarray, c: float) -> np.ndarray:
     """The water-filling offsets (1 + (beta - c*theta)*P) / (gain*theta)
     under the precoder's factors; the split leaves them alone."""
     return (1.0 + (gains - c * theta) * cfg.total_power) / (gain * theta)
@@ -277,18 +292,24 @@ def _score_stats(cfg_at: SystemConfig, fading: FadingProfile, kind: type,
 @dataclass(frozen=True, eq=False)
 class _MmfPieces:
     """What the max-min problem of a validated drop, or of every drop of a
-    FadingStack, needs under any precoder: group floors upsilon_j, pilot
-    energies (flat) and loads B_j."""
+    FadingStack, needs under any precoder: group floors upsilon_j and loads
+    B_j, and the pilot energies (flat), which only a solve reads and which
+    are worked out on first use."""
 
     cfg: SystemConfig
     fading: FadingProfile | FadingStack
     upsilon: np.ndarray
-    x_caps: np.ndarray
     b_values: np.ndarray
 
-    def problem(self, precoder: str) -> _MmfProblem:
-        """The problem under the precoder, which adds only its factors."""
-        gain, c = _precoder_factors(self.cfg, precoder)
+    @functools.cached_property
+    def x_caps(self) -> np.ndarray:
+        return _pilot_energies(self.cfg, self.fading, self.upsilon)
+
+    def problem(self, precoder: str, n_antennas: np.ndarray | None = None) -> _MmfProblem:
+        """The problem under the precoder, which adds only its factors.
+        With one antenna count per drop of a stack, each drop gets its own
+        array gain (see ``_precoder_factors``)."""
+        gain, c = _precoder_factors(self.cfg, precoder, n_antennas)
         # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
         # loads below cannot vanish for a valid config; guard anyway.
         loads = self.b_values - c * self.cfg.total_power
@@ -301,8 +322,8 @@ def _mmf_pieces(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> _MmfP
     """The max-min pieces of a validated pair (or config and stack)."""
     if cfg.n_groups == 0:
         raise DegenerateInputError("max-min multicast needs at least one group")
-    upsilon, x_caps = _group_quality_floors(cfg, fading)
-    return _MmfPieces(cfg, fading, upsilon, x_caps, _interference_loads(cfg, fading, upsilon))
+    upsilon = _group_quality_floors(cfg, fading)
+    return _MmfPieces(cfg, fading, upsilon, _interference_loads(cfg, fading, upsilon))
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +334,7 @@ class _MmfProblem:
 
     pieces: _MmfPieces
     precoder: str
-    gain: int
+    gain: int | np.ndarray
     loads: np.ndarray
     spread: np.ndarray
 
@@ -393,10 +414,14 @@ class _SsePieces:
     fading: FadingProfile | FadingStack
     theta: np.ndarray
 
-    def problem(self, precoder: str) -> _SseProblem:
+    def problem(self, precoder: str, n_antennas: np.ndarray | None = None) -> _SseProblem:
         """The problem under the precoder, whose factors set the
-        water-filling offsets."""
-        gain, c = _precoder_factors(self.cfg, precoder)
+        water-filling offsets.  With one antenna count per drop of a stack,
+        each drop's row of offsets gets its own array gain (see
+        ``_precoder_factors``)."""
+        gain, c = _precoder_factors(self.cfg, precoder, n_antennas)
+        if n_antennas is not None:
+            gain = gain[:, None]
         return _SseProblem(self, precoder,
                            _unicast_offsets(self.cfg, self.fading.unicast_gains, self.theta,
                                             gain, c))

@@ -101,9 +101,10 @@ def _check_powers(cfg: SystemConfig, powers: DownlinkPowers):
     if len(powers.unicast) != cfg.n_unicast or len(powers.multicast) != cfg.n_groups:
         raise ValueError(f"power lists must have {cfg.n_unicast} unicast and "
                          f"{cfg.n_groups} multicast entries")
-    if (powers.unicast < 0).any() or (powers.multicast < 0).any():
+    # Written so that NaN, which fails every comparison, fails both checks.
+    if not ((powers.unicast >= 0).all() and (powers.multicast >= 0).all()):
         raise ValueError("downlink powers must be non-negative")
-    if powers.total > cfg.total_power * (1.0 + BUDGET_RTOL):
+    if not powers.total <= cfg.total_power * (1.0 + BUDGET_RTOL):
         raise ValueError(f"downlink powers sum to {powers.total}, exceeding the "
                          f"budget {cfg.total_power}")
 
@@ -115,7 +116,8 @@ def require_zf_feasible(cfg: SystemConfig):
             f"G+U={cfg.n_streams} streams (zero degrees of freedom left)")
 
 
-def _precoder_factors(cfg: SystemConfig, precoder: str) -> tuple[int, float]:
+def _precoder_factors(cfg: SystemConfig, precoder: str,
+                      n_antennas: np.ndarray | None = None) -> tuple[int | np.ndarray, float]:
     """(array gain, c): the only two places MRT and ZF differ.
 
     A UT with large-scale gain beta and estimate variance var sees the
@@ -124,12 +126,18 @@ def _precoder_factors(cfg: SystemConfig, precoder: str) -> tuple[int, float]:
     N antennas and all of beta (c = 0); ZF spends G+U degrees of freedom
     nulling the other streams, leaving N-G-U, and cancels the estimated part
     of the channel, leaving only the estimation error beta - var (c = 1).
+
+    Given an array of antenna counts to take in place of the config's, the
+    gain is an array with one entry per count, NaN where ZF cannot serve
+    that count, and nothing is raised.
     """
     if precoder == MRT:
-        return cfg.n_antennas, 0.0
+        return (cfg.n_antennas if n_antennas is None else n_antennas), 0.0
     if precoder == ZF:
-        require_zf_feasible(cfg)
-        return cfg.n_antennas - cfg.n_streams, 1.0
+        if n_antennas is None:
+            require_zf_feasible(cfg)
+            return cfg.n_antennas - cfg.n_streams, 1.0
+        return np.where(n_antennas > cfg.n_streams, n_antennas - cfg.n_streams, np.nan), 1.0
     raise ValueError(f"unknown precoder {precoder!r}, expected one of {PRECODERS}")
 
 

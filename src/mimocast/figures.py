@@ -2,9 +2,11 @@
 
 ``drop_means`` gives fig2 and fig3: per grid cell (a config) and precoder,
 the mean max-min or sum-SE objective at an even power split over random
-user placements, and whether the precoder can serve the cell.
-``boundaries`` gives fig4: the trade-off boundary of one placement under
-each config and precoder.  Both place users in the default geometry.
+user placements, and whether the precoder can serve the cell.  It works
+shape by shape: the cells alike but for their antenna counts are placed,
+validated and solved together.  ``boundaries`` gives fig4: the trade-off
+boundary of one placement under each config and precoder.  Both place
+users in the default geometry.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from . import allocation, pareto
-from .closed_form import PRECODERS
-from .errors import ZfInfeasibleError
-from .model import SystemConfig, require_valid_drops
+from .closed_form import PRECODERS, _precoder_factors
+from .errors import InvalidConfigError, ZfInfeasibleError
+from .model import FadingStack, SystemConfig, _row_sums, require_valid_drops
 from .scenario import CellGeometry, place_drops
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
@@ -94,6 +96,79 @@ class _DropSeed(np.random.bit_generator.ISeedSequence):
 _PIECES = {"mmf": allocation._mmf_pieces, "sse": allocation._sse_pieces}
 
 
+def _shape(cfg: SystemConfig) -> tuple:
+    """All a grid cell's drops read of its config but the antenna count.
+    Numbers are compared by repr and arrays by their bytes, so cells of one
+    shape hold the very same values."""
+    return (repr((cfg.coherence_length, cfg.n_unicast, cfg.group_sizes, cfg.pilot_length,
+                  cfg.total_power)),
+            tuple(map(len, cfg.multicast_energy_caps)),
+            *(a.tobytes() for a in (cfg.unicast_energy_caps, cfg.multicast_energy_caps_flat,
+                                    cfg.sse_weights)))
+
+
+def _shapes(configs: Sequence[SystemConfig]) -> list[list[int]]:
+    """The cells of each shape, in order of the shapes' first cells."""
+    cells = {}
+    for c, cfg in enumerate(configs):
+        cells.setdefault(_shape(cfg), []).append(c)
+    return list(cells.values())
+
+
+def _valid_cells(cfgs: Sequence[SystemConfig], drops: FadingStack,
+                 n_drops: int) -> tuple[int, InvalidConfigError | None]:
+    """How many cells of one shape, in order, are valid with their drops,
+    and the error of the first that is not (None if every cell is valid).
+
+    The cells differ only in their antenna counts, so when the first is
+    valid with every drop and every count is positive, all are, and
+    ``validate_config`` runs once.  Otherwise each cell is validated in
+    turn, as it would be on its own."""
+    if min(cfg.n_antennas for cfg in cfgs) >= 1:
+        try:
+            require_valid_drops(cfgs[0], drops)
+            return len(cfgs), None
+        except InvalidConfigError:
+            pass
+    for i, cfg in enumerate(cfgs):
+        try:
+            require_valid_drops(cfg, drops.rows(i * n_drops, (i + 1) * n_drops))
+        except InvalidConfigError as e:
+            return i, e
+    return len(cfgs), None
+
+
+def _shape_means(cfgs: Sequence[SystemConfig], states: np.ndarray,
+                 objective: str) -> tuple[np.ndarray, np.ndarray, InvalidConfigError | None]:
+    """``drop_means`` of the cells of one shape, whose drops' seed states
+    are ``states`` (cells, drops, 4), up to the first invalid cell, and that
+    cell's error (None if there is none).
+
+    Any other error is raised: it is the one the shape's first cell would
+    raise on its own, as the drops of every cell are placed, and those of
+    the valid cells solved, together.  Each precoder solves them in one
+    pass, with each cell's own array gain; a precoder that cannot serve a
+    cell's antenna count leaves it infeasible."""
+    first, n_drops = cfgs[0], states.shape[1]
+    drops = place_drops(CellGeometry(), first.n_unicast, first.group_sizes,
+                        [_DropSeed(s) for s in states.reshape(-1, 4)])
+    n_valid, invalid = _valid_cells(cfgs, drops, n_drops)
+    if n_valid == 0:
+        raise invalid
+    shared = _PIECES[objective](first, drops.rows(0, n_valid * n_drops))
+    n_antennas = np.array([cfg.n_antennas for cfg in cfgs[:n_valid]])
+    means = np.zeros((n_valid, len(PRECODERS)))
+    feasible = np.zeros(means.shape, dtype=bool)
+    for p, prec in enumerate(PRECODERS):
+        vals = shared.problem(prec, np.repeat(n_antennas, n_drops)).objectives(
+            first.total_power / 2.0)
+        served = ~np.isnan(_precoder_factors(first, prec, n_antennas)[0])
+        # The drops' objectives added left to right, as a Python sum adds them.
+        means[served, p] = _row_sums(vals.reshape(n_valid, n_drops))[served] / n_drops
+        feasible[:, p] = served
+    return means, feasible, invalid
+
+
 def drop_means(configs: Sequence[SystemConfig], objective: str, n_drops: int,
                seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per config (grid cell) and precoder (in ``PRECODERS`` order), the
@@ -103,10 +178,14 @@ def drop_means(configs: Sequence[SystemConfig], objective: str, n_drops: int,
     has a zero mean.
 
     Drop d of cell c is placed from ``SeedSequence(entropy=seed,
-    spawn_key=(c, d))``; the seeds of every drop come from one pass.  A
-    cell's drops are placed as one stack and validated once, the pieces
+    spawn_key=(c, d))``; the seeds of every drop come from one pass.  Cells
+    that differ only in their antenna counts share a shape: in the model
+    the count enters nothing but the precoder's array gain.  The drops of a
+    shape's cells are placed as one stack and validated once, the pieces
     both precoders share are worked out once, and each precoder solves
-    every drop in one pass.  The drops' objectives are added left to right.
+    every drop in one pass (see ``_shape_means``).  Each cell gives the
+    numbers, and the grid the error, that the cells placed, validated and
+    solved one by one in order would give: the first failing cell's.
     """
     if objective not in _PIECES:
         raise ValueError(f"unknown objective {objective!r}, expected one of {sorted(_PIECES)}")
@@ -116,17 +195,19 @@ def drop_means(configs: Sequence[SystemConfig], objective: str, n_drops: int,
         raise ValueError(f"seed must be non-negative, got {seed}")
     means = np.zeros((len(configs), len(PRECODERS)))
     feasible = np.zeros(means.shape, dtype=bool)
-    for c, (cfg, states) in enumerate(zip(configs, _drop_states(seed, len(configs), n_drops))):
-        drops = require_valid_drops(cfg, place_drops(CellGeometry(), cfg.n_unicast,
-                                                     cfg.group_sizes,
-                                                     [_DropSeed(s) for s in states]))
-        shared = _PIECES[objective](cfg, drops)
-        for p, prec in enumerate(PRECODERS):
-            try:
-                vals = shared.problem(prec).objectives(cfg.total_power / 2.0).tolist()
-            except ZfInfeasibleError:
-                continue
-            means[c, p], feasible[c, p] = sum(vals) / len(vals), True
+    states = _drop_states(seed, len(configs), n_drops)
+    invalid = None   # the first invalid cell found so far, and its error
+    for cells in _shapes(configs):
+        if invalid is not None and invalid[0] < cells[0]:
+            break   # the cells of this shape and of the later ones all come after it
+        # What this raises is the error of the shape's first cell, which
+        # comes before every cell found invalid so far.
+        m, f, error = _shape_means([configs[c] for c in cells], states[cells], objective)
+        means[cells[:len(m)]], feasible[cells[:len(m)]] = m, f
+        if error is not None and (invalid is None or cells[len(m)] < invalid[0]):
+            invalid = cells[len(m)], error
+    if invalid is not None:
+        raise invalid[1]
     return means, feasible
 
 

@@ -60,6 +60,17 @@ def _vector(xs) -> np.ndarray:
     return _read_only(np.array([_real(x) for x in xs], dtype=np.float64))
 
 
+def _matrix(xs) -> np.ndarray:
+    """Read-only float64 copy of rows of numbers, or the view a ``_Shared``
+    array carries.  Anything but an array that ``_cast_converts`` is
+    converted entry by entry with ``_real``, as ``_vector`` converts."""
+    if isinstance(xs, _Shared):
+        return xs.view
+    if _cast_converts(xs):
+        return _read_only(xs.astype(np.float64))
+    return _read_only(np.array([[_real(x) for x in row] for row in xs], dtype=np.float64))
+
+
 def _read_only(owner: np.ndarray) -> np.ndarray:
     """A view of an array that owns its memory, which is made read-only.
     The owner itself could be made writeable again; no view of a read-only
@@ -308,20 +319,30 @@ class FadingStack:
     (drops, U) unicast gains and (drops, sum K) multicast gains, each row
     laid out like ``FadingProfile.multicast_gains_flat``.  The solvers'
     split-independent pieces read either this or a FadingProfile, and give
-    one row of results per drop."""
+    one row of results per drop.
+
+    The gains are converted as ``_matrix`` converts, so a ``_Shared`` array
+    is stored without a copy."""
 
     unicast_gains: np.ndarray
     multicast_gains_flat: np.ndarray
     group_offsets: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("unicast_gains", np.float64), ("multicast_gains_flat", np.float64),
-                            ("group_offsets", np.intp)):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
+        for name in ("unicast_gains", "multicast_gains_flat"):
+            object.__setattr__(self, name, _matrix(getattr(self, name)))
+        object.__setattr__(self, "group_offsets",
+                           _read_only(np.array(self.group_offsets, dtype=np.intp)))
 
     @property
     def n_drops(self) -> int:
         return len(self.unicast_gains)
+
+    def rows(self, start: int, stop: int) -> "FadingStack":
+        """The stack of drops ``start`` to ``stop - 1``, viewing this one's gains."""
+        return FadingStack(unicast_gains=_Shared(self.unicast_gains[start:stop]),
+                           multicast_gains_flat=_Shared(self.multicast_gains_flat[start:stop]),
+                           group_offsets=self.group_offsets)
 
     def drop(self, d: int) -> FadingProfile:
         return FadingProfile(unicast_gains=self.unicast_gains[d],

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PlacementError
-from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _cast_converts,
-                    _offsets, _read_only, _real, _views)
+from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _matrix, _offsets,
+                    _read_only, _Shared, _views)
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,15 @@ class RadioParams:
 
 
 def _points(xs) -> np.ndarray:
-    """Read-only float64 copy of (radius, angle) pairs.  Anything but an
-    array that ``model._cast_converts`` is converted entry by entry with
-    ``model._real``, as ``model._vector`` converts, so a non-numeric or
-    complex entry raises TypeError."""
-    if _cast_converts(xs):
-        a = xs.astype(np.float64)
-    else:
-        a = np.array([[_real(x) for x in pair] for pair in xs], dtype=np.float64)
+    """Read-only float64 copy of (radius, angle) pairs, converted as
+    ``model._matrix`` converts, so a non-numeric or complex entry raises
+    TypeError."""
+    a = _matrix(xs)
     if a.size == 0:
-        a = np.empty((0, 2))
+        a = _read_only(np.empty((0, 2)))
     if a.ndim != 2 or a.shape[1] != 2:
         raise ValueError(f"positions must be (radius, angle) pairs, got shape {a.shape}")
-    return _read_only(a)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +99,11 @@ def pathloss(geometry: CellGeometry, distance_m: float, check_range: bool = True
 
 
 def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Map draws u in [0, 1) to [low, high) as rng.uniform(low, high) does."""
-    return low + (high - low) * u
+    """Map draws u in [0, 1) to [low, high) in place, as rng.uniform(low,
+    high) maps them."""
+    u *= high - low
+    u += low
+    return u
 
 
 def _unit_draws(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[int],
@@ -129,14 +128,18 @@ def _unit_draws(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[in
 
 
 def _radii(geometry: CellGeometry, u: np.ndarray) -> np.ndarray:
-    """Radii from draws u in [0, 1): uniform over area, so the sqrt of a
-    uniform draw on squared radii, mapped as ``rng.uniform`` maps it."""
-    return np.sqrt(_uniform(u, geometry.exclusion_radius ** 2, geometry.cell_radius ** 2))
+    """Radii from draws u in [0, 1), mapped in place: uniform over area, so
+    the sqrt of a uniform draw on squared radii, mapped as ``rng.uniform``
+    maps it."""
+    return np.sqrt(_uniform(u, geometry.exclusion_radius ** 2, geometry.cell_radius ** 2),
+                   out=u)
 
 
 def _gains(geometry: CellGeometry, radii: np.ndarray) -> np.ndarray:
-    # Drawn radii are in range by construction.
-    return geometry.attenuation_const / radii ** geometry.pathloss_exponent
+    """The gains at the radii, mapped in place.  Drawn radii are in range
+    by construction."""
+    radii **= geometry.pathloss_exponent
+    return np.divide(geometry.attenuation_const, radii, out=radii)
 
 
 def place_drops(geometry: CellGeometry,
@@ -145,11 +148,12 @@ def place_drops(geometry: CellGeometry,
                 seeds: Sequence) -> FadingStack:
     """The fading gains of one placement per seed, stacked: row d holds the
     gains ``place_users(geometry, n_unicast, group_sizes, seeds[d])`` gives.
-    Only the radii are mapped; the angles feed nothing here."""
+    Only the radii are mapped, in place in the arrays that the stack then
+    owns; the angles feed nothing here."""
     u, radii, _ = _unit_draws(geometry, n_unicast, group_sizes, seeds)
-    gains = _gains(geometry, _radii(geometry, u[:, radii]))
-    return FadingStack(unicast_gains=gains[:, :n_unicast],
-                       multicast_gains_flat=gains[:, n_unicast:],
+    unicast, multicast = (_Shared(_gains(geometry, _radii(geometry, np.take(u, cols, axis=1))))
+                          for cols in (radii[:n_unicast], radii[n_unicast:]))
+    return FadingStack(unicast_gains=unicast, multicast_gains_flat=multicast,
                        group_offsets=_offsets(group_sizes))
 
 
@@ -168,7 +172,7 @@ def place_users(geometry: CellGeometry,
     polar = np.empty((radii.size, 2))
     polar[:, 0] = _radii(geometry, u[radii])
     polar[:, 1] = _uniform(u[radii + np.repeat(sizes, sizes)], 0.0, 2.0 * math.pi)
-    gains = _gains(geometry, polar[:, 0])
+    gains = _gains(geometry, polar[:, 0].copy())
     offsets = _offsets(group_sizes)
     profile = FadingProfile(unicast_gains=gains[:n_unicast],
                             multicast_gains=_views(gains[n_unicast:], offsets))
@@ -223,6 +227,8 @@ def default_normalized_config(n_antennas: int,
     group_sizes = tuple(int(k) for k in group_sizes)
     scale = _noise_scale(radio)
     e = default_energy_cap_physical(coherence_length) * scale
+    # A negative count gives an empty field, which validation reports.
+    n_users, members = max(n_unicast, 0), [max(k, 0) for k in group_sizes]
     return SystemConfig(
         n_antennas=n_antennas,
         coherence_length=coherence_length,
@@ -230,8 +236,7 @@ def default_normalized_config(n_antennas: int,
         group_sizes=group_sizes,
         pilot_length=n_unicast + len(group_sizes),
         total_power=radio.tx_power_watts * scale,
-        # A negative count gives an empty field, which validation reports.
-        unicast_energy_caps=np.full(max(n_unicast, 0), e),
-        multicast_energy_caps=tuple(np.full(max(k, 0), e) for k in group_sizes),
-        sse_weights=np.ones(max(n_unicast, 0)),
+        unicast_energy_caps=_Shared(np.full(n_users, e)),
+        multicast_energy_caps=_Shared(np.full(sum(members), e), _offsets(members)),
+        sse_weights=_Shared(np.ones(n_users)),
     )

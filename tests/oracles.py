@@ -40,7 +40,9 @@ The per-drop figure-grid section keeps the grid loop as it was before a
 cell's drops were placed and solved as one stack: one SeedSequence and one
 placement per drop, drawn block by block, then one ``solve_mmf`` or
 ``solve_sse`` call per precoder.  The figure CSVs it gives must equal the stacked ones byte for
-byte.
+byte.  It also keeps ``default_normalized_config`` as it was before each
+per-UT field came from one ``np.full``: the configs must be equal and
+write the same JSON.
 """
 
 import dataclasses
@@ -63,7 +65,8 @@ from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDra
                                  build_mrt_precoders, build_zf_precoders, mmse_estimate,
                                  require_zf_feasible, trial_rng)
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
-from mimocast.scenario import (CellGeometry, Placement, default_energy_cap_physical,
+from mimocast.scenario import (CellGeometry, Placement, RadioParams,
+                               default_energy_cap_physical, noise_power_w_per_hz,
                                normalize_powers)
 
 LN2 = math.log(2.0)
@@ -919,6 +922,28 @@ def default_normalized_config_twice(n_antennas, coherence_length, n_unicast, gro
         sse_weights=np.ones(max(n_unicast, 0)),
     )
     return normalize_powers(radio, cfg)
+
+
+def default_normalized_config_per_group(n_antennas, coherence_length, n_unicast, group_sizes,
+                                        radio=RadioParams()):
+    """``default_normalized_config`` as it was built before each per-UT
+    field came from one ``np.full``: one array per group, which the config
+    concatenates."""
+    group_sizes = tuple(int(k) for k in group_sizes)
+    radio.validate()
+    scale = 1.0 / (radio.bandwidth_hz * noise_power_w_per_hz(radio))
+    e = default_energy_cap_physical(coherence_length) * scale
+    return SystemConfig(
+        n_antennas=n_antennas,
+        coherence_length=coherence_length,
+        n_unicast=n_unicast,
+        group_sizes=group_sizes,
+        pilot_length=n_unicast + len(group_sizes),
+        total_power=radio.tx_power_watts * scale,
+        unicast_energy_caps=np.full(max(n_unicast, 0), e),
+        multicast_energy_caps=tuple(np.full(max(k, 0), e) for k in group_sizes),
+        sse_weights=np.ones(max(n_unicast, 0)),
+    )
 
 
 def drop_seed(seed: int, cell: int, drop: int) -> np.random.SeedSequence:

@@ -376,6 +376,12 @@ class TestGridOracleAgreement:
 
 
 class TestScoringGuards:
+    def test_nan_fixed_power_rejected(self):
+        cfg, fading = random_desk_instance(np.random.default_rng(8), u_range=(1, 8))
+        sol = solve_mmf(cfg, fading, 0.0, MRT)
+        with pytest.raises(ValueError, match="non-negative"):
+            mmf_se_report(cfg, fading, sol, math.nan)
+
     def test_mismatched_unicast_power_with_no_users(self):
         cfg, fading = single_group_instance()
         sol = solve_mmf(cfg, fading, 0.0, MRT)

@@ -557,6 +557,16 @@ PINNED_FIGURE_EDGES = [
     ("fig3", ("--coherence", "0"), 1, _COHERENCE_0),
     ("fig3", ("--antennas-list", "-5"), 1,
      "error: invalid configuration: n_antennas=-5: must be a positive integer"),
+    # Grids whose failing cell is not the first one, or fails for two
+    # reasons, or where ZF serves one antenna count and not another (3 with
+    # U + G = 3), recorded while the cells were still solved one at a time.
+    ("fig2", ("--antennas-list", "32,0"), 1,
+     "error: invalid configuration: n_antennas=0: must be a positive integer"),
+    ("fig3", ("--antennas-list", "0,32", "--coherence", "0"), 1,
+     "error: invalid configuration: n_antennas=0: must be a positive integer; "
+     + _COHERENCE_0.removeprefix("error: invalid configuration: ")),
+    ("fig3", ("--antennas-list", "4,32"), 0, ""),
+    ("fig3", ("--antennas-list", "3,32"), 0, ""),
 ]
 
 

@@ -186,6 +186,21 @@ class TestSeReport:
                 rep.weighted_sum_unicast_se([1.0] * n)
 
 
+class TestPowerChecks:
+    @pytest.mark.parametrize("unicast, multicast", [
+        ((math.nan,), (1.0,)),
+        ((1.0,), (math.nan,)),
+    ])
+    def test_nan_power_rejected(self, unicast, multicast):
+        # NaN fails every comparison, so no check may read it as in range.
+        cfg = make_config(n_unicast=1, group_sizes=(1,), pilot_length=2)
+        fading = FadingProfile(unicast_gains=(1.0,), multicast_gains=((1.0,),))
+        stats = stats_for(cfg, unicast_var=(0.5,), multicast_var=((0.2,),))
+        for precoder in PRECODERS:
+            with pytest.raises(ValueError, match="non-negative"):
+                se_report(cfg, stats, fading, DownlinkPowers(unicast, multicast), precoder)
+
+
 class TestEqualSplit:
     def test_side_without_streams_takes_no_power(self):
         with pytest.raises(DegenerateInputError, match="no unicast UTs"):

@@ -1,4 +1,5 @@
-"""Figure grids place, validate and solve each cell's drops as one stack.
+"""Figure grids place, validate and solve the drops of the cells of each
+shape (cells alike but for their antenna counts) as one stack.
 
 Checked against the per-drop path it replaced (``oracles``, per-drop
 figure-grid section): stacked placements equal per-seed ``place_users``
@@ -8,6 +9,7 @@ CSV bytes, all bit for bit.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimocast import allocation, cli, figures, model
+from mimocast import allocation, cli, closed_form, figures, model
 from mimocast.allocation import solve_mmf, solve_sse, waterfill
 from mimocast.closed_form import PRECODERS
 from mimocast.errors import DegenerateInputError, InvalidConfigError, ZfInfeasibleError
@@ -168,6 +170,32 @@ class TestStackedSolvers:
                 assert sse == [oracles.sse_objective_loop(cfg, f, p, gain, c) for f in drops]
 
     @settings(max_examples=60, deadline=None)
+    @given(seed=seeds_, n_drops=st.integers(1, 4), precoder=st.sampled_from(PRECODERS))
+    def test_each_drop_takes_its_own_antenna_count(self, seed, n_drops, precoder):
+        # One antenna count per drop gives each drop the objective of the
+        # config with that count; ZF leaves the counts it cannot serve NaN.
+        rng = np.random.default_rng(seed)
+        cfg, stack = desk_stack(rng, n_drops, n_range=(4, 60))
+        require_valid_drops(cfg, stack)
+        counts = rng.integers(1, 60, n_drops)
+        gains, c = closed_form._precoder_factors(cfg, precoder, counts)
+        p = float(rng.uniform(0.0, cfg.total_power))
+        for pieces, solve in ((allocation._mmf_pieces, solve_mmf),
+                              (allocation._sse_pieces, solve_sse)):
+            if solve is solve_sse and cfg.n_unicast == 0:
+                continue
+            got = pieces(cfg, stack).problem(precoder, counts).objectives(p).tolist()
+            for d, n in enumerate(counts.tolist()):
+                one = dataclasses.replace(cfg, n_antennas=n)
+                try:
+                    want = solve(one, stack.drop(d), p, precoder).objective
+                except ZfInfeasibleError:
+                    assert math.isnan(got[d]) and math.isnan(gains[d])
+                else:
+                    assert got[d] == want
+                    assert (float(gains[d]), c) == closed_form._precoder_factors(one, precoder)
+
+    @settings(max_examples=60, deadline=None)
     @given(seed=seeds_, n_drops=st.integers(1, 4))
     def test_waterfill_rows_equal_single_problems(self, seed, n_drops):
         rng = np.random.default_rng(seed)
@@ -270,10 +298,11 @@ def int_list(draw, lo, hi, max_size=2):
 @st.composite
 def figure_argv(draw):
     """Small fig2/fig3 grids: 1-4 drops, antenna counts low enough for some
-    cells to be ZF-infeasible, U = 0 in fig2 and G = 0 in fig3 at times,
-    and now and then a coherence length too short for the pilots."""
+    cells to be ZF-infeasible and now and then 0 or -1, which is invalid and
+    may follow a valid count, U = 0 in fig2 and G = 0 in fig3 at times, and
+    now and then a coherence length too short for the pilots."""
     figure = draw(st.sampled_from(["fig2", "fig3"]))
-    argv = ["figure", figure, "--antennas-list", int_list(draw, 2, 24),
+    argv = ["figure", figure, "--antennas-list", int_list(draw, -1, 24, max_size=3),
             "--drops", str(draw(st.integers(1, 4))), "--seed", str(draw(seeds_)),
             "--coherence", str(draw(st.sampled_from([200, 200, 200, 5])))]
     if figure == "fig2":
@@ -316,20 +345,46 @@ class TestFigureGridOracle:
         assert code == 0
         assert b",zf,8,2,1,2,2," in data and data.count(b",False\n") == 1
 
-    @pytest.mark.parametrize("argv, cells", [
+    # Two antenna counts over 4 and 3 shapes: (G, K) pairs in fig2, U in fig3.
+    SHAPE_GRIDS = [
         (("fig2", "--antennas-list", "16,32", "--g-list", "1,2", "--k-list", "2,3",
-          "--unicast", "2"), 8),
+          "--unicast", "2"), 4),
         (("fig3", "--antennas-list", "16,32", "--u-list", "1,2,3", "--groups", "0",
-          "--group-size", "2"), 6),
-    ])
-    def test_one_validation_per_grid_cell(self, monkeypatch, argv, cells):
+          "--group-size", "2"), 3),
+    ]
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, argv):
         calls = []
-        real = model.validate_config
-        monkeypatch.setattr(model, "validate_config",
-                            lambda *a: calls.append(1) or real(*a))
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
         code, _, _ = run_figure(["figure", *argv, "--drops", "3", "--seed", "2"])
         assert code == 0
-        assert len(calls) == cells
+        return len(calls)
+
+    @pytest.mark.parametrize("argv, shapes", SHAPE_GRIDS)
+    def test_one_validation_per_cell_shape(self, monkeypatch, argv, shapes):
+        assert self.count_calls(monkeypatch, model, "validate_config", argv) == shapes
+
+    @pytest.mark.parametrize("argv, shapes", SHAPE_GRIDS)
+    def test_one_placement_per_cell_shape(self, monkeypatch, argv, shapes):
+        assert self.count_calls(monkeypatch, figures, "place_drops", argv) == shapes
+
+    @pytest.mark.parametrize("n_antennas, g_list, message", [
+        ("32,0", "1,2", "n_antennas=0"),
+        ("0,32", "1,2", "n_antennas=0"),
+        # Cell 1 (N = 32, G = 0) fails before cell 2 (N = 0, G = 1), of
+        # the shape that is solved first.
+        ("32,0", "1,0", "needs at least one group"),
+        ("0,32", "1,0", "n_antennas=0"),
+    ])
+    def test_first_failing_cell_is_reported(self, n_antennas, g_list, message):
+        argv = ["figure", "fig2", "--antennas-list", n_antennas, "--g-list", g_list,
+                "--k-list", "2", "--unicast", "2", "--drops", "2", "--seed", "4"]
+        got = run_figure(argv)
+        with mock.patch.object(figures, "drop_means", oracles.drop_means_loop):
+            assert got == run_figure(argv)
+        assert got[0] == 1 and message in got[1]
 
 
 class TestFigureLibrary:

@@ -17,7 +17,8 @@ from mimocast.model import (EstimationStats, FadingProfile, FadingStack, SystemC
                             validate_config)
 from mimocast.montecarlo import validate_closed_form
 from mimocast.pareto import ParetoBoundary, select_operating_point, solve_split, sweep_boundary
-from mimocast.scenario import CellGeometry, Placement, default_normalized_config, place_users
+from mimocast.scenario import (CellGeometry, Placement, default_normalized_config,
+                               place_drops, place_users)
 
 import oracles
 from oracles import random_desk_instance
@@ -128,6 +129,42 @@ class TestLayout:
                                multicast_gains=[np.array([0.5], dtype=object)])
         assert fading.unicast_gains.tolist() == [1.0, 2.0]
         assert fading.multicast_gains_flat.tolist() == [0.5]
+
+    def test_fading_stack_converts_entry_by_entry(self):
+        # A cast would keep only the real parts of a complex stack and
+        # store None as NaN.
+        for bad in (np.ones((2, 3), dtype=complex), [[1.0, 2.0], [1.0, 1j]],
+                    [[1.0, np.complex128(2.0)]], np.array([[1.0, None]], dtype=object),
+                    [[1.0, None]]):
+            for field in ("unicast_gains", "multicast_gains_flat"):
+                good = {"unicast_gains": np.ones((1, 2)), "multicast_gains_flat": np.ones((1, 2))}
+                with pytest.raises(TypeError):
+                    FadingStack(**{**good, field: bad}, group_offsets=[0, 2])
+        stack = FadingStack(unicast_gains=np.array([[1.0, 2]], dtype=object),
+                            multicast_gains_flat=[[0.5, 3]], group_offsets=[0, 2])
+        assert stack.unicast_gains.tolist() == [[1.0, 2.0]]
+        assert stack.multicast_gains_flat.tolist() == [[0.5, 3.0]]
+        for a in (stack.unicast_gains, stack.multicast_gains_flat):
+            assert a.dtype == np.float64 and not a.flags.writeable
+
+    def test_fading_stack_copies_caller_arrays(self):
+        gains = np.ones((2, 3))
+        stack = FadingStack(unicast_gains=gains[:, :1], multicast_gains_flat=gains[:, 1:],
+                            group_offsets=[0, 2])
+        gains[:] = 9.0
+        assert stack.unicast_gains.tolist() == [[1.0], [1.0]]
+        assert stack.multicast_gains_flat.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_placed_stacks_keep_the_arrays_placement_built(self):
+        # The stack and its row ranges view the arrays the placement built.
+        stack = place_drops(CellGeometry(), 2, (3, 1), [5, 6, 7])
+        for a in (stack.unicast_gains, stack.multicast_gains_flat):
+            assert a.base.flags.owndata and a.base.flags.c_contiguous
+        part = stack.rows(1, 3)
+        assert np.shares_memory(part.unicast_gains, stack.unicast_gains)
+        assert np.shares_memory(part.multicast_gains_flat, stack.multicast_gains_flat)
+        assert part.drop(0) == stack.drop(1) and part.drop(1) == stack.drop(2)
+        assert part.n_drops == 2
 
     def test_placement_object_array_with_none_raises(self):
         with pytest.raises(TypeError):
@@ -266,7 +303,8 @@ def flat(rows):
 
 
 def assert_pieces_match_loops(cfg, fading, rng):
-    upsilon, x_caps = allocation._group_quality_floors(cfg, fading)
+    upsilon = allocation._group_quality_floors(cfg, fading)
+    x_caps = allocation._pilot_energies(cfg, fading, upsilon)
     upsilon_o, x_caps_o = oracles.group_quality_floors(cfg, fading)
     assert upsilon.tolist() == list(upsilon_o)
     assert x_caps.tolist() == flat(x_caps_o)
@@ -527,6 +565,8 @@ class TestNoArrayCanBeMadeWriteable:
             FadingStack(unicast_gains=gains[:, :cfg.n_unicast],
                         multicast_gains_flat=gains[:, cfg.n_unicast:],
                         group_offsets=np.array(cfg.group_offsets)),
+            place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]),
+            place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]).rows(1, 2),
             EstimationStats(unicast_var=[0.5] * cfg.n_unicast,
                             multicast_var=[[0.5] * k for k in cfg.group_sizes],
                             group_var=np.ones(cfg.n_groups)),

@@ -362,6 +362,8 @@ class TestValidateClosedForm:
         ((9.0, 1.0), (2.0,)),   # over the budget of 10
         ((1.0,), (2.0,)),       # one entry short
         ((-1.0, 1.0), (2.0,)),  # negative
+        ((math.nan, 1.0), (2.0,)),
+        ((1.0, 1.0), (math.nan,)),
     ])
     def test_bad_powers_rejected_before_any_draw(self, monkeypatch, precoder, unicast, multicast):
         cfg, fading = small_system()

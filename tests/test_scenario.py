@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mimocast.model import SystemConfig, validate_config
+from mimocast.model import FadingProfile, SystemConfig, validate_config
 from mimocast.scenario import (CellGeometry, RadioParams,
                                default_normalized_config, noise_power_w_per_hz,
                                normalize_powers, pathloss, place_users)
@@ -125,6 +127,27 @@ class TestNormalizePowers:
         want = oracles.default_normalized_config_twice(64, 150, n_unicast, sizes, radio)
         assert got == want
         assert repr(got.to_dict()) == repr(want.to_dict())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_antennas=st.integers(-2, 600), coherence=st.integers(-1, 400),
+           n_unicast=st.integers(-3, 120), sizes=st.lists(st.integers(-2, 120), max_size=12),
+           radio=st.sampled_from([RadioParams(), RadioParams(bandwidth_hz=1.4e6,
+                                                             noise_psd_dbm_hz=-171.3,
+                                                             tx_power_watts=0.7)]))
+    def test_default_config_equals_one_array_per_group(self, n_antennas, coherence, n_unicast,
+                                                       sizes, radio):
+        # Negative counts and empty groups give configs that validation
+        # reports, alike on both builds.
+        got = default_normalized_config(n_antennas, coherence, n_unicast, sizes, radio)
+        want = oracles.default_normalized_config_per_group(n_antennas, coherence, n_unicast,
+                                                           sizes, radio)
+        assert got == want
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        fading = FadingProfile(unicast_gains=np.full(max(n_unicast, 0), 1e-9),
+                               multicast_gains=[np.full(max(k, 0), 1e-9) for k in sizes])
+        assert validate_config(got, fading) == validate_config(want, fading)
+        if n_unicast < 0 or any(k < 1 for k in sizes):
+            assert validate_config(got, fading)
 
     def test_normalize_scales_every_power_field(self):
         radio = RadioParams(bandwidth_hz=2.0, noise_psd_dbm_hz=30.0, tx_power_watts=4.0)
