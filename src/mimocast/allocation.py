@@ -217,17 +217,6 @@ def _group_quality_floors(cfg: SystemConfig,
     return _group_min(_pilot_qualities(cfg, fading), cfg.group_offsets)
 
 
-def _pilot_energies(cfg: SystemConfig, fading: FadingProfile | FadingStack,
-                    upsilon: np.ndarray) -> np.ndarray:
-    """The optimal capped pilot energies (flat, one per multicast UT) under
-    the group floors upsilon, the worst pilot quality in each group: every
-    member scales its energy down to match the floor, so the floor member
-    sits exactly at its cap."""
-    offsets = cfg.group_offsets
-    return cfg.multicast_energy_caps_flat * (_per_member(upsilon, offsets)
-                                             / _pilot_qualities(cfg, fading))
-
-
 def _interference_loads(cfg: SystemConfig, fading: FadingProfile | FadingStack,
                         upsilon: np.ndarray) -> np.ndarray:
     offsets = cfg.group_offsets
@@ -303,7 +292,12 @@ class _MmfPieces:
 
     @functools.cached_property
     def x_caps(self) -> np.ndarray:
-        return _pilot_energies(self.cfg, self.fading, self.upsilon)
+        """The optimal capped pilot energies: every member scales its energy
+        down to match its group's floor, so the floor member sits exactly at
+        its cap."""
+        cfg = self.cfg
+        return cfg.multicast_energy_caps_flat * (_per_member(self.upsilon, cfg.group_offsets)
+                                                 / _pilot_qualities(cfg, self.fading))
 
     def problem(self, precoder: str, n_antennas: np.ndarray | None = None) -> _MmfProblem:
         """The problem under the precoder, which adds only its factors.

@@ -146,9 +146,12 @@ def _shape_means(cfgs: Sequence[SystemConfig], states: np.ndarray,
 
     Any other error is raised: it is the one the shape's first cell would
     raise on its own, as the drops of every cell are placed, and those of
-    the valid cells solved, together.  Each precoder solves them in one
-    pass, with each cell's own array gain; a precoder that cannot serve a
-    cell's antenna count leaves it infeasible."""
+    the valid cells solved, together.  (The solvers' only errors that
+    depend on a drop's gains, pilot qualities or estimate variances that
+    underflow to zero, need gains far below those of the default geometry.)
+    Each precoder solves them in one pass, with each cell's own array gain;
+    a precoder that cannot serve a cell's antenna count leaves it
+    infeasible."""
     first, n_drops = cfgs[0], states.shape[1]
     drops = place_drops(CellGeometry(), first.n_unicast, first.group_sizes,
                         [_DropSeed(s) for s in states.reshape(-1, 4)])

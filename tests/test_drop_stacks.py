@@ -394,6 +394,22 @@ class TestFigureLibrary:
             with pytest.raises(ValueError):
                 figures.drop_means(configs, objective, n_drops, seed)
 
+    @pytest.mark.parametrize("objective", ["mmf", "sse"])
+    def test_cells_that_differ_in_more_than_antennas_are_solved_apart(self, objective):
+        base = default_normalized_config(16, 200, 2, (2, 3))
+        configs = [base, dataclasses.replace(base, n_antennas=32),
+                   dataclasses.replace(base, unicast_energy_caps=base.unicast_energy_caps / 2),
+                   dataclasses.replace(base, multicast_energy_caps=[
+                       row * 2.0 for row in base.multicast_energy_caps]),
+                   dataclasses.replace(base, sse_weights=base.sse_weights * [1.0, 3.0]),
+                   dataclasses.replace(base, total_power=base.total_power / 4.0),
+                   dataclasses.replace(base, pilot_length=base.pilot_length + 1),
+                   dataclasses.replace(base, coherence_length=100)]
+        assert [len(cells) for cells in figures._shapes(configs)] == [2, 1, 1, 1, 1, 1, 1]
+        got = figures.drop_means(configs, objective, 3, 7)
+        want = oracles.drop_means_loop(configs, objective, 3, 7)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
     def test_boundaries_sweep_one_placement(self):
         # N=4 serves U+G=4 streams: no ZF boundary there.
         configs = [default_normalized_config(n, 200, 2, (2, 2)) for n in (4, 16)]

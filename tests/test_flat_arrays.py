@@ -303,8 +303,8 @@ def flat(rows):
 
 
 def assert_pieces_match_loops(cfg, fading, rng):
-    upsilon = allocation._group_quality_floors(cfg, fading)
-    x_caps = allocation._pilot_energies(cfg, fading, upsilon)
+    pieces = allocation._mmf_pieces(cfg, fading)
+    upsilon, x_caps = pieces.upsilon, pieces.x_caps
     upsilon_o, x_caps_o = oracles.group_quality_floors(cfg, fading)
     assert upsilon.tolist() == list(upsilon_o)
     assert x_caps.tolist() == flat(x_caps_o)
