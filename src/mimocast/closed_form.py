@@ -161,23 +161,40 @@ def se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
     return _se_report(cfg, stats, fading, powers, gain, c)
 
 
-def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
-               powers: DownlinkPowers, gain: int, c: float) -> SeReport:
-    """``se_report`` for a (cfg, fading) pair already validated, with the
-    precoder's factors already looked up."""
+def _sinr_terms(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
+                powers: DownlinkPowers, gain: int, c: float):
+    """Each side's two per-UT terms of the hardening bound, (unicast UTs)
+    and (multicast UTs, group by group): the coherent power gain*p*var and
+    the interference (beta - c*var)*P_total.
+
+    They are the two moments the Monte Carlo validator simulates: the
+    desired term h^H w has mean m1 = sqrt(gain*p*var), and the power a UT
+    receives over all streams has mean m2 = (beta - c*var)*P_total +
+    gain*p*var, so SINR = m1^2 / (1 + m2 - m1^2).
+    """
     _check_powers(cfg, powers)
     if (stats.unicast_var.shape != fading.unicast_gains.shape
             or tuple(map(len, stats.multicast_var)) != cfg.group_sizes):
         raise ValueError("estimation stats must be shaped like the config")
     total = powers.total
+
+    def terms(p, var, beta) -> tuple[np.ndarray, np.ndarray]:
+        return gain * p * var, (beta - c * var) * total
+
+    return (terms(powers.unicast, stats.unicast_var, fading.unicast_gains),
+            terms(_per_member(powers.multicast, cfg.group_offsets),
+                  stats.multicast_var_flat, fading.multicast_gains_flat))
+
+
+def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
+               powers: DownlinkPowers, gain: int, c: float) -> SeReport:
+    """``se_report`` for a (cfg, fading) pair already validated, with the
+    precoder's factors already looked up."""
+    (uni_signal, uni_interference), (mu_signal, mu_interference) = \
+        _sinr_terms(cfg, stats, fading, powers, gain, c)
+    uni_sinr = uni_signal / (1.0 + uni_interference)
+    mu_sinr = mu_signal / (1.0 + mu_interference)
     offsets = cfg.group_offsets
-
-    def sinr(p, var, beta) -> np.ndarray:
-        return gain * p * var / (1.0 + (beta - c * var) * total)
-
-    uni_sinr = sinr(powers.unicast, stats.unicast_var, fading.unicast_gains)
-    mu_sinr = sinr(_per_member(powers.multicast, offsets), stats.multicast_var_flat,
-                   fading.multicast_gains_flat)
     prelog = cfg.prelog
     return SeReport(
         prelog=prelog,

@@ -18,6 +18,7 @@ import bisect
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -364,6 +365,14 @@ class PowerSplit:
         if not (0.0 <= unicast_share < math.inf and 0.0 <= multicast_share < math.inf and s > 0):
             raise ValueError("split ratio parts must be finite and non-negative with a "
                              "positive sum")
+        larger = max(unicast_share, multicast_share)
+        if not (sys.float_info.min <= s < math.inf and total * larger < math.inf):
+            # A subnormal sum rounds total * share through a subnormal (the
+            # ratio 5e-324:0 gave 10 of a total of 9.677), and an overflow
+            # loses the ratio.  Scaled so that its larger part is 1, the
+            # ratio takes the same path as every other.
+            unicast_share, multicast_share = unicast_share / larger, multicast_share / larger
+            s = unicast_share + multicast_share
         return cls(total * unicast_share / s, total * multicast_share / s)
 
 

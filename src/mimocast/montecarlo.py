@@ -3,20 +3,28 @@
 Per trial: draw small-scale Rayleigh channels for every UT into one matrix,
 run MMSE estimation with one shared pilot per multicast group, build MRT or
 ZF precoders, and form every UT's effective channel to every stream.  A
-trial keeps two numbers per UT: the effective channel on the UT's own
-stream (the desired term) and the power the UT receives summed over all
-streams.  That is 24 bytes per UT per trial; the per-stream received
-powers only enter a running (UTs x streams) sum.  The empirical
-SINR is assembled from sample means exactly as the definition states, with
-the effective-channel variance entering as E[|x|^2] - |E[x]|^2; its
-jackknife needs no more, since leaving one trial out changes a UT's total
-received power by that trial's sum.
+trial yields two numbers per UT: the effective channel on the UT's own
+stream (the desired term d) and the power the UT receives summed over all
+streams (r).
+
+The closed-form SINR is the hardening bound m1^2 / (1 + m2 - m1^2), built
+from two moments per UT, m1 = E[d] and m2 = E[r], which
+``closed_form._sinr_terms`` supplies.  Each trial's d and r enter per-UT
+running sums shifted by those moments (Chan, Golub & LeVeque, 1983): of
+x = Re d - m1, x^2, y = r - m2, y^2, x*y and Im d.  So memory does not grow
+with the number of trials.  Each UT's record tests both moments at once:
+W is the Wald statistic of the mean offsets (mean x, mean y) against their
+sample covariance, p = exp(-W/2) its chi-square p-value with two degrees of
+freedom, and z the two-sided normal quantile of p, so that |z| <= 3 keeps
+the tail probability it has for one normal score.  The empirical SINR is
+the plug-in |mean d|^2 / (1 - |mean d|^2 + mean r); its interval maps each
+moment's 95% interval through the SINR formula.
 
 Besides the input parameters, two things come from the closed-form side:
 the powers pass ``closed_form._check_powers``, and the precoders are scaled
 by the estimate variances of ``model._estimation_variances``, which the
 closed form reads too.  That does not make the check circular: the
-variances only set each stream's transmit power, while the SINR is
+variances only set each stream's transmit power, while d and r are
 measured from the drawn channels and estimates.
 
 Each trial draws from its own SFC64 generator, seeded by the spawn of
@@ -24,7 +32,7 @@ Each trial draws from its own SFC64 generator, seeded by the spawn of
 streams independent.  Trials run on a pool of worker threads, one per CPU
 the process may use (at most MAX_WORKERS); numpy's random draws, ufuncs,
 BLAS and LAPACK release the GIL.  The calling thread keeps at most one
-pending trial per worker and adds each trial's products to the running sums
+pending trial per worker and adds each trial's terms to the running sums
 in trial order, so every result is bit-identical whatever the number of
 CPUs.  A trial that raises stops the run with the error of the lowest
 failing trial, as a serial loop would.
@@ -35,6 +43,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,15 +52,24 @@ from typing import Sequence
 import numpy as np
 
 from . import closed_form
-from .closed_form import ZF, DownlinkPowers, _check_powers, _precoder_factors, require_zf_feasible
+from .closed_form import (LN2, ZF, DownlinkPowers, _check_powers, _precoder_factors,
+                          _sinr_terms, require_zf_feasible)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _estimation_variances,
                     _pilot_arrays, _views, require_valid)
 
 log = logging.getLogger(__name__)
 
-# 95% two-sided normal quantile used for confidence half-widths.
+# 95% two-sided normal quantile used for each moment's confidence interval.
 Z95 = 1.959963984540054
+# A UT passes when |z| <= Z_PASS, and a report when at least PASS_RATE of
+# its UTs pass.
+Z_PASS = 3.0
+PASS_RATE = 0.99
+# A UT whose closed-form m1 lies fewer standard errors of the mean desired
+# term than this from zero has an SINR the trials barely resolve: the lower
+# end of a 95% interval on its mean desired term reaches zero.
+WEAK_SIGNAL = 2.0
 # Gram systems with condition numbers beyond this are treated as
 # rank-deficient draws (a probability-zero event) and the trial discarded.
 MAX_GRAM_COND = 1e12
@@ -88,12 +106,24 @@ class EstimateSet:
 
 @dataclass(frozen=True)
 class UserValidation:
+    """One UT's closed-form SINR against its simulation.
+
+    ``wald`` is W, ``p_value`` is p = exp(-W/2) and ``z`` is the z with
+    P(|N(0, 1)| > z) = p.  ``ci_low``/``ci_high`` bound the SINR.
+    ``m1_over_se`` is the closed-form m1 over the standard error of the
+    mean desired term.
+    """
+
     kind: str            # "unicast" | "multicast"
     index: tuple[int, ...]
     closed_form: float
     empirical: float
-    ci_halfwidth: float
+    ci_low: float
+    ci_high: float
     z: float
+    wald: float
+    p_value: float
+    m1_over_se: float
 
     def to_dict(self) -> dict:
         return {
@@ -101,9 +131,17 @@ class UserValidation:
             "index": list(self.index),
             "closed_form": self.closed_form,
             "empirical": self.empirical,
-            "ci_halfwidth": self.ci_halfwidth,
+            "ci_low": self.ci_low,
+            "ci_high": self.ci_high,
             "z": self.z,
+            "wald": self.wald,
+            "p_value": self.p_value,
+            "m1_over_se": self.m1_over_se,
         }
+
+
+def _pass_rate(records) -> float:
+    return sum(1 for r in records if abs(r.z) <= Z_PASS) / len(records) if records else 1.0
 
 
 @dataclass(frozen=True)
@@ -115,12 +153,35 @@ class ValidationReport:
     pass_rate: float
     passed: bool
 
+    @property
+    def worst_z(self) -> float:
+        return max((r.z for r in self.records), default=0.0)
+
+    @property
+    def pass_rate_by_kind(self) -> dict[str, float]:
+        """The pass rate of each kind of UT the report has."""
+        kinds = dict.fromkeys(r.kind for r in self.records)
+        return {k: _pass_rate([r for r in self.records if r.kind == k]) for k in kinds}
+
+    @property
+    def discarded_fraction(self) -> float:
+        return self.n_discarded / (self.n_trials + self.n_discarded)
+
+    @property
+    def n_weak_signal(self) -> int:
+        """UTs with m1/SE below WEAK_SIGNAL."""
+        return sum(1 for r in self.records if r.m1_over_se < WEAK_SIGNAL)
+
     def to_dict(self) -> dict:
         return {
             "precoder": self.precoder,
             "n_trials": self.n_trials,
             "n_discarded": self.n_discarded,
+            "discarded_fraction": self.discarded_fraction,
             "pass_rate": self.pass_rate,
+            "pass_rate_by_kind": self.pass_rate_by_kind,
+            "worst_z": self.worst_z,
+            "n_weak_signal": self.n_weak_signal,
             "passed": self.passed,
             "records": [r.to_dict() for r in self.records],
         }
@@ -261,35 +322,21 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
     return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]
 
 
-@dataclass(frozen=True)
-class _Trials:
-    """What the estimator reads from the kept trials, one row per UT in
-    ``ChannelDraw.channels`` order."""
-
-    desired: np.ndarray      # (users, n) complex: effective channel on the UT's own stream
-    received: np.ndarray     # (users, n): received power summed over all streams
-    power_sums: np.ndarray   # (users, streams): received power per stream, summed over trials
-    n_kept: int
-    n_discarded: int
-    stats: EstimationStats   # the estimate variances every trial's precoders read
-
-
-# One trial's products: every UT's per-stream received powers, their row
-# sums and the effective channel on its own stream.
-_Result = tuple[np.ndarray, np.ndarray, np.ndarray]
+# One trial's terms: every UT's received power summed over all streams and
+# the effective channel on its own stream.
+_Result = tuple[np.ndarray, np.ndarray]
 
 
 class _Kernel:
-    """One run's trial: draw, estimate, precode, form the products and the
-    per-stream powers.  Only the powers go into a buffer, from ``spare``."""
+    """One run's trial: draw, estimate, precode and form each UT's terms."""
 
     def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
                  pilot_powers_multicast, powers: DownlinkPowers, precoder: str,
-                 stats: EstimationStats, seed: int, spare: deque):
+                 stats: EstimationStats, seed: int):
         self.cfg, self.fading, self.powers, self.precoder = cfg, fading, powers, precoder
         p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
         self.pilots = p, _views(q, cfg.group_offsets)
-        self.stats, self.seed, self.spare = stats, seed, spare
+        self.stats, self.seed = stats, seed
         self.blocks = _ut_blocks(cfg)
         U = cfg.n_unicast
         # Each UT's own stream: its unicast stream, or its group's.
@@ -315,7 +362,6 @@ class _Kernel:
         # one to three workers.
         streams = np.concatenate([V, W], axis=1)
         np.conjugate(streams, out=streams)
-        power = self.spare.pop()
         received = np.empty(self.own.size)
         desired = np.empty(self.own.size, dtype=complex)
         for a, b in self.blocks:
@@ -323,21 +369,20 @@ class _Kernel:
             desired[a:b] = effective[np.arange(b - a), self.own[a:b]].conj()
             parts = effective.view(np.float64)
             np.square(parts, out=parts)
-            np.add(effective.real, effective.imag, out=power[a:b])
-            power[a:b].sum(axis=1, out=received[a:b])
-        return power, received, desired
+            np.add(effective.real, effective.imag).sum(axis=1, out=received[a:b])
+        return received, desired
 
 
 class _Sums:
-    """The run's accumulators, which trials enter in trial order, and one
-    per-stream power buffer per worker: a trial takes one and entering its
-    result hands it back, so with one pending trial per worker one is free."""
+    """Per-UT sums over the kept trials, which enter in trial order, of
+    x = Re d - m1, x^2, y = r - m2, y^2, x*y and Im d; shifting by the
+    closed-form moments keeps the sums of squares free of cancellation.
+    ``stats`` are the estimate variances every trial's precoders read."""
 
-    def __init__(self, users: int, streams: int, n_trials: int, workers: int):
-        self.desired = np.empty((users, n_trials), dtype=complex)
-        self.received = np.empty((users, n_trials))
-        self.power_sums = np.zeros((users, streams))
-        self.spare = deque(np.empty((users, streams)) for _ in range(workers))
+    def __init__(self, m1: np.ndarray, m2: np.ndarray, stats: EstimationStats):
+        self.m1, self.m2, self.stats = m1, m2, stats
+        self.x, self.xx, self.y, self.yy, self.xy, self.imag = (np.zeros(m1.size)
+                                                                for _ in range(6))
         self.kept = 0
         self.discarded = 0
 
@@ -345,19 +390,23 @@ class _Sums:
         if result is None:
             self.discarded += 1
             return
-        power, received, desired = result
-        self.power_sums += power
-        self.spare.append(power)
-        self.received[:, self.kept] = received
-        self.desired[:, self.kept] = desired
+        received, desired = result
+        x = desired.real - self.m1
+        y = np.subtract(received, self.m2, out=received)
+        self.x += x
+        self.xx += x * x
+        self.y += y
+        self.yy += y * y
+        self.xy += x * y
+        self.imag += desired.imag
         self.kept += 1
 
 
 # Most worker threads one run uses.  Each worker's trial in flight holds its
 # own channel matrix (1.7 MB at the paper cell: 100 antennas, 1050 UTs) and
-# products.  A 200-trial validation there peaks at 45.4 MB RSS with one
-# worker, 50.0 MB with three and 52.7 MB with four (MRT; ZF 46.9, 51.8 and
-# 54.9 MB), so each worker adds about 2.4 MB.
+# products.  A 200-trial validation there peaks at 40.6 MB RSS with one
+# worker, 45.2 MB with three and 47.6 MB with four (MRT; ZF 42.3, 47.0 and
+# 49.2 MB), so each worker adds about 2.3 MB.
 MAX_WORKERS = 3
 
 
@@ -374,8 +423,8 @@ def _worker_count(n_trials: int) -> int:
 def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                 pilot_powers_unicast, pilot_powers_multicast,
                 powers: DownlinkPowers, precoder: str,
-                n_trials: int, seed: int) -> _Trials:
-    """Run the trials and keep what the estimator reads for every UT.
+                n_trials: int, seed: int) -> _Sums:
+    """Run the trials and sum every UT's terms around its closed-form moments.
 
     Trials run on a pool of ``_worker_count`` threads.  The calling thread
     keeps at most one pending trial per thread and enters the results in
@@ -384,13 +433,15 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     """
     require_valid(cfg, fading)
     _check_powers(cfg, powers)
-    _precoder_factors(cfg, precoder)
+    gain, c = _precoder_factors(cfg, precoder)
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
     _require_estimates(powers, stats)
+    signal, interference = (np.concatenate(side) for side in
+                            zip(*_sinr_terms(cfg, stats, fading, powers, gain, c)))
+    sums = _Sums(np.sqrt(signal), interference + signal, stats)
     workers = _worker_count(n_trials)
-    sums = _Sums(cfg.n_unicast + cfg.group_offsets[-1], cfg.n_streams, n_trials, workers)
     kernel = _Kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
-                     precoder, stats, seed, sums.spare)
+                     precoder, stats, seed)
     with ThreadPoolExecutor(workers, thread_name_prefix="montecarlo") as pool:
         pending = deque()
         for t in range(n_trials):
@@ -400,89 +451,130 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
         while pending:
             sums.commit(pending.popleft().result())
 
-    kept, discarded = sums.kept, sums.discarded
-    if discarded:
+    if sums.discarded:
         log.warning("discarded %d of %d trials (rank-deficient estimate matrix)",
-                    discarded, n_trials)
-    if kept < 2:
+                    sums.discarded, n_trials)
+    if sums.kept < 2:
         raise DegenerateInputError("fewer than 2 usable trials")
-    return _Trials(desired=sums.desired[:, :kept], received=sums.received[:, :kept],
-                   power_sums=sums.power_sums, n_kept=kept, n_discarded=discarded,
-                   stats=stats)
+    return sums
 
 
-def _sinr_from_means(des_mean: np.ndarray, power_mean: np.ndarray) -> np.ndarray:
-    """Effective SINR from the term means: |E[des]|^2 over unit noise plus
-    total received power minus the coherent part.
+def _wald(n: int, dx: float, dy: float, vx: float, vy: float, cxy: float) -> tuple[float, int]:
+    """The Wald statistic of the mean offsets (dx, dy) of n trials, whose
+    terms have sample variances vx, vy and covariance cxy, and its degrees
+    of freedom.
 
-    The denominator cancels |E[des]|^2 against the received power, so an
-    error in the last bit of |E[des]| moves the SINR by up to the SINR
-    times that bit.  hypot rounds |E[des]| as Python's abs() does for one
-    complex number; np.abs on complex arrays takes a CPU-dependent
-    vectorized path that can differ in the last bit.
+    A term with no spread over the trials is exact: an offset there is
+    certain (W = inf), and no offset leaves the other term to test alone, as
+    does a pair too close to collinear to invert.
     """
-    num = np.hypot(des_mean.real, des_mean.imag) ** 2
-    return num / (1.0 - num + power_mean)
+    if vx > 0.0 and vy > 0.0:
+        rho = cxy / (math.sqrt(vx) * math.sqrt(vy))
+        tx, ty = _score(n, dx, vx), _score(n, dy, vy)
+        if abs(rho) < 1.0:
+            return (tx - rho * ty) ** 2 / ((1.0 - rho) * (1.0 + rho)) + ty ** 2, 2
+        return ty ** 2, 1
+    if (vx == 0.0 and dx != 0.0) or (vy == 0.0 and dy != 0.0):
+        return math.inf, 1
+    for d, v in ((dy, vy), (dx, vx)):
+        if v > 0.0:
+            return _score(n, d, v) ** 2, 1
+    return 0.0, 0
 
 
-def _jackknife(trials: _Trials, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Plug-in SINR of UTs a..b-1 and its jackknife standard error over
-    trials, in one pass with trials x (b - a) temporaries.
+def _score(n: int, d: float, v: float) -> float:
+    """The mean offset d of n trials over its standard error, for v > 0."""
+    return d / math.sqrt(v) * math.sqrt(n)
 
-    The plug-in SINR sums the per-stream mean powers.  Leaving trial t out
-    moves a UT's means to (sum - x_t) / (n - 1), with x_t its desired term
-    and its received-power total, so every leave-one-out SINR comes from
-    the row sums.
-    """
-    n = trials.n_kept
-    desired, received = trials.desired[a:b], trials.received[a:b]
-    des_sum = desired.sum(axis=1, keepdims=True)
-    full = _sinr_from_means(des_sum[:, 0] / n, (trials.power_sums[a:b] / n).sum(axis=1))
-    loo = _sinr_from_means((des_sum - desired) / (n - 1),
-                           (received.sum(axis=1, keepdims=True) - received) / (n - 1))
-    se = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=1, keepdims=True)) ** 2, axis=1))
-    return full, se
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _p_and_z(w: float, dof: int) -> tuple[float, float]:
+    """The p-value of a Wald statistic w with dof degrees of freedom (0, 1
+    or 2), and the z with P(|N(0, 1)| > z) = p, finite for every finite w."""
+    if dof == 0:
+        return 1.0, 0.0
+    if dof == 1 or w == math.inf:
+        return math.erfc(math.sqrt(0.5 * w)), math.sqrt(w)
+    half_p = math.exp(-0.5 * w - LN2)
+    if half_p >= sys.float_info.min:
+        # Imported here: statistics brings in decimal and fractions, 0.5 MB
+        # of RSS that every program importing mimocast would otherwise pay.
+        from statistics import NormalDist
+        return math.exp(-0.5 * w), 0.0 - NormalDist().inv_cdf(half_p)
+    # p/2 is subnormal or zero (w > 1412): solve log Q(z) = -w/2 - ln 2 for
+    # the normal tail Q with its series phi(z)/z * (1 - 1/z^2 + 3/z^4 - ...),
+    # whose next term, 15/z^6, is below 1e-8 at z > 37.
+    log_tail = 0.5 * w + LN2
+    z = math.sqrt(2.0 * log_tail)
+    for _ in range(4):
+        u = 1.0 / (z * z)
+        z = math.sqrt(2.0 * log_tail - 2.0 * math.log(z) - _LOG_2PI
+                      + 2.0 * math.log1p(u * (3.0 * u - 1.0)))
+    return math.exp(-0.5 * w), z
+
+
+def _sinr_at(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The SINR a^2 / (1 + b - a^2) at mean desired term a and mean
+    received power b, with a below 0 taken as 0 and b below a^2 as a^2.
+    Every trial's received power is at least its own |d|^2, so the moments
+    keep m2 >= m1^2 >= 0, and there the SINR rises with a and falls with b:
+    an interval on each moment maps to one on the SINR through its ends."""
+    a2 = np.maximum(a, 0.0) ** 2
+    return a2 / (1.0 + np.maximum(b - a2, 0.0))
 
 
 def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
                          pilot_powers_unicast, pilot_powers_multicast,
                          powers: DownlinkPowers, precoder: str,
                          n_trials: int, seed: int) -> ValidationReport:
-    """Closed-form vs Monte Carlo SINR for every UT, with z-scores.
+    """Closed-form vs Monte Carlo SINR for every UT, with the moment test.
 
-    Passes when at least 99% of per-user z-scores satisfy |z| <= 3.
+    Passes when at least 99% of per-user scores satisfy |z| <= 3.
     """
     if n_trials < 100:
         raise ValueError(f"need at least 100 trials, got {n_trials}")
-    trials = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                         powers, precoder, n_trials, seed)
+    sums = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                       powers, precoder, n_trials, seed)
     # _run_trials validated the pair and worked out the estimate variances.
     gain, c = _precoder_factors(cfg, precoder)
-    closed = closed_form._se_report(cfg, trials.stats, fading, powers, gain, c)
-
-    # One pass per block of UTs keeps the temporaries at trials x block size.
-    empirical, se = (np.concatenate(parts) for parts in
-                     zip(*(_jackknife(trials, a, b) for a, b in _ut_blocks(cfg))))
+    closed = closed_form._se_report(cfg, sums.stats, fading, powers, gain, c)
     cf = np.concatenate([closed.unicast_sinr, closed.multicast_sinr_flat])
+
+    n = sums.kept
+    dx, dy = sums.x / n, sums.y / n   # mean offsets from m1 and m2
+    vx = np.maximum(sums.xx - sums.x * dx, 0.0) / (n - 1)
+    vy = np.maximum(sums.yy - sums.y * dy, 0.0) / (n - 1)
+    cxy = (sums.xy - sums.x * dy) / (n - 1)
+    a, b = sums.m1 + dx, sums.m2 + dy   # mean Re d and mean r
+    se_a, se_b = np.sqrt(vx / n), np.sqrt(vy / n)
+    num = np.hypot(a, sums.imag / n) ** 2
+    empirical = num / (1.0 - num + b)
+    low, high = _sinr_at(a - Z95 * se_a, b + Z95 * se_b), _sinr_at(a + Z95 * se_a, b - Z95 * se_b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, (empirical - cf) / se, np.where(empirical == cf, 0.0, math.inf))
+        m1_over_se = np.where(sums.m1 == 0.0, 0.0, sums.m1 / se_a)
+    tests = []   # (W, p, z) per UT
+    for terms in zip(dx.tolist(), dy.tolist(), vx.tolist(), vy.tolist(), cxy.tolist()):
+        w, dof = _wald(n, *terms)
+        tests.append((w, *_p_and_z(w, dof)))
 
     targets = [("unicast", (m,)) for m in range(cfg.n_unicast)]
     targets += [("multicast", (j, k)) for j, size in enumerate(cfg.group_sizes)
                 for k in range(size)]
     records = tuple(
-        UserValidation(kind=kind, index=index, closed_form=c, empirical=e,
-                       ci_halfwidth=h, z=zz)
-        for (kind, index), c, e, h, zz in zip(targets, cf.tolist(), empirical.tolist(),
-                                              (Z95 * se).tolist(), z.tolist()))
+        UserValidation(kind=kind, index=index, closed_form=c, empirical=e, ci_low=lo,
+                       ci_high=hi, z=z, wald=w, p_value=p, m1_over_se=r)
+        for (kind, index), c, e, lo, hi, (w, p, z), r in zip(
+            targets, cf.tolist(), empirical.tolist(), low.tolist(), high.tolist(), tests,
+            m1_over_se.tolist()))
 
-    n_ok = sum(1 for r in records if abs(r.z) <= 3.0)
-    rate = n_ok / len(records) if records else 1.0
+    rate = _pass_rate(records)
     return ValidationReport(
         precoder=precoder,
-        n_trials=trials.n_kept,
-        n_discarded=trials.n_discarded,
+        n_trials=n,
+        n_discarded=sums.discarded,
         records=records,
         pass_rate=rate,
-        passed=rate >= 0.99,
+        passed=rate >= PASS_RATE,
     )

@@ -16,14 +16,20 @@ must agree with the array code bit for bit.
 
 The stored-terms section keeps the Monte Carlo validator as it was before
 it streamed its trials: every per-trial inner product stored, then one
-jackknife per UT.  Its reports must agree with the streamed ones to
+jackknife per UT.  Its empirical SINRs must agree with the streamed ones to
 rounding, and its complex-arithmetic channel draw bit for bit.
 
 The serial streamed section keeps the Monte Carlo trial loop as it was
 before trials ran on worker threads: one loop on the calling thread, each
 trial's arrays allocated afresh, with the kernel's per-trial arithmetic.
-Reports built on it must equal the threaded ones byte for byte, whatever
-the worker count.
+It stores every trial's desired term and received power, as the validator
+did before it kept only per-UT moment sums, and adds them up in trial
+order afterwards.  Its sums must equal the threaded ones bit for bit,
+whatever the worker count, and reports built on them byte for byte.
+``moment_tests_two_pass`` works out each UT's moment test from the stored
+terms in two passes (means, then centred sums) and inverts the 2 x 2
+covariance with ``np.linalg.solve``; the streamed statistics must agree
+with it to rounding.
 
 The per-call selection section keeps ``select_operating_point`` as it was
 before a boundary kept its allocation problems: every call validates the
@@ -49,6 +55,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,12 +63,11 @@ import numpy as np
 from mimocast import montecarlo
 from mimocast.allocation import solve_mmf, solve_sse
 from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _equal_shares,
-                                  _precoder_factors, _se_report, se_report)
+                                  _precoder_factors, _se_report, _sinr_terms, se_report)
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
-from mimocast.model import (MIN_GAIN, FadingProfile, SystemConfig, Violation,
+from mimocast.model import (MIN_GAIN, FadingProfile, PowerSplit, SystemConfig, Violation,
                             _estimation_variances, estimation_variances, require_valid)
 from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDraw, MAX_GRAM_COND,
-                                 UserValidation, ValidationReport,
                                  build_mrt_precoders, build_zf_precoders, mmse_estimate,
                                  require_zf_feasible, trial_rng)
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
@@ -700,8 +706,10 @@ def _statistics_for(terms: _TrialTerms, kind: str, index) -> tuple[float, float]
 def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
                                 pilot_powers_unicast, pilot_powers_multicast,
                                 powers: DownlinkPowers, precoder: str,
-                                n_trials: int, seed: int) -> ValidationReport:
-    """``montecarlo.validate_closed_form`` over stored inner products."""
+                                n_trials: int, seed: int) -> SimpleNamespace:
+    """``montecarlo.validate_closed_form`` as it was over stored inner
+    products: per UT the plug-in SINR, its jackknife half-width and the
+    z-score (SINR - closed form) / jackknife standard error."""
     if n_trials < 100:
         raise ValueError(f"need at least 100 trials, got {n_trials}")
     terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
@@ -718,8 +726,8 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
         else:
             z = 0.0 if sinr == cf else math.inf
         idx = (index,) if kind == "unicast" else tuple(index)
-        records.append(UserValidation(kind=kind, index=idx, closed_form=cf, empirical=sinr,
-                                      ci_halfwidth=Z95 * se, z=z))
+        records.append(SimpleNamespace(kind=kind, index=idx, closed_form=cf, empirical=sinr,
+                                       ci_halfwidth=Z95 * se, z=z))
 
     for m, cf in enumerate(closed.unicast_sinr):
         add("unicast", m, cf)
@@ -729,14 +737,9 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
 
     n_ok = sum(1 for r in records if abs(r.z) <= 3.0)
     rate = n_ok / len(records) if records else 1.0
-    return ValidationReport(
-        precoder=precoder,
-        n_trials=terms.n_kept,
-        n_discarded=terms.n_discarded,
-        records=tuple(records),
-        pass_rate=rate,
-        passed=rate >= 0.99,
-    )
+    return SimpleNamespace(precoder=precoder, n_trials=terms.n_kept,
+                           n_discarded=terms.n_discarded, records=tuple(records),
+                           pass_rate=rate, passed=rate >= 0.99)
 
 
 # ---------------------------------------- serial streamed Monte Carlo path
@@ -745,15 +748,24 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
 def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
                       pilot_powers_unicast, pilot_powers_multicast,
                       powers: DownlinkPowers, precoder: str,
-                      n_trials: int, seed: int) -> montecarlo._Trials:
+                      n_trials: int, seed: int) -> SimpleNamespace:
     """``montecarlo._run_trials`` as one loop on the calling thread, every
-    trial's arrays allocated afresh.  It reads the per-trial steps through
-    the ``montecarlo`` module, so a test that replaces one of them there
-    replaces it here as well."""
+    trial's arrays allocated afresh and every trial's terms stored, then
+    summed around the closed-form moments in trial order.  It reads the
+    per-trial steps through the ``montecarlo`` module, so a test that
+    replaces one of them there replaces it here as well.
+
+    Besides the sums the validator reads, it returns the stored terms:
+    ``desired`` and ``received``, one column per kept trial."""
     require_valid(cfg, fading)
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    gain, c = _precoder_factors(cfg, precoder)
+    (uni_signal, uni_rest), (mu_signal, mu_rest) = _sinr_terms(cfg, stats, fading, powers,
+                                                               gain, c)
+    signal = np.concatenate([uni_signal, mu_signal])
+    m1, m2 = np.sqrt(signal), np.concatenate([uni_rest, mu_rest]) + signal
 
     U = cfg.n_unicast
     blocks = montecarlo._ut_blocks(cfg)
@@ -762,7 +774,6 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     every = np.arange(users)
     desired = np.empty((users, n_trials), dtype=complex)
     received = np.empty((users, n_trials))
-    power_sums = np.zeros((users, cfg.n_streams))
     effective = np.empty((users, cfg.n_streams), dtype=complex)
 
     kept = 0
@@ -786,7 +797,6 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
         for a, b in blocks:
             effective[a:b] = draw.channels[:, a:b].T @ streams
         power = effective.real ** 2 + effective.imag ** 2
-        power_sums += power
         received[:, kept] = power.sum(axis=1)
         desired[:, kept] = effective[every, own].conj()
         kept += 1
@@ -796,9 +806,57 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
                     discarded, n_trials)
     if kept < 2:
         raise DegenerateInputError("fewer than 2 usable trials")
-    return montecarlo._Trials(desired=desired[:, :kept], received=received[:, :kept],
-                              power_sums=power_sums, n_kept=kept, n_discarded=discarded,
-                              stats=stats)
+    desired, received = desired[:, :kept], received[:, :kept]
+    sums = {name: np.zeros(users) for name in ("x", "xx", "y", "yy", "xy", "imag")}
+    for t in range(kept):
+        x = desired[:, t].real - m1
+        y = received[:, t] - m2
+        sums["x"] += x
+        sums["xx"] += x * x
+        sums["y"] += y
+        sums["yy"] += y * y
+        sums["xy"] += x * y
+        sums["imag"] += desired[:, t].imag
+    return SimpleNamespace(m1=m1, m2=m2, stats=stats, kept=kept, discarded=discarded,
+                           desired=desired, received=received, **sums)
+
+
+def moment_tests_two_pass(trials: SimpleNamespace) -> list[tuple[float, float, float, float]]:
+    """(W, p, z, m1/SE) per UT from the stored terms of ``run_trials_serial``.
+
+    The pair (Re d - m1, r - m2) is tested with two degrees of freedom.  A
+    term with no spread tests only whether it sits exactly on its moment;
+    without a second term, or with a singular covariance, the received
+    power is tested alone, with one degree of freedom."""
+    n = trials.kept
+    normal = NormalDist()
+    out = []
+    for u in range(trials.m1.size):
+        m1 = float(trials.m1[u])
+        pair = np.stack([trials.desired[u].real - m1, trials.received[u] - trials.m2[u]])
+        mean = pair.mean(axis=1)
+        centred = pair - mean[:, None]
+        cov = centred @ centred.T / (n - 1)
+        spread = np.diag(cov) > 0
+        if np.any(~spread & (mean != 0)):
+            w, dof = math.inf, 1
+        elif spread.all() and np.linalg.det(cov) > 0:
+            w, dof = float(n * mean @ np.linalg.solve(cov, mean)), 2
+        elif spread[1]:
+            w, dof = float(n * mean[1] ** 2 / cov[1, 1]), 1
+        elif spread[0]:
+            w, dof = float(n * mean[0] ** 2 / cov[0, 0]), 1
+        else:
+            w, dof = 0.0, 0
+        if dof == 2:
+            p = math.exp(-w / 2)
+            z = -normal.inv_cdf(p / 2)
+        else:
+            p = math.erfc(math.sqrt(w / 2)) if dof else 1.0
+            z = math.sqrt(w)
+        se = math.sqrt(cov[0, 0] / n)
+        out.append((w, p, z, 0.0 if m1 == 0 else m1 / se))
+    return out
 
 
 # -------------------------------------------------- per-call selection
@@ -812,9 +870,7 @@ def select_operating_point_rebuilt(boundary: ParetoBoundary, ratio=None, target_
     if len(chosen) != 1:
         raise ValueError("give exactly one of ratio, target_mmf, target_sse")
     if ratio is not None:
-        a, b = ratio
-        if a < 0 or b < 0 or a + b <= 0:
-            raise ValueError(f"ratio parts must be non-negative with a positive sum, got {ratio}")
+        p_unicast = PowerSplit.from_ratio(*ratio, boundary.cfg.total_power).p_unicast
     elif math.isnan(chosen[0]):
         raise ValueError("the target must not be NaN")
     cfg, fading, precoder = boundary.cfg, boundary.fading, boundary.precoder
@@ -822,7 +878,7 @@ def select_operating_point_rebuilt(boundary: ParetoBoundary, ratio=None, target_
     require_valid(cfg, fading)
     mmf, sse = _problems(cfg, fading, precoder)
     if ratio is not None:
-        return OperatingPoint(_point(mmf, sse, P * a / (a + b)), False)
+        return OperatingPoint(_point(mmf, sse, p_unicast), False)
 
     target, problem = chosen[0], (mmf if target_mmf is not None else sse)
     top = float(problem.objectives(0.0))

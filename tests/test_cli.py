@@ -178,9 +178,14 @@ class TestValidate:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
         assert len(doc["records"]) == 3 + 4
+        assert set(doc) == {"precoder", "n_trials", "n_discarded", "discarded_fraction",
+                            "pass_rate", "pass_rate_by_kind", "worst_z", "n_weak_signal",
+                            "passed", "records"}
+        assert doc["worst_z"] == max(rec["z"] for rec in doc["records"])
+        assert set(doc["pass_rate_by_kind"]) == {"unicast", "multicast"}
         for rec in doc["records"]:
-            assert set(rec) == {"kind", "index", "closed_form", "empirical",
-                                "ci_halfwidth", "z"}
+            assert set(rec) == {"kind", "index", "closed_form", "empirical", "ci_low",
+                                "ci_high", "z", "wald", "p_value", "m1_over_se"}
         # round trip: serialize again and compare
         assert json.loads(json.dumps(doc)) == doc
 
@@ -476,14 +481,16 @@ PINNED_PARETO = {
 # sha256 of the solver and validator outputs on the small scenario (the
 # ``scenario_path`` fixture) at an even split, recorded while solver results
 # still held tuples: the array-valued results must write the same JSON.  The
-# validate digests were recorded again when trials moved to SFC64 streams.
+# validate digests were recorded again when trials moved to SFC64 streams,
+# and again when the validator moved from stored trials and a jackknife to
+# per-UT moment sums and the moment test.
 PINNED_SOLVER_OUTPUTS = {
     ("mmf", "mrt"): "a8f2665bee651db4aafd579687169d990c5c998be7f382bfb55180ffe61e27cc",
     ("mmf", "zf"): "01a7ea6a7ea75363d55c4eef975c27a1783e82c320b2fbb2eee896bbb1fad61e",
     ("sse", "mrt"): "6f8e2fb750945821becfdc20acc49649852d9de89e6d83d0489a4f466b8e607b",
     ("sse", "zf"): "abf4664e35c88ad25f88bdaf4606f884b476003749391debc71afe18360c8112",
-    ("validate", "mrt"): "4f68b57e7696faef290ce928440fd9fe4492ee1871874f65f38741073f7ff972",
-    ("validate", "zf"): "73caca3118f01eb9605340cbd33fb3cfe0686b34736f8405752c84cb2aea35c9",
+    ("validate", "mrt"): "73ac7b84e228802bd0a4c3b8e5bdaca060c53cf2eadc6ce207b2d143e33c2d48",
+    ("validate", "zf"): "2e0406c35d498cf3be10713c00998443378328a60873c2caf56ec1fa2038254a",
 }
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
@@ -251,9 +251,12 @@ class TestKernelProperties:
             == pytest.approx(sinr_multicast(cfg, sb, b, powers, MRT, 0, 0), rel=1e-12)
 
     @given(p1=pos, p2=pos, beta=pos, vfrac=frac)
+    @example(p1=0.001, p2=0.0010000000000000002, beta=100.0, vfrac=0.001)
     def test_increasing_own_power_at_fixed_total_raises_sinr(self, p1, p2, beta, vfrac):
         # Hold the transmitted total fixed (full-budget regime) and move
-        # power onto the target: its SINR must strictly increase.
+        # power onto the target: its SINR must not fall, and must rise
+        # unless the move is within rounding of the power (one ulp of 0.001
+        # can leave the SINR the same to the last bit).
         cfg = make_config(n_unicast=2, group_sizes=(1,), pilot_length=3,
                           total_power=1e6)
         fading = FadingProfile(unicast_gains=(beta, 1.0), multicast_gains=((1.0,),))
@@ -265,8 +268,11 @@ class TestKernelProperties:
         powers_lo = DownlinkPowers(unicast=(lo, hi), multicast=(1.0,))
         powers_hi = DownlinkPowers(unicast=(hi, lo), multicast=(1.0,))
         assert powers_lo.total == powers_hi.total
-        assert sinr_unicast(cfg, stats, fading, powers_hi, MRT, 0) \
-            > sinr_unicast(cfg, stats, fading, powers_lo, MRT, 0)
+        raised = sinr_unicast(cfg, stats, fading, powers_hi, MRT, 0)
+        kept = sinr_unicast(cfg, stats, fading, powers_lo, MRT, 0)
+        assert raised >= kept
+        if hi - lo >= 1e-9 * hi:
+            assert raised > kept
 
 
 class TestScalarOracleAgreement:

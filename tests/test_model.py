@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mimocast.errors import InvalidConfigError
 from mimocast.model import (FadingProfile, PowerSplit, SystemConfig,
@@ -193,3 +194,32 @@ class TestPowerSplit:
                       (math.nan, 1.0)]:
             with pytest.raises(ValueError):
                 PowerSplit.from_ratio(*ratio, 10.0)
+
+    @pytest.mark.parametrize("ratio, split", [
+        ((5e-324, 0.0), (9.677, 0.0)),       # rounded through a subnormal to 10.0
+        ((0.0, 5e-324), (0.0, 9.677)),
+        ((5e-324, 5e-324), (4.8385, 4.8385)),
+        ((1e308, 1e308), (4.8385, 4.8385)),  # the sum overflows
+        ((1e308, 0.0), (9.677, 0.0)),        # total * part overflows
+    ])
+    def test_extreme_ratios_keep_their_split(self, ratio, split):
+        s = PowerSplit.from_ratio(*ratio, 9.677)
+        assert (s.p_unicast, s.p_multicast) == split
+
+    @given(u=st.floats(min_value=0.0, max_value=sys.float_info.max),
+           v=st.floats(min_value=0.0, max_value=sys.float_info.max),
+           total=st.sampled_from([9.677, 1e-3, 1.0, 7e13]))
+    @example(u=5e-324, v=0.0, total=9.677)
+    @example(u=3e-323, v=5e-323, total=9.677)
+    def test_parts_stay_within_the_budget(self, u, v, total):
+        if u + v == 0.0:
+            return
+        s = PowerSplit.from_ratio(u, v, total)
+        # Within [0, total] up to the rounding of one product and one
+        # quotient, which every budget check accepts.
+        for part in (s.p_unicast, s.p_multicast):
+            assert 0.0 <= part <= total * (1.0 + 1e-15), (u, v, part)
+        assert s.p_unicast + s.p_multicast == pytest.approx(total, rel=1e-12)
+        if sys.float_info.min <= u + v < math.inf and total * max(u, v) < math.inf:
+            # The quotients every ratio with a normal sum has always had.
+            assert (s.p_unicast, s.p_multicast) == (total * u / (u + v), total * v / (u + v))

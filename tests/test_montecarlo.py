@@ -10,9 +10,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mimocast import montecarlo
+from mimocast import closed_form, montecarlo
 from mimocast.closed_form import PRECODERS, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
@@ -259,6 +259,27 @@ class TestValidationRecords:
         report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt", 200, 2)
         assert record(report, "unicast", (0,)).empirical == 0.0
 
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("silent", [("unicast", (0,)), ("multicast", (1, 0))])
+    def test_unpowered_ut_gets_a_finite_record(self, precoder, silent):
+        # Its own stream carries nothing, so d = 0 in every trial and m1 = 0:
+        # only its received power is left to test.
+        cfg, fading = small_system(n_unicast=2, group_sizes=(2, 2))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        unicast, multicast = [2.0, 2.0], [3.0, 3.0]
+        (unicast if silent[0] == "unicast" else multicast)[silent[1][0]] = 0.0
+        report = validate_closed_form(cfg, fading, pilots_un, pilots_mu,
+                                      DownlinkPowers(unicast=unicast, multicast=multicast),
+                                      precoder, 300, 4)
+        rec = record(report, *silent)
+        assert (rec.closed_form, rec.empirical, rec.ci_low, rec.ci_high, rec.m1_over_se) == \
+            (0.0, 0.0, 0.0, 0.0, 0.0)
+        values = [v for v in rec.to_dict().values() if isinstance(v, float)]
+        assert len(values) == 8 and all(math.isfinite(v) for v in values), rec
+        assert rec.z == pytest.approx(math.sqrt(rec.wald), rel=1e-15)   # one degree of freedom
+        # Every member of a silent group is silent.
+        assert rec.z <= 3.0 and report.n_weak_signal == (1 if silent[0] == "unicast" else 2)
+
     def test_pilot_length_invariant_at_fixed_energy(self):
         # Estimates depend on pilot power only through energy = tau * power,
         # so halving powers while doubling tau reproduces the trials bit for
@@ -271,8 +292,8 @@ class TestValidationRecords:
         pilots_un2 = [p / 2.0 for p in pilots_un]
         pilots_mu2 = [[q / 2.0 for q in row] for row in pilots_mu]
         b = validate_closed_form(cfg2, fading, pilots_un2, pilots_mu2, powers, "mrt", 300, 77)
-        assert [(r.empirical, r.ci_halfwidth) for r in a.records] == \
-            [(r.empirical, r.ci_halfwidth) for r in b.records]
+        assert [(r.empirical, r.ci_low, r.ci_high, r.z) for r in a.records] == \
+            [(r.empirical, r.ci_low, r.ci_high, r.z) for r in b.records]
 
     def test_interference_scaling_tracks_closed_form(self):
         # Doubling every downlink power doubles the numerator but also the
@@ -289,9 +310,10 @@ class TestValidationRecords:
             report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
                                           3000, 41)
             rec = record(report, "unicast", (0,))
-            assert rec.ci_halfwidth > 0.0
+            assert rec.closed_form == cf
+            assert 0.0 < rec.ci_low < rec.empirical < rec.ci_high
             assert report.n_trials == 3000
-            assert abs(rec.empirical - cf) <= 3.0 * rec.ci_halfwidth / 1.96
+            assert rec.z <= 3.0
 
 
 class TestValidateClosedForm:
@@ -355,7 +377,7 @@ class TestValidateClosedForm:
         for rec in report.records:
             if rec.kind == "multicast":
                 assert rec.closed_form == pytest.approx(sol.gamma, rel=1e-9)
-                assert abs(rec.empirical - sol.gamma) <= 3.0 * rec.ci_halfwidth / 1.96
+                assert rec.z <= 3.0
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     @pytest.mark.parametrize("unicast, multicast", [
@@ -435,7 +457,7 @@ class TestValidateClosedForm:
         with pytest.raises(ValueError):
             build(cfg, est, DownlinkPowers(unicast=unicast, multicast=multicast), stats)
 
-    def test_misscaled_power_is_detected(self):
+    def test_misscaled_power_is_detected(self, monkeypatch):
         # Injected defect: simulate with an amplitude-1.1 (power 1.21)
         # mis-scaled precoder while the closed form keeps nominal powers.
         # Weak gains make the link noise-limited so the extra power shows
@@ -445,14 +467,101 @@ class TestValidateClosedForm:
         fading = FadingProfile(unicast_gains=(0.05, 0.05),
                                multicast_gains=((0.05, 0.05),))
         pilots_un, pilots_mu = cap_pilots(cfg)
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         nominal = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
-        inflated = DownlinkPowers(unicast=(2.42, 1.21), multicast=(3.63,))
-        cf = se_report(cfg, stats, fading, nominal, "mrt").multicast_sinr[0][0]
-        rec = record(validate_closed_form(cfg, fading, pilots_un, pilots_mu, inflated, "mrt",
+        build = montecarlo.build_mrt_precoders
+        monkeypatch.setattr(montecarlo, "build_mrt_precoders",
+                            lambda *args: tuple(1.1 * cols for cols in build(*args)))
+        rec = record(validate_closed_form(cfg, fading, pilots_un, pilots_mu, nominal, "mrt",
                                           8000, 11), "multicast", (0, 0))
-        z = (rec.empirical - cf) / (rec.ci_halfwidth / 1.96)
-        assert z > 4.0
+        assert rec.empirical > rec.closed_form
+        assert rec.z > 4.0
+
+    def test_closed_form_off_by_five_percent_is_flagged(self, monkeypatch):
+        # Injected defect: the closed form's coherent power gain*p*var, and
+        # with it every SINR, 5% high for every UT.
+        cfg, fading = small_system(n_antennas=64, n_unicast=4, group_sizes=(3, 3))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers.equal_split(half, 4, half, 2)
+        sinr_terms = closed_form._sinr_terms
+
+        def off(*args):
+            return tuple((1.05 * signal, interference)
+                         for signal, interference in sinr_terms(*args))
+
+        monkeypatch.setattr(closed_form, "_sinr_terms", off)
+        monkeypatch.setattr(montecarlo, "_sinr_terms", off)
+        report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
+                                      10_000, 12)
+        assert not report.passed
+        assert report.pass_rate_by_kind == {"unicast": 0.0, "multicast": 0.0}
+
+    def test_moment_test_is_calibrated_over_desk_seeds(self):
+        # 50 desk cells at 200 trials with the precoder alternating, as in
+        # the benchmark: |z| > 3 has probability 0.27% for a calibrated score.
+        zs = []
+        for seed in range(50):
+            precoder = PRECODERS[seed % 2]
+            args = (*small_mc_cell(seed, precoder), precoder, 200, seed)
+            zs.extend(r.z for r in validate_closed_form(*args).records)
+        rate = sum(1 for z in zs if abs(z) <= 3.0) / len(zs)
+        assert rate >= 0.99 and max(zs) <= 6.0, (len(zs), rate, max(zs))
+
+    def test_diagnostics_summarise_the_records(self, monkeypatch):
+        cfg, fading = small_system(n_antennas=32, n_unicast=2, group_sizes=(2, 2))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        fail_in_trials(monkeypatch, dict.fromkeys((4, 9, 30), montecarlo.RankDeficientDraw))
+        powers = DownlinkPowers(unicast=(0.0, 4.0), multicast=(3.0, 3.0))
+        report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt", 120, 6)
+        doc = report.to_dict()
+        zs = {kind: [r.z for r in report.records if r.kind == kind]
+              for kind in ("unicast", "multicast")}
+        assert (doc["n_trials"], doc["n_discarded"], doc["discarded_fraction"]) == \
+            (117, 3, 3 / 120)
+        assert doc["worst_z"] == max(zs["unicast"] + zs["multicast"]) > 0.0
+        assert doc["pass_rate_by_kind"] == {
+            kind: sum(1 for z in v if z <= 3.0) / len(v) for kind, v in zs.items()}
+        assert doc["n_weak_signal"] == sum(1 for r in report.records if r.m1_over_se < 2.0) >= 1
+        # A report without records, as a run with no UTs would give.
+        empty = dataclasses.replace(report, records=(), pass_rate=1.0, passed=True).to_dict()
+        assert (empty["worst_z"], empty["pass_rate_by_kind"], empty["n_weak_signal"]) == \
+            (0.0, {}, 0)
+
+
+class TestMomentTest:
+    @settings(max_examples=200)
+    @given(w=st.floats(min_value=0.0, max_value=1.7976931348623157e308))
+    def test_z_is_finite_for_every_finite_wald(self, w):
+        for dof in (1, 2):
+            p, z = montecarlo._p_and_z(w, dof)
+            assert 0.0 <= p <= 1.0 and 0.0 <= z < math.inf, (w, dof, p, z)
+        p, z = montecarlo._p_and_z(w, 2)
+        if p > 1e-300:
+            # p = exp(-W/2) and P(|N(0, 1)| > z) = p.
+            assert p == math.exp(-w / 2)
+            assert math.erfc(z / math.sqrt(2.0)) == pytest.approx(p, rel=1e-9)
+        assert montecarlo._p_and_z(w, 1)[1] == math.sqrt(w)
+
+    def test_z_rises_with_wald_across_the_tail_series(self):
+        # Past W = 1412, p/2 is subnormal and z comes from the tail series.
+        w = np.linspace(1300.0, 1600.0, 3001).tolist() + [1e4, 1e100, 1e300, math.inf]
+        z = [montecarlo._p_and_z(x, 2)[1] for x in w]
+        assert all(a < b for a, b in zip(z, z[1:]))
+        assert max(b - a for a, b in zip(z, z[1:-4])) < 2e-3   # no jump at the switch
+        assert z[-1] == math.inf
+
+    def test_degenerate_terms(self):
+        # An exact term with no offset leaves the other to test alone; an
+        # exact term off its moment is a certain miss; two exact terms on
+        # their moments pass.
+        assert montecarlo._wald(100, 0.0, 0.3, 0.0, 4.0, 0.0) == (pytest.approx(2.25), 1)
+        assert montecarlo._wald(100, 0.3, 0.0, 4.0, 0.0, 0.0) == (pytest.approx(2.25), 1)
+        assert montecarlo._wald(100, 1e-9, 0.3, 0.0, 4.0, 0.0) == (math.inf, 1)
+        assert montecarlo._wald(100, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0)
+        assert montecarlo._p_and_z(0.0, 0) == (1.0, 0.0)
+        assert montecarlo._p_and_z(math.inf, 1) == (0.0, math.inf)
+        # Collinear terms: the received power alone.
+        assert montecarlo._wald(100, 0.2, 0.3, 1.0, 4.0, 2.0) == (pytest.approx(2.25), 1)
 
 
 SHAPES = {"mixed": {"u_range": (1, 4), "g_range": (1, 3)},
@@ -465,9 +574,11 @@ def close(a, b, rel):
 
 
 class TestStreamedAgainstStoredTerms:
-    """The streamed validator against the one that stored every per-trial
-    inner product (``oracles``, stored-terms section): the same draws, with
-    the old product arithmetic, np.abs(h^H x) ** 2."""
+    """The streamed validator against the ones that stored every trial's
+    terms (``oracles``): the jackknife validator of the stored-terms
+    section, on the same draws with the old product arithmetic,
+    np.abs(h^H x) ** 2, and the two-pass moment tests over the terms the
+    serial loop stores."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("precoder", PRECODERS)
@@ -480,14 +591,18 @@ class TestStreamedAgainstStoredTerms:
         with mock.patch.object(montecarlo, "_worker_count", lambda n_trials: workers):
             new = validate_closed_form(*args)
         old = oracles.validate_closed_form_stored(*args)
-        assert (new.precoder, new.n_trials, new.n_discarded, new.pass_rate, new.passed) == \
-            (old.precoder, old.n_trials, old.n_discarded, old.pass_rate, old.passed)
-        assert len(new.records) == len(old.records) == cfg.n_unicast + sum(cfg.group_sizes)
-        for a, b in zip(new.records, old.records):
+        two_pass = oracles.moment_tests_two_pass(oracles.run_trials_serial(*args))
+        assert (new.precoder, new.n_trials, new.n_discarded) == \
+            (old.precoder, old.n_trials, old.n_discarded)
+        assert len(new.records) == len(old.records) == len(two_pass) \
+            == cfg.n_unicast + sum(cfg.group_sizes)
+        for a, b, tests in zip(new.records, old.records, two_pass):
             assert (a.kind, a.index, a.closed_form) == (b.kind, b.index, b.closed_form)
+            # The plug-in SINR of the jackknife era, to rounding: the sums
+            # now run in trial order where numpy summed pairwise.
             assert close(a.empirical, b.empirical, 1e-12), (a, b)
-            assert close(a.ci_halfwidth, b.ci_halfwidth, 1e-8), (a, b)
-            assert a.z == b.z or abs(a.z - b.z) <= 1e-8 * max(1.0, abs(b.z)), (a, b)
+            for got, want in zip((a.wald, a.p_value, a.z, a.m1_over_se), tests):
+                assert close(got, want, 1e-8), (a, tests)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -512,9 +627,10 @@ class TestStreamedAgainstStoredTerms:
 
 
 class TestMemory:
-    def test_peak_grows_by_at_most_64_bytes_per_ut_per_trial(self):
+    def test_peak_grows_by_at_most_1_byte_per_ut_per_trial(self):
         # Many streams per UT: storing every per-stream power would cost
-        # 8 * (U + G) = 192 bytes per UT per trial.
+        # 8 * (U + G) = 192 bytes per UT per trial, and storing each trial's
+        # desired term and received power 24.
         u, sizes = 20, (10,) * 4
         cfg = make_config(n_unicast=u, group_sizes=sizes, pilot_length=u + len(sizes),
                           n_antennas=64, cap=2.0)
@@ -534,8 +650,11 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
 
+        # The first run of a process peaks up to 0.1 MB higher whatever its
+        # trial count, so it is left out.
+        peak(800)
         growth = (peak(800) - peak(200)) / 600 / (u + sum(sizes))
-        assert growth <= 64.0, f"{growth:.1f} bytes per UT per trial"
+        assert growth <= 1.0, f"{growth:.2f} bytes per UT per trial"
 
 
 def fail_in_trials(monkeypatch, errors, delays=None):
@@ -583,6 +702,8 @@ class TestWorkerThreads:
         powers = DownlinkPowers.equal_split(half, cfg.n_unicast, half, cfg.n_groups)
         return cfg, fading, pilots_un, pilots_mu, powers, precoder
 
+    SUMS = ("x", "xx", "y", "yy", "xy", "imag")
+
     @pytest.mark.parametrize("precoder", PRECODERS)
     def test_same_bytes_for_every_worker_count(self, monkeypatch, precoder):
         args = (*self.cell(precoder), 100, 19)
@@ -598,13 +719,13 @@ class TestWorkerThreads:
         serial = oracles.run_trials_serial(*args)
         serial_bytes = report_bytes(validate_closed_form(*args))
 
-        assert (serial.n_kept, serial.n_discarded) == (100 - len(self.DISCARDED),
-                                                       len(self.DISCARDED))
-        for workers, (trials, report) in runs.items():
-            assert (trials.n_kept, trials.n_discarded) == (serial.n_kept, serial.n_discarded)
-            # Column order and the order of the power sums, bit for bit.
-            for name in ("desired", "received", "power_sums"):
-                assert np.array_equal(bits(getattr(trials, name)), bits(getattr(serial, name))), \
+        assert (serial.kept, serial.discarded) == (100 - len(self.DISCARDED),
+                                                   len(self.DISCARDED))
+        for workers, (sums, report) in runs.items():
+            assert (sums.kept, sums.discarded) == (serial.kept, serial.discarded)
+            # The trial order of the sums, bit for bit.
+            for name in ("m1", "m2", *self.SUMS):
+                assert np.array_equal(bits(getattr(sums, name)), bits(getattr(serial, name))), \
                     (workers, name)
             assert report == serial_bytes, workers
 
@@ -619,8 +740,8 @@ class TestWorkerThreads:
             trials = montecarlo._run_trials(*args)
         finally:
             sys.setswitchinterval(interval)
-        assert (trials.n_kept, trials.n_discarded) == (300, 0)
-        for name in ("desired", "received", "power_sums"):
+        assert (trials.kept, trials.discarded) == (300, 0)
+        for name in self.SUMS:
             assert np.array_equal(bits(getattr(trials, name)), bits(getattr(serial, name))), name
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -668,20 +789,19 @@ class TestWorkerThreads:
         assert counts["ahead"] <= 2 * workers, counts
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_power_buffer_per_worker(self, monkeypatch, workers):
-        # One distinct power buffer per worker, each handed back by the
-        # commit of the trial that took it.
+    def test_sums_hold_one_value_per_ut(self, monkeypatch, workers):
+        # What a run keeps is six sums and the two moments per UT, whatever
+        # the trial count; they equal the serial loop's sums of its stored
+        # terms bit for bit.
         monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
-        runs = []
-        init = montecarlo._Sums.__init__
-        monkeypatch.setattr(montecarlo._Sums, "__init__",
-                            lambda self, *a: runs.append(self) or init(self, *a))
         args = (*self.cell("mrt"), 60, 3)
-        trials = montecarlo._run_trials(*args)
-        spare = runs[0].spare
-        assert len(spare) == len({id(a) for a in spare}) == workers
-        assert np.array_equal(bits(trials.power_sums),
-                              bits(oracles.run_trials_serial(*args).power_sums))
+        sums = montecarlo._run_trials(*args)
+        serial = oracles.run_trials_serial(*args)
+        arrays = {k: v for k, v in vars(sums).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == sorted(("m1", "m2", *self.SUMS))
+        assert {a.shape for a in arrays.values()} == {(serial.desired.shape[0],)}
+        for name, a in arrays.items():
+            assert np.array_equal(bits(a), bits(getattr(serial, name))), name
 
     def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
