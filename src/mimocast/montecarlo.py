@@ -7,6 +7,18 @@ trial yields two numbers per UT: the effective channel on the UT's own
 stream (the desired term d) and the power the UT receives summed over all
 streams (r).
 
+A trial draws its channel matrix at unit variance, with standard normal
+real and imaginary parts, and never rescales it.  Each UT's amplitude
+a = sqrt(gain/2) enters in two places: the estimator weights (the UT's
+pilot amplitude, with the noise's 1/sqrt(2) in the estimate factors), and
+the UT's terms once they are formed, d times a and r times a^2.  The trial
+kernel works out these weights and the precoder column scales once per
+run, after the run has checked its inputs; a trial runs no check.  The
+public steps (``draw_channels``, ``mmse_estimate``, ``build_mrt_precoders``,
+``build_zf_precoders``) draw at each UT's variance, check their inputs on
+every call and share their cores (``_cn``, ``_estimate``, ``_mrt_columns``,
+``_zf_columns``) with the kernel.
+
 The closed-form SINR is the hardening bound m1^2 / (1 + m2 - m1^2), built
 from two moments per UT, m1 = E[d] and m2 = E[r], which
 ``closed_form._sinr_terms`` supplies.  Each trial's d and r enter per-UT
@@ -47,12 +59,12 @@ import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import closed_form
-from .closed_form import (LN2, ZF, DownlinkPowers, _check_powers, _precoder_factors,
+from .closed_form import (LN2, MRT, ZF, DownlinkPowers, _check_powers, _precoder_factors,
                           _sinr_terms, require_zf_feasible)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _estimation_variances,
@@ -193,13 +205,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _cn(rng: np.random.Generator, shape: tuple[int, int], std=1.0) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian entries with standard deviation
-    ``std`` (a scalar, or one per column), drawn in C order, each as its real
-    and then its imaginary part, and scaled once, by std/sqrt(2)."""
+def _cn(rng: np.random.Generator, shape: tuple[int, int], std=None) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian entries, drawn in C order, each
+    as its real and then its imaginary part.  Without ``std`` both parts are
+    standard normal (the unit-variance draw, E|z|^2 = 2); with it (a scalar,
+    or one per column) the entries are scaled once, by std/sqrt(2)."""
     z = np.empty(shape, dtype=complex)
     rng.standard_normal(out=z.view(np.float64))
-    z *= std / math.sqrt(2.0)
+    if std is not None:
+        z *= std / math.sqrt(2.0)
     return z
 
 
@@ -210,20 +224,74 @@ def _ut_blocks(cfg: SystemConfig) -> list[tuple[int, int]]:
 
 
 def draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """Independent Rayleigh channels with the profile's per-UT variances."""
+    """Independent Rayleigh channels with the profile's per-UT variances:
+    one ``_cn`` draw fills the whole N x users matrix, every UT's column
+    with standard deviation sqrt(gain)."""
     require_valid(cfg, fading)
-    return _draw_channels(cfg, fading, rng_seed)
-
-
-def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """``draw_channels`` for a (cfg, fading) pair already validated: one
-    ``_cn`` draw fills the whole N x users matrix, every UT's column with
-    standard deviation sqrt(gain)."""
     rng = np.random.default_rng(rng_seed)
     amp = np.sqrt(np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]))
     H = _cn(rng, (cfg.n_antennas, amp.size), amp)
     return ChannelDraw(channels=H, unicast_channels=H[:, :cfg.n_unicast],
                        multicast_channels=tuple(H[:, a:b] for a, b in _ut_blocks(cfg)[1:]))
+
+
+class _Estimator(NamedTuple):
+    """The weights of one pilot phase, fixed for a run.
+
+    Unicast UT u's observation is amp[u] * h_u + n_u and its estimate
+    factors[u] times that.  Group g's observation is its members' channels
+    weighted by weights[g], plus n_g, and its estimate group_factors[g]
+    times that; ``group_snr`` holds each group's s = tau * sum(q * gain).
+    ``noise_std`` is the ``std`` of the noise's ``_cn`` draw.
+    """
+
+    amp: np.ndarray
+    factors: np.ndarray
+    weights: tuple[np.ndarray, ...]
+    group_snr: np.ndarray
+    group_factors: np.ndarray
+    noise_std: float | None
+
+
+def _estimator(cfg: SystemConfig, fading: FadingProfile, p: np.ndarray, q: np.ndarray,
+               unit: bool = False) -> _Estimator:
+    """MMSE weights for pilot powers p (unicast) and q (flat multicast).
+
+    ``unit`` gives the weights for channels and noise drawn at unit
+    variance (``_cn`` without std).  A UT's channel is then sqrt(gain/2)
+    times its unit draw and the noise 1/sqrt(2) times its own, so each
+    pilot amplitude takes a factor sqrt(gain) and each estimate factor
+    1/sqrt(2), and the estimates come out as with the scaled draws.
+    """
+    tau = cfg.pilot_length
+    b = fading.unicast_gains
+    amp = np.sqrt(tau * p)
+    factors = amp * b / (1.0 + tau * p * b)
+    weights = np.sqrt(tau * q)
+    snr = np.array([float(np.sum(tau * q_row * e_row)) for q_row, e_row in
+                    zip(_views(q, cfg.group_offsets), fading.multicast_gains)])
+    group_factors = snr / (1.0 + snr)
+    if unit:
+        amp = amp * np.sqrt(b)
+        weights = weights * np.sqrt(fading.multicast_gains_flat)
+        factors, group_factors = factors / math.sqrt(2.0), group_factors / math.sqrt(2.0)
+    return _Estimator(amp, factors, _views(weights, cfg.group_offsets), snr, group_factors,
+                      None if unit else 1.0)
+
+
+def _estimate(rng: np.random.Generator, unicast_channels: np.ndarray,
+              multicast_channels: Sequence[np.ndarray], est: _Estimator) -> np.ndarray:
+    """One pilot phase with fresh noise: the N x (U + G) estimate matrix,
+    the unicast UTs' estimates and then each group's composite one."""
+    N, U = unicast_channels.shape
+    C = np.empty((N, U + len(multicast_channels)), dtype=complex)
+    noise = _cn(rng, (U, N), est.noise_std).T
+    np.multiply(est.factors, est.amp * unicast_channels + noise, out=C[:, :U])
+    noise = _cn(rng, (len(multicast_channels), N), est.noise_std)
+    for g, (channels, w, factor) in enumerate(zip(multicast_channels, est.weights,
+                                                  est.group_factors)):
+        np.multiply(factor, channels @ w + noise[g], out=C[:, U + g])
+    return C
 
 
 def mmse_estimate(cfg: SystemConfig, fading: FadingProfile,
@@ -237,61 +305,59 @@ def mmse_estimate(cfg: SystemConfig, fading: FadingProfile,
     scales it into the composite estimate; member estimates differ from it
     only by a per-member scalar.
     """
-    rng = np.random.default_rng(noise_seed)
-    tau = cfg.pilot_length
-    N = cfg.n_antennas
     p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-
-    b = fading.unicast_gains
-    amp = np.sqrt(tau * p)
-    noise = _cn(rng, (cfg.n_unicast, N)).T
-    f_hat = (amp * b / (1.0 + tau * p * b)) * (amp * draw.unicast_channels + noise)
-
-    g_hat = np.zeros((N, cfg.n_groups), dtype=complex)
-    noise = _cn(rng, (cfg.n_groups, N))
-    coeffs = []
-    for g, (q_row, e_row) in enumerate(zip(_views(q, cfg.group_offsets), fading.multicast_gains)):
-        received = draw.multicast_channels[g] @ np.sqrt(tau * q_row) + noise[g]
-        s = float(np.sum(tau * q_row * e_row))
-        g_hat[:, g] = (s / (1.0 + s)) * received
-        coeffs.append(np.sqrt(tau * q_row) * e_row / s if s > 0 else np.zeros(len(q_row)))
-    return EstimateSet(unicast_estimates=f_hat, group_estimates=g_hat,
-                       member_coeffs=tuple(coeffs))
+    est = _estimator(cfg, fading, p, q)
+    C = _estimate(np.random.default_rng(noise_seed), draw.unicast_channels,
+                  draw.multicast_channels, est)
+    coeffs = tuple(w * e_row / s if s > 0 else np.zeros(len(w))
+                   for w, e_row, s in zip(est.weights, fading.multicast_gains,
+                                          est.group_snr.tolist()))
+    return EstimateSet(unicast_estimates=C[:, :cfg.n_unicast],
+                       group_estimates=C[:, cfg.n_unicast:], member_coeffs=coeffs)
 
 
 class RankDeficientDraw(RuntimeError):
     """The stacked estimate matrix lost rank in one draw; discard the trial."""
 
 
-def _require_estimates(powers: DownlinkPowers, stats: EstimationStats):
+def _require_estimates(powers: DownlinkPowers, stats: EstimationStats, precoder: str):
     """Under either precoder, a stream with power needs a channel estimate to
-    point it: a unicast UT or group with no pilot power must get no power."""
+    point it: a unicast UT or group with no pilot power must get no power.
+    ZF also needs every other stream's estimate to null it, so under ZF
+    every stream needs one, with power or without."""
     for p, variances, what in ((powers.unicast, stats.unicast_var, "unicast UT"),
                                (powers.multicast, stats.group_var, "group")):
-        dead = np.flatnonzero((p != 0.0) & (variances == 0.0))
-        if dead.size:
-            raise DegenerateInputError(f"{what} {dead[0]} has power but no channel estimate")
+        dead = variances == 0.0
+        powered = np.flatnonzero(dead & (p != 0.0))
+        if powered.size:
+            raise DegenerateInputError(f"{what} {powered[0]} has power but no channel estimate")
+        if precoder == ZF and dead.any():
+            raise DegenerateInputError(
+                f"{what} {np.flatnonzero(dead)[0]} has no channel estimate, which "
+                "zero-forcing needs for every stream")
 
 
-def build_mrt_precoders(cfg: SystemConfig, estimates: EstimateSet,
-                        powers: DownlinkPowers, stats: EstimationStats):
+def _column_scales(cfg: SystemConfig, powers: DownlinkPowers, stats: EstimationStats,
+                   precoder: str) -> np.ndarray:
+    """Each stream's column scale: sqrt(p / (N * var)) on its estimate under
+    MRT (0 for a stream with no power), sqrt(dof * p * var) on its null-space
+    direction under ZF."""
+    p = np.concatenate([powers.unicast, powers.multicast])
+    var = np.concatenate([stats.unicast_var, stats.group_var])
+    if precoder == ZF:
+        return np.sqrt((cfg.n_antennas - cfg.n_streams) * p * var)
+    scales = np.zeros(p.size)
+    on = p != 0.0
+    scales[on] = np.sqrt(p[on] / (cfg.n_antennas * var[on]))
+    return scales
+
+
+def _mrt_columns(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """MRT: each column is the matching estimate scaled to its power."""
-    N = cfg.n_antennas
-
-    def columns(estimates_: np.ndarray, p: np.ndarray, variances: np.ndarray):
-        on = p != 0.0
-        cols = np.zeros(estimates_.shape, dtype=complex)
-        cols[:, on] = np.sqrt(p[on] / (N * variances[on])) * estimates_[:, on]
-        return cols
-
-    _check_powers(cfg, powers)
-    _require_estimates(powers, stats)
-    return (columns(estimates.unicast_estimates, powers.unicast, stats.unicast_var),
-            columns(estimates.group_estimates, powers.multicast, stats.group_var))
+    return np.where(scales != 0.0, scales * C, 0.0)
 
 
-def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
-                       powers: DownlinkPowers, stats: EstimationStats):
+def _zf_columns(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """ZF: project each stream into the null space of all other estimates.
 
     The construction is invariant to rescaling the estimate columns, so the
@@ -301,11 +367,6 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
     ill-conditioned equilibrated Gram means the draw genuinely lost rank
     and raises RankDeficientDraw so the caller can discard the trial.
     """
-    require_zf_feasible(cfg)
-    _check_powers(cfg, powers)
-    _require_estimates(powers, stats)
-    dof = cfg.n_antennas - cfg.n_streams
-    C = np.concatenate([estimates.unicast_estimates, estimates.group_estimates], axis=1)
     norms = np.linalg.norm(C, axis=0)
     if np.any(norms == 0.0):
         raise RankDeficientDraw("estimate matrix has an all-zero column")
@@ -316,10 +377,34 @@ def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
     eig = np.linalg.eigvalsh(gram)   # ascending
     if eig[0] <= 0.0 or eig[-1] > MAX_GRAM_COND * eig[0]:
         raise RankDeficientDraw(f"Gram condition number exceeds {MAX_GRAM_COND:g}")
-    scales = np.sqrt(np.concatenate([dof * powers.unicast * stats.unicast_var,
-                                     dof * powers.multicast * stats.group_var]))
-    cols = Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
+    return Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
+
+
+def _precode(cfg: SystemConfig, estimates: EstimateSet, powers: DownlinkPowers,
+             stats: EstimationStats, precoder: str):
+    """The public builders' (V, W), from the precoder's core."""
+    C = np.concatenate([estimates.unicast_estimates, estimates.group_estimates], axis=1)
+    columns = _zf_columns if precoder == ZF else _mrt_columns
+    cols = columns(C, _column_scales(cfg, powers, stats, precoder))
     return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]
+
+
+def build_mrt_precoders(cfg: SystemConfig, estimates: EstimateSet,
+                        powers: DownlinkPowers, stats: EstimationStats):
+    """MRT: each column is the matching estimate scaled to its power."""
+    _check_powers(cfg, powers)
+    _require_estimates(powers, stats, MRT)
+    return _precode(cfg, estimates, powers, stats, MRT)
+
+
+def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
+                       powers: DownlinkPowers, stats: EstimationStats):
+    """ZF: project each stream into the null space of all other estimates
+    (``_zf_columns``)."""
+    require_zf_feasible(cfg)
+    _check_powers(cfg, powers)
+    _require_estimates(powers, stats, ZF)
+    return _precode(cfg, estimates, powers, stats, ZF)
 
 
 # One trial's terms: every UT's received power summed over all streams and
@@ -328,30 +413,40 @@ _Result = tuple[np.ndarray, np.ndarray]
 
 
 class _Kernel:
-    """One run's trial: draw, estimate, precode and form each UT's terms."""
+    """One run's trial: draw, estimate, precode and form each UT's terms.
+
+    Everything fixed for the run is worked out here, once: the estimator
+    weights, the column scales and the per-block indices.  A trial draws
+    the channels at unit variance and never rescales them; each UT's
+    amplitude a = sqrt(gain/2) enters the estimator weights and, at the
+    end, its terms (d times a, r times a^2).  The caller has run every
+    check; a trial runs none.
+    """
 
     def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
                  pilot_powers_multicast, powers: DownlinkPowers, precoder: str,
                  stats: EstimationStats, seed: int):
-        self.cfg, self.fading, self.powers, self.precoder = cfg, fading, powers, precoder
+        self.seed, self.zf = seed, precoder == ZF
         p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-        self.pilots = p, _views(q, cfg.group_offsets)
-        self.stats, self.seed = stats, seed
-        self.blocks = _ut_blocks(cfg)
-        U = cfg.n_unicast
+        self.estimator = _estimator(cfg, fading, p, q, unit=True)
+        self.scales = _column_scales(cfg, powers, stats, precoder)
+        half_gains = np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0
+        self.amp, self.power = np.sqrt(half_gains), half_gains
+        self.shape = cfg.n_antennas, half_gains.size
+        self.n_unicast = U = cfg.n_unicast
         # Each UT's own stream: its unicast stream, or its group's.
-        self.own = np.concatenate([np.arange(U),
-                                   U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
+        own = np.concatenate([np.arange(U),
+                              U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
+        self.blocks = [(a, b, np.arange(b - a), own[a:b]) for a, b in _ut_blocks(cfg)]
 
     def __call__(self, t: int) -> _Result | None:
         """Run trial t; None when its draw lost rank and is discarded."""
-        cfg = self.cfg
         rng = trial_rng(self.seed, t)
-        draw = _draw_channels(cfg, self.fading, rng)
-        est = mmse_estimate(cfg, self.fading, *self.pilots, draw, rng)
-        build = build_zf_precoders if self.precoder == ZF else build_mrt_precoders
+        H = _cn(rng, self.shape)
+        C = _estimate(rng, H[:, :self.n_unicast], [H[:, a:b] for a, b, *_ in self.blocks[1:]],
+                      self.estimator)
         try:
-            V, W = build(cfg, est, self.powers, self.stats)
+            streams = (_zf_columns if self.zf else _mrt_columns)(C, self.scales)
         except RankDeficientDraw:
             return None
 
@@ -360,16 +455,17 @@ class _Kernel:
         # once.  One product over all UTs is faster, but it raised the peak
         # RSS of a 200-trial paper-cell validation by 0.9-2.3 MB (2-5%) with
         # one to three workers.
-        streams = np.concatenate([V, W], axis=1)
         np.conjugate(streams, out=streams)
-        received = np.empty(self.own.size)
-        desired = np.empty(self.own.size, dtype=complex)
-        for a, b in self.blocks:
-            effective = draw.channels[:, a:b].T @ streams
-            desired[a:b] = effective[np.arange(b - a), self.own[a:b]].conj()
+        received = np.empty(self.shape[1])
+        desired = np.empty(self.shape[1], dtype=complex)
+        for a, b, rows, own in self.blocks:
+            effective = H[:, a:b].T @ streams
+            desired[a:b] = effective[rows, own].conj()
             parts = effective.view(np.float64)
             np.square(parts, out=parts)
             np.add(effective.real, effective.imag).sum(axis=1, out=received[a:b])
+        desired *= self.amp
+        received *= self.power
         return received, desired
 
 
@@ -405,8 +501,9 @@ class _Sums:
 # Most worker threads one run uses.  Each worker's trial in flight holds its
 # own channel matrix (1.7 MB at the paper cell: 100 antennas, 1050 UTs) and
 # products.  A 200-trial validation there peaks at 40.6 MB RSS with one
-# worker, 45.2 MB with three and 47.6 MB with four (MRT; ZF 42.3, 47.0 and
-# 49.2 MB), so each worker adds about 2.3 MB.
+# worker, 45.0 MB with three and 47.0 MB with four (MRT; ZF 42.0, 46.6 and
+# 48.9 MB; median of three fresh processes each, one BLAS thread, 2-vCPU
+# VM), so each worker adds about 2.2 MB.
 MAX_WORKERS = 3
 
 
@@ -435,7 +532,7 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     _check_powers(cfg, powers)
     gain, c = _precoder_factors(cfg, precoder)
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
-    _require_estimates(powers, stats)
+    _require_estimates(powers, stats, precoder)
     signal, interference = (np.concatenate(side) for side in
                             zip(*_sinr_terms(cfg, stats, fading, powers, gain, c)))
     sums = _Sums(np.sqrt(signal), interference + signal, stats)

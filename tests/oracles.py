@@ -20,12 +20,15 @@ jackknife per UT.  Its empirical SINRs must agree with the streamed ones to
 rounding, and its complex-arithmetic channel draw bit for bit.
 
 The serial streamed section keeps the Monte Carlo trial loop as it was
-before trials ran on worker threads: one loop on the calling thread, each
-trial's arrays allocated afresh, with the kernel's per-trial arithmetic.
-It stores every trial's desired term and received power, as the validator
-did before it kept only per-UT moment sums, and adds them up in trial
-order afterwards.  Its sums must equal the threaded ones bit for bit,
-whatever the worker count, and reports built on them byte for byte.
+before trials ran on worker threads and drew their channels at unit
+variance: one loop on the calling thread composing the public steps
+(``draw_channels``, ``mmse_estimate``, ``build_*_precoders``), each
+trial's arrays allocated afresh.  It stores every trial's desired term and
+received power, as the validator did before it kept only per-UT moment
+sums, and adds them up in trial order afterwards (``sum_terms``).  The
+threaded kernel scales each UT's terms at the end where this loop scales
+its channel first, so each kept trial's terms must agree to within 1e-12
+of that trial's largest |d| and r, whatever the worker count.
 ``moment_tests_two_pass`` works out each UT's moment test from the stored
 terms in two passes (means, then centred sums) and inverts the 2 x 2
 covariance with ``np.linalg.solve``; the streamed statistics must agree
@@ -749,11 +752,12 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
                       pilot_powers_unicast, pilot_powers_multicast,
                       powers: DownlinkPowers, precoder: str,
                       n_trials: int, seed: int) -> SimpleNamespace:
-    """``montecarlo._run_trials`` as one loop on the calling thread, every
-    trial's arrays allocated afresh and every trial's terms stored, then
-    summed around the closed-form moments in trial order.  It reads the
-    per-trial steps through the ``montecarlo`` module, so a test that
-    replaces one of them there replaces it here as well.
+    """``montecarlo._run_trials`` as one loop on the calling thread over the
+    public steps, every trial's arrays allocated afresh and every trial's
+    terms stored, then summed around the closed-form moments in trial order.
+    It reads the steps through the ``montecarlo`` module, so a test that
+    replaces one of them, or a core they call, there replaces it here as
+    well.
 
     Besides the sums the validator reads, it returns the stored terms:
     ``desired`` and ``received``, one column per kept trial."""
@@ -780,7 +784,7 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     discarded = 0
     for t in range(n_trials):
         rng = montecarlo.trial_rng(seed, t)
-        draw = montecarlo._draw_channels(cfg, fading, rng)
+        draw = montecarlo.draw_channels(cfg, fading, rng)
         est = montecarlo.mmse_estimate(cfg, fading, pilot_powers_unicast,
                                        pilot_powers_multicast, draw, rng)
         try:
@@ -807,8 +811,17 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     if kept < 2:
         raise DegenerateInputError("fewer than 2 usable trials")
     desired, received = desired[:, :kept], received[:, :kept]
-    sums = {name: np.zeros(users) for name in ("x", "xx", "y", "yy", "xy", "imag")}
-    for t in range(kept):
+    return SimpleNamespace(m1=m1, m2=m2, stats=stats, kept=kept, discarded=discarded,
+                           desired=desired, received=received,
+                           **sum_terms(m1, m2, desired, received))
+
+
+def sum_terms(m1: np.ndarray, m2: np.ndarray, desired: np.ndarray,
+              received: np.ndarray) -> dict[str, np.ndarray]:
+    """The six per-UT sums of the stored terms (one column per trial), added
+    in trial order: of x = Re d - m1, x^2, y = r - m2, y^2, x*y and Im d."""
+    sums = {name: np.zeros(m1.size) for name in ("x", "xx", "y", "yy", "xy", "imag")}
+    for t in range(desired.shape[1]):
         x = desired[:, t].real - m1
         y = received[:, t] - m2
         sums["x"] += x
@@ -817,8 +830,7 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
         sums["yy"] += y * y
         sums["xy"] += x * y
         sums["imag"] += desired[:, t].imag
-    return SimpleNamespace(m1=m1, m2=m2, stats=stats, kept=kept, discarded=discarded,
-                           desired=desired, received=received, **sums)
+    return sums
 
 
 def moment_tests_two_pass(trials: SimpleNamespace) -> list[tuple[float, float, float, float]]:

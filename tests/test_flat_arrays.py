@@ -657,7 +657,7 @@ def small_mc_cell(seed, precoder, u_range=(0, 4), g_range=(1, 3)):
     mu = rng.uniform(0.0, 1.0, cfg.n_groups)
     if precoder == "mrt":
         # Zero pilots and zero powers take the estimators' and MRT's edge
-        # paths (under ZF a zero estimate makes every draw rank-deficient).
+        # paths (ZF needs every stream's estimate and rejects a zero pilot).
         if cfg.n_groups > 1:
             mu[-1] = 0.0
             pilots_mu[-1] = [0.0] * len(pilots_mu[-1])
@@ -694,8 +694,12 @@ class TestMonteCarloOracle:
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     def test_reports_bit_identical_to_loop_path(self, monkeypatch, precoder):
+        # The trial kernel runs the estimator and precoder cores, not the
+        # public steps, so the loop path is compared through the serial
+        # loop over the public steps.
         cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(1, precoder)
         args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 150, 99)
+        monkeypatch.setattr(montecarlo, "_run_trials", oracles.run_trials_serial)
         report = validate_closed_form(*args).to_dict()
         monkeypatch.setattr(montecarlo, "mmse_estimate", oracles.mmse_estimate_loop)
         monkeypatch.setattr(montecarlo, "build_mrt_precoders", oracles.build_mrt_precoders_loop)

@@ -15,6 +15,10 @@ names ``_estimation_variances``.
 Which precoders exist is ``closed_form``'s rule: any other module checks a
 precoder through ``closed_form._precoder_factors`` and never tests
 membership in ``PRECODERS`` itself; looping over them is fine.
+
+A Monte Carlo run checks its inputs once, before its first trial: no code
+a trial runs, ``_Kernel.__call__`` and every ``montecarlo`` function or
+``_Kernel`` method it names, directly or through another, names a check.
 """
 
 import ast
@@ -176,3 +180,57 @@ def score(cfg, fading, sol):
     return estimate(cfg, fading, p, q), estimation_variances(cfg, fading, p, q)
 """
     assert owners(source, {"_estimation_variances"}) == ["<module>", "scoring", "score"]
+
+
+RUN_CHECKS = {"_check_powers", "_require_estimates", "_pilot_arrays", "require_valid",
+              "require_zf_feasible", "_estimation_variances", "_precoder_factors"}
+
+
+def checks_in_trial(source: str) -> list[str]:
+    """``function: check`` for every name in RUN_CHECKS that ``_Kernel.__call__``
+    names, or that a module-level function or ``_Kernel`` method names which
+    it reaches by naming one, in any order of calls."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Kernel")
+    methods = {node.name: node for node in kernel.body if isinstance(node, ast.FunctionDef)}
+    found, todo, seen = [], [methods["__call__"]], {"__call__"}
+    while todo:
+        function = todo.pop()
+        for node in ast.walk(function):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in RUN_CHECKS:
+                found.append(f"{function.name}: {name}")
+            elif name not in seen and (name in functions or name in methods):
+                seen.add(name)
+                todo.append(functions.get(name) or methods[name])
+    return sorted(found)
+
+
+def test_trials_run_no_check():
+    assert checks_in_trial(MONTECARLO.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_checks_a_trial_reaches():
+    source = """
+def _draw(rng):
+    return _scaled(rng)
+def _scaled(rng):
+    model.require_valid(cfg, fading)
+    return _draw(rng)
+def _unused(powers):
+    _check_powers(cfg, powers)
+class _Kernel:
+    def __init__(self, cfg, powers):
+        _check_powers(cfg, powers)
+    def _precode(self, C):
+        check = _require_estimates
+        return check(self.powers, self.stats, "zf")
+    def __call__(self, t):
+        C = _draw(t)
+        return self._precode(C)
+"""
+    assert checks_in_trial(source) == ["_precode: _require_estimates",
+                                       "_scaled: require_valid"]

@@ -225,6 +225,24 @@ class TestZfPrecoders:
         with pytest.raises(DegenerateInputError, match="group 0 has power"):
             build_zf_precoders(cfg, est, powers, stats)
 
+    def test_stream_without_estimate_rejected_without_power(self):
+        # ZF nulls every stream at every other stream's estimate, so a
+        # stream with no estimate is rejected even when it carries nothing;
+        # MRT sends it nothing.
+        cfg, fading = small_system(n_antennas=32)
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        pilots_un[1] = 0.0
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        powers = DownlinkPowers(unicast=(1.0, 0.0), multicast=(2.0,))
+        rng = trial_rng(900, 0)
+        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
+                            draw_channels(cfg, fading, rng), rng)
+        V, _ = build_mrt_precoders(cfg, est, powers, stats)
+        assert np.all(V[:, 1] == 0.0)
+        with pytest.raises(DegenerateInputError,
+                           match="unicast UT 1 has no channel estimate, which zero-forcing"):
+            build_zf_precoders(cfg, est, powers, stats)
+
     def test_minimal_antenna_margin_keeps_rank(self):
         # One spatial degree of freedom left: the Gram must stay invertible
         # in every one of 10^4 draws.
@@ -394,7 +412,7 @@ class TestValidateClosedForm:
         def no_draw(*args):
             raise AssertionError("drew channels before checking the powers")
 
-        monkeypatch.setattr(montecarlo, "_draw_channels", no_draw)
+        monkeypatch.setattr(montecarlo, "_cn", no_draw)
         with pytest.raises(ValueError):
             validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                  DownlinkPowers(unicast=unicast, multicast=multicast),
@@ -415,13 +433,37 @@ class TestValidateClosedForm:
         def no_draw(*args):
             raise AssertionError("drew channels before checking the estimates")
 
-        monkeypatch.setattr(montecarlo, "_draw_channels", no_draw)
+        monkeypatch.setattr(montecarlo, "_cn", no_draw)
         half = cfg.total_power / 2.0
         with pytest.raises(DegenerateInputError,
                            match=f"{silent} has power but no channel estimate"):
             validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                  DownlinkPowers.equal_split(half, 4, half, 2),
                                  precoder, 100, 1)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_stream_without_estimate_or_power(self, monkeypatch, precoder):
+        # Unicast UT 1 sends no pilot and gets no power.  MRT keeps every
+        # trial; ZF, which needs every stream's estimate, rejects the input
+        # before the first draw instead of discarding every trial.
+        cfg, fading = small_system(n_antennas=64, n_unicast=4, group_sizes=(3, 3))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        pilots_un[1] = 0.0
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers(unicast=(half / 3.0, 0.0, half / 3.0, half / 3.0),
+                                multicast=(half / 2.0, half / 2.0))
+        args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 300, 11)
+        if precoder == "mrt":
+            report = validate_closed_form(*args)
+            assert (report.n_trials, report.n_discarded) == (300, 0)
+            return
+
+        def no_draw(*args):
+            raise AssertionError("drew channels before checking the estimates")
+
+        monkeypatch.setattr(montecarlo, "_cn", no_draw)
+        with pytest.raises(DegenerateInputError, match="unicast UT 1 has no channel estimate"):
+            validate_closed_form(*args)
 
     @pytest.mark.parametrize("n_antennas, precoder, error", [
         (5, "zf", ZfInfeasibleError),   # N = U+G: no degree of freedom left
@@ -435,7 +477,7 @@ class TestValidateClosedForm:
         def no_draw(*args):
             raise AssertionError("drew channels before checking the precoder")
 
-        monkeypatch.setattr(montecarlo, "_draw_channels", no_draw)
+        monkeypatch.setattr(montecarlo, "_cn", no_draw)
         with pytest.raises(error):
             validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                  DownlinkPowers(unicast=(1.0,) * 4, multicast=(2.0,)),
@@ -468,9 +510,8 @@ class TestValidateClosedForm:
                                multicast_gains=((0.05, 0.05),))
         pilots_un, pilots_mu = cap_pilots(cfg)
         nominal = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
-        build = montecarlo.build_mrt_precoders
-        monkeypatch.setattr(montecarlo, "build_mrt_precoders",
-                            lambda *args: tuple(1.1 * cols for cols in build(*args)))
+        columns = montecarlo._mrt_columns
+        monkeypatch.setattr(montecarlo, "_mrt_columns", lambda *args: 1.1 * columns(*args))
         rec = record(validate_closed_form(cfg, fading, pilots_un, pilots_mu, nominal, "mrt",
                                           8000, 11), "multicast", (0, 0))
         assert rec.empirical > rec.closed_form
@@ -658,9 +699,10 @@ class TestMemory:
 
 
 def fail_in_trials(monkeypatch, errors, delays=None):
-    """Make the precoder builders raise ``errors[t](...)`` in trial t, and
+    """Make the precoder cores raise ``errors[t](...)`` in trial t, and
     sleep ``delays[t]`` seconds before, on whichever thread runs trial t.
-    The serial oracle reads the same module attributes."""
+    The trial kernel and the public builders, which the serial oracle
+    calls, read the same module attributes."""
     local = threading.local()
     trial_rng_ = montecarlo.trial_rng
     delays = delays or {}
@@ -670,7 +712,7 @@ def fail_in_trials(monkeypatch, errors, delays=None):
         return trial_rng_(seed, t)
 
     monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
-    for name in ("build_mrt_precoders", "build_zf_precoders"):
+    for name in ("_mrt_columns", "_zf_columns"):
         def build(*args, _build=getattr(montecarlo, name)):
             time.sleep(delays.get(local.trial, 0.0))
             if local.trial in errors:
@@ -687,9 +729,101 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+SUMS = ("x", "xx", "y", "yy", "xy", "imag")
+
+
+def recorded_run(args, workers):
+    """``_run_trials`` on ``workers`` threads, with each kept trial's terms
+    as they entered the sums: (sums, desired, received), the terms with one
+    column per kept trial."""
+    terms = []
+    commit = montecarlo._Sums.commit
+
+    def record(self, result):
+        if result is not None:
+            terms.append((result[1].copy(), result[0].copy()))
+        commit(self, result)
+
+    with mock.patch.object(montecarlo._Sums, "commit", record), \
+            mock.patch.object(montecarlo, "_worker_count", lambda n_trials: workers):
+        sums = montecarlo._run_trials(*args)
+    desired, received = (np.stack(a, axis=1) for a in zip(*terms))
+    return sums, desired, received
+
+
+# The kernel scales each UT's terms where the serial loop scales its
+# channel, so their terms differ by rounding: 1e-15 to 3e-15 of a trial's
+# largest term on the desk cells.
+TERMS_RTOL = 1e-12
+
+
+def assert_matches_serial(sums, desired, received, serial):
+    """A recorded run against ``oracles.run_trials_serial``: the same trials
+    kept and moments to the bit, each kept trial's d and r within TERMS_RTOL
+    of that trial's largest |d| and r, and sums that are the recorded terms'
+    sums in trial order, to the bit."""
+    assert (sums.kept, sums.discarded) == (serial.kept, serial.discarded)
+    assert desired.shape == received.shape == serial.desired.shape
+    d_err = np.abs(desired - serial.desired).max(axis=0)
+    r_err = np.abs(received - serial.received).max(axis=0)
+    assert (d_err <= TERMS_RTOL * np.abs(serial.desired).max(axis=0)).all(), d_err.max()
+    assert (r_err <= TERMS_RTOL * serial.received.max(axis=0)).all(), r_err.max()
+    summed = oracles.sum_terms(serial.m1, serial.m2, desired, received)
+    for name in ("m1", "m2"):
+        assert np.array_equal(bits(getattr(sums, name)), bits(getattr(serial, name))), name
+    for name in SUMS:
+        assert np.array_equal(bits(getattr(sums, name)), bits(summed[name])), name
+
+
+class TestKernelAgainstPublicSteps:
+    """The trial kernel, which draws at unit variance and scales each UT's
+    terms at the end, against the serial loop over the public steps, which
+    draws at each UT's variance (``oracles``, serial streamed section), at
+    one, two and three workers.  The sums are the same bits at every worker
+    count."""
+
+    @staticmethod
+    def check(args):
+        serial = oracles.run_trials_serial(*args)
+        runs = [recorded_run(args, workers) for workers in (1, 2, 3)]
+        for run in runs:
+            assert_matches_serial(*run, serial)
+            for name in SUMS:
+                assert np.array_equal(bits(getattr(run[0], name)),
+                                      bits(getattr(runs[0][0], name))), name
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           shape=st.sampled_from(sorted(SHAPES)))
+    def test_terms_match(self, precoder, seed, shape):
+        # Under MRT, small_mc_cell leaves a unicast UT and a group without
+        # pilots or power when there are two or more.
+        self.check((*small_mc_cell(seed, precoder, **SHAPES[shape]), precoder, 60, seed))
+
+    @pytest.mark.parametrize("precoder, silent", [
+        ("mrt", "unicast"), ("mrt", "group"), ("zf", "unicast"), ("zf", "group"),
+        ("mrt", "unicast without pilot"), ("mrt", "group without pilot")])
+    def test_unpowered_uts(self, precoder, silent):
+        cfg, fading = small_system(n_unicast=2, group_sizes=(2, 2))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        unicast, multicast = [2.0, 2.0], [3.0, 3.0]
+        if silent.startswith("unicast"):
+            unicast[0] = 0.0
+            if silent.endswith("pilot"):
+                pilots_un[0] = 0.0
+        else:
+            multicast[1] = 0.0
+            if silent.endswith("pilot"):
+                pilots_mu[1] = [0.0, 0.0]
+        powers = DownlinkPowers(unicast=unicast, multicast=multicast)
+        self.check((cfg, fading, pilots_un, pilots_mu, powers, precoder, 80, 4))
+
+
 class TestWorkerThreads:
-    """Trials on worker threads against the serial loop (``oracles``,
-    serial streamed section), with the worker count forced."""
+    """Trials on worker threads, with the worker count forced, against one
+    worker and against the serial loop (``oracles``, serial streamed
+    section)."""
 
     # The first trial, a run of neighbours and the last one.
     DISCARDED = (0, 1, 2, 40, 41, 99)
@@ -702,36 +836,34 @@ class TestWorkerThreads:
         powers = DownlinkPowers.equal_split(half, cfg.n_unicast, half, cfg.n_groups)
         return cfg, fading, pilots_un, pilots_mu, powers, precoder
 
-    SUMS = ("x", "xx", "y", "yy", "xy", "imag")
-
     @pytest.mark.parametrize("precoder", PRECODERS)
     def test_same_bytes_for_every_worker_count(self, monkeypatch, precoder):
         args = (*self.cell(precoder), 100, 19)
         # Trial-dependent delays let later trials finish before earlier ones.
         fail_in_trials(monkeypatch, dict.fromkeys(self.DISCARDED, montecarlo.RankDeficientDraw),
                        {t: 0.001 * (7 * t % 4) for t in range(100)})
-        runs = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
-            runs[workers] = (montecarlo._run_trials(*args),
-                             report_bytes(validate_closed_form(*args)))
-        monkeypatch.setattr(montecarlo, "_run_trials", oracles.run_trials_serial)
         serial = oracles.run_trials_serial(*args)
-        serial_bytes = report_bytes(validate_closed_form(*args))
-
         assert (serial.kept, serial.discarded) == (100 - len(self.DISCARDED),
                                                    len(self.DISCARDED))
-        for workers, (sums, report) in runs.items():
-            assert (sums.kept, sums.discarded) == (serial.kept, serial.discarded)
+        runs = {}
+        for workers in (1, 2, 3):
+            run = recorded_run(args, workers)
+            assert_matches_serial(*run, serial)
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
+            runs[workers] = run[0], report_bytes(validate_closed_form(*args))
+
+        sums, report = runs[1]
+        for workers, (other, other_report) in runs.items():
             # The trial order of the sums, bit for bit.
-            for name in ("m1", "m2", *self.SUMS):
-                assert np.array_equal(bits(getattr(sums, name)), bits(getattr(serial, name))), \
+            for name in SUMS:
+                assert np.array_equal(bits(getattr(other, name)), bits(getattr(sums, name))), \
                     (workers, name)
-            assert report == serial_bytes, workers
+            assert other_report == report, workers
 
     def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
         args = (*self.cell("mrt"), 300, 23)
-        serial = oracles.run_trials_serial(*args)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
+        serial = montecarlo._run_trials(*args)
         monkeypatch.setattr(montecarlo, "_worker_count",
                             lambda n_trials: min((os.cpu_count() or 1) + 3, 16))
         interval = sys.getswitchinterval()
@@ -741,7 +873,7 @@ class TestWorkerThreads:
         finally:
             sys.setswitchinterval(interval)
         assert (trials.kept, trials.discarded) == (300, 0)
-        for name in self.SUMS:
+        for name in SUMS:
             assert np.array_equal(bits(getattr(trials, name)), bits(getattr(serial, name))), name
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -789,19 +921,17 @@ class TestWorkerThreads:
         assert counts["ahead"] <= 2 * workers, counts
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_sums_hold_one_value_per_ut(self, monkeypatch, workers):
+    def test_sums_hold_one_value_per_ut(self, workers):
         # What a run keeps is six sums and the two moments per UT, whatever
-        # the trial count; they equal the serial loop's sums of its stored
-        # terms bit for bit.
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
+        # the trial count; the sums are the sums of the kept trials' terms,
+        # which match the serial loop's stored terms.
         args = (*self.cell("mrt"), 60, 3)
-        sums = montecarlo._run_trials(*args)
+        sums, desired, received = recorded_run(args, workers)
         serial = oracles.run_trials_serial(*args)
         arrays = {k: v for k, v in vars(sums).items() if isinstance(v, np.ndarray)}
-        assert sorted(arrays) == sorted(("m1", "m2", *self.SUMS))
+        assert sorted(arrays) == sorted(("m1", "m2", *SUMS))
         assert {a.shape for a in arrays.values()} == {(serial.desired.shape[0],)}
-        for name, a in arrays.items():
-            assert np.array_equal(bits(a), bits(getattr(serial, name))), name
+        assert_matches_serial(sums, desired, received, serial)
 
     def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
