@@ -2,10 +2,13 @@
 
 Per trial: draw small-scale Rayleigh channels for every UT into one matrix,
 run MMSE estimation with one shared pilot per multicast group, build MRT or
-ZF precoders, and form every UT's effective channel to every stream.  A
-trial yields two numbers per UT: the effective channel on the UT's own
-stream (the desired term d) and the power the UT receives summed over all
-streams (r).
+ZF precoders, and form every UT's effective channel to every stream, one
+product per block of UTs.  A trial yields two numbers per UT: the effective
+channel on the UT's own stream (the desired term d) and the power the UT
+receives summed over all streams (r), one fused reduction over the block's
+products.  ZF inverts the Gram of the unit-norm estimates once, and a draw
+whose Gram may be too ill-conditioned to invert, by a bound read off that
+inverse, is discarded (``_zf_columns``); no eigensolve runs.
 
 A trial draws its channel matrix at unit variance, with standard normal
 real and imaginary parts, and never rescales it.  Each UT's amplitude
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
 import sys
 from collections import deque
@@ -82,8 +86,10 @@ PASS_RATE = 0.99
 # term than this from zero has an SINR the trials barely resolve: the lower
 # end of a 95% interval on its mean desired term reaches zero.
 WEAK_SIGNAL = 2.0
-# Gram systems with condition numbers beyond this are treated as
-# rank-deficient draws (a probability-zero event) and the trial discarded.
+# A ZF draw whose equilibrated Gram may have a condition number beyond this
+# is treated as rank-deficient (a probability-zero event) and the trial
+# discarded.  ``_zf_columns`` tests an upper bound on the condition number,
+# S * |trace(inverse Gram)|, which is about 10^4 on the paper cell.
 MAX_GRAM_COND = 1e12
 
 
@@ -353,31 +359,44 @@ def _column_scales(cfg: SystemConfig, powers: DownlinkPowers, stats: EstimationS
 
 
 def _mrt_columns(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """MRT: each column is the matching estimate scaled to its power."""
-    return np.where(scales != 0.0, scales * C, 0.0)
+    """MRT: each column is the matching estimate scaled to its power (a
+    stream with no power has scale 0, so its column is zero)."""
+    return C * scales
 
 
 def _zf_columns(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """ZF: project each stream into the null space of all other estimates.
 
     The construction is invariant to rescaling the estimate columns, so the
-    Gram system is formed from unit-norm columns (estimate variances span
-    many orders of magnitude across a cell) and solved with one
-    factorization over all scaled basis vectors; no explicit inverse.  An
-    ill-conditioned equilibrated Gram means the draw genuinely lost rank
-    and raises RankDeficientDraw so the caller can discard the trial.
+    Gram is formed from unit-norm columns (estimate variances span many
+    orders of magnitude across a cell) and inverted once: each stream's
+    column is the unit-norm estimates times its column of the inverse,
+    scaled by the stream's scale over its estimate's norm.
+
+    With unit-norm columns the S x S Gram has trace S >= lambda_max, and
+    its inverse has trace >= 1/lambda_min, so S * |trace(inverse)| bounds
+    the condition number from above, with no eigensolve.  A bound beyond
+    MAX_GRAM_COND, or none (a singular or non-finite inverse), means the
+    draw lost rank and raises RankDeficientDraw so the caller can discard
+    the trial.
     """
     norms = np.linalg.norm(C, axis=0)
     if np.any(norms == 0.0):
         raise RankDeficientDraw("estimate matrix has an all-zero column")
     Cn = C / norms
-    gram = Cn.conj().T @ Cn
-    # The Gram is Hermitian positive semidefinite, so its condition number is
-    # the ratio of its extreme eigenvalues.
-    eig = np.linalg.eigvalsh(gram)   # ascending
-    if eig[0] <= 0.0 or eig[-1] > MAX_GRAM_COND * eig[0]:
-        raise RankDeficientDraw(f"Gram condition number exceeds {MAX_GRAM_COND:g}")
-    return Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
+    try:
+        inverse = np.linalg.inv(Cn.conj().T @ Cn)
+    except np.linalg.LinAlgError:
+        raise RankDeficientDraw("Gram matrix is singular") from None
+    # The trace's modulus: the computed Gram is Hermitian only to rounding,
+    # and near rank loss its inverse's blow-up can land in the imaginary
+    # part.  Summed as Python numbers, a non-finite diagonal gives inf or
+    # NaN without a warning.
+    bound = C.shape[1] * abs(sum(inverse.diagonal().tolist()))
+    if not bound <= MAX_GRAM_COND:   # NaN fails the comparison too
+        raise RankDeficientDraw(f"Gram condition bound {bound:.3g} exceeds {MAX_GRAM_COND:g}")
+    inverse *= scales / norms
+    return Cn @ inverse
 
 
 def _precode(cfg: SystemConfig, estimates: EstimateSet, powers: DownlinkPowers,
@@ -462,8 +481,7 @@ class _Kernel:
             effective = H[:, a:b].T @ streams
             desired[a:b] = effective[rows, own].conj()
             parts = effective.view(np.float64)
-            np.square(parts, out=parts)
-            np.add(effective.real, effective.imag).sum(axis=1, out=received[a:b])
+            np.einsum("ij,ij->i", parts, parts, out=received[a:b])
         desired *= self.amp
         received *= self.power
         return received, desired
@@ -501,8 +519,8 @@ class _Sums:
 # Most worker threads one run uses.  Each worker's trial in flight holds its
 # own channel matrix (1.7 MB at the paper cell: 100 antennas, 1050 UTs) and
 # products.  A 200-trial validation there peaks at 40.6 MB RSS with one
-# worker, 45.0 MB with three and 47.0 MB with four (MRT; ZF 42.0, 46.6 and
-# 48.9 MB; median of three fresh processes each, one BLAS thread, 2-vCPU
+# worker, 45.0 MB with three and 47.3 MB with four (MRT; ZF 41.2, 46.0 and
+# 48.2 MB; median of three fresh processes each, one BLAS thread, 2-vCPU
 # VM), so each worker adds about 2.2 MB.
 MAX_WORKERS = 3
 
@@ -628,10 +646,16 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
                          n_trials: int, seed: int) -> ValidationReport:
     """Closed-form vs Monte Carlo SINR for every UT, with the moment test.
 
-    Passes when at least 99% of per-user scores satisfy |z| <= 3.
+    Passes when at least 99% of per-user scores satisfy |z| <= 3.  The
+    trial count and the seed are integers (``operator.index``) and the seed
+    is non-negative, so every run can be repeated; both are checked before
+    the first draw.
     """
+    n_trials, seed = operator.index(n_trials), operator.index(seed)
     if n_trials < 100:
         raise ValueError(f"need at least 100 trials, got {n_trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     sums = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
                        powers, precoder, n_trials, seed)
     # _run_trials validated the pair and worked out the estimate variances.

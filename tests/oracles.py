@@ -12,7 +12,10 @@ The last section keeps the per-UT loops over tuples that the library ran
 before it stored per-UT data as flat arrays: validation, the solvers'
 split-independent pieces, the estimate variances and the Monte Carlo
 estimation and precoders.  They read the pair through ``tuple_layout`` and
-must agree with the array code bit for bit.
+must agree with the array code bit for bit.  ``zf_columns_eigensolve``
+keeps the ZF core as it was before it bounded the Gram's condition number
+by the trace of its inverse: its columns must agree to rounding, and it
+must discard no draw the trace bound keeps.
 
 The stored-terms section keeps the Monte Carlo validator as it was before
 it streamed its trials: every per-trial inner product stored, then one
@@ -566,8 +569,24 @@ def build_zf_precoders_loop(cfg, estimates, powers, stats):
         scales[m] = math.sqrt(dof * powers.unicast[m] * float(stats.unicast_var[m]))
     for j in range(cfg.n_groups):
         scales[cfg.n_unicast + j] = math.sqrt(dof * powers.multicast[j] * float(stats.group_var[j]))
-    cols = Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
+    cols = Cn @ (np.linalg.inv(gram) @ np.diag(scales / norms))
     return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]
+
+
+def zf_columns_eigensolve(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """``montecarlo._zf_columns`` as it was before it tested a trace bound
+    on the inverse Gram: the equilibrated Gram's condition number from its
+    extreme eigenvalues (``eigvalsh``), then one ``solve`` over all scaled
+    basis vectors, with no explicit inverse."""
+    norms = np.linalg.norm(C, axis=0)
+    if np.any(norms == 0.0):
+        raise RankDeficientDraw("estimate matrix has an all-zero column")
+    Cn = C / norms
+    gram = Cn.conj().T @ Cn
+    eig = np.linalg.eigvalsh(gram)   # ascending
+    if eig[0] <= 0.0 or eig[-1] > MAX_GRAM_COND * eig[0]:
+        raise RankDeficientDraw(f"Gram condition number exceeds {MAX_GRAM_COND:g}")
+    return Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
 
 
 # ------------------------------------------- stored-terms Monte Carlo path

@@ -442,6 +442,26 @@ def test_python_m_mimocast_runs_the_cli():
     assert proc.stdout == f"mimocast {mimocast.__version__}\n"
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("first, preset, expected", [
+    ("", {}, dict.fromkeys(BLAS_THREADS, "1")),    # the default applies
+    ("", {"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),    # a user value wins
+    ("import numpy; ", {}, {}),    # too late once numpy is loaded: nothing set
+])
+def test_importing_mimocast_defaults_to_one_blas_thread(first, preset, expected):
+    src = str(Path(mimocast.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(preset, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    script = (f"{first}import json, os, mimocast; "
+              f"print(json.dumps({{k: os.environ[k] for k in {BLAS_THREADS!r} if k in os.environ}}))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity masks")
 @pytest.mark.parametrize("precoder", ["mrt", "zf"])
 def test_validate_bytes_do_not_depend_on_usable_cpus(scenario_path, tmp_path, precoder):
@@ -483,16 +503,19 @@ PINNED_PARETO = {
 # still held tuples: the array-valued results must write the same JSON.  The
 # validate digests were recorded again when trials moved to SFC64 streams,
 # again when the validator moved from stored trials and a jackknife to
-# per-UT moment sums and the moment test, and again when trials drew their
+# per-UT moment sums and the moment test, again when trials drew their
 # channels at unit variance and scaled each UT's terms instead (the same
-# draws: every record moved by at most 2.3e-11 relative, a p-value).
+# draws: every record moved by at most 2.3e-11 relative, a p-value), and
+# again when received power became one fused reduction and ZF inverted its
+# Gram instead of solving it after an eigensolve (every field moved by at
+# most 5.9e-14 relative under MRT and 9.5e-12 under ZF, both p-values).
 PINNED_SOLVER_OUTPUTS = {
     ("mmf", "mrt"): "a8f2665bee651db4aafd579687169d990c5c998be7f382bfb55180ffe61e27cc",
     ("mmf", "zf"): "01a7ea6a7ea75363d55c4eef975c27a1783e82c320b2fbb2eee896bbb1fad61e",
     ("sse", "mrt"): "6f8e2fb750945821becfdc20acc49649852d9de89e6d83d0489a4f466b8e607b",
     ("sse", "zf"): "abf4664e35c88ad25f88bdaf4606f884b476003749391debc71afe18360c8112",
-    ("validate", "mrt"): "70f96a4068a31a2a05fa24d6cc866d766568b0615ef4eedec0671e6b45d27f1c",
-    ("validate", "zf"): "1f883484eff9484bd896e15d7e7371c5ea505af33d79da3d295a790214c0982e",
+    ("validate", "mrt"): "f2adf94294123ee83c2b9e458fe6c623f6512a1f3cd13b5903b4f73c215a53ff",
+    ("validate", "zf"): "c544d16fbab3964e662845d0a1c61792c9be291f569db07f7329ad71676132c1",
 }
 
 

@@ -257,6 +257,83 @@ class TestZfPrecoders:
             build_zf_precoders(cfg, est, powers, stats)  # must not raise
 
 
+class TestZfRuleAgainstEigensolve:
+    """``_zf_columns``, which inverts the equilibrated Gram and discards a
+    draw on the bound S * |trace(inverse)| of its condition number, against
+    ``oracles.zf_columns_eigensolve``, which discarded on the condition
+    number from ``eigvalsh`` and solved the Gram system."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_match_the_eigensolve_on_desk_draws(self, seed):
+        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, "zf")
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        scales = montecarlo._column_scales(cfg, powers, stats, "zf")
+        for t in range(20):
+            rng = trial_rng(seed, t)
+            est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
+                                draw_channels(cfg, fading, rng), rng)
+            V, W = build_zf_precoders(cfg, est, powers, stats)
+            C = np.concatenate([est.unicast_estimates, est.group_estimates], axis=1)
+            expected = oracles.zf_columns_eigensolve(C, scales)
+            for got, want in ((V, expected[:, :cfg.n_unicast]),
+                              (W, expected[:, cfg.n_unicast:])):
+                err = np.linalg.norm(got - want, axis=0)
+                assert (err <= 1e-12 * np.linalg.norm(want, axis=0)).all(), err
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(streams=st.integers(min_value=2, max_value=8),
+           spare=st.integers(min_value=0, max_value=6),
+           log_cond=st.floats(min_value=8.0, max_value=14.0),
+           defect=st.sampled_from(["none", "duplicate", "zero"]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_discards_every_gram_the_eigensolve_discards(self, streams, spare, log_cond,
+                                                         defect, seed):
+        # Estimates with Gram condition number 10^log_cond before their
+        # columns are scaled over six orders of magnitude, then one column
+        # duplicated (times a complex factor) or zeroed.
+        rng = np.random.default_rng(seed)
+
+        def unitary(rows, cols):
+            z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            return np.linalg.qr(z)[0]
+
+        singular = np.logspace(0.0, -log_cond / 2.0, streams)
+        C = (unitary(streams + spare, streams) * singular) @ unitary(streams, streams).conj().T
+        C *= 10.0 ** rng.uniform(-3.0, 3.0, streams)
+        i, j = rng.choice(streams, 2, replace=False)
+        if defect == "duplicate":
+            C[:, j] = (rng.uniform(0.1, 10.0) * np.exp(2j * math.pi * rng.uniform())) * C[:, i]
+        elif defect == "zero":
+            C[:, j] = 0.0
+        scales = rng.uniform(0.5, 2.0, streams)
+
+        def kept(columns):
+            try:
+                columns(C, scales)
+            except montecarlo.RankDeficientDraw:
+                return False
+            return True
+
+        if not kept(oracles.zf_columns_eigensolve):
+            assert not kept(montecarlo._zf_columns)
+        if defect != "none":
+            assert not kept(montecarlo._zf_columns)
+
+    def test_validation_runs_no_eigensolve(self, monkeypatch):
+        cfg, fading = small_system(n_antennas=16, n_unicast=2, group_sizes=(2, 2))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        calls = {"eigvalsh": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = validate_closed_form(cfg, fading, pilots_un, pilots_mu,
+                                      DownlinkPowers.equal_split(5.0, 2, 5.0, 2), "zf", 200, 8)
+        assert report.n_trials + report.n_discarded == 200
+        assert calls == {"eigvalsh": 0, "inv": 200}
+
+
 def record(report, kind, index):
     """The record of one UT in a validation report."""
     return next(r for r in report.records if (r.kind, r.index) == (kind, index))
@@ -482,6 +559,27 @@ class TestValidateClosedForm:
             validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                  DownlinkPowers(unicast=(1.0,) * 4, multicast=(2.0,)),
                                  precoder, 100, 1)
+
+    @pytest.mark.parametrize("n_trials, seed, error", [
+        (100, None, TypeError),    # would draw fresh OS entropy: no repeatable run
+        (100, 1.5, TypeError),
+        (100, -1, ValueError),
+        (150.5, 1, TypeError),
+    ])
+    def test_bad_seed_or_trial_count_rejected_before_any_draw(self, monkeypatch, n_trials,
+                                                              seed, error):
+        cfg, fading = small_system(n_antennas=16)
+        pilots_un, pilots_mu = cap_pilots(cfg)
+
+        def no_run(*args):
+            raise AssertionError("built a trial before checking the seed and trial count")
+
+        monkeypatch.setattr(montecarlo, "_cn", no_run)
+        monkeypatch.setattr(montecarlo, "_Kernel", no_run)
+        with pytest.raises(error):
+            validate_closed_form(cfg, fading, pilots_un, pilots_mu,
+                                 DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,)),
+                                 "mrt", n_trials, seed)
 
     @pytest.mark.parametrize("build", [build_mrt_precoders, build_zf_precoders])
     @pytest.mark.parametrize("unicast, multicast", [
