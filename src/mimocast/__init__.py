@@ -27,9 +27,7 @@ from .errors import (DegenerateInputError, InvalidConfigError, MimocastError,
                      ZfInfeasibleError)
 from .model import (EstimationStats, FadingProfile, PowerSplit, SystemConfig,
                     estimation_variances, require_valid, validate_config)
-from .montecarlo import (ChannelDraw, EstimateSet, ValidationReport,
-                         build_mrt_precoders, build_zf_precoders,
-                         draw_channels, mmse_estimate, validate_closed_form)
+from .montecarlo import ValidationReport, validate_closed_form
 from .pareto import (ParetoBoundary, ParetoPoint, boundary_csv,
                      check_convexity, select_operating_point, solve_split,
                      sweep_boundary)

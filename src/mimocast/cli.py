@@ -25,7 +25,7 @@ import traceback
 from datetime import datetime, timezone
 
 from . import __version__, allocation, figures, montecarlo, pareto
-from .closed_form import PRECODERS
+from .closed_form import PRECODERS, DownlinkPowers
 from .errors import MimocastError
 from .model import FadingProfile, PowerSplit, SystemConfig, require_valid
 from .scenario import CellGeometry, RadioParams, default_normalized_config, place_users
@@ -274,7 +274,7 @@ def cmd_validate(args) -> int:
         p_un = cfg.total_power / sides if cfg.n_unicast else 0.0
     p_mu = cfg.total_power - p_un
     _require_sides(cfg, p_un, p_mu)
-    powers = montecarlo.DownlinkPowers.equal_split(p_un, cfg.n_unicast, p_mu, cfg.n_groups)
+    powers = DownlinkPowers.equal_split(p_un, cfg.n_unicast, p_mu, cfg.n_groups)
     tau = cfg.pilot_length
     report = montecarlo.validate_closed_form(
         cfg, fading,
@@ -284,7 +284,7 @@ def cmd_validate(args) -> int:
     _write_text(args.out, _json_text(report.to_dict()))
     _write_manifest([args.out], "validate", args, {"trials": seed})
     if not report.passed:
-        print(f"validation FAILED: pass rate {report.pass_rate:.4f} < 0.99",
+        print(f"validation FAILED: pass rate {report.pass_rate:.4f} < {montecarlo.PASS_RATE}",
               file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK

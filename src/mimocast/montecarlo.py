@@ -17,10 +17,9 @@ pilot amplitude, with the noise's 1/sqrt(2) in the estimate factors), and
 the UT's terms once they are formed, d times a and r times a^2.  The trial
 kernel works out these weights and the precoder column scales once per
 run, after the run has checked its inputs; a trial runs no check.  The
-public steps (``draw_channels``, ``mmse_estimate``, ``build_mrt_precoders``,
-``build_zf_precoders``) draw at each UT's variance, check their inputs on
-every call and share their cores (``_cn``, ``_estimate``, ``_mrt_columns``,
-``_zf_columns``) with the kernel.
+kernel is the module's one trial path, and the module's public API is
+``validate_closed_form``, its ``ValidationReport`` of ``UserValidation``
+records, and ``trial_rng``.
 
 The closed-form SINR is the hardening bound m1^2 / (1 + m2 - m1^2), built
 from two moments per UT, m1 = E[d] and m2 = E[r], which
@@ -55,6 +54,7 @@ failing trial, as a serial loop would.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import operator
@@ -68,8 +68,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import closed_form
-from .closed_form import (LN2, MRT, ZF, DownlinkPowers, _check_powers, _precoder_factors,
-                          _sinr_terms, require_zf_feasible)
+from .closed_form import (LN2, ZF, DownlinkPowers, _check_powers, _precoder_factors,
+                          _sinr_terms)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _estimation_variances,
                     _pilot_arrays, _views, require_valid)
@@ -94,35 +94,6 @@ MAX_GRAM_COND = 1e12
 
 
 @dataclass(frozen=True)
-class ChannelDraw:
-    """One small-scale fading realization for every UT.
-
-    ``channels`` holds one column per UT, the unicast UTs first and then
-    each group's members; the other two fields are views into it.
-    """
-
-    channels: np.ndarray                         # N x (U + sum K) complex
-    unicast_channels: np.ndarray                 # N x U complex
-    multicast_channels: tuple[np.ndarray, ...]   # per group: N x K_g complex
-
-
-@dataclass(frozen=True)
-class EstimateSet:
-    """MMSE channel estimates from one uplink training phase.
-
-    Within a group every member's estimate is the composite group estimate
-    scaled by a fixed real coefficient, so only the composite is stored.
-    """
-
-    unicast_estimates: np.ndarray   # N x U complex
-    group_estimates: np.ndarray     # N x G complex
-    member_coeffs: tuple[np.ndarray, ...]   # per group: K_g real coefficients
-
-    def multicast_estimate(self, g: int, k: int) -> np.ndarray:
-        return self.member_coeffs[g][k] * self.group_estimates[:, g]
-
-
-@dataclass(frozen=True)
 class UserValidation:
     """One UT's closed-form SINR against its simulation.
 
@@ -144,18 +115,7 @@ class UserValidation:
     m1_over_se: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "index": list(self.index),
-            "closed_form": self.closed_form,
-            "empirical": self.empirical,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "z": self.z,
-            "wald": self.wald,
-            "p_value": self.p_value,
-            "m1_over_se": self.m1_over_se,
-        }
+        return {**dataclasses.asdict(self), "index": list(self.index)}
 
 
 def _pass_rate(records) -> float:
@@ -211,15 +171,12 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _cn(rng: np.random.Generator, shape: tuple[int, int], std=None) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian entries, drawn in C order, each
-    as its real and then its imaginary part.  Without ``std`` both parts are
-    standard normal (the unit-variance draw, E|z|^2 = 2); with it (a scalar,
-    or one per column) the entries are scaled once, by std/sqrt(2)."""
+def _cn(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian entries with standard normal
+    real and imaginary parts (E|z|^2 = 2), drawn in C order, each as its
+    real and then its imaginary part."""
     z = np.empty(shape, dtype=complex)
     rng.standard_normal(out=z.view(np.float64))
-    if std is not None:
-        z *= std / math.sqrt(2.0)
     return z
 
 
@@ -229,60 +186,40 @@ def _ut_blocks(cfg: SystemConfig) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """Independent Rayleigh channels with the profile's per-UT variances:
-    one ``_cn`` draw fills the whole N x users matrix, every UT's column
-    with standard deviation sqrt(gain)."""
-    require_valid(cfg, fading)
-    rng = np.random.default_rng(rng_seed)
-    amp = np.sqrt(np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]))
-    H = _cn(rng, (cfg.n_antennas, amp.size), amp)
-    return ChannelDraw(channels=H, unicast_channels=H[:, :cfg.n_unicast],
-                       multicast_channels=tuple(H[:, a:b] for a, b in _ut_blocks(cfg)[1:]))
-
-
 class _Estimator(NamedTuple):
     """The weights of one pilot phase, fixed for a run.
 
     Unicast UT u's observation is amp[u] * h_u + n_u and its estimate
     factors[u] times that.  Group g's observation is its members' channels
     weighted by weights[g], plus n_g, and its estimate group_factors[g]
-    times that; ``group_snr`` holds each group's s = tau * sum(q * gain).
-    ``noise_std`` is the ``std`` of the noise's ``_cn`` draw.
+    times that.
     """
 
     amp: np.ndarray
     factors: np.ndarray
     weights: tuple[np.ndarray, ...]
-    group_snr: np.ndarray
     group_factors: np.ndarray
-    noise_std: float | None
 
 
-def _estimator(cfg: SystemConfig, fading: FadingProfile, p: np.ndarray, q: np.ndarray,
-               unit: bool = False) -> _Estimator:
-    """MMSE weights for pilot powers p (unicast) and q (flat multicast).
+def _estimator(cfg: SystemConfig, fading: FadingProfile, p: np.ndarray,
+               q: np.ndarray) -> _Estimator:
+    """MMSE weights for pilot powers p (unicast) and q (flat multicast), for
+    channels and noise drawn at unit variance (``_cn``).
 
-    ``unit`` gives the weights for channels and noise drawn at unit
-    variance (``_cn`` without std).  A UT's channel is then sqrt(gain/2)
-    times its unit draw and the noise 1/sqrt(2) times its own, so each
-    pilot amplitude takes a factor sqrt(gain) and each estimate factor
-    1/sqrt(2), and the estimates come out as with the scaled draws.
+    A UT's channel is sqrt(gain/2) times its unit draw and the noise
+    1/sqrt(2) times its own, so each pilot amplitude sqrt(tau * p) takes a
+    factor sqrt(gain) and each estimate factor 1/sqrt(2), and the estimates
+    come out as with draws at each UT's variance.
     """
     tau = cfg.pilot_length
     b = fading.unicast_gains
     amp = np.sqrt(tau * p)
-    factors = amp * b / (1.0 + tau * p * b)
-    weights = np.sqrt(tau * q)
+    factors = amp * b / (1.0 + tau * p * b) / math.sqrt(2.0)
+    weights = np.sqrt(tau * q) * np.sqrt(fading.multicast_gains_flat)
     snr = np.array([float(np.sum(tau * q_row * e_row)) for q_row, e_row in
                     zip(_views(q, cfg.group_offsets), fading.multicast_gains)])
-    group_factors = snr / (1.0 + snr)
-    if unit:
-        amp = amp * np.sqrt(b)
-        weights = weights * np.sqrt(fading.multicast_gains_flat)
-        factors, group_factors = factors / math.sqrt(2.0), group_factors / math.sqrt(2.0)
-    return _Estimator(amp, factors, _views(weights, cfg.group_offsets), snr, group_factors,
-                      None if unit else 1.0)
+    return _Estimator(amp * np.sqrt(b), factors, _views(weights, cfg.group_offsets),
+                      snr / (1.0 + snr) / math.sqrt(2.0))
 
 
 def _estimate(rng: np.random.Generator, unicast_channels: np.ndarray,
@@ -291,35 +228,13 @@ def _estimate(rng: np.random.Generator, unicast_channels: np.ndarray,
     the unicast UTs' estimates and then each group's composite one."""
     N, U = unicast_channels.shape
     C = np.empty((N, U + len(multicast_channels)), dtype=complex)
-    noise = _cn(rng, (U, N), est.noise_std).T
+    noise = _cn(rng, (U, N)).T
     np.multiply(est.factors, est.amp * unicast_channels + noise, out=C[:, :U])
-    noise = _cn(rng, (len(multicast_channels), N), est.noise_std)
+    noise = _cn(rng, (len(multicast_channels), N))
     for g, (channels, w, factor) in enumerate(zip(multicast_channels, est.weights,
                                                   est.group_factors)):
         np.multiply(factor, channels @ w + noise[g], out=C[:, U + g])
     return C
-
-
-def mmse_estimate(cfg: SystemConfig, fading: FadingProfile,
-                  pilot_powers_unicast: Sequence[float],
-                  pilot_powers_multicast: Sequence[Sequence[float]],
-                  draw: ChannelDraw, noise_seed) -> EstimateSet:
-    """Linear MMSE estimation from one pilot phase with fresh unit noise.
-
-    Every member of a multicast group transmits the same pilot, so the BS
-    observes the energy-weighted sum of the group's channels plus noise and
-    scales it into the composite estimate; member estimates differ from it
-    only by a per-member scalar.
-    """
-    p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-    est = _estimator(cfg, fading, p, q)
-    C = _estimate(np.random.default_rng(noise_seed), draw.unicast_channels,
-                  draw.multicast_channels, est)
-    coeffs = tuple(w * e_row / s if s > 0 else np.zeros(len(w))
-                   for w, e_row, s in zip(est.weights, fading.multicast_gains,
-                                          est.group_snr.tolist()))
-    return EstimateSet(unicast_estimates=C[:, :cfg.n_unicast],
-                       group_estimates=C[:, cfg.n_unicast:], member_coeffs=coeffs)
 
 
 class RankDeficientDraw(RuntimeError):
@@ -399,33 +314,6 @@ def _zf_columns(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return Cn @ inverse
 
 
-def _precode(cfg: SystemConfig, estimates: EstimateSet, powers: DownlinkPowers,
-             stats: EstimationStats, precoder: str):
-    """The public builders' (V, W), from the precoder's core."""
-    C = np.concatenate([estimates.unicast_estimates, estimates.group_estimates], axis=1)
-    columns = _zf_columns if precoder == ZF else _mrt_columns
-    cols = columns(C, _column_scales(cfg, powers, stats, precoder))
-    return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]
-
-
-def build_mrt_precoders(cfg: SystemConfig, estimates: EstimateSet,
-                        powers: DownlinkPowers, stats: EstimationStats):
-    """MRT: each column is the matching estimate scaled to its power."""
-    _check_powers(cfg, powers)
-    _require_estimates(powers, stats, MRT)
-    return _precode(cfg, estimates, powers, stats, MRT)
-
-
-def build_zf_precoders(cfg: SystemConfig, estimates: EstimateSet,
-                       powers: DownlinkPowers, stats: EstimationStats):
-    """ZF: project each stream into the null space of all other estimates
-    (``_zf_columns``)."""
-    require_zf_feasible(cfg)
-    _check_powers(cfg, powers)
-    _require_estimates(powers, stats, ZF)
-    return _precode(cfg, estimates, powers, stats, ZF)
-
-
 # One trial's terms: every UT's received power summed over all streams and
 # the effective channel on its own stream.
 _Result = tuple[np.ndarray, np.ndarray]
@@ -447,7 +335,7 @@ class _Kernel:
                  stats: EstimationStats, seed: int):
         self.seed, self.zf = seed, precoder == ZF
         p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-        self.estimator = _estimator(cfg, fading, p, q, unit=True)
+        self.estimator = _estimator(cfg, fading, p, q)
         self.scales = _column_scales(cfg, powers, stats, precoder)
         half_gains = np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0
         self.amp, self.power = np.sqrt(half_gains), half_gains

@@ -10,23 +10,26 @@ inverse of the trade-off boundary, with which it shares no code.
 
 The last section keeps the per-UT loops over tuples that the library ran
 before it stored per-UT data as flat arrays: validation, the solvers'
-split-independent pieces, the estimate variances and the Monte Carlo
-estimation and precoders.  They read the pair through ``tuple_layout`` and
-must agree with the array code bit for bit.  ``zf_columns_eigensolve``
-keeps the ZF core as it was before it bounded the Gram's condition number
-by the trace of its inverse: its columns must agree to rounding, and it
-must discard no draw the trace bound keeps.
+split-independent pieces and the estimate variances, which read the pair
+through ``tuple_layout`` and must agree with the array code bit for bit,
+and the Monte Carlo estimation and precoders, one UT or stream at a time,
+which must agree with the trial kernel's cores to rounding.
+``zf_columns_eigensolve`` keeps the ZF core as it was before it bounded the
+Gram's condition number by the trace of its inverse: its columns must
+agree to rounding, and it must discard no draw the trace bound keeps.
 
 The stored-terms section keeps the Monte Carlo validator as it was before
 it streamed its trials: every per-trial inner product stored, then one
-jackknife per UT.  Its empirical SINRs must agree with the streamed ones to
-rounding, and its complex-arithmetic channel draw bit for bit.
+jackknife per UT.  Its trials compose the loops of the last section on a
+channel draw in complex arithmetic at each UT's variance
+(``_draw_channels``).  Its empirical SINRs must agree with the streamed
+ones to rounding.
 
 The serial streamed section keeps the Monte Carlo trial loop as it was
 before trials ran on worker threads and drew their channels at unit
-variance: one loop on the calling thread composing the public steps
-(``draw_channels``, ``mmse_estimate``, ``build_*_precoders``), each
-trial's arrays allocated afresh.  It stores every trial's desired term and
+variance: one loop on the calling thread composing the same loops
+(``_draw_channels``, ``mmse_estimate_loop``, ``build_*_precoders_loop``),
+each trial's arrays allocated afresh.  It stores every trial's desired term and
 received power, as the validator did before it kept only per-UT moment
 sums, and adds them up in trial order afterwards (``sum_terms``).  The
 threaded kernel scales each UT's terms at the end where this loop scales
@@ -69,13 +72,12 @@ import numpy as np
 from mimocast import montecarlo
 from mimocast.allocation import solve_mmf, solve_sse
 from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _equal_shares,
-                                  _precoder_factors, _se_report, _sinr_terms, se_report)
+                                  _precoder_factors, _se_report, _sinr_terms,
+                                  require_zf_feasible, se_report)
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, FadingProfile, PowerSplit, SystemConfig, Violation,
                             _estimation_variances, estimation_variances, require_valid)
-from mimocast.montecarlo import (Z95, ChannelDraw, EstimateSet, RankDeficientDraw, MAX_GRAM_COND,
-                                 build_mrt_precoders, build_zf_precoders, mmse_estimate,
-                                 require_zf_feasible, trial_rng)
+from mimocast.montecarlo import Z95, RankDeficientDraw, MAX_GRAM_COND, trial_rng
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
 from mimocast.scenario import (CellGeometry, Placement, RadioParams,
                                default_energy_cap_physical, noise_power_w_per_hz,
@@ -497,9 +499,25 @@ def estimation_variances_loop(cfg, fading, pilot_powers_unicast, pilot_powers_mu
     return tuple(uni), tuple(multi), tuple(grp)
 
 
+@dataclass(frozen=True)
+class ChannelDraw:
+    """One draw, one column per UT: the unicast UTs, then each group."""
+
+    channels: np.ndarray
+    unicast_channels: np.ndarray                 # views into ``channels``
+    multicast_channels: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class EstimateSet:
+    unicast_estimates: np.ndarray   # N x U
+    group_estimates: np.ndarray     # N x G: each group's composite estimate
+
+
 def mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
                        draw, noise_seed):
-    """``montecarlo.mmse_estimate`` drawing and scaling one UT at a time."""
+    """MMSE estimates from one pilot phase with fresh unit noise, drawing
+    and scaling one UT, then one group, at a time."""
     rng = np.random.default_rng(noise_seed)
     tau = cfg.pilot_length
     N = cfg.n_antennas
@@ -512,7 +530,6 @@ def mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast
         f_hat[:, u] = (amp * b / (1.0 + tau * p * b)) * (amp * draw.unicast_channels[:, u] + noise)
 
     g_hat = np.zeros((N, cfg.n_groups), dtype=complex)
-    coeffs = []
     for g in range(cfg.n_groups):
         q_row = np.asarray(pilot_powers_multicast[g], dtype=float)
         e_row = np.asarray(fading.multicast_gains[g], dtype=float)
@@ -520,16 +537,12 @@ def mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast
         received = draw.multicast_channels[g] @ np.sqrt(tau * q_row) + noise
         s = float(np.sum(tau * q_row * e_row))
         g_hat[:, g] = (s / (1.0 + s)) * received
-        if s > 0:
-            coeffs.append(tuple(np.sqrt(tau * q_row) * e_row / s))
-        else:
-            coeffs.append((0.0,) * len(q_row))
-    return EstimateSet(unicast_estimates=f_hat, group_estimates=g_hat,
-                       member_coeffs=tuple(coeffs))
+    return EstimateSet(unicast_estimates=f_hat, group_estimates=g_hat)
 
 
 def build_mrt_precoders_loop(cfg, estimates, powers, stats):
-    """``montecarlo.build_mrt_precoders`` one column at a time."""
+    """MRT precoders (V, W), one column at a time: each estimate scaled to
+    its stream's power."""
     N = cfg.n_antennas
     V = np.zeros((N, cfg.n_unicast), dtype=complex)
     for m in range(cfg.n_unicast):
@@ -553,7 +566,9 @@ def build_mrt_precoders_loop(cfg, estimates, powers, stats):
 
 
 def build_zf_precoders_loop(cfg, estimates, powers, stats):
-    """``montecarlo.build_zf_precoders`` with the stream scales set one at a time."""
+    """ZF precoders (V, W) from the inverse Gram of the unit-norm estimates,
+    with the stream scales set one at a time and ``np.linalg.cond`` as the
+    rank rule."""
     require_zf_feasible(cfg)
     dof = cfg.n_antennas - cfg.n_streams
     C = np.concatenate([estimates.unicast_estimates, estimates.group_estimates], axis=1)
@@ -593,7 +608,7 @@ def zf_columns_eigensolve(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
 
 
 def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """``montecarlo.draw_channels`` in complex arithmetic."""
+    """Rayleigh channels at each UT's variance, in complex arithmetic."""
     rng = np.random.default_rng(rng_seed)
     gains = np.concatenate([np.asarray(fading.unicast_gains, dtype=float),
                             *(np.asarray(g, dtype=float) for g in fading.multicast_gains)])
@@ -640,13 +655,11 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     for t in range(n_trials):
         rng = trial_rng(seed, t)
         draw = _draw_channels(cfg, fading, rng)
-        est = mmse_estimate(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                            draw, rng)
+        est = mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                                 draw, rng)
         try:
-            if precoder == ZF:
-                V, W = build_zf_precoders(cfg, est, powers, stats)
-            else:
-                V, W = build_mrt_precoders(cfg, est, powers, stats)
+            build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
+            V, W = build(cfg, est, powers, stats)
         except RankDeficientDraw:
             discarded += 1
             continue
@@ -772,11 +785,11 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
                       powers: DownlinkPowers, precoder: str,
                       n_trials: int, seed: int) -> SimpleNamespace:
     """``montecarlo._run_trials`` as one loop on the calling thread over the
-    public steps, every trial's arrays allocated afresh and every trial's
+    loops above, every trial's arrays allocated afresh and every trial's
     terms stored, then summed around the closed-form moments in trial order.
-    It reads the steps through the ``montecarlo`` module, so a test that
-    replaces one of them, or a core they call, there replaces it here as
-    well.
+    It reads ``trial_rng`` through the ``montecarlo`` module and the
+    builders through this one, so a test that replaces them there replaces
+    them here as well.
 
     Besides the sums the validator reads, it returns the stored terms:
     ``desired`` and ``received``, one column per kept trial."""
@@ -803,14 +816,12 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     discarded = 0
     for t in range(n_trials):
         rng = montecarlo.trial_rng(seed, t)
-        draw = montecarlo.draw_channels(cfg, fading, rng)
-        est = montecarlo.mmse_estimate(cfg, fading, pilot_powers_unicast,
-                                       pilot_powers_multicast, draw, rng)
+        draw = _draw_channels(cfg, fading, rng)
+        est = mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                                 draw, rng)
         try:
-            if precoder == ZF:
-                V, W = montecarlo.build_zf_precoders(cfg, est, powers, stats)
-            else:
-                V, W = montecarlo.build_mrt_precoders(cfg, est, powers, stats)
+            build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
+            V, W = build(cfg, est, powers, stats)
         except RankDeficientDraw:
             discarded += 1
             continue

@@ -194,7 +194,7 @@ class TestValidate:
                  "--trials", 10, "--out", tmp_path / "x.json")
         assert rc == 1
 
-    def test_low_pass_rate_exits_nonzero(self, scenario_path, tmp_path, monkeypatch):
+    def test_low_pass_rate_exits_nonzero(self, scenario_path, tmp_path, monkeypatch, capsys):
         import mimocast.cli as cli_mod
         from mimocast.montecarlo import ValidationReport
 
@@ -203,10 +203,13 @@ class TestValidate:
                                     records=(), pass_rate=0.5, passed=False)
 
         monkeypatch.setattr(cli_mod.montecarlo, "validate_closed_form", fake_validate)
+        # The message states the gate the library applies.
+        monkeypatch.setattr(cli_mod.montecarlo, "PASS_RATE", 0.75)
         rc = run("validate", "--scenario", scenario_path, "--precoder", "mrt",
                  "--trials", 400, "--seed", 1, "--out", tmp_path / "v.json")
         assert rc == 1
         assert (tmp_path / "v.json").exists()   # report still written
+        assert "validation FAILED: pass rate 0.5000 < 0.75" in capsys.readouterr().err
 
 
 class TestValidateOneSided:

@@ -673,38 +673,22 @@ class TestMonteCarloOracle:
     @pytest.mark.parametrize("precoder", PRECODERS)
     @pytest.mark.parametrize("seed", range(4))
     def test_estimates_and_precoders_match_loops(self, seed, precoder):
+        # The kernel's cores, which draw at unit variance, against the loops
+        # on a draw at each UT's variance from the same stream.
+        from test_montecarlo import kernel_trials   # it imports this module
         cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder)
         stats = model.estimation_variances(cfg, fading, pilots_un, pilots_mu)
         rng = montecarlo.trial_rng(seed, 0)
-        draw = montecarlo.draw_channels(cfg, fading, rng)
-        state = rng.bit_generator.state
-        est = montecarlo.mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, rng)
-        rng.bit_generator.state = state
-        est_o = oracles.mmse_estimate_loop(cfg, fading, pilots_un, pilots_mu, draw, rng)
-        assert np.array_equal(est.unicast_estimates, est_o.unicast_estimates)
-        assert np.array_equal(est.group_estimates, est_o.group_estimates)
-        assert [c.tolist() for c in est.member_coeffs] == \
-            [[float(x) for x in c] for c in est_o.member_coeffs]
-        new, old = {
-            "mrt": (montecarlo.build_mrt_precoders, oracles.build_mrt_precoders_loop),
-            "zf": (montecarlo.build_zf_precoders, oracles.build_zf_precoders_loop),
-        }[precoder]
-        for a, b in zip(new(cfg, est, powers, stats), old(cfg, est, powers, stats)):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("precoder", PRECODERS)
-    def test_reports_bit_identical_to_loop_path(self, monkeypatch, precoder):
-        # The trial kernel runs the estimator and precoder cores, not the
-        # public steps, so the loop path is compared through the serial
-        # loop over the public steps.
-        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(1, precoder)
-        args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 150, 99)
-        monkeypatch.setattr(montecarlo, "_run_trials", oracles.run_trials_serial)
-        report = validate_closed_form(*args).to_dict()
-        monkeypatch.setattr(montecarlo, "mmse_estimate", oracles.mmse_estimate_loop)
-        monkeypatch.setattr(montecarlo, "build_mrt_precoders", oracles.build_mrt_precoders_loop)
-        monkeypatch.setattr(montecarlo, "build_zf_precoders", oracles.build_zf_precoders_loop)
-        assert validate_closed_form(*args).to_dict() == report
+        draw = oracles._draw_channels(cfg, fading, rng)
+        est = oracles.mmse_estimate_loop(cfg, fading, pilots_un, pilots_mu, draw, rng)
+        build = {"mrt": oracles.build_mrt_precoders_loop,
+                 "zf": oracles.build_zf_precoders_loop}[precoder]
+        (_, C, X), = kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, 1, powers, precoder)
+        for got, want in ((C, (est.unicast_estimates, est.group_estimates)),
+                          (X, build(cfg, est, powers, stats))):
+            want = np.concatenate(want, axis=1)
+            err = np.linalg.norm(got - want, axis=0)
+            assert (err <= 1e-12 * np.linalg.norm(want, axis=0)).all(), err
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     def test_validator_validates_and_estimates_once(self, monkeypatch, precoder):

@@ -9,7 +9,6 @@ from mimocast.errors import InvalidConfigError
 from mimocast.model import (FadingProfile, PowerSplit, SystemConfig,
                             estimation_variances, require_valid,
                             validate_config)
-from mimocast.montecarlo import draw_channels, mmse_estimate
 
 
 def make_config(n_unicast=0, group_sizes=(1,), pilot_length=None, n_antennas=100,
@@ -119,16 +118,19 @@ class TestEstimationVariances:
         # Sample-average oracle: per-component variance of the actual MMSE
         # estimator over 10^6 i.i.d. component draws (antennas are i.i.d.,
         # so one tall draw provides them all).
+        from test_montecarlo import kernel_trials   # it imports this module
         n = 1_000_000
         cfg = make_config(n_unicast=0, group_sizes=(2,), pilot_length=2, n_antennas=n)
         fading = FadingProfile(unicast_gains=(), multicast_gains=((1.0, 2.0),))
-        draw = draw_channels(cfg, fading, 1234)
-        est = mmse_estimate(cfg, fading, [], [[1.0, 1.0]], draw, 5678)
-        g0 = est.multicast_estimate(0, 0)
-        g1 = est.multicast_estimate(0, 1)
+        (_, C, _), = kernel_trials(cfg, fading, [], [[1.0, 1.0]], 1234)
+        group = C[:, 0]
+        # Member k's estimate is the group's times sqrt(tau*q_k)*eta_k/s:
+        # sqrt(2)/6 and 2*sqrt(2)/6.
+        g0 = math.sqrt(2.0) / 6.0 * group
+        g1 = 2.0 * math.sqrt(2.0) / 6.0 * group
         assert np.mean(np.abs(g0) ** 2) == pytest.approx(2.0 / 7.0, rel=0.01)
         assert np.mean(np.abs(g1) ** 2) == pytest.approx(8.0 / 7.0, rel=0.01)
-        assert np.mean(np.abs(est.group_estimates[:, 0]) ** 2) == pytest.approx(36.0 / 7.0, rel=0.01)
+        assert np.mean(np.abs(group) ** 2) == pytest.approx(36.0 / 7.0, rel=0.01)
 
     def test_pilot_shape_mismatch_raises(self):
         cfg = make_config(n_unicast=1, group_sizes=(2,), pilot_length=3)

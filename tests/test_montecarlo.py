@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mimocast import closed_form, montecarlo
-from mimocast.closed_form import PRECODERS, DownlinkPowers, se_report
+from mimocast import closed_form, model, montecarlo
+from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
-from mimocast.montecarlo import (build_mrt_precoders, build_zf_precoders,
-                                 draw_channels, mmse_estimate, trial_rng,
-                                 validate_closed_form)
+from mimocast.montecarlo import trial_rng, validate_closed_form
 
 import oracles
 from test_flat_arrays import small_mc_cell
@@ -43,14 +41,39 @@ def cap_pilots(cfg):
             [[e / tau for e in caps] for caps in cfg.multicast_energy_caps])
 
 
+def kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, n_trials=1, powers=None,
+                  precoder=MRT):
+    """Trials 0, 1, ... of ``seed`` through the trial kernel's cores, composed
+    as ``_Kernel`` composes them: once per run the estimator weights and,
+    given downlink powers, the column scales; per trial (H, C, X), the draw
+    at unit variance, the N x (U + G) estimates and the precoder columns
+    (None without powers)."""
+    p, q = model._pilot_arrays(cfg, pilots_un, pilots_mu)
+    estimator = montecarlo._estimator(cfg, fading, p, q)
+    if powers is not None:
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        scales = montecarlo._column_scales(cfg, powers, stats, precoder)
+        columns = montecarlo._zf_columns if precoder == ZF else montecarlo._mrt_columns
+    blocks = montecarlo._ut_blocks(cfg)
+    for t in range(n_trials):
+        rng = trial_rng(seed, t)
+        H = montecarlo._cn(rng, (cfg.n_antennas, blocks[-1][1]))
+        C = montecarlo._estimate(rng, H[:, :cfg.n_unicast], [H[:, a:b] for a, b in blocks[1:]],
+                                 estimator)
+        yield H, C, None if powers is None else columns(C, scales)
+
+
+def channels(H, fading):
+    """The UTs' channels: each column of the unit draw times sqrt(gain/2)."""
+    return H * np.sqrt(np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0)
+
+
 class TestDrawChannels:
     def test_seed_reproducible(self):
         cfg, fading = small_system()
-        a = draw_channels(cfg, fading, 77)
-        b = draw_channels(cfg, fading, 77)
-        assert np.array_equal(a.unicast_channels, b.unicast_channels)
-        assert all(np.array_equal(x, y)
-                   for x, y in zip(a.multicast_channels, b.multicast_channels))
+        (a, c, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 77)
+        (b, d, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 77)
+        assert np.array_equal(a, b) and np.array_equal(c, d)
 
     def test_sample_covariance_is_scaled_identity(self):
         # Entries are i.i.d. across antennas, so one tall draw yields many
@@ -59,21 +82,29 @@ class TestDrawChannels:
         cfg, _ = small_system(n_antennas=n_vectors * n_ant, n_unicast=1, group_sizes=(1,))
         beta = 0.8
         fading = FadingProfile(unicast_gains=(beta,), multicast_gains=((1.0,),))
-        draw = draw_channels(cfg, fading, 3)
-        f = draw.unicast_channels[:, 0].reshape(n_vectors, n_ant)
+        (H, _, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 3)
+        f = channels(H, fading)[:, 0].reshape(n_vectors, n_ant)
         cov = f.T.conj() @ f / n_vectors
         err = np.linalg.norm(cov - beta * np.eye(n_ant)) / np.linalg.norm(beta * np.eye(n_ant))
         assert err <= 0.02
+
+    def test_unit_draw_is_circular(self):
+        # CN(0, 2): real and imaginary parts of unit variance each, and a
+        # pseudo-variance E[x^2] of 0.
+        n = 200_000
+        x = montecarlo._cn(trial_rng(41, 0), (n, 1))[:, 0]
+        assert [np.var(x.real), np.var(x.imag)] == pytest.approx([1.0, 1.0], rel=0.02)
+        assert abs(np.mean(x * x)) <= 3.0 * math.sqrt(8.0 / n)   # 3 sigma: E|x|^4 = 8
 
 
 class TestMmseEstimate:
     def test_consistency_at_huge_pilot_energy(self):
         cfg, fading = small_system(n_antennas=32)
-        draw = draw_channels(cfg, fading, 9)
         pilots_un = [1e12 / cfg.pilot_length] * cfg.n_unicast
         pilots_mu = [[0.5] * k for k in cfg.group_sizes]
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, 10)
-        err = np.abs(est.unicast_estimates - draw.unicast_channels).max()
+        (H, C, _), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 9)
+        U = cfg.n_unicast
+        err = np.abs(C[:, :U] - channels(H, fading)[:, :U]).max()
         assert err <= 1e-5
 
     def test_empirical_variances_match_formulas(self):
@@ -83,118 +114,74 @@ class TestMmseEstimate:
         fading = FadingProfile(unicast_gains=(0.9,), multicast_gains=((0.6, 1.2),))
         pilots_un, pilots_mu = cap_pilots(cfg)
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        draw = draw_channels(cfg, fading, 21)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, 22)
-        assert np.mean(np.abs(est.unicast_estimates[:, 0]) ** 2) \
-            == pytest.approx(stats.unicast_var[0], rel=0.02)
-        assert np.mean(np.abs(est.group_estimates[:, 0]) ** 2) \
-            == pytest.approx(stats.group_var[0], rel=0.02)
-        for k in range(2):
-            assert np.mean(np.abs(est.multicast_estimate(0, k)) ** 2) \
+        (_, C, _), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 21)
+        assert np.mean(np.abs(C[:, 0]) ** 2) == pytest.approx(stats.unicast_var[0], rel=0.02)
+        assert np.mean(np.abs(C[:, 1]) ** 2) == pytest.approx(stats.group_var[0], rel=0.02)
+        # A member's estimate is the composite one times sqrt(tau*q)*eta/s.
+        energy = cfg.pilot_length * np.asarray(pilots_mu[0])
+        eta = fading.multicast_gains[0]
+        for k, coeff in enumerate(np.sqrt(energy) * eta / np.sum(energy * eta)):
+            assert np.mean(np.abs(coeff * C[:, 1]) ** 2) \
                 == pytest.approx(stats.multicast_var[0][k], rel=0.02)
 
     def test_error_orthogonal_to_estimate(self):
         n = 200_000
         cfg, _ = small_system(n_antennas=n, n_unicast=1, group_sizes=(1,))
         fading = FadingProfile(unicast_gains=(0.9,), multicast_gains=((1.0,),))
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        draw = draw_channels(cfg, fading, 31)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, 32)
-        f_hat = est.unicast_estimates[:, 0]
-        err = f_hat - draw.unicast_channels[:, 0]
+        (H, C, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 31)
+        f_hat = C[:, 0]
+        err = f_hat - channels(H, fading)[:, 0]
         inner = np.mean(err.conj() * f_hat)
         # 3-sigma band around zero for the sample mean of the product
         scale = np.std(err.conj() * f_hat) / math.sqrt(n)
         assert abs(inner) <= 3.0 * scale
 
 
+def mean_column_power(cfg, fading, powers, precoder, seed, n_draws):
+    """Each stream's column power, averaged over n_draws trials."""
+    acc = np.zeros(cfg.n_streams)
+    for _, _, X in kernel_trials(cfg, fading, *cap_pilots(cfg), seed, n_draws, powers, precoder):
+        acc += np.sum(np.abs(X) ** 2, axis=0)
+    return acc / n_draws
+
+
 class TestMrtPrecoders:
     def test_mean_column_power_matches_requested(self):
         cfg, fading = small_system(n_antennas=64)
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         powers = DownlinkPowers(unicast=(2.5, 1.0), multicast=(4.0,))
-        acc_v = np.zeros(cfg.n_unicast)
-        acc_w = np.zeros(cfg.n_groups)
-        n_draws = 3000
-        for t in range(n_draws):
-            rng = trial_rng(500, t)
-            draw = draw_channels(cfg, fading, rng)
-            est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, rng)
-            V, W = build_mrt_precoders(cfg, est, powers, stats)
-            acc_v += np.sum(np.abs(V) ** 2, axis=0)
-            acc_w += np.sum(np.abs(W) ** 2, axis=0)
-        assert acc_v / n_draws == pytest.approx(powers.unicast, rel=0.02)
-        assert acc_w / n_draws == pytest.approx(powers.multicast, rel=0.02)
+        assert mean_column_power(cfg, fading, powers, MRT, 500, 3000).tolist() \
+            == pytest.approx([2.5, 1.0, 4.0], rel=0.02)
 
     def test_zero_power_gives_zero_column(self):
         cfg, fading = small_system()
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         powers = DownlinkPowers(unicast=(0.0, 1.0), multicast=(1.0,))
-        draw = draw_channels(cfg, fading, 8)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, 9)
-        V, _ = build_mrt_precoders(cfg, est, powers, stats)
-        assert np.all(V[:, 0] == 0.0)
+        (_, _, X), = kernel_trials(cfg, fading, *cap_pilots(cfg), 8, 1, powers)
+        assert np.all(X[:, 0] == 0.0)
 
     def test_multicast_column_collinear_with_group_estimate(self):
         cfg, fading = small_system()
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,))
-        draw = draw_channels(cfg, fading, 8)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, 9)
-        _, W = build_mrt_precoders(cfg, est, powers, stats)
-        g = est.group_estimates[:, 0]
-        ratio = W[:, 0] / g
+        (_, C, X), = kernel_trials(cfg, fading, *cap_pilots(cfg), 8, 1, powers)
+        U = cfg.n_unicast
+        ratio = X[:, U] / C[:, U]
         assert np.allclose(ratio, ratio[0])
-
-    def test_power_without_estimate_rejected(self):
-        cfg, fading = small_system()
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        pilots_un[0] = 0.0
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,))
-        draw = draw_channels(cfg, fading, 8)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, 9)
-        with pytest.raises(DegenerateInputError):
-            build_mrt_precoders(cfg, est, powers, stats)
 
 
 class TestZfPrecoders:
     def test_nulling_per_draw(self):
         cfg, fading = small_system(n_antennas=32)
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         powers = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
-        for t in range(10):
-            rng = trial_rng(600, t)
-            draw = draw_channels(cfg, fading, rng)
-            est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, rng)
-            V, W = build_zf_precoders(cfg, est, powers, stats)
-            C = np.concatenate([est.unicast_estimates, est.group_estimates], axis=1)
-            cross = C.conj().T @ np.concatenate([V, W], axis=1)
+        for _, C, X in kernel_trials(cfg, fading, *cap_pilots(cfg), 600, 10, powers, ZF):
+            cross = C.conj().T @ X
             diag = np.abs(np.diag(cross))
             off = np.abs(cross - np.diag(np.diag(cross)))
             assert off.max() <= 1e-10 * diag.max()
 
     def test_mean_column_power_matches_requested(self):
         cfg, fading = small_system(n_antennas=32)
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         powers = DownlinkPowers(unicast=(2.5, 1.0), multicast=(4.0,))
-        acc_v = np.zeros(cfg.n_unicast)
-        acc_w = np.zeros(cfg.n_groups)
-        n_draws = 4000
-        for t in range(n_draws):
-            rng = trial_rng(700, t)
-            draw = draw_channels(cfg, fading, rng)
-            est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, rng)
-            V, W = build_zf_precoders(cfg, est, powers, stats)
-            acc_v += np.sum(np.abs(V) ** 2, axis=0)
-            acc_w += np.sum(np.abs(W) ** 2, axis=0)
-        assert acc_v / n_draws == pytest.approx(powers.unicast, rel=0.02)
-        assert acc_w / n_draws == pytest.approx(powers.multicast, rel=0.02)
+        assert mean_column_power(cfg, fading, powers, ZF, 700, 4000).tolist() \
+            == pytest.approx([2.5, 1.0, 4.0], rel=0.02)
 
     @pytest.mark.parametrize("stream, copy_of, scale", [(1, 0, 1.0), (1, 0, -2.5j), (2, 0, 3.0)])
     def test_duplicated_estimate_column_is_rank_deficient(self, stream, copy_of, scale):
@@ -202,59 +189,45 @@ class TestZfPrecoders:
         pilots_un, pilots_mu = cap_pilots(cfg)
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(1.0,))
-        rng = trial_rng(900, 0)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
-                            draw_channels(cfg, fading, rng), rng)
-        C = np.concatenate([est.unicast_estimates, est.group_estimates], axis=1)
+        scales = montecarlo._column_scales(cfg, powers, stats, ZF)
+        (_, C, _), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 900)
+        montecarlo._zf_columns(C, scales)   # the draw itself has full rank
         C[:, stream] = scale * C[:, copy_of]
-        U = cfg.n_unicast
-        dup = dataclasses.replace(est, unicast_estimates=C[:, :U], group_estimates=C[:, U:])
-        build_zf_precoders(cfg, est, powers, stats)   # the draw itself has full rank
         with pytest.raises(montecarlo.RankDeficientDraw):
-            build_zf_precoders(cfg, dup, powers, stats)
+            montecarlo._zf_columns(C, scales)
 
-    def test_power_without_estimate_rejected(self):
+    @pytest.mark.parametrize("silent", ["unicast UT 1", "group 0"])
+    def test_stream_without_estimate_has_zero_column(self, silent):
+        # A stream whose UTs send no pilot has an all-zero estimate.  MRT
+        # sends it nothing; ZF, which nulls it for every other stream, is
+        # refused by the run check even without power, and its core
+        # discards such a draw rather than divide by the zero norm.
         cfg, fading = small_system(n_antennas=32)
         pilots_un, pilots_mu = cap_pilots(cfg)
-        pilots_mu[0] = [0.0] * cfg.group_sizes[0]
+        unicast, multicast = [1.0, 1.0], [1.0]
+        if silent == "unicast UT 1":
+            pilots_un[1], unicast[1], stream = 0.0, 0.0, 1
+        else:
+            pilots_mu[0], multicast[0], stream = [0.0] * 2, 0.0, cfg.n_unicast
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,))
-        rng = trial_rng(900, 0)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
-                            draw_channels(cfg, fading, rng), rng)
-        with pytest.raises(DegenerateInputError, match="group 0 has power"):
-            build_zf_precoders(cfg, est, powers, stats)
-
-    def test_stream_without_estimate_rejected_without_power(self):
-        # ZF nulls every stream at every other stream's estimate, so a
-        # stream with no estimate is rejected even when it carries nothing;
-        # MRT sends it nothing.
-        cfg, fading = small_system(n_antennas=32)
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        pilots_un[1] = 0.0
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        powers = DownlinkPowers(unicast=(1.0, 0.0), multicast=(2.0,))
-        rng = trial_rng(900, 0)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
-                            draw_channels(cfg, fading, rng), rng)
-        V, _ = build_mrt_precoders(cfg, est, powers, stats)
-        assert np.all(V[:, 1] == 0.0)
+        powers = DownlinkPowers(unicast=unicast, multicast=multicast)
+        (_, C, X), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 900, 1, powers, MRT)
+        assert np.flatnonzero(~C.any(axis=0)).tolist() == [stream]
+        assert np.flatnonzero(~X.any(axis=0)).tolist() == [stream]
+        montecarlo._require_estimates(powers, stats, MRT)
         with pytest.raises(DegenerateInputError,
-                           match="unicast UT 1 has no channel estimate, which zero-forcing"):
-            build_zf_precoders(cfg, est, powers, stats)
+                           match=f"{silent} has no channel estimate, which zero-forcing"):
+            montecarlo._require_estimates(powers, stats, ZF)
+        with pytest.raises(montecarlo.RankDeficientDraw, match="all-zero column"):
+            montecarlo._zf_columns(C, montecarlo._column_scales(cfg, powers, stats, ZF))
 
     def test_minimal_antenna_margin_keeps_rank(self):
         # One spatial degree of freedom left: the Gram must stay invertible
         # in every one of 10^4 draws.
         cfg, fading = small_system(n_antennas=4, n_unicast=2, group_sizes=(2,))
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(1.0,))
-        for t in range(10_000):
-            rng = trial_rng(800, t)
-            draw = draw_channels(cfg, fading, rng)
-            est = mmse_estimate(cfg, fading, pilots_un, pilots_mu, draw, rng)
-            build_zf_precoders(cfg, est, powers, stats)  # must not raise
+        for _ in kernel_trials(cfg, fading, *cap_pilots(cfg), 800, 10_000, powers, ZF):
+            pass   # must not raise
 
 
 class TestZfRuleAgainstEigensolve:
@@ -265,20 +238,13 @@ class TestZfRuleAgainstEigensolve:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_columns_match_the_eigensolve_on_desk_draws(self, seed):
-        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, "zf")
+        cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, ZF)
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        scales = montecarlo._column_scales(cfg, powers, stats, "zf")
-        for t in range(20):
-            rng = trial_rng(seed, t)
-            est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
-                                draw_channels(cfg, fading, rng), rng)
-            V, W = build_zf_precoders(cfg, est, powers, stats)
-            C = np.concatenate([est.unicast_estimates, est.group_estimates], axis=1)
-            expected = oracles.zf_columns_eigensolve(C, scales)
-            for got, want in ((V, expected[:, :cfg.n_unicast]),
-                              (W, expected[:, cfg.n_unicast:])):
-                err = np.linalg.norm(got - want, axis=0)
-                assert (err <= 1e-12 * np.linalg.norm(want, axis=0)).all(), err
+        scales = montecarlo._column_scales(cfg, powers, stats, ZF)
+        for _, C, X in kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, 20, powers, ZF):
+            want = oracles.zf_columns_eigensolve(C, scales)
+            err = np.linalg.norm(X - want, axis=0)
+            assert (err <= 1e-12 * np.linalg.norm(want, axis=0)).all(), err
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(streams=st.integers(min_value=2, max_value=8),
@@ -374,6 +340,16 @@ class TestValidationRecords:
         assert rec.z == pytest.approx(math.sqrt(rec.wald), rel=1e-15)   # one degree of freedom
         # Every member of a silent group is silent.
         assert rec.z <= 3.0 and report.n_weak_signal == (1 if silent[0] == "unicast" else 2)
+
+    def test_record_dict_follows_the_fields(self):
+        cfg, fading = small_system()
+        report = validate_closed_form(cfg, fading, *cap_pilots(cfg),
+                                      DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,)),
+                                      "mrt", 100, 6)
+        for rec in report.records:
+            doc = rec.to_dict()
+            assert list(doc) == [f.name for f in dataclasses.fields(montecarlo.UserValidation)]
+            assert doc == {**vars(rec), "index": list(rec.index)}
 
     def test_pilot_length_invariant_at_fixed_energy(self):
         # Estimates depend on pilot power only through energy = tau * power,
@@ -581,22 +557,6 @@ class TestValidateClosedForm:
                                  DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0,)),
                                  "mrt", n_trials, seed)
 
-    @pytest.mark.parametrize("build", [build_mrt_precoders, build_zf_precoders])
-    @pytest.mark.parametrize("unicast, multicast", [
-        ((9.0, 1.0), (2.0,)),   # over the budget of 10
-        ((1.0,), (2.0,)),       # one entry short
-        ((-1.0, 1.0), (2.0,)),  # negative
-    ])
-    def test_builders_check_powers(self, build, unicast, multicast):
-        cfg, fading = small_system(n_antennas=32)
-        pilots_un, pilots_mu = cap_pilots(cfg)
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        rng = trial_rng(900, 0)
-        est = mmse_estimate(cfg, fading, pilots_un, pilots_mu,
-                            draw_channels(cfg, fading, rng), rng)
-        with pytest.raises(ValueError):
-            build(cfg, est, DownlinkPowers(unicast=unicast, multicast=multicast), stats)
-
     def test_misscaled_power_is_detected(self, monkeypatch):
         # Injected defect: simulate with an amplitude-1.1 (power 1.21)
         # mis-scaled precoder while the closed form keeps nominal powers.
@@ -747,20 +707,12 @@ class TestStreamedAgainstStoredTerms:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            shape=st.sampled_from(sorted(SHAPES)))
     def test_channels_bit_identical_to_complex_draw(self, seed, shape):
-        cfg, fading, *_ = small_mc_cell(seed, "mrt", **SHAPES[shape])
+        # The kernel's unit draw is the complex draw's re + 1j*im.
+        cfg, *_ = small_mc_cell(seed, "mrt", **SHAPES[shape])
         rng, rng_o = trial_rng(seed, 0), trial_rng(seed, 0)
-        new = draw_channels(cfg, fading, rng)
-        old = oracles._draw_channels(cfg, fading, rng_o)
-
-        def bits(a):
-            return np.ascontiguousarray(a).view(np.uint64)
-
-        assert np.array_equal(bits(new.channels), bits(old.channels))
-        assert np.array_equal(bits(new.unicast_channels), bits(old.unicast_channels))
-        assert len(new.multicast_channels) == len(old.multicast_channels)
-        for a, b in zip(new.multicast_channels, old.multicast_channels):
-            assert np.shares_memory(a, new.channels)
-            assert np.array_equal(bits(a), bits(b))
+        size = (cfg.n_antennas, cfg.n_unicast + sum(cfg.group_sizes))
+        re, im = oracles._normal_parts(rng_o, size)
+        assert np.array_equal(bits(montecarlo._cn(rng, size)), bits(re + 1j * im))
         # The estimation noise continues the same stream.
         assert rng.standard_normal(4).tolist() == rng_o.standard_normal(4).tolist()
 
@@ -798,9 +750,8 @@ class TestMemory:
 
 def fail_in_trials(monkeypatch, errors, delays=None):
     """Make the precoder cores raise ``errors[t](...)`` in trial t, and
-    sleep ``delays[t]`` seconds before, on whichever thread runs trial t.
-    The trial kernel and the public builders, which the serial oracle
-    calls, read the same module attributes."""
+    sleep ``delays[t]`` seconds before, on whichever thread runs trial t:
+    the trial kernel's, and the loop builders the serial oracle calls."""
     local = threading.local()
     trial_rng_ = montecarlo.trial_rng
     delays = delays or {}
@@ -810,13 +761,15 @@ def fail_in_trials(monkeypatch, errors, delays=None):
         return trial_rng_(seed, t)
 
     monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
-    for name in ("_mrt_columns", "_zf_columns"):
-        def build(*args, _build=getattr(montecarlo, name)):
+    for module, name in ((montecarlo, "_mrt_columns"), (montecarlo, "_zf_columns"),
+                         (oracles, "build_mrt_precoders_loop"),
+                         (oracles, "build_zf_precoders_loop")):
+        def build(*args, _build=getattr(module, name)):
             time.sleep(delays.get(local.trial, 0.0))
             if local.trial in errors:
                 raise errors[local.trial](f"forced in trial {local.trial}")
             return _build(*args)
-        monkeypatch.setattr(montecarlo, name, build)
+        monkeypatch.setattr(module, name, build)
 
 
 def report_bytes(report) -> bytes:
@@ -873,9 +826,9 @@ def assert_matches_serial(sums, desired, received, serial):
         assert np.array_equal(bits(getattr(sums, name)), bits(summed[name])), name
 
 
-class TestKernelAgainstPublicSteps:
+class TestKernelAgainstLoops:
     """The trial kernel, which draws at unit variance and scales each UT's
-    terms at the end, against the serial loop over the public steps, which
+    terms at the end, against the serial loop over the loop oracles, which
     draws at each UT's variance (``oracles``, serial streamed section), at
     one, two and three workers.  The sums are the same bits at every worker
     count."""
@@ -988,6 +941,27 @@ class TestWorkerThreads:
         before = threading.active_count()
         with pytest.raises(DegenerateInputError, match="trial 23"):
             validate_closed_form(*args)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kept", [0, 1, 2])
+    def test_run_needs_two_kept_trials(self, monkeypatch, workers, kept):
+        # Every trial but the last `kept` loses rank.  The moment test needs
+        # two kept trials: fewer raise, after the pool has stopped, as the
+        # serial loop does, and two give a report.
+        args = (*self.cell("zf"), 100, 13)
+        fail_in_trials(monkeypatch,
+                       dict.fromkeys(range(100 - kept), montecarlo.RankDeficientDraw))
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
+        before = threading.active_count()
+        if kept < 2:
+            for run in (oracles.run_trials_serial, validate_closed_form):
+                with pytest.raises(DegenerateInputError, match="fewer than 2 usable trials"):
+                    run(*args)
+        else:
+            report = validate_closed_form(*args)
+            assert (report.n_trials, report.n_discarded) == (2, 98)
+            assert all(math.isfinite(rec.empirical) for rec in report.records)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [2, 3])
