@@ -1,19 +1,38 @@
 """Independent link-level validation of the closed-form SINR expressions.
 
-Per trial: draw small-scale Rayleigh channels for every UT into one matrix,
-run MMSE estimation with one shared pilot per multicast group, build MRT or
-ZF precoders, and form every UT's effective channel to every stream, one
-product per block of UTs.  A trial yields two numbers per UT: the effective
-channel on the UT's own stream (the desired term d) and the power the UT
-receives summed over all streams (r), one fused reduction over the block's
-products.  ZF inverts the Gram of the unit-norm estimates once, and a draw
-whose Gram may be too ill-conditioned to invert, by a bound read off that
-inverse, is discarded (``_zf_columns``); no eigensolve runs.
+Per trial: draw every pilot's observation (each unicast UT has a pilot of
+its own, each multicast group one shared pilot), form the MMSE estimates
+from them, build MRT or ZF precoders, then draw what each UT's terms read
+of its channel and form them.  A trial yields two numbers per UT: the
+effective channel on the UT's own stream (the desired term d) and the power
+the UT receives summed over all streams (r).  ZF inverts the Gram of the
+unit-norm estimates once, and a draw whose Gram may be too ill-conditioned
+to invert, by a bound read off that inverse, is discarded
+(``_zf_columns``); no eigensolve runs.
 
-A trial draws its channel matrix at unit variance, with standard normal
-real and imaginary parts, and never rescales it.  Each UT's amplitude
+A UT's d and r read its channel h only through the S = U + G numbers
+x_s^H h, one per precoder column x_s, so a trial never draws a full
+channel.  Pilot j observes o_j = sum_{i in j} w_i h_i + n_j, and a trial
+draws the N x S observations, each at its own variance.  Given them, UT i
+of pilot j has h_i = c_i o_j + e_i with c_i = w_i / (1 + s_j) and
+s_j = sum_{i in j} w_i^2.  The residuals e_i are independent of every
+observation, with the joint law of z_i - c_i (sum_{l in j} w_l z_l + zeta_j)
+for fresh draws z (one per UT) and zeta (one per pilot).  The precoder
+columns depend on the observations alone: X = Q R with Q orthonormal in
+k = min(N, S) columns (R is the Cholesky factor of X^H X when X has full
+column rank, else from one QR), and Q^H z of an isotropic draw z
+independent of Q is again an isotropic draw, in k dimensions.  So a trial draws each z_i and
+zeta_j in k dimensions and forms X^H h_i = c_i X^H o_j + R^H (z_i - c_i
+(sum_{l in j} w_l z_l + zeta_j)): one product per block of UTs, plus one
+rank-one term per group's pilot.  This is exact in law.  A trial draws
+N S + k (users + S) complex numbers, where every channel and the pilot
+noise would take N (users + S), and its per-UT work, k S, does not grow
+with N.
+
+Every draw has standard normal real and imaginary parts; only the
+observations are scaled, each to its pilot's variance.  Each UT's amplitude
 a = sqrt(gain/2) enters in two places: the estimator weights (the UT's
-pilot amplitude, with the noise's 1/sqrt(2) in the estimate factors), and
+pilot weight w, with the noise's 1/sqrt(2) in the estimate factors), and
 the UT's terms once they are formed, d times a and r times a^2.  The trial
 kernel works out these weights and the precoder column scales once per
 run, after the run has checked its inputs; a trial runs no check.  The
@@ -54,7 +73,6 @@ failing trial, as a serial loop would.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import operator
@@ -63,7 +81,7 @@ import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,7 +133,7 @@ class UserValidation:
     m1_over_se: float
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "index": list(self.index)}
+        return dict(vars(self), index=list(self.index))
 
 
 def _pass_rate(records) -> float:
@@ -171,34 +189,56 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _cn(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+def _cn(rng: np.random.Generator, shape: tuple[int, int],
+        out: np.ndarray | None = None) -> np.ndarray:
     """Circularly-symmetric complex Gaussian entries with standard normal
     real and imaginary parts (E|z|^2 = 2), drawn in C order, each as its
-    real and then its imaginary part."""
-    z = np.empty(shape, dtype=complex)
+    real and then its imaginary part; into ``out``, a C-contiguous complex
+    array of that shape, when given."""
+    z = np.empty(shape, dtype=complex) if out is None else out
     rng.standard_normal(out=z.view(np.float64))
     return z
 
 
-def _ut_blocks(cfg: SystemConfig) -> list[tuple[int, int]]:
-    """Column ranges of the per-UT arrays: the unicast UTs, then each group."""
-    edges = [0, *(cfg.n_unicast + cfg.group_offsets).tolist()]
-    return list(zip(edges, edges[1:]))
+def _trial_blocks(cfg: SystemConfig) -> list[tuple[int, int, int, int]]:
+    """The blocks of UTs a trial draws and forms one at a time, as (first UT,
+    end UT, first pilot, end pilot): the unicast UTs, a pilot each, in runs
+    of at most BLOCK_UTS; then runs of whole groups, each run as many
+    consecutive groups as fit in BLOCK_UTS UTs, and at least one."""
+    U = cfg.n_unicast
+    blocks = [(a, min(a + BLOCK_UTS, U)) * 2 for a in range(0, U, BLOCK_UTS)]
+    edges = (U + cfg.group_offsets).tolist()
+    first = 0
+    for j in range(1, cfg.n_groups + 1):
+        if j == cfg.n_groups or edges[j + 1] - edges[first] > BLOCK_UTS:
+            blocks.append((edges[first], edges[j], U + first, U + j))
+            first = j
+    return blocks
+
+
+def _own_streams(cfg: SystemConfig) -> np.ndarray:
+    """Each UT's own stream, which is also its pilot: its unicast stream, or
+    its group's."""
+    U = cfg.n_unicast
+    return np.concatenate([np.arange(U),
+                           U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
 
 
 class _Estimator(NamedTuple):
-    """The weights of one pilot phase, fixed for a run.
+    """The weights of one pilot phase, fixed for a run, for channels and
+    noise drawn at unit variance (``_cn``).
 
-    Unicast UT u's observation is amp[u] * h_u + n_u and its estimate
-    factors[u] times that.  Group g's observation is its members' channels
-    weighted by weights[g], plus n_g, and its estimate group_factors[g]
-    times that.
+    Pilot j, a unicast UT's own or a group's shared one, observes
+    o_j = sum_{i in j} w_i h_i + n_j, whose entries have parts of variance
+    1 + s_j with s_j = sum_{i in j} w_i^2; its estimate is factors[j] * o_j.
+    UT i of pilot j has h_i = residual[i] * o_j + e_i, with
+    residual[i] = w_i / (1 + s_j) and e_i independent of every observation.
     """
 
-    amp: np.ndarray
-    factors: np.ndarray
-    weights: tuple[np.ndarray, ...]
-    group_factors: np.ndarray
+    weights: np.ndarray    # w_i, per UT
+    spread: np.ndarray     # sqrt(1 + s_j), per pilot
+    factors: np.ndarray    # per pilot
+    residual: np.ndarray   # per UT
 
 
 def _estimator(cfg: SystemConfig, fading: FadingProfile, p: np.ndarray,
@@ -213,28 +253,13 @@ def _estimator(cfg: SystemConfig, fading: FadingProfile, p: np.ndarray,
     """
     tau = cfg.pilot_length
     b = fading.unicast_gains
-    amp = np.sqrt(tau * p)
-    factors = amp * b / (1.0 + tau * p * b) / math.sqrt(2.0)
-    weights = np.sqrt(tau * q) * np.sqrt(fading.multicast_gains_flat)
-    snr = np.array([float(np.sum(tau * q_row * e_row)) for q_row, e_row in
-                    zip(_views(q, cfg.group_offsets), fading.multicast_gains)])
-    return _Estimator(amp * np.sqrt(b), factors, _views(weights, cfg.group_offsets),
-                      snr / (1.0 + snr) / math.sqrt(2.0))
-
-
-def _estimate(rng: np.random.Generator, unicast_channels: np.ndarray,
-              multicast_channels: Sequence[np.ndarray], est: _Estimator) -> np.ndarray:
-    """One pilot phase with fresh noise: the N x (U + G) estimate matrix,
-    the unicast UTs' estimates and then each group's composite one."""
-    N, U = unicast_channels.shape
-    C = np.empty((N, U + len(multicast_channels)), dtype=complex)
-    noise = _cn(rng, (U, N)).T
-    np.multiply(est.factors, est.amp * unicast_channels + noise, out=C[:, :U])
-    noise = _cn(rng, (len(multicast_channels), N))
-    for g, (channels, w, factor) in enumerate(zip(multicast_channels, est.weights,
-                                                  est.group_factors)):
-        np.multiply(factor, channels @ w + noise[g], out=C[:, U + g])
-    return C
+    weights = np.sqrt(tau * np.concatenate([p * b, q * fading.multicast_gains_flat]))
+    snr = np.concatenate([tau * p * b,
+                          [float(np.sum(tau * q_row * e_row)) for q_row, e_row in
+                           zip(_views(q, cfg.group_offsets), fading.multicast_gains)]])
+    factors = np.concatenate([np.sqrt(tau * p) * b, snr[cfg.n_unicast:]]) / (1.0 + snr)
+    return _Estimator(weights, np.sqrt(1.0 + snr), factors / math.sqrt(2.0),
+                      weights / (1.0 + snr[_own_streams(cfg)]))
 
 
 class RankDeficientDraw(RuntimeError):
@@ -314,20 +339,59 @@ def _zf_columns(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return Cn @ inverse
 
 
+# Most UTs in one block of a trial.  A block of groups holds one
+# (k + G) x (UTs + G) draw and one UTs x S product at a time: 0.8 MB for
+# four groups of the paper cell (k = S = 60, 400 UTs).  Larger blocks make
+# fewer and larger products, which run faster, but the peak RSS of eight
+# 200-trial paper-cell validations in one process rose from 42.6 MB at 384
+# UTs to 43.0 MB at 448 and 43.7 MB at 512 (2-vCPU VM).
+BLOCK_UTS = 448
+
 # One trial's terms: every UT's received power summed over all streams and
 # the effective channel on its own stream.
 _Result = tuple[np.ndarray, np.ndarray]
 
 
+def _keep_freed_pages(n_bytes: int) -> None:
+    """Allocate and free n_bytes, so that the trials' freed arrays stay
+    mapped.
+
+    glibc's malloc gives memory freed at the top of a heap back to the OS
+    once it exceeds its trim threshold, 128 KiB at first.  A trial's arrays
+    add up to more than that, so each trial would fault its pages in again:
+    about 26 000 minor faults per 200-trial validation on the paper cell.
+    Freeing a block that malloc mapped raises the threshold to twice the
+    block's size, here about the most a trial holds at once.  With other
+    allocators this only allocates and frees.
+    """
+    np.empty(n_bytes, dtype=np.uint8)
+
+
+def _conj_r(X: np.ndarray, full_rank: bool, out: np.ndarray) -> None:
+    """conj(R) into out, for X = Q R with Q orthonormal in k = min(N, S)
+    columns: from the Cholesky factor of X^H X when X has full column rank,
+    which is cheaper than a QR, unless rounding leaves that Gram indefinite;
+    else from one QR."""
+    if full_rank:
+        try:
+            # conj(X^H X) = conj(R)^H conj(R) = L L^H.
+            np.conjugate(np.linalg.cholesky(X.T @ X.conj()).T, out=out)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    np.conjugate(np.linalg.qr(X, mode="r"), out=out)
+
+
 class _Kernel:
-    """One run's trial: draw, estimate, precode and form each UT's terms.
+    """One run's trial: draw the pilot observations, estimate, precode, then
+    draw each UT's channel in the span of the precoder columns and form its
+    terms.
 
     Everything fixed for the run is worked out here, once: the estimator
-    weights, the column scales and the per-block indices.  A trial draws
-    the channels at unit variance and never rescales them; each UT's
-    amplitude a = sqrt(gain/2) enters the estimator weights and, at the
-    end, its terms (d times a, r times a^2).  The caller has run every
-    check; a trial runs none.
+    weights, the column scales and the per-block weights and indices.  A
+    trial draws at unit variance; each UT's amplitude a = sqrt(gain/2)
+    enters the estimator weights and, at the end, its terms (d times a, r
+    times a^2).  The caller has run every check; a trial runs none.
     """
 
     def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
@@ -335,41 +399,93 @@ class _Kernel:
                  stats: EstimationStats, seed: int):
         self.seed, self.zf = seed, precoder == ZF
         p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-        self.estimator = _estimator(cfg, fading, p, q)
+        est = _estimator(cfg, fading, p, q)
+        self.spread, self.factors = est.spread, est.factors
         self.scales = _column_scales(cfg, powers, stats, precoder)
         half_gains = np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0
         self.amp, self.power = np.sqrt(half_gains), half_gains
-        self.shape = cfg.n_antennas, half_gains.size
-        self.n_unicast = U = cfg.n_unicast
-        # Each UT's own stream: its unicast stream, or its group's.
-        own = np.concatenate([np.arange(U),
-                              U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
-        self.blocks = [(a, b, np.arange(b - a), own[a:b]) for a, b in _ut_blocks(cfg)]
+        self.n_antennas, self.n_users = cfg.n_antennas, half_gains.size
+        self.rank = min(cfg.n_antennas, cfg.n_streams)
+        # With N >= S and every stream powered, X has full column rank.
+        self.cholesky = cfg.n_antennas >= cfg.n_streams and bool(np.all(self.scales != 0.0))
+        # Per block of unicast UTs, a pilot each: its UTs, their residual
+        # weights c and 1 / (1 + s) = 1 - c w.  Per block of groups: its UTs
+        # and pilots, the weights that sum each pilot's UT and zeta draws
+        # (one column per pilot), each UT's c in its pilot's row, and each
+        # UT's own stream.
+        own, blocks = _own_streams(cfg), _trial_blocks(cfg)
+        self.unicast_blocks, self.group_blocks = [], []
+        for a, b, j0, j1 in blocks:
+            c = est.residual[a:b]
+            if b <= cfg.n_unicast:
+                self.unicast_blocks.append((a, b, c, 1.0 - c * est.weights[a:b]))
+                continue
+            m, g = b - a, j1 - j0
+            pilot = own[a:b] - j0
+            sums = np.zeros((m + g, g))
+            sums[np.arange(m), pilot] = est.weights[a:b]
+            sums[m + np.arange(g), np.arange(g)] = 1.0
+            rows = np.zeros((g, m))
+            rows[pilot, np.arange(m)] = c
+            self.group_blocks.append((a, b, j0, j1, sums, rows, np.arange(m), own[a:b]))
+        self.pilots_per_block = max((j1 - j0 for _, _, j0, j1, *_ in self.group_blocks),
+                                    default=0)
+        # About the most a trial holds at once, in complex numbers: eight
+        # N x S arrays, and a block's draws and product.
+        S = cfg.n_streams
+        block = max((b - a + j1 - j0) * (self.rank + j1 - j0 + S) for a, b, j0, j1 in blocks)
+        _keep_freed_pages(16 * (8 * cfg.n_antennas * S + block))
 
     def __call__(self, t: int) -> _Result | None:
         """Run trial t; None when its draw lost rank and is discarded."""
         rng = trial_rng(self.seed, t)
-        H = _cn(rng, self.shape)
-        C = _estimate(rng, H[:, :self.n_unicast], [H[:, a:b] for a, b, *_ in self.blocks[1:]],
-                      self.estimator)
+        O = _cn(rng, (self.n_antennas, self.spread.size))
+        O *= self.spread
         try:
-            streams = (_zf_columns if self.zf else _mrt_columns)(C, self.scales)
+            X = (_zf_columns if self.zf else _mrt_columns)(O * self.factors, self.scales)
         except RankDeficientDraw:
             return None
 
-        # conj(h_u^H x_s) = h_u^T conj(x_s) for every UT u and stream s, one
-        # product per block of UTs, so only the block's products are held at
-        # once.  One product over all UTs is faster, but it raised the peak
-        # RSS of a 200-trial paper-cell validation by 0.9-2.3 MB (2-5%) with
-        # one to three workers.
-        np.conjugate(streams, out=streams)
-        received = np.empty(self.shape[1])
-        desired = np.empty(self.shape[1], dtype=complex)
-        for a, b, rows, own in self.blocks:
-            effective = H[:, a:b].T @ streams
-            desired[a:b] = effective[rows, own].conj()
-            parts = effective.view(np.float64)
+        # X = Q R with Q orthonormal, k = min(N, S) columns.  UT i of pilot
+        # j has h_i = c_i o_j + e_i, where e_i = z_i - c_i (sum_{l in j} w_l
+        # z_l + zeta_j) for fresh unit draws z and zeta: the same law, and
+        # independent of every o.  Only Q^H e_i reaches X^H h_i, and it is
+        # the same combination of k-dimensional draws, one column each.  So
+        # with rows per UT, (X^H h_i)^T = (Q^H e_i)^T conj(R) + c_i (X^H o_j)^T.
+        # A block of groups forms it as one product: its pilots' rank-one
+        # terms are extra rows, of conj(R) (``lifted``) and of the draws (c).
+        k, S, g_max = self.rank, self.spread.size, self.pilots_per_block
+        lifted = np.empty((g_max + k, S), dtype=complex)
+        conj_r = lifted[g_max:]
+        _conj_r(X, self.cholesky, conj_r)
+        np.conjugate(X, out=X)
+        T = O.T @ X   # T[j, s] = x_s^H o_j
+        received = np.empty(self.n_users)
+        desired = np.empty(self.n_users, dtype=complex)
+        for a, b, c, keep in self.unicast_blocks:
+            # e_i = z_i / (1 + s_i) - c_i zeta_i.
+            m = b - a
+            draws = _cn(rng, (k, 2 * m))
+            e = draws[:, :m] * keep
+            e -= draws[:, m:] * c
+            Y = e.T @ conj_r
+            Y += c[:, None] * T[a:b]
+            desired[a:b] = Y[:, a:b].diagonal()
+            parts = Y.view(np.float64)
             np.einsum("ij,ij->i", parts, parts, out=received[a:b])
+        for a, b, j0, j1, sums, rows, users, own in self.group_blocks:
+            m, g = b - a, j1 - j0
+            draws = np.empty((g + k, m + g), dtype=complex)
+            _cn(rng, (k, m + g), out=draws[g:])
+            draws[:g, :m] = rows
+            top = lifted[g_max - g:]
+            np.subtract(T[j0:j1], (draws[g:] @ sums).T @ conj_r, out=top[:g])
+            Y = draws[:, :m].T @ top
+            desired[a:b] = Y[users, own]
+            parts = Y.view(np.float64)
+            np.einsum("ij,ij->i", parts, parts, out=received[a:b])
+        # d = h^H x on the UT's own stream.
+        np.conjugate(desired, out=desired)
         desired *= self.amp
         received *= self.power
         return received, desired
@@ -405,11 +521,12 @@ class _Sums:
 
 
 # Most worker threads one run uses.  Each worker's trial in flight holds its
-# own channel matrix (1.7 MB at the paper cell: 100 antennas, 1050 UTs) and
-# products.  A 200-trial validation there peaks at 40.6 MB RSS with one
-# worker, 45.0 MB with three and 47.3 MB with four (MRT; ZF 41.2, 46.0 and
-# 48.2 MB; median of three fresh processes each, one BLAS thread, 2-vCPU
-# VM), so each worker adds about 2.2 MB.
+# own pilot observations, precoders and one block's draws and products (at
+# the paper cell, 100 antennas and 1050 UTs, 0.1 MB per N x S array and
+# 0.8 MB per block).  A 200-trial validation there peaks at 40.8 MB RSS
+# with one worker, 44.4 MB with three and 46.3 MB with four (MRT; ZF 41.0,
+# 44.9 and 46.7 MB; median of three fresh processes each, one BLAS thread,
+# 2-vCPU VM), so each worker adds about 1.8 MB.
 MAX_WORKERS = 3
 
 

@@ -18,23 +18,36 @@ which must agree with the trial kernel's cores to rounding.
 Gram's condition number by the trace of its inverse: its columns must
 agree to rounding, and it must discard no draw the trace bound keeps.
 
+The lifted-draw section turns one trial's draws into what a trial drew
+before it drew only what the terms read: full channels at each UT's
+variance and the pilot noise (``lifted_draw``).  A trial draws the pilot
+observations and, in the k = min(N, S) dimensions of an orthonormal basis
+of the precoder columns, one residual per UT and one per pilot;
+``lift_draws`` adds each residual's part outside the basis from an
+independent generator and solves for the channels and the noise, so that
+the pilots observe exactly the drawn observations.  The basis is the thin Q
+of the columns that the loops of the last section build from the
+observations' estimates, with the signs that give R a positive diagonal
+when the columns have full rank, as the kernel's Cholesky factor has.
+
 The stored-terms section keeps the Monte Carlo validator as it was before
 it streamed its trials: every per-trial inner product stored, then one
-jackknife per UT.  Its trials compose the loops of the last section on a
-channel draw in complex arithmetic at each UT's variance
-(``_draw_channels``).  Its empirical SINRs must agree with the streamed
-ones to rounding.
+jackknife per UT.  Its trials compose the loops of the last section on the
+lifted draws (``lifted_trial``).  Its empirical SINRs must agree with the
+streamed ones to rounding.
 
 The serial streamed section keeps the Monte Carlo trial loop as it was
-before trials ran on worker threads and drew their channels at unit
-variance: one loop on the calling thread composing the same loops
-(``_draw_channels``, ``mmse_estimate_loop``, ``build_*_precoders_loop``),
-each trial's arrays allocated afresh.  It stores every trial's desired term and
+before trials ran on worker threads, drew at unit variance and drew only
+what the terms read: one loop on the calling thread composing the same
+loops (``lifted_trial``: ``mmse_estimate_loop``,
+``build_*_precoders_loop``) on the lifted draws, each trial's arrays
+allocated afresh.  It stores every trial's desired term and
 received power, as the validator did before it kept only per-UT moment
 sums, and adds them up in trial order afterwards (``sum_terms``).  The
-threaded kernel scales each UT's terms at the end where this loop scales
-its channel first, so each kept trial's terms must agree to within 1e-12
-of that trial's largest |d| and r, whatever the worker count.
+threaded kernel forms each UT's terms from k-dimensional draws and scales
+them at the end, where this loop multiplies the lifted channels, scaled
+first, by the precoders, so each kept trial's terms must agree to within
+1e-12 of that trial's largest |d| and r, whatever the worker count.
 ``moment_tests_two_pass`` works out each UT's moment test from the stored
 terms in two passes (means, then centred sums) and inverts the 2 x 2
 covariance with ``np.linalg.solve``; the streamed statistics must agree
@@ -77,7 +90,7 @@ from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _equa
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, FadingProfile, PowerSplit, SystemConfig, Violation,
                             _estimation_variances, estimation_variances, require_valid)
-from mimocast.montecarlo import Z95, RankDeficientDraw, MAX_GRAM_COND, trial_rng
+from mimocast.montecarlo import Z95, RankDeficientDraw, MAX_GRAM_COND
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
 from mimocast.scenario import (CellGeometry, Placement, RadioParams,
                                default_energy_cap_physical, noise_power_w_per_hz,
@@ -93,12 +106,6 @@ def _normal_parts(rng: np.random.Generator, shape: tuple) -> tuple[np.ndarray, n
     in C order, each entry's real part and then its imaginary part."""
     z = rng.standard_normal((*shape, 2))
     return z[..., 0], z[..., 1]
-
-
-def _cn(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussian samples."""
-    re, im = _normal_parts(rng, shape)
-    return (re + 1j * im) / math.sqrt(2.0)
 
 
 def bisect_waterfill(weights, offsets, budget, iters=200):
@@ -501,11 +508,14 @@ def estimation_variances_loop(cfg, fading, pilot_powers_unicast, pilot_powers_mu
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    """One draw, one column per UT: the unicast UTs, then each group."""
+    """One draw, one column per UT: the unicast UTs, then each group; and
+    the pilot noise at unit variance, one column per pilot: each unicast
+    UT's, then each group's."""
 
     channels: np.ndarray
     unicast_channels: np.ndarray                 # views into ``channels``
     multicast_channels: tuple[np.ndarray, ...]
+    noise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -514,30 +524,40 @@ class EstimateSet:
     group_estimates: np.ndarray     # N x G: each group's composite estimate
 
 
-def mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                       draw, noise_seed):
-    """MMSE estimates from one pilot phase with fresh unit noise, drawing
-    and scaling one UT, then one group, at a time."""
-    rng = np.random.default_rng(noise_seed)
+def observe_loop(cfg, pilot_powers_unicast, pilot_powers_multicast, draw) -> np.ndarray:
+    """The N x (U + G) pilot observations of one draw, one UT, then one
+    group, at a time: each pilot's channels times sqrt(tau * power), plus its
+    noise."""
     tau = cfg.pilot_length
-    N = cfg.n_antennas
-
-    f_hat = np.zeros((N, cfg.n_unicast), dtype=complex)
+    Y = np.array(draw.noise, dtype=complex)
     for u in range(cfg.n_unicast):
-        p, b = pilot_powers_unicast[u], float(fading.unicast_gains[u])
-        noise = _cn(rng, (N,))
-        amp = math.sqrt(tau * p)
-        f_hat[:, u] = (amp * b / (1.0 + tau * p * b)) * (amp * draw.unicast_channels[:, u] + noise)
-
-    g_hat = np.zeros((N, cfg.n_groups), dtype=complex)
+        Y[:, u] += math.sqrt(tau * pilot_powers_unicast[u]) * draw.unicast_channels[:, u]
     for g in range(cfg.n_groups):
         q_row = np.asarray(pilot_powers_multicast[g], dtype=float)
-        e_row = np.asarray(fading.multicast_gains[g], dtype=float)
-        noise = _cn(rng, (N,))
-        received = draw.multicast_channels[g] @ np.sqrt(tau * q_row) + noise
-        s = float(np.sum(tau * q_row * e_row))
-        g_hat[:, g] = (s / (1.0 + s)) * received
+        Y[:, cfg.n_unicast + g] += draw.multicast_channels[g] @ np.sqrt(tau * q_row)
+    return Y
+
+
+def estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                  observations) -> EstimateSet:
+    """MMSE estimates from the pilot observations, one pilot at a time."""
+    tau = cfg.pilot_length
+    U = cfg.n_unicast
+    f_hat = np.zeros((cfg.n_antennas, U), dtype=complex)
+    for u in range(U):
+        p, b = pilot_powers_unicast[u], float(fading.unicast_gains[u])
+        f_hat[:, u] = (math.sqrt(tau * p) * b / (1.0 + tau * p * b)) * observations[:, u]
+    g_hat = np.zeros((cfg.n_antennas, cfg.n_groups), dtype=complex)
+    for g in range(cfg.n_groups):
+        s = sum(tau * q * e for q, e in zip(pilot_powers_multicast[g], fading.multicast_gains[g]))
+        g_hat[:, g] = (s / (1.0 + s)) * observations[:, U + g]
     return EstimateSet(unicast_estimates=f_hat, group_estimates=g_hat)
+
+
+def mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, draw):
+    """MMSE estimates from one pilot phase of a draw with its noise."""
+    return estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                         observe_loop(cfg, pilot_powers_unicast, pilot_powers_multicast, draw))
 
 
 def build_mrt_precoders_loop(cfg, estimates, powers, stats):
@@ -604,19 +624,125 @@ def zf_columns_eigensolve(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return Cn @ np.linalg.solve(gram, np.diag(scales / norms).astype(complex))
 
 
-# ------------------------------------------- stored-terms Monte Carlo path
+# --------------------------------------------------------- lifted draws
 
 
-def _draw_channels(cfg: SystemConfig, fading: FadingProfile, rng_seed) -> ChannelDraw:
-    """Rayleigh channels at each UT's variance, in complex arithmetic."""
-    rng = np.random.default_rng(rng_seed)
+def _unit_draws(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Complex samples with standard normal real and imaginary parts."""
+    re, im = _normal_parts(rng, shape)
+    return re + 1j * im
+
+
+def _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast):
+    """Per pilot, each unicast UT's own and then each group's: (UT column, w)
+    for each of its UTs, where w = sqrt(tau * power * gain) weighs the UT's
+    unit channel in the pilot's unit observation."""
+    tau = cfg.pilot_length
+    members = [[(u, math.sqrt(tau * pilot_powers_unicast[u] * float(fading.unicast_gains[u])))]
+               for u in range(cfg.n_unicast)]
+    column = cfg.n_unicast
+    for q_row, e_row in zip(pilot_powers_multicast, fading.multicast_gains):
+        members.append([(column + k, math.sqrt(tau * q * float(e)))
+                        for k, (q, e) in enumerate(zip(q_row, e_row))])
+        column += len(q_row)
+    return members
+
+
+def lift_draws(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, observations,
+               basis, rng, lift_rng) -> ChannelDraw:
+    """Full channels and pilot noise from one trial's reduced draws.
+
+    ``observations`` are the pilots' unit observations o_j, whose parts have
+    variance 1 + s_j (s_j the sum of w^2 over the pilot's UTs), and
+    ``basis`` is an N x k orthonormal basis that depends on them alone.
+    ``rng`` then gives, per block of UTs in the trial's order
+    (``montecarlo._trial_blocks``), a k-row array: one column per UT, the
+    coordinates in the basis of its residual z_i, then one per pilot of the
+    block for its zeta_j.  ``lift_rng`` gives the part of each outside the
+    basis.  UT i of pilot j has the unit channel
+    h_i = c_i o_j + z_i - c_i (sum_{l in j} w_l z_l + zeta_j), with
+    c_i = w_i / (1 + s_j), and the pilot's noise is o_j - sum_{l in j} w_l h_l.
+    With z and zeta independent unit draws, (h, noise) has the law of
+    independent unit draws, whose observations are the o_j.
+    """
+    N, k = basis.shape
+    members = _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+
+    def full(coordinates):
+        outside = _unit_draws(lift_rng, (N, coordinates.shape[1]))
+        outside -= basis @ (basis.conj().T @ outside)
+        return basis @ coordinates + outside
+
+    U = cfg.n_unicast
+    H = np.zeros((N, U + sum(cfg.group_sizes)), dtype=complex)
+    noise = np.zeros(observations.shape, dtype=complex)
+    for a, b, j0, j1 in montecarlo._trial_blocks(cfg):
+        coordinates = _unit_draws(rng, (k, b - a + j1 - j0))
+        z = dict(zip(range(a, b), full(coordinates[:, :b - a]).T))
+        zeta = full(coordinates[:, b - a:]).T
+        for j, zeta_j in zip(range(j0, j1), zeta):
+            o = observations[:, j]
+            s = sum(w * w for _, w in members[j])
+            shared = zeta_j + sum(w * z[i] for i, w in members[j])
+            for i, w in members[j]:
+                c = w / (1.0 + s)
+                H[:, i] = c * o + z[i] - c * shared
+            noise[:, j] = o - sum(w * H[:, i] for i, w in members[j])
     gains = np.concatenate([np.asarray(fading.unicast_gains, dtype=float),
                             *(np.asarray(g, dtype=float) for g in fading.multicast_gains)])
-    re, im = _normal_parts(rng, (cfg.n_antennas, gains.size))
-    H = (re + 1j * im) * (np.sqrt(gains) / math.sqrt(2.0))
-    edges = np.cumsum([cfg.n_unicast, *cfg.group_sizes]).tolist()
-    return ChannelDraw(channels=H, unicast_channels=H[:, :cfg.n_unicast],
-                       multicast_channels=tuple(H[:, a:b] for a, b in zip(edges, edges[1:])))
+    H *= np.sqrt(gains / 2.0)
+    edges = np.cumsum([U, *cfg.group_sizes]).tolist()
+    return ChannelDraw(channels=H, unicast_channels=H[:, :U],
+                       multicast_channels=tuple(H[:, a:b] for a, b in zip(edges, edges[1:])),
+                       noise=noise / math.sqrt(2.0))
+
+
+def lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed, t,
+                powers=None, precoder=None, stats=None) -> ChannelDraw:
+    """Trial t of ``seed``, read from ``montecarlo.trial_rng`` in the order
+    the trial kernel reads it, lifted to full channels at each UT's variance
+    and pilot noise at unit variance (``lift_draws``).
+
+    The observations come first, then the basis: the thin Q of the
+    precoder columns the loop builders give for the observations'
+    estimates (they raise RankDeficientDraw on a draw the trial discards),
+    or, without powers, of the estimates.  The parts outside the basis come
+    from a generator independent of the trial's.
+    """
+    rng = montecarlo.trial_rng(seed, t)
+    members = _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    spread = np.array([math.sqrt(1.0 + sum(w * w for _, w in m)) for m in members])
+    observations = _unit_draws(rng, (cfg.n_antennas, len(members))) * spread
+    est = estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                        observations / math.sqrt(2.0))
+    if powers is None:
+        columns = (est.unicast_estimates, est.group_estimates)
+    else:
+        build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
+        columns = build(cfg, est, powers, stats)
+    basis, r = np.linalg.qr(np.concatenate(columns, axis=1))
+    if powers is not None and cfg.n_antennas >= cfg.n_streams and \
+            all(p != 0.0 for p in (*powers.unicast, *powers.multicast)):
+        # Full column rank: the R with a positive diagonal, the Cholesky
+        # factor of the columns' Gram, which the kernel takes.
+        basis = basis * np.where(r.diagonal().real < 0.0, -1.0, 1.0)
+    lift_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 1)))
+    return lift_draws(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, observations,
+                      basis, rng, lift_rng)
+
+
+def lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers, precoder,
+                 stats, seed, t):
+    """The precoders (V, W) of trial t and its lifted draw: the loop
+    estimator and builders on the draw's channels and noise."""
+    draw = lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed, t,
+                       powers, precoder, stats)
+    est = mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, draw)
+    build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
+    return (*build(cfg, est, powers, stats), draw)
+
+
+# ------------------------------------------- stored-terms Monte Carlo path
 
 
 @dataclass(frozen=True)
@@ -653,13 +779,9 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     kept = 0
     discarded = 0
     for t in range(n_trials):
-        rng = trial_rng(seed, t)
-        draw = _draw_channels(cfg, fading, rng)
-        est = mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                                 draw, rng)
         try:
-            build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
-            V, W = build(cfg, est, powers, stats)
+            V, W, draw = lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                                      powers, precoder, stats, seed, t)
         except RankDeficientDraw:
             discarded += 1
             continue
@@ -804,32 +926,24 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     m1, m2 = np.sqrt(signal), np.concatenate([uni_rest, mu_rest]) + signal
 
     U = cfg.n_unicast
-    blocks = montecarlo._ut_blocks(cfg)
-    users = blocks[-1][1]
+    users = U + sum(cfg.group_sizes)
     own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
     every = np.arange(users)
     desired = np.empty((users, n_trials), dtype=complex)
     received = np.empty((users, n_trials))
-    effective = np.empty((users, cfg.n_streams), dtype=complex)
 
     kept = 0
     discarded = 0
     for t in range(n_trials):
-        rng = montecarlo.trial_rng(seed, t)
-        draw = _draw_channels(cfg, fading, rng)
-        est = mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                                 draw, rng)
         try:
-            build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
-            V, W = build(cfg, est, powers, stats)
+            V, W, draw = lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                                      powers, precoder, stats, seed, t)
         except RankDeficientDraw:
             discarded += 1
             continue
 
-        # conj(h^H x), one product per block of UTs.
-        streams = np.concatenate([V, W], axis=1).conj()
-        for a, b in blocks:
-            effective[a:b] = draw.channels[:, a:b].T @ streams
+        # conj(h^H x) for every UT and stream.
+        effective = draw.channels.T @ np.concatenate([V, W], axis=1).conj()
         power = effective.real ** 2 + effective.imag ** 2
         received[:, kept] = power.sum(axis=1)
         desired[:, kept] = effective[every, own].conj()

@@ -511,14 +511,17 @@ PINNED_PARETO = {
 # draws: every record moved by at most 2.3e-11 relative, a p-value), and
 # again when received power became one fused reduction and ZF inverted its
 # Gram instead of solving it after an eigensolve (every field moved by at
-# most 5.9e-14 relative under MRT and 9.5e-12 under ZF, both p-values).
+# most 5.9e-14 relative under MRT and 9.5e-12 under ZF, both p-values), and
+# again when trials drew the pilot observations and each UT's channel in the
+# span of the precoders instead of every full channel (other draws, equal in
+# law).
 PINNED_SOLVER_OUTPUTS = {
     ("mmf", "mrt"): "a8f2665bee651db4aafd579687169d990c5c998be7f382bfb55180ffe61e27cc",
     ("mmf", "zf"): "01a7ea6a7ea75363d55c4eef975c27a1783e82c320b2fbb2eee896bbb1fad61e",
     ("sse", "mrt"): "6f8e2fb750945821becfdc20acc49649852d9de89e6d83d0489a4f466b8e607b",
     ("sse", "zf"): "abf4664e35c88ad25f88bdaf4606f884b476003749391debc71afe18360c8112",
-    ("validate", "mrt"): "f2adf94294123ee83c2b9e458fe6c623f6512a1f3cd13b5903b4f73c215a53ff",
-    ("validate", "zf"): "c544d16fbab3964e662845d0a1c61792c9be291f569db07f7329ad71676132c1",
+    ("validate", "mrt"): "76460dec2acc556bce1b0bb6468c81a0bda7b4113df96f8c8dcb71aa2d10104e",
+    ("validate", "zf"): "4185d18fa6be38929257e19a3adee27edc06c1db54a5173821c0bd18cf217a44",
 }
 
 

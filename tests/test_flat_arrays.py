@@ -673,14 +673,15 @@ class TestMonteCarloOracle:
     @pytest.mark.parametrize("precoder", PRECODERS)
     @pytest.mark.parametrize("seed", range(4))
     def test_estimates_and_precoders_match_loops(self, seed, precoder):
-        # The kernel's cores, which draw at unit variance, against the loops
-        # on a draw at each UT's variance from the same stream.
+        # The kernel's cores, which draw the pilot observations at unit
+        # variance, against the loops on the same trial's draws lifted to
+        # channels at each UT's variance and their pilot noise.
         from test_montecarlo import kernel_trials   # it imports this module
         cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder)
         stats = model.estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        rng = montecarlo.trial_rng(seed, 0)
-        draw = oracles._draw_channels(cfg, fading, rng)
-        est = oracles.mmse_estimate_loop(cfg, fading, pilots_un, pilots_mu, draw, rng)
+        draw = oracles.lifted_draw(cfg, fading, pilots_un, pilots_mu, seed, 0, powers,
+                                   precoder, stats)
+        est = oracles.mmse_estimate_loop(cfg, fading, pilots_un, pilots_mu, draw)
         build = {"mrt": oracles.build_mrt_precoders_loop,
                  "zf": oracles.build_zf_precoders_loop}[precoder]
         (_, C, X), = kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, 1, powers, precoder)

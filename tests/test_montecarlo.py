@@ -42,38 +42,36 @@ def cap_pilots(cfg):
 
 
 def kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, n_trials=1, powers=None,
-                  precoder=MRT):
+                  precoder=MRT, lift=False):
     """Trials 0, 1, ... of ``seed`` through the trial kernel's cores, composed
     as ``_Kernel`` composes them: once per run the estimator weights and,
-    given downlink powers, the column scales; per trial (H, C, X), the draw
-    at unit variance, the N x (U + G) estimates and the precoder columns
-    (None without powers)."""
+    given downlink powers, the column scales; per trial (draw, C, X), the
+    N x (U + G) estimates from the pilot observations drawn at unit variance
+    and the precoder columns (None without powers).  With ``lift``, draw is
+    the trial's draws lifted to full channels and pilot noise
+    (``oracles.lifted_draw``), else None."""
     p, q = model._pilot_arrays(cfg, pilots_un, pilots_mu)
     estimator = montecarlo._estimator(cfg, fading, p, q)
+    stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
     if powers is not None:
-        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         scales = montecarlo._column_scales(cfg, powers, stats, precoder)
         columns = montecarlo._zf_columns if precoder == ZF else montecarlo._mrt_columns
-    blocks = montecarlo._ut_blocks(cfg)
     for t in range(n_trials):
         rng = trial_rng(seed, t)
-        H = montecarlo._cn(rng, (cfg.n_antennas, blocks[-1][1]))
-        C = montecarlo._estimate(rng, H[:, :cfg.n_unicast], [H[:, a:b] for a, b in blocks[1:]],
-                                 estimator)
-        yield H, C, None if powers is None else columns(C, scales)
-
-
-def channels(H, fading):
-    """The UTs' channels: each column of the unit draw times sqrt(gain/2)."""
-    return H * np.sqrt(np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0)
+        C = montecarlo._cn(rng, (cfg.n_antennas, cfg.n_streams)) * estimator.spread
+        C *= estimator.factors
+        draw = (oracles.lifted_draw(cfg, fading, pilots_un, pilots_mu, seed, t, powers,
+                                    precoder, stats) if lift else None)
+        yield draw, C, None if powers is None else columns(C, scales)
 
 
 class TestDrawChannels:
     def test_seed_reproducible(self):
         cfg, fading = small_system()
-        (a, c, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 77)
-        (b, d, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 77)
-        assert np.array_equal(a, b) and np.array_equal(c, d)
+        (a, c, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 77, lift=True)
+        (b, d, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 77, lift=True)
+        assert np.array_equal(a.channels, b.channels) and np.array_equal(a.noise, b.noise)
+        assert np.array_equal(c, d)
 
     def test_sample_covariance_is_scaled_identity(self):
         # Entries are i.i.d. across antennas, so one tall draw yields many
@@ -82,11 +80,28 @@ class TestDrawChannels:
         cfg, _ = small_system(n_antennas=n_vectors * n_ant, n_unicast=1, group_sizes=(1,))
         beta = 0.8
         fading = FadingProfile(unicast_gains=(beta,), multicast_gains=((1.0,),))
-        (H, _, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 3)
-        f = channels(H, fading)[:, 0].reshape(n_vectors, n_ant)
+        (draw, _, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 3, lift=True)
+        f = draw.channels[:, 0].reshape(n_vectors, n_ant)
         cov = f.T.conj() @ f / n_vectors
         err = np.linalg.norm(cov - beta * np.eye(n_ant)) / np.linalg.norm(beta * np.eye(n_ant))
         assert err <= 0.02
+
+    def test_lifted_channels_and_pilot_noise_have_the_law(self):
+        # A trial draws the pilot observations and, in the span of the
+        # precoder columns, each UT's and pilot's residual; the oracle lifts
+        # them to full channels and pilot noise.  Per antenna these must be
+        # independent CN(0, gain) and CN(0, 1), here for a unicast UT and a
+        # group of two.  At pilot SNRs of 900 to 1800 a residual weight c
+        # 1% off would move each pilot's noise variance by 20% or more.
+        n = 200_000
+        cfg = make_config(n_unicast=1, group_sizes=(2,), n_antennas=n, cap=1000.0)
+        gains = [0.9, 0.6, 1.2]
+        fading = FadingProfile(unicast_gains=(0.9,), multicast_gains=((0.6, 1.2),))
+        draw = oracles.lifted_draw(cfg, fading, *cap_pilots(cfg), 5, 0)
+        v = np.column_stack([draw.channels, draw.noise])
+        cov = v.T.conj() @ v / n
+        want = np.diag(gains + [1.0, 1.0])
+        assert np.linalg.norm(cov - want) / np.linalg.norm(want) <= 0.02
 
     def test_unit_draw_is_circular(self):
         # CN(0, 2): real and imaginary parts of unit variance each, and a
@@ -102,9 +117,9 @@ class TestMmseEstimate:
         cfg, fading = small_system(n_antennas=32)
         pilots_un = [1e12 / cfg.pilot_length] * cfg.n_unicast
         pilots_mu = [[0.5] * k for k in cfg.group_sizes]
-        (H, C, _), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 9)
+        (draw, C, _), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 9, lift=True)
         U = cfg.n_unicast
-        err = np.abs(C[:, :U] - channels(H, fading)[:, :U]).max()
+        err = np.abs(C[:, :U] - draw.unicast_channels).max()
         assert err <= 1e-5
 
     def test_empirical_variances_match_formulas(self):
@@ -128,9 +143,9 @@ class TestMmseEstimate:
         n = 200_000
         cfg, _ = small_system(n_antennas=n, n_unicast=1, group_sizes=(1,))
         fading = FadingProfile(unicast_gains=(0.9,), multicast_gains=((1.0,),))
-        (H, C, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 31)
+        (draw, C, _), = kernel_trials(cfg, fading, *cap_pilots(cfg), 31, lift=True)
         f_hat = C[:, 0]
-        err = f_hat - channels(H, fading)[:, 0]
+        err = f_hat - draw.channels[:, 0]
         inner = np.mean(err.conj() * f_hat)
         # 3-sigma band around zero for the sample mean of the product
         scale = np.std(err.conj() * f_hat) / math.sqrt(n)
@@ -331,7 +346,7 @@ class TestValidationRecords:
         (unicast if silent[0] == "unicast" else multicast)[silent[1][0]] = 0.0
         report = validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                       DownlinkPowers(unicast=unicast, multicast=multicast),
-                                      precoder, 300, 4)
+                                      precoder, 300, 5)
         rec = record(report, *silent)
         assert (rec.closed_form, rec.empirical, rec.ci_low, rec.ci_high, rec.m1_over_se) == \
             (0.0, 0.0, 0.0, 0.0, 0.0)
@@ -706,15 +721,77 @@ class TestStreamedAgainstStoredTerms:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            shape=st.sampled_from(sorted(SHAPES)))
-    def test_channels_bit_identical_to_complex_draw(self, seed, shape):
-        # The kernel's unit draw is the complex draw's re + 1j*im.
+    def test_observations_bit_identical_to_complex_draw(self, seed, shape):
+        # The kernel's unit draw of the pilot observations is the complex
+        # draw's re + 1j*im.
         cfg, *_ = small_mc_cell(seed, "mrt", **SHAPES[shape])
         rng, rng_o = trial_rng(seed, 0), trial_rng(seed, 0)
-        size = (cfg.n_antennas, cfg.n_unicast + sum(cfg.group_sizes))
+        size = (cfg.n_antennas, cfg.n_streams)
         re, im = oracles._normal_parts(rng_o, size)
         assert np.array_equal(bits(montecarlo._cn(rng, size)), bits(re + 1j * im))
-        # The estimation noise continues the same stream.
+        # The residual draws continue the same stream.
         assert rng.standard_normal(4).tolist() == rng_o.standard_normal(4).tolist()
+
+
+class TestReducedDraw:
+    """A trial draws the N x S pilot observations and, in k = min(N, S)
+    dimensions, one residual per UT and one per pilot: never a UT's full
+    channel."""
+
+    @pytest.mark.parametrize("n_antennas, precoder", [(64, "mrt"), (64, "zf"), (4, "mrt")])
+    def test_trial_draws_only_what_the_terms_read(self, monkeypatch, n_antennas, precoder):
+        # Drawing every channel and the pilot noise took N (users + S).
+        cfg, fading = small_system(n_antennas=n_antennas, n_unicast=4, group_sizes=(3, 3))
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers.equal_split(half, 4, half, 2)
+        drawn = []
+        cn = montecarlo._cn
+
+        def counted(rng, shape, *args, **kwargs):
+            drawn.append(math.prod(shape))
+            return cn(rng, shape, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_cn", counted)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
+        report = validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, precoder, 100, 3)
+        N, S, users = n_antennas, 6, 10
+        assert (report.n_trials, report.n_discarded) == (100, 0)
+        assert sum(drawn) == 100 * (N * S + min(N, S) * (users + S))
+
+    def test_indefinite_gram_falls_back_to_qr(self, monkeypatch):
+        # Full-rank columns take R from the Cholesky factor of their Gram;
+        # when rounding leaves that Gram indefinite, from the QR.
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+        want, got = np.empty((5, 5), dtype=complex), np.empty((5, 5), dtype=complex)
+        montecarlo._conj_r(X, False, want)
+
+        def indefinite(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+        montecarlo._conj_r(X, True, got)
+        assert np.array_equal(got, want)
+
+    def test_tall_cell_peak_below_one_channel_matrix(self, monkeypatch):
+        # 512 antennas and 400 UTs: the N x users channel matrix a trial
+        # drew before took 3.3 MB by itself.
+        u, sizes = 20, (95,) * 4
+        cfg = make_config(n_unicast=u, group_sizes=sizes, pilot_length=u + len(sizes),
+                          n_antennas=512, cap=2.0)
+        rng = np.random.default_rng(2)
+        fading = FadingProfile(unicast_gains=rng.uniform(0.2, 1.5, u),
+                               multicast_gains=tuple(rng.uniform(0.2, 1.5, k) for k in sizes))
+        powers = DownlinkPowers.equal_split(cfg.total_power / 2.0, u,
+                                            cfg.total_power / 2.0, len(sizes))
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
+        tracemalloc.start()
+        try:
+            validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, "zf", 100, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 400 * 16, f"{peak / 1e6:.2f} MB"
 
 
 class TestMemory:
@@ -851,6 +928,17 @@ class TestKernelAgainstLoops:
         # Under MRT, small_mc_cell leaves a unicast UT and a group without
         # pilots or power when there are two or more.
         self.check((*small_mc_cell(seed, precoder, **SHAPES[shape]), precoder, 60, seed))
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("block_uts", [1, 2, 5])
+    def test_terms_match_in_small_blocks(self, monkeypatch, precoder, block_uts):
+        # Unicast UTs in runs of BLOCK_UTS, and runs of whole groups: at 1
+        # a block per UT or group, at 2 and 5 runs of both kinds.
+        monkeypatch.setattr(montecarlo, "BLOCK_UTS", block_uts)
+        cfg, fading = small_system(n_antennas=32, n_unicast=3, group_sizes=(2, 1, 3))
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers.equal_split(half, 3, half, 3)
+        self.check((cfg, fading, *cap_pilots(cfg), powers, precoder, 60, 8))
 
     @pytest.mark.parametrize("precoder, silent", [
         ("mrt", "unicast"), ("mrt", "group"), ("zf", "unicast"), ("zf", "group"),
