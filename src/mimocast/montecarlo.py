@@ -1,41 +1,43 @@
 """Independent link-level validation of the closed-form SINR expressions.
 
 Per trial: draw every pilot's observation (each unicast UT has a pilot of
-its own, each multicast group one shared pilot), form the MMSE estimates
-from them, build MRT or ZF precoders, then draw what each UT's terms read
-of its channel and form them.  A trial yields two numbers per UT: the
-effective channel on the UT's own stream (the desired term d) and the power
-the UT receives summed over all streams (r).  ZF inverts the Gram of the
-unit-norm estimates once, and a draw whose Gram may be too ill-conditioned
-to invert, by a bound read off that inverse, is discarded
-(``_zf_columns``); no eigensolve runs.
+its own, each multicast group one shared pilot), factor the observations
+once, then draw what each UT's terms read of its channel and form them: the
+effective channel on its own stream (the desired term d) and the power it
+receives summed over all streams (r).
 
-A UT's d and r read its channel h only through the S = U + G numbers
-x_s^H h, one per precoder column x_s, so a trial never draws a full
-channel.  Pilot j observes o_j = sum_{i in j} w_i h_i + n_j, and a trial
-draws the N x S observations, each at its own variance.  Given them, UT i
-of pilot j has h_i = c_i o_j + e_i with c_i = w_i / (1 + s_j) and
-s_j = sum_{i in j} w_i^2.  The residuals e_i are independent of every
-observation, with the joint law of z_i - c_i (sum_{l in j} w_l z_l + zeta_j)
-for fresh draws z (one per UT) and zeta (one per pilot).  The precoder
-columns depend on the observations alone: X = Q R with Q orthonormal in
-k = min(N, S) columns (R is the Cholesky factor of X^H X when X has full
-column rank, else from one QR), and Q^H z of an isotropic draw z
-independent of Q is again an isotropic draw, in k dimensions.  So a trial draws each z_i and
-zeta_j in k dimensions and forms X^H h_i = c_i X^H o_j + R^H (z_i - c_i
-(sum_{l in j} w_l z_l + zeta_j)): one product per block of UTs, plus one
-rank-one term per group's pilot.  This is exact in law.  A trial draws
-N S + k (users + S) complex numbers, where every channel and the pilot
-noise would take N (users + S), and its per-UT work, k S, does not grow
-with N.
+Pilot j's estimate is f_j o_j, so both precoders' columns lie in the span
+of the N x S observations O (S = U + G).  A trial factors O = Q R once,
+with Q orthonormal in k = min(N, S) columns (``_observation_basis``), and
+each precoder is X = Q R_x for one per-stream diagonal D: R_x = R D under
+MRT, with D the column scale times f, and R_x = R^-H D under ZF, with D
+the column scale over f.  ZF inverts R once, and discards a draw whose
+equilibrated estimate Gram may be too ill-conditioned to invert, by a
+bound read off that inverse (``_zf_factor``); no eigensolve runs.
+
+A UT's d and r read its channel h only through the S numbers x_s^H h, so
+a trial never draws a full channel.  Pilot j observes o_j = sum_{i in j}
+w_i h_i + n_j.  Given the observations, UT i of pilot j has h_i = c_i o_j
++ e_i with c_i = w_i / (1 + s_j) and s_j = sum_{i in j} w_i^2.  The
+residuals e_i are independent of every observation, with the joint law of
+z_i - c_i (sum_{l in j} w_l z_l + zeta_j) for fresh draws z (one per UT)
+and zeta (one per pilot), and Q^H z of an isotropic draw z independent of
+Q is again an isotropic draw, in k dimensions.  So a trial draws each z_i
+and zeta_j in k dimensions and forms X^H h_i = c_i X^H o_j + R_x^H (z_i -
+c_i (sum_{l in j} w_l z_l + zeta_j)), where X^H o_j is column j of
+R_x^H R: one product per block of UTs, plus one rank-one term per group's
+pilot.  This is exact in law.  A trial draws N S + k (users + S) complex
+numbers, where every channel and the pilot noise would take N (users + S);
+it forms no N-row array but the observations and their Gram, and its
+per-UT work, k S, does not grow with N.
 
 Every draw has standard normal real and imaginary parts; only the
 observations are scaled, each to its pilot's variance.  Each UT's amplitude
 a = sqrt(gain/2) enters in two places: the estimator weights (the UT's
 pilot weight w, with the noise's 1/sqrt(2) in the estimate factors), and
 the UT's terms once they are formed, d times a and r times a^2.  The trial
-kernel works out these weights and the precoder column scales once per
-run, after the run has checked its inputs; a trial runs no check.  The
+kernel works out these weights and the precoders' diagonal once per run,
+after the run has checked its inputs; a trial runs no check.  The
 kernel is the module's one trial path, and the module's public API is
 ``validate_closed_form``, its ``ValidationReport`` of ``UserValidation``
 records, and ``trial_rng``.
@@ -106,8 +108,8 @@ PASS_RATE = 0.99
 WEAK_SIGNAL = 2.0
 # A ZF draw whose equilibrated Gram may have a condition number beyond this
 # is treated as rank-deficient (a probability-zero event) and the trial
-# discarded.  ``_zf_columns`` tests an upper bound on the condition number,
-# S * |trace(inverse Gram)|, which is about 10^4 on the paper cell.
+# discarded.  ``_zf_factor`` tests an upper bound on the condition number,
+# S * trace(inverse Gram), which is about 10^4 on the paper cell.
 MAX_GRAM_COND = 1e12
 
 
@@ -230,7 +232,8 @@ class _Estimator(NamedTuple):
 
     Pilot j, a unicast UT's own or a group's shared one, observes
     o_j = sum_{i in j} w_i h_i + n_j, whose entries have parts of variance
-    1 + s_j with s_j = sum_{i in j} w_i^2; its estimate is factors[j] * o_j.
+    1 + s_j with s_j = sum_{i in j} w_i^2; its estimate is factors[j] * o_j,
+    which a trial never forms: the factors enter the precoders' diagonal.
     UT i of pilot j has h_i = residual[i] * o_j + e_i, with
     residual[i] = w_i / (1 + s_j) and e_i independent of every observation.
     """
@@ -298,45 +301,51 @@ def _column_scales(cfg: SystemConfig, powers: DownlinkPowers, stats: EstimationS
     return scales
 
 
-def _mrt_columns(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """MRT: each column is the matching estimate scaled to its power (a
-    stream with no power has scale 0, so its column is zero)."""
-    return C * scales
+def _observation_basis(O: np.ndarray) -> np.ndarray:
+    """R of the observations O = Q R, with Q orthonormal in k = min(N, S)
+    columns: O itself when N <= S (Q = I); else the Cholesky factor of
+    O^H O, which is cheaper than a QR, unless rounding leaves that Gram
+    indefinite, then from one QR."""
+    if O.shape[0] <= O.shape[1]:
+        return O
+    try:
+        # conj(O^H O) = R^T conj(R), and R^T is lower triangular.
+        return np.linalg.cholesky(O.T @ O.conj()).T
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(O, mode="r")
 
 
-def _zf_columns(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """ZF: project each stream into the null space of all other estimates.
+def _mrt_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """MRT: each column is the matching estimate, R f in the observations'
+    basis, scaled to its power (a stream with no power has scale 0, so its
+    column is zero)."""
+    return R * diag
+
+
+def _zf_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """ZF: the estimates C = Q R F (F = diag(f)) give C (C^H C)^-1 times the
+    column scales, which is Q R^-H times the scales over f.
 
     The construction is invariant to rescaling the estimate columns, so the
-    Gram is formed from unit-norm columns (estimate variances span many
-    orders of magnitude across a cell) and inverted once: each stream's
-    column is the unit-norm estimates times its column of the inverse,
-    scaled by the stream's scale over its estimate's norm.
-
-    With unit-norm columns the S x S Gram has trace S >= lambda_max, and
-    its inverse has trace >= 1/lambda_min, so S * |trace(inverse)| bounds
-    the condition number from above, with no eigensolve.  A bound beyond
-    MAX_GRAM_COND, or none (a singular or non-finite inverse), means the
-    draw lost rank and raises RankDeficientDraw so the caller can discard
-    the trial.
+    rank rule reads the Gram of unit-norm columns (estimate variances span
+    many orders of magnitude across a cell).  That Gram has trace S >=
+    lambda_max, and its inverse has trace sum_s ||R e_s||^2 ||e_s^T R^-1||^2
+    >= 1/lambda_min, so S times that sum bounds the condition number from
+    above, with no eigensolve.  A bound beyond MAX_GRAM_COND, or none (a
+    singular or non-finite inverse), means the draw lost rank and raises
+    RankDeficientDraw so the caller can discard the trial.
     """
-    norms = np.linalg.norm(C, axis=0)
-    if np.any(norms == 0.0):
-        raise RankDeficientDraw("estimate matrix has an all-zero column")
-    Cn = C / norms
     try:
-        inverse = np.linalg.inv(Cn.conj().T @ Cn)
+        inverse = np.linalg.inv(R)
     except np.linalg.LinAlgError:
-        raise RankDeficientDraw("Gram matrix is singular") from None
-    # The trace's modulus: the computed Gram is Hermitian only to rounding,
-    # and near rank loss its inverse's blow-up can land in the imaginary
-    # part.  Summed as Python numbers, a non-finite diagonal gives inf or
-    # NaN without a warning.
-    bound = C.shape[1] * abs(sum(inverse.diagonal().tolist()))
+        raise RankDeficientDraw("the observations' factor is singular") from None
+    # Row s of R^-1 times ||R e_s||, on the real parts, so that a non-finite
+    # inverse gives an inf or NaN bound without a warning.
+    scaled = inverse.view(np.float64) * np.linalg.norm(R, axis=0)[:, None]
+    bound = R.shape[1] * float(np.vdot(scaled, scaled))
     if not bound <= MAX_GRAM_COND:   # NaN fails the comparison too
         raise RankDeficientDraw(f"Gram condition bound {bound:.3g} exceeds {MAX_GRAM_COND:g}")
-    inverse *= scales / norms
-    return Cn @ inverse
+    return inverse.conj().T * diag
 
 
 # Most UTs in one block of a trial.  A block of groups holds one
@@ -359,7 +368,7 @@ def _keep_freed_pages(n_bytes: int) -> None:
     glibc's malloc gives memory freed at the top of a heap back to the OS
     once it exceeds its trim threshold, 128 KiB at first.  A trial's arrays
     add up to more than that, so each trial would fault its pages in again:
-    about 26 000 minor faults per 200-trial validation on the paper cell.
+    about 68 000 minor faults per 200-trial validation on the paper cell.
     Freeing a block that malloc mapped raises the threshold to twice the
     block's size, here about the most a trial holds at once.  With other
     allocators this only allocates and frees.
@@ -367,31 +376,18 @@ def _keep_freed_pages(n_bytes: int) -> None:
     np.empty(n_bytes, dtype=np.uint8)
 
 
-def _conj_r(X: np.ndarray, full_rank: bool, out: np.ndarray) -> None:
-    """conj(R) into out, for X = Q R with Q orthonormal in k = min(N, S)
-    columns: from the Cholesky factor of X^H X when X has full column rank,
-    which is cheaper than a QR, unless rounding leaves that Gram indefinite;
-    else from one QR."""
-    if full_rank:
-        try:
-            # conj(X^H X) = conj(R)^H conj(R) = L L^H.
-            np.conjugate(np.linalg.cholesky(X.T @ X.conj()).T, out=out)
-            return
-        except np.linalg.LinAlgError:
-            pass
-    np.conjugate(np.linalg.qr(X, mode="r"), out=out)
-
-
 class _Kernel:
-    """One run's trial: draw the pilot observations, estimate, precode, then
-    draw each UT's channel in the span of the precoder columns and form its
-    terms.
+    """One run's trial: draw the pilot observations, factor them, take each
+    precoder's S-column factor in their basis, then draw each UT's channel
+    in that basis and form its terms.
 
     Everything fixed for the run is worked out here, once: the estimator
-    weights, the column scales and the per-block weights and indices.  A
-    trial draws at unit variance; each UT's amplitude a = sqrt(gain/2)
-    enters the estimator weights and, at the end, its terms (d times a, r
-    times a^2).  The caller has run every check; a trial runs none.
+    weights, the precoders' per-stream diagonal (the column scale times the
+    estimate factor under MRT, over it under ZF) and the per-block weights
+    and indices.  A trial draws at unit variance; each UT's amplitude
+    a = sqrt(gain/2) enters the estimator weights and, at the end, its terms
+    (d times a, r times a^2).  The caller has run every check; a trial runs
+    none.
     """
 
     def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
@@ -400,14 +396,13 @@ class _Kernel:
         self.seed, self.zf = seed, precoder == ZF
         p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
         est = _estimator(cfg, fading, p, q)
-        self.spread, self.factors = est.spread, est.factors
-        self.scales = _column_scales(cfg, powers, stats, precoder)
+        self.spread = est.spread
+        scales = _column_scales(cfg, powers, stats, precoder)
+        self.diag = scales / est.factors if self.zf else scales * est.factors
         half_gains = np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0
         self.amp, self.power = np.sqrt(half_gains), half_gains
         self.n_antennas, self.n_users = cfg.n_antennas, half_gains.size
         self.rank = min(cfg.n_antennas, cfg.n_streams)
-        # With N >= S and every stream powered, X has full column rank.
-        self.cholesky = cfg.n_antennas >= cfg.n_streams and bool(np.all(self.scales != 0.0))
         # Per block of unicast UTs, a pilot each: its UTs, their residual
         # weights c and 1 / (1 + s) = 1 - c w.  Per block of groups: its UTs
         # and pilots, the weights that sum each pilot's UT and zeta draws
@@ -430,36 +425,38 @@ class _Kernel:
             self.group_blocks.append((a, b, j0, j1, sums, rows, np.arange(m), own[a:b]))
         self.pilots_per_block = max((j1 - j0 for _, _, j0, j1, *_ in self.group_blocks),
                                     default=0)
-        # About the most a trial holds at once, in complex numbers: eight
-        # N x S arrays, and a block's draws and product.
+        # About the most a trial holds at once, in complex numbers: the
+        # observations and their conjugate, six S x S factors, and a block's
+        # draws and product.
         S = cfg.n_streams
         block = max((b - a + j1 - j0) * (self.rank + j1 - j0 + S) for a, b, j0, j1 in blocks)
-        _keep_freed_pages(16 * (8 * cfg.n_antennas * S + block))
+        _keep_freed_pages(16 * ((2 * cfg.n_antennas + 6 * S) * S + block))
 
     def __call__(self, t: int) -> _Result | None:
         """Run trial t; None when its draw lost rank and is discarded."""
         rng = trial_rng(self.seed, t)
         O = _cn(rng, (self.n_antennas, self.spread.size))
         O *= self.spread
+        R = _observation_basis(O)
         try:
-            X = (_zf_columns if self.zf else _mrt_columns)(O * self.factors, self.scales)
+            R_x = (_zf_factor if self.zf else _mrt_factor)(R, self.diag)
         except RankDeficientDraw:
             return None
 
-        # X = Q R with Q orthonormal, k = min(N, S) columns.  UT i of pilot
-        # j has h_i = c_i o_j + e_i, where e_i = z_i - c_i (sum_{l in j} w_l
-        # z_l + zeta_j) for fresh unit draws z and zeta: the same law, and
-        # independent of every o.  Only Q^H e_i reaches X^H h_i, and it is
-        # the same combination of k-dimensional draws, one column each.  So
-        # with rows per UT, (X^H h_i)^T = (Q^H e_i)^T conj(R) + c_i (X^H o_j)^T.
-        # A block of groups forms it as one product: its pilots' rank-one
-        # terms are extra rows, of conj(R) (``lifted``) and of the draws (c).
+        # O = Q R and X = Q R_x, with Q orthonormal in k = min(N, S)
+        # columns.  UT i of pilot j has h_i = c_i o_j + e_i, where e_i = z_i
+        # - c_i (sum_{l in j} w_l z_l + zeta_j) for fresh unit draws z and
+        # zeta: the same law, and independent of every o.  Only Q^H e_i
+        # reaches X^H h_i, and it is the same combination of k-dimensional
+        # draws, one column each.  So with rows per UT, (X^H h_i)^T =
+        # (Q^H e_i)^T conj(R_x) + c_i (X^H o_j)^T.  A block of groups forms it
+        # as one product: its pilots' rank-one terms are extra rows, of
+        # conj(R_x) (``lifted``) and of the draws (c).
         k, S, g_max = self.rank, self.spread.size, self.pilots_per_block
         lifted = np.empty((g_max + k, S), dtype=complex)
         conj_r = lifted[g_max:]
-        _conj_r(X, self.cholesky, conj_r)
-        np.conjugate(X, out=X)
-        T = O.T @ X   # T[j, s] = x_s^H o_j
+        np.conjugate(R_x, out=conj_r)
+        T = R.T @ conj_r   # T[j, s] = x_s^H o_j
         received = np.empty(self.n_users)
         desired = np.empty(self.n_users, dtype=complex)
         for a, b, c, keep in self.unicast_blocks:
@@ -521,12 +518,12 @@ class _Sums:
 
 
 # Most worker threads one run uses.  Each worker's trial in flight holds its
-# own pilot observations, precoders and one block's draws and products (at
-# the paper cell, 100 antennas and 1050 UTs, 0.1 MB per N x S array and
-# 0.8 MB per block).  A 200-trial validation there peaks at 40.8 MB RSS
-# with one worker, 44.4 MB with three and 46.3 MB with four (MRT; ZF 41.0,
-# 44.9 and 46.7 MB; median of three fresh processes each, one BLAS thread,
-# 2-vCPU VM), so each worker adds about 1.8 MB.
+# own pilot observations, their S x S factors and one block's draws and
+# products (at the paper cell, 100 antennas and 1050 UTs, 0.1 MB for the
+# observations and 0.8 MB per block).  A 200-trial validation there peaks
+# at 40.5 MB RSS with one worker, 44.3 MB with three and 46.2 MB with four
+# (MRT; ZF 41.0, 44.9 and 46.9 MB; median of three fresh processes each,
+# one BLAS thread, 2-vCPU VM), so each worker adds about 1.9 MB.
 MAX_WORKERS = 3
 
 

@@ -609,10 +609,10 @@ def build_zf_precoders_loop(cfg, estimates, powers, stats):
 
 
 def zf_columns_eigensolve(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """``montecarlo._zf_columns`` as it was before it tested a trace bound
-    on the inverse Gram: the equilibrated Gram's condition number from its
-    extreme eigenvalues (``eigvalsh``), then one ``solve`` over all scaled
-    basis vectors, with no explicit inverse."""
+    """The ZF columns of estimates C as they were built before the rank rule
+    tested a trace bound on the inverse Gram: the equilibrated Gram's
+    condition number from its extreme eigenvalues (``eigvalsh``), then one
+    ``solve`` over all scaled basis vectors, with no explicit inverse."""
     norms = np.linalg.norm(C, axis=0)
     if np.any(norms == 0.0):
         raise RankDeficientDraw("estimate matrix has an all-zero column")
@@ -697,34 +697,26 @@ def lift_draws(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, observ
                        noise=noise / math.sqrt(2.0))
 
 
-def lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed, t,
-                powers=None, precoder=None, stats=None) -> ChannelDraw:
+def lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed,
+                t) -> ChannelDraw:
     """Trial t of ``seed``, read from ``montecarlo.trial_rng`` in the order
     the trial kernel reads it, lifted to full channels at each UT's variance
     and pilot noise at unit variance (``lift_draws``).
 
-    The observations come first, then the basis: the thin Q of the
-    precoder columns the loop builders give for the observations'
-    estimates (they raise RankDeficientDraw on a draw the trial discards),
-    or, without powers, of the estimates.  The parts outside the basis come
-    from a generator independent of the trial's.
+    The observations come first, then the basis, which they alone give:
+    their thin Q, its columns' signs set for a positive diagonal of R (the
+    Cholesky factor of their Gram, which the kernel takes), or the identity
+    when there are no more antennas than pilots.  The parts outside the
+    basis come from a generator independent of the trial's.
     """
     rng = montecarlo.trial_rng(seed, t)
     members = _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
     spread = np.array([math.sqrt(1.0 + sum(w * w for _, w in m)) for m in members])
     observations = _unit_draws(rng, (cfg.n_antennas, len(members))) * spread
-    est = estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                        observations / math.sqrt(2.0))
-    if powers is None:
-        columns = (est.unicast_estimates, est.group_estimates)
+    if cfg.n_antennas <= len(members):
+        basis = np.eye(cfg.n_antennas)
     else:
-        build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
-        columns = build(cfg, est, powers, stats)
-    basis, r = np.linalg.qr(np.concatenate(columns, axis=1))
-    if powers is not None and cfg.n_antennas >= cfg.n_streams and \
-            all(p != 0.0 for p in (*powers.unicast, *powers.multicast)):
-        # Full column rank: the R with a positive diagonal, the Cholesky
-        # factor of the columns' Gram, which the kernel takes.
+        basis, r = np.linalg.qr(observations)
         basis = basis * np.where(r.diagonal().real < 0.0, -1.0, 1.0)
     lift_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 1)))
     return lift_draws(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, observations,
@@ -735,11 +727,24 @@ def lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powe
                  stats, seed, t):
     """The precoders (V, W) of trial t and its lifted draw: the loop
     estimator and builders on the draw's channels and noise."""
-    draw = lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed, t,
-                       powers, precoder, stats)
+    draw = lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed, t)
     est = mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, draw)
     build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
     return (*build(cfg, est, powers, stats), draw)
+
+
+def lifted_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers, precoder,
+                  n_trials, seed):
+    """``lifted_trial`` for trials 0, 1, ..., n_trials - 1, one at a time,
+    with None for a trial whose draw lost rank; the oracles below run on
+    them, so one list of them can feed several oracles."""
+    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    for t in range(n_trials):
+        try:
+            yield lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                               powers, precoder, stats, seed, t)
+        except RankDeficientDraw:
+            yield None
 
 
 # ------------------------------------------- stored-terms Monte Carlo path
@@ -762,11 +767,13 @@ class _TrialTerms:
 def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                 pilot_powers_unicast, pilot_powers_multicast,
                 powers: DownlinkPowers, precoder: str,
-                n_trials: int, seed: int) -> _TrialTerms:
+                n_trials: int, seed: int, trials=None) -> _TrialTerms:
     require_valid(cfg, fading)
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
-    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    if trials is None:
+        trials = lifted_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                               powers, precoder, n_trials, seed)
 
     U, G = cfg.n_unicast, cfg.n_groups
     uni_des = np.zeros((n_trials, U), dtype=complex)
@@ -778,14 +785,11 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
 
     kept = 0
     discarded = 0
-    for t in range(n_trials):
-        try:
-            V, W, draw = lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                                      powers, precoder, stats, seed, t)
-        except RankDeficientDraw:
+    for trial in trials:
+        if trial is None:
             discarded += 1
             continue
-
+        V, W, draw = trial
         FhV = draw.unicast_channels.conj().T @ V      # U x U
         FhW = draw.unicast_channels.conj().T @ W      # U x G
         uni_des[kept] = np.diag(FhV)
@@ -863,14 +867,15 @@ def _statistics_for(terms: _TrialTerms, kind: str, index) -> tuple[float, float]
 def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
                                 pilot_powers_unicast, pilot_powers_multicast,
                                 powers: DownlinkPowers, precoder: str,
-                                n_trials: int, seed: int) -> SimpleNamespace:
+                                n_trials: int, seed: int, trials=None) -> SimpleNamespace:
     """``montecarlo.validate_closed_form`` as it was over stored inner
     products: per UT the plug-in SINR, its jackknife half-width and the
-    z-score (SINR - closed form) / jackknife standard error."""
+    z-score (SINR - closed form) / jackknife standard error.  ``trials``,
+    when given, are the run's ``lifted_trials``."""
     if n_trials < 100:
         raise ValueError(f"need at least 100 trials, got {n_trials}")
     terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                        powers, precoder, n_trials, seed)
+                        powers, precoder, n_trials, seed, trials)
     stats = estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
     closed = se_report(cfg, stats, fading, powers, precoder)
 
@@ -905,13 +910,14 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
 def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
                       pilot_powers_unicast, pilot_powers_multicast,
                       powers: DownlinkPowers, precoder: str,
-                      n_trials: int, seed: int) -> SimpleNamespace:
+                      n_trials: int, seed: int, trials=None) -> SimpleNamespace:
     """``montecarlo._run_trials`` as one loop on the calling thread over the
     loops above, every trial's arrays allocated afresh and every trial's
     terms stored, then summed around the closed-form moments in trial order.
     It reads ``trial_rng`` through the ``montecarlo`` module and the
     builders through this one, so a test that replaces them there replaces
-    them here as well.
+    them here as well.  ``trials``, when given, are the run's
+    ``lifted_trials``.
 
     Besides the sums the validator reads, it returns the stored terms:
     ``desired`` and ``received``, one column per kept trial."""
@@ -932,16 +938,16 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     desired = np.empty((users, n_trials), dtype=complex)
     received = np.empty((users, n_trials))
 
+    if trials is None:
+        trials = lifted_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                               powers, precoder, n_trials, seed)
     kept = 0
     discarded = 0
-    for t in range(n_trials):
-        try:
-            V, W, draw = lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                                      powers, precoder, stats, seed, t)
-        except RankDeficientDraw:
+    for trial in trials:
+        if trial is None:
             discarded += 1
             continue
-
+        V, W, draw = trial
         # conj(h^H x) for every UT and stream.
         effective = draw.channels.T @ np.concatenate([V, W], axis=1).conj()
         power = effective.real ** 2 + effective.imag ** 2

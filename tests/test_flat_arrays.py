@@ -679,8 +679,7 @@ class TestMonteCarloOracle:
         from test_montecarlo import kernel_trials   # it imports this module
         cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder)
         stats = model.estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        draw = oracles.lifted_draw(cfg, fading, pilots_un, pilots_mu, seed, 0, powers,
-                                   precoder, stats)
+        draw = oracles.lifted_draw(cfg, fading, pilots_un, pilots_mu, seed, 0)
         est = oracles.mmse_estimate_loop(cfg, fading, pilots_un, pilots_mu, draw)
         build = {"mrt": oracles.build_mrt_precoders_loop,
                  "zf": oracles.build_zf_precoders_loop}[precoder]

@@ -12,6 +12,10 @@ normal draw.  Likewise, which pilots a score estimates is
 ``allocation._score_stats``'s rule: no other code in ``allocation.py``
 names ``_estimation_variances``.
 
+Which factorization a trial takes is one helper's rule: in
+``montecarlo.py`` only ``_observation_basis`` names a Cholesky factor or a
+QR, and only the ZF step, ``_zf_factor``, names an inverse.
+
 Which precoders exist is ``closed_form``'s rule: any other module checks a
 precoder through ``closed_form._precoder_factors`` and never tests
 membership in ``PRECODERS`` itself; looping over them is fine.
@@ -160,6 +164,30 @@ def helper(rng):
     return rng.integers(2), NormalDist().inv_cdf(0.5)
 """
     assert owners(source, NORMAL_DRAWS) == ["<module>", "inner", "__call__"]
+
+
+FACTORIZATIONS = {"cholesky", "qr"}
+
+
+def test_one_helper_factors_in_montecarlo():
+    source = MONTECARLO.read_text(encoding="utf-8")
+    assert owners(source, FACTORIZATIONS) == ["_observation_basis"] * 2
+    assert owners(source, {"inv"}) == ["_zf_factor"]
+
+
+def test_check_sees_every_factorization():
+    source = """
+from numpy.linalg import qr
+R = np.linalg.cholesky(G)
+class Kernel:
+    def __call__(self, O):
+        factor = getattr(np.linalg, "qr")
+        return factor(O), la.inv(O), self.inv_cdf(O), cholesky_like(O)
+def _zf_factor(R):
+    return np.linalg.inv(R), np.linalg.pinv(R), qr(R)
+"""
+    assert owners(source, FACTORIZATIONS) == ["<module>", "__call__", "_zf_factor"]
+    assert owners(source, {"inv"}) == ["__call__", "_zf_factor"]
 
 
 def test_only_one_helper_estimates_in_allocation():

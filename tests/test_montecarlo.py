@@ -41,28 +41,40 @@ def cap_pilots(cfg):
             [[e / tau for e in caps] for caps in cfg.multicast_energy_caps])
 
 
+def precoder_columns(O, factor, diag):
+    """The precoder columns X = Q R_x through the kernel's cores: R of
+    O = Q R (``_observation_basis``), the precoder's factor
+    R_x = factor(R, diag), and Q = O R^-1, or the identity when N <= S."""
+    R = montecarlo._observation_basis(O)
+    R_x = factor(R, diag)
+    return R_x if O.shape[0] <= O.shape[1] else np.linalg.solve(R.T, O.T).T @ R_x
+
+
 def kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, n_trials=1, powers=None,
                   precoder=MRT, lift=False):
     """Trials 0, 1, ... of ``seed`` through the trial kernel's cores, composed
     as ``_Kernel`` composes them: once per run the estimator weights and,
-    given downlink powers, the column scales; per trial (draw, C, X), the
-    N x (U + G) estimates from the pilot observations drawn at unit variance
-    and the precoder columns (None without powers).  With ``lift``, draw is
-    the trial's draws lifted to full channels and pilot noise
-    (``oracles.lifted_draw``), else None."""
+    given downlink powers, the precoders' diagonal; per trial (draw, C, X),
+    the N x (U + G) estimates from the pilot observations drawn at unit
+    variance and the precoder columns X = Q R_x, with O = Q R the
+    observations' basis and R_x the precoder's factor in it (None without
+    powers).  With ``lift``, draw is the trial's draws lifted to full
+    channels and pilot noise (``oracles.lifted_draw``), else None."""
     p, q = model._pilot_arrays(cfg, pilots_un, pilots_mu)
     estimator = montecarlo._estimator(cfg, fading, p, q)
-    stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
     if powers is not None:
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         scales = montecarlo._column_scales(cfg, powers, stats, precoder)
-        columns = montecarlo._zf_columns if precoder == ZF else montecarlo._mrt_columns
+        if precoder == ZF:
+            factor, diag = montecarlo._zf_factor, scales / estimator.factors
+        else:
+            factor, diag = montecarlo._mrt_factor, scales * estimator.factors
     for t in range(n_trials):
         rng = trial_rng(seed, t)
-        C = montecarlo._cn(rng, (cfg.n_antennas, cfg.n_streams)) * estimator.spread
-        C *= estimator.factors
-        draw = (oracles.lifted_draw(cfg, fading, pilots_un, pilots_mu, seed, t, powers,
-                                    precoder, stats) if lift else None)
-        yield draw, C, None if powers is None else columns(C, scales)
+        O = montecarlo._cn(rng, (cfg.n_antennas, cfg.n_streams)) * estimator.spread
+        X = None if powers is None else precoder_columns(O, factor, diag)
+        draw = oracles.lifted_draw(cfg, fading, pilots_un, pilots_mu, seed, t) if lift else None
+        yield draw, O * estimator.factors, X
 
 
 class TestDrawChannels:
@@ -206,17 +218,17 @@ class TestZfPrecoders:
         powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(1.0,))
         scales = montecarlo._column_scales(cfg, powers, stats, ZF)
         (_, C, _), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 900)
-        montecarlo._zf_columns(C, scales)   # the draw itself has full rank
+        zf_of_estimates(C, scales)   # the draw itself has full rank
         C[:, stream] = scale * C[:, copy_of]
         with pytest.raises(montecarlo.RankDeficientDraw):
-            montecarlo._zf_columns(C, scales)
+            zf_of_estimates(C, scales)
 
     @pytest.mark.parametrize("silent", ["unicast UT 1", "group 0"])
     def test_stream_without_estimate_has_zero_column(self, silent):
         # A stream whose UTs send no pilot has an all-zero estimate.  MRT
         # sends it nothing; ZF, which nulls it for every other stream, is
-        # refused by the run check even without power, and its core
-        # discards such a draw rather than divide by the zero norm.
+        # refused by the run check even without power, and its core, fed
+        # the estimates' factor, discards such a draw as singular.
         cfg, fading = small_system(n_antennas=32)
         pilots_un, pilots_mu = cap_pilots(cfg)
         unicast, multicast = [1.0, 1.0], [1.0]
@@ -233,8 +245,8 @@ class TestZfPrecoders:
         with pytest.raises(DegenerateInputError,
                            match=f"{silent} has no channel estimate, which zero-forcing"):
             montecarlo._require_estimates(powers, stats, ZF)
-        with pytest.raises(montecarlo.RankDeficientDraw, match="all-zero column"):
-            montecarlo._zf_columns(C, montecarlo._column_scales(cfg, powers, stats, ZF))
+        with pytest.raises(montecarlo.RankDeficientDraw, match="singular"):
+            zf_of_estimates(C, montecarlo._column_scales(cfg, powers, stats, ZF))
 
     def test_minimal_antenna_margin_keeps_rank(self):
         # One spatial degree of freedom left: the Gram must stay invertible
@@ -245,11 +257,18 @@ class TestZfPrecoders:
             pass   # must not raise
 
 
+def zf_of_estimates(C, scales):
+    """The ZF columns of estimates C through the kernel's cores, with the
+    column scales as the diagonal (the estimate factors are 1)."""
+    return precoder_columns(C, montecarlo._zf_factor, scales)
+
+
 class TestZfRuleAgainstEigensolve:
-    """``_zf_columns``, which inverts the equilibrated Gram and discards a
-    draw on the bound S * |trace(inverse)| of its condition number, against
-    ``oracles.zf_columns_eigensolve``, which discarded on the condition
-    number from ``eigvalsh`` and solved the Gram system."""
+    """``_zf_factor``, which inverts the estimates' factor R and discards a
+    draw on the bound S * trace(inverse equilibrated Gram) of its condition
+    number, read off that inverse, against ``oracles.zf_columns_eigensolve``,
+    which discarded on the condition number from ``eigvalsh`` and solved
+    the Gram system."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_columns_match_the_eigensolve_on_desk_draws(self, seed):
@@ -296,9 +315,9 @@ class TestZfRuleAgainstEigensolve:
             return True
 
         if not kept(oracles.zf_columns_eigensolve):
-            assert not kept(montecarlo._zf_columns)
+            assert not kept(zf_of_estimates)
         if defect != "none":
-            assert not kept(montecarlo._zf_columns)
+            assert not kept(zf_of_estimates)
 
     def test_validation_runs_no_eigensolve(self, monkeypatch):
         cfg, fading = small_system(n_antennas=16, n_unicast=2, group_sizes=(2, 2))
@@ -583,8 +602,8 @@ class TestValidateClosedForm:
                                multicast_gains=((0.05, 0.05),))
         pilots_un, pilots_mu = cap_pilots(cfg)
         nominal = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
-        columns = montecarlo._mrt_columns
-        monkeypatch.setattr(montecarlo, "_mrt_columns", lambda *args: 1.1 * columns(*args))
+        factor = montecarlo._mrt_factor
+        monkeypatch.setattr(montecarlo, "_mrt_factor", lambda *args: 1.1 * factor(*args))
         rec = record(validate_closed_form(cfg, fading, pilots_un, pilots_mu, nominal, "mrt",
                                           8000, 11), "multicast", (0, 0))
         assert rec.empirical > rec.closed_form
@@ -704,8 +723,10 @@ class TestStreamedAgainstStoredTerms:
         args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 100, seed)
         with mock.patch.object(montecarlo, "_worker_count", lambda n_trials: workers):
             new = validate_closed_form(*args)
-        old = oracles.validate_closed_form_stored(*args)
-        two_pass = oracles.moment_tests_two_pass(oracles.run_trials_serial(*args))
+        # One lifted run feeds both oracles.
+        trials = list(oracles.lifted_trials(*args))
+        old = oracles.validate_closed_form_stored(*args, trials=trials)
+        two_pass = oracles.moment_tests_two_pass(oracles.run_trials_serial(*args, trials=trials))
         assert (new.precoder, new.n_trials, new.n_discarded) == \
             (old.precoder, old.n_trials, old.n_discarded)
         assert len(new.records) == len(old.records) == len(two_pass) \
@@ -738,7 +759,8 @@ class TestReducedDraw:
     dimensions, one residual per UT and one per pilot: never a UT's full
     channel."""
 
-    @pytest.mark.parametrize("n_antennas, precoder", [(64, "mrt"), (64, "zf"), (4, "mrt")])
+    @pytest.mark.parametrize("n_antennas, precoder", [(64, "mrt"), (64, "zf"), (4, "mrt"),
+                                                       (6, "mrt"), (7, "zf")])
     def test_trial_draws_only_what_the_terms_read(self, monkeypatch, n_antennas, precoder):
         # Drawing every channel and the pilot noise took N (users + S).
         cfg, fading = small_system(n_antennas=n_antennas, n_unicast=4, group_sizes=(3, 3))
@@ -759,19 +781,20 @@ class TestReducedDraw:
         assert sum(drawn) == 100 * (N * S + min(N, S) * (users + S))
 
     def test_indefinite_gram_falls_back_to_qr(self, monkeypatch):
-        # Full-rank columns take R from the Cholesky factor of their Gram;
-        # when rounding leaves that Gram indefinite, from the QR.
+        # With more antennas than pilots, R is the Cholesky factor of the
+        # observations' Gram: the QR's R with rows of a positive diagonal.
+        # When rounding leaves that Gram indefinite, R comes from the QR.
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
-        want, got = np.empty((5, 5), dtype=complex), np.empty((5, 5), dtype=complex)
-        montecarlo._conj_r(X, False, want)
+        O = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+        want = np.linalg.qr(O, mode="r")
+        signs = np.sign(want.diagonal().real)[:, None]
+        assert np.allclose(montecarlo._observation_basis(O), signs * want, rtol=0, atol=1e-13)
 
         def indefinite(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", indefinite)
-        montecarlo._conj_r(X, True, got)
-        assert np.array_equal(got, want)
+        assert np.array_equal(montecarlo._observation_basis(O), want)
 
     def test_tall_cell_peak_below_one_channel_matrix(self, monkeypatch):
         # 512 antennas and 400 UTs: the N x users channel matrix a trial
@@ -838,7 +861,7 @@ def fail_in_trials(monkeypatch, errors, delays=None):
         return trial_rng_(seed, t)
 
     monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
-    for module, name in ((montecarlo, "_mrt_columns"), (montecarlo, "_zf_columns"),
+    for module, name in ((montecarlo, "_mrt_factor"), (montecarlo, "_zf_factor"),
                          (oracles, "build_mrt_precoders_loop"),
                          (oracles, "build_zf_precoders_loop")):
         def build(*args, _build=getattr(module, name)):
@@ -957,6 +980,15 @@ class TestKernelAgainstLoops:
                 pilots_mu[1] = [0.0, 0.0]
         powers = DownlinkPowers(unicast=unicast, multicast=multicast)
         self.check((cfg, fading, pilots_un, pilots_mu, powers, precoder, 80, 4))
+
+    @pytest.mark.parametrize("n_antennas, precoder", [(4, "mrt"), (6, "mrt"), (7, "zf")])
+    def test_few_antennas(self, n_antennas, precoder):
+        # Six pilots: with N <= S the basis of the observations is the
+        # identity and R = O; with N = S + 1, ZF keeps one spare antenna.
+        cfg, fading = small_system(n_antennas=n_antennas, n_unicast=4, group_sizes=(3, 3))
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers.equal_split(half, 4, half, 2)
+        self.check((cfg, fading, *cap_pilots(cfg), powers, precoder, 60, 6))
 
 
 class TestWorkerThreads:
