@@ -104,17 +104,28 @@ class _Shared:
         self.rows = None if offsets is None else _views(array, offsets)
 
 
+def _vectors(rows) -> list[np.ndarray]:
+    """Rows of numbers as 1-D arrays that one cast to float64 converts: a
+    row that is a 1-D array ``_cast_converts`` as it is, any other through
+    ``_vector``."""
+    return [row if _cast_converts(row) and row.ndim == 1 else _vector(row) for row in rows]
+
+
+def _flat(vectors: list[np.ndarray]) -> np.ndarray:
+    """``_vectors`` rows as one read-only float64 array, copied by the
+    concatenation alone."""
+    return _read_only(np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors
+                      else np.empty(0))
+
+
 def _grouped(rows) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Rows of numbers as one read-only float64 array and a read-only view
-    per row.  A ``_Shared`` array's views are kept as they are; rows that
-    are 1-D arrays ``_cast_converts`` are copied by the concatenation alone;
-    others go through ``_vector``."""
+    """Rows of numbers as one read-only float64 array (``_flat``) and a
+    read-only view per row.  A ``_Shared`` array's views are kept as they
+    are."""
     if isinstance(rows, _Shared):
         return rows.view, rows.rows
-    vectors = [row if _cast_converts(row) and row.ndim == 1 else _vector(row)
-               for row in rows]
-    flat = _read_only(np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors
-                      else np.empty(0))
+    vectors = _vectors(rows)
+    flat = _flat(vectors)
     return flat, _views(flat, _offsets(map(len, vectors)))
 
 
@@ -511,8 +522,10 @@ def require_valid_drops(cfg: SystemConfig, drops: FadingStack) -> FadingStack:
 def _pilot_arrays(cfg: SystemConfig,
                   pilot_powers_unicast: Sequence[float],
                   pilot_powers_multicast: Sequence[Sequence[float]]):
-    """The pilot powers as flat float64 arrays, once their shapes and signs
-    are checked."""
+    """The pilot powers as flat float64 arrays, once their shapes are
+    checked and every entry is a finite non-negative real number: converted
+    as ``_vector`` and ``_vectors`` convert, so that None or a complex entry
+    raises TypeError, and a NaN, infinite or negative one ValueError."""
     if len(pilot_powers_unicast) != cfg.n_unicast:
         raise ValueError(f"expected {cfg.n_unicast} unicast pilot powers, "
                          f"got {len(pilot_powers_unicast)}")
@@ -520,13 +533,12 @@ def _pilot_arrays(cfg: SystemConfig,
     if shape != cfg.group_sizes:
         raise ValueError(f"multicast pilot powers must be shaped like group_sizes "
                          f"{cfg.group_sizes}, got {shape}")
-    p = np.asarray(pilot_powers_unicast, dtype=np.float64)
-    q = (np.concatenate([np.asarray(row, dtype=np.float64) for row in pilot_powers_multicast])
-         if pilot_powers_multicast else np.empty(0))
-    if (p < 0).any():
-        raise ValueError(f"negative unicast pilot power {p[p < 0][0]}")
-    if (q < 0).any():
-        raise ValueError(f"negative multicast pilot power {q[q < 0][0]}")
+    p, q = _vector(pilot_powers_unicast), _flat(_vectors(pilot_powers_multicast))
+    for side, values in (("unicast", p), ("multicast", q)):
+        # NaN fails every comparison, so it is caught with the infinities.
+        if values.size and not (values.min() >= 0.0 and values.max() < math.inf):
+            bad = values[~((values >= 0.0) & (values < math.inf))][0]
+            raise ValueError(f"{side} pilot power {bad} is not finite and non-negative")
     return p, q
 
 

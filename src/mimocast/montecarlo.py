@@ -6,14 +6,21 @@ once, then draw what each UT's terms read of its channel and form them: the
 effective channel on its own stream (the desired term d) and the power it
 receives summed over all streams (r).
 
-Pilot j's estimate is f_j o_j, so both precoders' columns lie in the span
-of the N x S observations O (S = U + G).  A trial factors O = Q R once,
-with Q orthonormal in k = min(N, S) columns (``_observation_basis``), and
-each precoder is X = Q R_x for one per-stream diagonal D: R_x = R D under
-MRT, with D the column scale times f, and R_x = R^-H D under ZF, with D
-the column scale over f.  ZF inverts R once, and discards a draw whose
-equilibrated estimate Gram may be too ill-conditioned to invert, by a
-bound read off that inverse (``_zf_factor``); no eigensolve runs.
+Every draw has standard normal real and imaginary parts.  A trial draws
+the pilots' unit observations Y: pilot j observes o_j = sqrt(1 + s_j) y_j
+(s_j below), and its MMSE estimate is sqrt(var_j / 2) y_j, with var_j the
+estimate variance of the closed form.  So the estimate factor and the
+variance cancel in both precoders.  MRT's column s, sqrt(p_s / (N var_s))
+times the estimate, is sqrt(p_s / (2 N)) y_s.  ZF's columns E (E^H E)^-1
+diag(sqrt((N - S) p var)), with E the estimates and S = U + G streams, are
+Y (Y^H Y)^-1 diag(sqrt(2 (N - S) p)).  A trial factors Y = Q R once, with
+Q orthonormal in k = min(N, S) columns (``_observation_basis``), and each
+precoder is X = Q R_x, with R_x = R D under MRT and R_x = R^-H D under ZF,
+for one diagonal of the stream powers alone, D = kappa diag(sqrt(p)):
+kappa = 1/sqrt(2 N) under MRT and sqrt(2 (N - S)) under ZF.  ZF inverts R
+once, and discards a draw whose equilibrated estimate Gram may be too
+ill-conditioned to invert, by a bound read off that inverse
+(``_zf_factor``); no eigensolve runs.
 
 A UT's d and r read its channel h only through the S numbers x_s^H h, so
 a trial never draws a full channel.  Pilot j observes o_j = sum_{i in j}
@@ -24,20 +31,18 @@ z_i - c_i (sum_{l in j} w_l z_l + zeta_j) for fresh draws z (one per UT)
 and zeta (one per pilot), and Q^H z of an isotropic draw z independent of
 Q is again an isotropic draw, in k dimensions.  So a trial draws each z_i
 and zeta_j in k dimensions and forms X^H h_i = c_i X^H o_j + R_x^H (z_i -
-c_i (sum_{l in j} w_l z_l + zeta_j)), where X^H o_j is column j of
-R_x^H R: one product per block of UTs, plus one rank-one term per group's
-pilot.  This is exact in law.  A trial draws N S + k (users + S) complex
-numbers, where every channel and the pilot noise would take N (users + S);
-it forms no N-row array but the observations and their Gram, and its
-per-UT work, k S, does not grow with N.
+c_i (sum_{l in j} w_l z_l + zeta_j)), where X^H o_j is sqrt(1 + s_j) times
+column j of R_x^H R: one product per block of UTs, plus one rank-one term
+per group's pilot.  This is exact in law.  A trial draws N S + k (users +
+S) complex numbers, where every channel and the pilot noise would take
+N (users + S); it forms no N-row array but the observations and their
+Gram, and its per-UT work, k S, does not grow with N.
 
-Every draw has standard normal real and imaginary parts; only the
-observations are scaled, each to its pilot's variance.  Each UT's amplitude
-a = sqrt(gain/2) enters in two places: the estimator weights (the UT's
-pilot weight w, with the noise's 1/sqrt(2) in the estimate factors), and
-the UT's terms once they are formed, d times a and r times a^2.  The trial
-kernel works out these weights and the precoders' diagonal once per run,
-after the run has checked its inputs; a trial runs no check.  The
+Each UT's amplitude a = sqrt(gain/2) enters in two places: its pilot
+weight w, and its terms once they are formed, d times a and r times a^2.
+The trial kernel works out the weights and the precoders' diagonal once
+per run, after the run has checked its inputs; a trial runs no check and
+reads only the stream powers, the pilot weights and the amplitudes.  The
 kernel is the module's one trial path, and the module's public API is
 ``validate_closed_form``, its ``ValidationReport`` of ``UserValidation``
 records, and ``trial_rng``.
@@ -55,12 +60,10 @@ the tail probability it has for one normal score.  The empirical SINR is
 the plug-in |mean d|^2 / (1 - |mean d|^2 + mean r); its interval maps each
 moment's 95% interval through the SINR formula.
 
-Besides the input parameters, two things come from the closed-form side:
-the powers pass ``closed_form._check_powers``, and the precoders are scaled
-by the estimate variances of ``model._estimation_variances``, which the
-closed form reads too.  That does not make the check circular: the
-variances only set each stream's transmit power, while d and r are
-measured from the drawn channels and estimates.
+The closed-form side supplies the moments the sums are shifted by and the
+closed-form SINR m1^2 / (1 + m2 - m1^2) each record reports, and the
+powers pass ``closed_form._check_powers``.  The trials read neither the
+estimate variances nor anything else of the closed form.
 
 Each trial draws from its own SFC64 generator, seeded by the spawn of
 (seed, trial index) from one SeedSequence; spawned sequences keep the trial
@@ -87,12 +90,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import closed_form
 from .closed_form import (LN2, ZF, DownlinkPowers, _check_powers, _precoder_factors,
                           _sinr_terms)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _estimation_variances,
-                    _pilot_arrays, _views, require_valid)
+                    _group_sums, _per_member, _pilot_arrays, require_valid)
 
 log = logging.getLogger(__name__)
 
@@ -218,12 +220,16 @@ def _trial_blocks(cfg: SystemConfig) -> list[tuple[int, int, int, int]]:
     return blocks
 
 
+def _pilot_offsets(cfg: SystemConfig) -> np.ndarray:
+    """Where each pilot's UTs start among all UTs, then their count: a
+    unicast UT is a pilot of one, each group one pilot of its members."""
+    return np.concatenate([np.arange(cfg.n_unicast), cfg.n_unicast + cfg.group_offsets])
+
+
 def _own_streams(cfg: SystemConfig) -> np.ndarray:
     """Each UT's own stream, which is also its pilot: its unicast stream, or
     its group's."""
-    U = cfg.n_unicast
-    return np.concatenate([np.arange(U),
-                           U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
+    return _per_member(np.arange(cfg.n_streams), _pilot_offsets(cfg))
 
 
 class _Estimator(NamedTuple):
@@ -231,38 +237,29 @@ class _Estimator(NamedTuple):
     noise drawn at unit variance (``_cn``).
 
     Pilot j, a unicast UT's own or a group's shared one, observes
-    o_j = sum_{i in j} w_i h_i + n_j, whose entries have parts of variance
-    1 + s_j with s_j = sum_{i in j} w_i^2; its estimate is factors[j] * o_j,
-    which a trial never forms: the factors enter the precoders' diagonal.
-    UT i of pilot j has h_i = residual[i] * o_j + e_i, with
-    residual[i] = w_i / (1 + s_j) and e_i independent of every observation.
+    o_j = sum_{i in j} w_i h_i + n_j = spread[j] * y_j, with y_j a unit
+    draw and spread[j] = sqrt(1 + s_j), s_j = sum_{i in j} w_i^2.  UT i of
+    pilot j has h_i = residual[i] * o_j + e_i, with residual[i] =
+    w_i / (1 + s_j) and e_i independent of every observation.
     """
 
     weights: np.ndarray    # w_i, per UT
     spread: np.ndarray     # sqrt(1 + s_j), per pilot
-    factors: np.ndarray    # per pilot
     residual: np.ndarray   # per UT
 
 
 def _estimator(cfg: SystemConfig, fading: FadingProfile, p: np.ndarray,
                q: np.ndarray) -> _Estimator:
     """MMSE weights for pilot powers p (unicast) and q (flat multicast), for
-    channels and noise drawn at unit variance (``_cn``).
-
-    A UT's channel is sqrt(gain/2) times its unit draw and the noise
-    1/sqrt(2) times its own, so each pilot amplitude sqrt(tau * p) takes a
-    factor sqrt(gain) and each estimate factor 1/sqrt(2), and the estimates
-    come out as with draws at each UT's variance.
-    """
-    tau = cfg.pilot_length
-    b = fading.unicast_gains
-    weights = np.sqrt(tau * np.concatenate([p * b, q * fading.multicast_gains_flat]))
-    snr = np.concatenate([tau * p * b,
-                          [float(np.sum(tau * q_row * e_row)) for q_row, e_row in
-                           zip(_views(q, cfg.group_offsets), fading.multicast_gains)]])
-    factors = np.concatenate([np.sqrt(tau * p) * b, snr[cfg.n_unicast:]]) / (1.0 + snr)
-    return _Estimator(weights, np.sqrt(1.0 + snr), factors / math.sqrt(2.0),
-                      weights / (1.0 + snr[_own_streams(cfg)]))
+    channels and noise drawn at unit variance (``_cn``): a UT's channel is
+    sqrt(gain/2) times its unit draw and the noise 1/sqrt(2) times its own,
+    so each weight is sqrt(tau * power * gain)."""
+    energy = cfg.pilot_length * np.concatenate([p * fading.unicast_gains,
+                                                q * fading.multicast_gains_flat])
+    weights = np.sqrt(energy)
+    pilots = _pilot_offsets(cfg)
+    s = _group_sums(energy, pilots)
+    return _Estimator(weights, np.sqrt(1.0 + s), weights / (1.0 + _per_member(s, pilots)))
 
 
 class RankDeficientDraw(RuntimeError):
@@ -286,21 +283,6 @@ def _require_estimates(powers: DownlinkPowers, stats: EstimationStats, precoder:
                 "zero-forcing needs for every stream")
 
 
-def _column_scales(cfg: SystemConfig, powers: DownlinkPowers, stats: EstimationStats,
-                   precoder: str) -> np.ndarray:
-    """Each stream's column scale: sqrt(p / (N * var)) on its estimate under
-    MRT (0 for a stream with no power), sqrt(dof * p * var) on its null-space
-    direction under ZF."""
-    p = np.concatenate([powers.unicast, powers.multicast])
-    var = np.concatenate([stats.unicast_var, stats.group_var])
-    if precoder == ZF:
-        return np.sqrt((cfg.n_antennas - cfg.n_streams) * p * var)
-    scales = np.zeros(p.size)
-    on = p != 0.0
-    scales[on] = np.sqrt(p[on] / (cfg.n_antennas * var[on]))
-    return scales
-
-
 def _observation_basis(O: np.ndarray) -> np.ndarray:
     """R of the observations O = Q R, with Q orthonormal in k = min(N, S)
     columns: O itself when N <= S (Q = I); else the Cholesky factor of
@@ -316,19 +298,18 @@ def _observation_basis(O: np.ndarray) -> np.ndarray:
 
 
 def _mrt_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """MRT: each column is the matching estimate, R f in the observations'
-    basis, scaled to its power (a stream with no power has scale 0, so its
-    column is zero)."""
+    """MRT: each column is the matching unit observation, R in their basis,
+    scaled to its power (a stream with no power has a zero column)."""
     return R * diag
 
 
 def _zf_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """ZF: the estimates C = Q R F (F = diag(f)) give C (C^H C)^-1 times the
-    column scales, which is Q R^-H times the scales over f.
+    """ZF: the estimates E = Q R F, for a positive diagonal F, give
+    E (E^H E)^-1 times the column scales, which is Q R^-H times the scales
+    over F; ``diag`` is that quotient.
 
     The construction is invariant to rescaling the estimate columns, so the
-    rank rule reads the Gram of unit-norm columns (estimate variances span
-    many orders of magnitude across a cell).  That Gram has trace S >=
+    rank rule reads the Gram of unit-norm columns.  That Gram has trace S >=
     lambda_max, and its inverse has trace sum_s ||R e_s||^2 ||e_s^T R^-1||^2
     >= 1/lambda_min, so S times that sum bounds the condition number from
     above, with no eigensolve.  A bound beyond MAX_GRAM_COND, or none (a
@@ -377,32 +358,33 @@ def _keep_freed_pages(n_bytes: int) -> None:
 
 
 class _Kernel:
-    """One run's trial: draw the pilot observations, factor them, take each
-    precoder's S-column factor in their basis, then draw each UT's channel
-    in that basis and form its terms.
+    """One run's trial: draw the pilots' unit observations, factor them,
+    take each precoder's S-column factor in their basis, then draw each UT's
+    channel in that basis and form its terms.
 
     Everything fixed for the run is worked out here, once: the estimator
-    weights, the precoders' per-stream diagonal (the column scale times the
-    estimate factor under MRT, over it under ZF) and the per-block weights
-    and indices.  A trial draws at unit variance; each UT's amplitude
+    weights, the precoders' per-stream diagonal kappa sqrt(p), which reads
+    the stream powers alone, and the per-block weights and indices.  Each
+    pilot's spread sqrt(1 + s_j) enters only where its observation does,
+    in X^H o_j.  A trial draws at unit variance; each UT's amplitude
     a = sqrt(gain/2) enters the estimator weights and, at the end, its terms
     (d times a, r times a^2).  The caller has run every check; a trial runs
     none.
     """
 
     def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
-                 pilot_powers_multicast, powers: DownlinkPowers, precoder: str,
-                 stats: EstimationStats, seed: int):
+                 pilot_powers_multicast, powers: DownlinkPowers, precoder: str, seed: int):
         self.seed, self.zf = seed, precoder == ZF
         p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
         est = _estimator(cfg, fading, p, q)
-        self.spread = est.spread
-        scales = _column_scales(cfg, powers, stats, precoder)
-        self.diag = scales / est.factors if self.zf else scales * est.factors
+        self.spread = est.spread[:, None]   # per pilot, as a column
+        N, S = cfg.n_antennas, cfg.n_streams
+        power = np.concatenate([powers.unicast, powers.multicast])
+        self.diag = np.sqrt(2.0 * (N - S) * power) if self.zf else np.sqrt(power / (2.0 * N))
         half_gains = np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0
         self.amp, self.power = np.sqrt(half_gains), half_gains
-        self.n_antennas, self.n_users = cfg.n_antennas, half_gains.size
-        self.rank = min(cfg.n_antennas, cfg.n_streams)
+        self.n_antennas, self.n_users = N, half_gains.size
+        self.rank = min(N, S)
         # Per block of unicast UTs, a pilot each: its UTs, their residual
         # weights c and 1 / (1 + s) = 1 - c w.  Per block of groups: its UTs
         # and pilots, the weights that sum each pilot's UT and zeta draws
@@ -428,35 +410,34 @@ class _Kernel:
         # About the most a trial holds at once, in complex numbers: the
         # observations and their conjugate, six S x S factors, and a block's
         # draws and product.
-        S = cfg.n_streams
         block = max((b - a + j1 - j0) * (self.rank + j1 - j0 + S) for a, b, j0, j1 in blocks)
-        _keep_freed_pages(16 * ((2 * cfg.n_antennas + 6 * S) * S + block))
+        _keep_freed_pages(16 * ((2 * N + 6 * S) * S + block))
 
     def __call__(self, t: int) -> _Result | None:
         """Run trial t; None when its draw lost rank and is discarded."""
         rng = trial_rng(self.seed, t)
-        O = _cn(rng, (self.n_antennas, self.spread.size))
-        O *= self.spread
-        R = _observation_basis(O)
+        R = _observation_basis(_cn(rng, (self.n_antennas, self.diag.size)))
         try:
             R_x = (_zf_factor if self.zf else _mrt_factor)(R, self.diag)
         except RankDeficientDraw:
             return None
 
-        # O = Q R and X = Q R_x, with Q orthonormal in k = min(N, S)
-        # columns.  UT i of pilot j has h_i = c_i o_j + e_i, where e_i = z_i
-        # - c_i (sum_{l in j} w_l z_l + zeta_j) for fresh unit draws z and
-        # zeta: the same law, and independent of every o.  Only Q^H e_i
-        # reaches X^H h_i, and it is the same combination of k-dimensional
-        # draws, one column each.  So with rows per UT, (X^H h_i)^T =
-        # (Q^H e_i)^T conj(R_x) + c_i (X^H o_j)^T.  A block of groups forms it
-        # as one product: its pilots' rank-one terms are extra rows, of
-        # conj(R_x) (``lifted``) and of the draws (c).
-        k, S, g_max = self.rank, self.spread.size, self.pilots_per_block
+        # Y = Q R and X = Q R_x, with Q orthonormal in k = min(N, S)
+        # columns, and o_j = sqrt(1 + s_j) y_j.  UT i of pilot j has h_i =
+        # c_i o_j + e_i, where e_i = z_i - c_i (sum_{l in j} w_l z_l +
+        # zeta_j) for fresh unit draws z and zeta: the same law, and
+        # independent of every o.  Only Q^H e_i reaches X^H h_i, and it is
+        # the same combination of k-dimensional draws, one column each.  So
+        # with rows per UT, (X^H h_i)^T = (Q^H e_i)^T conj(R_x) + c_i
+        # (X^H o_j)^T.  A block of groups forms it as one product: its
+        # pilots' rank-one terms are extra rows, of conj(R_x) (``lifted``)
+        # and of the draws (c).
+        k, S, g_max = self.rank, self.diag.size, self.pilots_per_block
         lifted = np.empty((g_max + k, S), dtype=complex)
         conj_r = lifted[g_max:]
         np.conjugate(R_x, out=conj_r)
-        T = R.T @ conj_r   # T[j, s] = x_s^H o_j
+        T = R.T @ conj_r
+        T *= self.spread   # T[j, s] = x_s^H o_j
         received = np.empty(self.n_users)
         desired = np.empty(self.n_users, dtype=complex)
         for a, b, c, keep in self.unicast_blocks:
@@ -465,10 +446,10 @@ class _Kernel:
             draws = _cn(rng, (k, 2 * m))
             e = draws[:, :m] * keep
             e -= draws[:, m:] * c
-            Y = e.T @ conj_r
-            Y += c[:, None] * T[a:b]
-            desired[a:b] = Y[:, a:b].diagonal()
-            parts = Y.view(np.float64)
+            effective = e.T @ conj_r
+            effective += c[:, None] * T[a:b]
+            desired[a:b] = effective[:, a:b].diagonal()
+            parts = effective.view(np.float64)
             np.einsum("ij,ij->i", parts, parts, out=received[a:b])
         for a, b, j0, j1, sums, rows, users, own in self.group_blocks:
             m, g = b - a, j1 - j0
@@ -477,9 +458,9 @@ class _Kernel:
             draws[:g, :m] = rows
             top = lifted[g_max - g:]
             np.subtract(T[j0:j1], (draws[g:] @ sums).T @ conj_r, out=top[:g])
-            Y = draws[:, :m].T @ top
-            desired[a:b] = Y[users, own]
-            parts = Y.view(np.float64)
+            effective = draws[:, :m].T @ top
+            desired[a:b] = effective[users, own]
+            parts = effective.view(np.float64)
             np.einsum("ij,ij->i", parts, parts, out=received[a:b])
         # d = h^H x on the UT's own stream.
         np.conjugate(desired, out=desired)
@@ -491,11 +472,10 @@ class _Kernel:
 class _Sums:
     """Per-UT sums over the kept trials, which enter in trial order, of
     x = Re d - m1, x^2, y = r - m2, y^2, x*y and Im d; shifting by the
-    closed-form moments keeps the sums of squares free of cancellation.
-    ``stats`` are the estimate variances every trial's precoders read."""
+    closed-form moments keeps the sums of squares free of cancellation."""
 
-    def __init__(self, m1: np.ndarray, m2: np.ndarray, stats: EstimationStats):
-        self.m1, self.m2, self.stats = m1, m2, stats
+    def __init__(self, m1: np.ndarray, m2: np.ndarray):
+        self.m1, self.m2 = m1, m2
         self.x, self.xx, self.y, self.yy, self.xy, self.imag = (np.zeros(m1.size)
                                                                 for _ in range(6))
         self.kept = 0
@@ -540,8 +520,9 @@ def _worker_count(n_trials: int) -> int:
 def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                 pilot_powers_unicast, pilot_powers_multicast,
                 powers: DownlinkPowers, precoder: str,
-                n_trials: int, seed: int) -> _Sums:
-    """Run the trials and sum every UT's terms around its closed-form moments.
+                n_trials: int, seed: int) -> tuple[_Sums, np.ndarray]:
+    """Run the trials and sum every UT's terms around its closed-form
+    moments; return the sums and every UT's closed-form SINR.
 
     Trials run on a pool of ``_worker_count`` threads.  The calling thread
     keeps at most one pending trial per thread and enters the results in
@@ -555,10 +536,10 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     _require_estimates(powers, stats, precoder)
     signal, interference = (np.concatenate(side) for side in
                             zip(*_sinr_terms(cfg, stats, fading, powers, gain, c)))
-    sums = _Sums(np.sqrt(signal), interference + signal, stats)
+    sums = _Sums(np.sqrt(signal), interference + signal)
     workers = _worker_count(n_trials)
     kernel = _Kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
-                     precoder, stats, seed)
+                     precoder, seed)
     with ThreadPoolExecutor(workers, thread_name_prefix="montecarlo") as pool:
         pending = deque()
         for t in range(n_trials):
@@ -573,7 +554,7 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                     sums.discarded, n_trials)
     if sums.kept < 2:
         raise DegenerateInputError("fewer than 2 usable trials")
-    return sums
+    return sums, signal / (1.0 + interference)
 
 
 def _wald(n: int, dx: float, dy: float, vx: float, vy: float, cxy: float) -> tuple[float, int]:
@@ -658,12 +639,8 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
         raise ValueError(f"need at least 100 trials, got {n_trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    sums = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                       powers, precoder, n_trials, seed)
-    # _run_trials validated the pair and worked out the estimate variances.
-    gain, c = _precoder_factors(cfg, precoder)
-    closed = closed_form._se_report(cfg, sums.stats, fading, powers, gain, c)
-    cf = np.concatenate([closed.unicast_sinr, closed.multicast_sinr_flat])
+    sums, cf = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                           powers, precoder, n_trials, seed)
 
     n = sums.kept
     dx, dy = sums.x / n, sums.y / n   # mean offsets from m1 and m2

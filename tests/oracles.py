@@ -17,6 +17,12 @@ which must agree with the trial kernel's cores to rounding.
 ``zf_columns_eigensolve`` keeps the ZF core as it was before it bounded the
 Gram's condition number by the trace of its inverse: its columns must
 agree to rounding, and it must discard no draw the trace bound keeps.
+``estimate_factors`` and ``column_scales`` keep the precoders' diagonal as
+the trial kernel worked it out before it factored the unit observations:
+each pilot's estimate factor for unit draws, and each stream's column scale
+read off the estimate variances.  The kernel's diagonal must equal scale
+times factor times spread under MRT and scale over (factor times spread)
+under ZF, to rounding.
 
 The lifted-draw section turns one trial's draws into what a trial drew
 before it drew only what the terms read: full channels at each UT's
@@ -608,6 +614,34 @@ def build_zf_precoders_loop(cfg, estimates, powers, stats):
     return cols[:, :cfg.n_unicast], cols[:, cfg.n_unicast:]
 
 
+def estimate_factors(cfg, fading, pilot_powers_unicast, pilot_powers_multicast) -> np.ndarray:
+    """Each pilot's MMSE estimate factor for channels and noise drawn at unit
+    variance, one pilot at a time: ``estimate_loop``'s factor over sqrt(2),
+    the noise's amplitude."""
+    tau = cfg.pilot_length
+    factors = []
+    for p, b in zip(pilot_powers_unicast, fading.unicast_gains):
+        factors.append(math.sqrt(tau * p) * float(b) / (1.0 + tau * p * float(b)))
+    for q_row, e_row in zip(pilot_powers_multicast, fading.multicast_gains):
+        s = sum(tau * q * float(e) for q, e in zip(q_row, e_row))
+        factors.append(s / (1.0 + s))
+    return np.array(factors) / math.sqrt(2.0)
+
+
+def column_scales(cfg, powers, stats, precoder) -> np.ndarray:
+    """Each stream's column scale: sqrt(p / (N * var)) on its estimate under
+    MRT (0 for a stream with no power), sqrt(dof * p * var) on its null-space
+    direction under ZF."""
+    p = np.concatenate([powers.unicast, powers.multicast])
+    var = np.concatenate([stats.unicast_var, stats.group_var])
+    if precoder == ZF:
+        return np.sqrt((cfg.n_antennas - cfg.n_streams) * p * var)
+    scales = np.zeros(p.size)
+    on = p != 0.0
+    scales[on] = np.sqrt(p[on] / (cfg.n_antennas * var[on]))
+    return scales
+
+
 def zf_columns_eigensolve(C: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """The ZF columns of estimates C as they were built before the rank rule
     tested a trace bound on the inverse Gram: the equilibrated Gram's
@@ -646,6 +680,13 @@ def _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast):
                         for k, (q, e) in enumerate(zip(q_row, e_row))])
         column += len(q_row)
     return members
+
+
+def pilot_spreads(cfg, fading, pilot_powers_unicast, pilot_powers_multicast) -> np.ndarray:
+    """sqrt(1 + s_j) per pilot, s_j the sum of w^2 over its UTs: the spread
+    of each part of the pilot's unit observation."""
+    members = _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    return np.array([math.sqrt(1.0 + sum(w * w for _, w in m)) for m in members])
 
 
 def lift_draws(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, observations,
@@ -710,10 +751,9 @@ def lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed,
     basis come from a generator independent of the trial's.
     """
     rng = montecarlo.trial_rng(seed, t)
-    members = _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
-    spread = np.array([math.sqrt(1.0 + sum(w * w for _, w in m)) for m in members])
-    observations = _unit_draws(rng, (cfg.n_antennas, len(members))) * spread
-    if cfg.n_antennas <= len(members):
+    spread = pilot_spreads(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    observations = _unit_draws(rng, (cfg.n_antennas, spread.size)) * spread
+    if cfg.n_antennas <= spread.size:
         basis = np.eye(cfg.n_antennas)
     else:
         basis, r = np.linalg.qr(observations)

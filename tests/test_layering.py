@@ -23,6 +23,12 @@ membership in ``PRECODERS`` itself; looping over them is fine.
 A Monte Carlo run checks its inputs once, before its first trial: no code
 a trial runs, ``_Kernel.__call__`` and every ``montecarlo`` function or
 ``_Kernel`` method it names, directly or through another, names a check.
+
+The trials read nothing of the closed form: in ``montecarlo.py`` only
+``_run_trials`` names ``_estimation_variances`` or ``_sinr_terms``, and
+nothing in ``_Kernel`` names the estimate variances (``stats``,
+``EstimationStats``) or ``_se_report``, as a name, attribute, parameter,
+keyword or string.
 """
 
 import ast
@@ -262,3 +268,68 @@ class _Kernel:
 """
     assert checks_in_trial(source) == ["_precode: _require_estimates",
                                        "_scaled: require_valid"]
+
+
+CLOSED_FORM_SIDE = {"_estimation_variances", "_sinr_terms"}
+KERNEL_UNREAD = {"stats", "EstimationStats", "_se_report"}
+
+
+def test_only_the_run_reads_the_closed_form_in_montecarlo():
+    assert owners(MONTECARLO.read_text(encoding="utf-8"), CLOSED_FORM_SIDE) == \
+        ["_run_trials"] * 2
+
+
+def test_check_sees_every_closed_form_read():
+    source = """
+from .closed_form import _sinr_terms
+terms = closed_form._sinr_terms(cfg, stats, fading, powers, 1, 0.0)
+class _Kernel:
+    def __init__(self, cfg):
+        self.stats = model._estimation_variances(cfg, fading, p, q)
+def _run_trials(cfg):
+    estimate = getattr(model, "_estimation_variances")
+    return estimate(cfg), _sinr_terms(cfg)
+"""
+    assert owners(source, CLOSED_FORM_SIDE) == ["<module>", "__init__", "_run_trials",
+                                                "_run_trials"]
+
+
+def kernel_mentions(source: str, names: set[str]) -> list[str]:
+    """``method: name`` (``<class>`` outside the methods) for every name,
+    attribute, parameter, keyword or string in ``names`` within the
+    ``_Kernel`` class, sorted."""
+    tree = ast.parse(source)
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Kernel")
+    found = []
+    for item in kernel.body:
+        where = item.name if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else "<class>"
+        for node in ast.walk(item):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.arg if isinstance(node, (ast.arg, ast.keyword))
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if isinstance(name, str) and name in names:
+                found.append(f"{where}: {name}")
+    return sorted(found)
+
+
+def test_kernel_reads_no_estimate_variances():
+    assert kernel_mentions(MONTECARLO.read_text(encoding="utf-8"), KERNEL_UNREAD) == []
+
+
+def test_check_sees_every_kernel_mention():
+    source = """
+def _scales(cfg, stats):
+    return stats.group_var
+class _Kernel:
+    variances: EstimationStats
+    def __init__(self, cfg, powers, *, stats=None):
+        self.diag = _scales(cfg, stats=self.variances)
+    def __call__(self, t):
+        return getattr(closed_form, "_se_report")(t), self.n_stats
+"""
+    assert kernel_mentions(source, KERNEL_UNREAD) == [
+        "<class>: EstimationStats", "__call__: _se_report", "__init__: stats",
+        "__init__: stats"]

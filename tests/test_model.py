@@ -92,6 +92,34 @@ class TestValidateConfig:
         assert FadingProfile.from_dict(fading.to_dict()) == fading
 
 
+# A bad pilot power entry and the error it raises.
+BAD_PILOT_POWERS = [
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+    (-1.0, ValueError), (None, TypeError), (1.0 + 0.5j, TypeError),
+    (np.complex128(1.0), TypeError), (np.array([1.0, 1.0 + 1e-3j]), TypeError),
+]
+BAD_PILOT_MESSAGES = {ValueError: "pilot power .* is not finite and non-negative",
+                      TypeError: "real number|complex"}
+
+
+def bad_pilots(side, value):
+    """Unicast and multicast pilot powers for one unicast UT and a group of
+    two, with ``value`` as the unicast UT's power or the second member's.
+    An array ``value`` of two entries replaces the group's row, or its last
+    entry the unicast powers."""
+    unicast, multicast = [1.0], [[1.0, 1.0]]
+    if isinstance(value, np.ndarray):
+        if side == "unicast":
+            unicast = value[1:]
+        else:
+            multicast[0] = value
+    elif side == "unicast":
+        unicast[0] = value
+    else:
+        multicast[0][1] = value
+    return unicast, multicast
+
+
 class TestEstimationVariances:
     def test_perfect_csi_limit(self):
         cfg = make_config(n_unicast=1, group_sizes=(1,), pilot_length=2)
@@ -141,6 +169,15 @@ class TestEstimationVariances:
             estimation_variances(cfg, fading, [1.0], [[1.0]])
         with pytest.raises(ValueError):
             estimation_variances(cfg, fading, [-1.0], [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("side", ["unicast", "multicast"])
+    @pytest.mark.parametrize("value, error", BAD_PILOT_POWERS)
+    def test_bad_pilot_power_raises(self, side, value, error):
+        # A NaN or None entry used to give NaN variances, an infinite one a
+        # RuntimeWarning, and a complex one lost its imaginary part.
+        cfg = make_config(n_unicast=1, group_sizes=(2,), pilot_length=3)
+        with pytest.raises(error, match=BAD_PILOT_MESSAGES[error]):
+            estimation_variances(cfg, flat_profile(cfg), *bad_pilots(side, value))
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mimocast import closed_form, model, montecarlo
+from mimocast import closed_form, montecarlo
 from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
@@ -20,7 +20,7 @@ from mimocast.montecarlo import trial_rng, validate_closed_form
 
 import oracles
 from test_flat_arrays import small_mc_cell
-from test_model import make_config
+from test_model import BAD_PILOT_MESSAGES, BAD_PILOT_POWERS, bad_pilots, make_config
 
 
 def small_system(n_antennas=64, n_unicast=2, group_sizes=(2,), cap=3.0, seed=5):
@@ -52,29 +52,76 @@ def precoder_columns(O, factor, diag):
 
 def kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, n_trials=1, powers=None,
                   precoder=MRT, lift=False):
-    """Trials 0, 1, ... of ``seed`` through the trial kernel's cores, composed
-    as ``_Kernel`` composes them: once per run the estimator weights and,
-    given downlink powers, the precoders' diagonal; per trial (draw, C, X),
+    """Trials 0, 1, ... of ``seed`` through the trial kernel's cores, with
+    the estimates and the precoders' diagonal of the oracles: once per run
+    the pilots' spreads, the estimate factors and, given downlink powers,
+    the diagonal from the column scales; per trial (draw, C, X),
     the N x (U + G) estimates from the pilot observations drawn at unit
     variance and the precoder columns X = Q R_x, with O = Q R the
     observations' basis and R_x the precoder's factor in it (None without
     powers).  With ``lift``, draw is the trial's draws lifted to full
     channels and pilot noise (``oracles.lifted_draw``), else None."""
-    p, q = model._pilot_arrays(cfg, pilots_un, pilots_mu)
-    estimator = montecarlo._estimator(cfg, fading, p, q)
+    spread = oracles.pilot_spreads(cfg, fading, pilots_un, pilots_mu)
+    factors = oracles.estimate_factors(cfg, fading, pilots_un, pilots_mu)
     if powers is not None:
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        scales = montecarlo._column_scales(cfg, powers, stats, precoder)
+        scales = oracles.column_scales(cfg, powers, stats, precoder)
         if precoder == ZF:
-            factor, diag = montecarlo._zf_factor, scales / estimator.factors
+            factor, diag = montecarlo._zf_factor, scales / factors
         else:
-            factor, diag = montecarlo._mrt_factor, scales * estimator.factors
+            factor, diag = montecarlo._mrt_factor, scales * factors
     for t in range(n_trials):
         rng = trial_rng(seed, t)
-        O = montecarlo._cn(rng, (cfg.n_antennas, cfg.n_streams)) * estimator.spread
+        O = montecarlo._cn(rng, (cfg.n_antennas, cfg.n_streams)) * spread
         X = None if powers is None else precoder_columns(O, factor, diag)
         draw = oracles.lifted_draw(cfg, fading, pilots_un, pilots_mu, seed, t) if lift else None
-        yield draw, O * estimator.factors, X
+        yield draw, O * factors, X
+
+
+class TestDiagonalAgainstColumnScales:
+    """The kernel's diagonal kappa sqrt(p), which reads the stream powers
+    alone, against the rule it replaced: the column scales read off the
+    estimate variances and the estimate factors (``oracles``), taken in the
+    basis of the unit observations, where each pilot's spread joins the
+    factor.  The variances cancel."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_diagonal_matches_scales_and_factors(self, precoder, data):
+        u = data.draw(st.integers(min_value=0, max_value=4), label="unicast UTs")
+        sizes = tuple(data.draw(st.lists(st.integers(min_value=1, max_value=3),
+                                         min_size=0 if u else 1, max_size=3), label="groups"))
+        S = u + len(sizes)
+        cfg = make_config(n_unicast=u, group_sizes=sizes,
+                          n_antennas=data.draw(st.integers(S + 1, S + 40), label="antennas"))
+        users = u + sum(sizes)
+
+        def per_ut(strategy, label):
+            return np.array(data.draw(st.lists(strategy, min_size=users, max_size=users),
+                                      label=label))
+
+        gains = per_ut(st.floats(min_value=0.01, max_value=2.0), "gains")
+        # Each UT's pilot SNR tau * power * gain, from 1e-6 to 1e6.
+        pilots = 10.0 ** per_ut(st.floats(min_value=-6.0, max_value=6.0), "log10 pilot SNR") \
+            / (cfg.pilot_length * gains)
+        power = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0)),
+            min_size=S, max_size=S), label="stream powers"))
+        edges = np.cumsum([u, *sizes]).tolist()
+        fading = FadingProfile(unicast_gains=gains[:u],
+                               multicast_gains=[gains[a:b] for a, b in zip(edges, edges[1:])])
+        pilots_un, pilots_mu = pilots[:u], [pilots[a:b] for a, b in zip(edges, edges[1:])]
+        powers = DownlinkPowers(unicast=power[:u], multicast=power[u:])
+
+        diag = montecarlo._Kernel(cfg, fading, pilots_un, pilots_mu, powers, precoder, 0).diag
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        scales = oracles.column_scales(cfg, powers, stats, precoder)
+        factors = (oracles.estimate_factors(cfg, fading, pilots_un, pilots_mu)
+                   * oracles.pilot_spreads(cfg, fading, pilots_un, pilots_mu))
+        want = scales / factors if precoder == ZF else scales * factors
+        assert np.array_equal(diag == 0.0, power == 0.0)
+        assert (np.abs(diag - want) <= 1e-14 * want).all(), np.abs(diag / want - 1.0).max()
 
 
 class TestDrawChannels:
@@ -216,7 +263,7 @@ class TestZfPrecoders:
         pilots_un, pilots_mu = cap_pilots(cfg)
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         powers = DownlinkPowers(unicast=(1.0, 1.0), multicast=(1.0,))
-        scales = montecarlo._column_scales(cfg, powers, stats, ZF)
+        scales = oracles.column_scales(cfg, powers, stats, ZF)
         (_, C, _), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 900)
         zf_of_estimates(C, scales)   # the draw itself has full rank
         C[:, stream] = scale * C[:, copy_of]
@@ -246,7 +293,7 @@ class TestZfPrecoders:
                            match=f"{silent} has no channel estimate, which zero-forcing"):
             montecarlo._require_estimates(powers, stats, ZF)
         with pytest.raises(montecarlo.RankDeficientDraw, match="singular"):
-            zf_of_estimates(C, montecarlo._column_scales(cfg, powers, stats, ZF))
+            zf_of_estimates(C, oracles.column_scales(cfg, powers, stats, ZF))
 
     def test_minimal_antenna_margin_keeps_rank(self):
         # One spatial degree of freedom left: the Gram must stay invertible
@@ -274,7 +321,7 @@ class TestZfRuleAgainstEigensolve:
     def test_columns_match_the_eigensolve_on_desk_draws(self, seed):
         cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, ZF)
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
-        scales = montecarlo._column_scales(cfg, powers, stats, ZF)
+        scales = oracles.column_scales(cfg, powers, stats, ZF)
         for _, C, X in kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, 20, powers, ZF):
             want = oracles.zf_columns_eigensolve(C, scales)
             err = np.linalg.norm(X - want, axis=0)
@@ -400,22 +447,27 @@ class TestValidationRecords:
         assert [(r.empirical, r.ci_low, r.ci_high, r.z) for r in a.records] == \
             [(r.empirical, r.ci_low, r.ci_high, r.z) for r in b.records]
 
-    def test_interference_scaling_tracks_closed_form(self):
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_interference_scaling_tracks_closed_form(self, precoder):
         # Doubling every downlink power doubles the numerator but also the
         # interference; the empirical SINR must track the closed-form ratio
-        # at both operating points.
+        # at both operating points, and so at a third where unicast UT 0
+        # gets no power.  Every record's closed form is se_report's SINR,
+        # to the bit.
         cfg, fading = small_system(cap=2.0)
         cfg = dataclasses.replace(cfg, total_power=40.0)
         pilots_un, pilots_mu = cap_pilots(cfg)
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         lo = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
         hi = DownlinkPowers(unicast=(4.0, 2.0), multicast=(6.0,))
-        for powers in (lo, hi):
-            cf = se_report(cfg, stats, fading, powers, "mrt").unicast_sinr[0]
-            report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt",
+        silent = DownlinkPowers(unicast=(0.0, 2.0), multicast=(6.0,))
+        for powers, ut in ((lo, 0), (hi, 0), (silent, 1)):
+            closed = se_report(cfg, stats, fading, powers, precoder)
+            report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, precoder,
                                           3000, 41)
-            rec = record(report, "unicast", (0,))
-            assert rec.closed_form == cf
+            assert bits(np.array([r.closed_form for r in report.records])).tolist() == bits(
+                np.concatenate([closed.unicast_sinr, closed.multicast_sinr_flat])).tolist()
+            rec = record(report, "unicast", (ut,))
             assert 0.0 < rec.ci_low < rec.empirical < rec.ci_high
             assert report.n_trials == 3000
             assert rec.z <= 3.0
@@ -504,6 +556,22 @@ class TestValidateClosedForm:
             validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                  DownlinkPowers(unicast=unicast, multicast=multicast),
                                  precoder, 100, 1)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("side", ["unicast", "multicast"])
+    @pytest.mark.parametrize("value, error", BAD_PILOT_POWERS)
+    def test_bad_pilot_powers_rejected_before_any_draw(self, monkeypatch, precoder, side,
+                                                       value, error):
+        # A NaN or None pilot power used to pass with NaN SINRs and z = 0.
+        cfg, fading = small_system(n_unicast=1, group_sizes=(2,))
+
+        def no_draw(*args):
+            raise AssertionError("drew channels before checking the pilot powers")
+
+        monkeypatch.setattr(montecarlo, "_cn", no_draw)
+        with pytest.raises(error, match=BAD_PILOT_MESSAGES[error]):
+            validate_closed_form(cfg, fading, *bad_pilots(side, value),
+                                 DownlinkPowers.equal_split(1.0, 1, 1.0, 1), precoder, 100, 1)
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     @pytest.mark.parametrize("silent", ["unicast UT 1", "group 1"])
@@ -897,7 +965,7 @@ def recorded_run(args, workers):
 
     with mock.patch.object(montecarlo._Sums, "commit", record), \
             mock.patch.object(montecarlo, "_worker_count", lambda n_trials: workers):
-        sums = montecarlo._run_trials(*args)
+        sums, _ = montecarlo._run_trials(*args)
     desired, received = (np.stack(a, axis=1) for a in zip(*terms))
     return sums, desired, received
 
@@ -1034,13 +1102,13 @@ class TestWorkerThreads:
     def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
         args = (*self.cell("mrt"), 300, 23)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
-        serial = montecarlo._run_trials(*args)
+        serial, _ = montecarlo._run_trials(*args)
         monkeypatch.setattr(montecarlo, "_worker_count",
                             lambda n_trials: min((os.cpu_count() or 1) + 3, 16))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            trials = montecarlo._run_trials(*args)
+            trials, _ = montecarlo._run_trials(*args)
         finally:
             sys.setswitchinterval(interval)
         assert (trials.kept, trials.discarded) == (300, 0)
