@@ -7,10 +7,11 @@ independent Monte Carlo link-level validator.
 
 Importing the package before numpy sets one BLAS thread
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` =
-"1") unless one of the three is already set: the Monte Carlo validator
-runs its own worker threads, and a BLAS pool per CPU beside them about
-doubles its time.  BLAS reads these variables once, when numpy is first
-imported, so the default does nothing once numpy is loaded.
+"1") unless one of the three is already set: the Monte Carlo validator's
+S x S products are too small to share, and a second BLAS thread doubles
+its CPU time for the same wall time.  BLAS reads these variables once,
+when numpy is first imported, so the default does nothing once numpy is
+loaded.
 """
 
 import os

@@ -155,6 +155,23 @@ def _group_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return _row_sums(rows)
 
 
+def _group_others(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """For each entry of a 1-D array, the sum of the other entries of its
+    group: the sum of those before it, added from the group's start, plus
+    the sum of those after it, added from its end, so nothing is
+    subtracted.  Groups are padded as in ``_group_sums``, with one more
+    zero before and after."""
+    sizes = _sizes(offsets)
+    if sizes.size == 0:
+        return np.empty(0)
+    inside = np.arange(int(sizes.max())) < sizes[:, None]
+    rows = np.zeros((sizes.size, inside.shape[1] + 2))
+    rows[:, 1:-1][inside] = values
+    before = np.cumsum(rows, axis=1)[:, :-2]
+    after = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1][:, 2:]
+    return (before + after)[inside]
+
+
 def _group_min(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Each (non-empty) group's smallest entry along the last axis."""
     return np.minimum.reduceat(values, offsets[:-1], axis=-1)

@@ -24,40 +24,50 @@ read off the estimate variances.  The kernel's diagonal must equal scale
 times factor times spread under MRT and scale over (factor times spread)
 under ZF, to rounding.
 
-The lifted-draw section turns one trial's draws into what a trial drew
-before it drew only what the terms read: full channels at each UT's
-variance and the pilot noise (``lifted_draw``).  A trial draws the pilot
-observations and, in the k = min(N, S) dimensions of an orthonormal basis
-of the precoder columns, one residual per UT and one per pilot;
-``lift_draws`` adds each residual's part outside the basis from an
-independent generator and solves for the channels and the noise, so that
-the pilots observe exactly the drawn observations.  The basis is the thin Q
-of the columns that the loops of the last section build from the
-observations' estimates, with the signs that give R a positive diagonal
-when the columns have full rank, as the kernel's Cholesky factor has.
+The lifted-draw section turns one full-draw trial's draws into full
+channels at each UT's variance and the pilot noise (``lifted_draw``).  A
+full-draw trial draws the pilot observations and, in the k = min(N, S)
+dimensions of an orthonormal basis of the precoder columns, one residual
+per UT and one per pilot; ``lift_draws`` adds each residual's part outside
+the basis from an independent generator and solves for the channels and the
+noise, so that the pilots observe exactly the drawn observations.  The
+basis is the thin Q of the columns that the loops of the last section build
+from the observations' estimates, with the signs that give R a positive
+diagonal when the columns have full rank, as the Cholesky factor of
+``observation_basis`` has.  ``lifted_trials`` runs the loops of the last
+section on the lifted draws and takes each UT's inner products with the
+precoders (``inner_product_terms``).
+
+The full-draw section keeps the trial kernel as it was before it
+integrated each UT's estimation error out (``FullDrawKernel``): it draws
+the N x S observations, factors them, and draws every UT's residual.  Its
+terms must agree with ``lifted_trials``' to rounding, and, on one fixed
+factor R, their mean over many residual draws must agree with the trial
+kernel's conditional terms within sampling error.
+
+The conditional-loop section gives the trial kernel's terms one UT and one
+stream at a time: ``bartlett_factor`` draws a trial's factor R of the
+observations with one entry per step, in the order the kernel reads the
+trial's generator, and ``conditional_terms`` builds the estimates and the
+precoders from R with the loops of the last section, then takes each term's
+mean over the UT's estimation error, whose variance
+``error_variances_exact`` works out in rational arithmetic.  The kernel's
+terms must agree with these to within 1e-12 of the trial's largest |d| and
+r.
 
 The stored-terms section keeps the Monte Carlo validator as it was before
-it streamed its trials: every per-trial inner product stored, then one
-jackknife per UT.  Its trials compose the loops of the last section on the
-lifted draws (``lifted_trial``).  Its empirical SINRs must agree with the
+it streamed its trials: every trial's per-stream terms stored, then one
+jackknife per UT.  Its trials are ``conditional_trials`` (or any other
+trials of the same form).  Its empirical SINRs must agree with the
 streamed ones to rounding.
 
-The serial streamed section keeps the Monte Carlo trial loop as it was
-before trials ran on worker threads, drew at unit variance and drew only
-what the terms read: one loop on the calling thread composing the same
-loops (``lifted_trial``: ``mmse_estimate_loop``,
-``build_*_precoders_loop``) on the lifted draws, each trial's arrays
-allocated afresh.  It stores every trial's desired term and
-received power, as the validator did before it kept only per-UT moment
-sums, and adds them up in trial order afterwards (``sum_terms``).  The
-threaded kernel forms each UT's terms from k-dimensional draws and scales
-them at the end, where this loop multiplies the lifted channels, scaled
-first, by the precoders, so each kept trial's terms must agree to within
-1e-12 of that trial's largest |d| and r, whatever the worker count.
-``moment_tests_two_pass`` works out each UT's moment test from the stored
-terms in two passes (means, then centred sums) and inverts the 2 x 2
-covariance with ``np.linalg.solve``; the streamed statistics must agree
-with it to rounding.
+The serial streamed section keeps the Monte Carlo trial loop over stored
+terms: it stores every trial's desired term and received power, as the
+validator did before it kept only per-UT moment sums, and adds them up in
+trial order afterwards (``sum_terms``).  ``moment_tests_two_pass`` works out
+each UT's moment test from the stored terms in two passes (means, then
+centred sums) and inverts the 2 x 2 covariance with ``np.linalg.solve``;
+the streamed statistics must agree with it to rounding.
 
 The per-call selection section keeps ``select_operating_point`` as it was
 before a boundary kept its allocation problems: every call validates the
@@ -83,6 +93,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from statistics import NormalDist
 from types import SimpleNamespace
 
@@ -96,7 +107,7 @@ from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _equa
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, FadingProfile, PowerSplit, SystemConfig, Violation,
                             _estimation_variances, estimation_variances, require_valid)
-from mimocast.montecarlo import Z95, RankDeficientDraw, MAX_GRAM_COND
+from mimocast.montecarlo import EXACT_RTOL, MAX_GRAM_COND, Z95, RankDeficientDraw
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
 from mimocast.scenario import (CellGeometry, Placement, RadioParams,
                                default_energy_cap_physical, noise_power_w_per_hz,
@@ -689,15 +700,35 @@ def pilot_spreads(cfg, fading, pilot_powers_unicast, pilot_powers_multicast) -> 
     return np.array([math.sqrt(1.0 + sum(w * w for _, w in m)) for m in members])
 
 
+# Most UTs in one block of a full-draw trial (``trial_blocks``).
+BLOCK_UTS = 448
+
+
+def trial_blocks(cfg: SystemConfig) -> list[tuple[int, int, int, int]]:
+    """The blocks of UTs a full-draw trial draws and forms one at a time, as
+    (first UT, end UT, first pilot, end pilot): the unicast UTs, a pilot
+    each, in runs of at most BLOCK_UTS; then runs of whole groups, each run
+    as many consecutive groups as fit in BLOCK_UTS UTs, and at least one."""
+    U = cfg.n_unicast
+    blocks = [(a, min(a + BLOCK_UTS, U)) * 2 for a in range(0, U, BLOCK_UTS)]
+    edges = (U + cfg.group_offsets).tolist()
+    first = 0
+    for j in range(1, cfg.n_groups + 1):
+        if j == cfg.n_groups or edges[j + 1] - edges[first] > BLOCK_UTS:
+            blocks.append((edges[first], edges[j], U + first, U + j))
+            first = j
+    return blocks
+
+
 def lift_draws(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, observations,
                basis, rng, lift_rng) -> ChannelDraw:
-    """Full channels and pilot noise from one trial's reduced draws.
+    """Full channels and pilot noise from one full-draw trial's draws.
 
     ``observations`` are the pilots' unit observations o_j, whose parts have
     variance 1 + s_j (s_j the sum of w^2 over the pilot's UTs), and
     ``basis`` is an N x k orthonormal basis that depends on them alone.
     ``rng`` then gives, per block of UTs in the trial's order
-    (``montecarlo._trial_blocks``), a k-row array: one column per UT, the
+    (``trial_blocks``), a k-row array: one column per UT, the
     coordinates in the basis of its residual z_i, then one per pilot of the
     block for its zeta_j.  ``lift_rng`` gives the part of each outside the
     basis.  UT i of pilot j has the unit channel
@@ -717,7 +748,7 @@ def lift_draws(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, observ
     U = cfg.n_unicast
     H = np.zeros((N, U + sum(cfg.group_sizes)), dtype=complex)
     noise = np.zeros(observations.shape, dtype=complex)
-    for a, b, j0, j1 in montecarlo._trial_blocks(cfg):
+    for a, b, j0, j1 in trial_blocks(cfg):
         coordinates = _unit_draws(rng, (k, b - a + j1 - j0))
         z = dict(zip(range(a, b), full(coordinates[:, :b - a]).T))
         zeta = full(coordinates[:, b - a:]).T
@@ -741,14 +772,14 @@ def lift_draws(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, observ
 def lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed,
                 t) -> ChannelDraw:
     """Trial t of ``seed``, read from ``montecarlo.trial_rng`` in the order
-    the trial kernel reads it, lifted to full channels at each UT's variance
-    and pilot noise at unit variance (``lift_draws``).
+    the full-draw oracle reads it, lifted to full channels at each UT's
+    variance and pilot noise at unit variance (``lift_draws``).
 
     The observations come first, then the basis, which they alone give:
     their thin Q, its columns' signs set for a positive diagonal of R (the
-    Cholesky factor of their Gram, which the kernel takes), or the identity
-    when there are no more antennas than pilots.  The parts outside the
-    basis come from a generator independent of the trial's.
+    Cholesky factor of their Gram, which ``observation_basis`` takes), or
+    the identity when there are no more antennas than pilots.  The parts
+    outside the basis come from a generator independent of the trial's.
     """
     rng = montecarlo.trial_rng(seed, t)
     spread = pilot_spreads(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
@@ -763,26 +794,231 @@ def lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed,
                       basis, rng, lift_rng)
 
 
-def lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers, precoder,
-                 stats, seed, t):
-    """The precoders (V, W) of trial t and its lifted draw: the loop
-    estimator and builders on the draw's channels and noise."""
-    draw = lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed, t)
-    est = mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, draw)
-    build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
-    return (*build(cfg, est, powers, stats), draw)
+def inner_product_terms(cfg, V, W, draw):
+    """One trial's terms from its precoders and channels: each UT's h^H x on
+    its own stream, and |x_s^H h|^2 for every stream s (UTs x S)."""
+    U = cfg.n_unicast
+    own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
+    # conj(h^H x) for every UT and stream.
+    effective = draw.channels.T @ np.concatenate([V, W], axis=1).conj()
+    return effective[np.arange(own.size), own].conj(), effective.real ** 2 + effective.imag ** 2
 
 
 def lifted_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers, precoder,
                   n_trials, seed):
-    """``lifted_trial`` for trials 0, 1, ..., n_trials - 1, one at a time,
-    with None for a trial whose draw lost rank; the oracles below run on
-    them, so one list of them can feed several oracles."""
+    """Trials 0, 1, ..., n_trials - 1 on the lifted draws, one at a time:
+    the loop estimator and builders on each draw's channels and noise, then
+    ``inner_product_terms``, or None for a trial whose draw lost rank."""
+    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
+    for t in range(n_trials):
+        draw = lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed, t)
+        est = mmse_estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, draw)
+        try:
+            yield inner_product_terms(cfg, *build(cfg, est, powers, stats), draw)
+        except RankDeficientDraw:
+            yield None
+
+
+# ------------------------------------------------------ full-draw trials
+
+
+def observation_basis(O: np.ndarray) -> np.ndarray:
+    """R of the observations O = Q R, with Q orthonormal in k = min(N, S)
+    columns: O itself when N <= S (Q = I); else the Cholesky factor of
+    O^H O, unless rounding leaves that Gram indefinite, then from one QR."""
+    if O.shape[0] <= O.shape[1]:
+        return O
+    try:
+        # conj(O^H O) = R^T conj(R), and R^T is lower triangular.
+        return np.linalg.cholesky(O.T @ O.conj()).T
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(O, mode="r")
+
+
+class FullDrawKernel:
+    """The trial kernel as it was before it integrated each UT's estimation
+    error out: it draws the N x S unit observations and factors them
+    (``observation_basis``), takes the precoders' factor R_x through
+    ``montecarlo``'s cores, then, in the k = min(N, S) dimensions of the
+    observations' basis, draws one residual per UT and one per pilot, block
+    by block (``trial_blocks``), and forms each UT's terms from them: its
+    received power r and its complex desired term d.  ``residual_terms``
+    runs the second half on a given R and generator."""
+
+    def __init__(self, cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
+                 precoder, seed):
+        self.seed, self.zf = seed, precoder == ZF
+        members = _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+        weights = np.array([w for m in members for _, w in m])
+        s = np.array([sum(w * w for _, w in m) for m in members])
+        residual = weights / np.repeat(1.0 + s, [len(m) for m in members])
+        self.spread = np.sqrt(1.0 + s)[:, None]
+        N, S = cfg.n_antennas, cfg.n_streams
+        power = np.concatenate([powers.unicast, powers.multicast])
+        self.diag = np.sqrt(2.0 * (N - S) * power) if self.zf else np.sqrt(power / (2.0 * N))
+        half_gains = np.concatenate([np.asarray(fading.unicast_gains, dtype=float),
+                                     *(np.asarray(g, dtype=float)
+                                       for g in fading.multicast_gains)]) / 2.0
+        self.amp, self.power = np.sqrt(half_gains), half_gains
+        self.n_antennas, self.n_users = N, half_gains.size
+        self.rank = min(N, S)
+        own = np.concatenate([np.arange(cfg.n_unicast),
+                              cfg.n_unicast + np.repeat(np.arange(cfg.n_groups),
+                                                        cfg.group_sizes)]).astype(int)
+        self.unicast_blocks, self.group_blocks = [], []
+        for a, b, j0, j1 in trial_blocks(cfg):
+            c = residual[a:b]
+            if b <= cfg.n_unicast:
+                self.unicast_blocks.append((a, b, c, 1.0 - c * weights[a:b]))
+                continue
+            m, g = b - a, j1 - j0
+            pilot = own[a:b] - j0
+            sums = np.zeros((m + g, g))
+            sums[np.arange(m), pilot] = weights[a:b]
+            sums[m + np.arange(g), np.arange(g)] = 1.0
+            rows = np.zeros((g, m))
+            rows[pilot, np.arange(m)] = c
+            self.group_blocks.append((a, b, j0, j1, sums, rows, np.arange(m), own[a:b]))
+        self.pilots_per_block = max((j1 - j0 for _, _, j0, j1, *_ in self.group_blocks),
+                                    default=0)
+
+    def __call__(self, t):
+        rng = montecarlo.trial_rng(self.seed, t)
+        R = observation_basis(montecarlo._cn(rng, (self.n_antennas, self.diag.size)))
+        return self.residual_terms(R, rng)
+
+    def residual_terms(self, R, rng):
+        """(received, desired) of every UT for the observations' factor R and
+        residuals drawn from rng; None when ZF discards R."""
+        try:
+            R_x = (montecarlo._zf_factor if self.zf else montecarlo._mrt_factor)(R, self.diag)
+        except RankDeficientDraw:
+            return None
+        # UT i of pilot j has h_i = c_i o_j + e_i, where e_i = z_i - c_i
+        # (sum_{l in j} w_l z_l + zeta_j) for fresh unit draws z and zeta.
+        # With rows per UT, (X^H h_i)^T = (Q^H e_i)^T conj(R_x) + c_i
+        # (X^H o_j)^T; a block of groups forms it as one product, its
+        # pilots' rank-one terms as extra rows of conj(R_x) and the draws.
+        k, S, g_max = self.rank, self.diag.size, self.pilots_per_block
+        lifted = np.empty((g_max + k, S), dtype=complex)
+        conj_r = lifted[g_max:]
+        np.conjugate(R_x, out=conj_r)
+        T = R.T @ conj_r
+        T *= self.spread   # T[j, s] = x_s^H o_j
+        received = np.empty(self.n_users)
+        desired = np.empty(self.n_users, dtype=complex)
+        for a, b, c, keep in self.unicast_blocks:
+            m = b - a
+            draws = montecarlo._cn(rng, (k, 2 * m))
+            e = draws[:, :m] * keep
+            e -= draws[:, m:] * c
+            effective = e.T @ conj_r
+            effective += c[:, None] * T[a:b]
+            desired[a:b] = effective[:, a:b].diagonal()
+            received[a:b] = (effective.real ** 2 + effective.imag ** 2).sum(axis=1)
+        for a, b, j0, j1, sums, rows, users, own in self.group_blocks:
+            m, g = b - a, j1 - j0
+            draws = np.empty((g + k, m + g), dtype=complex)
+            draws[g:] = montecarlo._cn(rng, (k, m + g))
+            draws[:g, :m] = rows
+            top = lifted[g_max - g:]
+            np.subtract(T[j0:j1], (draws[g:] @ sums).T @ conj_r, out=top[:g])
+            effective = draws[:, :m].T @ top
+            desired[a:b] = effective[users, own]
+            received[a:b] = (effective.real ** 2 + effective.imag ** 2).sum(axis=1)
+        # d = h^H x on the UT's own stream.
+        return received * self.power, desired.conj() * self.amp
+
+
+# ------------------------------------------------ conditional loop trials
+
+
+def bartlett_factor(rng: np.random.Generator, n_antennas: int, n_streams: int) -> np.ndarray:
+    """The factor R of N x S unit observations Y = Q R, one entry at a time,
+    in the order the trial kernel reads ``rng``: Y itself when N <= S;
+    else the upper triangle, row by row, of complex normals, then each
+    diagonal entry made sqrt(|z_ii|^2 + 2 Gamma(N - 1 - i)), one gamma
+    variate at a time."""
+    N, S = n_antennas, n_streams
+    if N <= S:
+        return _unit_draws(rng, (N, S))
+    re, im = _normal_parts(rng, (S * (S + 1) // 2,))
+    R = np.zeros((S, S), dtype=complex)
+    entry = 0
+    for i in range(S):
+        for j in range(i, S):
+            R[i, j] = complex(re[entry], im[entry])
+            entry += 1
+    for i in range(S):
+        # Products, as numpy squares an array; a numpy scalar's ** 2 calls
+        # pow, which can differ from x * x in the last bit.
+        x, y = R[i, i].real, R[i, i].imag
+        R[i, i] = math.sqrt(x * x + y * y + 2.0 * rng.standard_gamma(N - 1.0 - i))
+    return R
+
+
+def error_variances_exact(cfg, fading, pilot_powers_unicast,
+                          pilot_powers_multicast) -> list[Fraction]:
+    """Each UT's per-coordinate estimation-error variance 2 (1 - c_i w_i) =
+    2 (1 - w_i^2 / (1 + s_j)), for channels drawn at unit variance, in exact
+    rational arithmetic on the pilot energies tau * power * gain."""
+    tau = Fraction(cfg.pilot_length)
+    pilots = [[tau * Fraction(p) * Fraction(float(b))]
+              for p, b in zip(pilot_powers_unicast, fading.unicast_gains)]
+    pilots += [[tau * Fraction(q) * Fraction(float(e)) for q, e in zip(q_row, e_row)]
+               for q_row, e_row in zip(pilot_powers_multicast, fading.multicast_gains)]
+    return [2 * (1 - energy / (1 + sum(row))) for row in pilots for energy in row]
+
+
+def conditional_terms(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
+                      precoder, stats, R):
+    """Each UT's terms given the factor R of a trial's unit observations,
+    one UT and one stream at a time: the observations Y = Q R with Q the
+    first k columns of the N x N identity, the loop estimator and builders
+    on them, then, over the UT's estimation error e (independent of Y, of
+    variance ``error_variances_exact``), E[h^H x_own] = a c o_j^H x_own and
+    E|x_s^H h|^2 = a^2 (c^2 |x_s^H o_j|^2 + var(e) ||x_s||^2) per stream,
+    with a = sqrt(gain/2) and c = w / (1 + s_j)."""
+    N, S = cfg.n_antennas, cfg.n_streams
+    members = _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    O = np.zeros((N, S), dtype=complex)
+    O[:R.shape[0]] = R
+    O *= pilot_spreads(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    # The physical observations are the unit ones over sqrt(2).
+    est = estimate_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                        O / math.sqrt(2.0))
+    build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
+    X = np.concatenate(build(cfg, est, powers, stats), axis=1)
+    errors = error_variances_exact(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    gains = [float(b) for b in fading.unicast_gains]
+    gains += [float(e) for row in fading.multicast_gains for e in row]
+    desired = np.zeros(len(gains), dtype=complex)
+    power = np.zeros((len(gains), S))
+    for j, pilot in enumerate(members):
+        s = sum(w * w for _, w in pilot)
+        for i, w in pilot:
+            a, c = math.sqrt(gains[i] / 2.0), w / (1.0 + s)
+            desired[i] = a * c * np.vdot(O[:, j], X[:, j])
+            for stream in range(S):
+                coherent = abs(np.vdot(X[:, stream], O[:, j])) ** 2
+                power[i, stream] = a * a * (c * c * coherent + float(errors[i])
+                                            * np.vdot(X[:, stream], X[:, stream]).real)
+    return desired, power
+
+
+def conditional_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
+                       precoder, n_trials, seed):
+    """Trials 0, 1, ..., n_trials - 1 of ``seed``, one at a time: the factor
+    of each trial's observations from ``montecarlo.trial_rng``
+    (``bartlett_factor``), then its ``conditional_terms``, or None for a
+    trial whose draw lost rank."""
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
     for t in range(n_trials):
+        R = bartlett_factor(montecarlo.trial_rng(seed, t), cfg.n_antennas, cfg.n_streams)
         try:
-            yield lifted_trial(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                               powers, precoder, stats, seed, t)
+            yield conditional_terms(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                                    powers, precoder, stats, R)
         except RankDeficientDraw:
             yield None
 
@@ -792,7 +1028,7 @@ def lifted_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, pow
 
 @dataclass(frozen=True)
 class _TrialTerms:
-    """Per-trial inner products for every UT, plus bookkeeping."""
+    """Per-trial terms for every UT, plus bookkeeping."""
 
     uni_des: np.ndarray            # (n, U) complex: own-stream effective channel
     uni_pow_uni: np.ndarray        # (n, U, U): |channel x unicast precoder|^2
@@ -812,10 +1048,11 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
     if trials is None:
-        trials = lifted_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                               powers, precoder, n_trials, seed)
+        trials = conditional_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                                    powers, precoder, n_trials, seed)
 
     U, G = cfg.n_unicast, cfg.n_groups
+    edges = np.cumsum([U, *cfg.group_sizes]).tolist()
     uni_des = np.zeros((n_trials, U), dtype=complex)
     uni_pow_uni = np.zeros((n_trials, U, U))
     uni_pow_mu = np.zeros((n_trials, U, G))
@@ -829,18 +1066,14 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
         if trial is None:
             discarded += 1
             continue
-        V, W, draw = trial
-        FhV = draw.unicast_channels.conj().T @ V      # U x U
-        FhW = draw.unicast_channels.conj().T @ W      # U x G
-        uni_des[kept] = np.diag(FhV)
-        uni_pow_uni[kept] = np.abs(FhV) ** 2
-        uni_pow_mu[kept] = np.abs(FhW) ** 2
-        for j in range(G):
-            GhW = draw.multicast_channels[j].conj().T @ W   # K_j x G
-            GhV = draw.multicast_channels[j].conj().T @ V   # K_j x U
-            mu_des[j][kept] = GhW[:, j]
-            mu_pow_mu[j][kept] = np.abs(GhW) ** 2
-            mu_pow_uni[j][kept] = np.abs(GhV) ** 2
+        desired, power = trial
+        uni_des[kept] = desired[:U]
+        uni_pow_uni[kept] = power[:U, :U]
+        uni_pow_mu[kept] = power[:U, U:]
+        for j, (a, b) in enumerate(zip(edges, edges[1:])):
+            mu_des[j][kept] = desired[a:b]
+            mu_pow_mu[j][kept] = power[a:b, U:]
+            mu_pow_uni[j][kept] = power[a:b, :U]
         kept += 1
 
     if discarded:
@@ -911,7 +1144,7 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
     """``montecarlo.validate_closed_form`` as it was over stored inner
     products: per UT the plug-in SINR, its jackknife half-width and the
     z-score (SINR - closed form) / jackknife standard error.  ``trials``,
-    when given, are the run's ``lifted_trials``."""
+    when given, are the run's trials, by default ``conditional_trials``."""
     if n_trials < 100:
         raise ValueError(f"need at least 100 trials, got {n_trials}")
     terms = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
@@ -951,13 +1184,11 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
                       pilot_powers_unicast, pilot_powers_multicast,
                       powers: DownlinkPowers, precoder: str,
                       n_trials: int, seed: int, trials=None) -> SimpleNamespace:
-    """``montecarlo._run_trials`` as one loop on the calling thread over the
-    loops above, every trial's arrays allocated afresh and every trial's
-    terms stored, then summed around the closed-form moments in trial order.
-    It reads ``trial_rng`` through the ``montecarlo`` module and the
-    builders through this one, so a test that replaces them there replaces
-    them here as well.  ``trials``, when given, are the run's
-    ``lifted_trials``.
+    """``montecarlo._run_trials`` as one loop over stored terms: every
+    trial's terms (``conditional_trials`` unless ``trials`` are given) kept,
+    then summed around the closed-form moments in trial order.  It reads
+    ``trial_rng`` through the ``montecarlo`` module and the builders through
+    this one, so a test that replaces them there replaces them here as well.
 
     Besides the sums the validator reads, it returns the stored terms:
     ``desired`` and ``received``, one column per kept trial."""
@@ -971,28 +1202,21 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     signal = np.concatenate([uni_signal, mu_signal])
     m1, m2 = np.sqrt(signal), np.concatenate([uni_rest, mu_rest]) + signal
 
-    U = cfg.n_unicast
-    users = U + sum(cfg.group_sizes)
-    own = np.concatenate([np.arange(U), U + np.repeat(np.arange(cfg.n_groups), cfg.group_sizes)])
-    every = np.arange(users)
+    users = cfg.n_unicast + sum(cfg.group_sizes)
     desired = np.empty((users, n_trials), dtype=complex)
     received = np.empty((users, n_trials))
 
     if trials is None:
-        trials = lifted_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                               powers, precoder, n_trials, seed)
+        trials = conditional_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                                    powers, precoder, n_trials, seed)
     kept = 0
     discarded = 0
     for trial in trials:
         if trial is None:
             discarded += 1
             continue
-        V, W, draw = trial
-        # conj(h^H x) for every UT and stream.
-        effective = draw.channels.T @ np.concatenate([V, W], axis=1).conj()
-        power = effective.real ** 2 + effective.imag ** 2
+        desired[:, kept], power = trial
         received[:, kept] = power.sum(axis=1)
-        desired[:, kept] = effective[every, own].conj()
         kept += 1
 
     if discarded:
@@ -1008,9 +1232,9 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
 
 def sum_terms(m1: np.ndarray, m2: np.ndarray, desired: np.ndarray,
               received: np.ndarray) -> dict[str, np.ndarray]:
-    """The six per-UT sums of the stored terms (one column per trial), added
-    in trial order: of x = Re d - m1, x^2, y = r - m2, y^2, x*y and Im d."""
-    sums = {name: np.zeros(m1.size) for name in ("x", "xx", "y", "yy", "xy", "imag")}
+    """The five per-UT sums of the stored terms (one column per trial), added
+    in trial order: of x = Re d - m1, x^2, y = r - m2, y^2 and x*y."""
+    sums = {name: np.zeros(m1.size) for name in ("x", "xx", "y", "yy", "xy")}
     for t in range(desired.shape[1]):
         x = desired[:, t].real - m1
         y = received[:, t] - m2
@@ -1019,7 +1243,6 @@ def sum_terms(m1: np.ndarray, m2: np.ndarray, desired: np.ndarray,
         sums["y"] += y
         sums["yy"] += y * y
         sums["xy"] += x * y
-        sums["imag"] += desired[:, t].imag
     return sums
 
 
@@ -1027,20 +1250,23 @@ def moment_tests_two_pass(trials: SimpleNamespace) -> list[tuple[float, float, f
     """(W, p, z, m1/SE) per UT from the stored terms of ``run_trials_serial``.
 
     The pair (Re d - m1, r - m2) is tested with two degrees of freedom.  A
-    term with no spread tests only whether it sits exactly on its moment;
-    without a second term, or with a singular covariance, the received
-    power is tested alone, with one degree of freedom."""
+    term whose standard deviation is within EXACT_RTOL of its moment tests
+    only whether its mean is that close to the moment; without a second
+    term, or with a singular covariance, the received power is tested alone,
+    with one degree of freedom.  The standard error in m1/SE is at least
+    EXACT_RTOL m1."""
     n = trials.kept
     normal = NormalDist()
     out = []
     for u in range(trials.m1.size):
-        m1 = float(trials.m1[u])
-        pair = np.stack([trials.desired[u].real - m1, trials.received[u] - trials.m2[u]])
+        m1, m2 = float(trials.m1[u]), float(trials.m2[u])
+        pair = np.stack([trials.desired[u].real - m1, trials.received[u] - m2])
         mean = pair.mean(axis=1)
         centred = pair - mean[:, None]
         cov = centred @ centred.T / (n - 1)
-        spread = np.diag(cov) > 0
-        if np.any(~spread & (mean != 0)):
+        tolerance = EXACT_RTOL * np.abs([m1, m2])
+        spread = np.sqrt(np.diag(cov)) > tolerance
+        if np.any(~spread & (np.abs(mean) > tolerance)):
             w, dof = math.inf, 1
         elif spread.all() and np.linalg.det(cov) > 0:
             w, dof = float(n * mean @ np.linalg.solve(cov, mean)), 2
@@ -1056,7 +1282,7 @@ def moment_tests_two_pass(trials: SimpleNamespace) -> list[tuple[float, float, f
         else:
             p = math.erfc(math.sqrt(w / 2)) if dof else 1.0
             z = math.sqrt(w)
-        se = math.sqrt(cov[0, 0] / n)
+        se = max(math.sqrt(cov[0, 0] / n), EXACT_RTOL * m1)
         out.append((w, p, z, 0.0 if m1 == 0 else m1 / se))
     return out
 

@@ -14,6 +14,7 @@ from mimocast.allocation import mmf_se_report, sse_se_report
 from mimocast.allocation import MmfSolution, SseSolution
 from mimocast.cli import main
 from mimocast.model import FadingProfile, SystemConfig
+from mimocast.montecarlo import EXACT_RTOL
 
 
 def run(*argv):
@@ -172,9 +173,11 @@ class TestPareto:
 
 class TestValidate:
     def test_report_written_and_parses(self, scenario_path, tmp_path):
+        # A correct run fails its gate by chance: 10 of 600 seeds at 400
+        # trials on this scenario, seed 3 among them (unicast UT 2, z = 4.4).
         out = tmp_path / "val.json"
         assert run("validate", "--scenario", scenario_path, "--precoder", "mrt",
-                   "--trials", 400, "--seed", 3, "--out", out) == 0
+                   "--trials", 400, "--seed", 4, "--out", out) == 0
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
         assert len(doc["records"]) == 3 + 4
@@ -188,6 +191,22 @@ class TestValidate:
                                 "ci_high", "z", "wald", "p_value", "m1_over_se"}
         # round trip: serialize again and compare
         assert json.loads(json.dumps(doc)) == doc
+
+    def test_zf_report_is_strict_json(self, scenario_path, tmp_path):
+        # ZF's desired term is exact, with a standard error of zero or at
+        # rounding level, so m1/SE is capped at 1/EXACT_RTOL: a parser that
+        # refuses NaN and Infinity reads the whole report.
+        out = tmp_path / "val.json"
+        assert run("validate", "--scenario", scenario_path, "--precoder", "zf",
+                   "--trials", 200, "--seed", 3, "--out", out) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} in the report")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["passed"] is True
+        for rec in doc["records"]:
+            assert rec["m1_over_se"] == pytest.approx(1.0 / EXACT_RTOL, rel=1e-12)
 
     def test_trial_floor_enforced(self, scenario_path, tmp_path):
         rc = run("validate", "--scenario", scenario_path, "--precoder", "mrt",
@@ -520,14 +539,17 @@ PINNED_PARETO = {
 # every stream has power), and again when trials factored the pilots' unit
 # observations and scaled the precoders by the stream powers alone (the
 # same draws: closed_form fields unchanged, every other field moved by at
-# most 5.1e-14 relative under MRT and 5.7e-12 under ZF, a p-value and a z).
+# most 5.1e-14 relative under MRT and 5.7e-12 under ZF, a p-value and a z),
+# and again when trials drew the observations' factor alone and took each
+# UT's terms given the observations (new draws and terms with the same
+# means: closed_form fields unchanged).
 PINNED_SOLVER_OUTPUTS = {
     ("mmf", "mrt"): "a8f2665bee651db4aafd579687169d990c5c998be7f382bfb55180ffe61e27cc",
     ("mmf", "zf"): "01a7ea6a7ea75363d55c4eef975c27a1783e82c320b2fbb2eee896bbb1fad61e",
     ("sse", "mrt"): "6f8e2fb750945821becfdc20acc49649852d9de89e6d83d0489a4f466b8e607b",
     ("sse", "zf"): "abf4664e35c88ad25f88bdaf4606f884b476003749391debc71afe18360c8112",
-    ("validate", "mrt"): "072d79654743386ea620a78bb26f7a0ee4506c232936af99aefab78dafb817a5",
-    ("validate", "zf"): "9882365b4064f4601698fe789e06d68eed3ec1372331cdcc378a533c7a44ffad",
+    ("validate", "mrt"): "92ba21722a1fe09ebdf3bce69ad7ecaca25fa3ba9ace86c3ded81bc8aea7e33d",
+    ("validate", "zf"): "de3591989d7bb6531be9c19a99fb8f2db3636ce422c279157099cc0417e8157b",
 }
 
 

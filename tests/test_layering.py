@@ -12,9 +12,9 @@ normal draw.  Likewise, which pilots a score estimates is
 ``allocation._score_stats``'s rule: no other code in ``allocation.py``
 names ``_estimation_variances``.
 
-Which factorization a trial takes is one helper's rule: in
-``montecarlo.py`` only ``_observation_basis`` names a Cholesky factor or a
-QR, and only the ZF step, ``_zf_factor``, names an inverse.
+A trial draws the observations' factor and factors nothing else but ZF's
+inverse: nothing in ``montecarlo.py`` names a Cholesky factor or a QR, and
+only the ZF step, ``_zf_factor``, names an inverse.
 
 Which precoders exist is ``closed_form``'s rule: any other module checks a
 precoder through ``closed_form._precoder_factors`` and never tests
@@ -175,9 +175,9 @@ def helper(rng):
 FACTORIZATIONS = {"cholesky", "qr"}
 
 
-def test_one_helper_factors_in_montecarlo():
+def test_only_zf_factors_in_montecarlo():
     source = MONTECARLO.read_text(encoding="utf-8")
-    assert owners(source, FACTORIZATIONS) == ["_observation_basis"] * 2
+    assert owners(source, FACTORIZATIONS) == []
     assert owners(source, {"inv"}) == ["_zf_factor"]
 
 

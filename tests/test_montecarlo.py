@@ -1,11 +1,7 @@
 import dataclasses
-import json
 import math
-import os
-import sys
-import threading
-import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -43,9 +39,9 @@ def cap_pilots(cfg):
 
 def precoder_columns(O, factor, diag):
     """The precoder columns X = Q R_x through the kernel's cores: R of
-    O = Q R (``_observation_basis``), the precoder's factor
+    O = Q R (``oracles.observation_basis``), the precoder's factor
     R_x = factor(R, diag), and Q = O R^-1, or the identity when N <= S."""
-    R = montecarlo._observation_basis(O)
+    R = oracles.observation_basis(O)
     R_x = factor(R, diag)
     return R_x if O.shape[0] <= O.shape[1] else np.linalg.solve(R.T, O.T).T @ R_x
 
@@ -755,14 +751,30 @@ class TestMomentTest:
         # An exact term with no offset leaves the other to test alone; an
         # exact term off its moment is a certain miss; two exact terms on
         # their moments pass.
-        assert montecarlo._wald(100, 0.0, 0.3, 0.0, 4.0, 0.0) == (pytest.approx(2.25), 1)
-        assert montecarlo._wald(100, 0.3, 0.0, 4.0, 0.0, 0.0) == (pytest.approx(2.25), 1)
-        assert montecarlo._wald(100, 1e-9, 0.3, 0.0, 4.0, 0.0) == (math.inf, 1)
-        assert montecarlo._wald(100, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0)
+        wald = montecarlo._wald
+        assert wald(100, 0.0, 0.3, 0.0, 4.0, 0.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
+        assert wald(100, 0.3, 0.0, 4.0, 0.0, 0.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
+        assert wald(100, 1e-9, 0.3, 0.0, 4.0, 0.0, 1.0, 5.0) == (math.inf, 1)
+        assert wald(100, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 5.0) == (0.0, 0)
+        assert wald(100, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0)
         assert montecarlo._p_and_z(0.0, 0) == (1.0, 0.0)
         assert montecarlo._p_and_z(math.inf, 1) == (0.0, math.inf)
         # Collinear terms: the received power alone.
-        assert montecarlo._wald(100, 0.2, 0.3, 1.0, 4.0, 2.0) == (pytest.approx(2.25), 1)
+        assert wald(100, 0.2, 0.3, 1.0, 4.0, 2.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
+
+    def test_rounding_level_spread_is_exact(self):
+        # ZF's desired term: a spread and an offset at rounding level,
+        # 1.5e-16 and 4.2e-16 of m1, leave the received power to test
+        # alone.  An offset beyond EXACT_RTOL of m1 is a certain miss, and
+        # a spread beyond it makes the pair a two-term test.
+        tol, m1 = montecarlo.EXACT_RTOL, 2.0
+        wald = montecarlo._wald
+        assert wald(100, 4.2e-16 * m1, 0.3, (1.5e-16 * m1) ** 2, 4.0, 1e-17, m1, 5.0) == \
+            (pytest.approx(2.25), 1)
+        assert wald(100, 2.0 * tol * m1, 0.3, (0.5 * tol * m1) ** 2, 4.0, 0.0, m1, 5.0) == \
+            (math.inf, 1)
+        assert wald(100, 0.0, 0.3, (2.0 * tol * m1) ** 2, 4.0, 0.0, m1, 5.0) == \
+            (pytest.approx(2.25), 2)
 
 
 SHAPES = {"mixed": {"u_range": (1, 4), "g_range": (1, 3)},
@@ -777,22 +789,19 @@ def close(a, b, rel):
 class TestStreamedAgainstStoredTerms:
     """The streamed validator against the ones that stored every trial's
     terms (``oracles``): the jackknife validator of the stored-terms
-    section, on the same draws with the old product arithmetic,
-    np.abs(h^H x) ** 2, and the two-pass moment tests over the terms the
-    serial loop stores."""
+    section and the two-pass moment tests over the terms the serial loop
+    stores, both on the conditional loop trials."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("precoder", PRECODERS)
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            shape=st.sampled_from(sorted(SHAPES)))
-    def test_reports_match(self, precoder, workers, seed, shape):
+    def test_reports_match(self, precoder, seed, shape):
         cfg, fading, pilots_un, pilots_mu, powers = small_mc_cell(seed, precoder, **SHAPES[shape])
         args = (cfg, fading, pilots_un, pilots_mu, powers, precoder, 100, seed)
-        with mock.patch.object(montecarlo, "_worker_count", lambda n_trials: workers):
-            new = validate_closed_form(*args)
-        # One lifted run feeds both oracles.
-        trials = list(oracles.lifted_trials(*args))
+        new = validate_closed_form(*args)
+        # One run of the loop trials feeds both oracles.
+        trials = list(oracles.conditional_trials(*args))
         old = oracles.validate_closed_form_stored(*args, trials=trials)
         two_pass = oracles.moment_tests_two_pass(oracles.run_trials_serial(*args, trials=trials))
         assert (new.precoder, new.n_trials, new.n_discarded) == \
@@ -811,60 +820,94 @@ class TestStreamedAgainstStoredTerms:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            shape=st.sampled_from(sorted(SHAPES)))
     def test_observations_bit_identical_to_complex_draw(self, seed, shape):
-        # The kernel's unit draw of the pilot observations is the complex
-        # draw's re + 1j*im.
+        # The kernel's unit draw of the pilot observations, or of R's upper
+        # triangle, is the complex draw's re + 1j*im.
         cfg, *_ = small_mc_cell(seed, "mrt", **SHAPES[shape])
         rng, rng_o = trial_rng(seed, 0), trial_rng(seed, 0)
         size = (cfg.n_antennas, cfg.n_streams)
         re, im = oracles._normal_parts(rng_o, size)
         assert np.array_equal(bits(montecarlo._cn(rng, size)), bits(re + 1j * im))
-        # The residual draws continue the same stream.
+        # The draws that follow continue the same stream.
         assert rng.standard_normal(4).tolist() == rng_o.standard_normal(4).tolist()
 
 
-class TestReducedDraw:
-    """A trial draws the N x S pilot observations and, in k = min(N, S)
-    dimensions, one residual per UT and one per pilot: never a UT's full
-    channel."""
+class CountedRng:
+    """A trial's generator that counts the complex normals and the gamma
+    variates drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.normals, self.gammas = rng, 0, 0
+
+    def standard_normal(self, *, out):
+        self.normals += out.size // 2
+        return self.rng.standard_normal(out=out)
+
+    def standard_gamma(self, shape):
+        self.gammas += np.size(shape)
+        return self.rng.standard_gamma(shape)
+
+
+def factor_kernel(n_antennas, n_streams):
+    """The trial kernel of an MRT cell with N antennas and S unicast UTs,
+    for its observations' factor (``_Kernel._factor``)."""
+    cfg = make_config(n_unicast=n_streams, group_sizes=(), n_antennas=n_antennas)
+    fading = FadingProfile(unicast_gains=(1.0,) * n_streams, multicast_gains=())
+    powers = DownlinkPowers.equal_split(cfg.total_power, n_streams, 0.0, 0)
+    return montecarlo._Kernel(cfg, fading, *cap_pilots(cfg), powers, MRT, 0)
+
+
+class TestBartlettDraw:
+    """A trial draws only the S x S factor R of the pilots' unit
+    observations, never a UT's channel or an N x S array, unless N <= S."""
 
     @pytest.mark.parametrize("n_antennas, precoder", [(64, "mrt"), (64, "zf"), (4, "mrt"),
-                                                       (6, "mrt"), (7, "zf")])
-    def test_trial_draws_only_what_the_terms_read(self, monkeypatch, n_antennas, precoder):
-        # Drawing every channel and the pilot noise took N (users + S).
+                                                       (6, "mrt"), (7, "mrt"), (7, "zf")])
+    def test_trial_draws_only_the_factor(self, monkeypatch, n_antennas, precoder):
+        # S(S + 1)/2 complex normals and S gamma variates when N > S, and the
+        # N x S observations when N <= S.  At N = S + 1 the last gamma
+        # variate has shape 0, and is drawn all the same.
         cfg, fading = small_system(n_antennas=n_antennas, n_unicast=4, group_sizes=(3, 3))
         half = cfg.total_power / 2.0
         powers = DownlinkPowers.equal_split(half, 4, half, 2)
-        drawn = []
-        cn = montecarlo._cn
+        rngs = []
+        trial_rng_ = montecarlo.trial_rng
 
-        def counted(rng, shape, *args, **kwargs):
-            drawn.append(math.prod(shape))
-            return cn(rng, shape, *args, **kwargs)
+        def counted(seed, t):
+            rngs.append(CountedRng(trial_rng_(seed, t)))
+            return rngs[-1]
 
-        monkeypatch.setattr(montecarlo, "_cn", counted)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
+        monkeypatch.setattr(montecarlo, "trial_rng", counted)
         report = validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, precoder, 100, 3)
-        N, S, users = n_antennas, 6, 10
+        N, S = n_antennas, 6
         assert (report.n_trials, report.n_discarded) == (100, 0)
-        assert sum(drawn) == 100 * (N * S + min(N, S) * (users + S))
+        want = (N * S, 0) if N <= S else (S * (S + 1) // 2, S)
+        assert {(rng.normals, rng.gammas) for rng in rngs} == {want} and len(rngs) == 100
 
-    def test_indefinite_gram_falls_back_to_qr(self, monkeypatch):
-        # With more antennas than pilots, R is the Cholesky factor of the
-        # observations' Gram: the QR's R with rows of a positive diagonal.
-        # When rounding leaves that Gram indefinite, R comes from the QR.
-        rng = np.random.default_rng(3)
-        O = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
-        want = np.linalg.qr(O, mode="r")
-        signs = np.sign(want.diagonal().real)[:, None]
-        assert np.allclose(montecarlo._observation_basis(O), signs * want, rtol=0, atol=1e-13)
+    @pytest.mark.parametrize("n_antennas", [64, 100, 500])
+    def test_factor_has_the_wishart_law(self, n_antennas):
+        # G = R^H R has the law of Y^H Y for N x S unit draws Y: E G_ss = 2N,
+        # E |G_st|^2 = 4N off the diagonal and E (G^-1)_ss = 1/(2 (N - S)).
+        # Each draw gives one sample of each, averaged over s (and s, t).
+        # At N = 64, 1/(G^-1)_ss has 2 (N - S + 1) = 10 degrees of freedom,
+        # so (G^-1)_ss still has the finite variance the standard error
+        # needs.
+        N, S, draws = n_antennas, 60, 2000
+        kernel = factor_kernel(N, S)
+        rng = np.random.default_rng(17)
+        samples = np.empty((draws, 3))
+        for i in range(draws):
+            R = kernel._factor(rng)
+            assert np.array_equal(R, np.triu(R)) and (R.diagonal().real > 0.0).all()
+            gram = R.conj().T @ R
+            rows = np.linalg.inv(R)   # (G^-1)_ss = ||row s of R^-1||^2
+            samples[i] = (gram.diagonal().real.mean() / (2.0 * N),
+                          (np.abs(gram[np.triu_indices(S, 1)]) ** 2).mean() / (4.0 * N),
+                          (np.abs(rows) ** 2).sum(axis=1).mean() * 2.0 * (N - S))
+        mean = samples.mean(axis=0)
+        se = samples.std(axis=0, ddof=1) / math.sqrt(draws)
+        assert (np.abs(mean - 1.0) <= 4.0 * se).all(), (mean, se)
 
-        def indefinite(a):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", indefinite)
-        assert np.array_equal(montecarlo._observation_basis(O), want)
-
-    def test_tall_cell_peak_below_one_channel_matrix(self, monkeypatch):
+    def test_tall_cell_peak_below_one_channel_matrix(self):
         # 512 antennas and 400 UTs: the N x users channel matrix a trial
         # drew before took 3.3 MB by itself.
         u, sizes = 20, (95,) * 4
@@ -875,7 +918,6 @@ class TestReducedDraw:
                                multicast_gains=tuple(rng.uniform(0.2, 1.5, k) for k in sizes))
         powers = DownlinkPowers.equal_split(cfg.total_power / 2.0, u,
                                             cfg.total_power / 2.0, len(sizes))
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
         tracemalloc.start()
         try:
             validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, "zf", 100, 5)
@@ -889,7 +931,7 @@ class TestMemory:
     def test_peak_grows_by_at_most_1_byte_per_ut_per_trial(self):
         # Many streams per UT: storing every per-stream power would cost
         # 8 * (U + G) = 192 bytes per UT per trial, and storing each trial's
-        # desired term and received power 24.
+        # desired term and received power 16.
         u, sizes = 20, (10,) * 4
         cfg = make_config(n_unicast=u, group_sizes=sizes, pilot_length=u + len(sizes),
                           n_antennas=64, cap=2.0)
@@ -916,16 +958,14 @@ class TestMemory:
         assert growth <= 1.0, f"{growth:.2f} bytes per UT per trial"
 
 
-def fail_in_trials(monkeypatch, errors, delays=None):
-    """Make the precoder cores raise ``errors[t](...)`` in trial t, and
-    sleep ``delays[t]`` seconds before, on whichever thread runs trial t:
-    the trial kernel's, and the loop builders the serial oracle calls."""
-    local = threading.local()
+def fail_in_trials(monkeypatch, errors):
+    """Make the precoder cores raise ``errors[t](...)`` in trial t: the
+    trial kernel's, and the loop builders the serial oracle calls."""
+    current = {}
     trial_rng_ = montecarlo.trial_rng
-    delays = delays or {}
 
     def tagged_rng(seed, t):
-        local.trial = t
+        current["trial"] = t
         return trial_rng_(seed, t)
 
     monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
@@ -933,54 +973,57 @@ def fail_in_trials(monkeypatch, errors, delays=None):
                          (oracles, "build_mrt_precoders_loop"),
                          (oracles, "build_zf_precoders_loop")):
         def build(*args, _build=getattr(module, name)):
-            time.sleep(delays.get(local.trial, 0.0))
-            if local.trial in errors:
-                raise errors[local.trial](f"forced in trial {local.trial}")
+            if current["trial"] in errors:
+                raise errors[current["trial"]](f"forced in trial {current['trial']}")
             return _build(*args)
         monkeypatch.setattr(module, name, build)
-
-
-def report_bytes(report) -> bytes:
-    return json.dumps(report.to_dict(), sort_keys=True).encode()
 
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-SUMS = ("x", "xx", "y", "yy", "xy", "imag")
+SUMS = ("x", "xx", "y", "yy", "xy")
 
 
-def recorded_run(args, workers):
-    """``_run_trials`` on ``workers`` threads, with each kept trial's terms
-    as they entered the sums: (sums, desired, received), the terms with one
-    column per kept trial."""
-    terms = []
-    commit = montecarlo._Sums.commit
+def recorded_run(args):
+    """``_run_trials`` with each trial's observations' factor and each kept
+    trial's terms as they entered the sums: (sums, factors, desired,
+    received), the factors one per trial and the terms one column per kept
+    trial."""
+    factors, terms = [], []
+    kernel_terms = montecarlo._Kernel.terms
 
-    def record(self, result):
+    def record(self, R):
+        factors.append(R.copy())
+        result = kernel_terms(self, R)
         if result is not None:
             terms.append((result[1].copy(), result[0].copy()))
-        commit(self, result)
+        return result
 
-    with mock.patch.object(montecarlo._Sums, "commit", record), \
-            mock.patch.object(montecarlo, "_worker_count", lambda n_trials: workers):
+    with mock.patch.object(montecarlo._Kernel, "terms", record):
         sums, _ = montecarlo._run_trials(*args)
     desired, received = (np.stack(a, axis=1) for a in zip(*terms))
-    return sums, desired, received
+    return sums, factors, desired, received
 
 
-# The kernel scales each UT's terms where the serial loop scales its
-# channel, so their terms differ by rounding: 1e-15 to 3e-15 of a trial's
-# largest term on the desk cells.
+# The kernel forms each UT's terms from R^T conj(R_x) where the loop oracle
+# takes one inner product at a time with N-row precoders, so their terms
+# differ by rounding: up to 2.1e-15 of a trial's largest term on 360 desk
+# cells of 30 trials.
 TERMS_RTOL = 1e-12
 
 
-def assert_matches_serial(sums, desired, received, serial):
-    """A recorded run against ``oracles.run_trials_serial``: the same trials
-    kept and moments to the bit, each kept trial's d and r within TERMS_RTOL
-    of that trial's largest |d| and r, and sums that are the recorded terms'
-    sums in trial order, to the bit."""
+def assert_matches_serial(args, sums, factors, desired, received, serial):
+    """A recorded run against ``oracles.run_trials_serial``: each trial's
+    factor bit for bit the oracle's draw (``bartlett_factor``), the same
+    trials kept and moments to the bit, each kept trial's d and r within
+    TERMS_RTOL of that trial's largest |d| and r, and sums that are the
+    recorded terms' sums in trial order, to the bit."""
+    cfg, seed = args[0], args[-1]
+    for t, R in enumerate(factors):
+        want = oracles.bartlett_factor(trial_rng(seed, t), cfg.n_antennas, cfg.n_streams)
+        assert np.array_equal(bits(R), bits(want)), t
     assert (sums.kept, sums.discarded) == (serial.kept, serial.discarded)
     assert desired.shape == received.shape == serial.desired.shape
     d_err = np.abs(desired - serial.desired).max(axis=0)
@@ -995,21 +1038,15 @@ def assert_matches_serial(sums, desired, received, serial):
 
 
 class TestKernelAgainstLoops:
-    """The trial kernel, which draws at unit variance and scales each UT's
-    terms at the end, against the serial loop over the loop oracles, which
-    draws at each UT's variance (``oracles``, serial streamed section), at
-    one, two and three workers.  The sums are the same bits at every worker
-    count."""
+    """The trial kernel, which forms every UT's conditional terms from R at
+    once and scales them by per-UT coefficients, against the conditional
+    loop oracle, which builds the precoders from R one column at a time and
+    takes each UT's mean over its estimation error one stream at a time
+    (``oracles``, conditional-loop section)."""
 
     @staticmethod
     def check(args):
-        serial = oracles.run_trials_serial(*args)
-        runs = [recorded_run(args, workers) for workers in (1, 2, 3)]
-        for run in runs:
-            assert_matches_serial(*run, serial)
-            for name in SUMS:
-                assert np.array_equal(bits(getattr(run[0], name)),
-                                      bits(getattr(runs[0][0], name))), name
+        assert_matches_serial(args, *recorded_run(args), oracles.run_trials_serial(*args))
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     @settings(max_examples=20, deadline=None)
@@ -1021,14 +1058,15 @@ class TestKernelAgainstLoops:
         self.check((*small_mc_cell(seed, precoder, **SHAPES[shape]), precoder, 60, seed))
 
     @pytest.mark.parametrize("precoder", PRECODERS)
-    @pytest.mark.parametrize("block_uts", [1, 2, 5])
-    def test_terms_match_in_small_blocks(self, monkeypatch, precoder, block_uts):
-        # Unicast UTs in runs of BLOCK_UTS, and runs of whole groups: at 1
-        # a block per UT or group, at 2 and 5 runs of both kinds.
-        monkeypatch.setattr(montecarlo, "BLOCK_UTS", block_uts)
-        cfg, fading = small_system(n_antennas=32, n_unicast=3, group_sizes=(2, 1, 3))
+    @pytest.mark.parametrize("group_sizes", [(2, 1, 3), (1, 1, 1), (6,)],
+                             ids=["mixed", "singletons", "one group"])
+    def test_terms_match_across_group_layouts(self, precoder, group_sizes):
+        # A group of one has no other member, so its leave-one-out sum is
+        # empty and its error variance is a unicast UT's; a group of six
+        # takes five others from the prefix and suffix sums.
+        cfg, fading = small_system(n_antennas=32, n_unicast=3, group_sizes=group_sizes)
         half = cfg.total_power / 2.0
-        powers = DownlinkPowers.equal_split(half, 3, half, 3)
+        powers = DownlinkPowers.equal_split(half, 3, half, len(group_sizes))
         self.check((cfg, fading, *cap_pilots(cfg), powers, precoder, 60, 8))
 
     @pytest.mark.parametrize("precoder, silent", [
@@ -1051,18 +1089,97 @@ class TestKernelAgainstLoops:
 
     @pytest.mark.parametrize("n_antennas, precoder", [(4, "mrt"), (6, "mrt"), (7, "zf")])
     def test_few_antennas(self, n_antennas, precoder):
-        # Six pilots: with N <= S the basis of the observations is the
-        # identity and R = O; with N = S + 1, ZF keeps one spare antenna.
+        # Six pilots: with N <= S a trial draws the observations themselves
+        # (R = Y, Q = I); with N = S + 1, ZF keeps one spare antenna.
         cfg, fading = small_system(n_antennas=n_antennas, n_unicast=4, group_sizes=(3, 3))
         half = cfg.total_power / 2.0
         powers = DownlinkPowers.equal_split(half, 4, half, 2)
         self.check((cfg, fading, *cap_pilots(cfg), powers, precoder, 60, 6))
 
 
-class TestWorkerThreads:
-    """Trials on worker threads, with the worker count forced, against one
-    worker and against the serial loop (``oracles``, serial streamed
-    section)."""
+class TestConditionalTerms:
+    """The conditional terms against full draws (``oracles``, full-draw
+    section), and their estimation-error variance against exact rational
+    arithmetic."""
+
+    @staticmethod
+    def cell(n_antennas, precoder):
+        cfg, fading = small_system(n_antennas=n_antennas, n_unicast=3, group_sizes=(2, 3))
+        pilots_un, pilots_mu = cap_pilots(cfg)
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers.equal_split(half, 3, half, 2)
+        return cfg, fading, pilots_un, pilots_mu, powers, precoder
+
+    @pytest.mark.parametrize("n_antennas, precoder", [(24, "mrt"), (24, "zf"), (4, "mrt"),
+                                                       (5, "mrt"), (6, "zf")])
+    def test_mean_of_full_draws_matches_conditional_terms(self, n_antennas, precoder):
+        # One factor R of the observations, then 2000 draws of every UT's
+        # residual given it: their mean terms must lie within 4 standard
+        # errors of the conditional terms, and d's imaginary part of 0.
+        # Five pilots: N = 5 is MRT's square observations, N = 6 ZF's one
+        # spare antenna.
+        cell = self.cell(n_antennas, precoder)
+        kernel = montecarlo._Kernel(*cell, 0)
+        R = kernel._factor(trial_rng(0, 0))
+        received, desired = kernel.terms(R)
+        full = oracles.FullDrawKernel(*cell, 0)
+        rng = np.random.default_rng(23)
+        draws = [full.residual_terms(R, rng) for _ in range(2000)]
+        for got, want in ((np.stack([r for r, _ in draws]), received),
+                          (np.stack([d.real for _, d in draws]), desired),
+                          (np.stack([d.imag for _, d in draws]), 0.0 * desired)):
+            mean, se = got.mean(axis=0), got.std(axis=0, ddof=1) / math.sqrt(len(draws))
+            assert (np.abs(mean - want) <= 4.0 * se).all(), (mean - want) / se
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_full_draw_oracle_matches_lifted_loops(self, precoder):
+        # The full-draw oracle, the trial kernel before this one, against
+        # the loops on its own draws lifted to full channels.
+        cfg, fading, pilots_un, pilots_mu, powers, _ = cell = self.cell(24, precoder)
+        full = oracles.FullDrawKernel(*cell, 9)
+        lifted = oracles.lifted_trials(*cell, 30, 9)
+        for t, (draw, loops) in enumerate(zip(map(full, range(30)), lifted)):
+            received, desired = draw
+            want_desired, power = loops
+            want = power.sum(axis=1)
+            assert np.abs(received - want).max() <= TERMS_RTOL * want.max(), t
+            assert np.abs(desired - want_desired).max() \
+                <= TERMS_RTOL * np.abs(want_desired).max(), t
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_error_variance_matches_exact_fractions(self, data):
+        # Each UT's 2 (1 - c w), scaled by its gain / 2, at pilot energies
+        # tau * power * gain from 1e-6 to 1e30: formed as 1 - c w, it would
+        # lose every digit once a pilot's energy dwarfs 1.
+        u = data.draw(st.integers(min_value=0, max_value=4), label="unicast UTs")
+        sizes = tuple(data.draw(st.lists(st.integers(min_value=1, max_value=4),
+                                         min_size=0 if u else 1, max_size=3), label="groups"))
+        cfg = make_config(n_unicast=u, group_sizes=sizes, n_antennas=u + len(sizes) + 2)
+        users = u + sum(sizes)
+
+        def per_ut(strategy, label):
+            return np.array(data.draw(st.lists(strategy, min_size=users, max_size=users),
+                                      label=label))
+
+        gains = per_ut(st.floats(min_value=0.01, max_value=2.0), "gains")
+        energy = 10.0 ** per_ut(st.floats(min_value=-6.0, max_value=30.0), "log10 energy")
+        pilots = energy / (cfg.pilot_length * gains)
+        edges = np.cumsum([u, *sizes]).tolist()
+        fading = FadingProfile(unicast_gains=gains[:u],
+                               multicast_gains=[gains[a:b] for a, b in zip(edges, edges[1:])])
+        pilots_un, pilots_mu = pilots[:u], [pilots[a:b] for a, b in zip(edges, edges[1:])]
+        powers = DownlinkPowers.equal_split(1.0 if u else 0.0, u, 1.0 if sizes else 0.0,
+                                            len(sizes))
+        got = montecarlo._Kernel(cfg, fading, pilots_un, pilots_mu, powers, ZF, 0).incoherent
+        exact = oracles.error_variances_exact(cfg, fading, pilots_un, pilots_mu)
+        want = np.array([float(e * Fraction(float(g)) / 2) for e, g in zip(exact, gains)])
+        assert (np.abs(got - want) <= 1e-14 * want).all(), np.abs(got / want - 1.0).max()
+
+
+class TestTrialOrder:
+    """Trials run in trial order on the calling thread, against the serial
+    loop (``oracles``, serial streamed section)."""
 
     # The first trial, a run of neighbours and the last one.
     DISCARDED = (0, 1, 2, 40, 41, 99)
@@ -1076,72 +1193,42 @@ class TestWorkerThreads:
         return cfg, fading, pilots_un, pilots_mu, powers, precoder
 
     @pytest.mark.parametrize("precoder", PRECODERS)
-    def test_same_bytes_for_every_worker_count(self, monkeypatch, precoder):
+    def test_discarded_trials_leave_the_rest_in_order(self, monkeypatch, precoder):
         args = (*self.cell(precoder), 100, 19)
-        # Trial-dependent delays let later trials finish before earlier ones.
-        fail_in_trials(monkeypatch, dict.fromkeys(self.DISCARDED, montecarlo.RankDeficientDraw),
-                       {t: 0.001 * (7 * t % 4) for t in range(100)})
+        fail_in_trials(monkeypatch, dict.fromkeys(self.DISCARDED, montecarlo.RankDeficientDraw))
         serial = oracles.run_trials_serial(*args)
         assert (serial.kept, serial.discarded) == (100 - len(self.DISCARDED),
                                                    len(self.DISCARDED))
-        runs = {}
-        for workers in (1, 2, 3):
-            run = recorded_run(args, workers)
-            assert_matches_serial(*run, serial)
-            monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
-            runs[workers] = run[0], report_bytes(validate_closed_form(*args))
+        assert_matches_serial(args, *recorded_run(args), serial)
 
-        sums, report = runs[1]
-        for workers, (other, other_report) in runs.items():
-            # The trial order of the sums, bit for bit.
-            for name in SUMS:
-                assert np.array_equal(bits(getattr(other, name)), bits(getattr(sums, name))), \
-                    (workers, name)
-            assert other_report == report, workers
-
-    def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
-        args = (*self.cell("mrt"), 300, 23)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 1)
-        serial, _ = montecarlo._run_trials(*args)
-        monkeypatch.setattr(montecarlo, "_worker_count",
-                            lambda n_trials: min((os.cpu_count() or 1) + 3, 16))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            trials, _ = montecarlo._run_trials(*args)
-        finally:
-            sys.setswitchinterval(interval)
-        assert (trials.kept, trials.discarded) == (300, 0)
-        for name in SUMS:
-            assert np.array_equal(bits(getattr(trials, name)), bits(getattr(serial, name))), name
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_lowest_failing_trial_raises_and_no_thread_remains(self, monkeypatch, workers):
-        # Trial 23 fails as a degenerate input would, but only after trial
-        # 24 has already failed with another type.
+    @pytest.mark.parametrize("errors, raised, trial", [
+        ({3: montecarlo.RankDeficientDraw, 23: DegenerateInputError, 24: ValueError},
+         DegenerateInputError, 23),
+        ({0: ValueError, 1: DegenerateInputError}, ValueError, 0),
+        ({**dict.fromkeys(range(99), montecarlo.RankDeficientDraw), 99: DegenerateInputError},
+         DegenerateInputError, 99),
+    ], ids=["middle", "first", "last"])
+    def test_lowest_failing_trial_raises(self, monkeypatch, errors, raised, trial):
+        # The lowest trial that raises stops the run with its own error:
+        # trial 23 fails as a degenerate input would, before trial 24 could
+        # fail with another type; the first trial stops the run before any
+        # other runs; and a last trial that raises after 99 discards is
+        # reported as itself, not as too few usable trials.
         args = (*self.cell("zf"), 100, 5)
-        fail_in_trials(monkeypatch, {3: montecarlo.RankDeficientDraw,
-                                     23: DegenerateInputError, 24: ValueError},
-                       {23: 0.05})
-        with pytest.raises(DegenerateInputError, match="trial 23"):
-            oracles.run_trials_serial(*args)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
-        before = threading.active_count()
-        with pytest.raises(DegenerateInputError, match="trial 23"):
-            validate_closed_form(*args)
-        assert threading.active_count() == before
+        fail_in_trials(monkeypatch, errors)
+        for run in (oracles.run_trials_serial, validate_closed_form):
+            with pytest.raises(raised, match=f"trial {trial}$"):
+                run(*args)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("where", ["last", "first"])
     @pytest.mark.parametrize("kept", [0, 1, 2])
-    def test_run_needs_two_kept_trials(self, monkeypatch, workers, kept):
-        # Every trial but the last `kept` loses rank.  The moment test needs
-        # two kept trials: fewer raise, after the pool has stopped, as the
-        # serial loop does, and two give a report.
+    def test_run_needs_two_kept_trials(self, monkeypatch, kept, where):
+        # Every trial but the last (or the first) `kept` loses rank.  The
+        # moment test needs two kept trials: fewer raise, as the serial loop
+        # does, and two give a report.
         args = (*self.cell("zf"), 100, 13)
-        fail_in_trials(monkeypatch,
-                       dict.fromkeys(range(100 - kept), montecarlo.RankDeficientDraw))
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
-        before = threading.active_count()
+        lost = range(100 - kept) if where == "last" else range(kept, 100)
+        fail_in_trials(monkeypatch, dict.fromkeys(lost, montecarlo.RankDeficientDraw))
         if kept < 2:
             for run in (oracles.run_trials_serial, validate_closed_form):
                 with pytest.raises(DegenerateInputError, match="fewer than 2 usable trials"):
@@ -1150,73 +1237,16 @@ class TestWorkerThreads:
             report = validate_closed_form(*args)
             assert (report.n_trials, report.n_discarded) == (2, 98)
             assert all(math.isfinite(rec.empirical) for rec in report.records)
-        assert threading.active_count() == before
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_started_trials_stay_within_a_window(self, monkeypatch, workers):
-        # Trial 0 stalls, so a pool handed every trial at once would run
-        # the later ones far ahead of the commits.
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: workers)
-        lock = threading.Lock()
-        counts = {"started": 0, "committed": 0, "ahead": 0}
-        trial_rng_, commit = montecarlo.trial_rng, montecarlo._Sums.commit
-
-        def counted_rng(seed, t):
-            with lock:
-                counts["started"] += 1
-                counts["ahead"] = max(counts["ahead"], counts["started"] - counts["committed"])
-            if t == 0:
-                time.sleep(0.05)
-            return trial_rng_(seed, t)
-
-        def counted_commit(self, result):
-            with lock:
-                counts["committed"] += 1
-            commit(self, result)
-
-        monkeypatch.setattr(montecarlo, "trial_rng", counted_rng)
-        monkeypatch.setattr(montecarlo._Sums, "commit", counted_commit)
-        validate_closed_form(*self.cell("mrt"), 300, 7)
-        assert counts["started"] == counts["committed"] == 300
-        assert counts["ahead"] <= 2 * workers, counts
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_sums_hold_one_value_per_ut(self, workers):
-        # What a run keeps is six sums and the two moments per UT, whatever
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_sums_hold_one_value_per_ut(self, precoder):
+        # What a run keeps is five sums and the two moments per UT, whatever
         # the trial count; the sums are the sums of the kept trials' terms,
         # which match the serial loop's stored terms.
-        args = (*self.cell("mrt"), 60, 3)
-        sums, desired, received = recorded_run(args, workers)
+        args = (*self.cell(precoder), 60, 3)
+        run = recorded_run(args)
         serial = oracles.run_trials_serial(*args)
-        arrays = {k: v for k, v in vars(sums).items() if isinstance(v, np.ndarray)}
+        arrays = {k: v for k, v in vars(run[0]).items() if isinstance(v, np.ndarray)}
         assert sorted(arrays) == sorted(("m1", "m2", *SUMS))
         assert {a.shape for a in arrays.values()} == {(serial.desired.shape[0],)}
-        assert_matches_serial(sums, desired, received, serial)
-
-    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert montecarlo._worker_count(100) == 3
-        assert montecarlo._worker_count(2) == 2
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                            lambda pid: set(range(4 * montecarlo.MAX_WORKERS)))
-        assert montecarlo._worker_count(10_000) == montecarlo.MAX_WORKERS
-        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
-        assert montecarlo._worker_count(100) == 1
-
-    def test_worker_that_cannot_start_stops_the_others(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_trials: 3)
-        start = threading.Thread.start
-        calls = []
-
-        def fail_third_start(self):
-            calls.append(self)
-            if len(calls) == 3:
-                raise RuntimeError("can't start new thread")
-            start(self)
-
-        monkeypatch.setattr(threading.Thread, "start", fail_third_start)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            validate_closed_form(*self.cell("mrt"), 100, 5)
-        assert threading.active_count() == before
+        assert_matches_serial(args, *run, serial)
