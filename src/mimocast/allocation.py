@@ -10,16 +10,18 @@ alike (the precoder only sets the array gain and interference factors):
 
 Both solvers spend the entire remaining downlink budget and use the
 shortest feasible pilot length; the max-min optimum equalizes every
-multicast UT's SE.  Each problem's split-independent pieces are worked out
-once, for one drop or a FadingStack: those no precoder changes
-(``_mmf_pieces``, ``_sse_pieces``), then the precoder's own step
-(``_mmf_problem``, ``_sse_problem``).  The solve at a split, every drop's
-objective, the objective's inverse and the boundary sweep all read them.
-Each solution keeps the problem that built it, and the scores
-(``mmf_se_report``, ``sse_se_report``) read that problem's split-independent
-pieces too: the config at the solution's pilot length and the estimate
-variances, which every solution of one problem shares.  They do so only for
-the very pair the problem was built from, which was validated then.
+multicast UT's SE.  Each objective is one problem class, built for one
+drop or a FadingStack under one precoder (``_mmf_problem``,
+``_sse_problem``): it holds the arrays no precoder changes and the ones the
+precoder's factors set, and ``under`` gives the same problem under another
+precoder, sharing the precoder-free arrays.  The solve at a split, every
+drop's objective, the objective's inverse and the boundary sweep all read
+the problem.  Each solution keeps the problem that built it, and the
+scores (``mmf_se_report``, ``sse_se_report``) read that problem's
+split-independent work too: the config at the solution's pilot length and
+the estimate variances, which every solution of one problem shares.  They
+do so only for the very pair the problem was built from, which was
+validated then.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def _check_split(total: float, fixed: float, name: str) -> float:
     return max(0.0, total - fixed)
 
 
-# The split-independent pieces below read one drop (a FadingProfile) or a
+# The precoder-free arrays below read one drop (a FadingProfile) or a
 # FadingStack; with a stack every result has a leading drop axis.
 
 
@@ -209,12 +211,6 @@ def _pilot_qualities(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> 
     if not per_user.all():
         raise DegenerateInputError("a multicast UT's pilot quality underflows to zero")
     return per_user
-
-
-def _group_quality_floors(cfg: SystemConfig,
-                          fading: FadingProfile | FadingStack) -> np.ndarray:
-    """Per-group pilot-quality floor upsilon_j: the worst quality in the group."""
-    return _group_min(_pilot_qualities(cfg, fading), cfg.group_offsets)
 
 
 def _interference_loads(cfg: SystemConfig, fading: FadingProfile | FadingStack,
@@ -255,7 +251,7 @@ def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
     return prelog * _row_sums(weights * _log1p(levels / offsets) / LN2)
 
 
-def _built_by(problem: _MmfProblem | _SseProblem, solution):
+def _built_by(problem: _Problem, solution):
     """The solution, with the problem that built it recorded on it."""
     object.__setattr__(solution, "_problem", problem)
     return solution
@@ -279,62 +275,71 @@ def _score_stats(cfg_at: SystemConfig, fading: FadingProfile, kind: type,
 
 
 @dataclass(frozen=True, eq=False)
-class _MmfPieces:
-    """What the max-min problem of a validated drop, or of every drop of a
-    FadingStack, needs under any precoder: group floors upsilon_j and loads
-    B_j, and the pilot energies (flat), which only a solve reads and which
-    are worked out on first use."""
+class _Problem:
+    """An allocation problem of a validated drop, or of every drop of a
+    FadingStack, under one precoder: its objective's precoder-free arrays
+    (the subclass's own fields) and the precoder's factors.  With one
+    antenna count per drop of a stack, each drop gets its own array gain
+    (see ``_precoder_factors``).  Each subclass names the solution it
+    builds (``_solution``) and the arrays every solve's record shares
+    (``_shared``, the pilot powers first)."""
 
     cfg: SystemConfig
     fading: FadingProfile | FadingStack
-    upsilon: np.ndarray
-    b_values: np.ndarray
+    precoder: str
+    gain: int | np.ndarray
+    c: float
+
+    def under(self, precoder: str, n_antennas: np.ndarray | None = None):
+        """The same problem under another precoder, which shares every
+        precoder-free array with this one."""
+        gain, c = _precoder_factors(self.cfg, precoder, n_antennas)
+        return dataclasses.replace(self, precoder=precoder, gain=gain, c=c)
 
     @functools.cached_property
-    def x_caps(self) -> np.ndarray:
-        """The optimal capped pilot energies: every member scales its energy
-        down to match its group's floor, so the floor member sits exactly at
-        its cap."""
-        cfg = self.cfg
-        return cfg.multicast_energy_caps_flat * (_per_member(self.upsilon, cfg.group_offsets)
-                                                 / _pilot_qualities(cfg, self.fading))
+    def top(self) -> float:
+        """The one drop's objective with the whole budget."""
+        return float(self.objectives(0.0))
 
-    def problem(self, precoder: str, n_antennas: np.ndarray | None = None) -> _MmfProblem:
-        """The problem under the precoder, which adds only its factors.
-        With one antenna count per drop of a stack, each drop gets its own
-        array gain (see ``_precoder_factors``)."""
-        gain, c = _precoder_factors(self.cfg, precoder, n_antennas)
-        # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
-        # loads below cannot vanish for a valid config; guard anyway.
-        loads = self.b_values - c * self.cfg.total_power
-        if (loads <= 0.0).any():
-            raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
-        return _MmfProblem(self, precoder, gain, loads, _row_sums(loads))
-
-
-def _mmf_pieces(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> _MmfPieces:
-    """The max-min pieces of a validated pair (or config and stack)."""
-    if cfg.n_groups == 0:
-        raise DegenerateInputError("max-min multicast needs at least one group")
-    upsilon = _group_quality_floors(cfg, fading)
-    return _MmfPieces(cfg, fading, upsilon, _interference_loads(cfg, fading, upsilon))
+    @functools.cached_property
+    def _scoring(self) -> tuple[SystemConfig, EstimationStats]:
+        """What a score of any solve reads besides the split: the config at
+        the solver's pilot length and the estimate variances of the pilots
+        every solve's record shares and full-cap pilots for the others."""
+        cfg_at = _at_pilot_length(self.cfg, self.cfg.n_streams)
+        pilots = self._shared[0]
+        return cfg_at, _score_stats(cfg_at, self.fading, self._solution,
+                                    pilots.view if pilots.rows is None else pilots.rows)
 
 
 @dataclass(frozen=True, eq=False)
-class _MmfProblem:
-    """The max-min problem under one precoder, with everything that does
-    not depend on the power split worked out once: the pieces, the
-    precoder's effective loads B_j - c*P and their sum, one per drop."""
+class _MmfProblem(_Problem):
+    """The max-min problem: each multicast UT's pilot quality, the group
+    floors upsilon_j and loads B_j, and, under the precoder, the effective
+    loads B_j - c*P and their sum, one per drop."""
 
-    pieces: _MmfPieces
-    precoder: str
-    gain: int | np.ndarray
-    loads: np.ndarray
-    spread: np.ndarray
+    qualities: np.ndarray
+    upsilon: np.ndarray
+    b_values: np.ndarray
+    _solution = MmfSolution
 
-    @property
-    def cfg(self) -> SystemConfig:
-        return self.pieces.cfg
+    def __post_init__(self):
+        # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
+        # loads below cannot vanish for a valid config; guard anyway.
+        loads = self.b_values - self.c * self.cfg.total_power
+        if (loads <= 0.0).any():
+            raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
+        object.__setattr__(self, "loads", loads)
+        object.__setattr__(self, "spread", _row_sums(loads))
+
+    @functools.cached_property
+    def x_caps(self) -> np.ndarray:
+        """The optimal capped pilot energies (flat): every member scales its
+        energy down to match its group's floor, so the floor member sits
+        exactly at its cap."""
+        cfg = self.cfg
+        return cfg.multicast_energy_caps_flat * (_per_member(self.upsilon, cfg.group_offsets)
+                                                 / self.qualities)
 
     def _gamma(self, p_unicast_fixed: float):
         """The multicast power and the SINR gain*p_mu / sum_j (B_j - c*P)."""
@@ -346,25 +351,12 @@ class _MmfProblem:
         return _solver_prelog(self.cfg) * _log1p(self._gamma(p_unicast_fixed)[1]) / LN2
 
     @functools.cached_property
-    def top(self) -> float:
-        """The one drop's objective with the whole budget."""
-        return float(self.objectives(0.0))
-
-    @functools.cached_property
     def _shared(self) -> tuple[_Shared, _Shared, _Shared, _Shared]:
         """The one drop's pilot powers x/tau, pilot energies x, upsilon and
         B_j, which every solve's record shares."""
-        p, offsets = self.pieces, self.cfg.group_offsets
-        return (_Shared(p.x_caps / self.cfg.n_streams, offsets),
-                _Shared(p.x_caps, offsets), _Shared(p.upsilon), _Shared(p.b_values))
-
-    @functools.cached_property
-    def _scoring(self) -> tuple[SystemConfig, EstimationStats]:
-        """What a score of any solve reads besides the split: the config at
-        the solver's pilot length and the estimate variances of full-cap
-        unicast pilots and the shared multicast rows."""
-        cfg_at = _at_pilot_length(self.cfg, self.cfg.n_streams)
-        return cfg_at, _score_stats(cfg_at, self.pieces.fading, MmfSolution, self._shared[0].rows)
+        offsets = self.cfg.group_offsets
+        return (_Shared(self.x_caps / self.cfg.n_streams, offsets),
+                _Shared(self.x_caps, offsets), _Shared(self.upsilon), _Shared(self.b_values))
 
     def solve(self, p_unicast_fixed: float) -> MmfSolution:
         """``solve_mmf`` on the one drop."""
@@ -391,53 +383,30 @@ class _MmfProblem:
                 / self.gain)
 
 
-def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
-                 precoder: str) -> _MmfProblem:
+def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precoder: str,
+                 n_antennas: np.ndarray | None = None) -> _MmfProblem:
     """The max-min problem of a validated pair (or config and stack)."""
-    _precoder_factors(cfg, precoder)   # a precoder error comes before the pieces' own
-    return _mmf_pieces(cfg, fading).problem(precoder)
+    gain, c = _precoder_factors(cfg, precoder, n_antennas)   # its error comes first
+    if cfg.n_groups == 0:
+        raise DegenerateInputError("max-min multicast needs at least one group")
+    qualities = _pilot_qualities(cfg, fading)
+    upsilon = _group_min(qualities, cfg.group_offsets)   # each group's worst quality
+    return _MmfProblem(cfg, fading, precoder, gain, c, qualities, upsilon,
+                       _interference_loads(cfg, fading, upsilon))
 
 
 @dataclass(frozen=True, eq=False)
-class _SsePieces:
-    """What the sum-SE problem of a validated drop, or of every drop of a
-    FadingStack, needs under any precoder: the full-cap estimate variances
-    theta."""
+class _SseProblem(_Problem):
+    """The sum-SE problem: the full-cap estimate variances theta and, under
+    the precoder, the water-filling offsets, one row per drop."""
 
-    cfg: SystemConfig
-    fading: FadingProfile | FadingStack
     theta: np.ndarray
+    _solution = SseSolution
 
-    def problem(self, precoder: str, n_antennas: np.ndarray | None = None) -> _SseProblem:
-        """The problem under the precoder, whose factors set the
-        water-filling offsets.  With one antenna count per drop of a stack,
-        each drop's row of offsets gets its own array gain (see
-        ``_precoder_factors``)."""
-        gain, c = _precoder_factors(self.cfg, precoder, n_antennas)
-        if n_antennas is not None:
-            gain = gain[:, None]
-        return _SseProblem(self, precoder,
-                           _unicast_offsets(self.cfg, self.fading.unicast_gains, self.theta,
-                                            gain, c))
-
-
-def _sse_pieces(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> _SsePieces:
-    """The sum-SE pieces of a validated pair (or config and stack)."""
-    return _SsePieces(cfg, fading, _unicast_theta(cfg, fading))
-
-
-@dataclass(frozen=True, eq=False)
-class _SseProblem:
-    """The sum-SE problem under one precoder: the pieces and the
-    water-filling offsets, worked out once."""
-
-    pieces: _SsePieces
-    precoder: str
-    offsets: np.ndarray
-
-    @property
-    def cfg(self) -> SystemConfig:
-        return self.pieces.cfg
+    def __post_init__(self):
+        gain = self.gain if np.ndim(self.gain) == 0 else self.gain[:, None]   # per drop
+        object.__setattr__(self, "offsets", _unicast_offsets(
+            self.cfg, self.fading.unicast_gains, self.theta, gain, self.c))
 
     def _fill(self, p_multicast_fixed: float):
         """Water-filled levels, water levels and objectives, one per drop."""
@@ -451,24 +420,11 @@ class _SseProblem:
         return self._fill(p_multicast_fixed)[2]
 
     @functools.cached_property
-    def top(self) -> float:
-        """The one drop's objective with the whole budget."""
-        return float(self.objectives(0.0))
-
-    @functools.cached_property
     def _shared(self) -> tuple[_Shared, _Shared]:
         """The one drop's full-cap pilot powers at the solvers' pilot length
         and theta, which every solve's record shares."""
         return (_Shared(self.cfg.unicast_energy_caps / self.cfg.n_streams),
-                _Shared(self.pieces.theta))
-
-    @functools.cached_property
-    def _scoring(self) -> tuple[SystemConfig, EstimationStats]:
-        """What a score of any solve reads besides the split: the config at
-        the solver's pilot length and the estimate variances of the shared
-        unicast pilots and full-cap multicast pilots."""
-        cfg_at = _at_pilot_length(self.cfg, self.cfg.n_streams)
-        return cfg_at, _score_stats(cfg_at, self.pieces.fading, SseSolution, self._shared[0].view)
+                _Shared(self.theta))
 
     def solve(self, p_multicast_fixed: float) -> SseSolution:
         """``solve_sse`` on the one drop."""
@@ -491,11 +447,11 @@ class _SseProblem:
                                 objective * LN2 / _solver_prelog(self.cfg))
 
 
-def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack,
-                 precoder: str) -> _SseProblem:
+def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precoder: str,
+                 n_antennas: np.ndarray | None = None) -> _SseProblem:
     """The sum-SE problem of a validated pair (or config and stack)."""
-    _precoder_factors(cfg, precoder)   # a precoder error comes before the pieces' own
-    return _sse_pieces(cfg, fading).problem(precoder)
+    gain, c = _precoder_factors(cfg, precoder, n_antennas)   # its error comes first
+    return _SseProblem(cfg, fading, precoder, gain, c, _unicast_theta(cfg, fading))
 
 
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
@@ -530,7 +486,7 @@ def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolut
     if not isinstance(sol, kind):
         raise TypeError(f"expected a {kind.__name__}, got {type(sol).__name__}")
     problem = sol._problem
-    if problem is not None and problem.pieces.cfg is cfg and problem.pieces.fading is fading:
+    if problem is not None and problem.cfg is cfg and problem.fading is fading:
         cfg_at, stats = problem._scoring
         gain, c = _precoder_factors(cfg_at, sol.precoder)
     else:

@@ -92,8 +92,8 @@ class _DropSeed(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
-# Each objective's precoder-free pieces (see ``allocation``).
-_PIECES = {"mmf": allocation._mmf_pieces, "sse": allocation._sse_pieces}
+# Each objective's allocation problem (see ``allocation``).
+_PROBLEMS = {"mmf": allocation._mmf_problem, "sse": allocation._sse_problem}
 
 
 def _shape(cfg: SystemConfig) -> tuple:
@@ -158,13 +158,16 @@ def _shape_means(cfgs: Sequence[SystemConfig], states: np.ndarray,
     n_valid, invalid = _valid_cells(cfgs, drops, n_drops)
     if n_valid == 0:
         raise invalid
-    shared = _PIECES[objective](first, drops.rows(0, n_valid * n_drops))
     n_antennas = np.array([cfg.n_antennas for cfg in cfgs[:n_valid]])
+    counts = np.repeat(n_antennas, n_drops)
+    problem = _PROBLEMS[objective](first, drops.rows(0, n_valid * n_drops), PRECODERS[0],
+                                   counts)
     means = np.zeros((n_valid, len(PRECODERS)))
     feasible = np.zeros(means.shape, dtype=bool)
     for p, prec in enumerate(PRECODERS):
-        vals = shared.problem(prec, np.repeat(n_antennas, n_drops)).objectives(
-            first.total_power / 2.0)
+        if prec != problem.precoder:
+            problem = problem.under(prec, counts)
+        vals = problem.objectives(first.total_power / 2.0)
         served = ~np.isnan(_precoder_factors(first, prec, n_antennas)[0])
         # The drops' objectives added left to right, as a Python sum adds them.
         means[served, p] = _row_sums(vals.reshape(n_valid, n_drops))[served] / n_drops
@@ -184,14 +187,15 @@ def drop_means(configs: Sequence[SystemConfig], objective: str, n_drops: int,
     spawn_key=(c, d))``; the seeds of every drop come from one pass.  Cells
     that differ only in their antenna counts share a shape: in the model
     the count enters nothing but the precoder's array gain.  The drops of a
-    shape's cells are placed as one stack and validated once, the pieces
-    both precoders share are worked out once, and each precoder solves
-    every drop in one pass (see ``_shape_means``).  Each cell gives the
-    numbers, and the grid the error, that the cells placed, validated and
-    solved one by one in order would give: the first failing cell's.
+    shape's cells are placed as one stack and validated once, the problem's
+    precoder-free arrays are worked out once for both precoders (``under``),
+    and each precoder solves every drop in one pass (see ``_shape_means``).
+    Each cell gives the numbers, and the grid the error, that the cells
+    placed, validated and solved one by one in order would give: the first
+    failing cell's.
     """
-    if objective not in _PIECES:
-        raise ValueError(f"unknown objective {objective!r}, expected one of {sorted(_PIECES)}")
+    if objective not in _PROBLEMS:
+        raise ValueError(f"unknown objective {objective!r}, expected one of {sorted(_PROBLEMS)}")
     if n_drops < 1:
         raise ValueError(f"need at least one drop, got {n_drops}")
     if seed < 0:

@@ -346,9 +346,9 @@ class FadingProfile(_ArrayRecord):
 class FadingStack:
     """Large-scale fading of several drops of one cell, one row per drop:
     (drops, U) unicast gains and (drops, sum K) multicast gains, each row
-    laid out like ``FadingProfile.multicast_gains_flat``.  The solvers'
-    split-independent pieces read either this or a FadingProfile, and give
-    one row of results per drop.
+    laid out like ``FadingProfile.multicast_gains_flat``.  An allocation
+    problem (``allocation._mmf_problem``, ``_sse_problem``) reads either
+    this or a FadingProfile, and gives one row of results per drop.
 
     The gains are converted as ``_matrix`` converts, so a ``_Shared`` array
     is stored without a copy."""

@@ -19,31 +19,36 @@ diag(sqrt(2 (N - S) p)).  With Y = Q R, Q orthonormal in k = min(N, S)
 columns, each precoder is X = Q R_x, with R_x = R D under MRT and
 R_x = R^-H D under ZF, for one diagonal of the stream powers alone,
 D = kappa diag(sqrt(p)): kappa = 1/sqrt(2 N) under MRT and sqrt(2 (N - S))
-under ZF.  ZF inverts R once, and discards a draw whose equilibrated
-estimate Gram may be too ill-conditioned to invert, by a bound read off
-that inverse (``_zf_factor``); no eigensolve runs.
+under ZF.
 
 A trial reads the observations only through R: both precoders' factors,
 and every x_s^H y_j, an entry of T = R^T conj(R_x).  Y^H Y = R^H R is a
-complex Wishart matrix, so when N > S a trial draws R itself by the
-Bartlett decomposition: standard complex normals above the diagonal, and
-R_ii = sqrt(chi-square with 2 (N - i) degrees of freedom) for i = 0 ...
-S - 1.  When N <= S, which only MRT allows, it draws Y itself, with Q = I.
-So a trial costs O(S^3), whatever N, plus a few gathers per UT.
+complex Wishart matrix, so a trial draws R itself by the Bartlett
+decomposition, as the k x S upper-trapezoidal factor: standard complex
+normals above the diagonal, and R_ii = sqrt(chi-square with 2 (N - i)
+degrees of freedom) for i = 0 ... k - 1.  When N <= S, which only MRT
+allows, the columns right of the k x k triangle are standard complex
+normals too.  So a trial costs O(S^3), whatever N, plus a few gathers per
+UT.
 
 Given the observations, UT i of pilot j has h_i = c_i o_j + e_i with
 c_i = w_i / (1 + s_j); the error e_i is Gaussian, independent of every
 observation, with per-coordinate variance 2 (1 - c_i w_i) =
-2 (1 + sum_{l in j, l != i} w_l^2) / (1 + s_j), which ``_estimator`` forms
-from leave-one-out sums so that nothing cancels.  A trial therefore takes
-each UT's terms as their means given the observations, in closed form:
+2 (1 + sum_{l in j, l != i} w_l^2) / (1 + s_j), which the trial kernel
+forms from leave-one-out sums so that nothing cancels.  A trial therefore
+takes each UT's terms as their means given the observations, in closed
+form:
 
     E[r_i | Y] = a_i^2 (c_i^2 (1 + s_j) ||T_j||^2 + 2 (1 - c_i w_i) ||R_x||_F^2),
     E[d_i | Y] = a_i c_i sqrt(1 + s_j) T[j, j],
 
-with a_i = sqrt(gain/2) the UT's amplitude and T_j row j of T.  T[j, j] is
-real under both precoders: ||y_j||^2 D_j under MRT, and D_j under ZF, where
-d is the constant m1 up to rounding.  By the tower rule, these terms have
+with a_i = sqrt(gain/2) the UT's amplitude and T_j row j of T.  Under MRT,
+T = R^T conj(R) D, and T[j, j] = ||y_j||^2 D_j is real.  Under ZF, T = D:
+d is a constant, m1 up to rounding, ||T_j||^2 = D_j^2, and a trial reads only
+||R_x||_F^2 = sum_s D_s^2 ||row s of R^-1||^2.  ZF inverts R once, reads
+those row norms (``_zf_row_norms``) and discards a draw whose equilibrated
+estimate Gram may be too ill-conditioned to invert, by a bound read off the
+same row norms; no eigensolve runs.  By the tower rule, these terms have
 the same means as the terms of a full channel draw, with less spread
 (Rao-Blackwellization).  The trial kernel works out the weights, the
 precoders' diagonal and each UT's coefficients once per run, after the run
@@ -86,7 +91,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,7 +119,7 @@ WEAK_SIGNAL = 2.0
 EXACT_RTOL = 1e-12
 # A ZF draw whose equilibrated Gram may have a condition number beyond this
 # is treated as rank-deficient (a probability-zero event) and the trial
-# discarded.  ``_zf_factor`` tests an upper bound on the condition number,
+# discarded.  ``_zf_row_norms`` tests an upper bound on the condition number,
 # S * trace(inverse Gram), which is about 10^4 on the paper cell.
 MAX_GRAM_COND = 1e12
 
@@ -222,40 +226,6 @@ def _own_streams(cfg: SystemConfig) -> np.ndarray:
     return _per_member(np.arange(cfg.n_streams), _pilot_offsets(cfg))
 
 
-class _Estimator(NamedTuple):
-    """The weights of one pilot phase, fixed for a run, for channels and
-    noise drawn at unit variance (``_cn``).
-
-    Pilot j, a unicast UT's own or a group's shared one, observes
-    o_j = sum_{i in j} w_i h_i + n_j = spread[j] * y_j, with y_j a unit
-    draw and spread[j] = sqrt(1 + s_j), s_j = sum_{i in j} w_i^2.  UT i of
-    pilot j has h_i = residual[i] * o_j + e_i, with residual[i] =
-    w_i / (1 + s_j) and e_i independent of every observation, of
-    per-coordinate variance error[i] = 2 (1 - residual[i] w_i).
-    """
-
-    spread: np.ndarray     # sqrt(1 + s_j), per pilot
-    residual: np.ndarray   # per UT
-    error: np.ndarray      # per UT
-
-
-def _estimator(cfg: SystemConfig, fading: FadingProfile, p: np.ndarray,
-               q: np.ndarray) -> _Estimator:
-    """MMSE weights for pilot powers p (unicast) and q (flat multicast), for
-    channels and noise drawn at unit variance (``_cn``): a UT's channel is
-    sqrt(gain/2) times its unit draw and the noise 1/sqrt(2) times its own,
-    so each weight is sqrt(tau * power * gain).  The error variance is
-    2 (1 + the other UTs' w^2 on the pilot) / (1 + s_j), which subtracts
-    nothing: 2 / (1 + s_j) for a unicast UT."""
-    energy = cfg.pilot_length * np.concatenate([p * fading.unicast_gains,
-                                                q * fading.multicast_gains_flat])
-    pilots = _pilot_offsets(cfg)
-    total = 1.0 + _group_sums(energy, pilots)
-    per_ut = _per_member(total, pilots)
-    return _Estimator(np.sqrt(total), np.sqrt(energy) / per_ut,
-                      2.0 * (1.0 + _group_others(energy, pilots)) / per_ut)
-
-
 class RankDeficientDraw(RuntimeError):
     """The stacked estimate matrix lost rank in one draw; discard the trial."""
 
@@ -283,10 +253,10 @@ def _mrt_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return R * diag
 
 
-def _zf_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """ZF: the estimates E = Q R F, for a positive diagonal F, give
-    E (E^H E)^-1 times the column scales, which is Q R^-H times the scales
-    over F; ``diag`` is that quotient.
+def _zf_row_norms(R: np.ndarray) -> np.ndarray:
+    """ZF: the squared norms of the rows of R^-1, which is all a trial reads
+    of ZF's factor R_x = R^-H D: its squared column norms are D_s^2 times
+    these.
 
     The construction is invariant to rescaling the estimate columns, so the
     rank rule reads the Gram of unit-norm columns.  That Gram has trace S >=
@@ -300,13 +270,14 @@ def _zf_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
         inverse = np.linalg.inv(R)
     except np.linalg.LinAlgError:
         raise RankDeficientDraw("the observations' factor is singular") from None
-    # Row s of R^-1 times ||R e_s||, on the real parts, so that a non-finite
-    # inverse gives an inf or NaN bound without a warning.
-    scaled = inverse.view(np.float64) * np.linalg.norm(R, axis=0)[:, None]
-    bound = R.shape[1] * float(np.vdot(scaled, scaled))
+    # On the real parts, and summed by vdot, so that a non-finite inverse
+    # gives an inf or NaN bound without a warning.
+    parts = inverse.view(np.float64)
+    rows = np.einsum("ij,ij->i", parts, parts)
+    bound = R.shape[1] * float(np.vdot(np.linalg.norm(R, axis=0) ** 2, rows))
     if not bound <= MAX_GRAM_COND:   # NaN fails the comparison too
         raise RankDeficientDraw(f"Gram condition bound {bound:.3g} exceeds {MAX_GRAM_COND:g}")
-    return inverse.conj().T * diag
+    return rows
 
 
 # One trial's terms, given its observations: every UT's received power
@@ -321,39 +292,54 @@ class _Kernel:
 
     Everything fixed for the run is worked out here, once: the precoders'
     per-stream diagonal kappa sqrt(p), which reads the stream powers alone,
-    and three coefficients per UT i of pilot j, from the estimator weights
-    and its amplitude a_i = sqrt(gain/2): a_i^2 c_i^2 (1 + s_j) on ||T_j||^2
-    and a_i^2 2 (1 - c_i w_i) on ||R_x||_F^2 in r, and a_i c_i sqrt(1 + s_j)
-    on T[j, j] in d.  The caller has run every check; a trial runs none.
+    and three coefficients per UT i of pilot j, from the pilot weights and
+    its amplitude a_i = sqrt(gain/2): a_i^2 c_i^2 (1 + s_j) on ||T_j||^2 and
+    a_i^2 2 (1 - c_i w_i) on ||R_x||_F^2 in r, and a_i c_i sqrt(1 + s_j) on
+    T[j, j] in d.  Under ZF, T = D, so ZF's desired terms and the ||T_j||^2
+    part of r are fixed for the run too.  The caller has run every check; a
+    trial runs none.
     """
 
     def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
                  pilot_powers_multicast, powers: DownlinkPowers, precoder: str, seed: int):
         self.seed, self.zf = seed, precoder == ZF
-        p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-        est = _estimator(cfg, fading, p, q)
         N, S = cfg.n_antennas, cfg.n_streams
         power = np.concatenate([powers.unicast, powers.multicast])
         self.diag = np.sqrt(2.0 * (N - S) * power) if self.zf else np.sqrt(power / (2.0 * N))
-        half_gains = np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0
+        # The pilot weights w_i = sqrt(tau * power * gain) of unit-variance
+        # draws, 1 + s_j per pilot, and each UT's error variance
+        # 2 (1 + the other UTs' w^2 on its pilot) / (1 + s_j), which
+        # subtracts nothing (see the module docstring).
+        p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
+        energy = cfg.pilot_length * np.concatenate([p * fading.unicast_gains,
+                                                    q * fading.multicast_gains_flat])
+        pilots = _pilot_offsets(cfg)
+        total = 1.0 + _group_sums(energy, pilots)   # 1 + s_j, per pilot
+        per_ut = _per_member(total, pilots)
         self.own = _own_streams(cfg)
-        coherent = est.residual * est.spread[self.own]   # c_i sqrt(1 + s_j)
+        half_gains = np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0
+        coherent = np.sqrt(energy) / per_ut * np.sqrt(total)[self.own]   # c_i sqrt(1 + s_j)
         self.own_scale = np.sqrt(half_gains) * coherent
         self.coherent = half_gains * coherent ** 2
-        self.incoherent = half_gains * est.error
+        self.incoherent = half_gains * (2.0 * (1.0 + _group_others(energy, pilots)) / per_ut)
+        if self.zf:   # T = D: d and the ||T_j||^2 part of r are fixed for the run
+            self.power = self.diag ** 2
+            self.fixed_received = self.coherent * self.power[self.own]
+            self.fixed_desired = self.own_scale * self.diag[self.own]
         self.n_antennas = N
-        # Bartlett: the upper triangle's positions, row by row, and the
-        # gamma shapes N - 1 - i that complete each diagonal entry.
-        self.upper = np.triu_indices(S)
-        self.shapes = N - 1.0 - np.arange(S)
+        # Bartlett: the upper trapezoid's positions in k = min(N, S) rows,
+        # row by row, and the gamma shapes N - 1 - i that complete each
+        # diagonal entry.
+        k = min(N, S)
+        self.upper = np.triu_indices(k, m=S)
+        self.shapes = N - 1.0 - np.arange(k)
 
     def _factor(self, rng: np.random.Generator) -> np.ndarray:
-        """R of the unit observations Y = Q R: Y itself when N <= S, else
-        the upper-triangular factor of their Gram, drawn directly."""
-        N, S = self.n_antennas, self.diag.size
-        if N <= S:
-            return _cn(rng, (N, S))
-        R = np.zeros((S, S), dtype=complex)
+        """R of the unit observations Y = Q R, with Q orthonormal in k =
+        min(N, S) columns, drawn directly: the k x S upper-trapezoidal factor,
+        whose Gram R^H R has the law of Y^H Y."""
+        k, S = self.shapes.size, self.diag.size
+        R = np.zeros((k, S), dtype=complex)
         R[self.upper] = _cn(rng, (self.upper[0].size,))
         # R_ii^2 = |z_ii|^2 + 2 Gamma(N - 1 - i): chi-square with 2 (N - i)
         # degrees of freedom, as |z|^2 is chi-square with 2.
@@ -368,11 +354,15 @@ class _Kernel:
 
     def terms(self, R: np.ndarray) -> _Result | None:
         """Every UT's terms given the observations' factor R; None when the
-        precoder discards it."""
+        precoder discards it.  Each call returns fresh arrays, which
+        ``_Sums.commit`` overwrites."""
         try:
-            R_x = (_zf_factor if self.zf else _mrt_factor)(R, self.diag)
+            return self._zf_terms(R) if self.zf else self._mrt_terms(R)
         except RankDeficientDraw:
             return None
+
+    def _mrt_terms(self, R: np.ndarray) -> _Result:
+        R_x = _mrt_factor(R, self.diag)
         T = R.T @ R_x.conj()   # T[j, s] = x_s^H y_j
         parts = T.view(np.float64)
         rows = np.einsum("ij,ij->i", parts, parts)[self.own]   # ||T_j||^2
@@ -380,6 +370,13 @@ class _Kernel:
         received = self.coherent * rows
         received += self.incoherent * frobenius
         return received, self.own_scale * T.real.diagonal()[self.own]
+
+    def _zf_terms(self, R: np.ndarray) -> _Result:
+        # ||R_x||_F^2 = sum_s D_s^2 ||row s of R^-1||^2, all that varies.
+        frobenius = float(np.vdot(self.power, _zf_row_norms(R)))
+        received = self.incoherent * frobenius
+        received += self.fixed_received
+        return received, self.fixed_desired.copy()
 
 
 class _Sums:

@@ -41,6 +41,8 @@ precoders (``inner_product_terms``).
 The full-draw section keeps the trial kernel as it was before it
 integrated each UT's estimation error out (``FullDrawKernel``): it draws
 the N x S observations, factors them, and draws every UT's residual.  Its
+ZF factor R^-H D, which the trial kernel no longer forms, comes from
+``zf_factor``.  Its
 terms must agree with ``lifted_trials``' to rounding, and, on one fixed
 factor R, their mean over many residual draws must agree with the trial
 kernel's conditional terms within sampling error.
@@ -836,6 +838,15 @@ def observation_basis(O: np.ndarray) -> np.ndarray:
         return np.linalg.qr(O, mode="r")
 
 
+def zf_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """ZF's factor R^-H D of the observations' factor R, which the trial
+    kernel never forms, for a draw its rank rule keeps
+    (``montecarlo._zf_row_norms``, which raises RankDeficientDraw for any
+    other)."""
+    montecarlo._zf_row_norms(R)
+    return np.linalg.inv(R).conj().T * diag
+
+
 class FullDrawKernel:
     """The trial kernel as it was before it integrated each UT's estimation
     error out: it draws the N x S unit observations and factors them
@@ -892,7 +903,7 @@ class FullDrawKernel:
         """(received, desired) of every UT for the observations' factor R and
         residuals drawn from rng; None when ZF discards R."""
         try:
-            R_x = (montecarlo._zf_factor if self.zf else montecarlo._mrt_factor)(R, self.diag)
+            R_x = (zf_factor if self.zf else montecarlo._mrt_factor)(R, self.diag)
         except RankDeficientDraw:
             return None
         # UT i of pilot j has h_i = c_i o_j + e_i, where e_i = z_i - c_i
@@ -935,22 +946,21 @@ class FullDrawKernel:
 
 
 def bartlett_factor(rng: np.random.Generator, n_antennas: int, n_streams: int) -> np.ndarray:
-    """The factor R of N x S unit observations Y = Q R, one entry at a time,
-    in the order the trial kernel reads ``rng``: Y itself when N <= S;
-    else the upper triangle, row by row, of complex normals, then each
-    diagonal entry made sqrt(|z_ii|^2 + 2 Gamma(N - 1 - i)), one gamma
-    variate at a time."""
+    """The k x S factor R of N x S unit observations Y = Q R, k = min(N, S),
+    one entry at a time, in the order the trial kernel reads ``rng``: the
+    upper trapezoid, row by row, of complex normals, then each diagonal
+    entry made sqrt(|z_ii|^2 + 2 Gamma(N - 1 - i)), one gamma variate at a
+    time."""
     N, S = n_antennas, n_streams
-    if N <= S:
-        return _unit_draws(rng, (N, S))
-    re, im = _normal_parts(rng, (S * (S + 1) // 2,))
-    R = np.zeros((S, S), dtype=complex)
+    k = min(N, S)
+    re, im = _normal_parts(rng, (k * S - k * (k - 1) // 2,))
+    R = np.zeros((k, S), dtype=complex)
     entry = 0
-    for i in range(S):
+    for i in range(k):
         for j in range(i, S):
             R[i, j] = complex(re[entry], im[entry])
             entry += 1
-    for i in range(S):
+    for i in range(k):
         # Products, as numpy squares an array; a numpy scalar's ** 2 calls
         # pow, which can differ from x * x in the last bit.
         x, y = R[i, i].real, R[i, i].imag

@@ -180,11 +180,11 @@ class TestStackedSolvers:
         counts = rng.integers(1, 60, n_drops)
         gains, c = closed_form._precoder_factors(cfg, precoder, counts)
         p = float(rng.uniform(0.0, cfg.total_power))
-        for pieces, solve in ((allocation._mmf_pieces, solve_mmf),
-                              (allocation._sse_pieces, solve_sse)):
+        for problem, solve in ((allocation._mmf_problem, solve_mmf),
+                               (allocation._sse_problem, solve_sse)):
             if solve is solve_sse and cfg.n_unicast == 0:
                 continue
-            got = pieces(cfg, stack).problem(precoder, counts).objectives(p).tolist()
+            got = problem(cfg, stack, precoder, counts).objectives(p).tolist()
             for d, n in enumerate(counts.tolist()):
                 one = dataclasses.replace(cfg, n_antennas=n)
                 try:
@@ -365,6 +365,13 @@ class TestFigureGridOracle:
     @pytest.mark.parametrize("argv, shapes", SHAPE_GRIDS)
     def test_one_validation_per_cell_shape(self, monkeypatch, argv, shapes):
         assert self.count_calls(monkeypatch, model, "validate_config", argv) == shapes
+
+    @pytest.mark.parametrize("argv, shapes", SHAPE_GRIDS)
+    def test_precoder_free_work_once_per_cell_shape(self, monkeypatch, argv, shapes):
+        # What MRT and ZF share, fig2's pilot qualities and fig3's estimate
+        # variances, is worked out once per shape for both precoders.
+        name = {"fig2": "_pilot_qualities", "fig3": "_unicast_theta"}[argv[0]]
+        assert self.count_calls(monkeypatch, allocation, name, argv) == shapes
 
     @pytest.mark.parametrize("argv, shapes", SHAPE_GRIDS)
     def test_one_placement_per_cell_shape(self, monkeypatch, argv, shapes):

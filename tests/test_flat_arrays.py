@@ -303,8 +303,8 @@ def flat(rows):
 
 
 def assert_pieces_match_loops(cfg, fading, rng):
-    pieces = allocation._mmf_pieces(cfg, fading)
-    upsilon, x_caps = pieces.upsilon, pieces.x_caps
+    problem = allocation._mmf_problem(cfg, fading, "mrt")
+    upsilon, x_caps = problem.upsilon, problem.x_caps
     upsilon_o, x_caps_o = oracles.group_quality_floors(cfg, fading)
     assert upsilon.tolist() == list(upsilon_o)
     assert x_caps.tolist() == flat(x_caps_o)
@@ -394,8 +394,8 @@ class TestSweepOnce:
 
 
 class TestOneBuildPerProblem:
-    """Each allocation problem's split-independent pieces (group floors for
-    max-min, estimate variances and offsets for sum SE) are built once per
+    """Each allocation problem's split-independent arrays (pilot qualities
+    for max-min, estimate variances and offsets for sum SE) are built once per
     call, and each public entry point validates its pair once.  A selection
     on a swept boundary reads the problems the sweep built, and the scores
     of its solutions read them too, with no validation."""
@@ -410,7 +410,7 @@ class TestOneBuildPerProblem:
                  "target_sse": mid.sse_objective}[kind]
         validations = count_validations(monkeypatch)
         builds = [count_calls(monkeypatch, allocation, name)
-                  for name in ("_group_quality_floors", "_unicast_offsets")]
+                  for name in ("_pilot_qualities", "_unicast_offsets")]
         point = select_operating_point(boundary, **{kind: value}).point
         assert (len(validations), *map(len, builds)) == (0, 0, 0)
         allocation.mmf_se_report(cfg, fading, point.mmf_solution, point.p_unicast)
@@ -426,7 +426,7 @@ class TestOneBuildPerProblem:
         boundary = ParetoBoundary(swept.points, precoder, cfg, fading)
         validations = count_validations(monkeypatch)
         builds = [count_calls(monkeypatch, allocation, name)
-                  for name in ("_group_quality_floors", "_unicast_offsets")]
+                  for name in ("_pilot_qualities", "_unicast_offsets")]
         first = select_operating_point(boundary, ratio=(1.0, 2.0))
         assert (len(validations), *map(len, builds)) == (1, 1, 1)
         mid = swept.points[1]
@@ -440,7 +440,7 @@ class TestOneBuildPerProblem:
         cfg, fading = paper_cell(4)
         validations = count_validations(monkeypatch)
         builds = [count_calls(monkeypatch, allocation, name)
-                  for name in ("_group_quality_floors", "_unicast_offsets")]
+                  for name in ("_pilot_qualities", "_unicast_offsets")]
         sweep_boundary(cfg, fading, "zf", 7)
         assert (len(validations), *map(len, builds)) == (1, 1, 1)
 

@@ -14,7 +14,7 @@ names ``_estimation_variances``.
 
 A trial draws the observations' factor and factors nothing else but ZF's
 inverse: nothing in ``montecarlo.py`` names a Cholesky factor or a QR, and
-only the ZF step, ``_zf_factor``, names an inverse.
+only the ZF step, ``_zf_row_norms``, names an inverse.
 
 Which precoders exist is ``closed_form``'s rule: any other module checks a
 precoder through ``closed_form._precoder_factors`` and never tests
@@ -86,14 +86,14 @@ from . import __version__, allocation
 from .model import _count, require_valid
 import mimocast.pareto as p
 import mimocast
-allocation._mmf_pieces(cfg, drops).problem("mrt")
+allocation._mmf_problem(cfg, drops, "mrt").under("zf")
 p._point(mmf, sse, 0.0)
 mimocast.figures._drop_states(1, 2, 3)
 allocation.solve_mmf.__name__
 _local()
 """
     assert sorted(private_uses(source)) == sorted([
-        "model._count", "allocation._mmf_pieces", "p._point",
+        "model._count", "allocation._mmf_problem", "p._point",
         "mimocast.figures._drop_states"])
 
 
@@ -178,7 +178,7 @@ FACTORIZATIONS = {"cholesky", "qr"}
 def test_only_zf_factors_in_montecarlo():
     source = MONTECARLO.read_text(encoding="utf-8")
     assert owners(source, FACTORIZATIONS) == []
-    assert owners(source, {"inv"}) == ["_zf_factor"]
+    assert owners(source, {"inv"}) == ["_zf_row_norms"]
 
 
 def test_check_sees_every_factorization():

@@ -63,7 +63,7 @@ def kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, n_trials=1, powers=No
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         scales = oracles.column_scales(cfg, powers, stats, precoder)
         if precoder == ZF:
-            factor, diag = montecarlo._zf_factor, scales / factors
+            factor, diag = oracles.zf_factor, scales / factors
         else:
             factor, diag = montecarlo._mrt_factor, scales * factors
     for t in range(n_trials):
@@ -301,15 +301,17 @@ class TestZfPrecoders:
 
 
 def zf_of_estimates(C, scales):
-    """The ZF columns of estimates C through the kernel's cores, with the
-    column scales as the diagonal (the estimate factors are 1)."""
-    return precoder_columns(C, montecarlo._zf_factor, scales)
+    """The ZF columns of estimates C through the kernel's rank rule and
+    R^-H D (``oracles.zf_factor``), with the column scales as the diagonal
+    (the estimate factors are 1)."""
+    return precoder_columns(C, oracles.zf_factor, scales)
 
 
 class TestZfRuleAgainstEigensolve:
-    """``_zf_factor``, which inverts the estimates' factor R and discards a
-    draw on the bound S * trace(inverse equilibrated Gram) of its condition
-    number, read off that inverse, against ``oracles.zf_columns_eigensolve``,
+    """``_zf_row_norms``, which inverts the estimates' factor R and discards
+    a draw on the bound S * trace(inverse equilibrated Gram) of its
+    condition number, read off that inverse's row norms, with the columns
+    R^-H D it keeps, against ``oracles.zf_columns_eigensolve``,
     which discarded on the condition number from ``eigvalsh`` and solved
     the Gram system."""
 
@@ -361,6 +363,15 @@ class TestZfRuleAgainstEigensolve:
             assert not kept(zf_of_estimates)
         if defect != "none":
             assert not kept(zf_of_estimates)
+
+    @pytest.mark.parametrize("R", [
+        np.array([[1e-200, 1.0], [0.0, 1e-200]], dtype=complex),   # an inverse entry -inf
+        np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex),      # a NaN inverse
+    ], ids=["overflow", "nan"])
+    def test_non_finite_inverse_is_discarded_quietly(self, R):
+        # Discarded without a RuntimeWarning, which this suite makes an error.
+        with pytest.raises(montecarlo.RankDeficientDraw, match="Gram condition bound nan"):
+            montecarlo._zf_row_norms(R)
 
     def test_validation_runs_no_eigensolve(self, monkeypatch):
         cfg, fading = small_system(n_antennas=16, n_unicast=2, group_sizes=(2, 2))
@@ -857,15 +868,16 @@ def factor_kernel(n_antennas, n_streams):
 
 
 class TestBartlettDraw:
-    """A trial draws only the S x S factor R of the pilots' unit
-    observations, never a UT's channel or an N x S array, unless N <= S."""
+    """A trial draws only the k x S factor R of the pilots' unit
+    observations, k = min(N, S), never a UT's channel or an N x S array."""
 
     @pytest.mark.parametrize("n_antennas, precoder", [(64, "mrt"), (64, "zf"), (4, "mrt"),
                                                        (6, "mrt"), (7, "mrt"), (7, "zf")])
     def test_trial_draws_only_the_factor(self, monkeypatch, n_antennas, precoder):
-        # S(S + 1)/2 complex normals and S gamma variates when N > S, and the
-        # N x S observations when N <= S.  At N = S + 1 the last gamma
-        # variate has shape 0, and is drawn all the same.
+        # The k x S upper trapezoid's k S - k (k - 1)/2 complex normals and
+        # k gamma variates, k = min(N, S): S (S + 1)/2 and S when N > S.  At
+        # N = S + 1, and at N <= S, the last gamma variate has shape 0, and
+        # is drawn all the same.
         cfg, fading = small_system(n_antennas=n_antennas, n_unicast=4, group_sizes=(3, 3))
         half = cfg.total_power / 2.0
         powers = DownlinkPowers.equal_split(half, 4, half, 2)
@@ -880,29 +892,33 @@ class TestBartlettDraw:
         report = validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, precoder, 100, 3)
         N, S = n_antennas, 6
         assert (report.n_trials, report.n_discarded) == (100, 0)
-        want = (N * S, 0) if N <= S else (S * (S + 1) // 2, S)
+        k = min(N, S)
+        want = (k * S - k * (k - 1) // 2, k)
         assert {(rng.normals, rng.gammas) for rng in rngs} == {want} and len(rngs) == 100
 
-    @pytest.mark.parametrize("n_antennas", [64, 100, 500])
+    @pytest.mark.parametrize("n_antennas", [40, 64, 100, 500])
     def test_factor_has_the_wishart_law(self, n_antennas):
         # G = R^H R has the law of Y^H Y for N x S unit draws Y: E G_ss = 2N,
-        # E |G_st|^2 = 4N off the diagonal and E (G^-1)_ss = 1/(2 (N - S)).
-        # Each draw gives one sample of each, averaged over s (and s, t).
-        # At N = 64, 1/(G^-1)_ss has 2 (N - S + 1) = 10 degrees of freedom,
-        # so (G^-1)_ss still has the finite variance the standard error
-        # needs.
+        # E |G_st|^2 = 4N off the diagonal and, when N > S, E (G^-1)_ss =
+        # 1/(2 (N - S)).  Each draw gives one sample of each, averaged over
+        # s (and s, t).  At N = 64, 1/(G^-1)_ss has 2 (N - S + 1) = 10
+        # degrees of freedom, so (G^-1)_ss still has the finite variance the
+        # standard error needs.  At N = 40 < S, G is singular, and R is
+        # 40 x 60.
         N, S, draws = n_antennas, 60, 2000
         kernel = factor_kernel(N, S)
         rng = np.random.default_rng(17)
-        samples = np.empty((draws, 3))
+        samples = np.empty((draws, 3 if N > S else 2))
         for i in range(draws):
             R = kernel._factor(rng)
+            assert R.shape == (min(N, S), S)
             assert np.array_equal(R, np.triu(R)) and (R.diagonal().real > 0.0).all()
             gram = R.conj().T @ R
-            rows = np.linalg.inv(R)   # (G^-1)_ss = ||row s of R^-1||^2
-            samples[i] = (gram.diagonal().real.mean() / (2.0 * N),
-                          (np.abs(gram[np.triu_indices(S, 1)]) ** 2).mean() / (4.0 * N),
-                          (np.abs(rows) ** 2).sum(axis=1).mean() * 2.0 * (N - S))
+            samples[i, :2] = (gram.diagonal().real.mean() / (2.0 * N),
+                              (np.abs(gram[np.triu_indices(S, 1)]) ** 2).mean() / (4.0 * N))
+            if N > S:
+                rows = np.linalg.inv(R)   # (G^-1)_ss = ||row s of R^-1||^2
+                samples[i, 2] = (np.abs(rows) ** 2).sum(axis=1).mean() * 2.0 * (N - S)
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / math.sqrt(draws)
         assert (np.abs(mean - 1.0) <= 4.0 * se).all(), (mean, se)
@@ -969,7 +985,7 @@ def fail_in_trials(monkeypatch, errors):
         return trial_rng_(seed, t)
 
     monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
-    for module, name in ((montecarlo, "_mrt_factor"), (montecarlo, "_zf_factor"),
+    for module, name in ((montecarlo, "_mrt_factor"), (montecarlo, "_zf_row_norms"),
                          (oracles, "build_mrt_precoders_loop"),
                          (oracles, "build_zf_precoders_loop")):
         def build(*args, _build=getattr(module, name)):
@@ -1089,8 +1105,8 @@ class TestKernelAgainstLoops:
 
     @pytest.mark.parametrize("n_antennas, precoder", [(4, "mrt"), (6, "mrt"), (7, "zf")])
     def test_few_antennas(self, n_antennas, precoder):
-        # Six pilots: with N <= S a trial draws the observations themselves
-        # (R = Y, Q = I); with N = S + 1, ZF keeps one spare antenna.
+        # Six pilots: with N <= S a trial draws the N x S trapezoidal factor;
+        # with N = S + 1, ZF keeps one spare antenna.
         cfg, fading = small_system(n_antennas=n_antennas, n_unicast=4, group_sizes=(3, 3))
         half = cfg.total_power / 2.0
         powers = DownlinkPowers.equal_split(half, 4, half, 2)
