@@ -205,7 +205,9 @@ def cmd_scenario(args) -> int:
 
 
 def _require_sides(cfg: SystemConfig, p_un: float, p_mu: float):
-    """A side the scenario lacks must get no power."""
+    """A scenario needs UTs, and a side it lacks must get no power."""
+    if cfg.n_unicast == 0 and cfg.n_groups == 0:
+        raise UsageError("scenario has no UTs: it needs unicast UTs or multicast groups")
     if cfg.n_unicast == 0 and p_un != 0.0:
         raise UsageError("scenario has no unicast UTs; --p-un must be 0")
     if cfg.n_groups == 0 and p_mu != 0.0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ZfInfeasibleError
 from .model import (EstimationStats, FadingProfile, SystemConfig, _ArrayRecord, _flat_field,
-                    _freeze, _per_member, _Shared, require_valid)
+                    _freeze, _per_member, _read_only, _Shared, require_valid)
 
 MRT = "mrt"
 ZF = "zf"
@@ -162,10 +162,11 @@ def se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
 
 
 def _sinr_terms(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
-                powers: DownlinkPowers, gain: int, c: float):
-    """Each side's two per-UT terms of the hardening bound, (unicast UTs)
-    and (multicast UTs, group by group): the coherent power gain*p*var and
-    the interference (beta - c*var)*P_total.
+                powers: DownlinkPowers, gain: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every UT's two terms of the hardening bound, in pilot order
+    (``SystemConfig.pilot_offsets``): the coherent power gain*p*var, with p
+    the power of the UT's own stream, and the interference
+    (beta - c*var)*P_total.
 
     They are the two moments the Monte Carlo validator simulates: the
     desired term h^H w has mean m1 = sqrt(gain*p*var), and the power a UT
@@ -176,30 +177,19 @@ def _sinr_terms(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile
     if (stats.unicast_var.shape != fading.unicast_gains.shape
             or tuple(map(len, stats.multicast_var)) != cfg.group_sizes):
         raise ValueError("estimation stats must be shaped like the config")
-    total = powers.total
-
-    def terms(p, var, beta) -> tuple[np.ndarray, np.ndarray]:
-        return gain * p * var, (beta - c * var) * total
-
-    return (terms(powers.unicast, stats.unicast_var, fading.unicast_gains),
-            terms(_per_member(powers.multicast, cfg.group_offsets),
-                  stats.multicast_var_flat, fading.multicast_gains_flat))
+    var = stats.ut_var
+    p = _per_member(np.concatenate([powers.unicast, powers.multicast]), cfg.pilot_offsets)
+    return gain * p * var, (fading.ut_gains - c * var) * powers.total
 
 
 def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
                powers: DownlinkPowers, gain: int, c: float) -> SeReport:
     """``se_report`` for a (cfg, fading) pair already validated, with the
     precoder's factors already looked up."""
-    (uni_signal, uni_interference), (mu_signal, mu_interference) = \
-        _sinr_terms(cfg, stats, fading, powers, gain, c)
-    uni_sinr = uni_signal / (1.0 + uni_interference)
-    mu_sinr = mu_signal / (1.0 + mu_interference)
-    offsets = cfg.group_offsets
-    prelog = cfg.prelog
-    return SeReport(
-        prelog=prelog,
-        unicast_se=_Shared(prelog * _log1p(uni_sinr) / LN2),
-        multicast_se=_Shared(prelog * _log1p(mu_sinr) / LN2, offsets),
-        unicast_sinr=_Shared(uni_sinr),
-        multicast_sinr=_Shared(mu_sinr, offsets),
-    )
+    signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
+    sinr = _read_only(signal / (1.0 + interference))
+    prelog, u, offsets = cfg.prelog, cfg.n_unicast, cfg.group_offsets
+    se = _read_only(prelog * _log1p(sinr) / LN2)
+    return SeReport(prelog=prelog,
+                    unicast_se=_Shared(se[:u]), multicast_se=_Shared(se[u:], offsets),
+                    unicast_sinr=_Shared(sinr[:u]), multicast_sinr=_Shared(sinr[u:], offsets))

@@ -9,12 +9,16 @@ Per-UT data is stored flat.  Every per-UT field is a read-only float64
 array; the multicast UTs of all groups share one array, group after group,
 and ``group_offsets`` (G + 1 entries) marks where each group starts in it.
 The per-group fields (``multicast_gains[g]``, ...) are read-only views into
-that array.  Constructors accept any (nested) sequence of numbers.
+that array.  Arrays over every UT (``FadingProfile.ut_gains``, ...) hold
+them in pilot order, ``SystemConfig.pilot_offsets``: the unicast UTs, each
+a pilot of one, then each group's members on the group's shared pilot.
+Constructors accept any (nested) sequence of numbers.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -91,11 +95,11 @@ def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _Shared:
-    """A float64 array the package computed and owns, made read-only, which
-    records store without copying: as ``view`` for a flat field, or as
-    ``rows``, one view per group at ``offsets``, for a per-group field.
-    Whatever else a record is given it copies, so no caller's array is
-    shared."""
+    """A float64 array the package computed and owns (or a slice of one
+    already read-only), made read-only, which records store without
+    copying: as ``view`` for a flat field, or as ``rows``, one view per
+    group at ``offsets``, for a per-group field.  Whatever else a record is
+    given it copies, so no caller's array is shared."""
 
     __slots__ = ("view", "rows")
 
@@ -267,7 +271,7 @@ class SystemConfig(_ArrayRecord):
 
     ``multicast_energy_caps`` rows are views into
     ``multicast_energy_caps_flat``; ``group_offsets`` is derived from
-    ``group_sizes``.
+    ``group_sizes``, and ``pilot_offsets`` from both on first read.
     """
 
     n_antennas: int
@@ -287,6 +291,13 @@ class SystemConfig(_ArrayRecord):
         object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(self, "group_offsets", _offsets(sizes))
         _freeze(self, ("unicast_energy_caps", "sse_weights"), ("multicast_energy_caps",))
+
+    @functools.cached_property
+    def pilot_offsets(self) -> np.ndarray:
+        """Where each pilot's UTs start in pilot order, then their count:
+        unicast UT u alone on pilot u, then group j's members on pilot U + j."""
+        u = self.n_unicast
+        return _read_only(np.concatenate([np.arange(u), u + self.group_offsets]))
 
     @property
     def n_groups(self) -> int:
@@ -336,6 +347,11 @@ class FadingProfile(_ArrayRecord):
     def __post_init__(self):
         _freeze(self, ("unicast_gains",), ("multicast_gains",))
         object.__setattr__(self, "group_offsets", _offsets(map(len, self.multicast_gains)))
+
+    @functools.cached_property
+    def ut_gains(self) -> np.ndarray:
+        """Every UT's gain, in pilot order (``SystemConfig.pilot_offsets``)."""
+        return _read_only(np.concatenate([self.unicast_gains, self.multicast_gains_flat]))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FadingProfile":
@@ -412,7 +428,8 @@ class EstimationStats(_ArrayRecord):
     multicast_var[g][k]  same for multicast UT k in group g (shared pilot)
     group_var[g]         variance of the composite per-group estimate
 
-    Stored like the fading profile: read-only float64 arrays, with
+    Stored as one read-only float64 array, which the fields view: every
+    UT's variance in pilot order (``ut_var``), then each group's, with
     ``multicast_var`` rows viewing ``multicast_var_flat``.
     """
 
@@ -420,9 +437,17 @@ class EstimationStats(_ArrayRecord):
     multicast_var: tuple[np.ndarray, ...]
     group_var: np.ndarray
     multicast_var_flat: np.ndarray = _flat_field()
+    ut_var: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        _freeze(self, ("unicast_var", "group_var"), ("multicast_var",))
+        rows = _vectors([self.unicast_var, *self.multicast_var, self.group_var])
+        variances = _flat(rows)
+        views = _views(variances, _offsets(map(len, rows)))
+        u, n = views[0].size, variances.size - views[-1].size
+        for name, value in (("unicast_var", views[0]), ("multicast_var", views[1:-1]),
+                            ("group_var", views[-1]), ("multicast_var_flat", variances[u:n]),
+                            ("ut_var", variances[:n])):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -538,11 +563,11 @@ def require_valid_drops(cfg: SystemConfig, drops: FadingStack) -> FadingStack:
 
 def _pilot_arrays(cfg: SystemConfig,
                   pilot_powers_unicast: Sequence[float],
-                  pilot_powers_multicast: Sequence[Sequence[float]]):
-    """The pilot powers as flat float64 arrays, once their shapes are
-    checked and every entry is a finite non-negative real number: converted
-    as ``_vector`` and ``_vectors`` convert, so that None or a complex entry
-    raises TypeError, and a NaN, infinite or negative one ValueError."""
+                  pilot_powers_multicast: Sequence[Sequence[float]]) -> np.ndarray:
+    """Every UT's pilot power in one float64 array, in pilot order, once each
+    side's shape is checked and every entry is a finite non-negative real
+    number: converted as ``_vectors`` converts, so that None or a complex
+    entry raises TypeError, and a NaN, infinite or negative one ValueError."""
     if len(pilot_powers_unicast) != cfg.n_unicast:
         raise ValueError(f"expected {cfg.n_unicast} unicast pilot powers, "
                          f"got {len(pilot_powers_unicast)}")
@@ -550,13 +575,13 @@ def _pilot_arrays(cfg: SystemConfig,
     if shape != cfg.group_sizes:
         raise ValueError(f"multicast pilot powers must be shaped like group_sizes "
                          f"{cfg.group_sizes}, got {shape}")
-    p, q = _vector(pilot_powers_unicast), _flat(_vectors(pilot_powers_multicast))
-    for side, values in (("unicast", p), ("multicast", q)):
-        # NaN fails every comparison, so it is caught with the infinities.
-        if values.size and not (values.min() >= 0.0 and values.max() < math.inf):
-            bad = values[~((values >= 0.0) & (values < math.inf))][0]
-            raise ValueError(f"{side} pilot power {bad} is not finite and non-negative")
-    return p, q
+    powers = _flat(_vectors([pilot_powers_unicast, *pilot_powers_multicast]))
+    # NaN fails every comparison, so it is caught with the infinities.
+    if powers.size and not (powers.min() >= 0.0 and powers.max() < math.inf):
+        i = int(np.argmin((powers >= 0.0) & (powers < math.inf)))
+        raise ValueError(f"{'unicast' if i < cfg.n_unicast else 'multicast'} pilot power "
+                         f"{powers[i]} is not finite and non-negative")
+    return powers
 
 
 def estimation_variances(cfg: SystemConfig,
@@ -565,11 +590,10 @@ def estimation_variances(cfg: SystemConfig,
                          pilot_powers_multicast: Sequence[Sequence[float]]) -> EstimationStats:
     """MMSE estimate variances for the given uplink pilot powers.
 
-    For a unicast UT with pilot power p and gain b the estimate variance is
-    tau*p*b^2 / (1 + tau*p*b).  Within a multicast group every member shares
-    one pilot, so member k's estimate variance is
-    tau*q_k*e_k^2 / (1 + sum_t tau*q_t*e_t) and the composite group estimate
-    has variance (sum_t tau*q_t*e_t)^2 / (1 + sum_t tau*q_t*e_t).
+    UT i with pilot power q_i and gain g_i has estimate variance
+    tau*q_i*g_i^2 / (1 + s), s = sum_t tau*q_t*g_t over the UTs on its
+    pilot: tau*p*b^2 / (1 + tau*p*b) for a unicast UT, alone on its pilot.
+    A group's composite estimate has variance s^2 / (1 + s).
     """
     require_valid(cfg, fading)
     return _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
@@ -580,16 +604,12 @@ def _estimation_variances(cfg: SystemConfig,
                           pilot_powers_unicast: Sequence[float],
                           pilot_powers_multicast: Sequence[Sequence[float]]) -> EstimationStats:
     """``estimation_variances`` for a (cfg, fading) pair already validated."""
-    p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-    tau = cfg.pilot_length
-    offsets = cfg.group_offsets
-
-    b = fading.unicast_gains
-    tpb = tau * p * b
-    e = fading.multicast_gains_flat
-    tqe = tau * q * e
-    s = _group_sums(tqe, offsets)
-    return EstimationStats(unicast_var=_Shared(tpb * b / (1.0 + tpb)),
-                           multicast_var=_Shared(tqe * e / (1.0 + _per_member(s, offsets)),
-                                                 offsets),
-                           group_var=_Shared(s * s / (1.0 + s)))
+    pilots, gains = cfg.pilot_offsets, fading.ut_gains
+    energy = cfg.pilot_length * _pilot_arrays(cfg, pilot_powers_unicast,
+                                              pilot_powers_multicast) * gains
+    s = _group_sums(energy, pilots)   # per pilot
+    variances = energy * gains / (1.0 + _per_member(s, pilots))
+    u, groups = cfg.n_unicast, s[cfg.n_unicast:]
+    return EstimationStats(unicast_var=variances[:u],
+                           multicast_var=_views(variances[u:], cfg.group_offsets),
+                           group_var=groups * groups / (1.0 + groups))

@@ -6,12 +6,14 @@ trial simulates the pilot phase, through the factor R of the pilots'
 observations, and the precoders built from it; given the observations, it
 integrates each UT's Gaussian estimation error out in closed form.
 
-Every draw has standard normal real and imaginary parts (``_cn``).  Pilot
-j, a unicast UT's own or a group's shared one, observes o_j = sum_{i in j}
-w_i h_i + n_j = sqrt(1 + s_j) y_j, with w_i = sqrt(tau * power * gain) for
-each UT, s_j = sum_{i in j} w_i^2 and y_j a unit draw.  Its MMSE estimate
-is sqrt(var_j / 2) y_j, with var_j the estimate variance of the closed
-form, so the estimate factor and the variance cancel in both precoders.
+UTs and pilots come in the model's pilot order
+(``SystemConfig.pilot_offsets``), and pilot j carries stream j.  Every
+draw has standard normal real and imaginary parts (``_cn``).  Pilot j
+observes o_j = sum_{i in j} w_i h_i + n_j = sqrt(1 + s_j) y_j, with
+w_i = sqrt(tau * power * gain) for each UT, s_j = sum_{i in j} w_i^2 and
+y_j a unit draw.  Its MMSE estimate is sqrt(var_j / 2) y_j, with var_j the
+estimate variance of the closed form, so the estimate factor and the
+variance cancel in both precoders.
 MRT's column s, sqrt(p_s / (N var_s)) times the estimate, is
 sqrt(p_s / (2 N)) y_s.  ZF's columns E (E^H E)^-1 diag(sqrt((N - S) p var)),
 with E the estimates and S = U + G streams, are Y (Y^H Y)^-1
@@ -73,10 +75,9 @@ certain miss otherwise.  The empirical SINR is the plug-in
 (mean d)^2 / (1 - (mean d)^2 + mean r); its interval maps each moment's 95%
 interval through the SINR formula.
 
-The closed-form side supplies the moments the sums are shifted by and the
-closed-form SINR m1^2 / (1 + m2 - m1^2) each record reports, and the
-powers pass ``closed_form._check_powers``.  The trials read neither the
-estimate variances nor anything else of the closed form.
+Each record also reports that closed-form SINR.  The powers pass
+``closed_form._check_powers``, and the trials read neither the estimate
+variances nor anything else of the closed form.
 
 Each trial draws from its own SFC64 generator, seeded by the spawn of
 (seed, trial index) from one SeedSequence; spawned sequences keep the trial
@@ -214,18 +215,6 @@ def _cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return z
 
 
-def _pilot_offsets(cfg: SystemConfig) -> np.ndarray:
-    """Where each pilot's UTs start among all UTs, then their count: a
-    unicast UT is a pilot of one, each group one pilot of its members."""
-    return np.concatenate([np.arange(cfg.n_unicast), cfg.n_unicast + cfg.group_offsets])
-
-
-def _own_streams(cfg: SystemConfig) -> np.ndarray:
-    """Each UT's own stream, which is also its pilot: its unicast stream, or
-    its group's."""
-    return _per_member(np.arange(cfg.n_streams), _pilot_offsets(cfg))
-
-
 class RankDeficientDraw(RuntimeError):
     """The stacked estimate matrix lost rank in one draw; discard the trial."""
 
@@ -310,14 +299,13 @@ class _Kernel:
         # draws, 1 + s_j per pilot, and each UT's error variance
         # 2 (1 + the other UTs' w^2 on its pilot) / (1 + s_j), which
         # subtracts nothing (see the module docstring).
-        p, q = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
-        energy = cfg.pilot_length * np.concatenate([p * fading.unicast_gains,
-                                                    q * fading.multicast_gains_flat])
-        pilots = _pilot_offsets(cfg)
+        pilots = cfg.pilot_offsets
+        energy = cfg.pilot_length * (_pilot_arrays(cfg, pilot_powers_unicast,
+                                                   pilot_powers_multicast) * fading.ut_gains)
         total = 1.0 + _group_sums(energy, pilots)   # 1 + s_j, per pilot
         per_ut = _per_member(total, pilots)
-        self.own = _own_streams(cfg)
-        half_gains = np.concatenate([fading.unicast_gains, fading.multicast_gains_flat]) / 2.0
+        self.own = _per_member(np.arange(S), pilots)   # each UT's pilot is its stream
+        half_gains = fading.ut_gains / 2.0
         coherent = np.sqrt(energy) / per_ut * np.sqrt(total)[self.own]   # c_i sqrt(1 + s_j)
         self.own_scale = np.sqrt(half_gains) * coherent
         self.coherent = half_gains * coherent ** 2
@@ -326,7 +314,6 @@ class _Kernel:
             self.power = self.diag ** 2
             self.fixed_received = self.coherent * self.power[self.own]
             self.fixed_desired = self.own_scale * self.diag[self.own]
-        self.n_antennas = N
         # Bartlett: the upper trapezoid's positions in k = min(N, S) rows,
         # row by row, and the gamma shapes N - 1 - i that complete each
         # diagonal entry.
@@ -416,8 +403,7 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     gain, c = _precoder_factors(cfg, precoder)
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
     _require_estimates(powers, stats, precoder)
-    signal, interference = (np.concatenate(side) for side in
-                            zip(*_sinr_terms(cfg, stats, fading, powers, gain, c)))
+    signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
     sums = _Sums(np.sqrt(signal), interference + signal)
     kernel = _Kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
                      precoder, seed)

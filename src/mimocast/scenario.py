@@ -90,9 +90,9 @@ class Placement(_ArrayRecord):
         object.__setattr__(self, "multicast", tuple(_points(g) for g in self.multicast))
 
 
-def pathloss(geometry: CellGeometry, distance_m: float, check_range: bool = True) -> float:
-    """Distance-based channel gain: attenuation_const / distance^exponent."""
-    if check_range and not (geometry.exclusion_radius <= distance_m <= geometry.cell_radius):
+def pathloss(geometry: CellGeometry, distance_m: float) -> float:
+    """Distance-based channel gain in the annulus: attenuation_const / distance^exponent."""
+    if not (geometry.exclusion_radius <= distance_m <= geometry.cell_radius):
         raise ValueError(f"distance {distance_m} m outside the annulus "
                          f"[{geometry.exclusion_radius}, {geometry.cell_radius}]")
     return geometry.attenuation_const / distance_m ** geometry.pathloss_exponent

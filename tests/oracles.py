@@ -76,11 +76,19 @@ before a boundary kept its allocation problems: every call validates the
 boundary's pair and builds both problems again.  Its points must equal the
 ones selected on the kept problems, field for field.
 
+The per-side closed-form section keeps the estimate variances, the SINR
+terms and the SE report as they were before every per-UT rule ran over the
+model's pilot order: one formula for the unicast UTs and another for the
+multicast UTs, group by group (``estimation_variances_per_side``,
+``sinr_terms_per_side``, ``se_report_per_side``).  The library's records
+must equal theirs bit for bit.
+
 The per-call score section keeps ``mmf_se_report``/``sse_se_report`` as
 they were before a solution kept the problem that built it: every call
 validates the pair at the solution's pilot length and works out the
 estimate variances again.  Its reports must equal the kept-problem ones
-byte for byte.
+byte for byte.  With ``per_side=True`` it scores through the per-side
+closed form instead.
 
 The per-drop figure-grid section keeps the grid loop as it was before a
 cell's drops were placed and solved as one stack: one SeedSequence and one
@@ -103,12 +111,13 @@ import numpy as np
 
 from mimocast import montecarlo
 from mimocast.allocation import solve_mmf, solve_sse
-from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _equal_shares,
-                                  _precoder_factors, _se_report, _sinr_terms,
-                                  require_zf_feasible, se_report)
+from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _check_powers,
+                                  _equal_shares, _log1p, _precoder_factors, _se_report,
+                                  _sinr_terms, require_zf_feasible, se_report)
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
-from mimocast.model import (MIN_GAIN, FadingProfile, PowerSplit, SystemConfig, Violation,
-                            _estimation_variances, estimation_variances, require_valid)
+from mimocast.model import (MIN_GAIN, EstimationStats, FadingProfile, PowerSplit, SystemConfig,
+                            Violation, _estimation_variances, _group_sums, _per_member, _views,
+                            estimation_variances, require_valid)
 from mimocast.montecarlo import EXACT_RTOL, MAX_GRAM_COND, Z95, RankDeficientDraw
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
 from mimocast.scenario import (CellGeometry, Placement, RadioParams,
@@ -1207,10 +1216,8 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
         raise ValueError(f"unknown precoder {precoder!r}")
     stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
     gain, c = _precoder_factors(cfg, precoder)
-    (uni_signal, uni_rest), (mu_signal, mu_rest) = _sinr_terms(cfg, stats, fading, powers,
-                                                               gain, c)
-    signal = np.concatenate([uni_signal, mu_signal])
-    m1, m2 = np.sqrt(signal), np.concatenate([uni_rest, mu_rest]) + signal
+    signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
+    m1, m2 = np.sqrt(signal), interference + signal
 
     users = cfg.n_unicast + sum(cfg.group_sizes)
     desired = np.empty((users, n_trials), dtype=complex)
@@ -1330,40 +1337,100 @@ def select_operating_point_rebuilt(boundary: ParetoBoundary, ratio=None, target_
     return OperatingPoint(_point(mmf, sse, split), clamped)
 
 
+# ---------------------------------------------- per-side closed form
+
+
+def estimation_variances_per_side(cfg: SystemConfig, fading: FadingProfile,
+                                  pilot_powers_unicast, pilot_powers_multicast) -> EstimationStats:
+    """The estimate variances with one formula per side, for a valid pair
+    and valid pilot powers: tau*p*b^2 / (1 + tau*p*b) for a unicast UT, and
+    the shared-pilot rule group by group for the multicast UTs."""
+    p = np.array(pilot_powers_unicast, dtype=np.float64)
+    q = np.array([x for row in pilot_powers_multicast for x in row], dtype=np.float64)
+    tau = cfg.pilot_length
+    offsets = cfg.group_offsets
+
+    b = fading.unicast_gains
+    tpb = tau * p * b
+    e = fading.multicast_gains_flat
+    tqe = tau * q * e
+    s = _group_sums(tqe, offsets)
+    return EstimationStats(unicast_var=tpb * b / (1.0 + tpb),
+                           multicast_var=_views(tqe * e / (1.0 + _per_member(s, offsets)),
+                                                offsets),
+                           group_var=s * s / (1.0 + s))
+
+
+def sinr_terms_per_side(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
+                        powers: DownlinkPowers, gain: int, c: float):
+    """Each side's (signal, interference) terms, (unicast UTs) and
+    (multicast UTs, group by group)."""
+    _check_powers(cfg, powers)
+    total = powers.total
+
+    def terms(p, var, beta) -> tuple[np.ndarray, np.ndarray]:
+        return gain * p * var, (beta - c * var) * total
+
+    return (terms(powers.unicast, stats.unicast_var, fading.unicast_gains),
+            terms(_per_member(powers.multicast, cfg.group_offsets),
+                  stats.multicast_var_flat, fading.multicast_gains_flat))
+
+
+def se_report_per_side(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
+                       powers: DownlinkPowers, gain: int, c: float) -> SeReport:
+    """The SE report from ``sinr_terms_per_side``, one side at a time."""
+    (uni_signal, uni_interference), (mu_signal, mu_interference) = \
+        sinr_terms_per_side(cfg, stats, fading, powers, gain, c)
+    uni_sinr = uni_signal / (1.0 + uni_interference)
+    mu_sinr = mu_signal / (1.0 + mu_interference)
+    offsets = cfg.group_offsets
+    prelog = cfg.prelog
+    return SeReport(
+        prelog=prelog,
+        unicast_se=prelog * _log1p(uni_sinr) / LN2,
+        multicast_se=_views(prelog * _log1p(mu_sinr) / LN2, offsets),
+        unicast_sinr=uni_sinr,
+        multicast_sinr=_views(mu_sinr, offsets),
+    )
+
+
 # ------------------------------------------------------- per-call scores
 
 
 def _score_rebuilt(cfg: SystemConfig, fading: FadingProfile, sol, pilots_unicast,
-                   pilots_multicast, powers: DownlinkPowers) -> SeReport:
+                   pilots_multicast, powers: DownlinkPowers, per_side: bool) -> SeReport:
     """Closed-form SEs at the solution's pilot length and precoder, with the
     pair validated once for both the estimation and the SINR kernel."""
     cfg_at = (cfg if sol.pilot_length == cfg.pilot_length
               else dataclasses.replace(cfg, pilot_length=sol.pilot_length))
     gain, c = _precoder_factors(cfg_at, sol.precoder)
     require_valid(cfg_at, fading)
+    if per_side:
+        stats = estimation_variances_per_side(cfg_at, fading, pilots_unicast, pilots_multicast)
+        return se_report_per_side(cfg_at, stats, fading, powers, gain, c)
     stats = _estimation_variances(cfg_at, fading, pilots_unicast, pilots_multicast)
     return _se_report(cfg_at, stats, fading, powers, gain, c)
 
 
 def mmf_se_report_rebuilt(cfg: SystemConfig, fading: FadingProfile, sol,
-                          p_unicast_fixed: float) -> SeReport:
+                          p_unicast_fixed: float, per_side: bool = False) -> SeReport:
     """``allocation.mmf_se_report`` validating and estimating on every call."""
     return _score_rebuilt(cfg, fading, sol,
                           cfg.unicast_energy_caps / sol.pilot_length,
                           sol.uplink_pilot_powers,
                           DownlinkPowers(_equal_shares(p_unicast_fixed, cfg.n_unicast, "unicast"),
-                                         sol.downlink_powers))
+                                         sol.downlink_powers), per_side)
 
 
 def sse_se_report_rebuilt(cfg: SystemConfig, fading: FadingProfile, sol,
-                          p_multicast_fixed: float) -> SeReport:
+                          p_multicast_fixed: float, per_side: bool = False) -> SeReport:
     """``allocation.sse_se_report`` validating and estimating on every call."""
     return _score_rebuilt(cfg, fading, sol,
                           sol.uplink_pilot_powers,
                           [caps / sol.pilot_length for caps in cfg.multicast_energy_caps],
                           DownlinkPowers(sol.downlink_powers,
                                          _equal_shares(p_multicast_fixed, cfg.n_groups,
-                                                       "multicast")))
+                                                       "multicast")), per_side)
 
 
 # --------------------------------------------------- per-drop figure grids

@@ -266,6 +266,22 @@ class TestValidateOneSided:
         assert seen[0].total == pytest.approx(total, rel=1e-12)
 
 
+class TestValidateNoUts:
+    def test_scenario_without_uts_says_so(self, tmp_path, capsys):
+        scen = tmp_path / "none.json"
+        assert run("scenario", "--unicast", 0, "--groups", 0, "--seed", 4, "--out", scen) == 0
+        splits = ((), ("--split-ratio", "1:0"), ("--split-ratio", "0:1"), ("--p-un", 0.0))
+        for split in splits:
+            assert run("validate", "--scenario", scen, "--precoder", "mrt", "--trials", 100,
+                       "--seed", 1, *split, "--out", tmp_path / "v.json") == 1, split
+            assert "scenario has no UTs" in capsys.readouterr().err, split
+        for command in ("mmf", "sse"):
+            assert run(command, "--scenario", scen, "--precoder", "mrt", "--p-un", 0.0,
+                       "--out", tmp_path / "s.json") == 1
+            assert "scenario has no UTs" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists() and not (tmp_path / "s.json").exists()
+
+
 class TestFigure:
     def test_fig4_row_count(self, tmp_path):
         out = tmp_path / "f4.csv"

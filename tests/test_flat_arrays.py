@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimocast import allocation, model, montecarlo
+from mimocast import allocation, closed_form, model, montecarlo
 from mimocast.closed_form import PRECODERS, DownlinkPowers
 from mimocast.errors import InvalidConfigError
 from mimocast.model import (EstimationStats, FadingProfile, FadingStack, SystemConfig,
@@ -59,6 +59,37 @@ class TestLayout:
         for g, row in enumerate(fading.multicast_gains):
             assert np.shares_memory(row, fading.multicast_gains_flat)
             assert row.tolist() == fading.multicast_gains_flat[bounds[g]:bounds[g + 1]].tolist()
+
+    def test_pilot_offsets_are_derived_and_read_only(self):
+        cfg, _ = desk_cell(4)
+        u = cfg.n_unicast
+        assert cfg.pilot_offsets.tolist() == [*range(u), *(u + cfg.group_offsets).tolist()]
+        assert not cfg.pilot_offsets.flags.writeable
+        assert "pilot_offsets" not in {f.name for f in dataclasses.fields(cfg)}
+        assert "pilot_offsets" not in cfg.to_dict()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.pilot_offsets = np.arange(3)
+        fresh = dataclasses.replace(cfg)
+        assert "pilot_offsets" not in vars(fresh) and fresh == cfg and hash(fresh) == hash(cfg)
+
+    def test_all_ut_records_view_one_array(self):
+        cfg, fading = desk_cell(4)
+        tau = cfg.pilot_length
+        stats = model.estimation_variances(cfg, fading, cfg.unicast_energy_caps / tau,
+                                           [caps / tau for caps in cfg.multicast_energy_caps])
+        assert stats.ut_var.tolist() == [*stats.unicast_var.tolist(),
+                                         *stats.multicast_var_flat.tolist()]
+        assert fading.ut_gains.tolist() == [*fading.unicast_gains.tolist(),
+                                            *fading.multicast_gains_flat.tolist()]
+        half = cfg.total_power / 2.0
+        report = closed_form.se_report(
+            cfg, stats, fading,
+            DownlinkPowers.equal_split(half, cfg.n_unicast, half, cfg.n_groups), "mrt")
+        for a, b in ((stats.unicast_var, stats.group_var), (stats.ut_var, stats.group_var),
+                     (report.unicast_se, report.multicast_se_flat),
+                     (report.unicast_sinr, report.multicast_sinr_flat)):
+            assert a.base is b.base and not a.base.flags.writeable
+            assert not (a.flags.writeable or b.flags.writeable)
 
     def test_constructor_copies_its_input(self):
         gains = np.array([1.0, 2.0])
@@ -302,6 +333,16 @@ def flat(rows):
     return [x for row in rows for x in row]
 
 
+def random_pilots(cfg, rng):
+    """Random pilot powers within the caps, some exactly zero."""
+    tau = cfg.pilot_length
+    pilots_un = [float(rng.uniform(0.0, e) * rng.integers(2)) / tau
+                 for e in cfg.unicast_energy_caps]
+    pilots_mu = [[float(rng.uniform(0.0, e) * rng.integers(2)) / tau for e in caps]
+                 for caps in cfg.multicast_energy_caps]
+    return pilots_un, pilots_mu
+
+
 def assert_pieces_match_loops(cfg, fading, rng):
     problem = allocation._mmf_problem(cfg, fading, "mrt")
     upsilon, x_caps = problem.upsilon, problem.x_caps
@@ -317,12 +358,7 @@ def assert_pieces_match_loops(cfg, fading, rng):
             theta_o, offsets_o = oracles.unicast_offsets(cfg, fading, gain, c)
             assert theta.tolist() == list(theta_o)
             assert offsets.tolist() == list(offsets_o)
-    tau = cfg.pilot_length
-    # Random pilot powers within the caps, some exactly zero.
-    pilots_un = [float(rng.uniform(0.0, e) * rng.integers(2)) / tau
-                 for e in cfg.unicast_energy_caps]
-    pilots_mu = [[float(rng.uniform(0.0, e) * rng.integers(2)) / tau for e in caps]
-                 for caps in cfg.multicast_energy_caps]
+    pilots_un, pilots_mu = random_pilots(cfg, rng)
     stats = model._estimation_variances(cfg, fading, pilots_un, pilots_mu)
     uni, multi, grp = oracles.estimation_variances_loop(cfg, fading, pilots_un, pilots_mu)
     assert stats.unicast_var.tolist() == list(uni)
@@ -343,6 +379,53 @@ class TestSolverPiecesOracle:
     def test_paper_cell_drops(self, seed):
         cfg, fading = paper_cell(seed)
         assert_pieces_match_loops(cfg, fading, np.random.default_rng(seed))
+
+
+class TestPilotOrderOracle:
+    """The estimate variances and every score, worked out over the model's
+    pilot order, against the per-side formulas they replaced (``oracles``,
+    per-side closed-form section), bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_desk_instances(self, seed):
+        # U = 0, G = 0, groups of one and zero pilot powers all occur.
+        rng = np.random.default_rng(seed)
+        cfg, fading = random_desk_instance(rng, u_range=(0, 8), g_range=(0, 4))
+        pilots = random_pilots(cfg, rng)
+        stats = model.estimation_variances(cfg, fading, *pilots)
+        assert stats.to_dict() == \
+            oracles.estimation_variances_per_side(cfg, fading, *pilots).to_dict()
+        # Stream powers within the budget, some exactly zero.
+        levels = (rng.uniform(0.0, 1.0, cfg.n_streams) * rng.integers(2, size=cfg.n_streams)
+                  * cfg.total_power / max(cfg.n_streams, 1))
+        powers = DownlinkPowers(unicast=levels[:cfg.n_unicast],
+                                multicast=levels[cfg.n_unicast:])
+        p_un = float(rng.uniform(0.0, cfg.total_power)) if cfg.n_unicast else 0.0
+        p_mu = float(rng.uniform(0.0, cfg.total_power)) if cfg.n_groups else 0.0
+        for precoder in PRECODERS:
+            gain, c = closed_form._precoder_factors(cfg, precoder)
+            assert closed_form.se_report(cfg, stats, fading, powers, precoder).to_dict() == \
+                oracles.se_report_per_side(cfg, stats, fading, powers, gain, c).to_dict()
+            if cfg.n_groups:
+                sol = allocation.solve_mmf(cfg, fading, p_un, precoder)
+                assert allocation.mmf_se_report(cfg, fading, sol, p_un).to_dict() == \
+                    oracles.mmf_se_report_rebuilt(cfg, fading, sol, p_un,
+                                                  per_side=True).to_dict()
+            if cfg.n_unicast:
+                sol = allocation.solve_sse(cfg, fading, p_mu, precoder)
+                assert allocation.sse_se_report(cfg, fading, sol, p_mu).to_dict() == \
+                    oracles.sse_se_report_rebuilt(cfg, fading, sol, p_mu,
+                                                  per_side=True).to_dict()
+
+    @pytest.mark.parametrize("n_unicast, sizes", [(-1, (2, 3)), (-3, ()), (2, (0, 3)),
+                                                  (1, (-2,)), (-2, (1, -1, 0))])
+    def test_bad_counts_construct_and_validate_as_before(self, n_unicast, sizes):
+        cfg, fading = desk_cell(5)
+        bad = dataclasses.replace(cfg, n_unicast=n_unicast, group_sizes=sizes)
+        violations = validate_config(bad, fading)
+        assert violations
+        assert violation_keys(violations) == violation_keys(oracles.validate_config(bad, fading))
 
 
 class TestWaterfillOracle:

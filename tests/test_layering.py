@@ -24,6 +24,12 @@ A Monte Carlo run checks its inputs once, before its first trial: no code
 a trial runs, ``_Kernel.__call__`` and every ``montecarlo`` function or
 ``_Kernel`` method it names, directly or through another, names a check.
 
+The per-UT pilot order is the model's: ``SystemConfig.pilot_offsets``
+holds the pilot boundaries, and no other module derives them.  Outside
+``model.py`` nothing names a ``_pilot_offsets`` or ``_own_streams``
+helper, and ``pilot_offsets`` is only ever read as ``cfg.pilot_offsets``;
+``montecarlo.py`` does read it so, and names no ``group_offsets``.
+
 The trials read nothing of the closed form: in ``montecarlo.py`` only
 ``_run_trials`` names ``_estimation_variances`` or ``_sinr_terms``, and
 nothing in ``_Kernel`` names the estimate variances (``stats``,
@@ -333,3 +339,68 @@ class _Kernel:
     assert kernel_mentions(source, KERNEL_UNREAD) == [
         "<class>: EstimationStats", "__call__: _se_report", "__init__: stats",
         "__init__: stats"]
+
+
+PILOT_HELPERS = {"_pilot_offsets", "_own_streams"}
+
+
+def pilot_order_mentions(source: str, names: set[str]) -> list[str]:
+    """``owner: name`` for every definition, name, attribute, parameter,
+    keyword, import or string that is one of ``names``, or that is
+    ``pilot_offsets`` other than as ``cfg.pilot_offsets``, in source order;
+    the owner is the innermost enclosing function, or ``<module>``."""
+    found = []
+
+    def visit(node: ast.AST, owner: str):
+        idents = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            idents.append(node.name)
+        elif isinstance(node, ast.Name):
+            idents.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            if not (node.attr == "pilot_offsets" and isinstance(node.value, ast.Name)
+                    and node.value.id == "cfg"):
+                idents.append(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            idents.append(node.arg)
+        elif isinstance(node, ast.alias):
+            idents.extend((node.name, node.asname))
+        elif isinstance(node, ast.Constant):
+            idents.append(node.value)
+        found.extend(f"{owner}: {name}" for name in idents
+                     if isinstance(name, str) and (name in names or name == "pilot_offsets"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_model_derives_pilot_boundaries():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "model.py"
+             and (names := pilot_order_mentions(path.read_text(encoding="utf-8"),
+                                                PILOT_HELPERS))}
+    assert found == {}
+    source = MONTECARLO.read_text(encoding="utf-8")
+    assert pilot_order_mentions(source, PILOT_HELPERS | {"group_offsets"}) == []
+    assert "cfg.pilot_offsets" in source
+
+
+def test_check_sees_every_pilot_order_derivation():
+    source = """
+from .model import _own_streams as own
+def _pilot_offsets(cfg):
+    return np.concatenate([np.arange(cfg.n_unicast), cfg.n_unicast + cfg.group_offsets])
+class _Kernel:
+    def __init__(self, cfg, stats, pilot_offsets=None):
+        pilots = cfg.pilot_offsets
+        self.pilot_offsets = stats.pilot_offsets
+        self.own = getattr(model, "_own_streams")(cfg, offsets=cfg.group_offsets)
+"""
+    assert pilot_order_mentions(source, PILOT_HELPERS | {"group_offsets"}) == [
+        "<module>: _own_streams", "<module>: _pilot_offsets", "_pilot_offsets: group_offsets",
+        "__init__: pilot_offsets", "__init__: pilot_offsets", "__init__: pilot_offsets",
+        "__init__: _own_streams", "__init__: group_offsets"]

@@ -694,8 +694,8 @@ class TestValidateClosedForm:
         sinr_terms = closed_form._sinr_terms
 
         def off(*args):
-            return tuple((1.05 * signal, interference)
-                         for signal, interference in sinr_terms(*args))
+            signal, interference = sinr_terms(*args)
+            return 1.05 * signal, interference
 
         monkeypatch.setattr(closed_form, "_sinr_terms", off)
         monkeypatch.setattr(montecarlo, "_sinr_terms", off)

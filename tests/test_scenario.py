@@ -19,10 +19,6 @@ class TestPathloss:
         g = pathloss(CellGeometry(), 500.0)
         assert 10.0 * math.log10(g) == pytest.approx(-136.48, abs=0.01)
 
-    def test_unit_distance_returns_attenuation_const(self):
-        geo = CellGeometry()
-        assert pathloss(geo, 1.0, check_range=False) == geo.attenuation_const
-
     def test_inner_edge_value(self):
         # 10^-3.5 / 35^3.76, cross-checked against a high-precision evaluation.
         g = pathloss(CellGeometry(), 35.0)
