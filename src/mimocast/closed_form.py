@@ -179,7 +179,13 @@ def _sinr_terms(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile
         raise ValueError("estimation stats must be shaped like the config")
     var = stats.ut_var
     p = _per_member(np.concatenate([powers.unicast, powers.multicast]), cfg.pilot_offsets)
-    return gain * p * var, (fading.ut_gains - c * var) * powers.total
+    # beta - c*var: all of beta under MRT (c = 0), and under ZF (c = 1) the
+    # estimation error, as the stats hold it when they have it.
+    if c == 0.0:
+        leaked = fading.ut_gains
+    else:
+        leaked = fading.ut_gains - var if stats.ut_error is None else stats.ut_error
+    return gain * p * var, leaked * powers.total
 
 
 def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,

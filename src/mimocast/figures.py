@@ -20,76 +20,16 @@ from .closed_form import PRECODERS, _precoder_factors
 from .errors import InvalidConfigError, ZfInfeasibleError
 from .model import FadingStack, SystemConfig, _row_sums, require_valid_drops
 from .scenario import CellGeometry, place_drops
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx: hashmix, mix,
-# mix_entropy, generate_state), a documented and stable stream contract.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _hashmix(value, const):
-    """SeedSequence's hashmix of a uint32 array of words and the hash
-    constant it passes on, which stays a Python int."""
-    value = value ^ const
-    const = const * _MULT_A & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-    return r ^ r >> 16
-
-
-def _mix_word(pool: list, word, const):
-    """Mix one entropy word into every pool word, as mix_entropy does with
-    the words past the pool size."""
-    for i in range(len(pool)):
-        h, const = _hashmix(word, const)
-        pool[i] = _mix(pool[i], h)
-    return const
+from .seeds import SpawnedSeed, SpawnHash
 
 
 def _drop_states(seed: int, n_cells: int, n_drops: int) -> np.ndarray:
     """``SeedSequence(entropy=seed, spawn_key=(cell, drop)).generate_state(4,
-    np.uint64)`` of every cell and drop, as a (cells, drops, 4) array.
-
-    A spawn key pads the seed's 32-bit words with zeros to the pool size
-    (4) and follows them, so every drop starts from the pool the seed's own
-    words mix into, which is ``SeedSequence(seed).pool``.  Those words took
-    4 hashmix calls each, and 4 per pool word at least, so the hash
-    constant has passed ``4 * max(words, 4)`` multiplications by _MULT_A.
-    The cell and drop words and the state that follows run on uint32
-    arrays (which wrap, as the hash does) over every cell and drop at once.
-    """
-    n_words = max(-(-seed.bit_length() // 32), 4)
-    pool = np.random.SeedSequence(seed).pool.tolist()
-    const = _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
-    const = _mix_word(pool, np.arange(n_cells, dtype=np.uint32)[:, None], const)
-    _mix_word(pool, np.arange(n_drops, dtype=np.uint32), const)
-    state, const = np.empty((n_cells, n_drops, 8), dtype="<u4"), _INIT_B
-    for i in range(8):
-        v = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        v = v * const & _MASK32
-        state[..., i] = v ^ v >> 16
-    # As generate_state does: word pairs read as little-endian uint64s.
-    return state.view("<u8").astype(np.uint64, copy=False)
-
-
-class _DropSeed(np.random.bit_generator.ISeedSequence):
-    """One drop's seed: the words its SeedSequence would generate for
-    PCG64, which asks for exactly ``generate_state(4, np.uint64)``."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a drop seed only holds the 4 uint64 words PCG64 reads")
-        return self.state
+    np.uint64)`` of every cell and drop, as a (cells, drops, 4) array: the
+    words PCG64 asks its seed for, from one pass of the seed hash over every
+    cell and drop at once."""
+    return SpawnHash(seed).states((np.arange(n_cells, dtype=np.uint32)[:, None],
+                                   np.arange(n_drops, dtype=np.uint32)), 4)
 
 
 # Each objective's allocation problem (see ``allocation``).
@@ -154,7 +94,7 @@ def _shape_means(cfgs: Sequence[SystemConfig], states: np.ndarray,
     infeasible."""
     first, n_drops = cfgs[0], states.shape[1]
     drops = place_drops(CellGeometry(), first.n_unicast, first.group_sizes,
-                        [_DropSeed(s) for s in states.reshape(-1, 4)])
+                        [SpawnedSeed(s) for s in states.reshape(-1, 4)])
     n_valid, invalid = _valid_cells(cfgs, drops, n_drops)
     if n_valid == 0:
         raise invalid

@@ -427,15 +427,20 @@ class EstimationStats(_ArrayRecord):
     unicast_var[u]       variance of a unicast UT's estimated channel entry
     multicast_var[g][k]  same for multicast UT k in group g (shared pilot)
     group_var[g]         variance of the composite per-group estimate
+    ut_error[i]          every UT's estimation-error variance beta - var, in
+                         pilot order, or None when not given
 
     Stored as one read-only float64 array, which the fields view: every
     UT's variance in pilot order (``ut_var``), then each group's, with
     ``multicast_var`` rows viewing ``multicast_var_flat``.
+    ``estimation_variances`` gives ``ut_error`` as it forms it, without
+    subtracting; stats built without it leave ZF to take beta - var.
     """
 
     unicast_var: np.ndarray
     multicast_var: tuple[np.ndarray, ...]
     group_var: np.ndarray
+    ut_error: np.ndarray | None = None
     multicast_var_flat: np.ndarray = _flat_field()
     ut_var: np.ndarray = _flat_field()
 
@@ -448,6 +453,11 @@ class EstimationStats(_ArrayRecord):
                             ("group_var", views[-1]), ("multicast_var_flat", variances[u:n]),
                             ("ut_var", variances[:n])):
             object.__setattr__(self, name, value)
+        if self.ut_error is not None:
+            _freeze(self, ("ut_error",))
+            if self.ut_error.shape != self.ut_var.shape:
+                raise ValueError(f"ut_error must hold one variance per UT ({n}), "
+                                 f"got {self.ut_error.size}")
 
 
 @dataclass(frozen=True)
@@ -603,13 +613,21 @@ def _estimation_variances(cfg: SystemConfig,
                           fading: FadingProfile,
                           pilot_powers_unicast: Sequence[float],
                           pilot_powers_multicast: Sequence[Sequence[float]]) -> EstimationStats:
-    """``estimation_variances`` for a (cfg, fading) pair already validated."""
+    """``estimation_variances`` for a (cfg, fading) pair already validated.
+
+    UT i's error variance g_i - var_i is g_i (1 + sum_{l != i} tau q_l g_l)
+    / (1 + s) over the other UTs l on its pilot, whose sums
+    (``_group_others``) subtract nothing, so it keeps its digits when the
+    pilot energy dwarfs 1 and var_i nears g_i.
+    """
     pilots, gains = cfg.pilot_offsets, fading.ut_gains
     energy = cfg.pilot_length * _pilot_arrays(cfg, pilot_powers_unicast,
                                               pilot_powers_multicast) * gains
     s = _group_sums(energy, pilots)   # per pilot
-    variances = energy * gains / (1.0 + _per_member(s, pilots))
+    total = 1.0 + _per_member(s, pilots)
+    variances = energy * gains / total
     u, groups = cfg.n_unicast, s[cfg.n_unicast:]
     return EstimationStats(unicast_var=variances[:u],
                            multicast_var=_views(variances[u:], cfg.group_offsets),
-                           group_var=groups * groups / (1.0 + groups))
+                           group_var=groups * groups / (1.0 + groups),
+                           ut_error=gains * (1.0 + _group_others(energy, pilots)) / total)

@@ -63,6 +63,15 @@ jackknife per UT.  Its trials are ``conditional_trials`` (or any other
 trials of the same form).  Its empirical SINRs must agree with the
 streamed ones to rounding.
 
+The per-trial section keeps the trial kernel as it ran before its trials
+ran in blocks (``run_trials_per_trial``): one SeedSequence per trial, one
+factor array per trial, ZF's row norms from an LU inverse
+(``zf_row_norms_lu``) and each trial's terms committed before the next
+draws.  The blocked run's sums must equal its sums bit for bit under MRT
+and within 1e-12 under ZF, at any block size.  ``zf_interference_exact``
+gives the closed form's ZF interference in rational arithmetic, which the
+library must meet within 1e-14 at any pilot energy.
+
 The serial streamed section keeps the Monte Carlo trial loop over stored
 terms: it stores every trial's desired term and received power, as the
 validator did before it kept only per-UT moment sums, and adds them up in
@@ -849,10 +858,16 @@ def observation_basis(O: np.ndarray) -> np.ndarray:
 
 def zf_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """ZF's factor R^-H D of the observations' factor R, which the trial
-    kernel never forms, for a draw its rank rule keeps
-    (``montecarlo._zf_row_norms``, which raises RankDeficientDraw for any
-    other)."""
-    montecarlo._zf_row_norms(R)
+    kernel never forms, for a draw its rank rule keeps (the bound of
+    ``montecarlo._zf_row_norms`` on a copy of R, which
+    ``montecarlo._require_rank`` turns into RankDeficientDraw for any
+    other).  That rule reads upper-triangular factors, as a trial draws
+    them; the square observations of N = S antennas, which are their own
+    factor here and which ZF never serves, are triangularized by a QR
+    first, which leaves the bound as it is."""
+    triangle = R if np.array_equal(R, np.triu(R)) else np.linalg.qr(R, mode="r")
+    _, (bound,) = montecarlo._zf_row_norms(triangle[None].copy())
+    montecarlo._require_rank(bound)
     return np.linalg.inv(R).conj().T * diag
 
 
@@ -1196,6 +1211,86 @@ def validate_closed_form_stored(cfg: SystemConfig, fading: FadingProfile,
                            pass_rate=rate, passed=rate >= 0.99)
 
 
+# ------------------------------------------------- per-trial trial kernel
+
+
+def zf_row_norms_lu(R: np.ndarray) -> np.ndarray:
+    """ZF's rank rule and squared row norms of R^-1 as the kernel read them
+    before it inverted a block of factors by back substitution: one LU
+    inverse of one factor, RankDeficientDraw when it is singular or when
+    the condition bound S sum_s ||R e_s||^2 ||row s of R^-1||^2 exceeds
+    ``montecarlo.MAX_GRAM_COND`` (read at call time) or is NaN."""
+    try:
+        inverse = np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        raise RankDeficientDraw("the observations' factor is singular") from None
+    parts = inverse.view(np.float64)
+    rows = np.einsum("ij,ij->i", parts, parts)
+    bound = R.shape[1] * float(np.vdot(np.linalg.norm(R, axis=0) ** 2, rows))
+    if not bound <= montecarlo.MAX_GRAM_COND:
+        raise RankDeficientDraw(f"Gram condition bound {bound:.3g} exceeds "
+                                f"{montecarlo.MAX_GRAM_COND:g}")
+    return rows
+
+
+def per_trial_factor(kernel, rng: np.random.Generator) -> np.ndarray:
+    """One trial's observations' factor as the kernel drew it before trials
+    ran in blocks: a fresh k x S array, its upper trapezoid from ``_cn``
+    and its diagonal completed by gamma variates, from ``rng``."""
+    k, S = kernel.shapes.size, kernel.diag.size
+    R = np.zeros((k, S), dtype=complex)
+    R[kernel.upper] = montecarlo._cn(rng, (kernel.upper[0].size,))
+    z = R.diagonal()
+    R.flat[::S + 1] = np.sqrt(z.real ** 2 + z.imag ** 2
+                              + 2.0 * rng.standard_gamma(kernel.shapes))
+    return R
+
+
+def run_trials_per_trial(cfg: SystemConfig, fading: FadingProfile,
+                         pilot_powers_unicast, pilot_powers_multicast,
+                         powers: DownlinkPowers, precoder: str,
+                         n_trials: int, seed: int) -> montecarlo._Sums:
+    """``montecarlo._run_trials``' sums as the run formed them before its
+    trials ran in blocks: trial t alone, from ``SeedSequence(entropy=seed,
+    spawn_key=(t,))`` (``trial_rng``), its factor drawn into a fresh array
+    (``per_trial_factor``), ZF's row norms from an LU inverse
+    (``zf_row_norms_lu``), and its terms committed before the next trial
+    draws.  The run-level coefficients and MRT's terms are the kernel's."""
+    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    gain, c = _precoder_factors(cfg, precoder)
+    signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
+    sums = montecarlo._Sums(np.sqrt(signal), interference + signal)
+    kernel = montecarlo._Kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                                powers, precoder, seed)
+    for t in range(n_trials):
+        R = per_trial_factor(kernel, montecarlo.trial_rng(seed, t))
+        try:
+            if precoder == ZF:
+                frobenius = float(np.vdot(kernel.power, zf_row_norms_lu(R)))
+                received = kernel.incoherent * frobenius
+                received += kernel.fixed_received
+                result = received, kernel.fixed_desired.copy()
+            else:
+                result = kernel._mrt_terms(R)
+        except RankDeficientDraw:
+            result = None
+        sums.commit(result)
+    return sums
+
+
+def zf_interference_exact(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
+                          powers) -> list[Fraction]:
+    """Each UT's ZF interference (beta - var) P_total, in pilot order, in
+    exact rational arithmetic: beta - var = beta (1 - tau q beta / (1 + s))
+    over the pilot energies s of its pilot (``error_variances_exact`` holds
+    twice the bracket)."""
+    gains = [Fraction(float(g)) for g in fading.unicast_gains]
+    gains += [Fraction(float(e)) for row in fading.multicast_gains for e in row]
+    errors = error_variances_exact(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    total = sum(map(Fraction, powers.unicast.tolist() + powers.multicast.tolist()))
+    return [g * e / 2 * total for g, e in zip(gains, errors)]
+
+
 # ---------------------------------------- serial streamed Monte Carlo path
 
 
@@ -1344,7 +1439,11 @@ def estimation_variances_per_side(cfg: SystemConfig, fading: FadingProfile,
                                   pilot_powers_unicast, pilot_powers_multicast) -> EstimationStats:
     """The estimate variances with one formula per side, for a valid pair
     and valid pilot powers: tau*p*b^2 / (1 + tau*p*b) for a unicast UT, and
-    the shared-pilot rule group by group for the multicast UTs."""
+    the shared-pilot rule group by group for the multicast UTs.  The error
+    variances likewise: b / (1 + tau*p*b) for a unicast UT, and for member k
+    of a group e_k (1 + the other members' tau*q*e) / (1 + s), the others
+    summed in a loop, those before k from the group's start and those after
+    it from its end."""
     p = np.array(pilot_powers_unicast, dtype=np.float64)
     q = np.array([x for row in pilot_powers_multicast for x in row], dtype=np.float64)
     tau = cfg.pilot_length
@@ -1355,25 +1454,39 @@ def estimation_variances_per_side(cfg: SystemConfig, fading: FadingProfile,
     e = fading.multicast_gains_flat
     tqe = tau * q * e
     s = _group_sums(tqe, offsets)
+    others = []
+    for row in _views(tqe, offsets):
+        row = row.tolist()
+        for k in range(len(row)):
+            before = after = 0.0
+            for x in row[:k]:
+                before += x
+            for x in reversed(row[k + 1:]):
+                after += x
+            others.append(before + after)
+    total = 1.0 + _per_member(s, offsets)
     return EstimationStats(unicast_var=tpb * b / (1.0 + tpb),
-                           multicast_var=_views(tqe * e / (1.0 + _per_member(s, offsets)),
-                                                offsets),
-                           group_var=s * s / (1.0 + s))
+                           multicast_var=_views(tqe * e / total, offsets),
+                           group_var=s * s / (1.0 + s),
+                           ut_error=np.concatenate([b / (1.0 + tpb),
+                                                    e * (1.0 + np.array(others)) / total]))
 
 
 def sinr_terms_per_side(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
                         powers: DownlinkPowers, gain: int, c: float):
     """Each side's (signal, interference) terms, (unicast UTs) and
-    (multicast UTs, group by group)."""
+    (multicast UTs, group by group).  The interference gain is beta under
+    MRT and the error variance under ZF."""
     _check_powers(cfg, powers)
     total = powers.total
+    u = cfg.n_unicast
 
-    def terms(p, var, beta) -> tuple[np.ndarray, np.ndarray]:
-        return gain * p * var, (beta - c * var) * total
+    def terms(p, var, beta, error) -> tuple[np.ndarray, np.ndarray]:
+        return gain * p * var, (beta if c == 0.0 else error) * total
 
-    return (terms(powers.unicast, stats.unicast_var, fading.unicast_gains),
+    return (terms(powers.unicast, stats.unicast_var, fading.unicast_gains, stats.ut_error[:u]),
             terms(_per_member(powers.multicast, cfg.group_offsets),
-                  stats.multicast_var_flat, fading.multicast_gains_flat))
+                  stats.multicast_var_flat, fading.multicast_gains_flat, stats.ut_error[u:]))
 
 
 def se_report_per_side(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mimocast import closed_form
 from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import EstimationStats, FadingProfile, estimation_variances
@@ -313,3 +314,69 @@ class TestScalarOracleAgreement:
             for k, got in enumerate(group):
                 assert got == pytest.approx(mu(cfg, stats, fading, powers, j, k),
                                             rel=1e-12, abs=0.0)
+
+
+def _pilot_cell(data, log10_energy):
+    """A desk cell of up to 4 unicast UTs and 3 groups of up to 4, with
+    gains in [0.01, 2] and each UT's pilot energy tau * q * g at 10 to the
+    power of a draw from ``log10_energy``; returns (cfg, fading, unicast
+    pilot powers, multicast pilot powers, equal-split powers)."""
+    u = data.draw(st.integers(min_value=0, max_value=4), label="unicast UTs")
+    sizes = tuple(data.draw(st.lists(st.integers(min_value=1, max_value=4),
+                                     min_size=0 if u else 1, max_size=3), label="groups"))
+    cfg = make_config(n_unicast=u, group_sizes=sizes, n_antennas=u + len(sizes) + 2)
+    users = u + sum(sizes)
+
+    def per_ut(strategy, label):
+        return np.array(data.draw(st.lists(strategy, min_size=users, max_size=users),
+                                  label=label))
+
+    gains = per_ut(st.floats(min_value=0.01, max_value=2.0), "gains")
+    energy = 10.0 ** per_ut(log10_energy, "log10 energy")
+    pilots = energy / (cfg.pilot_length * gains)
+    edges = np.cumsum([u, *sizes]).tolist()
+    fading = FadingProfile(unicast_gains=gains[:u],
+                           multicast_gains=[gains[a:b] for a, b in zip(edges, edges[1:])])
+    powers = DownlinkPowers.equal_split(1.0 if u else 0.0, u, 1.0 if sizes else 0.0,
+                                        len(sizes))
+    return cfg, fading, pilots[:u], [pilots[a:b] for a, b in zip(edges, edges[1:])], powers
+
+
+class TestInterferenceWithoutCancellation:
+    """ZF's interference (beta - var) P, whose difference would lose every
+    digit once a pilot's energy dwarfs 1 (var -> beta), against exact
+    rational arithmetic; MRT's beta P keeps its bits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_zf_interference_matches_exact_fractions(self, data):
+        cfg, fading, pilots_un, pilots_mu, powers = _pilot_cell(
+            data, st.floats(min_value=-6.0, max_value=30.0))
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        _, got = closed_form._sinr_terms(cfg, stats, fading, powers,
+                                         *closed_form._precoder_factors(cfg, ZF))
+        want = np.array([float(x) for x in oracles.zf_interference_exact(
+            cfg, fading, pilots_un, pilots_mu, powers)])
+        assert (np.abs(got - want) <= 1e-14 * want).all(), np.abs(got / want - 1.0).max()
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mrt_interference_is_beta_times_power(self, data):
+        cfg, fading, pilots_un, pilots_mu, powers = _pilot_cell(
+            data, st.floats(min_value=-6.0, max_value=30.0))
+        stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
+        _, got = closed_form._sinr_terms(cfg, stats, fading, powers,
+                                         *closed_form._precoder_factors(cfg, MRT))
+        assert got.tolist() == ((fading.ut_gains - 0.0 * stats.ut_var) * powers.total).tolist()
+
+    def test_stats_without_errors_subtract(self):
+        # Stats built by hand carry no error variances: ZF takes beta - var.
+        cfg = make_config(n_unicast=1, group_sizes=(2,), pilot_length=2)
+        fading = FadingProfile(unicast_gains=(1.0,), multicast_gains=((0.5, 2.0),))
+        stats = stats_for(cfg, unicast_var=(0.25,), multicast_var=((0.125, 1.5),))
+        powers = DownlinkPowers(unicast=(2.0,), multicast=(3.0,))
+        _, got = closed_form._sinr_terms(cfg, stats, fading, powers, 1, 1.0)
+        assert got.tolist() == [0.75 * 5.0, 0.375 * 5.0, 0.5 * 5.0]
+        with pytest.raises(ValueError, match="one variance per UT"):
+            EstimationStats(unicast_var=(0.25,), multicast_var=((0.125, 1.5),),
+                            group_var=(1.0,), ut_error=(0.75, 0.375))

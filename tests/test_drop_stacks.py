@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimocast import allocation, cli, closed_form, figures, model
+from mimocast import allocation, cli, closed_form, figures, model, seeds
 from mimocast.allocation import solve_mmf, solve_sse, waterfill
 from mimocast.closed_form import PRECODERS
 from mimocast.errors import DegenerateInputError, InvalidConfigError, ZfInfeasibleError
@@ -53,7 +53,7 @@ class TestDropSeeds:
             for d in range(n_drops):
                 want = oracles.drop_seed(seed, c, d)
                 assert np.array_equal(states[c, d], want.generate_state(4, np.uint64))
-                got = np.random.default_rng(figures._DropSeed(states[c, d]))
+                got = np.random.default_rng(seeds.SpawnedSeed(states[c, d]))
                 assert np.array_equal(got.random(8), np.random.default_rng(want).random(8))
 
     # 2**128 - 1 and 2**200 + 12345 have 4 and 7 words: the hash constant's
@@ -70,7 +70,7 @@ class TestDropSeeds:
         self.assert_states_equal(seed, n_cells, n_drops)
 
     def test_drop_seed_serves_only_pcg64(self):
-        seed = figures._DropSeed(figures._drop_states(3, 1, 1)[0, 0])
+        seed = seeds.SpawnedSeed(figures._drop_states(3, 1, 1)[0, 0])
         with pytest.raises(ValueError):
             seed.generate_state(2, np.uint64)
         with pytest.raises(ValueError):

@@ -12,17 +12,19 @@ normal draw.  Likewise, which pilots a score estimates is
 ``allocation._score_stats``'s rule: no other code in ``allocation.py``
 names ``_estimation_variances``.
 
-A trial draws the observations' factor and factors nothing else but ZF's
-inverse: nothing in ``montecarlo.py`` names a Cholesky factor or a QR, and
-only the ZF step, ``_zf_row_norms``, names an inverse.
+A trial draws the observations' factor and factors nothing: nothing in
+``montecarlo.py`` names an inverse, a Cholesky factor or a QR.  ZF reads
+the rows of each factor's inverse by back substitution over the block.
 
 Which precoders exist is ``closed_form``'s rule: any other module checks a
 precoder through ``closed_form._precoder_factors`` and never tests
 membership in ``PRECODERS`` itself; looping over them is fine.
 
 A Monte Carlo run checks its inputs once, before its first trial: no code
-a trial runs, ``_Kernel.__call__`` and every ``montecarlo`` function or
-``_Kernel`` method it names, directly or through another, names a check.
+a trial runs names a check.  The walk starts at the block step,
+``_Kernel.__call__``, and takes every ``montecarlo`` function or
+``_Kernel`` method it names, directly or through another; it must reach
+each step of a trial, from the draw to both precoders' terms.
 
 The per-UT pilot order is the model's: ``SystemConfig.pilot_offsets``
 holds the pilot boundaries, and no other module derives them.  Outside
@@ -181,10 +183,8 @@ def helper(rng):
 FACTORIZATIONS = {"cholesky", "qr"}
 
 
-def test_only_zf_factors_in_montecarlo():
-    source = MONTECARLO.read_text(encoding="utf-8")
-    assert owners(source, FACTORIZATIONS) == []
-    assert owners(source, {"inv"}) == ["_zf_row_norms"]
+def test_nothing_factors_in_montecarlo():
+    assert owners(MONTECARLO.read_text(encoding="utf-8"), FACTORIZATIONS | {"inv"}) == []
 
 
 def test_check_sees_every_factorization():
@@ -226,10 +226,11 @@ RUN_CHECKS = {"_check_powers", "_require_estimates", "_pilot_arrays", "require_v
               "require_zf_feasible", "_estimation_variances", "_precoder_factors"}
 
 
-def checks_in_trial(source: str) -> list[str]:
+def trial_walk(source: str) -> tuple[list[str], set[str]]:
     """``function: check`` for every name in RUN_CHECKS that ``_Kernel.__call__``
     names, or that a module-level function or ``_Kernel`` method names which
-    it reaches by naming one, in any order of calls."""
+    it reaches by naming one, in any order of calls; and the names of every
+    function and method the walk reached."""
     tree = ast.parse(source)
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     kernel = next(node for node in tree.body
@@ -246,11 +247,19 @@ def checks_in_trial(source: str) -> list[str]:
             elif name not in seen and (name in functions or name in methods):
                 seen.add(name)
                 todo.append(functions.get(name) or methods[name])
-    return sorted(found)
+    return sorted(found), seen
+
+
+# Every step of a trial: the block's draws, ZF's row norms, rank rule and
+# terms, and MRT's factor and terms.
+TRIAL_STEPS = {"__call__", "_draw", "_factor", "_cn", "_zf_row_norms", "_require_rank",
+               "_zf_terms", "_mrt_terms", "_mrt_factor"}
 
 
 def test_trials_run_no_check():
-    assert checks_in_trial(MONTECARLO.read_text(encoding="utf-8")) == []
+    found, seen = trial_walk(MONTECARLO.read_text(encoding="utf-8"))
+    assert found == []
+    assert TRIAL_STEPS <= seen, TRIAL_STEPS - seen
 
 
 def test_check_sees_checks_a_trial_reaches():
@@ -272,7 +281,7 @@ class _Kernel:
         C = _draw(t)
         return self._precode(C)
 """
-    assert checks_in_trial(source) == ["_precode: _require_estimates",
+    assert trial_walk(source)[0] == ["_precode: _require_estimates",
                                        "_scaled: require_valid"]
 
 

@@ -12,6 +12,7 @@ from mimocast import closed_form, montecarlo
 from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, estimation_variances
+from mimocast.scenario import CellGeometry, default_normalized_config, place_users
 from mimocast.montecarlo import trial_rng, validate_closed_form
 
 import oracles
@@ -288,7 +289,7 @@ class TestZfPrecoders:
         with pytest.raises(DegenerateInputError,
                            match=f"{silent} has no channel estimate, which zero-forcing"):
             montecarlo._require_estimates(powers, stats, ZF)
-        with pytest.raises(montecarlo.RankDeficientDraw, match="singular"):
+        with pytest.raises(montecarlo.RankDeficientDraw, match="Gram condition bound (inf|nan)"):
             zf_of_estimates(C, oracles.column_scales(cfg, powers, stats, ZF))
 
     def test_minimal_antenna_margin_keeps_rank(self):
@@ -308,12 +309,12 @@ def zf_of_estimates(C, scales):
 
 
 class TestZfRuleAgainstEigensolve:
-    """``_zf_row_norms``, which inverts the estimates' factor R and discards
-    a draw on the bound S * trace(inverse equilibrated Gram) of its
-    condition number, read off that inverse's row norms, with the columns
-    R^-H D it keeps, against ``oracles.zf_columns_eigensolve``,
-    which discarded on the condition number from ``eigvalsh`` and solved
-    the Gram system."""
+    """``_zf_row_norms``, which inverts the estimates' factor R by back
+    substitution, and ``_require_rank``, which discards a draw on the bound
+    S * trace(inverse equilibrated Gram) of its condition number, read off
+    that inverse's row norms, with the columns R^-H D it keeps, against
+    ``oracles.zf_columns_eigensolve``, which discarded on the condition
+    number from ``eigvalsh`` and solved the Gram system."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_columns_match_the_eigensolve_on_desk_draws(self, seed):
@@ -370,8 +371,26 @@ class TestZfRuleAgainstEigensolve:
     ], ids=["overflow", "nan"])
     def test_non_finite_inverse_is_discarded_quietly(self, R):
         # Discarded without a RuntimeWarning, which this suite makes an error.
+        _, (bound,) = montecarlo._zf_row_norms(R[None].copy())
         with pytest.raises(montecarlo.RankDeficientDraw, match="Gram condition bound nan"):
-            montecarlo._zf_row_norms(R)
+            montecarlo._require_rank(bound)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(streams=st.integers(min_value=1, max_value=12),
+           trials=st.integers(min_value=1, max_value=5),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_row_norms_match_the_lu_inverse(self, streams, trials, seed):
+        # The stacked back substitution against an LU inverse of each
+        # factor, on factors drawn as a trial draws them.
+        kernel = factor_kernel(streams + 3, streams)
+        rng = np.random.default_rng(seed)
+        R = np.zeros((trials, streams, streams), dtype=complex)
+        for factor in R:
+            kernel._factor(rng, factor)
+        want = [oracles.zf_row_norms_lu(factor) for factor in R]
+        rows, bounds = montecarlo._zf_row_norms(R.copy())
+        assert (np.abs(rows - want) <= 1e-13 * np.asarray(want)).all()
+        assert (bounds <= montecarlo.MAX_GRAM_COND).all()
 
     def test_validation_runs_no_eigensolve(self, monkeypatch):
         cfg, fading = small_system(n_antennas=16, n_unicast=2, group_sizes=(2, 2))
@@ -385,7 +404,7 @@ class TestZfRuleAgainstEigensolve:
         report = validate_closed_form(cfg, fading, pilots_un, pilots_mu,
                                       DownlinkPowers.equal_split(5.0, 2, 5.0, 2), "zf", 200, 8)
         assert report.n_trials + report.n_discarded == 200
-        assert calls == {"eigvalsh": 0, "inv": 200}
+        assert calls == {"eigvalsh": 0, "inv": 0}
 
 
 def record(report, kind, index):
@@ -650,6 +669,7 @@ class TestValidateClosedForm:
         (100, 1.5, TypeError),
         (100, -1, ValueError),
         (150.5, 1, TypeError),
+        (2**32 + 1, 1, ValueError),   # past the 32-bit trial words of the spawn keys
     ])
     def test_bad_seed_or_trial_count_rejected_before_any_draw(self, monkeypatch, n_trials,
                                                               seed, error):
@@ -882,13 +902,13 @@ class TestBartlettDraw:
         half = cfg.total_power / 2.0
         powers = DownlinkPowers.equal_split(half, 4, half, 2)
         rngs = []
-        trial_rng_ = montecarlo.trial_rng
+        factor = montecarlo._Kernel._factor
 
-        def counted(seed, t):
-            rngs.append(CountedRng(trial_rng_(seed, t)))
-            return rngs[-1]
+        def counted(self, rng, R):
+            rngs.append(CountedRng(rng))
+            return factor(self, rngs[-1], R)
 
-        monkeypatch.setattr(montecarlo, "trial_rng", counted)
+        monkeypatch.setattr(montecarlo._Kernel, "_factor", counted)
         report = validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, precoder, 100, 3)
         N, S = n_antennas, 6
         assert (report.n_trials, report.n_discarded) == (100, 0)
@@ -909,9 +929,11 @@ class TestBartlettDraw:
         kernel = factor_kernel(N, S)
         rng = np.random.default_rng(17)
         samples = np.empty((draws, 3 if N > S else 2))
+        assert kernel.factors.shape[1:] == (min(N, S), S)
+        R = np.zeros((min(N, S), S), dtype=complex)
         for i in range(draws):
-            R = kernel._factor(rng)
-            assert R.shape == (min(N, S), S)
+            R[np.triu_indices(min(N, S), m=S)] = np.nan   # every entry the draw must fill
+            kernel._factor(rng, R)
             assert np.array_equal(R, np.triu(R)) and (R.diagonal().real > 0.0).all()
             gram = R.conj().T @ R
             samples[i, :2] = (gram.diagonal().real.mean() / (2.0 * N),
@@ -973,19 +995,55 @@ class TestMemory:
         growth = (peak(800) - peak(200)) / 600 / (u + sum(sizes))
         assert growth <= 1.0, f"{growth:.2f} bytes per UT per trial"
 
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_paper_cell_peak_is_one_block(self, precoder):
+        # The paper cell (1050 UTs, 60 streams): a run holds one block's
+        # factor stack, 8 x 60 x 60 complex entries (0.46 MB), whatever its
+        # trial count.  Measured at 0.70 (ZF) to 0.87 MB (MRT); the per-trial
+        # kernel peaked at 0.63 MB.
+        cfg = default_normalized_config(n_antennas=100, coherence_length=200, n_unicast=50,
+                                        group_sizes=(100,) * 10)
+        fading, _ = place_users(CellGeometry(), 50, (100,) * 10, 5)
+        tau, half = cfg.pilot_length, cfg.total_power / 2.0
+        pilots = (cfg.unicast_energy_caps / tau, [c / tau for c in cfg.multicast_energy_caps])
+        powers = DownlinkPowers.equal_split(half, 50, half, 10)
+
+        def peak(n_trials):
+            tracemalloc.start()
+            try:
+                validate_closed_form(cfg, fading, *pilots, powers, precoder, n_trials, 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)   # the first run of a process peaks higher
+        short, long = peak(200), peak(1000)
+        assert short <= 1.5e6, f"{short / 1e6:.2f} MB"
+        assert abs(long - short) <= 0.1e6, f"{short / 1e6:.2f} MB, then {long / 1e6:.2f} MB"
+
 
 def fail_in_trials(monkeypatch, errors):
     """Make the precoder cores raise ``errors[t](...)`` in trial t: the
-    trial kernel's, and the loop builders the serial oracle calls."""
+    trial kernel's per-trial steps, and the loop builders the serial oracle
+    calls.  The kernel's block step tags each trial as it runs the trial's
+    terms, and ``trial_rng`` each trial the oracle draws."""
     current = {}
     trial_rng_ = montecarlo.trial_rng
+    block = montecarlo._Kernel.__call__
 
     def tagged_rng(seed, t):
         current["trial"] = t
         return trial_rng_(seed, t)
 
+    def tagged_block(self, start, stop):
+        trials = block(self, start, stop)
+        for t in range(start, stop):
+            current["trial"] = t
+            yield next(trials)
+
     monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
-    for module, name in ((montecarlo, "_mrt_factor"), (montecarlo, "_zf_row_norms"),
+    monkeypatch.setattr(montecarlo._Kernel, "__call__", tagged_block)
+    for module, name in ((montecarlo, "_mrt_factor"), (montecarlo, "_require_rank"),
                          (oracles, "build_mrt_precoders_loop"),
                          (oracles, "build_zf_precoders_loop")):
         def build(*args, _build=getattr(module, name)):
@@ -1005,19 +1063,23 @@ SUMS = ("x", "xx", "y", "yy", "xy")
 def recorded_run(args):
     """``_run_trials`` with each trial's observations' factor and each kept
     trial's terms as they entered the sums: (sums, factors, desired,
-    received), the factors one per trial and the terms one column per kept
-    trial."""
+    received), the factors one per trial, as each block drew them, and the
+    terms one column per kept trial."""
     factors, terms = [], []
-    kernel_terms = montecarlo._Kernel.terms
+    draw, commit = montecarlo._Kernel._draw, montecarlo._Sums.commit
 
-    def record(self, R):
-        factors.append(R.copy())
-        result = kernel_terms(self, R)
+    def record_draw(self, start, stop):
+        R = draw(self, start, stop)
+        factors.extend(R.copy())
+        return R
+
+    def record_commit(self, result):
         if result is not None:
             terms.append((result[1].copy(), result[0].copy()))
-        return result
+        commit(self, result)
 
-    with mock.patch.object(montecarlo._Kernel, "terms", record):
+    with mock.patch.object(montecarlo._Kernel, "_draw", record_draw), \
+            mock.patch.object(montecarlo._Sums, "commit", record_commit):
         sums, _ = montecarlo._run_trials(*args)
     desired, received = (np.stack(a, axis=1) for a in zip(*terms))
     return sums, factors, desired, received
@@ -1136,8 +1198,8 @@ class TestConditionalTerms:
         # spare antenna.
         cell = self.cell(n_antennas, precoder)
         kernel = montecarlo._Kernel(*cell, 0)
-        R = kernel._factor(trial_rng(0, 0))
-        received, desired = kernel.terms(R)
+        R = kernel._draw(0, 1)[0].copy()
+        received, desired = next(kernel(0, 1))
         full = oracles.FullDrawKernel(*cell, 0)
         rng = np.random.default_rng(23)
         draws = [full.residual_terms(R, rng) for _ in range(2000)]
@@ -1266,3 +1328,70 @@ class TestTrialOrder:
         assert sorted(arrays) == sorted(("m1", "m2", *SUMS))
         assert {a.shape for a in arrays.values()} == {(serial.desired.shape[0],)}
         assert_matches_serial(args, *run, serial)
+
+
+class TestBlocksAgainstPerTrialKernel:
+    """The blocked run against the kernel as it ran one trial at a time
+    (``oracles``, per-trial section): its five sums and its kept and
+    discarded counts, at several block sizes, bit for bit under MRT and
+    within 1e-12 under ZF, whose row norms come from back substitution
+    instead of an LU inverse.  The sums do not depend on the block size at
+    all."""
+
+    N_TRIALS = 101   # blocks of 3 and 8 leave a partial last block
+    BLOCKS = (1, 3, 8)
+
+    @staticmethod
+    def cell(name):
+        if name == "mrt, N <= S":   # six pilots on four antennas: R is 4 x 6
+            cfg, fading = small_system(n_antennas=4, n_unicast=4, group_sizes=(3, 3))
+        else:   # 18 streams: the back substitution runs 17 rows deep
+            cfg, fading = small_system(n_antennas=40, n_unicast=12, group_sizes=(3,) * 6)
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers.equal_split(half, cfg.n_unicast, half, cfg.n_groups)
+        return cfg, fading, *cap_pilots(cfg), powers, name.split(",")[0]
+
+    @staticmethod
+    def runs(monkeypatch, args):
+        """The blocked run's sums at each block size."""
+        sums = {}
+        for block in TestBlocksAgainstPerTrialKernel.BLOCKS:
+            monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", block)
+            sums[block], _ = montecarlo._run_trials(*args)
+        return sums
+
+    def check(self, monkeypatch, args, rtol):
+        want = oracles.run_trials_per_trial(*args)
+        runs = self.runs(monkeypatch, args)
+        first = runs[self.BLOCKS[0]]
+        for block, got in runs.items():
+            assert (got.kept, got.discarded) == (want.kept, want.discarded), block
+            for name in ("m1", "m2", *SUMS):
+                assert np.array_equal(bits(getattr(got, name)), bits(getattr(first, name))), \
+                    (block, name)
+        for name in SUMS:
+            a, b = getattr(first, name), getattr(want, name)
+            if rtol == 0.0:
+                assert np.array_equal(bits(a), bits(b)), name
+            else:
+                assert (np.abs(a - b) <= rtol * np.abs(b)).all(), \
+                    (name, np.max(np.abs(a - b) / np.abs(b)))
+        return want
+
+    @pytest.mark.parametrize("name, rtol", [("mrt", 0.0), ("mrt, N <= S", 0.0), ("zf", 1e-12)])
+    def test_sums_match(self, monkeypatch, name, rtol):
+        self.check(monkeypatch, (*self.cell(name), self.N_TRIALS, 21), rtol)
+
+    def test_forced_discards_match(self, monkeypatch):
+        # MAX_GRAM_COND set between the 51st and 52nd smallest condition
+        # bounds of the run's 101 factors: both kernels discard the same 50
+        # draws and keep the other 51 in order.
+        args = (*self.cell("zf"), self.N_TRIALS, 22)
+        kernel = montecarlo._Kernel(*args[:6], args[-1])
+        bounds = np.sort(np.concatenate([
+            montecarlo._zf_row_norms(kernel._draw(start, min(start + 8, self.N_TRIALS)))[1]
+            for start in range(0, self.N_TRIALS, 8)]))
+        assert bounds[51] > bounds[50] * (1.0 + 1e-9)   # no rounding flips a draw
+        monkeypatch.setattr(montecarlo, "MAX_GRAM_COND", (bounds[50] + bounds[51]) / 2.0)
+        want = self.check(monkeypatch, args, 1e-12)
+        assert (want.kept, want.discarded) == (51, 50)
