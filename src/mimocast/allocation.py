@@ -39,7 +39,7 @@ from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_sha
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
                     _Shared, _estimation_variances, _freeze, _group_min, _group_sums,
-                    _per_member, _row_sums, _sizes, _within, require_valid)
+                    _per_member, _pilot_arrays, _row_sums, _sizes, _within, require_valid)
 
 
 def _problem_field():
@@ -271,7 +271,7 @@ def _score_stats(cfg_at: SystemConfig, fading: FadingProfile, kind: type,
     tau = cfg_at.pilot_length
     pilots = ((cfg_at.unicast_energy_caps / tau, pilot_powers) if kind is MmfSolution
               else (pilot_powers, [caps / tau for caps in cfg_at.multicast_energy_caps]))
-    return _estimation_variances(cfg_at, fading, *pilots)
+    return _estimation_variances(cfg_at, fading, _pilot_arrays(cfg_at, *pilots))
 
 
 @dataclass(frozen=True, eq=False)

@@ -606,14 +606,15 @@ def estimation_variances(cfg: SystemConfig,
     A group's composite estimate has variance s^2 / (1 + s).
     """
     require_valid(cfg, fading)
-    return _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    return _estimation_variances(cfg, fading,
+                                 _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast))
 
 
-def _estimation_variances(cfg: SystemConfig,
-                          fading: FadingProfile,
-                          pilot_powers_unicast: Sequence[float],
-                          pilot_powers_multicast: Sequence[Sequence[float]]) -> EstimationStats:
-    """``estimation_variances`` for a (cfg, fading) pair already validated.
+def _estimation_variances(cfg: SystemConfig, fading: FadingProfile,
+                          pilot_powers: np.ndarray) -> EstimationStats:
+    """``estimation_variances`` for a (cfg, fading) pair already validated,
+    at every UT's pilot power in pilot order, as ``_pilot_arrays`` converts
+    them.
 
     UT i's error variance g_i - var_i is g_i (1 + sum_{l != i} tau q_l g_l)
     / (1 + s) over the other UTs l on its pilot, whose sums
@@ -621,8 +622,7 @@ def _estimation_variances(cfg: SystemConfig,
     pilot energy dwarfs 1 and var_i nears g_i.
     """
     pilots, gains = cfg.pilot_offsets, fading.ut_gains
-    energy = cfg.pilot_length * _pilot_arrays(cfg, pilot_powers_unicast,
-                                              pilot_powers_multicast) * gains
+    energy = cfg.pilot_length * pilot_powers * gains
     s = _group_sums(energy, pilots)   # per pilot
     total = 1.0 + _per_member(s, pilots)
     variances = energy * gains / total

@@ -48,11 +48,11 @@ with a_i = sqrt(gain/2) the UT's amplitude and T_j row j of T.  Under MRT,
 T = R^T conj(R) D, and T[j, j] = ||y_j||^2 D_j is real.  Under ZF, T = D:
 d is a constant, m1 up to rounding, ||T_j||^2 = D_j^2, and a trial reads only
 ||R_x||_F^2 = sum_s D_s^2 ||row s of R^-1||^2.  ZF reads those row norms
-off R^-1, which one back substitution gives for a whole block of factors
-(``_zf_row_norms``), and discards a draw whose equilibrated estimate Gram
-may be too ill-conditioned to invert, by a bound read off the same row
-norms (``_require_rank``); no LU inverse or eigensolve runs.  By the tower
-rule, these terms have the same means as the terms of a full channel draw,
+off R^-1, which a blocked triangular inversion gives for a whole block of
+factors at once (``_zf_row_norms``), and discards a draw whose equilibrated
+estimate Gram may be too ill-conditioned to invert, by a bound read off the
+same row norms (``_require_rank``); no LU inverse or eigensolve runs.  By
+the tower rule, these terms have the same means as the terms of a full channel draw,
 with less spread (Rao-Blackwellization).  The trial kernel works out the weights, the
 precoders' diagonal and each UT's coefficients once per run, after the run
 has checked its inputs; a trial runs no check and reads only the stream
@@ -84,21 +84,27 @@ Each trial draws from its own SFC64 generator, seeded by the spawn of
 (seed, trial index) from one SeedSequence (``trial_rng``); spawned
 sequences keep the trial streams independent.  Trials run in blocks of
 BLOCK_TRIALS, one after another: a block's seed words come from one pass of
-the seed hash (``seeds.SpawnHash``), its trials draw their factors into the
+the seed hash (``seeds.SpawnHash``), its trials draw into their rows of the
+block's draw buffers, from which the block's factors are formed in the
 run's one factor stack, and ZF inverts the stack as one.  Within a block,
-trials run in trial order: each trial's terms enter the sums before the
-next trial's are formed, a discarded draw drops only its own trial, and a
-trial that raises stops the run.  So the sums do not depend on the block
-size, and the run holds one block's stack, whatever its trial count.
+each trial's own step (the reductions that read its whole factor, and ZF's
+rank rule) runs in trial order; a discarded draw drops only its own trial,
+and a trial that raises stops the run.  The per-UT gathers and
+coefficients then run once for the block's kept trials, elementwise, and
+each kept trial's terms enter the sums in trial order.  So the sums do not
+depend on the block size, and the run holds one block's buffers, whatever
+its trial count.  The moment tests run as array passes over the UTs; only
+the exponentials, erfc, the normal quantile and its tail series run per
+UT, through ``math`` and ``statistics``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import operator
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +144,11 @@ MAX_GRAM_COND = 1e12
 # On the paper cell, blocks of 16 and 32 ran no faster than 8 and peaked up
 # to 0.5 and 1.3 MB higher in RSS.
 BLOCK_TRIALS = 8
+# ZF inverts a block's factors by blocks of at most this many rows: the
+# leaves, a power-of-two count of equal diagonal blocks per factor, which
+# one stacked row loop inverts, and which pairs of neighbours then combine
+# by products.  The paper cell's 60 streams make 4 leaves of 15.
+LEAF_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,22 @@ class UserValidation:
 
     def to_dict(self) -> dict:
         return dict(vars(self), index=list(self.index))
+
+
+_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(UserValidation))
+
+
+def _records(*columns) -> tuple[UserValidation, ...]:
+    """One UserValidation per row of the columns, one column per field in
+    field order, with the values as given: a frozen record's fields are
+    written into its instance dictionary, as its __init__ would write them
+    one at a time."""
+    records = []
+    for values in zip(*columns):
+        record = object.__new__(UserValidation)
+        record.__dict__.update(zip(_RECORD_FIELDS, values))
+        records.append(record)
+    return tuple(records)
 
 
 def _pass_rate(records) -> float:
@@ -223,13 +250,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian entries with standard normal
-    real and imaginary parts (E|z|^2 = 2), drawn in C order, each as its
-    real and then its imaginary part."""
-    z = np.empty(shape, dtype=complex)
-    rng.standard_normal(out=z.view(np.float64))
-    return z
+def _cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the complex array ``out`` with circularly-symmetric complex
+    Gaussian entries with standard normal real and imaginary parts
+    (E|z|^2 = 2), drawn in C order, each as its real and then its imaginary
+    part, and return it."""
+    rng.standard_normal(out=out.view(np.float64))
+    return out
 
 
 class RankDeficientDraw(RuntimeError):
@@ -259,18 +286,38 @@ def _mrt_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return R * diag
 
 
+def _diagonal_blocks(X: np.ndarray, size: int) -> np.ndarray:
+    """The size x size blocks on the diagonal of every matrix of the
+    C-contiguous stack X, as a writable (stack, n // size, size, size) view."""
+    batch, row, column = X.strides
+    return np.ndarray((X.shape[0], X.shape[1] // size, size, size), X.dtype, X, 0,
+                      (batch, (row + column) * size, row, column))
+
+
 def _zf_row_norms(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ZF, over a stack of S x S factors, which it overwrites with their
-    inverses: the squared norms of the rows of each R^-1, which is all a
+    """ZF, over a C-contiguous stack of S x S upper-triangular factors,
+    which it may overwrite: the squared norms of the rows of each R^-1, which is all a
     trial reads of ZF's factor R_x = R^-H D (its squared column norms are
     D_s^2 times these), and each factor's bound on the condition number of
     its equilibrated estimate Gram.
 
-    R^-1 = X is upper triangular, and R X = I gives its rows bottom up:
-    X_ii = 1/R_ii and X[i, i+1:] = -X_ii R[i, i+1:] X[i+1:, i+1:], one
-    vector-matrix product per row for the whole stack, which is a sixth of
-    the flops of an LU inverse.  Row i of R is read before it is
-    overwritten, and of X only the rows below it.
+    R^-1 = X is upper triangular, and this works out Y = -X by blocks, for
+    the whole stack at once.  Each factor splits into the fewest
+    power-of-two count of equal diagonal leaves of at most LEAF_ROWS rows,
+    padded with the identity when S does not fill them, which leaves R^-1
+    as the leading S x S block of the inverse.  One row loop inverts every
+    leaf by back substitution, bottom up: Y_ii = -1/R_ii and Y[i, i+1:] =
+    Y_ii R[i, i+1:] Y[i+1:, i+1:], a vector-matrix product per row for the
+    stack's leaves together.  Then neighbouring pairs combine, level by
+    level, into blocks twice their size: [[Y_1, R_12], [0, Y_2]] becomes
+    [[Y_1, Y_1 R_12 Y_2], [0, Y_2]], the X_12 = -X_1 R_12 X_2 of R X = I
+    with its sign absorbed by Y.  Blocked triangular inversion keeps the
+    stability bound of the back substitution (Du Croz & Higham, IMA J.
+    Numer. Anal. 12, 1992).  The numpy calls number at most LEAF_ROWS per
+    stack in the row loop and a few per level, whose count is log2 of the
+    leaf count.  Up to LEAF_ROWS streams, one leaf is the whole factor, and
+    the row loop gives a row-by-row back substitution's bits: each product
+    of -X is the one of X, negated exactly.
 
     The construction is invariant to rescaling the estimate columns, so the
     rank rule reads the Gram of unit-norm columns.  That Gram has trace S >=
@@ -279,17 +326,35 @@ def _zf_row_norms(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     above, with no eigensolve (``_require_rank``).  A singular or
     non-finite factor gives an infinite or NaN bound, without a warning.
     """
-    S = R.shape[-1]
+    stack, S = R.shape[0], R.shape[-1]
     parts = R.view(np.float64)   # each entry's real and imaginary parts
     columns = np.einsum("bij,bij->bj", parts, parts).reshape(-1, S, 2).sum(axis=2)
-    diagonal = np.arange(S)
+    leaves = 1 << (max(S - 1, 0) // LEAF_ROWS).bit_length()
+    size = max(-(-S // leaves), 1)
+    n = leaves * size
+    if n == S:
+        Y = R
+    else:
+        Y = np.zeros((stack, n, n), dtype=complex)
+        Y[:, :S, :S] = R
+        Y[:, range(S, n), range(S, n)] = 1.0
     with np.errstate(all="ignore"):
-        inverse = 1.0 / R[:, diagonal, diagonal].real
-        R[:, diagonal, diagonal] = inverse
-        for i in range(S - 2, -1, -1):
-            R[:, i, i + 1:] = (R[:, i:i + 1, i + 1:] @ R[:, i + 1:, i + 1:])[:, 0] \
-                * -inverse[:, i, None]
-        rows = np.einsum("bij,bij->bi", parts, parts)
+        diagonal = Y.reshape(stack, n * n)[:, ::n + 1]
+        inverse = -1.0 / diagonal.real
+        diagonal[...] = inverse
+        inverse = inverse.reshape(stack, leaves, size)
+        leaf = _diagonal_blocks(Y, size)
+        for i in range(size - 2, -1, -1):
+            np.multiply((leaf[..., i:i + 1, i + 1:] @ leaf[..., i + 1:, i + 1:])[..., 0, :],
+                        inverse[..., i, None], out=leaf[..., i, i + 1:])
+        half = size
+        while half < n:
+            pair = _diagonal_blocks(Y, 2 * half)
+            np.matmul(pair[..., :half, :half] @ pair[..., :half, half:], pair[..., half:, half:],
+                      out=pair[..., :half, half:])
+            half *= 2
+        parts = Y.view(np.float64)
+        rows = np.einsum("bij,bij->bi", parts, parts)[:, :S]
         return rows, S * np.einsum("bs,bs->b", columns, rows)
 
 
@@ -300,9 +365,11 @@ def _require_rank(bound: float) -> None:
         raise RankDeficientDraw(f"Gram condition bound {bound:.3g} exceeds {MAX_GRAM_COND:g}")
 
 
-# One trial's terms, given its observations: every UT's received power
-# summed over all streams and its (real) effective channel on its own stream.
-_Result = tuple[np.ndarray, np.ndarray]
+# A block's terms, given each trial's observations: every UT's received
+# power summed over all streams and its (real) effective channel on its own
+# stream, one row per kept trial in trial order and one column per UT; and
+# how many of the block's trials were discarded.
+_Block = tuple[np.ndarray, np.ndarray, int]
 
 
 class _Kernel:
@@ -318,10 +385,17 @@ class _Kernel:
     T[j, j] in d.  Under ZF, T = D, so ZF's desired terms and the ||T_j||^2
     part of r are fixed for the run too.  The caller has run every check; a
     trial runs none.
+
+    A block's trials draw one at a time, each from its own generator, into
+    their rows of the block's draw buffers; ``_complete`` then places each
+    trial's normals in its factor and forms every diagonal of the block in
+    one pass.  The reductions that read a whole factor run per trial; the
+    per-UT gathers and coefficients, which are elementwise, run once per
+    block.
     """
 
-    def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers_unicast,
-                 pilot_powers_multicast, powers: DownlinkPowers, precoder: str, seed: int):
+    def __init__(self, cfg: SystemConfig, fading: FadingProfile, pilot_powers: np.ndarray,
+                 powers: DownlinkPowers, precoder: str, seed: int):
         self.seeds, self.zf = SpawnHash(seed), precoder == ZF
         N, S = cfg.n_antennas, cfg.n_streams
         power = np.concatenate([powers.unicast, powers.multicast])
@@ -331,8 +405,7 @@ class _Kernel:
         # 2 (1 + the other UTs' w^2 on its pilot) / (1 + s_j), which
         # subtracts nothing (see the module docstring).
         pilots = cfg.pilot_offsets
-        energy = cfg.pilot_length * (_pilot_arrays(cfg, pilot_powers_unicast,
-                                                   pilot_powers_multicast) * fading.ut_gains)
+        energy = cfg.pilot_length * (pilot_powers * fading.ut_gains)
         total = 1.0 + _group_sums(energy, pilots)   # 1 + s_j, per pilot
         per_ut = _per_member(total, pilots)
         self.own = _per_member(np.arange(S), pilots)   # each UT's pilot is its stream
@@ -345,15 +418,23 @@ class _Kernel:
             self.power = self.diag ** 2
             self.fixed_received = self.coherent * self.power[self.own]
             self.fixed_desired = self.own_scale * self.diag[self.own]
-        # Bartlett: the upper trapezoid's positions in k = min(N, S) rows,
-        # row by row, and the gamma shapes N - 1 - i that complete each
-        # diagonal entry.
+        else:   # each kept trial's ||T_j||^2 and T[j, j], one row per trial of a block
+            self.coherent_rows = np.empty((BLOCK_TRIALS, S))
+            self.own_channel = np.empty((BLOCK_TRIALS, S))
+        self.frobenius = np.empty((BLOCK_TRIALS, 1))   # each kept trial's ||R_x||_F^2
+        # Bartlett: the gamma shapes N - 1 - i that complete each diagonal
+        # entry of the k = min(N, S) rows.
         k = min(N, S)
-        self.upper = np.triu_indices(k, m=S)
         self.shapes = N - 1.0 - np.arange(k)
-        # The run's factor stack, one k x S factor per trial of a block.  The
-        # draws fill each upper trapezoid, and ZF's inverses are upper
-        # triangular too, so the strict lower triangle stays as zeroed here.
+        # The block's draws, one row per trial, and the run's factor stack,
+        # one k x S factor per trial of a block.  A trial draws its upper
+        # trapezoid row by row, and ``upper`` holds where those entries go
+        # in a flattened factor.  The draws fill each upper trapezoid, and
+        # ZF's inverses are upper triangular too, so the strict lower
+        # triangle stays as zeroed here.
+        self.upper = np.flatnonzero(np.triu(np.ones((k, S), dtype=bool)))
+        self.normals = np.empty((BLOCK_TRIALS, self.upper.size), dtype=complex)
+        self.gammas = np.empty((BLOCK_TRIALS, k))
         self.factors = np.zeros((BLOCK_TRIALS, k, S), dtype=complex)
 
     def _draw(self, start: int, stop: int) -> np.ndarray:
@@ -361,56 +442,85 @@ class _Kernel:
         of them, in the run's stack: each drawn from its trial's SFC64
         generator, seeded with the words of ``trial_rng``'s SeedSequence,
         which one pass of the seed hash gives for the whole block."""
-        R = self.factors[:stop - start]
         states = self.seeds.states((np.arange(start, stop, dtype=np.uint32),), 3)
-        for factor, state in zip(R, states):
-            self._factor(np.random.Generator(np.random.SFC64(SpawnedSeed(state))), factor)
-        return R
+        for normals, gammas, state in zip(self.normals, self.gammas, states):
+            self._factor(np.random.Generator(np.random.SFC64(SpawnedSeed(state))), normals,
+                         gammas)
+        return self._complete(stop - start)
 
-    def _factor(self, rng: np.random.Generator, R: np.ndarray) -> None:
-        """Draw into R, whose strict lower triangle is zero, the factor of
-        the unit observations Y = Q R, with Q orthonormal in k = min(N, S)
-        columns: the k x S upper-trapezoidal factor, whose Gram R^H R has the
-        law of Y^H Y."""
-        S = R.shape[1]
-        R[self.upper] = _cn(rng, (self.upper[0].size,))
+    def _factor(self, rng: np.random.Generator, normals: np.ndarray, gammas: np.ndarray) -> None:
+        """Draw one trial's factor of the unit observations Y = Q R, with Q
+        orthonormal in k = min(N, S) columns, into its rows of the block's
+        buffers, in the order its generator gives them: the upper
+        trapezoid's complex normals, row by row, then one gamma variate per
+        diagonal entry (``_complete`` forms R from them)."""
+        _cn(rng, normals)
+        rng.standard_gamma(self.shapes, out=gammas)
+
+    def _complete(self, n: int) -> np.ndarray:
+        """The first n factors of the stack, from the first n trials' draws:
+        the k x S upper-trapezoidal factors, whose Gram R^H R has the law of
+        Y^H Y, each with a zero strict lower triangle."""
+        R = self.factors[:n]
+        for factor, normals in zip(R.reshape(n, -1), self.normals):
+            factor[self.upper] = normals
         # R_ii^2 = |z_ii|^2 + 2 Gamma(N - 1 - i): chi-square with 2 (N - i)
         # degrees of freedom, as |z|^2 is chi-square with 2.
-        z = R.diagonal()
-        R.flat[::S + 1] = np.sqrt(z.real ** 2 + z.imag ** 2
-                                  + 2.0 * rng.standard_gamma(self.shapes))
+        z = R.reshape(n, -1)[:, ::R.shape[2] + 1]
+        z[...] = np.sqrt(z.real ** 2 + z.imag ** 2 + 2.0 * self.gammas[:n])
+        return R
 
-    def __call__(self, start: int, stop: int) -> Iterator[_Result | None]:
-        """Run trials start, ..., stop - 1, in order: each one's terms, or
-        None when its draw lost rank and is discarded.  Each trial's terms
-        are fresh arrays, which ``_Sums.commit`` overwrites."""
+    def __call__(self, start: int, stop: int) -> _Block:
+        """Run trials start, ..., stop - 1: the terms of those kept, in
+        trial order, as fresh arrays, which ``_Sums.commit`` overwrites, and
+        the count of those discarded because their draw lost rank.  Each
+        trial's own step (``_mrt_trial``, ``_zf_trial``) runs in trial order
+        and writes the trial's reductions into the next row of the block's
+        buffers; a trial that raises anything else stops the run."""
         R = self._draw(start, stop)
-        terms = self._zf_terms if self.zf else self._mrt_terms
+        trial = self._zf_trial if self.zf else self._mrt_trial
+        kept = 0
         for given in zip(*_zf_row_norms(R)) if self.zf else zip(R):
             try:
-                yield terms(*given)
+                trial(kept, *given)
             except RankDeficientDraw:
-                yield None
+                continue
+            kept += 1
+        received, desired = self._zf_terms(kept) if self.zf else self._mrt_terms(kept)
+        return received, desired, len(R) - kept
 
-    def _mrt_terms(self, R: np.ndarray) -> _Result:
+    def _mrt_trial(self, row: int, R: np.ndarray) -> None:
+        """MRT's trial step: the reductions of one trial's factor R into
+        the given row of the block's buffers."""
         R_x = _mrt_factor(R, self.diag)
         T = R.T @ R_x.conj()   # T[j, s] = x_s^H y_j
         parts = T.view(np.float64)
-        rows = np.einsum("ij,ij->i", parts, parts)[self.own]   # ||T_j||^2
-        frobenius = float(np.vdot(R_x, R_x).real)
-        received = self.coherent * rows
-        received += self.incoherent * frobenius
-        return received, self.own_scale * T.real.diagonal()[self.own]
+        self.coherent_rows[row] = np.einsum("ij,ij->i", parts, parts)   # ||T_j||^2
+        self.frobenius[row] = np.vdot(R_x, R_x).real
+        self.own_channel[row] = T.real.diagonal()
 
-    def _zf_terms(self, rows: np.ndarray, bound: float) -> _Result:
-        """ZF's terms from the squared row norms of R^-1 and the condition
-        bound of one trial (``_zf_row_norms``)."""
+    def _mrt_terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every UT's terms in the block's first n trials, from their rows
+        (gathered by ``take``, which keeps the rows C-contiguous)."""
+        received = self.coherent_rows[:n].take(self.own, axis=1)
+        received *= self.coherent
+        received += self.incoherent * self.frobenius[:n]
+        desired = self.own_channel[:n].take(self.own, axis=1)
+        desired *= self.own_scale
+        return received, desired
+
+    def _zf_trial(self, row: int, rows: np.ndarray, bound: float) -> None:
+        """ZF's trial step, from the squared row norms of R^-1 and the
+        condition bound of one trial (``_zf_row_norms``)."""
         _require_rank(bound)
         # ||R_x||_F^2 = sum_s D_s^2 ||row s of R^-1||^2, all that varies.
-        frobenius = float(np.vdot(self.power, rows))
-        received = self.incoherent * frobenius
+        self.frobenius[row] = np.vdot(self.power, rows)
+
+    def _zf_terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every UT's terms in the block's first n trials, from their rows."""
+        received = self.incoherent * self.frobenius[:n]
         received += self.fixed_received
-        return received, self.fixed_desired.copy()
+        return received, np.repeat(self.fixed_desired[None], n, axis=0)
 
 
 class _Sums:
@@ -424,19 +534,19 @@ class _Sums:
         self.kept = 0
         self.discarded = 0
 
-    def commit(self, result: _Result | None) -> None:
-        if result is None:
-            self.discarded += 1
-            return
-        received, desired = result
+    def commit(self, received: np.ndarray, desired: np.ndarray, discarded: int) -> None:
+        """Add a block's kept trials, one row each in trial order, and count
+        its discarded ones.  The shifts and products run on the block; each
+        trial's row enters every sum before the next one's."""
         x = np.subtract(desired, self.m1, out=desired)
         y = np.subtract(received, self.m2, out=received)
-        self.x += x
-        self.xx += x * x
-        self.y += y
-        self.yy += y * y
-        self.xy += x * y
-        self.kept += 1
+        product = np.empty_like(x)
+        for total, a, b in ((self.x, x, None), (self.xx, x, x), (self.y, y, None),
+                            (self.yy, y, y), (self.xy, x, y)):
+            for row in a if b is None else np.multiply(a, b, out=product):
+                total += row
+        self.kept += x.shape[0]
+        self.discarded += discarded
 
 
 def _run_trials(cfg: SystemConfig, fading: FadingProfile,
@@ -444,19 +554,20 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
                 powers: DownlinkPowers, precoder: str,
                 n_trials: int, seed: int) -> tuple[_Sums, np.ndarray]:
     """Run the trials in order and sum every UT's terms around its
-    closed-form moments; return the sums and every UT's closed-form SINR."""
+    closed-form moments; return the sums and every UT's closed-form SINR.
+    The pilot powers are converted once, by the model, for the closed form
+    and the trials alike."""
     require_valid(cfg, fading)
     _check_powers(cfg, powers)
     gain, c = _precoder_factors(cfg, precoder)
-    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    pilot_powers = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
+    stats = _estimation_variances(cfg, fading, pilot_powers)
     _require_estimates(powers, stats, precoder)
     signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
     sums = _Sums(np.sqrt(signal), interference + signal)
-    kernel = _Kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
-                     precoder, seed)
+    kernel = _Kernel(cfg, fading, pilot_powers, powers, precoder, seed)
     for start in range(0, n_trials, BLOCK_TRIALS):
-        for result in kernel(start, min(start + BLOCK_TRIALS, n_trials)):
-            sums.commit(result)
+        sums.commit(*kernel(start, min(start + BLOCK_TRIALS, n_trials)))
 
     if sums.discarded:
         log.warning("discarded %d of %d trials (rank-deficient estimate matrix)",
@@ -466,66 +577,71 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
     return sums, signal / (1.0 + interference)
 
 
-def _wald(n: int, dx: float, dy: float, vx: float, vy: float, cxy: float, mx: float,
-          my: float) -> tuple[float, int]:
-    """The Wald statistic of the mean offsets (dx, dy) of n trials, whose
-    terms have sample variances vx, vy and covariance cxy around moments mx
-    and my, and its degrees of freedom.
+def _wald(n: int, dx: np.ndarray, dy: np.ndarray, vx: np.ndarray, vy: np.ndarray,
+          cxy: np.ndarray, mx: np.ndarray, my: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every UT's Wald statistic of its mean offsets (dx, dy) over n
+    trials, whose terms have sample variances vx, vy and covariance cxy
+    around moments mx and my, and its degrees of freedom, as arrays.
 
     A term whose sample standard deviation is at most EXACT_RTOL of its
     moment's magnitude is exact: an offset beyond that tolerance there is
     certain (W = inf), and one within it leaves the other term to test
-    alone, as does a pair too close to collinear to invert.
+    alone, as does a pair too close to collinear to invert.  Each score is
+    the mean offset over its standard error, d / sqrt(v) sqrt(n), and
+    squares go through C's pow (``float_power``), as Python's ``** 2`` does.
     """
-    exact_x = math.sqrt(vx) <= EXACT_RTOL * abs(mx)
-    exact_y = math.sqrt(vy) <= EXACT_RTOL * abs(my)
-    if (exact_x and abs(dx) > EXACT_RTOL * abs(mx)) or \
-            (exact_y and abs(dy) > EXACT_RTOL * abs(my)):
-        return math.inf, 1
-    if not (exact_x or exact_y):
-        rho = cxy / (math.sqrt(vx) * math.sqrt(vy))
-        tx, ty = _score(n, dx, vx), _score(n, dy, vy)
-        if abs(rho) < 1.0:
-            return (tx - rho * ty) ** 2 / ((1.0 - rho) * (1.0 + rho)) + ty ** 2, 2
-        return ty ** 2, 1
-    if not exact_y:
-        return _score(n, dy, vy) ** 2, 1
-    if not exact_x:
-        return _score(n, dx, vx) ** 2, 1
-    return 0.0, 0
-
-
-def _score(n: int, d: float, v: float) -> float:
-    """The mean offset d of n trials over its standard error, for v > 0."""
-    return d / math.sqrt(v) * math.sqrt(n)
+    sx, sy = np.sqrt(vx), np.sqrt(vy)
+    tol_x, tol_y = EXACT_RTOL * np.abs(mx), EXACT_RTOL * np.abs(my)
+    exact_x, exact_y = sx <= tol_x, sy <= tol_y
+    miss = exact_x & (np.abs(dx) > tol_x) | exact_y & (np.abs(dy) > tol_y)
+    with np.errstate(all="ignore"):   # read only where both terms vary
+        rho = cxy / (sx * sy)
+        tx, ty = dx / sx * math.sqrt(n), dy / sy * math.sqrt(n)
+        tx2, ty2 = np.float_power(tx, 2.0), np.float_power(ty, 2.0)
+        pair = np.float_power(tx - rho * ty, 2.0) / ((1.0 - rho) * (1.0 + rho)) + ty2
+    cases = [miss, ~exact_x & ~exact_y & (np.abs(rho) < 1.0), ~exact_y, ~exact_x]
+    return np.select(cases, [math.inf, pair, ty2, tx2], 0.0), np.select(cases, [1, 2, 1, 1], 0)
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _p_and_z(w: float, dof: int) -> tuple[float, float]:
-    """The p-value of a Wald statistic w with dof degrees of freedom (0, 1
-    or 2), and the z with P(|N(0, 1)| > z) = p, finite for every finite w."""
-    if dof == 0:
-        return 1.0, 0.0
-    if dof == 1 or w == math.inf:
-        return math.erfc(math.sqrt(0.5 * w)), math.sqrt(w)
-    half_p = math.exp(-0.5 * w - LN2)
-    if half_p >= sys.float_info.min:
-        # Imported here: statistics brings in decimal and fractions, 0.5 MB
-        # of RSS that every program importing mimocast would otherwise pay.
-        from statistics import NormalDist
-        return math.exp(-0.5 * w), 0.0 - NormalDist().inv_cdf(half_p)
-    # p/2 is subnormal or zero (w > 1412): solve log Q(z) = -w/2 - ln 2 for
-    # the normal tail Q with its series phi(z)/z * (1 - 1/z^2 + 3/z^4 - ...),
-    # whose next term, 15/z^6, is below 1e-8 at z > 37.
+def _tail_z(w: float) -> float:
+    """The z of a Wald statistic w with two degrees of freedom whose p/2 is
+    subnormal or zero (w > 1412): the root of log Q(z) = -w/2 - ln 2 for
+    the normal tail Q with its series phi(z)/z * (1 - 1/z^2 + 3/z^4 - ...),
+    whose next term, 15/z^6, is below 1e-8 at z > 37."""
     log_tail = 0.5 * w + LN2
     z = math.sqrt(2.0 * log_tail)
     for _ in range(4):
         u = 1.0 / (z * z)
         z = math.sqrt(2.0 * log_tail - 2.0 * math.log(z) - _LOG_2PI
                       + 2.0 * math.log1p(u * (3.0 * u - 1.0)))
-    return math.exp(-0.5 * w), z
+    return z
+
+
+def _p_and_z(w: np.ndarray, dof: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The p-value of every Wald statistic w with its dof degrees of freedom
+    (0, 1 or 2), and the z with P(|N(0, 1)| > z) = p, finite for every
+    finite w.  The arithmetic runs on the arrays; exp, erfc, the normal
+    quantile and the tail series run per entry, through ``math`` and
+    ``statistics``, whose results numpy's vectorized functions need not
+    match to the bit."""
+    p, z = np.ones_like(w), np.zeros_like(w)
+    one = (dof == 1) | (w == math.inf)
+    p[one] = [math.erfc(v) for v in np.sqrt(0.5 * w[one]).tolist()]
+    z[one] = np.sqrt(w[one])
+    two = (dof == 2) & ~one
+    if two.any():
+        # Imported here: statistics brings in decimal and fractions, 0.5 MB
+        # of RSS that every program importing mimocast would otherwise pay.
+        from statistics import NormalDist
+        quantile = NormalDist().inv_cdf
+        low = -0.5 * w[two]
+        p[two] = [math.exp(v) for v in low.tolist()]
+        z[two] = [0.0 - quantile(half) if half >= sys.float_info.min else _tail_z(v)
+                  for half, v in zip(map(math.exp, (low - LN2).tolist()), w[two].tolist())]
+    return p, z
 
 
 def _sinr_at(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -569,21 +685,15 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
     with np.errstate(divide="ignore", invalid="ignore"):
         m1_over_se = np.where(sums.m1 == 0.0, 0.0,
                               sums.m1 / np.maximum(se_a, EXACT_RTOL * sums.m1))
-    tests = []   # (W, p, z) per UT
-    for terms in zip(dx.tolist(), dy.tolist(), vx.tolist(), vy.tolist(), cxy.tolist(),
-                     sums.m1.tolist(), sums.m2.tolist()):
-        w, dof = _wald(n, *terms)
-        tests.append((w, *_p_and_z(w, dof)))
+    wald, dof = _wald(n, dx, dy, vx, vy, cxy, sums.m1, sums.m2)
+    p, z = _p_and_z(wald, dof)
 
-    targets = [("unicast", (m,)) for m in range(cfg.n_unicast)]
-    targets += [("multicast", (j, k)) for j, size in enumerate(cfg.group_sizes)
-                for k in range(size)]
-    records = tuple(
-        UserValidation(kind=kind, index=index, closed_form=c, empirical=e, ci_low=lo,
-                       ci_high=hi, z=z, wald=w, p_value=p, m1_over_se=r)
-        for (kind, index), c, e, lo, hi, (w, p, z), r in zip(
-            targets, cf.tolist(), empirical.tolist(), low.tolist(), high.tolist(), tests,
-            m1_over_se.tolist()))
+    kinds = ["unicast"] * cfg.n_unicast + ["multicast"] * (sums.m1.size - cfg.n_unicast)
+    indices = [(m,) for m in range(cfg.n_unicast)]
+    indices += [(j, k) for j, size in enumerate(cfg.group_sizes) for k in range(size)]
+    records = _records(kinds, indices, cf.tolist(), empirical.tolist(), low.tolist(),
+                       high.tolist(), z.tolist(), wald.tolist(), p.tolist(),
+                       m1_over_se.tolist())
 
     rate = _pass_rate(records)
     return ValidationReport(

@@ -44,20 +44,27 @@ class SpawnHash:
     4 hashmix calls each, and 4 per pool word at least, so the hash
     constant has passed ``4 * max(words, 4)`` multiplications by _MULT_A.
     Both are worked out once, here.  The constant's steps depend on no
-    data, so those that follow are known before any key is hashed.
+    data, so those that follow are known before any key is hashed; they are
+    worked out once per key length and state size, on the first keys of
+    that shape.
     """
 
     def __init__(self, seed: int):
         n_words = max(-(-seed.bit_length() // 32), _POOL_SIZE)
         self.pool = np.random.SeedSequence(seed).pool
         self.const = _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
+        self._steps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def states(self, keys: tuple[np.ndarray, ...], n_words: int) -> np.ndarray:
         """``generate_state(n_words, np.uint64)`` of the SeedSequence of every
         spawn key, as an (*shape, n_words) array.  ``keys`` holds the keys'
         words position by position, as uint32 arrays that broadcast together
         to ``shape``: key word i of every key in ``keys[i]``."""
-        pool, c = self.pool, _constants(self.const, _MULT_A, _POOL_SIZE * len(keys))
+        shape = len(keys), n_words
+        if shape not in self._steps:
+            self._steps[shape] = (_constants(self.const, _MULT_A, _POOL_SIZE * len(keys)),
+                                  _constants(_INIT_B, _MULT_B, 2 * n_words))
+        pool, (c, b) = self.pool, self._steps[shape]
         for i, words in enumerate(keys):
             # Each key word mixes into every pool word, as mix_entropy mixes
             # the words past the pool size: one hashmix per pool word, each
@@ -65,7 +72,6 @@ class SpawnHash:
             before, after = c[4 * i:4 * i + 4], c[4 * i + 1:4 * i + 5]
             h = _xorshift((np.asarray(words, dtype=np.uint32)[..., None] ^ before) * after)
             pool = _xorshift(_MIX_L * pool - _MIX_R * h)
-        b = _constants(_INIT_B, _MULT_B, 2 * n_words)
         state = _xorshift((pool[..., np.arange(2 * n_words) % _POOL_SIZE] ^ b[:-1]) * b[1:])
         # As generate_state does: word pairs read as little-endian uint64s.
         return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)

@@ -66,11 +66,13 @@ streamed ones to rounding.
 The per-trial section keeps the trial kernel as it ran before its trials
 ran in blocks (``run_trials_per_trial``): one SeedSequence per trial, one
 factor array per trial, ZF's row norms from an LU inverse
-(``zf_row_norms_lu``) and each trial's terms committed before the next
-draws.  The blocked run's sums must equal its sums bit for bit under MRT
-and within 1e-12 under ZF, at any block size.  ``zf_interference_exact``
-gives the closed form's ZF interference in rational arithmetic, which the
-library must meet within 1e-14 at any pilot energy.
+(``zf_row_norms_lu``), MRT's per-UT terms formed one trial at a time
+(``mrt_terms_per_trial``) and each trial's terms added to the sums before
+the next draws.  The blocked run's sums must equal its sums bit for bit
+under MRT and within 1e-12 under ZF, at any block size.
+``zf_interference_exact`` gives the closed form's ZF interference in
+rational arithmetic, which the library must meet within 1e-14 at any pilot
+energy.
 
 The serial streamed section keeps the Monte Carlo trial loop over stored
 terms: it stores every trial's desired term and received power, as the
@@ -106,11 +108,17 @@ placement per drop, drawn block by block, then one ``solve_mmf`` or
 byte.  It also keeps ``default_normalized_config`` as it was before each
 per-UT field came from one ``np.full``: the configs must be equal and
 write the same JSON.
+
+The scalar moment-test section keeps the moment tests as
+``validate_closed_form`` ran them before they became array passes: one UT
+at a time in Python floats (``moment_tests_scalar``).  The array passes
+must give every UT's W, p and z bit for bit.
 """
 
 import dataclasses
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
@@ -125,8 +133,8 @@ from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _chec
                                   _sinr_terms, require_zf_feasible, se_report)
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, EstimationStats, FadingProfile, PowerSplit, SystemConfig,
-                            Violation, _estimation_variances, _group_sums, _per_member, _views,
-                            estimation_variances, require_valid)
+                            Violation, _estimation_variances, _group_sums, _per_member,
+                            _pilot_arrays, _views, estimation_variances, require_valid)
 from mimocast.montecarlo import EXACT_RTOL, MAX_GRAM_COND, Z95, RankDeficientDraw
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
 from mimocast.scenario import (CellGeometry, Placement, RadioParams,
@@ -698,6 +706,11 @@ def _unit_draws(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return re + 1j * im
 
 
+def cn(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """``montecarlo._cn``'s draw into a fresh array of the given shape."""
+    return montecarlo._cn(rng, np.empty(shape, dtype=complex))
+
+
 def _pilot_members(cfg, fading, pilot_powers_unicast, pilot_powers_multicast):
     """Per pilot, each unicast UT's own and then each group's: (UT column, w)
     for each of its UTs, where w = sqrt(tau * power * gain) weighs the UT's
@@ -829,7 +842,8 @@ def lifted_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, pow
     """Trials 0, 1, ..., n_trials - 1 on the lifted draws, one at a time:
     the loop estimator and builders on each draw's channels and noise, then
     ``inner_product_terms``, or None for a trial whose draw lost rank."""
-    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    stats = _estimation_variances(
+        cfg, fading, _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast))
     build = build_zf_precoders_loop if precoder == ZF else build_mrt_precoders_loop
     for t in range(n_trials):
         draw = lifted_draw(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, seed, t)
@@ -920,7 +934,7 @@ class FullDrawKernel:
 
     def __call__(self, t):
         rng = montecarlo.trial_rng(self.seed, t)
-        R = observation_basis(montecarlo._cn(rng, (self.n_antennas, self.diag.size)))
+        R = observation_basis(cn(rng, (self.n_antennas, self.diag.size)))
         return self.residual_terms(R, rng)
 
     def residual_terms(self, R, rng):
@@ -945,7 +959,7 @@ class FullDrawKernel:
         desired = np.empty(self.n_users, dtype=complex)
         for a, b, c, keep in self.unicast_blocks:
             m = b - a
-            draws = montecarlo._cn(rng, (k, 2 * m))
+            draws = cn(rng, (k, 2 * m))
             e = draws[:, :m] * keep
             e -= draws[:, m:] * c
             effective = e.T @ conj_r
@@ -955,7 +969,7 @@ class FullDrawKernel:
         for a, b, j0, j1, sums, rows, users, own in self.group_blocks:
             m, g = b - a, j1 - j0
             draws = np.empty((g + k, m + g), dtype=complex)
-            draws[g:] = montecarlo._cn(rng, (k, m + g))
+            draws[g:] = cn(rng, (k, m + g))
             draws[:g, :m] = rows
             top = lifted[g_max - g:]
             np.subtract(T[j0:j1], (draws[g:] @ sums).T @ conj_r, out=top[:g])
@@ -1047,7 +1061,8 @@ def conditional_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast
     of each trial's observations from ``montecarlo.trial_rng``
     (``bartlett_factor``), then its ``conditional_terms``, or None for a
     trial whose draw lost rank."""
-    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    stats = _estimation_variances(
+        cfg, fading, _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast))
     for t in range(n_trials):
         R = bartlett_factor(montecarlo.trial_rng(seed, t), cfg.n_antennas, cfg.n_streams)
         try:
@@ -1233,35 +1248,62 @@ def zf_row_norms_lu(R: np.ndarray) -> np.ndarray:
     return rows
 
 
+def trial_kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
+                 precoder, seed) -> montecarlo._Kernel:
+    """A run's trial kernel, given the pilot powers as the run converts them
+    (``model._pilot_arrays``)."""
+    pilots = _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast)
+    return montecarlo._Kernel(cfg, fading, pilots, powers, precoder, seed)
+
+
 def per_trial_factor(kernel, rng: np.random.Generator) -> np.ndarray:
     """One trial's observations' factor as the kernel drew it before trials
     ran in blocks: a fresh k x S array, its upper trapezoid from ``_cn``
     and its diagonal completed by gamma variates, from ``rng``."""
     k, S = kernel.shapes.size, kernel.diag.size
+    upper = np.triu_indices(k, m=S)
     R = np.zeros((k, S), dtype=complex)
-    R[kernel.upper] = montecarlo._cn(rng, (kernel.upper[0].size,))
+    R[upper] = cn(rng, (upper[0].size,))
     z = R.diagonal()
     R.flat[::S + 1] = np.sqrt(z.real ** 2 + z.imag ** 2
                               + 2.0 * rng.standard_gamma(kernel.shapes))
     return R
 
 
+def mrt_terms_per_trial(kernel, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's MRT terms (received, desired) as the kernel formed them
+    before a block's per-UT gathers and coefficients ran as one: from
+    R^T conj(R_x), with R_x = R D, one trial at a time."""
+    R_x = montecarlo._mrt_factor(R, kernel.diag)
+    T = R.T @ R_x.conj()   # T[j, s] = x_s^H y_j
+    parts = T.view(np.float64)
+    rows = np.einsum("ij,ij->i", parts, parts)[kernel.own]   # ||T_j||^2
+    frobenius = float(np.vdot(R_x, R_x).real)
+    received = kernel.coherent * rows
+    received += kernel.incoherent * frobenius
+    return received, kernel.own_scale * T.real.diagonal()[kernel.own]
+
+
 def run_trials_per_trial(cfg: SystemConfig, fading: FadingProfile,
                          pilot_powers_unicast, pilot_powers_multicast,
                          powers: DownlinkPowers, precoder: str,
-                         n_trials: int, seed: int) -> montecarlo._Sums:
+                         n_trials: int, seed: int) -> SimpleNamespace:
     """``montecarlo._run_trials``' sums as the run formed them before its
     trials ran in blocks: trial t alone, from ``SeedSequence(entropy=seed,
     spawn_key=(t,))`` (``trial_rng``), its factor drawn into a fresh array
     (``per_trial_factor``), ZF's row norms from an LU inverse
-    (``zf_row_norms_lu``), and its terms committed before the next trial
-    draws.  The run-level coefficients and MRT's terms are the kernel's."""
-    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    (``zf_row_norms_lu``), MRT's terms from ``mrt_terms_per_trial``, and its
+    terms added to the sums before the next trial draws.  The run-level
+    coefficients are the kernel's."""
+    stats = _estimation_variances(
+        cfg, fading, _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast))
     gain, c = _precoder_factors(cfg, precoder)
     signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
-    sums = montecarlo._Sums(np.sqrt(signal), interference + signal)
-    kernel = montecarlo._Kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,
-                                powers, precoder, seed)
+    m1, m2 = np.sqrt(signal), interference + signal
+    sums = SimpleNamespace(m1=m1, m2=m2, kept=0, discarded=0,
+                           **{name: np.zeros(m1.size) for name in ("x", "xx", "y", "yy", "xy")})
+    kernel = trial_kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
+                          precoder, seed)
     for t in range(n_trials):
         R = per_trial_factor(kernel, montecarlo.trial_rng(seed, t))
         try:
@@ -1269,12 +1311,19 @@ def run_trials_per_trial(cfg: SystemConfig, fading: FadingProfile,
                 frobenius = float(np.vdot(kernel.power, zf_row_norms_lu(R)))
                 received = kernel.incoherent * frobenius
                 received += kernel.fixed_received
-                result = received, kernel.fixed_desired.copy()
+                desired = kernel.fixed_desired
             else:
-                result = kernel._mrt_terms(R)
+                received, desired = mrt_terms_per_trial(kernel, R)
         except RankDeficientDraw:
-            result = None
-        sums.commit(result)
+            sums.discarded += 1
+            continue
+        x, y = desired - m1, received - m2
+        sums.x += x
+        sums.xx += x * x
+        sums.y += y
+        sums.yy += y * y
+        sums.xy += x * y
+        sums.kept += 1
     return sums
 
 
@@ -1309,7 +1358,8 @@ def run_trials_serial(cfg: SystemConfig, fading: FadingProfile,
     require_valid(cfg, fading)
     if precoder not in PRECODERS:
         raise ValueError(f"unknown precoder {precoder!r}")
-    stats = _estimation_variances(cfg, fading, pilot_powers_unicast, pilot_powers_multicast)
+    stats = _estimation_variances(
+        cfg, fading, _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast))
     gain, c = _precoder_factors(cfg, precoder)
     signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
     m1, m2 = np.sqrt(signal), interference + signal
@@ -1521,7 +1571,8 @@ def _score_rebuilt(cfg: SystemConfig, fading: FadingProfile, sol, pilots_unicast
     if per_side:
         stats = estimation_variances_per_side(cfg_at, fading, pilots_unicast, pilots_multicast)
         return se_report_per_side(cfg_at, stats, fading, powers, gain, c)
-    stats = _estimation_variances(cfg_at, fading, pilots_unicast, pilots_multicast)
+    stats = _estimation_variances(cfg_at, fading,
+                                  _pilot_arrays(cfg_at, pilots_unicast, pilots_multicast))
     return _se_report(cfg_at, stats, fading, powers, gain, c)
 
 
@@ -1650,3 +1701,67 @@ def drop_means_loop(configs, objective, n_drops, seed) -> tuple[np.ndarray, np.n
             if vals:
                 means[cell, p], feasible[cell, p] = sum(vals) / len(vals), True
     return means, feasible
+
+
+# ------------------------------------------------ scalar moment tests
+
+
+def moment_tests_scalar(n: int, dx, dy, vx, vy, cxy, mx, my) -> list[tuple[float, float, float]]:
+    """Every UT's (W, p, z) as ``validate_closed_form`` worked them out
+    before its moment tests ran as array passes: one UT at a time, in
+    Python floats, from the UT's mean offsets, sample variances and
+    covariance (``wald_scalar``, then ``p_and_z_scalar``)."""
+    tests = []
+    for terms in zip(*(np.asarray(a, dtype=float).tolist() for a in (dx, dy, vx, vy, cxy,
+                                                                         mx, my))):
+        w, dof = wald_scalar(n, *terms)
+        tests.append((w, *p_and_z_scalar(w, dof)))
+    return tests
+
+
+def wald_scalar(n: int, dx: float, dy: float, vx: float, vy: float, cxy: float, mx: float,
+                my: float) -> tuple[float, int]:
+    """One UT's Wald statistic and degrees of freedom: an exact term (its
+    sample standard deviation at most EXACT_RTOL of its moment) off its
+    moment by more than that is a certain miss, and one on it leaves the
+    other term to test alone, as does a pair too close to collinear."""
+    exact_x = math.sqrt(vx) <= EXACT_RTOL * abs(mx)
+    exact_y = math.sqrt(vy) <= EXACT_RTOL * abs(my)
+    if (exact_x and abs(dx) > EXACT_RTOL * abs(mx)) or \
+            (exact_y and abs(dy) > EXACT_RTOL * abs(my)):
+        return math.inf, 1
+    if not (exact_x or exact_y):
+        rho = cxy / (math.sqrt(vx) * math.sqrt(vy))
+        tx, ty = _score_scalar(n, dx, vx), _score_scalar(n, dy, vy)
+        if abs(rho) < 1.0:
+            return (tx - rho * ty) ** 2 / ((1.0 - rho) * (1.0 + rho)) + ty ** 2, 2
+        return ty ** 2, 1
+    if not exact_y:
+        return _score_scalar(n, dy, vy) ** 2, 1
+    if not exact_x:
+        return _score_scalar(n, dx, vx) ** 2, 1
+    return 0.0, 0
+
+
+def _score_scalar(n: int, d: float, v: float) -> float:
+    return d / math.sqrt(v) * math.sqrt(n)
+
+
+def p_and_z_scalar(w: float, dof: int) -> tuple[float, float]:
+    """The p-value of one Wald statistic and the z with P(|N(0, 1)| > z) =
+    p; past W = 1412, where p/2 is subnormal, z solves the normal tail's
+    asymptotic series."""
+    if dof == 0:
+        return 1.0, 0.0
+    if dof == 1 or w == math.inf:
+        return math.erfc(math.sqrt(0.5 * w)), math.sqrt(w)
+    half_p = math.exp(-0.5 * w - LN2)
+    if half_p >= sys.float_info.min:
+        return math.exp(-0.5 * w), 0.0 - NormalDist().inv_cdf(half_p)
+    log_tail = 0.5 * w + LN2
+    z = math.sqrt(2.0 * log_tail)
+    for _ in range(4):
+        u = 1.0 / (z * z)
+        z = math.sqrt(2.0 * log_tail - 2.0 * math.log(z) - math.log(2.0 * math.pi)
+                      + 2.0 * math.log1p(u * (3.0 * u - 1.0)))
+    return math.exp(-0.5 * w), z

@@ -359,7 +359,8 @@ def assert_pieces_match_loops(cfg, fading, rng):
             assert theta.tolist() == list(theta_o)
             assert offsets.tolist() == list(offsets_o)
     pilots_un, pilots_mu = random_pilots(cfg, rng)
-    stats = model._estimation_variances(cfg, fading, pilots_un, pilots_mu)
+    stats = model._estimation_variances(cfg, fading,
+                                          model._pilot_arrays(cfg, pilots_un, pilots_mu))
     uni, multi, grp = oracles.estimation_variances_loop(cfg, fading, pilots_un, pilots_mu)
     assert stats.unicast_var.tolist() == list(uni)
     assert [r.tolist() for r in stats.multicast_var] == [list(r) for r in multi]

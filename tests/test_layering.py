@@ -14,7 +14,9 @@ names ``_estimation_variances``.
 
 A trial draws the observations' factor and factors nothing: nothing in
 ``montecarlo.py`` names an inverse, a Cholesky factor or a QR.  ZF reads
-the rows of each factor's inverse by back substitution over the block.
+the rows of each factor's inverse from a blocked triangular inversion of
+the block's factors: back substitution within diagonal leaves, then
+products that combine them.
 
 Which precoders exist is ``closed_form``'s rule: any other module checks a
 precoder through ``closed_form._precoder_factors`` and never tests
@@ -250,10 +252,11 @@ def trial_walk(source: str) -> tuple[list[str], set[str]]:
     return sorted(found), seen
 
 
-# Every step of a trial: the block's draws, ZF's row norms, rank rule and
-# terms, and MRT's factor and terms.
-TRIAL_STEPS = {"__call__", "_draw", "_factor", "_cn", "_zf_row_norms", "_require_rank",
-               "_zf_terms", "_mrt_terms", "_mrt_factor"}
+# Every step of a trial: the block's draws and their completion, ZF's row
+# norms, rank rule and terms, and MRT's factor and terms.
+TRIAL_STEPS = {"__call__", "_draw", "_factor", "_cn", "_complete", "_zf_row_norms",
+               "_diagonal_blocks", "_require_rank", "_zf_trial", "_zf_terms", "_mrt_trial",
+               "_mrt_terms", "_mrt_factor"}
 
 
 def test_trials_run_no_check():

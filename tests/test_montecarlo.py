@@ -69,7 +69,7 @@ def kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, n_trials=1, powers=No
             factor, diag = montecarlo._mrt_factor, scales * factors
     for t in range(n_trials):
         rng = trial_rng(seed, t)
-        O = montecarlo._cn(rng, (cfg.n_antennas, cfg.n_streams)) * spread
+        O = oracles.cn(rng, (cfg.n_antennas, cfg.n_streams)) * spread
         X = None if powers is None else precoder_columns(O, factor, diag)
         draw = oracles.lifted_draw(cfg, fading, pilots_un, pilots_mu, seed, t) if lift else None
         yield draw, O * factors, X
@@ -111,7 +111,7 @@ class TestDiagonalAgainstColumnScales:
         pilots_un, pilots_mu = pilots[:u], [pilots[a:b] for a, b in zip(edges, edges[1:])]
         powers = DownlinkPowers(unicast=power[:u], multicast=power[u:])
 
-        diag = montecarlo._Kernel(cfg, fading, pilots_un, pilots_mu, powers, precoder, 0).diag
+        diag = oracles.trial_kernel(cfg, fading, pilots_un, pilots_mu, powers, precoder, 0).diag
         stats = estimation_variances(cfg, fading, pilots_un, pilots_mu)
         scales = oracles.column_scales(cfg, powers, stats, precoder)
         factors = (oracles.estimate_factors(cfg, fading, pilots_un, pilots_mu)
@@ -163,7 +163,7 @@ class TestDrawChannels:
         # CN(0, 2): real and imaginary parts of unit variance each, and a
         # pseudo-variance E[x^2] of 0.
         n = 200_000
-        x = montecarlo._cn(trial_rng(41, 0), (n, 1))[:, 0]
+        x = oracles.cn(trial_rng(41, 0), (n, 1))[:, 0]
         assert [np.var(x.real), np.var(x.imag)] == pytest.approx([1.0, 1.0], rel=0.02)
         assert abs(np.mean(x * x)) <= 3.0 * math.sqrt(8.0 / n)   # 3 sigma: E|x|^4 = 8
 
@@ -365,10 +365,21 @@ class TestZfRuleAgainstEigensolve:
         if defect != "none":
             assert not kept(zf_of_estimates)
 
+    @staticmethod
+    def later_leaf_overflow():
+        # 40 streams: four leaves of 10 rows.  The overflow sits in the last
+        # leaf, and its infinities reach the other leaves' rows through the
+        # products that combine them.
+        R = np.eye(40, dtype=complex)
+        R[35, 35] = R[36, 36] = 1e-200
+        R[35, 36] = 1.0
+        return R
+
     @pytest.mark.parametrize("R", [
         np.array([[1e-200, 1.0], [0.0, 1e-200]], dtype=complex),   # an inverse entry -inf
         np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex),      # a NaN inverse
-    ], ids=["overflow", "nan"])
+        later_leaf_overflow(),
+    ], ids=["overflow", "nan", "overflow in a later leaf"])
     def test_non_finite_inverse_is_discarded_quietly(self, R):
         # Discarded without a RuntimeWarning, which this suite makes an error.
         _, (bound,) = montecarlo._zf_row_norms(R[None].copy())
@@ -376,17 +387,21 @@ class TestZfRuleAgainstEigensolve:
             montecarlo._require_rank(bound)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(streams=st.integers(min_value=1, max_value=12),
+    @given(streams=st.integers(min_value=1, max_value=80),
            trials=st.integers(min_value=1, max_value=5),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(streams=17, trials=3, seed=1)   # two leaves of 9, one row of padding
+    @example(streams=60, trials=5, seed=2)   # the paper cell: four leaves of 15
+    @example(streams=65, trials=2, seed=3)   # eight leaves of 9, seven rows of padding
     def test_row_norms_match_the_lu_inverse(self, streams, trials, seed):
-        # The stacked back substitution against an LU inverse of each
-        # factor, on factors drawn as a trial draws them.
+        # The blocked inverse against an LU inverse of each factor, on
+        # factors drawn as a trial draws them: up to 16 streams one leaf,
+        # then 2, 4 and 8 leaves, identity-padded unless they divide S.
         kernel = factor_kernel(streams + 3, streams)
         rng = np.random.default_rng(seed)
-        R = np.zeros((trials, streams, streams), dtype=complex)
-        for factor in R:
-            kernel._factor(rng, factor)
+        for t in range(trials):
+            kernel._factor(rng, kernel.normals[t], kernel.gammas[t])
+        R = kernel._complete(trials)
         want = [oracles.zf_row_norms_lu(factor) for factor in R]
         rows, bounds = montecarlo._zf_row_norms(R.copy())
         assert (np.abs(rows - want) <= 1e-13 * np.asarray(want)).all()
@@ -756,24 +771,114 @@ class TestValidateClosedForm:
             (0.0, {}, 0)
 
 
+def one_wald(n, *terms):
+    """``montecarlo._wald`` for one UT: its W as a float and its degrees of
+    freedom as an int."""
+    w, dof = montecarlo._wald(n, *(np.array([v], dtype=float) for v in terms))
+    return float(w[0]), int(dof[0])
+
+
+def p_and_z(w, dof):
+    """``montecarlo._p_and_z`` for one Wald statistic, as floats."""
+    p, z = montecarlo._p_and_z(np.array([w], dtype=float), np.array([dof]))
+    return float(p[0]), float(z[0])
+
+
+UT_CASES = ("both vary", "collinear", "tail", "x exact", "y exact", "x miss", "y miss",
+            "both exact")
+
+
+@st.composite
+def ut_terms(draw, case=None):
+    """One UT's (dx, dy, vx, vy, cxy, mx, my) in one of UT_CASES: both
+    terms varying, at |rho| < 1 or at |rho| >= 1 (collinear), or with a
+    Wald statistic past 1412, where p/2 is subnormal (tail); one term exact
+    (its spread within EXACT_RTOL of its moment, which may be 0), on its
+    moment or off it beyond that tolerance (a certain miss); or both exact
+    and on their moments (no degree of freedom)."""
+    case = case or draw(st.sampled_from(UT_CASES))
+    moment = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e5),
+                       st.floats(min_value=-1e5, max_value=-1e-6))
+    mx, my = draw(moment), draw(moment)
+    vx, vy = (draw(st.floats(min_value=1e-12, max_value=1e6)) for _ in range(2))
+    dx, dy = (draw(st.floats(min_value=-1e3, max_value=1e3)) for _ in range(2))
+    rho = draw(st.floats(min_value=-0.999, max_value=0.999))
+    if case == "collinear":
+        rho = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(min_value=1.001, max_value=1.1))
+    elif case == "tail":   # tx of 60 to 1e100 at n = 100: W >= tx^2 / 2 > 1412
+        dx = math.sqrt(vx) / 10.0 * draw(st.floats(min_value=60.0, max_value=1e100))
+    tol = [montecarlo.EXACT_RTOL * abs(m) for m in (mx, my)]
+    on = [draw(st.floats(min_value=-1.0, max_value=1.0)) * t for t in tol]
+    off = [draw(st.sampled_from([-1.0, 1.0])) * max(t * draw(st.floats(1.01, 1e6)), 1e-300)
+           for t in tol]
+    spread = [(draw(st.floats(min_value=0.0, max_value=0.5)) * t) ** 2 for t in tol]
+    if case.startswith("x") or case == "both exact":
+        vx, dx = spread[0], (off if case == "x miss" else on)[0]
+    if case.startswith("y") or case == "both exact":
+        vy, dy = spread[1], (off if case == "y miss" else on)[1]
+    return dx, dy, vx, vy, rho * math.sqrt(vx) * math.sqrt(vy), mx, my
+
+
+class TestMomentTestAgainstScalarLoop:
+    """The moment tests' array passes (``montecarlo._wald`` and
+    ``_p_and_z``) against the loop that tested one UT at a time in Python
+    floats (``oracles.moment_tests_scalar``): W, p and z bit for bit."""
+
+    @staticmethod
+    def check(n, uts):
+        columns = list(np.array(uts, dtype=float).reshape(-1, 7).T)
+        wald, dof = montecarlo._wald(n, *columns)
+        p, z = montecarlo._p_and_z(wald, dof)
+        want = np.array(oracles.moment_tests_scalar(n, *columns)).reshape(-1, 3)
+        for got, column in zip((wald, p, z), want.T):
+            assert np.array_equal(bits(got), bits(column)), np.flatnonzero(got != column)
+        return wald, dof
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=10**6), uts=st.lists(ut_terms(), max_size=12))
+    def test_array_pass_matches_the_scalar_loop(self, n, uts):
+        self.check(n, uts)
+
+    def test_squares_are_pows(self):
+        # v ** 2 (C's pow) and v * v differ in their last bit for this v, so
+        # a one-term W of tx = v and a two-term W of ty = v (rho = 0) must
+        # each take pow's square, as the loop's ** 2 does.
+        v = 1.7304368023068515
+        assert v ** 2 != v * v
+        self.check(4, [(0.0, v / 2.0, 0.0, 1.0, 0.0, 1.0, 5.0),
+                       (v / 2.0, 0.25, 1.0, 1.0, 0.0, 1.0, 5.0)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_case(self, data):
+        # One UT of each case, with the statistic each case must give.
+        uts = [data.draw(ut_terms(case), label=case) for case in UT_CASES]
+        wald, dof = self.check(100, uts)
+        got = dict(zip(UT_CASES, zip(wald.tolist(), dof.tolist())))
+        assert got["both vary"][1] == 2 and got["tail"][0] > 1412.0
+        assert got["collinear"][1] == 1 and got["both exact"] == (0.0, 0)
+        assert got["x miss"] == got["y miss"] == (math.inf, 1)
+        assert got["x exact"][1] == got["y exact"][1] == 1
+
+
 class TestMomentTest:
     @settings(max_examples=200)
     @given(w=st.floats(min_value=0.0, max_value=1.7976931348623157e308))
     def test_z_is_finite_for_every_finite_wald(self, w):
         for dof in (1, 2):
-            p, z = montecarlo._p_and_z(w, dof)
+            p, z = p_and_z(w, dof)
             assert 0.0 <= p <= 1.0 and 0.0 <= z < math.inf, (w, dof, p, z)
-        p, z = montecarlo._p_and_z(w, 2)
+        p, z = p_and_z(w, 2)
         if p > 1e-300:
             # p = exp(-W/2) and P(|N(0, 1)| > z) = p.
             assert p == math.exp(-w / 2)
             assert math.erfc(z / math.sqrt(2.0)) == pytest.approx(p, rel=1e-9)
-        assert montecarlo._p_and_z(w, 1)[1] == math.sqrt(w)
+        assert p_and_z(w, 1)[1] == math.sqrt(w)
 
     def test_z_rises_with_wald_across_the_tail_series(self):
         # Past W = 1412, p/2 is subnormal and z comes from the tail series.
         w = np.linspace(1300.0, 1600.0, 3001).tolist() + [1e4, 1e100, 1e300, math.inf]
-        z = [montecarlo._p_and_z(x, 2)[1] for x in w]
+        z = [p_and_z(x, 2)[1] for x in w]
         assert all(a < b for a, b in zip(z, z[1:]))
         assert max(b - a for a, b in zip(z, z[1:-4])) < 2e-3   # no jump at the switch
         assert z[-1] == math.inf
@@ -782,14 +887,14 @@ class TestMomentTest:
         # An exact term with no offset leaves the other to test alone; an
         # exact term off its moment is a certain miss; two exact terms on
         # their moments pass.
-        wald = montecarlo._wald
+        wald = one_wald
         assert wald(100, 0.0, 0.3, 0.0, 4.0, 0.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
         assert wald(100, 0.3, 0.0, 4.0, 0.0, 0.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
         assert wald(100, 1e-9, 0.3, 0.0, 4.0, 0.0, 1.0, 5.0) == (math.inf, 1)
         assert wald(100, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 5.0) == (0.0, 0)
         assert wald(100, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0)
-        assert montecarlo._p_and_z(0.0, 0) == (1.0, 0.0)
-        assert montecarlo._p_and_z(math.inf, 1) == (0.0, math.inf)
+        assert p_and_z(0.0, 0) == (1.0, 0.0)
+        assert p_and_z(math.inf, 1) == (0.0, math.inf)
         # Collinear terms: the received power alone.
         assert wald(100, 0.2, 0.3, 1.0, 4.0, 2.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
 
@@ -799,7 +904,7 @@ class TestMomentTest:
         # alone.  An offset beyond EXACT_RTOL of m1 is a certain miss, and
         # a spread beyond it makes the pair a two-term test.
         tol, m1 = montecarlo.EXACT_RTOL, 2.0
-        wald = montecarlo._wald
+        wald = one_wald
         assert wald(100, 4.2e-16 * m1, 0.3, (1.5e-16 * m1) ** 2, 4.0, 1e-17, m1, 5.0) == \
             (pytest.approx(2.25), 1)
         assert wald(100, 2.0 * tol * m1, 0.3, (0.5 * tol * m1) ** 2, 4.0, 0.0, m1, 5.0) == \
@@ -857,7 +962,8 @@ class TestStreamedAgainstStoredTerms:
         rng, rng_o = trial_rng(seed, 0), trial_rng(seed, 0)
         size = (cfg.n_antennas, cfg.n_streams)
         re, im = oracles._normal_parts(rng_o, size)
-        assert np.array_equal(bits(montecarlo._cn(rng, size)), bits(re + 1j * im))
+        assert np.array_equal(bits(montecarlo._cn(rng, np.empty(size, dtype=complex))),
+                              bits(re + 1j * im))
         # The draws that follow continue the same stream.
         assert rng.standard_normal(4).tolist() == rng_o.standard_normal(4).tolist()
 
@@ -873,9 +979,9 @@ class CountedRng:
         self.normals += out.size // 2
         return self.rng.standard_normal(out=out)
 
-    def standard_gamma(self, shape):
+    def standard_gamma(self, shape, *, out=None):
         self.gammas += np.size(shape)
-        return self.rng.standard_gamma(shape)
+        return self.rng.standard_gamma(shape, out=out)
 
 
 def factor_kernel(n_antennas, n_streams):
@@ -884,7 +990,7 @@ def factor_kernel(n_antennas, n_streams):
     cfg = make_config(n_unicast=n_streams, group_sizes=(), n_antennas=n_antennas)
     fading = FadingProfile(unicast_gains=(1.0,) * n_streams, multicast_gains=())
     powers = DownlinkPowers.equal_split(cfg.total_power, n_streams, 0.0, 0)
-    return montecarlo._Kernel(cfg, fading, *cap_pilots(cfg), powers, MRT, 0)
+    return oracles.trial_kernel(cfg, fading, *cap_pilots(cfg), powers, MRT, 0)
 
 
 class TestBartlettDraw:
@@ -904,9 +1010,9 @@ class TestBartlettDraw:
         rngs = []
         factor = montecarlo._Kernel._factor
 
-        def counted(self, rng, R):
+        def counted(self, rng, *rows):
             rngs.append(CountedRng(rng))
-            return factor(self, rngs[-1], R)
+            return factor(self, rngs[-1], *rows)
 
         monkeypatch.setattr(montecarlo._Kernel, "_factor", counted)
         report = validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, precoder, 100, 3)
@@ -930,10 +1036,11 @@ class TestBartlettDraw:
         rng = np.random.default_rng(17)
         samples = np.empty((draws, 3 if N > S else 2))
         assert kernel.factors.shape[1:] == (min(N, S), S)
-        R = np.zeros((min(N, S), S), dtype=complex)
+        R = kernel.factors[0]
         for i in range(draws):
             R[np.triu_indices(min(N, S), m=S)] = np.nan   # every entry the draw must fill
-            kernel._factor(rng, R)
+            kernel._factor(rng, kernel.normals[0], kernel.gammas[0])
+            kernel._complete(1)
             assert np.array_equal(R, np.triu(R)) and (R.diagonal().real > 0.0).all()
             gram = R.conj().T @ R
             samples[i, :2] = (gram.diagonal().real.mean() / (2.0 * N),
@@ -1025,8 +1132,10 @@ class TestMemory:
 def fail_in_trials(monkeypatch, errors):
     """Make the precoder cores raise ``errors[t](...)`` in trial t: the
     trial kernel's per-trial steps, and the loop builders the serial oracle
-    calls.  The kernel's block step tags each trial as it runs the trial's
-    terms, and ``trial_rng`` each trial the oracle draws."""
+    calls.  The kernel's block step numbers its trials from the block's
+    first, and each call of a per-trial step, which runs once per trial in
+    trial order (``_mrt_factor`` under MRT, ``_require_rank`` under ZF),
+    takes the next number; ``trial_rng`` tags each trial the oracle draws."""
     current = {}
     trial_rng_ = montecarlo.trial_rng
     block = montecarlo._Kernel.__call__
@@ -1035,22 +1144,29 @@ def fail_in_trials(monkeypatch, errors):
         current["trial"] = t
         return trial_rng_(seed, t)
 
-    def tagged_block(self, start, stop):
-        trials = block(self, start, stop)
-        for t in range(start, stop):
-            current["trial"] = t
-            yield next(trials)
+    def numbered_block(self, start, stop):
+        current["next"] = start
+        return block(self, start, stop)
+
+    def next_trial():
+        current["next"] += 1
+        return current["next"] - 1
+
+    def failing(build, trial):
+        def step(*args):
+            t = trial()
+            if t in errors:
+                raise errors[t](f"forced in trial {t}")
+            return build(*args)
+        return step
 
     monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
-    monkeypatch.setattr(montecarlo._Kernel, "__call__", tagged_block)
-    for module, name in ((montecarlo, "_mrt_factor"), (montecarlo, "_require_rank"),
-                         (oracles, "build_mrt_precoders_loop"),
-                         (oracles, "build_zf_precoders_loop")):
-        def build(*args, _build=getattr(module, name)):
-            if current["trial"] in errors:
-                raise errors[current["trial"]](f"forced in trial {current['trial']}")
-            return _build(*args)
-        monkeypatch.setattr(module, name, build)
+    monkeypatch.setattr(montecarlo._Kernel, "__call__", numbered_block)
+    for name in ("_mrt_factor", "_require_rank"):
+        monkeypatch.setattr(montecarlo, name, failing(getattr(montecarlo, name), next_trial))
+    for name in ("build_mrt_precoders_loop", "build_zf_precoders_loop"):
+        monkeypatch.setattr(oracles, name,
+                            failing(getattr(oracles, name), lambda: current["trial"]))
 
 
 def bits(a):
@@ -1073,10 +1189,9 @@ def recorded_run(args):
         factors.extend(R.copy())
         return R
 
-    def record_commit(self, result):
-        if result is not None:
-            terms.append((result[1].copy(), result[0].copy()))
-        commit(self, result)
+    def record_commit(self, received, desired, discarded):
+        terms.extend(zip(desired.copy(), received.copy()))
+        commit(self, received, desired, discarded)
 
     with mock.patch.object(montecarlo._Kernel, "_draw", record_draw), \
             mock.patch.object(montecarlo._Sums, "commit", record_commit):
@@ -1197,9 +1312,9 @@ class TestConditionalTerms:
         # Five pilots: N = 5 is MRT's square observations, N = 6 ZF's one
         # spare antenna.
         cell = self.cell(n_antennas, precoder)
-        kernel = montecarlo._Kernel(*cell, 0)
+        kernel = oracles.trial_kernel(*cell, 0)
         R = kernel._draw(0, 1)[0].copy()
-        received, desired = next(kernel(0, 1))
+        (received,), (desired,), _ = kernel(0, 1)
         full = oracles.FullDrawKernel(*cell, 0)
         rng = np.random.default_rng(23)
         draws = [full.residual_terms(R, rng) for _ in range(2000)]
@@ -1249,7 +1364,7 @@ class TestConditionalTerms:
         pilots_un, pilots_mu = pilots[:u], [pilots[a:b] for a, b in zip(edges, edges[1:])]
         powers = DownlinkPowers.equal_split(1.0 if u else 0.0, u, 1.0 if sizes else 0.0,
                                             len(sizes))
-        got = montecarlo._Kernel(cfg, fading, pilots_un, pilots_mu, powers, ZF, 0).incoherent
+        got = oracles.trial_kernel(cfg, fading, pilots_un, pilots_mu, powers, ZF, 0).incoherent
         exact = oracles.error_variances_exact(cfg, fading, pilots_un, pilots_mu)
         want = np.array([float(e * Fraction(float(g)) / 2) for e, g in zip(exact, gains)])
         assert (np.abs(got - want) <= 1e-14 * want).all(), np.abs(got / want - 1.0).max()
@@ -1387,7 +1502,7 @@ class TestBlocksAgainstPerTrialKernel:
         # bounds of the run's 101 factors: both kernels discard the same 50
         # draws and keep the other 51 in order.
         args = (*self.cell("zf"), self.N_TRIALS, 22)
-        kernel = montecarlo._Kernel(*args[:6], args[-1])
+        kernel = oracles.trial_kernel(*args[:6], args[-1])
         bounds = np.sort(np.concatenate([
             montecarlo._zf_row_norms(kernel._draw(start, min(start + 8, self.N_TRIALS)))[1]
             for start in range(0, self.N_TRIALS, 8)]))

@@ -74,7 +74,7 @@ class TestRunStreams:
         half = cfg.total_power / 2.0
         powers = DownlinkPowers.equal_split(half, 3, half, 2)
         seed = 2**40 + 9
-        kernel = montecarlo._Kernel(cfg, fading, *cap_pilots(cfg), powers, precoder, seed)
+        kernel = oracles.trial_kernel(cfg, fading, *cap_pilots(cfg), powers, precoder, seed)
         for start, stop in ((0, 8), (8, 13), (2**32 - 3, 2**32)):
             for t, R in zip(range(start, stop), kernel._draw(start, stop)):
                 want = oracles.bartlett_factor(montecarlo.trial_rng(seed, t), cfg.n_antennas,
