@@ -21,7 +21,8 @@ scores (``mmf_se_report``, ``sse_se_report``) read that problem's
 split-independent work too: the config at the solution's pilot length and
 the estimate variances, which every solution of one problem shares.  They
 do so only for the very pair the problem was built from, which was
-validated then.
+validated then.  The sum-SE problem's estimate and error variances are
+the model's (``model._mmse_variances``), the very values its scores read.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_shares, _log1p,
-                          _precoder_factors, _se_report, se_from_sinr)
+from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_shares,
+                          _interference_gain, _log1p, _precoder_factors, _se_report,
+                          se_from_sinr)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
                     _Shared, _estimation_variances, _freeze, _group_min, _group_sums,
-                    _per_member, _pilot_arrays, _row_sums, _sizes, _within, require_valid)
+                    _mmse_variances, _per_member, _pilot_arrays, _row_sums, _sizes, _within,
+                    require_valid)
 
 
 def _problem_field():
@@ -80,10 +83,10 @@ class MmfSolution(_ArrayRecord):
 class SseSolution(_ArrayRecord):
     """Optimal weighted-sum-SE unicast allocation for one power split.
 
-    effective_vars are the channel-estimate variances at full-cap pilot
-    energy; water_level is the dual variable of the power constraint
-    (+inf when the budget is zero and nothing is allocated).  Per-UT fields
-    are read-only float64 arrays.
+    effective_vars are the estimate variances at full-cap pilot energy that
+    ``sse_se_report`` scores with; water_level is the dual variable of the
+    power constraint (+inf when the budget is zero and nothing is
+    allocated).  Per-UT fields are read-only float64 arrays.
     """
 
     precoder: str
@@ -225,22 +228,11 @@ def _solver_prelog(cfg: SystemConfig) -> float:
     return 1.0 - cfg.n_streams / cfg.coherence_length
 
 
-def _unicast_theta(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> np.ndarray:
-    """Full-cap estimate variances theta, which no precoder changes."""
-    if cfg.n_unicast == 0:
-        raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
-    e, b = cfg.unicast_energy_caps, fading.unicast_gains
-    theta = e * b * b / (1.0 + e * b)
-    if not theta.all():
-        raise DegenerateInputError("a unicast UT's estimate variance underflows to zero")
-    return theta
-
-
 def _unicast_offsets(cfg: SystemConfig, gains: np.ndarray, theta: np.ndarray,
-                     gain: int | np.ndarray, c: float) -> np.ndarray:
-    """The water-filling offsets (1 + (beta - c*theta)*P) / (gain*theta)
-    under the precoder's factors; the split leaves them alone."""
-    return (1.0 + (gains - c * theta) * cfg.total_power) / (gain * theta)
+                     error: np.ndarray, gain: int | np.ndarray, c: float) -> np.ndarray:
+    """The water-filling offsets (1 + leak*P) / (gain*theta), leak = beta -
+    c*theta as ``_interference_gain`` gives it; the split leaves them alone."""
+    return (1.0 + _interference_gain(c, gains, theta, error) * cfg.total_power) / (gain * theta)
 
 
 def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
@@ -397,16 +389,19 @@ def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precode
 
 @dataclass(frozen=True, eq=False)
 class _SseProblem(_Problem):
-    """The sum-SE problem: the full-cap estimate variances theta and, under
-    the precoder, the water-filling offsets, one row per drop."""
+    """The sum-SE problem: full-cap pilot powers, the model's estimate and
+    error variances at them (``theta``, ``error``) and, under the precoder,
+    the water-filling offsets, one row per drop."""
 
+    pilot_powers: np.ndarray
     theta: np.ndarray
+    error: np.ndarray
     _solution = SseSolution
 
     def __post_init__(self):
         gain = self.gain if np.ndim(self.gain) == 0 else self.gain[:, None]   # per drop
         object.__setattr__(self, "offsets", _unicast_offsets(
-            self.cfg, self.fading.unicast_gains, self.theta, gain, self.c))
+            self.cfg, self.fading.unicast_gains, self.theta, self.error, gain, self.c))
 
     def _fill(self, p_multicast_fixed: float):
         """Water-filled levels, water levels and objectives, one per drop."""
@@ -423,8 +418,7 @@ class _SseProblem(_Problem):
     def _shared(self) -> tuple[_Shared, _Shared]:
         """The one drop's full-cap pilot powers at the solvers' pilot length
         and theta, which every solve's record shares."""
-        return (_Shared(self.cfg.unicast_energy_caps / self.cfg.n_streams),
-                _Shared(self.theta))
+        return _Shared(self.pilot_powers), _Shared(self.theta)
 
     def solve(self, p_multicast_fixed: float) -> SseSolution:
         """``solve_sse`` on the one drop."""
@@ -451,7 +445,14 @@ def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precode
                  n_antennas: np.ndarray | None = None) -> _SseProblem:
     """The sum-SE problem of a validated pair (or config and stack)."""
     gain, c = _precoder_factors(cfg, precoder, n_antennas)   # its error comes first
-    return _SseProblem(cfg, fading, precoder, gain, c, _unicast_theta(cfg, fading))
+    if cfg.n_unicast == 0:
+        raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
+    pilot_powers = cfg.unicast_energy_caps / cfg.n_streams
+    _, theta, error = _mmse_variances(cfg.n_streams, pilot_powers, fading.unicast_gains,
+                                      cfg.pilot_offsets[:cfg.n_unicast + 1])
+    if not theta.all():
+        raise DegenerateInputError("a unicast UT's estimate variance underflows to zero")
+    return _SseProblem(cfg, fading, precoder, gain, c, pilot_powers, theta, error)
 
 
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
@@ -470,8 +471,8 @@ def solve_sse(cfg: SystemConfig, fading: FadingProfile, p_multicast_fixed: float
               precoder: str) -> SseSolution:
     """Weighted sum SE of unicast UTs for a fixed multicast power.
 
-    Water-fills over the offsets (1 + (beta - c*theta)*P) / (gain*theta),
-    theta being each UT's estimate variance at full-cap pilot energy.
+    Water-fills over the offsets (1 + leak*P) / (gain*theta), with the
+    model's full-cap estimate variances theta and leak beta - c*theta.
     """
     require_valid(cfg, fading)
     return _sse_problem(cfg, fading, precoder).solve(p_multicast_fixed)

@@ -141,6 +141,15 @@ def _precoder_factors(cfg: SystemConfig, precoder: str,
     raise ValueError(f"unknown precoder {precoder!r}, expected one of {PRECODERS}")
 
 
+def _interference_gain(c: float, gains: np.ndarray, var: np.ndarray,
+                       error: np.ndarray | None) -> np.ndarray:
+    """beta - c*var (see ``_precoder_factors``), which the SINR terms and
+    the sum-SE offsets read: under ZF the error, beta - var only if None."""
+    if c == 0.0:
+        return gains
+    return gains - var if error is None else error
+
+
 def se_from_sinr(prelog: float, sinr: float) -> float:
     """SE in bits/s/Hz; log1p keeps accuracy for SINR much below one."""
     return prelog * math.log1p(sinr) / LN2
@@ -179,12 +188,7 @@ def _sinr_terms(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile
         raise ValueError("estimation stats must be shaped like the config")
     var = stats.ut_var
     p = _per_member(np.concatenate([powers.unicast, powers.multicast]), cfg.pilot_offsets)
-    # beta - c*var: all of beta under MRT (c = 0), and under ZF (c = 1) the
-    # estimation error, as the stats hold it when they have it.
-    if c == 0.0:
-        leaked = fading.ut_gains
-    else:
-        leaked = fading.ut_gains - var if stats.ut_error is None else stats.ut_error
+    leaked = _interference_gain(c, fading.ut_gains, var, stats.ut_error)
     return gain * p * var, leaked * powers.total
 
 

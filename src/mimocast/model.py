@@ -148,8 +148,8 @@ def _group_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     Unequal groups are padded with trailing zeros, which leave sums as they are."""
     sizes = _sizes(offsets)
     lead = values.shape[:-1]
-    if sizes.size == 0:
-        return np.empty((*lead, 0))
+    if values.shape[-1] == sizes.size:   # groups of one, or none
+        return values.copy()
     longest = int(sizes.max())
     if values.shape[-1] == sizes.size * longest:
         rows = values.reshape(*lead, sizes.size, longest)
@@ -160,20 +160,20 @@ def _group_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _group_others(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """For each entry of a 1-D array, the sum of the other entries of its
-    group: the sum of those before it, added from the group's start, plus
-    the sum of those after it, added from its end, so nothing is
-    subtracted.  Groups are padded as in ``_group_sums``, with one more
-    zero before and after."""
+    """For each entry along the last axis, the sum of the other entries of
+    its (non-empty) group: the sum of those before it, added from the
+    group's start, plus the sum of those after it, added from its end, so
+    nothing is subtracted.  Groups are padded as in ``_group_sums``, with
+    one more zero before and after; groups of one have no others."""
     sizes = _sizes(offsets)
-    if sizes.size == 0:
-        return np.empty(0)
+    if values.shape[-1] == sizes.size:
+        return np.zeros(values.shape)
     inside = np.arange(int(sizes.max())) < sizes[:, None]
-    rows = np.zeros((sizes.size, inside.shape[1] + 2))
-    rows[:, 1:-1][inside] = values
-    before = np.cumsum(rows, axis=1)[:, :-2]
-    after = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1][:, 2:]
-    return (before + after)[inside]
+    rows = np.zeros((*values.shape[:-1], sizes.size, inside.shape[1] + 2))
+    rows[..., 1:-1][..., inside] = values
+    before = np.cumsum(rows, axis=-1)[..., :-2]
+    after = np.cumsum(rows[..., ::-1], axis=-1)[..., ::-1][..., 2:]
+    return (before + after)[..., inside]
 
 
 def _group_min(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -428,13 +428,11 @@ class EstimationStats(_ArrayRecord):
     multicast_var[g][k]  same for multicast UT k in group g (shared pilot)
     group_var[g]         variance of the composite per-group estimate
     ut_error[i]          every UT's estimation-error variance beta - var, in
-                         pilot order, or None when not given
+                         pilot order, as formed without subtracting, or None
 
     Stored as one read-only float64 array, which the fields view: every
     UT's variance in pilot order (``ut_var``), then each group's, with
     ``multicast_var`` rows viewing ``multicast_var_flat``.
-    ``estimation_variances`` gives ``ut_error`` as it forms it, without
-    subtracting; stats built without it leave ZF to take beta - var.
     """
 
     unicast_var: np.ndarray
@@ -445,9 +443,7 @@ class EstimationStats(_ArrayRecord):
     ut_var: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        rows = _vectors([self.unicast_var, *self.multicast_var, self.group_var])
-        variances = _flat(rows)
-        views = _views(variances, _offsets(map(len, rows)))
+        variances, views = _grouped([self.unicast_var, *self.multicast_var, self.group_var])
         u, n = views[0].size, variances.size - views[-1].size
         for name, value in (("unicast_var", views[0]), ("multicast_var", views[1:-1]),
                             ("group_var", views[-1]), ("multicast_var_flat", variances[u:n]),
@@ -598,36 +594,35 @@ def estimation_variances(cfg: SystemConfig,
                          fading: FadingProfile,
                          pilot_powers_unicast: Sequence[float],
                          pilot_powers_multicast: Sequence[Sequence[float]]) -> EstimationStats:
-    """MMSE estimate variances for the given uplink pilot powers.
-
-    UT i with pilot power q_i and gain g_i has estimate variance
-    tau*q_i*g_i^2 / (1 + s), s = sum_t tau*q_t*g_t over the UTs on its
-    pilot: tau*p*b^2 / (1 + tau*p*b) for a unicast UT, alone on its pilot.
-    A group's composite estimate has variance s^2 / (1 + s).
-    """
+    """MMSE estimate variances for the given uplink pilot powers: UT i's is
+    tau*q_i*g_i^2 / (1 + s), s = sum_t tau*q_t*g_t over the UTs on its pilot
+    (``_mmse_variances``), and a group's composite estimate's s^2 / (1 + s)."""
     require_valid(cfg, fading)
     return _estimation_variances(cfg, fading,
                                  _pilot_arrays(cfg, pilot_powers_unicast, pilot_powers_multicast))
+
+
+def _mmse_variances(pilot_length: int, pilot_powers: np.ndarray, gains: np.ndarray,
+                    pilots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The estimation rule at pilot powers q and gains g (with an optional
+    leading drop axis) in pilot order, split into pilots at ``pilots``:
+    each pilot's energy s = sum_t tau*q_t*g_t, each UT's estimate variance
+    tau*q_i*g_i^2 / (1 + s) and its error variance g_i (1 + sum_{l != i}
+    tau*q_l*g_l) / (1 + s), which keeps its digits as the variance nears g_i."""
+    energy = pilot_length * pilot_powers * gains
+    s = _group_sums(energy, pilots)   # per pilot
+    total = 1.0 + _per_member(s, pilots)
+    return s, energy * gains / total, gains * (1.0 + _group_others(energy, pilots)) / total
 
 
 def _estimation_variances(cfg: SystemConfig, fading: FadingProfile,
                           pilot_powers: np.ndarray) -> EstimationStats:
     """``estimation_variances`` for a (cfg, fading) pair already validated,
     at every UT's pilot power in pilot order, as ``_pilot_arrays`` converts
-    them.
-
-    UT i's error variance g_i - var_i is g_i (1 + sum_{l != i} tau q_l g_l)
-    / (1 + s) over the other UTs l on its pilot, whose sums
-    (``_group_others``) subtract nothing, so it keeps its digits when the
-    pilot energy dwarfs 1 and var_i nears g_i.
-    """
-    pilots, gains = cfg.pilot_offsets, fading.ut_gains
-    energy = cfg.pilot_length * pilot_powers * gains
-    s = _group_sums(energy, pilots)   # per pilot
-    total = 1.0 + _per_member(s, pilots)
-    variances = energy * gains / total
+    them.  Its rule's other caller is ``allocation._sse_problem``."""
+    s, variances, errors = _mmse_variances(cfg.pilot_length, pilot_powers, fading.ut_gains,
+                                           cfg.pilot_offsets)
     u, groups = cfg.n_unicast, s[cfg.n_unicast:]
     return EstimationStats(unicast_var=variances[:u],
                            multicast_var=_views(variances[u:], cfg.group_offsets),
-                           group_var=groups * groups / (1.0 + groups),
-                           ut_error=gains * (1.0 + _group_others(energy, pilots)) / total)
+                           group_var=groups * groups / (1.0 + groups), ut_error=errors)

@@ -14,6 +14,13 @@ split-independent pieces and the estimate variances, which read the pair
 through ``tuple_layout`` and must agree with the array code bit for bit,
 and the Monte Carlo estimation and precoders, one UT or stream at a time,
 which must agree with the trial kernel's cores to rounding.
+Its ``unicast_offsets`` follows the model's estimation rule, as the solver
+reads it since it stopped restating theta; ``unicast_offsets_subtracting``
+keeps the rule the solver had before, b - c*theta with theta from the
+energy cap, which must agree with it to rounding wherever the difference
+keeps its digits, and ``unicast_offsets_exact`` gives the offsets in
+rational arithmetic, which the solver must meet within 1e-14 at any pilot
+energy and budget.
 ``zf_columns_eigensolve`` keeps the ZF core as it was before it bounded the
 Gram's condition number by the trace of its inverse: its columns must
 agree to rounding, and it must discard no draw the trace bound keeps.
@@ -500,16 +507,51 @@ def interference_loads(cfg, fading, upsilon):
 
 
 def unicast_offsets(cfg, fading, gain, c):
-    """Full-cap estimate variances theta and the water-filling offsets."""
+    """Full-cap estimate variances theta, error variances and the
+    water-filling offsets, one UT at a time, by the model's rule: the pilot
+    energy tau*(e/tau)*b at the solvers' pilot length tau = U+G, theta =
+    energy*b/(1 + energy), the error b/(1 + energy), and the offset
+    (1 + leak*P)/(gain*theta) with the leak b under MRT (c = 0) and the
+    error under ZF (c = 1): nothing is subtracted."""
     cfg, fading = tuple_layout(cfg, fading)
     if cfg.n_unicast == 0:
         raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
+    P, tau = cfg.total_power, cfg.n_streams
+    theta, errors, offsets = [], [], []
+    for e, b in zip(cfg.unicast_energy_caps, fading.unicast_gains):
+        energy = tau * (e / tau) * b
+        theta.append(energy * b / (1.0 + energy))
+        errors.append(b / (1.0 + energy))
+        leak = b if c == 0.0 else errors[-1]
+        offsets.append((1.0 + leak * P) / (gain * theta[-1]))
+    return tuple(theta), tuple(errors), tuple(offsets)
+
+
+def unicast_offsets_subtracting(cfg, fading, gain, c):
+    """``unicast_offsets`` as the solver worked them out before it read the
+    model's rule: theta = e*b*b/(1 + e*b) from the energy cap e, and the
+    offset (1 + (b - c*theta)*P)/(gain*theta), whose difference loses
+    digits once e*b dwarfs 1."""
+    cfg, fading = tuple_layout(cfg, fading)
     P = cfg.total_power
     theta = tuple(e * b * b / (1.0 + e * b)
                   for e, b in zip(cfg.unicast_energy_caps, fading.unicast_gains))
     offsets = tuple((1.0 + (b - c * t) * P) / (gain * t)
                     for b, t in zip(fading.unicast_gains, theta))
     return theta, offsets
+
+
+def unicast_offsets_exact(cfg, fading, gain, c) -> list[Fraction]:
+    """The water-filling offsets (1 + (b - c*theta)*P)/(gain*theta) in exact
+    rational arithmetic on the full-cap pilot energies e*b, theta =
+    e*b^2/(1 + e*b), where b - theta = b/(1 + e*b) loses nothing."""
+    P = Fraction(cfg.total_power)
+    offsets = []
+    for e, b in zip(cfg.unicast_energy_caps.tolist(), fading.unicast_gains.tolist()):
+        e, b = Fraction(e), Fraction(b)
+        theta = e * b * b / (1 + e * b)
+        offsets.append((1 + (b - Fraction(c) * theta) * P) / (gain * theta))
+    return offsets
 
 
 def mmf_objective_loop(cfg, fading, p_unicast, gain, c):
@@ -525,7 +567,7 @@ def mmf_objective_loop(cfg, fading, p_unicast, gain, c):
 def sse_objective_loop(cfg, fading, p_multicast, gain, c):
     """``solve_sse``'s objective for the precoder factors (gain, c), from the
     loops above: water-filled levels scored one UT at a time."""
-    _, offsets = unicast_offsets(cfg, fading, gain, c)
+    *_, offsets = unicast_offsets(cfg, fading, gain, c)
     weights = cfg.sse_weights.tolist()
     levels, _ = waterfill_loop(weights, offsets, max(0.0, cfg.total_power - p_multicast))
     prelog = 1.0 - cfg.n_streams / cfg.coherence_length

@@ -1,16 +1,19 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mimocast import allocation
 from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse, sse_se_report,
                                  waterfill, waterfill_budget)
-from mimocast.closed_form import MRT, ZF, DownlinkPowers, se_report
+from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, _precoder_factors, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
-from mimocast.model import FadingProfile, estimation_variances
+from mimocast.model import FadingProfile, SystemConfig, estimation_variances
 
+import oracles
 from oracles import bisect_waterfill, random_desk_instance, waterfill_kkt_violation
 from test_model import make_config
 
@@ -469,3 +472,131 @@ class TestHighPowerLimit:
             gamma = solve_mmf(cfg_s, fading, p_un, precoder).gamma
             residual = 1.0 - gamma * big_p * load / (gain * p_mu)
             assert -1e-12 <= residual <= r_bound / (load * big_p) + 1e-12, (s, residual)
+
+
+# The unicast gains 0.7 and 1.3 and unit multicast gains, as log10.
+CELL_GAINS = [math.log10(0.7), math.log10(1.3), 0.0, 0.0, 0.0]
+
+
+def extreme_cell(power, caps, unicast_gains, multicast_gains):
+    """N = 16, two unicast UTs, groups of sizes (1, 2) and tau = U+G = 4,
+    at the budget ``power`` and one energy cap per UT (unicast UTs first)."""
+    return (SystemConfig(n_antennas=16, coherence_length=200, n_unicast=2, group_sizes=(1, 2),
+                         pilot_length=4, total_power=power, unicast_energy_caps=caps[:2],
+                         multicast_energy_caps=(caps[2:3], caps[3:]), sse_weights=(1.0, 1.5)),
+            FadingProfile(unicast_gains=unicast_gains,
+                          multicast_gains=(multicast_gains[:1], multicast_gains[1:])))
+
+
+class TestOneEstimationRule:
+    """The sum-SE solver reads the model's estimate and error variances at
+    full-cap pilots, the very values its score reads: its offsets keep
+    their digits at any budget and pilot energy, its objective is what
+    ``sse_se_report`` scores, and ``effective_vars`` is the variance scored.
+
+    The objectives are checked against their scores with the budget and
+    every cap at one value X, as a noise floor falling by X scales them.
+    Two faults outside the estimation rule show elsewhere, and each has a
+    strict xfail below: water-filled levels that lose their sum once the
+    offsets dwarf the budget (sum SE with X below 1, or with caps far below
+    P), and ZF's max-min load of a group of one, which cancels."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=150, deadline=None)
+    @given(log_power=st.floats(-6.0, 30.0),
+           log_caps=st.lists(st.floats(-6.0, 30.0), min_size=5, max_size=5),
+           log_gains=st.lists(st.floats(-2.0, 0.5), min_size=5, max_size=5))
+    @example(log_power=12.0, log_caps=[12.0] * 5, log_gains=CELL_GAINS)
+    def test_sse_offsets_match_exact_fractions(self, precoder, log_power, log_caps,
+                                               log_gains):
+        gains = [10.0 ** x for x in log_gains]
+        cfg, fading = extreme_cell(10.0 ** log_power, [10.0 ** x for x in log_caps],
+                                   gains[:2], gains[2:])
+        offsets = allocation._sse_problem(cfg, fading, precoder).offsets
+        want = oracles.unicast_offsets_exact(cfg, fading, *_precoder_factors(cfg, precoder))
+        assert all(abs(Fraction(o) - w) <= Fraction(1e-14) * w
+                   for o, w in zip(offsets.tolist(), want)), (offsets, [float(w) for w in want])
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=150, deadline=None)
+    @given(log_x=st.floats(0.0, 30.0),
+           log_gains=st.lists(st.floats(-2.0, 0.5), min_size=5, max_size=5))
+    @example(log_x=12.0, log_gains=CELL_GAINS)
+    def test_sse_objective_matches_its_score(self, precoder, log_x, log_gains):
+        x, gains = 10.0 ** log_x, [10.0 ** g for g in log_gains]
+        cfg, fading = extreme_cell(x, [x] * 5, gains[:2], gains[2:])
+        sol = solve_sse(cfg, fading, x / 2.0, precoder)
+        scored = sse_se_report(cfg, fading, sol, x / 2.0).weighted_sum_unicast_se(
+            cfg.sse_weights)
+        assert abs(scored - sol.objective) <= 1e-12 * sol.objective, (scored, sol.objective)
+
+    @pytest.mark.parametrize("precoder", [
+        MRT, pytest.param(ZF, marks=pytest.mark.xfail(
+            strict=True, raises=(AssertionError, DegenerateInputError),
+            reason="ZF's load B_j - P of a group of one cancels once P dwarfs "
+                   "1/upsilon_j + 1/g"))])
+    @settings(max_examples=150, deadline=None)
+    @given(log_x=st.floats(-6.0, 30.0),
+           log_gains=st.lists(st.floats(-2.0, 0.5), min_size=5, max_size=5))
+    @example(log_x=6.0, log_gains=[0.0, 0.0, -1.0, 0.0, 0.0])
+    def test_mmf_objective_matches_its_score(self, precoder, log_x, log_gains):
+        # At X = 1e6 group 0's B_0 = 1e6 + 20.0001 keeps 5 fewer digits
+        # after B_0 - P; at 1e17 it rounds to P and the solve raises.
+        x, gains = 10.0 ** log_x, [10.0 ** g for g in log_gains]
+        cfg, fading = extreme_cell(x, [x] * 5, gains[:2], gains[2:])
+        sol = solve_mmf(cfg, fading, x / 2.0, precoder)
+        scored = mmf_se_report(cfg, fading, sol, x / 2.0).min_multicast_se()
+        assert abs(scored - sol.objective) <= 1e-12 * sol.objective, (scored, sol.objective)
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError),
+                       reason="water-filled levels c/nu - o lose digits once the offsets "
+                              "dwarf the budget, and the score reads their sum as P")
+    @pytest.mark.parametrize("precoder, power, caps, unicast_gains", [
+        # Offsets 6.25e20 at P = 1e16: the one active level is 5e15 - 32768.
+        (MRT, 1e16, [1e-5, 1e-6, 1.0, 1.0, 1.0], [0.1, 1.0]),
+        # Offsets 83.5 at P = 1e-3: the levels overshoot their budget by
+        # 4.8e-12 of it, and the score rejects the powers.
+        (ZF, 1e-3, [1e-3] * 5, [1.0, 1.0]),
+    ])
+    def test_sse_objective_matches_its_score_when_offsets_dwarf_the_budget(
+            self, precoder, power, caps, unicast_gains):
+        cfg, fading = extreme_cell(power, caps, unicast_gains, [1.0, 1.0, 1.0])
+        sol = solve_sse(cfg, fading, power / 2.0, precoder)
+        scored = sse_se_report(cfg, fading, sol, power / 2.0).weighted_sum_unicast_se(
+            cfg.sse_weights)
+        assert abs(scored - sol.objective) <= 1e-12 * sol.objective, (scored, sol.objective)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_effective_vars_are_the_scored_variances(self, monkeypatch, precoder):
+        # Both score paths, through the kept problem and through a copy of
+        # the pair, which validates and estimates again.
+        scored = []
+        real = allocation._se_report
+        monkeypatch.setattr(allocation, "_se_report",
+                            lambda cfg, stats, *a: scored.append(stats) or real(cfg, stats, *a))
+        for seed in range(200):
+            cfg, fading = random_desk_instance(np.random.default_rng(seed), u_range=(1, 8))
+            p_mu = cfg.total_power / 2.0
+            sol = solve_sse(cfg, fading, p_mu, precoder)
+            sse_se_report(cfg, fading, sol, p_mu)
+            sse_se_report(dataclasses.replace(cfg), FadingProfile.from_dict(fading.to_dict()),
+                          sol, p_mu)
+            for stats in scored[-2:]:
+                assert sol.effective_vars.tolist() == stats.unicast_var.tolist(), seed
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           log_scale=st.floats(-6.0, 3.0), precoder=st.sampled_from(PRECODERS))
+    def test_offsets_agree_with_the_subtracting_rule_at_moderate_caps(self, seed, log_scale,
+                                                                      precoder):
+        # The rule the solver read before, b - c*theta from e*b*b/(1 + e*b),
+        # is a differential oracle wherever its difference keeps its digits:
+        # there it loses about eps*(1 + e*b) of b - theta.
+        cfg, fading = random_desk_instance(np.random.default_rng(seed), u_range=(1, 8))
+        scale = 10.0 ** log_scale / 5.0   # desk caps lie in [0.5, 5]
+        cfg = dataclasses.replace(cfg, unicast_energy_caps=cfg.unicast_energy_caps * scale)
+        problem = allocation._sse_problem(cfg, fading, precoder)
+        theta_old, offsets_old = oracles.unicast_offsets_subtracting(
+            cfg, fading, *_precoder_factors(cfg, precoder))
+        assert np.allclose(problem.theta, theta_old, rtol=1e-15, atol=0.0)
+        assert np.allclose(problem.offsets, offsets_old, rtol=1e-12, atol=0.0)

@@ -220,7 +220,7 @@ class TestStackedSolvers:
                                                                                (3, sum(sizes)))
         per_group = rng.uniform(size=(3, len(sizes)))
         for fn, arg in ((model._group_sums, values), (model._group_min, values),
-                        (model._per_member, per_group)):
+                        (model._group_others, values), (model._per_member, per_group)):
             whole = fn(arg, offsets)
             assert [r.tolist() for r in whole] == [fn(row, offsets).tolist() for row in arg]
 
@@ -369,8 +369,9 @@ class TestFigureGridOracle:
     @pytest.mark.parametrize("argv, shapes", SHAPE_GRIDS)
     def test_precoder_free_work_once_per_cell_shape(self, monkeypatch, argv, shapes):
         # What MRT and ZF share, fig2's pilot qualities and fig3's estimate
-        # variances, is worked out once per shape for both precoders.
-        name = {"fig2": "_pilot_qualities", "fig3": "_unicast_theta"}[argv[0]]
+        # variances (the model's rule), is worked out once per shape for
+        # both precoders.
+        name = {"fig2": "_pilot_qualities", "fig3": "_mmse_variances"}[argv[0]]
         assert self.count_calls(monkeypatch, allocation, name, argv) == shapes
 
     @pytest.mark.parametrize("argv, shapes", SHAPE_GRIDS)

@@ -352,11 +352,13 @@ def assert_pieces_match_loops(cfg, fading, rng):
     assert allocation._interference_loads(cfg, fading, upsilon).tolist() == \
         list(oracles.interference_loads(cfg, fading, upsilon_o))
     if cfg.n_unicast:
+        problem = allocation._sse_problem(cfg, fading, "mrt")
         for gain, c in ((cfg.n_antennas, 0.0), (max(1, cfg.n_antennas - cfg.n_streams), 1.0)):
-            theta = allocation._unicast_theta(cfg, fading)
-            offsets = allocation._unicast_offsets(cfg, fading.unicast_gains, theta, gain, c)
-            theta_o, offsets_o = oracles.unicast_offsets(cfg, fading, gain, c)
-            assert theta.tolist() == list(theta_o)
+            offsets = allocation._unicast_offsets(cfg, fading.unicast_gains, problem.theta,
+                                                  problem.error, gain, c)
+            theta_o, errors_o, offsets_o = oracles.unicast_offsets(cfg, fading, gain, c)
+            assert problem.theta.tolist() == list(theta_o)
+            assert problem.error.tolist() == list(errors_o)
             assert offsets.tolist() == list(offsets_o)
     pilots_un, pilots_mu = random_pilots(cfg, rng)
     stats = model._estimation_variances(cfg, fading,

@@ -39,6 +39,14 @@ The trials read nothing of the closed form: in ``montecarlo.py`` only
 nothing in ``_Kernel`` names the estimate variances (``stats``,
 ``EstimationStats``) or ``_se_report``, as a name, attribute, parameter,
 keyword or string.
+
+The estimation rule is the model's (``model._mmse_variances``):
+``allocation.py`` reaches it only through ``model``, naming
+``_estimation_variances`` in ``_score_stats`` and ``_mmse_variances`` in
+``_sse_problem`` and nowhere else, and names no piece of it
+(``_group_others``, ``ut_error``, ``ut_var``).  Nothing in ``_Kernel``
+names the rule or the stats' fields; it derives its own error terms from
+the pilot weights, with ``_group_others``.
 """
 
 import ast
@@ -416,3 +424,15 @@ class _Kernel:
         "<module>: _own_streams", "<module>: _pilot_offsets", "_pilot_offsets: group_offsets",
         "__init__: pilot_offsets", "__init__: pilot_offsets", "__init__: pilot_offsets",
         "__init__: _own_streams", "__init__: group_offsets"]
+
+
+ESTIMATION_RULE = {"_mmse_variances", "_estimation_variances", "estimation_variances"}
+ESTIMATION_PIECES = {"_group_others", "ut_error", "ut_var"}
+
+
+def test_allocation_reaches_the_estimation_rule_only_through_the_model():
+    source = ALLOCATION.read_text(encoding="utf-8")
+    assert owners(source, ESTIMATION_RULE) == ["_score_stats", "_sse_problem"]
+    assert owners(source, ESTIMATION_PIECES) == []
+    assert kernel_mentions(MONTECARLO.read_text(encoding="utf-8"),
+                           ESTIMATION_RULE | ESTIMATION_PIECES - {"_group_others"}) == []
