@@ -216,11 +216,10 @@ def _pilot_qualities(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> 
     return per_user
 
 
-def _interference_loads(cfg: SystemConfig, fading: FadingProfile | FadingStack,
-                        upsilon: np.ndarray) -> np.ndarray:
-    offsets = cfg.group_offsets
-    return (1.0 / upsilon + _group_sums(1.0 / fading.multicast_gains_flat, offsets)
-            + _sizes(offsets) * cfg.total_power)
+def _inverse_sums(cfg: SystemConfig, fading: FadingProfile | FadingStack,
+                  upsilon: np.ndarray) -> np.ndarray:
+    """1/upsilon_j + sum 1/g over group j's members, per group."""
+    return 1.0 / upsilon + _group_sums(1.0 / fading.multicast_gains_flat, cfg.group_offsets)
 
 
 def _solver_prelog(cfg: SystemConfig) -> float:
@@ -307,20 +306,22 @@ class _Problem:
 @dataclass(frozen=True, eq=False)
 class _MmfProblem(_Problem):
     """The max-min problem: each multicast UT's pilot quality, the group
-    floors upsilon_j and loads B_j, and, under the precoder, the effective
-    loads B_j - c*P and their sum, one per drop."""
+    floors upsilon_j and the sums 1/upsilon_j + sum 1/g, and from them the
+    loads B_j = 1/upsilon_j + sum 1/g + K_j*P and, under the precoder, the
+    effective loads B_j - c*P and their sum, one per drop."""
 
     qualities: np.ndarray
     upsilon: np.ndarray
-    b_values: np.ndarray
+    inverse_sums: np.ndarray
     _solution = MmfSolution
 
     def __post_init__(self):
-        # B_j = 1/upsilon_j + sum 1/g + K_j*P >= 1/upsilon_j + P > P, so the
-        # loads below cannot vanish for a valid config; guard anyway.
-        loads = self.b_values - self.c * self.cfg.total_power
-        if (loads <= 0.0).any():
-            raise DegenerateInputError("degenerate group interference load (B_j <= c*P)")
+        # B_j - c*P is formed as 1/upsilon_j + sum 1/g + (K_j - c)*P, which
+        # subtracts nothing (c <= 1 <= K_j), so that a group of one keeps
+        # the digits of its 1/upsilon_j + 1/g under ZF at any budget P.
+        sizes, power = _sizes(self.cfg.group_offsets), self.cfg.total_power
+        loads = self.inverse_sums + (sizes - self.c) * power
+        object.__setattr__(self, "b_values", self.inverse_sums + sizes * power)
         object.__setattr__(self, "loads", loads)
         object.__setattr__(self, "spread", _row_sums(loads))
 
@@ -384,7 +385,7 @@ def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precode
     qualities = _pilot_qualities(cfg, fading)
     upsilon = _group_min(qualities, cfg.group_offsets)   # each group's worst quality
     return _MmfProblem(cfg, fading, precoder, gain, c, qualities, upsilon,
-                       _interference_loads(cfg, fading, upsilon))
+                       _inverse_sums(cfg, fading, upsilon))
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,9 +56,8 @@ the tower rule, these terms have the same means as the terms of a full channel d
 with less spread (Rao-Blackwellization).  The trial kernel works out the weights, the
 precoders' diagonal and each UT's coefficients once per run, after the run
 has checked its inputs; a trial runs no check and reads only the stream
-powers, the pilot weights and the amplitudes.  The kernel is the module's
-one trial path, and the module's public API is ``validate_closed_form``,
-its ``ValidationReport`` of ``UserValidation`` records, and ``trial_rng``.
+powers, the pilot weights and the amplitudes.  The public API is
+``validate_closed_form``, its ``ValidationReport``, and ``trial_rng``.
 
 The closed-form SINR is the hardening bound m1^2 / (1 + m2 - m1^2), built
 from two moments per UT, m1 = E[d] and m2 = E[r], which
@@ -74,11 +73,8 @@ spread is within EXACT_RTOL of its moment is exact: it passes when its mean
 is that close to the moment, leaving the other term to test alone, and is a
 certain miss otherwise.  The empirical SINR is the plug-in
 (mean d)^2 / (1 - (mean d)^2 + mean r); its interval maps each moment's 95%
-interval through the SINR formula.
-
-Each record also reports that closed-form SINR.  The powers pass
-``closed_form._check_powers``, and the trials read neither the estimate
-variances nor anything else of the closed form.
+interval through the SINR formula.  The powers pass
+``closed_form._check_powers``, and the trials read nothing of the closed form.
 
 Each trial draws from its own SFC64 generator, seeded by the spawn of
 (seed, trial index) from one SeedSequence (``trial_rng``); spawned
@@ -95,7 +91,10 @@ each kept trial's terms enter the sums in trial order.  So the sums do not
 depend on the block size, and the run holds one block's buffers, whatever
 its trial count.  The moment tests run as array passes over the UTs; only
 the exponentials, erfc, the normal quantile and its tail series run per
-UT, through ``math`` and ``statistics``.
+UT, through ``math`` and ``statistics``.  The report keeps one array per
+field of its per-UT record, the closed-form SINR among them; its pass rate,
+gate and other summaries reduce those arrays, and it builds its
+``UserValidation`` records only when they are read.
 """
 
 from __future__ import annotations
@@ -112,8 +111,9 @@ import numpy as np
 from .closed_form import (LN2, ZF, DownlinkPowers, _check_powers, _precoder_factors,
                           _sinr_terms)
 from .errors import DegenerateInputError
-from .model import (EstimationStats, FadingProfile, SystemConfig, _estimation_variances,
-                    _group_others, _group_sums, _per_member, _pilot_arrays, require_valid)
+from .model import (EstimationStats, FadingProfile, SystemConfig, _ArrayRecord,
+                    _estimation_variances, _freeze, _group_others, _group_sums, _per_member,
+                    _pilot_arrays, require_valid)
 from .seeds import SpawnedSeed, SpawnHash
 
 log = logging.getLogger(__name__)
@@ -179,44 +179,69 @@ class UserValidation:
         return dict(vars(self), index=list(self.index))
 
 
-_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(UserValidation))
+# The report's per-UT columns, every field of UserValidation after kind and
+# index, and what its document gives before the records.
+_COLUMNS = tuple(f.name for f in dataclasses.fields(UserValidation))[2:]
+_SUMMARY = ("precoder", "n_trials", "n_discarded", "discarded_fraction", "pass_rate",
+            "pass_rate_by_kind", "worst_z", "n_weak_signal", "passed")
 
 
-def _records(*columns) -> tuple[UserValidation, ...]:
-    """One UserValidation per row of the columns, one column per field in
-    field order, with the values as given: a frozen record's fields are
-    written into its instance dictionary, as its __init__ would write them
-    one at a time."""
-    records = []
-    for values in zip(*columns):
-        record = object.__new__(UserValidation)
-        record.__dict__.update(zip(_RECORD_FIELDS, values))
-        records.append(record)
-    return tuple(records)
+def _share_passing(z: np.ndarray) -> float:
+    """The share of the z scores with |z| <= Z_PASS, 1.0 of none."""
+    return int(np.count_nonzero(np.abs(z) <= Z_PASS)) / z.size if z.size else 1.0
 
 
-def _pass_rate(records) -> float:
-    return sum(1 for r in records if abs(r.z) <= Z_PASS) / len(records) if records else 1.0
+@dataclass(frozen=True, eq=False)
+class ValidationReport(_ArrayRecord):
+    """Every UT's validation as one read-only float64 array per numeric
+    ``UserValidation`` field, in pilot order: ``n_unicast`` unicast UTs, then
+    groups of ``group_sizes``.  The pass rate, the gate and the other
+    summaries reduce the arrays; ``records`` builds the per-UT view when read."""
 
-
-@dataclass(frozen=True)
-class ValidationReport:
     precoder: str
     n_trials: int
     n_discarded: int
-    records: tuple[UserValidation, ...]
-    pass_rate: float
-    passed: bool
+    n_unicast: int
+    group_sizes: tuple[int, ...]
+    closed_form: np.ndarray
+    empirical: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    z: np.ndarray
+    wald: np.ndarray
+    p_value: np.ndarray
+    m1_over_se: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, _COLUMNS)
+
+    @property
+    def records(self) -> tuple[UserValidation, ...]:
+        """One UserValidation per UT, in pilot order."""
+        uts = [("unicast", (m,)) for m in range(self.n_unicast)]
+        uts += [("multicast", (j, k)) for j, size in enumerate(self.group_sizes)
+                for k in range(size)]
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        return tuple(UserValidation(*ut, *values) for ut, values in zip(uts, rows))
+
+    @property
+    def pass_rate(self) -> float:
+        return _share_passing(self.z)
+
+    @property
+    def passed(self) -> bool:
+        return self.pass_rate >= PASS_RATE
 
     @property
     def worst_z(self) -> float:
-        return max((r.z for r in self.records), default=0.0)
+        return float(self.z.max()) if self.z.size else 0.0
 
     @property
     def pass_rate_by_kind(self) -> dict[str, float]:
         """The pass rate of each kind of UT the report has."""
-        kinds = dict.fromkeys(r.kind for r in self.records)
-        return {k: _pass_rate([r for r in self.records if r.kind == k]) for k in kinds}
+        u = self.n_unicast
+        return {kind: _share_passing(z) for kind, z in (("unicast", self.z[:u]),
+                                                        ("multicast", self.z[u:])) if z.size}
 
     @property
     def discarded_fraction(self) -> float:
@@ -225,21 +250,12 @@ class ValidationReport:
     @property
     def n_weak_signal(self) -> int:
         """UTs with m1/SE below WEAK_SIGNAL."""
-        return sum(1 for r in self.records if r.m1_over_se < WEAK_SIGNAL)
+        return int(np.count_nonzero(self.m1_over_se < WEAK_SIGNAL))
 
     def to_dict(self) -> dict:
-        return {
-            "precoder": self.precoder,
-            "n_trials": self.n_trials,
-            "n_discarded": self.n_discarded,
-            "discarded_fraction": self.discarded_fraction,
-            "pass_rate": self.pass_rate,
-            "pass_rate_by_kind": self.pass_rate_by_kind,
-            "worst_z": self.worst_z,
-            "n_weak_signal": self.n_weak_signal,
-            "passed": self.passed,
-            "records": [r.to_dict() for r in self.records],
-        }
+        """The run, its summaries, and every record's ``to_dict``."""
+        return {**{name: getattr(self, name) for name in _SUMMARY},
+                "records": [r.to_dict() for r in self.records]}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -382,9 +398,8 @@ class _Kernel:
     and three coefficients per UT i of pilot j, from the pilot weights and
     its amplitude a_i = sqrt(gain/2): a_i^2 c_i^2 (1 + s_j) on ||T_j||^2 and
     a_i^2 2 (1 - c_i w_i) on ||R_x||_F^2 in r, and a_i c_i sqrt(1 + s_j) on
-    T[j, j] in d.  Under ZF, T = D, so ZF's desired terms and the ||T_j||^2
-    part of r are fixed for the run too.  The caller has run every check; a
-    trial runs none.
+    T[j, j] in d.  Under ZF, T = D fixes the rows of ||T_j||^2 and T[j, j]
+    too.  The caller has run every check; a trial runs none.
 
     A block's trials draw one at a time, each from its own generator, into
     their rows of the block's draw buffers; ``_complete`` then places each
@@ -414,10 +429,10 @@ class _Kernel:
         self.own_scale = np.sqrt(half_gains) * coherent
         self.coherent = half_gains * coherent ** 2
         self.incoherent = half_gains * (2.0 * (1.0 + _group_others(energy, pilots)) / per_ut)
-        if self.zf:   # T = D: d and the ||T_j||^2 part of r are fixed for the run
+        if self.zf:   # T = D: every trial's ||T_j||^2 = D_j^2 and T[j, j] = D_j
             self.power = self.diag ** 2
-            self.fixed_received = self.coherent * self.power[self.own]
-            self.fixed_desired = self.own_scale * self.diag[self.own]
+            self.coherent_rows = np.broadcast_to(self.power, (BLOCK_TRIALS, S))
+            self.own_channel = np.broadcast_to(self.diag, (BLOCK_TRIALS, S))
         else:   # each kept trial's ||T_j||^2 and T[j, j], one row per trial of a block
             self.coherent_rows = np.empty((BLOCK_TRIALS, S))
             self.own_channel = np.empty((BLOCK_TRIALS, S))
@@ -486,7 +501,7 @@ class _Kernel:
             except RankDeficientDraw:
                 continue
             kept += 1
-        received, desired = self._zf_terms(kept) if self.zf else self._mrt_terms(kept)
+        received, desired = self._terms(kept)
         return received, desired, len(R) - kept
 
     def _mrt_trial(self, row: int, R: np.ndarray) -> None:
@@ -499,9 +514,10 @@ class _Kernel:
         self.frobenius[row] = np.vdot(R_x, R_x).real
         self.own_channel[row] = T.real.diagonal()
 
-    def _mrt_terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Every UT's terms in the block's first n trials, from their rows
-        (gathered by ``take``, which keeps the rows C-contiguous)."""
+        (gathered by ``take``, which keeps the rows C-contiguous and gives
+        fresh arrays under ZF too)."""
         received = self.coherent_rows[:n].take(self.own, axis=1)
         received *= self.coherent
         received += self.incoherent * self.frobenius[:n]
@@ -515,12 +531,6 @@ class _Kernel:
         _require_rank(bound)
         # ||R_x||_F^2 = sum_s D_s^2 ||row s of R^-1||^2, all that varies.
         self.frobenius[row] = np.vdot(self.power, rows)
-
-    def _zf_terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every UT's terms in the block's first n trials, from their rows."""
-        received = self.incoherent * self.frobenius[:n]
-        received += self.fixed_received
-        return received, np.repeat(self.fixed_desired[None], n, axis=0)
 
 
 class _Sums:
@@ -688,19 +698,7 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
     wald, dof = _wald(n, dx, dy, vx, vy, cxy, sums.m1, sums.m2)
     p, z = _p_and_z(wald, dof)
 
-    kinds = ["unicast"] * cfg.n_unicast + ["multicast"] * (sums.m1.size - cfg.n_unicast)
-    indices = [(m,) for m in range(cfg.n_unicast)]
-    indices += [(j, k) for j, size in enumerate(cfg.group_sizes) for k in range(size)]
-    records = _records(kinds, indices, cf.tolist(), empirical.tolist(), low.tolist(),
-                       high.tolist(), z.tolist(), wald.tolist(), p.tolist(),
-                       m1_over_se.tolist())
-
-    rate = _pass_rate(records)
-    return ValidationReport(
-        precoder=precoder,
-        n_trials=n,
-        n_discarded=sums.discarded,
-        records=records,
-        pass_rate=rate,
-        passed=rate >= PASS_RATE,
-    )
+    return ValidationReport(precoder=precoder, n_trials=n, n_discarded=sums.discarded,
+                            n_unicast=cfg.n_unicast, group_sizes=cfg.group_sizes,
+                            closed_form=cf, empirical=empirical, ci_low=low, ci_high=high,
+                            z=z, wald=wald, p_value=p, m1_over_se=m1_over_se)

@@ -20,7 +20,10 @@ keeps the rule the solver had before, b - c*theta with theta from the
 energy cap, which must agree with it to rounding wherever the difference
 keeps its digits, and ``unicast_offsets_exact`` gives the offsets in
 rational arithmetic, which the solver must meet within 1e-14 at any pilot
-energy and budget.
+energy and budget.  Likewise ``mmf_objective_loop`` forms each max-min
+load as 1/upsilon_j + sum 1/g + (K_j - c)*P, as the solver does, and
+``mmf_objective_loop_subtracting`` keeps the solver's earlier B_j - c*P,
+which must agree with it to rounding at moderate budgets.
 ``zf_columns_eigensolve`` keeps the ZF core as it was before it bounded the
 Gram's condition number by the trace of its inverse: its columns must
 agree to rounding, and it must discard no draw the trace bound keeps.
@@ -120,6 +123,12 @@ The scalar moment-test section keeps the moment tests as
 ``validate_closed_form`` ran them before they became array passes: one UT
 at a time in Python floats (``moment_tests_scalar``).  The array passes
 must give every UT's W, p and z bit for bit.
+
+The validation-record section keeps the report as it was before it held
+one array per record field (``validation_records``): a frozen record per
+UT filled from the columns' lists, and every summary and the document a
+loop over those records.  The columnar report's records, summaries and
+document must equal its own, in value and type.
 """
 
 import dataclasses
@@ -556,12 +565,29 @@ def unicast_offsets_exact(cfg, fading, gain, c) -> list[Fraction]:
 
 def mmf_objective_loop(cfg, fading, p_unicast, gain, c):
     """``solve_mmf``'s objective for the precoder factors (gain, c), from the
-    loops above: the SE at gamma = gain*p_mu / sum_j (B_j - c*P)."""
+    loops above: the SE at gamma = gain*p_mu / sum_j (B_j - c*P), each load
+    formed as 1/upsilon_j + sum 1/g + (K_j - c)*P, which subtracts nothing."""
+    upsilon, _ = group_quality_floors(cfg, fading)
+    cfg, fading = tuple_layout(cfg, fading)
+    P = cfg.total_power
+    loads = [1.0 / u + sum(1.0 / g for g in gains) + (len(gains) - c) * P
+             for u, gains in zip(upsilon, fading.multicast_gains)]
+    return _mmf_objective(cfg, p_unicast, gain, loads)
+
+
+def mmf_objective_loop_subtracting(cfg, fading, p_unicast, gain, c):
+    """``mmf_objective_loop`` as the solver formed its loads before, B_j -
+    c*P, which loses the digits of 1/upsilon_j + sum 1/g for a group of one
+    under ZF once P dwarfs them."""
     upsilon, _ = group_quality_floors(cfg, fading)
     P = cfg.total_power
     loads = [b - c * P for b in interference_loads(cfg, fading, upsilon)]
+    return _mmf_objective(cfg, p_unicast, gain, loads)
+
+
+def _mmf_objective(cfg, p_unicast, gain, loads) -> float:
     prelog = 1.0 - cfg.n_streams / cfg.coherence_length
-    return prelog * math.log1p(gain * max(0.0, P - p_unicast) / sum(loads)) / LN2
+    return prelog * math.log1p(gain * max(0.0, cfg.total_power - p_unicast) / sum(loads)) / LN2
 
 
 def sse_objective_loop(cfg, fading, p_multicast, gain, c):
@@ -1352,8 +1378,8 @@ def run_trials_per_trial(cfg: SystemConfig, fading: FadingProfile,
             if precoder == ZF:
                 frobenius = float(np.vdot(kernel.power, zf_row_norms_lu(R)))
                 received = kernel.incoherent * frobenius
-                received += kernel.fixed_received
-                desired = kernel.fixed_desired
+                received += kernel.coherent * kernel.power[kernel.own]   # T = D
+                desired = kernel.own_scale * kernel.diag[kernel.own]
             else:
                 received, desired = mrt_terms_per_trial(kernel, R)
         except RankDeficientDraw:
@@ -1807,3 +1833,64 @@ def p_and_z_scalar(w: float, dof: int) -> tuple[float, float]:
         z = math.sqrt(2.0 * log_tail - 2.0 * math.log(z) - math.log(2.0 * math.pi)
                       + 2.0 * math.log1p(u * (3.0 * u - 1.0)))
     return math.exp(-0.5 * w), z
+
+
+# ------------------------------------------------ per-UT validation records
+
+
+# The fields of a validation record, its columns in a report after kind and index.
+RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(montecarlo.UserValidation))
+REPORT_COLUMNS = RECORD_FIELDS[2:]
+
+
+def _records(*columns) -> tuple:
+    """One UserValidation per row of the columns, one column per field in
+    field order, with the values as given: a frozen record's fields are
+    written into its instance dictionary, as its __init__ would write them
+    one at a time."""
+    records = []
+    for values in zip(*columns):
+        record = object.__new__(montecarlo.UserValidation)
+        record.__dict__.update(zip(RECORD_FIELDS, values))
+        records.append(record)
+    return tuple(records)
+
+
+def _pass_rate(records) -> float:
+    return sum(1 for r in records if abs(r.z) <= montecarlo.Z_PASS) / len(records) \
+        if records else 1.0
+
+
+def validation_records(report) -> SimpleNamespace:
+    """A ``ValidationReport``'s records, summaries and document as the
+    validator built them before the report kept columns: one record per UT
+    from the columns' lists, each UT's kind and index from the layout, every
+    summary a loop over the records, and the document a dict of them."""
+    u = report.n_unicast
+    indices = [(m,) for m in range(u)]
+    indices += [(j, k) for j, size in enumerate(report.group_sizes) for k in range(size)]
+    kinds = ["unicast"] * u + ["multicast"] * (len(indices) - u)
+    records = _records(kinds, indices,
+                       *(getattr(report, name).tolist() for name in REPORT_COLUMNS))
+    rate = _pass_rate(records)
+    out = SimpleNamespace(
+        records=records,
+        pass_rate=rate,
+        passed=rate >= montecarlo.PASS_RATE,
+        worst_z=max((r.z for r in records), default=0.0),
+        pass_rate_by_kind={k: _pass_rate([r for r in records if r.kind == k])
+                           for k in dict.fromkeys(kinds)},
+        n_weak_signal=sum(1 for r in records if r.m1_over_se < montecarlo.WEAK_SIGNAL))
+    out.document = {
+        "precoder": report.precoder,
+        "n_trials": report.n_trials,
+        "n_discarded": report.n_discarded,
+        "discarded_fraction": report.n_discarded / (report.n_trials + report.n_discarded),
+        "pass_rate": out.pass_rate,
+        "pass_rate_by_kind": out.pass_rate_by_kind,
+        "worst_z": out.worst_z,
+        "n_weak_signal": out.n_weak_signal,
+        "passed": out.passed,
+        "records": [r.to_dict() for r in records],
+    }
+    return out

@@ -496,10 +496,11 @@ class TestOneEstimationRule:
 
     The objectives are checked against their scores with the budget and
     every cap at one value X, as a noise floor falling by X scales them.
-    Two faults outside the estimation rule show elsewhere, and each has a
-    strict xfail below: water-filled levels that lose their sum once the
-    offsets dwarf the budget (sum SE with X below 1, or with caps far below
-    P), and ZF's max-min load of a group of one, which cancels."""
+    A fault outside the estimation rule shows elsewhere, with a strict
+    xfail below: water-filled levels that lose their sum once the offsets
+    dwarf the budget (sum SE with X below 1, or with caps far below P).
+    The max-min objective holds over the whole range under both precoders,
+    since ZF's loads stopped cancelling for a group of one."""
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     @settings(max_examples=150, deadline=None)
@@ -530,18 +531,16 @@ class TestOneEstimationRule:
             cfg.sse_weights)
         assert abs(scored - sol.objective) <= 1e-12 * sol.objective, (scored, sol.objective)
 
-    @pytest.mark.parametrize("precoder", [
-        MRT, pytest.param(ZF, marks=pytest.mark.xfail(
-            strict=True, raises=(AssertionError, DegenerateInputError),
-            reason="ZF's load B_j - P of a group of one cancels once P dwarfs "
-                   "1/upsilon_j + 1/g"))])
+    @pytest.mark.parametrize("precoder", PRECODERS)
     @settings(max_examples=150, deadline=None)
     @given(log_x=st.floats(-6.0, 30.0),
            log_gains=st.lists(st.floats(-2.0, 0.5), min_size=5, max_size=5))
     @example(log_x=6.0, log_gains=[0.0, 0.0, -1.0, 0.0, 0.0])
+    @example(log_x=17.0, log_gains=[0.0] * 5)
     def test_mmf_objective_matches_its_score(self, precoder, log_x, log_gains):
-        # At X = 1e6 group 0's B_0 = 1e6 + 20.0001 keeps 5 fewer digits
-        # after B_0 - P; at 1e17 it rounds to P and the solve raises.
+        # Under ZF, group 0 (one member) has the load 1/upsilon_0 + 1/g,
+        # which B_0 - P loses: 5 digits at X = 1e6 with g = 0.1 (a load of
+        # 20.0001), and all of them at X = 1e17 with unit gains.
         x, gains = 10.0 ** log_x, [10.0 ** g for g in log_gains]
         cfg, fading = extreme_cell(x, [x] * 5, gains[:2], gains[2:])
         sol = solve_mmf(cfg, fading, x / 2.0, precoder)
@@ -583,6 +582,23 @@ class TestOneEstimationRule:
                           sol, p_mu)
             for stats in scored[-2:]:
                 assert sol.effective_vars.tolist() == stats.unicast_var.tolist(), seed
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           log_power=st.floats(-3.0, 3.0), precoder=st.sampled_from(PRECODERS))
+    def test_mmf_loads_agree_with_the_subtracting_rule_at_moderate_budgets(self, seed,
+                                                                         log_power, precoder):
+        # The loads the solver formed before, B_j - c*P, are a differential
+        # oracle wherever the difference keeps its digits: there it loses
+        # about eps*P of 1/upsilon_j + sum 1/g + (K_j - c)*P.
+        cfg, fading = random_desk_instance(np.random.default_rng(seed))
+        cfg = dataclasses.replace(cfg, total_power=10.0 ** log_power)
+        gain, c = _precoder_factors(cfg, precoder)
+        p_unicast = cfg.total_power / 2.0 if cfg.n_unicast else 0.0
+        objective = solve_mmf(cfg, fading, p_unicast, precoder).objective
+        assert objective == oracles.mmf_objective_loop(cfg, fading, p_unicast, gain, c)
+        old = oracles.mmf_objective_loop_subtracting(cfg, fading, p_unicast, gain, c)
+        assert abs(old - objective) <= 1e-12 * objective, (old, objective)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),

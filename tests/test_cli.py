@@ -217,9 +217,11 @@ class TestValidate:
         import mimocast.cli as cli_mod
         from mimocast.montecarlo import ValidationReport
 
-        def fake_validate(*a, **k):
-            return ValidationReport(precoder="mrt", n_trials=100, n_discarded=0,
-                                    records=(), pass_rate=0.5, passed=False)
+        def fake_validate(*a, **k):   # one UT of two passes
+            columns = dict.fromkeys(("closed_form", "empirical", "ci_low", "ci_high", "wald",
+                                     "p_value", "m1_over_se"), (0.0, 0.0))
+            return ValidationReport(precoder="mrt", n_trials=100, n_discarded=0, n_unicast=2,
+                                    group_sizes=(), z=(0.0, 4.0), **columns)
 
         monkeypatch.setattr(cli_mod.montecarlo, "validate_closed_form", fake_validate)
         # The message states the gate the library applies.
@@ -522,23 +524,30 @@ def test_validate_bytes_do_not_depend_on_usable_cpus(scenario_path, tmp_path, pr
 # variances from the model's rule instead of subtracting theta from beta:
 # only ZF sum-SE values moved, by at most 1.6e-14 (fig3 sse), 2.0e-14 (fig4
 # sse) and 1.6e-14 (pareto sse) relative, the size of the error the
-# subtraction left at the paper cell's normalized powers (~1e14).
+# subtraction left at the paper cell's normalized powers (~1e14).  The
+# fig2, fig4 and ZF pareto digests were recorded again when the max-min
+# solver formed ZF's loads as 1/upsilon_j + sum 1/g + (K_j - c)*P instead
+# of B_j - c*P: only ZF max-min values moved, by at most 4.1e-16 (fig2
+# mmf_se, 35 values), 4.1e-16 (fig4 mmf_se, 15) and 2.2e-16 (pareto mmf_se,
+# 2) relative.
 PINNED_FIGURES = {
-    "fig2": "7999e09fd2eeb8204a449e132847bd47eabab8e9d0394b851968e3e8b1e6453c",
+    "fig2": "1170208d32956c26bc0f6968c3f3f676db47198f33f97a3661a35bf691b3eebb",
     "fig3": "61235751c30e13d61577b14afb461701b7cafe74034afec31212cf13b038e881",
-    "fig4": "0b7f558b41b331528cd6cefcc12a20ca57912d4cb601320e697b8e952d19283f",
+    "fig4": "a5fd5419d09e3fb804934dde7dd76372ca66117ca3c11397edf5c053484a10d5",
 }
 # The same at the full default grids (--drops 10 --seed 5), recorded while
 # each cell's drops were still placed and solved one at a time; fig3 again
-# with the fig3 digest above (ZF sse moved by at most 4.8e-15 relative).
+# with the fig3 digest above (ZF sse moved by at most 4.8e-15 relative), and
+# fig2 again with the fig2 digest above (ZF mmf_se moved by at most 6.2e-16
+# relative, 57 values).
 PINNED_DEFAULT_GRIDS = {
-    "fig2": "30e4ce5469c177f2df72ed4a2bb0f2a4e6b4167fa530f36d9d1989d8340ebd0c",
+    "fig2": "3f16c4636299af70e186f9752ef2a973897093e40eaf50353a49bb325dfc9215",
     "fig3": "a4e0571873da02967a3b8afdf99d543c1bb6e0ca33e1c34241814cf806d2ca78",
 }
 PINNED_SCENARIO = "58d77eac63a40576427df949b7e4c7c0bc7d5b1603c5b22e622a2dcfa74f2fe6"
 PINNED_PARETO = {
     "mrt": "6ada47b4407b5bd58c2f35d6b7be9cffa757bef6e571795c764793c3fb58e8e5",
-    "zf": "11d0fd52f22cd5d06023c90f9fc5f9b94c35b72b1744fb662f72d7c30e67efd8",
+    "zf": "c7e70446f8fad1ff5ddf2cf892cc06638b5f6b57cf0a18c4ce5f3cc31a470299",
 }
 
 
@@ -578,10 +587,13 @@ PINNED_PARETO = {
 # each moved file's other fields, unchanged.  The sse ZF digest was recorded
 # again when the sum-SE solver read the model's error variance instead of
 # subtracting: its solution objective moved by 1.7e-16 relative (one ulp),
-# and nothing else.
+# and nothing else.  The mmf ZF digest was recorded again when the max-min
+# solver formed ZF's loads without subtracting c*P from B_j: gamma moved by
+# 1.3e-16, downlink_powers by 1.4e-16, and se_report multicast_sinr and
+# multicast_se by 2.7e-16 and 2.4e-16 relative; nothing else.
 PINNED_SOLVER_OUTPUTS = {
     ("mmf", "mrt"): "a8f2665bee651db4aafd579687169d990c5c998be7f382bfb55180ffe61e27cc",
-    ("mmf", "zf"): "289b13782eaaf26b0d5c9be1e96257a1b822a1b0002da070044310339f8dd0d5",
+    ("mmf", "zf"): "f5955afd8d3002e1ccb27af0b7fe8472ac1ac4be206c1de4257fa849239f636e",
     ("sse", "mrt"): "6f8e2fb750945821becfdc20acc49649852d9de89e6d83d0489a4f466b8e607b",
     ("sse", "zf"): "f0dfaeca9be9b93e203f9c5d13c83ebcebf082668b6da3f87557690b8cc56c9e",
     ("validate", "mrt"): "92ba21722a1fe09ebdf3bce69ad7ecaca25fa3ba9ace86c3ded81bc8aea7e33d",

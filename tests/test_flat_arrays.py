@@ -349,8 +349,7 @@ def assert_pieces_match_loops(cfg, fading, rng):
     upsilon_o, x_caps_o = oracles.group_quality_floors(cfg, fading)
     assert upsilon.tolist() == list(upsilon_o)
     assert x_caps.tolist() == flat(x_caps_o)
-    assert allocation._interference_loads(cfg, fading, upsilon).tolist() == \
-        list(oracles.interference_loads(cfg, fading, upsilon_o))
+    assert problem.b_values.tolist() == list(oracles.interference_loads(cfg, fading, upsilon_o))
     if cfg.n_unicast:
         problem = allocation._sse_problem(cfg, fading, "mrt")
         for gain, c in ((cfg.n_antennas, 0.0), (max(1, cfg.n_antennas - cfg.n_streams), 1.0)):

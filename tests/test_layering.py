@@ -261,10 +261,10 @@ def trial_walk(source: str) -> tuple[list[str], set[str]]:
 
 
 # Every step of a trial: the block's draws and their completion, ZF's row
-# norms, rank rule and terms, and MRT's factor and terms.
+# norms and rank rule, MRT's factor, and both precoders' terms.
 TRIAL_STEPS = {"__call__", "_draw", "_factor", "_cn", "_complete", "_zf_row_norms",
-               "_diagonal_blocks", "_require_rank", "_zf_trial", "_zf_terms", "_mrt_trial",
-               "_mrt_terms", "_mrt_factor"}
+               "_diagonal_blocks", "_require_rank", "_zf_trial", "_mrt_trial", "_mrt_factor",
+               "_terms"}
 
 
 def test_trials_run_no_check():

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import gc
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -765,10 +768,87 @@ class TestValidateClosedForm:
         assert doc["pass_rate_by_kind"] == {
             kind: sum(1 for z in v if z <= 3.0) / len(v) for kind, v in zs.items()}
         assert doc["n_weak_signal"] == sum(1 for r in report.records if r.m1_over_se < 2.0) >= 1
-        # A report without records, as a run with no UTs would give.
-        empty = dataclasses.replace(report, records=(), pass_rate=1.0, passed=True).to_dict()
-        assert (empty["worst_z"], empty["pass_rate_by_kind"], empty["n_weak_signal"]) == \
-            (0.0, {}, 0)
+        # A report of empty columns, as a run with no UTs would give.
+        empty = dataclasses.replace(report, n_unicast=0, group_sizes=(),
+                                    **dict.fromkeys(oracles.REPORT_COLUMNS, ()))
+        summaries = (empty.pass_rate, empty.passed, empty.worst_z, empty.pass_rate_by_kind,
+                     empty.n_weak_signal)
+        assert summaries == (1.0, True, 0.0, {}, 0)
+        assert [type(v) for v in summaries] == [float, bool, float, dict, int]
+        assert empty.records == () and empty.to_dict()["records"] == []
+
+
+class TestColumnarReport:
+    """The report keeps one array per numeric record field and builds its
+    records only when read; its records, summaries and document equal those
+    of the record path it replaced (``oracles.validation_records``) field
+    for field, in value and type."""
+
+    @staticmethod
+    def report(seed, n_unicast, group_sizes, precoder, off=False):
+        """A 100-trial report on a 32-antenna cell, with the closed form 5%
+        high for every UT when ``off``."""
+        cfg, fading = small_system(n_antennas=32, n_unicast=n_unicast,
+                                   group_sizes=tuple(group_sizes), seed=seed)
+        powers = DownlinkPowers(unicast=[1.0] * n_unicast, multicast=[2.0] * len(group_sizes))
+        sinr_terms = closed_form._sinr_terms
+
+        def five_percent_high(*args):
+            signal, interference = sinr_terms(*args)
+            return 1.05 * signal, interference
+
+        with (mock.patch.object(montecarlo, "_sinr_terms", five_percent_high) if off
+              else contextlib.nullcontext()):
+            return validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, precoder, 100,
+                                        seed % 1000)
+
+    @staticmethod
+    def assert_equals_the_record_path(report):
+        want = oracles.validation_records(report)
+        assert repr(report.records) == repr(want.records)
+        summaries = ("pass_rate", "passed", "worst_z", "pass_rate_by_kind", "n_weak_signal")
+        assert repr([getattr(report, name) for name in summaries]) == \
+            repr([getattr(want, name) for name in summaries])
+        assert json.dumps(report.to_dict()) == json.dumps(want.document)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_unicast=st.integers(0, 3),
+           group_sizes=st.lists(st.integers(1, 3), max_size=2),
+           precoder=st.sampled_from(PRECODERS), off=st.booleans())
+    @example(seed=12, n_unicast=0, group_sizes=[3, 1], precoder=MRT, off=False)
+    @example(seed=12, n_unicast=3, group_sizes=[], precoder=ZF, off=False)
+    def test_report_equals_the_record_path(self, seed, n_unicast, group_sizes, precoder, off):
+        if n_unicast + len(group_sizes) == 0:
+            return
+        report = self.report(seed, n_unicast, group_sizes, precoder, off)
+        if precoder == ZF and off:   # ZF's exact desired terms off their moments
+            assert (report.z > montecarlo.Z_PASS).all()
+        elif precoder == ZF:   # ...and on them: m1/SE at its cap
+            assert np.allclose(report.m1_over_se, 1.0 / montecarlo.EXACT_RTOL, rtol=1e-12)
+        self.assert_equals_the_record_path(report)
+
+    def test_certain_misses_equal_the_record_path(self):
+        # Every UT's desired term is exact and off its moment, and its
+        # sample spread rounds to nothing here: W = z = inf.
+        report = self.report(12, 2, [2], ZF, off=True)
+        assert report.z.tolist() == report.wald.tolist() == [math.inf] * 4
+        self.assert_equals_the_record_path(report)
+
+    def test_no_record_exists_until_read(self):
+        def records_alive():
+            gc.collect()
+            return sum(isinstance(o, montecarlo.UserValidation) for o in gc.get_objects())
+
+        cfg, fading = small_system(n_unicast=2, group_sizes=(2, 2))
+        before = records_alive()
+        report = validate_closed_form(cfg, fading, *cap_pilots(cfg),
+                                      DownlinkPowers(unicast=(1.0, 1.0), multicast=(2.0, 2.0)),
+                                      MRT, 100, 3)
+        for name in ("pass_rate", "passed", "worst_z", "pass_rate_by_kind", "n_weak_signal"):
+            getattr(report, name)   # the summaries read the columns alone
+        assert records_alive() == before
+        records = report.records
+        assert records_alive() == before + len(records) == before + 6
 
 
 def one_wald(n, *terms):
