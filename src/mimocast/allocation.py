@@ -23,10 +23,18 @@ the estimate variances, which every solution of one problem shares.  They
 do so only for the very pair the problem was built from, which was
 validated then.  The sum-SE problem's estimate and error variances are
 the model's (``model._mmse_variances``), the very values its scores read.
+It also keeps the water-filling pieces no split changes, worked out on
+first use: the order of the users by c/o with their sorted c and o, prefix
+sums and ratios (``_FillOrder``), and ``waterfill_budget``'s breakpoints
+(``_Breakpoints``), so a solve at a split only divides and tests and its
+inverse bisects the breakpoints, with the bits ``waterfill`` and
+``waterfill_budget`` give.  Every objective takes its SEs through the one
+log1p rule of ``closed_form``, so it equals the report that scores it.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -36,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_shares,
-                          _interference_gain, _log1p, _precoder_factors, _se_report,
+                          _interference_gain, _precoder_factors, _se_report,
                           se_from_sinr)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
@@ -118,27 +126,46 @@ def _waterfill_users(weights: Sequence[float],
     return w, o
 
 
+class _FillOrder:
+    """Water-filling over fixed users, whatever the budget: weights (U,)
+    shared by every row of offsets (..., U), each row one problem.  What no
+    budget changes is worked out once: each row's users in order of
+    c/o = w/(o*ln2) descending (ties keep their input order), their c and o
+    in that order, the prefix sums of both and the ratios c/o.  ``levels``
+    then only divides and tests."""
+
+    def __init__(self, weights: np.ndarray, offsets: np.ndarray):
+        self.shape, n = offsets.shape, weights.size
+        o = offsets.reshape(-1, n)
+        self.rows, self.ranks = np.arange(len(o))[:, None], np.arange(n)
+        c = weights / LN2
+        self.order = np.argsort(-(c / o), axis=1, kind="stable")
+        self.c, self.o = c[self.order], o[self.rows, self.order]
+        self.c_sums, self.o_sums = np.cumsum(self.c, axis=1), np.cumsum(self.o, axis=1)
+        self.ratios = self.c / self.o
+
+    def levels(self, budget: float) -> tuple[np.ndarray, np.ndarray]:
+        """The levels at one budget for every row, shaped like the offsets,
+        and one water level per row."""
+        if budget == 0.0:
+            return np.zeros(self.shape), np.full(self.shape[:-1], math.inf)
+        cand = self.c_sums / (budget + self.o_sums)
+        # The largest consistent active set ends at the last consistent candidate.
+        last = np.where(cand < self.ratios, self.ranks, -1).max(axis=1)
+        nu = np.where(last >= 0, cand[self.rows[:, 0], np.maximum(last, 0)], math.nan)
+        levels = np.zeros(self.o.shape)
+        levels[self.rows, self.order] = np.where(self.ranks <= last[:, None],
+                                                 np.maximum(0.0, self.c / nu[:, None] - self.o),
+                                                 0.0)
+        return levels.reshape(self.shape), nu.reshape(self.shape[:-1])
+
+
 def _waterfill(weights: np.ndarray, offsets: np.ndarray,
                budget: float) -> tuple[np.ndarray, np.ndarray]:
     """``waterfill`` on checked arrays: weights (U,) shared by every row of
     offsets (..., U), each row one problem with the same budget.  Returns
     the levels, shaped like the offsets, and one water level per row."""
-    if budget == 0.0:
-        return np.zeros(offsets.shape), np.full(offsets.shape[:-1], math.inf)
-    n = weights.size
-    o = offsets.reshape(-1, n)
-    rows = np.arange(len(o))[:, None]
-    c = weights / LN2
-    order = np.argsort(-(c / o), axis=1, kind="stable")   # ties keep their input order
-    c_s, o_s = c[order], o[rows, order]
-    cand = np.cumsum(c_s, axis=1) / (budget + np.cumsum(o_s, axis=1))
-    # The largest consistent active set ends at the last consistent candidate.
-    last = np.where(cand < c_s / o_s, np.arange(n), -1).max(axis=1)
-    nu = np.where(last >= 0, cand[rows[:, 0], np.maximum(last, 0)], math.nan)
-    levels = np.zeros(o.shape)
-    levels[rows, order] = np.where(np.arange(n) <= last[:, None],
-                                   np.maximum(0.0, c_s / nu[:, None] - o_s), 0.0)
-    return levels.reshape(offsets.shape), nu.reshape(offsets.shape[:-1])
+    return _FillOrder(weights, offsets).levels(budget)
 
 
 def waterfill(weights: Sequence[float], offsets: Sequence[float],
@@ -172,22 +199,39 @@ def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
     budget is b_k + A_k/r_k*expm1((f - f_k)/A_k).  Every increment is
     non-negative, and expm1 keeps budgets near zero accurate.
     """
-    weights, offsets = (a.tolist() for a in _waterfill_users(weights, offsets))
-    if not 0.0 <= objective < math.inf:
-        raise ValueError(f"objective must be non-negative and finite, got {objective}")
-    users = sorted(zip(weights, offsets), key=lambda wo: wo[0] / wo[1], reverse=True)
-    ratios = [w / o for w, o in users]
-    budget = level_sum = wsum = 0.0   # b_k, f_k and A_k of the current segment
-    for k, (w, _) in enumerate(users):
-        wsum += w
-        if k + 1 == len(users):
-            break
-        next_level_sum = level_sum + wsum * math.log(ratios[k] / ratios[k + 1])
-        if next_level_sum > objective:
-            break
-        budget += wsum * (1.0 / ratios[k + 1] - 1.0 / ratios[k])
-        level_sum = next_level_sum
-    return budget + wsum / ratios[k] * math.expm1((objective - level_sum) / wsum)
+    return _Breakpoints(*_waterfill_users(weights, offsets)).budget(objective)
+
+
+class _Breakpoints:
+    """``waterfill_budget``'s segments over fixed, checked users, whatever
+    the objective: the ratios r_k in the order a growing budget activates
+    them, and each segment's b_k, f_k and A_k, added up one user at a time.
+    ``budget`` then only bisects the f_k and takes one expm1."""
+
+    def __init__(self, weights: np.ndarray, offsets: np.ndarray):
+        users = sorted(zip(weights.tolist(), offsets.tolist()), key=lambda wo: wo[0] / wo[1],
+                       reverse=True)
+        self.ratios = ratios = [w / o for w, o in users]
+        self.budgets, self.level_sums, self.wsums = [], [], []   # b_k, f_k and A_k
+        budget = level_sum = wsum = 0.0
+        for k, (w, _) in enumerate(users):
+            wsum += w
+            self.budgets.append(budget)
+            self.level_sums.append(level_sum)
+            self.wsums.append(wsum)
+            if k + 1 < len(users):
+                budget += wsum * (1.0 / ratios[k + 1] - 1.0 / ratios[k])
+                level_sum += wsum * math.log(ratios[k] / ratios[k + 1])
+
+    def budget(self, objective: float) -> float:
+        """The budget at which water-filling attains ``objective``: in the
+        last segment whose f_k does not exceed it (the f_k never fall)."""
+        if not 0.0 <= objective < math.inf:
+            raise ValueError(f"objective must be non-negative and finite, got {objective}")
+        k = bisect.bisect_right(self.level_sums, objective) - 1   # f_0 = 0 <= objective
+        wsum = self.wsums[k]
+        return (self.budgets[k]
+                + wsum / self.ratios[k] * math.expm1((objective - self.level_sums[k]) / wsum))
 
 
 def _check_split(total: float, fixed: float, name: str) -> float:
@@ -237,9 +281,9 @@ def _unicast_offsets(cfg: SystemConfig, gains: np.ndarray, theta: np.ndarray,
 def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
             offsets: np.ndarray) -> np.ndarray:
     """Weighted sum SE of water-filled levels along the last axis:
-    prelog * sum a*log2(1 + p/o), with math.log1p per user and the terms
-    added left to right."""
-    return prelog * _row_sums(weights * _log1p(levels / offsets) / LN2)
+    prelog * sum a*log2(1 + p/o), with the SEs' one log1p rule
+    (``closed_form.se_from_sinr``) and the terms added left to right."""
+    return prelog * _row_sums(weights * np.log1p(levels / offsets) / LN2)
 
 
 def _built_by(problem: _Problem, solution):
@@ -341,7 +385,7 @@ class _MmfProblem(_Problem):
 
     def objectives(self, p_unicast_fixed: float) -> np.ndarray:
         """``solve_mmf``'s objective, one per drop."""
-        return _solver_prelog(self.cfg) * _log1p(self._gamma(p_unicast_fixed)[1]) / LN2
+        return _solver_prelog(self.cfg) * np.log1p(self._gamma(p_unicast_fixed)[1]) / LN2
 
     @functools.cached_property
     def _shared(self) -> tuple[_Shared, _Shared, _Shared, _Shared]:
@@ -404,10 +448,20 @@ class _SseProblem(_Problem):
         object.__setattr__(self, "offsets", _unicast_offsets(
             self.cfg, self.fading.unicast_gains, self.theta, self.error, gain, self.c))
 
+    @functools.cached_property
+    def _fill_order(self) -> _FillOrder:
+        """The water-filling pieces no split changes, one row per drop."""
+        return _FillOrder(self.cfg.sse_weights, self.offsets)
+
+    @functools.cached_property
+    def _breakpoints(self) -> _Breakpoints:
+        """The one drop's ``waterfill_budget`` segments, checked as it checks them."""
+        return _Breakpoints(*_waterfill_users(self.cfg.sse_weights, self.offsets))
+
     def _fill(self, p_multicast_fixed: float):
         """Water-filled levels, water levels and objectives, one per drop."""
         budget = _check_split(self.cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
-        levels, nu = _waterfill(self.cfg.sse_weights, self.offsets, budget)
+        levels, nu = self._fill_order.levels(budget)
         return levels, nu, _sum_se(_solver_prelog(self.cfg), self.cfg.sse_weights, levels,
                                    self.offsets)
 
@@ -437,9 +491,9 @@ class _SseProblem(_Problem):
 
     def power_for(self, objective: float) -> float:
         """The unicast power at which the one drop's objective is
-        ``objective``: ``waterfill_budget`` over the solver's offsets."""
-        return waterfill_budget(self.cfg.sse_weights, self.offsets,
-                                objective * LN2 / _solver_prelog(self.cfg))
+        ``objective``: ``waterfill_budget`` over the solver's offsets, from
+        the breakpoints worked out on the first call."""
+        return self._breakpoints.budget(objective * LN2 / _solver_prelog(self.cfg))
 
 
 def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precoder: str,

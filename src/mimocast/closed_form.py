@@ -6,7 +6,14 @@ precoder only sets its two factors (see ``_precoder_factors``).  The
 expressions are exact functions of the large-scale fading gains, the
 channel-estimate variances, and the downlink power lists.  The total
 transmitted power appearing in the interference terms is always recomputed
-from the power lists, never passed separately.
+from the power lists, never passed separately, and read once per report.
+
+Every SE, scalar or array, is prelog * log1p(SINR) / ln 2 through one
+rule, numpy's ``log1p`` ufunc (``se_from_sinr`` and ``_se_report``, and the
+allocation problems' objectives): it gives a 0-d, a strided and a
+contiguous argument the same bits, so an objective and the report that
+scores it agree bit for bit.  It may differ from ``math.log1p`` in the last
+bit.
 """
 
 from __future__ import annotations
@@ -97,16 +104,19 @@ class SeReport(_ArrayRecord):
         return float(sum(a * se for a, se in zip(weights, self.unicast_se, strict=True)))
 
 
-def _check_powers(cfg: SystemConfig, powers: DownlinkPowers):
+def _check_powers(cfg: SystemConfig, powers: DownlinkPowers) -> float:
+    """Check the power lists against the config and return their total."""
     if len(powers.unicast) != cfg.n_unicast or len(powers.multicast) != cfg.n_groups:
         raise ValueError(f"power lists must have {cfg.n_unicast} unicast and "
                          f"{cfg.n_groups} multicast entries")
     # Written so that NaN, which fails every comparison, fails both checks.
     if not ((powers.unicast >= 0).all() and (powers.multicast >= 0).all()):
         raise ValueError("downlink powers must be non-negative")
-    if not powers.total <= cfg.total_power * (1.0 + BUDGET_RTOL):
-        raise ValueError(f"downlink powers sum to {powers.total}, exceeding the "
+    total = powers.total
+    if not total <= cfg.total_power * (1.0 + BUDGET_RTOL):
+        raise ValueError(f"downlink powers sum to {total}, exceeding the "
                          f"budget {cfg.total_power}")
+    return total
 
 
 def require_zf_feasible(cfg: SystemConfig):
@@ -151,14 +161,9 @@ def _interference_gain(c: float, gains: np.ndarray, var: np.ndarray,
 
 
 def se_from_sinr(prelog: float, sinr: float) -> float:
-    """SE in bits/s/Hz; log1p keeps accuracy for SINR much below one."""
-    return prelog * math.log1p(sinr) / LN2
-
-
-def _log1p(x: np.ndarray) -> np.ndarray:
-    """log1p of every entry through math.log1p, so array results round as
-    the scalar ``se_from_sinr`` does."""
-    return np.fromiter(map(math.log1p, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    """SE in bits/s/Hz; log1p keeps accuracy for SINR much below one.  The
+    same ufunc as every array SE, so a scalar rounds as an array entry does."""
+    return float(prelog * np.log1p(sinr) / LN2)
 
 
 def se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
@@ -182,14 +187,14 @@ def _sinr_terms(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile
     receives over all streams has mean m2 = (beta - c*var)*P_total +
     gain*p*var, so SINR = m1^2 / (1 + m2 - m1^2).
     """
-    _check_powers(cfg, powers)
+    total = _check_powers(cfg, powers)
     if (stats.unicast_var.shape != fading.unicast_gains.shape
             or tuple(map(len, stats.multicast_var)) != cfg.group_sizes):
         raise ValueError("estimation stats must be shaped like the config")
     var = stats.ut_var
     p = _per_member(np.concatenate([powers.unicast, powers.multicast]), cfg.pilot_offsets)
     leaked = _interference_gain(c, fading.ut_gains, var, stats.ut_error)
-    return gain * p * var, leaked * powers.total
+    return gain * p * var, leaked * total
 
 
 def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
@@ -199,7 +204,7 @@ def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
     signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
     sinr = _read_only(signal / (1.0 + interference))
     prelog, u, offsets = cfg.prelog, cfg.n_unicast, cfg.group_offsets
-    se = _read_only(prelog * _log1p(sinr) / LN2)
+    se = _read_only(prelog * np.log1p(sinr) / LN2)
     return SeReport(prelog=prelog,
                     unicast_se=_Shared(se[:u]), multicast_se=_Shared(se[u:], offsets),
                     unicast_sinr=_Shared(sinr[:u]), multicast_sinr=_Shared(sinr[u:], offsets))

@@ -68,10 +68,13 @@ number of trials.  Each UT's record tests both moments at once: W is the
 Wald statistic of the mean offsets (mean x, mean y) against their sample
 covariance, p = exp(-W/2) its chi-square p-value with two degrees of
 freedom, and z the two-sided normal quantile of p, so that |z| <= 3 keeps
-the tail probability it has for one normal score.  A term whose sample
-spread is within EXACT_RTOL of its moment is exact: it passes when its mean
-is that close to the moment, leaving the other term to test alone, and is a
-certain miss otherwise.  The empirical SINR is the plug-in
+the tail probability it has for one normal score.  The sums also keep each
+UT's least and greatest x and y.  A term whose range over the kept trials
+(greatest less least) is within EXACT_RTOL of its moment is exact: it passes
+when its mean is that close to the moment, leaving the other term to test
+alone, and is a certain miss otherwise.  The range, unlike the sample
+spread, holds no rounding of the mean offset, so a certain miss does not
+depend on how the sums round.  The empirical SINR is the plug-in
 (mean d)^2 / (1 - (mean d)^2 + mean r); its interval maps each moment's 95%
 interval through the SINR formula.  The powers pass
 ``closed_form._check_powers``, and the trials read nothing of the closed form.
@@ -128,10 +131,11 @@ PASS_RATE = 0.99
 # term than this from zero has an SINR the trials barely resolve: the lower
 # end of a 95% interval on its mean desired term reaches zero.
 WEAK_SIGNAL = 2.0
-# A term whose sample standard deviation is at most this fraction of its
-# moment is exact, as ZF's desired term is: its spread over the trials is
-# rounding (1.5e-16 of m1 on the paper cell), which a t score would read as
-# a signal.
+# A term whose range over the kept trials is at most this fraction of its
+# moment is exact, as ZF's desired term is: it takes one value in every
+# trial, and any spread a t score read there would be rounding.  The range
+# is read, not the sample spread: a spread formed around the closed-form
+# moment keeps about 1e-10 of a large mean offset as spurious spread.
 EXACT_RTOL = 1e-12
 # A ZF draw whose equilibrated Gram may have a condition number beyond this
 # is treated as rank-deficient (a probability-zero event) and the trial
@@ -176,7 +180,8 @@ class UserValidation:
     m1_over_se: float
 
     def to_dict(self) -> dict:
-        return dict(vars(self), index=list(self.index))
+        values = [getattr(self, name) for name in _COLUMNS]
+        return _record_dicts([((self.kind, self.index), values)])[0]
 
 
 # The report's per-UT columns, every field of UserValidation after kind and
@@ -184,6 +189,14 @@ class UserValidation:
 _COLUMNS = tuple(f.name for f in dataclasses.fields(UserValidation))[2:]
 _SUMMARY = ("precoder", "n_trials", "n_discarded", "discarded_fraction", "pass_rate",
             "pass_rate_by_kind", "worst_z", "n_weak_signal", "passed")
+_FIELDS = ("kind", "index", *_COLUMNS)
+
+
+def _record_dicts(rows) -> list[dict]:
+    """Each UT's record as its document writes it, from rows of ((kind,
+    index), column values): kind, index (as a list) and the values, in
+    field order."""
+    return [dict(zip(_FIELDS, (kind, list(index), *values))) for (kind, index), values in rows]
 
 
 def _share_passing(z: np.ndarray) -> float:
@@ -215,14 +228,17 @@ class ValidationReport(_ArrayRecord):
     def __post_init__(self):
         _freeze(self, _COLUMNS)
 
-    @property
-    def records(self) -> tuple[UserValidation, ...]:
-        """One UserValidation per UT, in pilot order."""
+    def _rows(self):
+        """Each UT's kind, index and column values, in pilot order."""
         uts = [("unicast", (m,)) for m in range(self.n_unicast)]
         uts += [("multicast", (j, k)) for j, size in enumerate(self.group_sizes)
                 for k in range(size)]
-        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
-        return tuple(UserValidation(*ut, *values) for ut, values in zip(uts, rows))
+        return zip(uts, zip(*(getattr(self, name).tolist() for name in _COLUMNS)))
+
+    @property
+    def records(self) -> tuple[UserValidation, ...]:
+        """One UserValidation per UT, in pilot order."""
+        return tuple(UserValidation(*ut, *values) for ut, values in self._rows())
 
     @property
     def pass_rate(self) -> float:
@@ -253,9 +269,10 @@ class ValidationReport(_ArrayRecord):
         return int(np.count_nonzero(self.m1_over_se < WEAK_SIGNAL))
 
     def to_dict(self) -> dict:
-        """The run, its summaries, and every record's ``to_dict``."""
+        """The run, its summaries, and every record's ``to_dict``, written
+        from the columns without building the records."""
         return {**{name: getattr(self, name) for name in _SUMMARY},
-                "records": [r.to_dict() for r in self.records]}
+                "records": _record_dicts(self._rows())}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -536,11 +553,14 @@ class _Kernel:
 class _Sums:
     """Per-UT sums over the kept trials, which enter in trial order, of
     x = d - m1, x^2, y = r - m2, y^2 and x*y; shifting by the closed-form
-    moments keeps the sums of squares free of cancellation."""
+    moments keeps the sums of squares free of cancellation.  Also each UT's
+    least and greatest x and y, whose difference is the term's range."""
 
     def __init__(self, m1: np.ndarray, m2: np.ndarray):
         self.m1, self.m2 = m1, m2
         self.x, self.xx, self.y, self.yy, self.xy = (np.zeros(m1.size) for _ in range(5))
+        self.x_low, self.y_low = np.full(m1.size, math.inf), np.full(m1.size, math.inf)
+        self.x_high, self.y_high = np.full(m1.size, -math.inf), np.full(m1.size, -math.inf)
         self.kept = 0
         self.discarded = 0
 
@@ -555,6 +575,10 @@ class _Sums:
                             (self.yy, y, y), (self.xy, x, y)):
             for row in a if b is None else np.multiply(a, b, out=product):
                 total += row
+        if x.shape[0]:   # a block may keep no trial
+            for low, high, a in ((self.x_low, self.x_high, x), (self.y_low, self.y_high, y)):
+                np.minimum(low, np.minimum.reduce(a, out=product[0]), out=low)
+                np.maximum(high, np.maximum.reduce(a, out=product[0]), out=high)
         self.kept += x.shape[0]
         self.discarded += discarded
 
@@ -588,21 +612,23 @@ def _run_trials(cfg: SystemConfig, fading: FadingProfile,
 
 
 def _wald(n: int, dx: np.ndarray, dy: np.ndarray, vx: np.ndarray, vy: np.ndarray,
-          cxy: np.ndarray, mx: np.ndarray, my: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+          cxy: np.ndarray, rx: np.ndarray, ry: np.ndarray, mx: np.ndarray,
+          my: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every UT's Wald statistic of its mean offsets (dx, dy) over n
-    trials, whose terms have sample variances vx, vy and covariance cxy
-    around moments mx and my, and its degrees of freedom, as arrays.
+    trials, whose terms have sample variances vx, vy, covariance cxy and
+    ranges rx, ry around moments mx and my, and its degrees of freedom, as
+    arrays.
 
-    A term whose sample standard deviation is at most EXACT_RTOL of its
-    moment's magnitude is exact: an offset beyond that tolerance there is
-    certain (W = inf), and one within it leaves the other term to test
-    alone, as does a pair too close to collinear to invert.  Each score is
+    A term whose range is at most EXACT_RTOL of its moment's magnitude is
+    exact: an offset beyond that tolerance there is certain (W = inf), and
+    one within it leaves the other term to test alone, as does a pair too
+    close to collinear to invert.  Each score is
     the mean offset over its standard error, d / sqrt(v) sqrt(n), and
     squares go through C's pow (``float_power``), as Python's ``** 2`` does.
     """
     sx, sy = np.sqrt(vx), np.sqrt(vy)
     tol_x, tol_y = EXACT_RTOL * np.abs(mx), EXACT_RTOL * np.abs(my)
-    exact_x, exact_y = sx <= tol_x, sy <= tol_y
+    exact_x, exact_y = rx <= tol_x, ry <= tol_y
     miss = exact_x & (np.abs(dx) > tol_x) | exact_y & (np.abs(dy) > tol_y)
     with np.errstate(all="ignore"):   # read only where both terms vary
         rho = cxy / (sx * sy)
@@ -695,7 +721,8 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
     with np.errstate(divide="ignore", invalid="ignore"):
         m1_over_se = np.where(sums.m1 == 0.0, 0.0,
                               sums.m1 / np.maximum(se_a, EXACT_RTOL * sums.m1))
-    wald, dof = _wald(n, dx, dy, vx, vy, cxy, sums.m1, sums.m2)
+    wald, dof = _wald(n, dx, dy, vx, vy, cxy, sums.x_high - sums.x_low,
+                      sums.y_high - sums.y_low, sums.m1, sums.m2)
     p, z = _p_and_z(wald, dof)
 
     return ValidationReport(precoder=precoder, n_trials=n, n_discarded=sums.discarded,

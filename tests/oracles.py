@@ -24,6 +24,13 @@ energy and budget.  Likewise ``mmf_objective_loop`` forms each max-min
 load as 1/upsilon_j + sum 1/g + (K_j - c)*P, as the solver does, and
 ``mmf_objective_loop_subtracting`` keeps the solver's earlier B_j - c*P,
 which must agree with it to rounding at moderate budgets.
+``waterfill_loop`` water-fills one user at a time, and
+``waterfill_budget_loop`` inverts water-filling in the one pass over the
+users that ``waterfill_budget`` made before the sum-SE problem kept its
+breakpoints: the problem's solves and inverses must give their bits.  The
+max-min loops and ``sse_objective_loop`` take their SEs through numpy's
+log1p, as the program does; ``log1p_math`` keeps the rule it had before,
+math.log1p per entry, which the ufunc must meet within one ulp.
 ``zf_columns_eigensolve`` keeps the ZF core as it was before it bounded the
 Gram's condition number by the trace of its inverse: its columns must
 agree to rounding, and it must discard no draw the trace bound keeps.
@@ -145,7 +152,7 @@ import numpy as np
 from mimocast import montecarlo
 from mimocast.allocation import solve_mmf, solve_sse
 from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _check_powers,
-                                  _equal_shares, _log1p, _precoder_factors, _se_report,
+                                  _equal_shares, _precoder_factors, _se_report,
                                   _sinr_terms, require_zf_feasible, se_report)
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, EstimationStats, FadingProfile, PowerSplit, SystemConfig,
@@ -478,6 +485,25 @@ def waterfill_loop(weights, offsets, budget):
     return tuple(levels), nu
 
 
+def waterfill_budget_loop(weights, offsets, objective) -> float:
+    """``allocation.waterfill_budget`` over Python floats as it ran before
+    the sum-SE problem kept its breakpoints: one pass over the users in
+    activation order, stopping at the segment that holds the objective."""
+    users = sorted(zip(weights, offsets), key=lambda wo: wo[0] / wo[1], reverse=True)
+    ratios = [w / o for w, o in users]
+    budget = level_sum = wsum = 0.0   # b_k, f_k and A_k of the current segment
+    for k, (w, _) in enumerate(users):
+        wsum += w
+        if k + 1 == len(users):
+            break
+        next_level_sum = level_sum + wsum * math.log(ratios[k] / ratios[k + 1])
+        if next_level_sum > objective:
+            break
+        budget += wsum * (1.0 / ratios[k + 1] - 1.0 / ratios[k])
+        level_sum = next_level_sum
+    return budget + wsum / ratios[k] * math.expm1((objective - level_sum) / wsum)
+
+
 def waterfill_kkt_violation(weights, offsets, levels, water_level) -> float:
     """Largest KKT residual: active users must sit exactly at w/(nu*ln2)-o,
     inactive users must have w/(nu*ln2) <= o.  Residuals are scaled by
@@ -563,10 +589,19 @@ def unicast_offsets_exact(cfg, fading, gain, c) -> list[Fraction]:
     return offsets
 
 
+def log1p_math(x) -> np.ndarray:
+    """log1p of every entry through ``math.log1p``, one entry at a time: the
+    rule every SE had before scalars and arrays alike went through numpy's
+    log1p ufunc, which must stay within one ulp of it."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.log1p, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
 def mmf_objective_loop(cfg, fading, p_unicast, gain, c):
     """``solve_mmf``'s objective for the precoder factors (gain, c), from the
     loops above: the SE at gamma = gain*p_mu / sum_j (B_j - c*P), each load
-    formed as 1/upsilon_j + sum 1/g + (K_j - c)*P, which subtracts nothing."""
+    formed as 1/upsilon_j + sum 1/g + (K_j - c)*P, which subtracts nothing,
+    through the SEs' log1p rule."""
     upsilon, _ = group_quality_floors(cfg, fading)
     cfg, fading = tuple_layout(cfg, fading)
     P = cfg.total_power
@@ -587,17 +622,20 @@ def mmf_objective_loop_subtracting(cfg, fading, p_unicast, gain, c):
 
 def _mmf_objective(cfg, p_unicast, gain, loads) -> float:
     prelog = 1.0 - cfg.n_streams / cfg.coherence_length
-    return prelog * math.log1p(gain * max(0.0, cfg.total_power - p_unicast) / sum(loads)) / LN2
+    sinr = gain * max(0.0, cfg.total_power - p_unicast) / sum(loads)
+    return float(prelog * np.log1p(sinr) / LN2)
 
 
 def sse_objective_loop(cfg, fading, p_multicast, gain, c):
     """``solve_sse``'s objective for the precoder factors (gain, c), from the
-    loops above: water-filled levels scored one UT at a time."""
+    loops above: water-filled levels scored one UT at a time, each through
+    the SEs' log1p rule."""
     *_, offsets = unicast_offsets(cfg, fading, gain, c)
     weights = cfg.sse_weights.tolist()
     levels, _ = waterfill_loop(weights, offsets, max(0.0, cfg.total_power - p_multicast))
     prelog = 1.0 - cfg.n_streams / cfg.coherence_length
-    return prelog * sum(a * math.log1p(p / o) / LN2 for a, p, o in zip(weights, levels, offsets))
+    return float(prelog * sum(a * np.log1p(p / o) / LN2
+                              for a, p, o in zip(weights, levels, offsets)))
 
 
 def estimation_variances_loop(cfg, fading, pilot_powers_unicast, pilot_powers_multicast):
@@ -1480,7 +1518,7 @@ def moment_tests_two_pass(trials: SimpleNamespace) -> list[tuple[float, float, f
     """(W, p, z, m1/SE) per UT from the stored terms of ``run_trials_serial``.
 
     The pair (Re d - m1, r - m2) is tested with two degrees of freedom.  A
-    term whose standard deviation is within EXACT_RTOL of its moment tests
+    term whose range over the trials is within EXACT_RTOL of its moment tests
     only whether its mean is that close to the moment; without a second
     term, or with a singular covariance, the received power is tested alone,
     with one degree of freedom.  The standard error in m1/SE is at least
@@ -1495,7 +1533,7 @@ def moment_tests_two_pass(trials: SimpleNamespace) -> list[tuple[float, float, f
         centred = pair - mean[:, None]
         cov = centred @ centred.T / (n - 1)
         tolerance = EXACT_RTOL * np.abs([m1, m2])
-        spread = np.sqrt(np.diag(cov)) > tolerance
+        spread = pair.max(axis=1) - pair.min(axis=1) > tolerance
         if np.any(~spread & (np.abs(mean) > tolerance)):
             w, dof = math.inf, 1
         elif spread.all() and np.linalg.det(cov) > 0:
@@ -1618,8 +1656,8 @@ def se_report_per_side(cfg: SystemConfig, stats: EstimationStats, fading: Fading
     prelog = cfg.prelog
     return SeReport(
         prelog=prelog,
-        unicast_se=prelog * _log1p(uni_sinr) / LN2,
-        multicast_se=_views(prelog * _log1p(mu_sinr) / LN2, offsets),
+        unicast_se=prelog * np.log1p(uni_sinr) / LN2,
+        multicast_se=_views(prelog * np.log1p(mu_sinr) / LN2, offsets),
         unicast_sinr=uni_sinr,
         multicast_sinr=_views(mu_sinr, offsets),
     )
@@ -1774,27 +1812,28 @@ def drop_means_loop(configs, objective, n_drops, seed) -> tuple[np.ndarray, np.n
 # ------------------------------------------------ scalar moment tests
 
 
-def moment_tests_scalar(n: int, dx, dy, vx, vy, cxy, mx, my) -> list[tuple[float, float, float]]:
+def moment_tests_scalar(n: int, dx, dy, vx, vy, cxy, rx, ry, mx,
+                        my) -> list[tuple[float, float, float]]:
     """Every UT's (W, p, z) as ``validate_closed_form`` worked them out
     before its moment tests ran as array passes: one UT at a time, in
-    Python floats, from the UT's mean offsets, sample variances and
-    covariance (``wald_scalar``, then ``p_and_z_scalar``)."""
+    Python floats, from the UT's mean offsets, sample variances,
+    covariance and ranges (``wald_scalar``, then ``p_and_z_scalar``)."""
     tests = []
     for terms in zip(*(np.asarray(a, dtype=float).tolist() for a in (dx, dy, vx, vy, cxy,
-                                                                         mx, my))):
+                                                                         rx, ry, mx, my))):
         w, dof = wald_scalar(n, *terms)
         tests.append((w, *p_and_z_scalar(w, dof)))
     return tests
 
 
-def wald_scalar(n: int, dx: float, dy: float, vx: float, vy: float, cxy: float, mx: float,
-                my: float) -> tuple[float, int]:
+def wald_scalar(n: int, dx: float, dy: float, vx: float, vy: float, cxy: float, rx: float,
+                ry: float, mx: float, my: float) -> tuple[float, int]:
     """One UT's Wald statistic and degrees of freedom: an exact term (its
-    sample standard deviation at most EXACT_RTOL of its moment) off its
-    moment by more than that is a certain miss, and one on it leaves the
-    other term to test alone, as does a pair too close to collinear."""
-    exact_x = math.sqrt(vx) <= EXACT_RTOL * abs(mx)
-    exact_y = math.sqrt(vy) <= EXACT_RTOL * abs(my)
+    range over the trials at most EXACT_RTOL of its moment) off its moment
+    by more than that is a certain miss, and one on it leaves the other
+    term to test alone, as does a pair too close to collinear."""
+    exact_x = rx <= EXACT_RTOL * abs(mx)
+    exact_y = ry <= EXACT_RTOL * abs(my)
     if (exact_x and abs(dx) > EXACT_RTOL * abs(mx)) or \
             (exact_y and abs(dy) > EXACT_RTOL * abs(my)):
         return math.inf, 1

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from mimocast import allocation
 from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse, sse_se_report,
                                  waterfill, waterfill_budget)
-from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, _precoder_factors, se_report
+from mimocast.closed_form import (MRT, PRECODERS, ZF, DownlinkPowers, _precoder_factors,
+                                  se_from_sinr, se_report)
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
-from mimocast.model import FadingProfile, SystemConfig, estimation_variances
+from mimocast.model import FadingProfile, FadingStack, SystemConfig, estimation_variances
 
 import oracles
 from oracles import bisect_waterfill, random_desk_instance, waterfill_kkt_violation
+from test_drop_stacks import desk_stack
 from test_model import make_config
 
 LN2 = math.log(2.0)
@@ -616,3 +618,163 @@ class TestOneEstimationRule:
             cfg, fading, *_precoder_factors(cfg, precoder))
         assert np.allclose(problem.theta, theta_old, rtol=1e-15, atol=0.0)
         assert np.allclose(problem.offsets, offsets_old, rtol=1e-12, atol=0.0)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def within_one_ulp(got, want) -> bool:
+    """Every entry of got within one ulp of want's."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return bool((np.abs(got - want) <= np.spacing(np.abs(want))).all())
+
+
+class TestOneLog1pRule:
+    """Every SE goes through numpy's log1p: the scalar ``se_from_sinr``, the
+    max-min objective, the sum-SE objective (``_sum_se``), one drop or a
+    stack of them, and the SE report agree bit for bit, and each log1p is
+    within one ulp of math.log1p (``oracles.log1p_math``), the rule the
+    arrays followed before."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_drops=st.integers(1, 4))
+    def test_scalar_and_array_ses_agree(self, precoder, seed, n_drops):
+        rng = np.random.default_rng(seed)
+        cfg, stack = desk_stack(rng, n_drops)
+        prelog, P = allocation._solver_prelog(cfg), cfg.total_power
+        p_un = float(rng.uniform(0.0, P)) if cfg.n_unicast else 0.0
+        p_mu = P - p_un
+
+        mmf = allocation._mmf_problem(cfg, stack, precoder)
+        gamma = mmf._gamma(p_un)[1]
+        assert within_one_ulp(np.log1p(gamma), oracles.log1p_math(gamma))
+        objectives = mmf.objectives(p_un)
+        assert objectives.tolist() == [se_from_sinr(prelog, g) for g in gamma.tolist()]
+        if cfg.n_unicast:
+            sse = allocation._sse_problem(cfg, stack, precoder)
+            levels, _, objectives = sse._fill(p_mu)
+            ratios = levels / sse.offsets
+            assert within_one_ulp(np.log1p(ratios), oracles.log1p_math(ratios))
+            assert objectives.tolist() == [
+                prelog * sum(se_from_sinr(a, x) for a, x in zip(cfg.sse_weights.tolist(), row))
+                for row in ratios.tolist()]
+
+        for d in range(n_drops):
+            fading = stack.drop(d)
+            sol = solve_mmf(cfg, fading, p_un, precoder)
+            assert sol.objective == se_from_sinr(prelog, sol.gamma) == mmf.objectives(p_un)[d]
+            reports = [mmf_se_report(cfg, fading, sol, p_un)]
+            if cfg.n_unicast:
+                sol = solve_sse(cfg, fading, p_mu, precoder)
+                assert sol.objective == sse.objectives(p_mu)[d]
+                reports.append(sse_se_report(cfg, fading, sol, p_mu))
+            for report in reports:
+                sinr = np.concatenate([report.unicast_sinr, report.multicast_sinr_flat])
+                se = np.concatenate([report.unicast_se, report.multicast_se_flat])
+                assert se.tolist() == [se_from_sinr(report.prelog, x) for x in sinr.tolist()]
+                assert within_one_ulp(np.log1p(sinr), oracles.log1p_math(sinr))
+
+    def test_one_ufunc_rounds_every_layout_alike(self):
+        # A 0-d, a strided and a contiguous argument give the same bits.
+        x = 10.0 ** np.random.default_rng(0).uniform(-5.0, 3.0, 4096)
+        whole = np.log1p(x)
+        assert np.array_equal(bits(np.log1p(np.repeat(x, 2)[::2])), bits(whole))
+        assert [se_from_sinr(1.0, v) for v in x.tolist()] == (whole / math.log(2.0)).tolist()
+        assert within_one_ulp(whole, oracles.log1p_math(x))
+
+
+def tied_stack(rng, n_drops):
+    """A desk config and stack whose unicast weights, caps and gains come
+    from short lists, so that several UTs share one water-filling ratio."""
+    cfg, stack = desk_stack(rng, n_drops)
+    u = max(cfg.n_unicast, 1)
+    cfg = dataclasses.replace(cfg, n_unicast=u, pilot_length=u + cfg.n_groups,
+                              sse_weights=rng.choice([0.5, 1.0], u),
+                              unicast_energy_caps=rng.choice([1.0, 2.0], u))
+    stack = FadingStack(unicast_gains=rng.choice([0.5, 1.0], (n_drops, u)),
+                        multicast_gains_flat=stack.multicast_gains_flat,
+                        group_offsets=stack.group_offsets)
+    return cfg, stack
+
+
+class TestCachedWaterfill:
+    """The sum-SE problem works out its water-filling order and its
+    breakpoints once.  Its solves give the levels, water levels and
+    objectives ``_waterfill`` gives and the one-user-at-a-time loop
+    (``oracles.waterfill_loop``) gives, and its inverse the budget
+    ``waterfill_budget`` and the loop it ran before
+    (``oracles.waterfill_budget_loop``) give, all bit for bit: on one drop
+    and on stacks, at a zero budget, with tied ratios and on the
+    breakpoints themselves."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_drops=st.integers(1, 4),
+           ties=st.booleans())
+    def test_solves_equal_the_waterfill(self, precoder, seed, n_drops, ties):
+        rng = np.random.default_rng(seed)
+        cfg, stack = (tied_stack if ties else desk_stack)(rng, n_drops)
+        if cfg.n_unicast == 0:
+            return
+        weights, P = cfg.sse_weights, cfg.total_power
+        problem = allocation._sse_problem(cfg, stack, precoder)
+        ones = [allocation._sse_problem(cfg, stack.drop(d), precoder) for d in range(n_drops)]
+        for p_mu in (P, 0.0, P / 2.0, float(rng.uniform(0.0, P))):   # P: a zero budget
+            budget = P - p_mu
+            levels, nu, objectives = problem._fill(p_mu)
+            want_levels, want_nu = allocation._waterfill(weights, problem.offsets, budget)
+            assert np.array_equal(bits(levels), bits(want_levels))
+            assert np.array_equal(bits(nu), bits(want_nu))
+            for d, one in enumerate(ones):
+                loop = oracles.waterfill_loop(weights.tolist(), problem.offsets[d].tolist(),
+                                              budget)
+                assert (tuple(levels[d].tolist()), float(nu[d])) == loop
+                sol = one.solve(p_mu)
+                assert (sol.downlink_powers.tolist(), sol.water_level, sol.objective) == \
+                    (levels[d].tolist(), float(nu[d]), float(objectives[d]))
+        for d, one in enumerate(ones):   # every budget on a breakpoint
+            for budget in one._breakpoints.budgets:
+                levels, nu = problem._fill_order.levels(budget)
+                assert (tuple(levels[d].tolist()), float(nu[d])) == oracles.waterfill_loop(
+                    weights.tolist(), problem.offsets[d].tolist(), budget)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), ties=st.booleans())
+    def test_power_for_equals_waterfill_budget(self, precoder, seed, ties):
+        rng = np.random.default_rng(seed)
+        cfg, stack = (tied_stack if ties else desk_stack)(rng, 1)
+        if cfg.n_unicast == 0:
+            return
+        weights, prelog = cfg.sse_weights, allocation._solver_prelog(cfg)
+        problem = allocation._sse_problem(cfg, stack.drop(0), precoder)
+        offsets = problem.offsets.tolist()
+        for objective in (0.0, problem.top / 2.0, float(rng.uniform(0.0, problem.top)),
+                          problem.top):
+            f = objective * LN2 / prelog
+            want = waterfill_budget(weights, offsets, f)
+            assert problem.power_for(objective) == want
+            assert want == oracles.waterfill_budget_loop(weights.tolist(), offsets, f)
+        breakpoints = problem._breakpoints   # objectives on and beside every breakpoint
+        for f in breakpoints.level_sums + [math.nextafter(f, math.inf)
+                                           for f in breakpoints.level_sums]:
+            assert breakpoints.budget(f) == waterfill_budget(weights, offsets, f) == \
+                oracles.waterfill_budget_loop(weights.tolist(), offsets, f)
+
+    def test_tied_ratios_and_their_breakpoints(self):
+        # Three users at one ratio w/o = 2 and one below it: the ties add
+        # no segment of their own, and the loop and the kept breakpoints
+        # take them in input order alike.
+        weights, offsets = (1.0, 1.0, 2.0, 1.0), (0.5, 0.5, 1.0, 2.0)
+        breakpoints = allocation._Breakpoints(np.array(weights), np.array(offsets))
+        assert breakpoints.level_sums[:3] == [0.0, 0.0, 0.0]
+        for f in (0.0, 0.5, breakpoints.level_sums[-1], 7.0):
+            assert breakpoints.budget(f) == waterfill_budget(weights, offsets, f) == \
+                oracles.waterfill_budget_loop(list(weights), list(offsets), f)
+        for budget in (0.0, *breakpoints.budgets, 3.0):
+            levels, nu = allocation._FillOrder(np.array(weights), np.array(offsets)).levels(
+                budget)
+            assert (tuple(levels.tolist()), float(nu)) == oracles.waterfill_loop(
+                list(weights), list(offsets), budget)

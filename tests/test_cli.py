@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mimocast
@@ -529,20 +530,32 @@ def test_validate_bytes_do_not_depend_on_usable_cpus(scenario_path, tmp_path, pr
 # solver formed ZF's loads as 1/upsilon_j + sum 1/g + (K_j - c)*P instead
 # of B_j - c*P: only ZF max-min values moved, by at most 4.1e-16 (fig2
 # mmf_se, 35 values), 4.1e-16 (fig4 mmf_se, 15) and 2.2e-16 (pareto mmf_se,
-# 2) relative.
+# 2) relative.  The fig2, fig3 and fig4 digests were recorded again when
+# every SE went through numpy's log1p instead of math.log1p, which differ in
+# the last bit of a few percent of values: fig2 mmf_se moved by at most
+# 2.1e-16 (6 values), fig3 sse by 1.9e-16 (2) and fig4 mmf_se by 2.1e-16
+# (1) and sse by 2.8e-16 (2) relative.
+#
+# Every digest here pins the bits of one kind of host: numpy 2.4 on an x86
+# CPU with AVX-512.  There numpy's vectorized power and log1p (SVML) need not
+# round as C's libm does: the placement's `radii **= 3.76` already differs
+# from math.pow in 5.3% of radii, and log1p from math.log1p in 3-4% of
+# values.  A host without AVX-512, or another numpy, may write other last
+# bits; a mismatch names the host (``host_features``).
 PINNED_FIGURES = {
-    "fig2": "1170208d32956c26bc0f6968c3f3f676db47198f33f97a3661a35bf691b3eebb",
-    "fig3": "61235751c30e13d61577b14afb461701b7cafe74034afec31212cf13b038e881",
-    "fig4": "a5fd5419d09e3fb804934dde7dd76372ca66117ca3c11397edf5c053484a10d5",
+    "fig2": "1f7226acf96c122d9ecb52037d1c2f286e82821b506d8e90865e6c043b32b646",
+    "fig3": "4b96dc5762e7357045f3dc749478b687a9d96eecde649d49ffd78fcbe1f7db55",
+    "fig4": "df96dd5be4b48064275983e11057c2a388837b51105fb0b735ff3e3e81244b48",
 }
 # The same at the full default grids (--drops 10 --seed 5), recorded while
 # each cell's drops were still placed and solved one at a time; fig3 again
 # with the fig3 digest above (ZF sse moved by at most 4.8e-15 relative), and
 # fig2 again with the fig2 digest above (ZF mmf_se moved by at most 6.2e-16
-# relative, 57 values).
+# relative, 57 values).  Both again with numpy's log1p: fig2 mmf_se moved by
+# at most 3.8e-16 (7 values) and fig3 sse by 2.0e-16 (1) relative.
 PINNED_DEFAULT_GRIDS = {
-    "fig2": "3f16c4636299af70e186f9752ef2a973897093e40eaf50353a49bb325dfc9215",
-    "fig3": "a4e0571873da02967a3b8afdf99d543c1bb6e0ca33e1c34241814cf806d2ca78",
+    "fig2": "c4dd52d71d6f0bf5cbc1794d90416ed881e2a8967b0f7f35aa1ec134327258c4",
+    "fig3": "490b6b9aa1d1facfc3e7219eac274bde1d2b4115254c7afc803563a1d4e7669f",
 }
 PINNED_SCENARIO = "58d77eac63a40576427df949b7e4c7c0bc7d5b1603c5b22e622a2dcfa74f2fe6"
 PINNED_PARETO = {
@@ -590,9 +603,12 @@ PINNED_PARETO = {
 # and nothing else.  The mmf ZF digest was recorded again when the max-min
 # solver formed ZF's loads without subtracting c*P from B_j: gamma moved by
 # 1.3e-16, downlink_powers by 1.4e-16, and se_report multicast_sinr and
-# multicast_se by 2.7e-16 and 2.4e-16 relative; nothing else.
+# multicast_se by 2.7e-16 and 2.4e-16 relative; nothing else.  The mmf MRT
+# digest was recorded again when every SE went through numpy's log1p: one
+# se_report unicast_se value moved by 1.4e-16 relative (one ulp), and
+# nothing else.
 PINNED_SOLVER_OUTPUTS = {
-    ("mmf", "mrt"): "a8f2665bee651db4aafd579687169d990c5c998be7f382bfb55180ffe61e27cc",
+    ("mmf", "mrt"): "f97497c2183e74bb46bbc4946c56caefbfca8b15c3a628cbf75f1d6ae980e225",
     ("mmf", "zf"): "f5955afd8d3002e1ccb27af0b7fe8472ac1ac4be206c1de4257fa849239f636e",
     ("sse", "mrt"): "6f8e2fb750945821becfdc20acc49649852d9de89e6d83d0489a4f466b8e607b",
     ("sse", "zf"): "f0dfaeca9be9b93e203f9c5d13c83ebcebf082668b6da3f87557690b8cc56c9e",
@@ -605,19 +621,34 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def host_features() -> str:
+    """The numpy version and the AVX-512 features numpy found on this CPU,
+    on which the last bits of a pinned output may depend."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    avx512 = [name for name, on in __cpu_features__.items() if on and name.startswith("AVX512")]
+    return f"numpy {np.__version__}; AVX-512: {' '.join(avx512) or 'none'}"
+
+
+def assert_pinned(path, digest):
+    assert sha256(path) == digest, f"digest mismatch on a host with {host_features()}"
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize("figure", sorted(PINNED_FIGURES))
     def test_figure_bytes(self, tmp_path, figure):
         out = tmp_path / f"{figure}.csv"
         assert run("figure", figure, "--antennas-list", "100,250", "--drops", 2,
                    "--seed", 5, "--out", out) == 0
-        assert sha256(out) == PINNED_FIGURES[figure]
+        assert_pinned(out, PINNED_FIGURES[figure])
 
     @pytest.mark.parametrize("figure", sorted(PINNED_DEFAULT_GRIDS))
     def test_default_grid_bytes(self, tmp_path, figure):
         out = tmp_path / f"{figure}.csv"
         assert run("figure", figure, "--drops", 10, "--seed", 5, "--out", out) == 0
-        assert sha256(out) == PINNED_DEFAULT_GRIDS[figure]
+        assert_pinned(out, PINNED_DEFAULT_GRIDS[figure])
 
     @pytest.mark.parametrize("command, precoder", sorted(PINNED_SOLVER_OUTPUTS))
     def test_solver_and_validate_bytes(self, scenario_path, tmp_path, command, precoder):
@@ -626,17 +657,17 @@ class TestPinnedOutputs:
                  else ("--split-ratio", "1:1"))
         assert run(command, "--scenario", scenario_path, "--precoder", precoder, *flags,
                    "--out", out) == 0
-        assert sha256(out) == PINNED_SOLVER_OUTPUTS[command, precoder]
+        assert_pinned(out, PINNED_SOLVER_OUTPUTS[command, precoder])
 
     def test_scenario_and_pareto_bytes(self, tmp_path):
         scen = tmp_path / "scen.json"
         assert run("scenario", "--seed", 5, "--out", scen) == 0
-        assert sha256(scen) == PINNED_SCENARIO
+        assert_pinned(scen, PINNED_SCENARIO)
         for precoder, digest in PINNED_PARETO.items():
             out = tmp_path / f"pareto_{precoder}.csv"
             assert run("pareto", "--scenario", scen, "--precoder", precoder,
                        "--points", 11, "--out", out) == 0
-            assert sha256(out) == digest
+            assert_pinned(out, digest)
 
 
 # Exit code and stderr of figure runs at edge inputs, recorded while each

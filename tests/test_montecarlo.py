@@ -828,11 +828,30 @@ class TestColumnarReport:
         self.assert_equals_the_record_path(report)
 
     def test_certain_misses_equal_the_record_path(self):
-        # Every UT's desired term is exact and off its moment, and its
-        # sample spread rounds to nothing here: W = z = inf.
+        # Every UT's desired term is exact, one value in every trial, and
+        # off its moment: W = z = inf.
         report = self.report(12, 2, [2], ZF, off=True)
         assert report.z.tolist() == report.wald.tolist() == [math.inf] * 4
         self.assert_equals_the_record_path(report)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_certain_misses_do_not_depend_on_rounding(self, seed):
+        # ZF's desired terms take one value in every trial, 5% off their
+        # moments.  The sample spread formed around those moments keeps
+        # about 1e-10 of the offset, which read as a spread gave W = inf to
+        # 0-4 of the 4 UTs by seed; their ranges over the trials are 0.
+        cfg, fading = small_system(n_antennas=32)
+        sinr_terms = closed_form._sinr_terms
+
+        def five_percent_high(*args):
+            signal, interference = sinr_terms(*args)
+            return 1.05 * signal, interference
+
+        with mock.patch.object(montecarlo, "_sinr_terms", five_percent_high):
+            report = validate_closed_form(cfg, fading, *cap_pilots(cfg),
+                                          DownlinkPowers(unicast=[1.0, 1.0], multicast=[2.0]),
+                                          ZF, 100, seed)
+        assert report.wald.tolist() == report.z.tolist() == [math.inf] * 4
 
     def test_no_record_exists_until_read(self):
         def records_alive():
@@ -870,10 +889,11 @@ UT_CASES = ("both vary", "collinear", "tail", "x exact", "y exact", "x miss", "y
 
 @st.composite
 def ut_terms(draw, case=None):
-    """One UT's (dx, dy, vx, vy, cxy, mx, my) in one of UT_CASES: both
-    terms varying, at |rho| < 1 or at |rho| >= 1 (collinear), or with a
-    Wald statistic past 1412, where p/2 is subnormal (tail); one term exact
-    (its spread within EXACT_RTOL of its moment, which may be 0), on its
+    """One UT's (dx, dy, vx, vy, cxy, rx, ry, mx, my) in one of UT_CASES:
+    both terms varying, at |rho| < 1 or at |rho| >= 1 (collinear), or with
+    a Wald statistic past 1412, where p/2 is subnormal (tail); one term
+    exact (its range within EXACT_RTOL of its moment, which may be 0, and
+    its sample spread up to twice that, as rounding may leave it), on its
     moment or off it beyond that tolerance (a certain miss); or both exact
     and on their moments (no degree of freedom)."""
     case = case or draw(st.sampled_from(UT_CASES))
@@ -891,12 +911,16 @@ def ut_terms(draw, case=None):
     on = [draw(st.floats(min_value=-1.0, max_value=1.0)) * t for t in tol]
     off = [draw(st.sampled_from([-1.0, 1.0])) * max(t * draw(st.floats(1.01, 1e6)), 1e-300)
            for t in tol]
-    spread = [(draw(st.floats(min_value=0.0, max_value=0.5)) * t) ** 2 for t in tol]
+    spread = [(draw(st.floats(min_value=0.0, max_value=2.0)) * t) ** 2 for t in tol]
+    span = [draw(st.floats(min_value=0.0, max_value=1.0)) * t for t in tol]
+    # A varying term's range: at least 1e-6, beyond every tolerance here.
+    rx, ry = (math.sqrt(v) * draw(st.floats(min_value=2.0, max_value=10.0)) for v in (vx, vy))
+    cxy = rho * math.sqrt(vx) * math.sqrt(vy)
     if case.startswith("x") or case == "both exact":
-        vx, dx = spread[0], (off if case == "x miss" else on)[0]
+        vx, rx, dx = spread[0], span[0], (off if case == "x miss" else on)[0]
     if case.startswith("y") or case == "both exact":
-        vy, dy = spread[1], (off if case == "y miss" else on)[1]
-    return dx, dy, vx, vy, rho * math.sqrt(vx) * math.sqrt(vy), mx, my
+        vy, ry, dy = spread[1], span[1], (off if case == "y miss" else on)[1]
+    return dx, dy, vx, vy, cxy, rx, ry, mx, my
 
 
 class TestMomentTestAgainstScalarLoop:
@@ -906,7 +930,7 @@ class TestMomentTestAgainstScalarLoop:
 
     @staticmethod
     def check(n, uts):
-        columns = list(np.array(uts, dtype=float).reshape(-1, 7).T)
+        columns = list(np.array(uts, dtype=float).reshape(-1, 9).T)
         wald, dof = montecarlo._wald(n, *columns)
         p, z = montecarlo._p_and_z(wald, dof)
         want = np.array(oracles.moment_tests_scalar(n, *columns)).reshape(-1, 3)
@@ -925,8 +949,8 @@ class TestMomentTestAgainstScalarLoop:
         # each take pow's square, as the loop's ** 2 does.
         v = 1.7304368023068515
         assert v ** 2 != v * v
-        self.check(4, [(0.0, v / 2.0, 0.0, 1.0, 0.0, 1.0, 5.0),
-                       (v / 2.0, 0.25, 1.0, 1.0, 0.0, 1.0, 5.0)])
+        self.check(4, [(0.0, v / 2.0, 0.0, 1.0, 0.0, 0.0, 4.0, 1.0, 5.0),
+                       (v / 2.0, 0.25, 1.0, 1.0, 0.0, 4.0, 4.0, 1.0, 5.0)])
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -968,29 +992,32 @@ class TestMomentTest:
         # exact term off its moment is a certain miss; two exact terms on
         # their moments pass.
         wald = one_wald
-        assert wald(100, 0.0, 0.3, 0.0, 4.0, 0.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
-        assert wald(100, 0.3, 0.0, 4.0, 0.0, 0.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
-        assert wald(100, 1e-9, 0.3, 0.0, 4.0, 0.0, 1.0, 5.0) == (math.inf, 1)
-        assert wald(100, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 5.0) == (0.0, 0)
-        assert wald(100, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0)
+        assert wald(100, 0.0, 0.3, 0.0, 4.0, 0.0, 0.0, 8.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
+        assert wald(100, 0.3, 0.0, 4.0, 0.0, 0.0, 8.0, 0.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
+        assert wald(100, 1e-9, 0.3, 0.0, 4.0, 0.0, 0.0, 8.0, 1.0, 5.0) == (math.inf, 1)
+        assert wald(100, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 5.0) == (0.0, 0)
+        assert wald(100, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0)
         assert p_and_z(0.0, 0) == (1.0, 0.0)
         assert p_and_z(math.inf, 1) == (0.0, math.inf)
         # Collinear terms: the received power alone.
-        assert wald(100, 0.2, 0.3, 1.0, 4.0, 2.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
+        assert wald(100, 0.2, 0.3, 1.0, 4.0, 2.0, 4.0, 8.0, 1.0, 5.0) == (pytest.approx(2.25), 1)
 
-    def test_rounding_level_spread_is_exact(self):
-        # ZF's desired term: a spread and an offset at rounding level,
-        # 1.5e-16 and 4.2e-16 of m1, leave the received power to test
-        # alone.  An offset beyond EXACT_RTOL of m1 is a certain miss, and
-        # a spread beyond it makes the pair a two-term test.
+    def test_rounding_level_range_is_exact(self):
+        # ZF's desired term: a range, a spread and an offset at rounding
+        # level, 6e-16, 1.5e-16 and 4.2e-16 of m1, leave the received power
+        # to test alone.  An offset beyond EXACT_RTOL of m1 is a certain
+        # miss, also when rounding left a sample spread beyond it (1e-10 of
+        # a 5% offset), and a range beyond it makes the pair a two-term test.
         tol, m1 = montecarlo.EXACT_RTOL, 2.0
         wald = one_wald
-        assert wald(100, 4.2e-16 * m1, 0.3, (1.5e-16 * m1) ** 2, 4.0, 1e-17, m1, 5.0) == \
-            (pytest.approx(2.25), 1)
-        assert wald(100, 2.0 * tol * m1, 0.3, (0.5 * tol * m1) ** 2, 4.0, 0.0, m1, 5.0) == \
+        assert wald(100, 4.2e-16 * m1, 0.3, (1.5e-16 * m1) ** 2, 4.0, 1e-17, 6e-16 * m1, 8.0,
+                    m1, 5.0) == (pytest.approx(2.25), 1)
+        assert wald(100, 2.0 * tol * m1, 0.3, (0.5 * tol * m1) ** 2, 4.0, 0.0, 0.5 * tol * m1,
+                    8.0, m1, 5.0) == (math.inf, 1)
+        assert wald(100, 0.05 * m1, 0.3, (5e-12 * m1) ** 2, 4.0, 0.0, 0.0, 8.0, m1, 5.0) == \
             (math.inf, 1)
-        assert wald(100, 0.0, 0.3, (2.0 * tol * m1) ** 2, 4.0, 0.0, m1, 5.0) == \
-            (pytest.approx(2.25), 2)
+        assert wald(100, 0.0, 0.3, (2.0 * tol * m1) ** 2, 4.0, 0.0, 4.0 * tol * m1, 8.0,
+                    m1, 5.0) == (pytest.approx(2.25), 2)
 
 
 SHAPES = {"mixed": {"u_range": (1, 4), "g_range": (1, 3)},
@@ -1254,6 +1281,7 @@ def bits(a):
 
 
 SUMS = ("x", "xx", "y", "yy", "xy")
+EXTREMES = ("x_low", "x_high", "y_low", "y_high")
 
 
 def recorded_run(args):
@@ -1292,7 +1320,8 @@ def assert_matches_serial(args, sums, factors, desired, received, serial):
     factor bit for bit the oracle's draw (``bartlett_factor``), the same
     trials kept and moments to the bit, each kept trial's d and r within
     TERMS_RTOL of that trial's largest |d| and r, and sums that are the
-    recorded terms' sums in trial order, to the bit."""
+    recorded terms' sums in trial order, to the bit, as are the least and
+    greatest x = d - m1 and y = r - m2."""
     cfg, seed = args[0], args[-1]
     for t, R in enumerate(factors):
         want = oracles.bartlett_factor(trial_rng(seed, t), cfg.n_antennas, cfg.n_streams)
@@ -1308,6 +1337,10 @@ def assert_matches_serial(args, sums, factors, desired, received, serial):
         assert np.array_equal(bits(getattr(sums, name)), bits(getattr(serial, name))), name
     for name in SUMS:
         assert np.array_equal(bits(getattr(sums, name)), bits(summed[name])), name
+    x, y = desired - sums.m1[:, None], received - sums.m2[:, None]
+    for name, want in zip(EXTREMES, (x.min(axis=1), x.max(axis=1), y.min(axis=1),
+                                     y.max(axis=1))):
+        assert np.array_equal(bits(getattr(sums, name)), bits(want)), name
 
 
 class TestKernelAgainstLoops:
@@ -1513,14 +1546,14 @@ class TestTrialOrder:
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     def test_sums_hold_one_value_per_ut(self, precoder):
-        # What a run keeps is five sums and the two moments per UT, whatever
-        # the trial count; the sums are the sums of the kept trials' terms,
-        # which match the serial loop's stored terms.
+        # What a run keeps is five sums, four extremes and the two moments
+        # per UT, whatever the trial count; the sums are the sums of the
+        # kept trials' terms, which match the serial loop's stored terms.
         args = (*self.cell(precoder), 60, 3)
         run = recorded_run(args)
         serial = oracles.run_trials_serial(*args)
         arrays = {k: v for k, v in vars(run[0]).items() if isinstance(v, np.ndarray)}
-        assert sorted(arrays) == sorted(("m1", "m2", *SUMS))
+        assert sorted(arrays) == sorted(("m1", "m2", *SUMS, *EXTREMES))
         assert {a.shape for a in arrays.values()} == {(serial.desired.shape[0],)}
         assert_matches_serial(args, *run, serial)
 
