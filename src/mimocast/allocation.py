@@ -24,17 +24,17 @@ do so only for the very pair the problem was built from, which was
 validated then.  The sum-SE problem's estimate and error variances are
 the model's (``model._mmse_variances``), the very values its scores read.
 It also keeps the water-filling pieces no split changes, worked out on
-first use: the order of the users by c/o with their sorted c and o, prefix
-sums and ratios (``_FillOrder``), and ``waterfill_budget``'s breakpoints
-(``_Breakpoints``), so a solve at a split only divides and tests and its
-inverse bisects the breakpoints, with the bits ``waterfill`` and
-``waterfill_budget`` give.  Every objective takes its SEs through the one
-log1p rule of ``closed_form``, so it equals the report that scores it.
+first use: ``_FillOrder``, the only code here that orders users, holds
+them by c/o with their sorted weights, c and o, prefix sums and ratios,
+and builds ``waterfill_budget``'s segments from those arrays.  So a solve
+at a split only divides and tests and its inverse bisects the segments,
+with the bits ``waterfill`` and ``waterfill_budget`` give, which read the
+same object.  Every objective takes its SEs through the one log1p rule of
+``closed_form``, so it equals the report that scores it.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import math
@@ -49,8 +49,8 @@ from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_sha
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
                     _Shared, _estimation_variances, _freeze, _group_min, _group_sums,
-                    _mmse_variances, _per_member, _pilot_arrays, _row_sums, _sizes, _within,
-                    require_valid)
+                    _mmse_variances, _per_member, _pilot_arrays, _read_only, _row_sums, _sizes,
+                    _within, require_valid)
 
 
 def _problem_field():
@@ -127,12 +127,14 @@ def _waterfill_users(weights: Sequence[float],
 
 
 class _FillOrder:
-    """Water-filling over fixed users, whatever the budget: weights (U,)
-    shared by every row of offsets (..., U), each row one problem.  What no
-    budget changes is worked out once: each row's users in order of
-    c/o = w/(o*ln2) descending (ties keep their input order), their c and o
-    in that order, the prefix sums of both and the ratios c/o.  ``levels``
-    then only divides and tests."""
+    """Water-filling over fixed users, whatever the budget, and its inverse:
+    weights (U,) shared by every row of offsets (..., U), each row one
+    problem.  The only code here that orders users.  What no budget changes
+    is worked out once: each row's users in order of c/o = w/(o*ln2)
+    descending (ties keep their input order), their w, c and o in that
+    order, the prefix sums of c and o and the ratios c/o.  ``levels`` then
+    only divides and tests, and ``budget`` bisects the first row's
+    ``segments``, built from the same arrays on first use."""
 
     def __init__(self, weights: np.ndarray, offsets: np.ndarray):
         self.shape, n = offsets.shape, weights.size
@@ -140,32 +142,52 @@ class _FillOrder:
         self.rows, self.ranks = np.arange(len(o))[:, None], np.arange(n)
         c = weights / LN2
         self.order = np.argsort(-(c / o), axis=1, kind="stable")
-        self.c, self.o = c[self.order], o[self.rows, self.order]
+        self.w, self.c, self.o = weights[self.order], c[self.order], o[self.rows, self.order]
         self.c_sums, self.o_sums = np.cumsum(self.c, axis=1), np.cumsum(self.o, axis=1)
         self.ratios = self.c / self.o
 
     def levels(self, budget: float) -> tuple[np.ndarray, np.ndarray]:
-        """The levels at one budget for every row, shaped like the offsets,
-        and one water level per row."""
+        """The levels at one budget for every row, one array shaped like the
+        offsets, and one water level per row."""
         if budget == 0.0:
             return np.zeros(self.shape), np.full(self.shape[:-1], math.inf)
         cand = self.c_sums / (budget + self.o_sums)
-        # The largest consistent active set ends at the last consistent candidate.
-        last = np.where(cand < self.ratios, self.ranks, -1).max(axis=1)
-        nu = np.where(last >= 0, cand[self.rows[:, 0], np.maximum(last, 0)], math.nan)
-        levels = np.zeros(self.o.shape)
-        levels[self.rows, self.order] = np.where(self.ranks <= last[:, None],
-                                                 np.maximum(0.0, self.c / nu[:, None] - self.o),
-                                                 0.0)
-        return levels.reshape(self.shape), nu.reshape(self.shape[:-1])
+        # The largest consistent active set ends at the last consistent
+        # candidate.  The first user's, c_1/(budget + o_1) < c_1/o_1, holds
+        # at any positive budget, also where rounding loses the budget.
+        last = np.where(cand < self.ratios, self.ranks, 0).max(axis=1)
+        nu = cand[self.rows[:, 0], last]
+        levels = np.zeros(self.shape)
+        levels.reshape(self.o.shape)[self.rows, self.order] = np.where(
+            self.ranks <= last[:, None], np.maximum(0.0, self.c / nu[:, None] - self.o), 0.0)
+        return levels, nu.reshape(self.shape[:-1])
 
+    @functools.cached_property
+    def segments(self) -> np.ndarray:
+        """The first row's ``waterfill_budget`` segments, one column each:
+        rows r_k, b_k, f_k and A_k, each sum added left to right.  A user
+        whose ratio w/o underflows to zero never joins, and has none."""
+        w, r = self.w[0], self.w[0] / self.o[0]
+        w, r = w[r > 0.0], r[r > 0.0]
+        wsums = np.cumsum(w)
+        steps = np.zeros((2, r.size))   # the b and f a segment adds to the one before
+        steps[0, 1:] = 1.0 / r[1:] - 1.0 / r[:-1]
+        steps[1, 1:] = list(map(math.log, (r[:-1] / r[1:]).tolist()))
+        steps[:, 1:] *= wsums[:-1]
+        return np.stack([r, *np.cumsum(steps, axis=1), wsums])
 
-def _waterfill(weights: np.ndarray, offsets: np.ndarray,
-               budget: float) -> tuple[np.ndarray, np.ndarray]:
-    """``waterfill`` on checked arrays: weights (U,) shared by every row of
-    offsets (..., U), each row one problem with the same budget.  Returns
-    the levels, shaped like the offsets, and one water level per row."""
-    return _FillOrder(weights, offsets).levels(budget)
+    def budget(self, objective: float) -> float:
+        """The first row's budget at which water-filling attains
+        ``objective``: in the last segment whose f_k does not exceed it (the
+        f_k never fall)."""
+        if not 0.0 <= objective < math.inf:
+            raise ValueError(f"objective must be non-negative and finite, got {objective}")
+        segments = self.segments
+        if not segments.size:
+            raise ValueError("every user's ratio w/o underflows to zero: none ever joins")
+        k = int(np.searchsorted(segments[2], objective, side="right")) - 1   # f_1 = 0 <= objective
+        ratio, start, level_sum, wsum = segments[:, k].tolist()
+        return start + wsum / ratio * math.expm1((objective - level_sum) / wsum)
 
 
 def waterfill(weights: Sequence[float], offsets: Sequence[float],
@@ -174,15 +196,15 @@ def waterfill(weights: Sequence[float], offsets: Sequence[float],
 
     nu is found by exact breakpoint enumeration: users sorted by w/(o*ln2)
     descending, closed-form nu per candidate active set, largest consistent
-    set taken.  A zero budget returns all-zero levels with nu = +inf.  The
-    levels come as a read-only float64 array.
+    set taken; at a positive budget the first user is always active.  A
+    zero budget returns all-zero levels with nu = +inf.  The levels come as
+    a read-only float64 array.
     """
     w, o = _waterfill_users(weights, offsets)
     if not 0.0 <= budget < math.inf:
         raise ValueError(f"budget must be non-negative and finite, got {budget}")
-    levels, nu = _waterfill(w, o, budget)
-    levels.setflags(write=False)
-    return levels, float(nu)
+    levels, nu = _FillOrder(w, o).levels(budget)
+    return _read_only(levels), float(nu)
 
 
 def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
@@ -190,48 +212,17 @@ def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
     """The budget at which ``waterfill`` attains sum_m w_m*ln(1 + levels_m/o_m)
     = objective: the inverse of water-filling.
 
-    A growing budget activates users in order of r = w/o descending.  With
-    A_k the sum of the first k weights, user k+1 joins at the budget
-    b_{k+1} = b_k + A_k*(1/r_{k+1} - 1/r_k), where the objective is
-    f_{k+1} = f_k + A_k*ln(r_k/r_{k+1}) (b_1 = f_1 = 0).  Between two
+    A growing budget activates users in ``waterfill``'s order, r = w/o
+    descending.  With A_k the sum of the first k weights, user k+1 joins at
+    the budget b_{k+1} = b_k + A_k*(1/r_{k+1} - 1/r_k), where the objective
+    is f_{k+1} = f_k + A_k*ln(r_k/r_{k+1}) (b_1 = f_1 = 0).  Between two
     breakpoints the objective is f_k + A_k*ln((b + O_k)/(b_k + O_k)), O_k
     being the sum of the first k offsets and b_k + O_k = A_k/r_k, so the
     budget is b_k + A_k/r_k*expm1((f - f_k)/A_k).  Every increment is
-    non-negative, and expm1 keeps budgets near zero accurate.
+    non-negative, and expm1 keeps budgets near zero accurate.  A user whose
+    r underflows to zero would join at an infinite budget, so never does.
     """
-    return _Breakpoints(*_waterfill_users(weights, offsets)).budget(objective)
-
-
-class _Breakpoints:
-    """``waterfill_budget``'s segments over fixed, checked users, whatever
-    the objective: the ratios r_k in the order a growing budget activates
-    them, and each segment's b_k, f_k and A_k, added up one user at a time.
-    ``budget`` then only bisects the f_k and takes one expm1."""
-
-    def __init__(self, weights: np.ndarray, offsets: np.ndarray):
-        users = sorted(zip(weights.tolist(), offsets.tolist()), key=lambda wo: wo[0] / wo[1],
-                       reverse=True)
-        self.ratios = ratios = [w / o for w, o in users]
-        self.budgets, self.level_sums, self.wsums = [], [], []   # b_k, f_k and A_k
-        budget = level_sum = wsum = 0.0
-        for k, (w, _) in enumerate(users):
-            wsum += w
-            self.budgets.append(budget)
-            self.level_sums.append(level_sum)
-            self.wsums.append(wsum)
-            if k + 1 < len(users):
-                budget += wsum * (1.0 / ratios[k + 1] - 1.0 / ratios[k])
-                level_sum += wsum * math.log(ratios[k] / ratios[k + 1])
-
-    def budget(self, objective: float) -> float:
-        """The budget at which water-filling attains ``objective``: in the
-        last segment whose f_k does not exceed it (the f_k never fall)."""
-        if not 0.0 <= objective < math.inf:
-            raise ValueError(f"objective must be non-negative and finite, got {objective}")
-        k = bisect.bisect_right(self.level_sums, objective) - 1   # f_0 = 0 <= objective
-        wsum = self.wsums[k]
-        return (self.budgets[k]
-                + wsum / self.ratios[k] * math.expm1((objective - self.level_sums[k]) / wsum))
+    return _FillOrder(*_waterfill_users(weights, offsets)).budget(objective)
 
 
 def _check_split(total: float, fixed: float, name: str) -> float:
@@ -453,11 +444,6 @@ class _SseProblem(_Problem):
         """The water-filling pieces no split changes, one row per drop."""
         return _FillOrder(self.cfg.sse_weights, self.offsets)
 
-    @functools.cached_property
-    def _breakpoints(self) -> _Breakpoints:
-        """The one drop's ``waterfill_budget`` segments, checked as it checks them."""
-        return _Breakpoints(*_waterfill_users(self.cfg.sse_weights, self.offsets))
-
     def _fill(self, p_multicast_fixed: float):
         """Water-filled levels, water levels and objectives, one per drop."""
         budget = _check_split(self.cfg.total_power, p_multicast_fixed, "p_multicast_fixed")
@@ -491,9 +477,10 @@ class _SseProblem(_Problem):
 
     def power_for(self, objective: float) -> float:
         """The unicast power at which the one drop's objective is
-        ``objective``: ``waterfill_budget`` over the solver's offsets, from
-        the breakpoints worked out on the first call."""
-        return self._breakpoints.budget(objective * LN2 / _solver_prelog(self.cfg))
+        ``objective``: ``waterfill_budget`` over the solver's offsets, once
+        checked as it checks them, from the fill order's segments."""
+        _waterfill_users(self.cfg.sse_weights, self.offsets)
+        return self._fill_order.budget(objective * LN2 / _solver_prelog(self.cfg))
 
 
 def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precoder: str,

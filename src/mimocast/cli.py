@@ -266,8 +266,9 @@ def cmd_pareto(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg, fading, _ = _load_scenario(args.scenario)
-    if args.trials < 100:
-        raise UsageError(f"--trials must be at least 100, got {args.trials}")
+    if not montecarlo.MIN_TRIALS <= args.trials <= montecarlo.MAX_TRIALS:
+        raise UsageError(f"--trials must lie in [{montecarlo.MIN_TRIALS}, "
+                         f"{montecarlo.MAX_TRIALS}], got {args.trials}")
     seed = _ensure_seed(args.seed)
     if args.p_un is not None or args.split_ratio is not None:
         p_un = _resolve_p_un(args, cfg.total_power)

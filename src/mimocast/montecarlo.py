@@ -123,6 +123,10 @@ log = logging.getLogger(__name__)
 
 # 95% two-sided normal quantile used for each moment's confidence interval.
 Z95 = 1.959963984540054
+# A run draws MIN_TRIALS to MAX_TRIALS trials: the trial indices are the
+# 32-bit words of the seed hash's spawn keys.
+MIN_TRIALS = 100
+MAX_TRIALS = 2**32
 # A UT passes when |z| <= Z_PASS, and a report when at least PASS_RATE of
 # its UTs pass.
 Z_PASS = 3.0
@@ -702,8 +706,8 @@ def validate_closed_form(cfg: SystemConfig, fading: FadingProfile,
     the first draw.
     """
     n_trials, seed = operator.index(n_trials), operator.index(seed)
-    if not 100 <= n_trials <= 2**32:   # trial indices are 32-bit spawn-key words
-        raise ValueError(f"need 100 to 2**32 trials, got {n_trials}")
+    if not MIN_TRIALS <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"need {MIN_TRIALS} to {MAX_TRIALS} trials, got {n_trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     sums, cf = _run_trials(cfg, fading, pilot_powers_unicast, pilot_powers_multicast,

@@ -24,10 +24,11 @@ energy and budget.  Likewise ``mmf_objective_loop`` forms each max-min
 load as 1/upsilon_j + sum 1/g + (K_j - c)*P, as the solver does, and
 ``mmf_objective_loop_subtracting`` keeps the solver's earlier B_j - c*P,
 which must agree with it to rounding at moderate budgets.
-``waterfill_loop`` water-fills one user at a time, and
-``waterfill_budget_loop`` inverts water-filling in the one pass over the
-users that ``waterfill_budget`` made before the sum-SE problem kept its
-breakpoints: the problem's solves and inverses must give their bits.  The
+``waterfill_loop`` water-fills one user at a time, the first user active
+at any positive budget, and ``waterfill_budget_loop`` inverts
+water-filling in the one pass over the users that ``waterfill_budget``
+made before the fill order built its segments as arrays: the problem's
+solves and inverses must give their bits.  The
 max-min loops and ``sse_objective_loop`` take their SEs through numpy's
 log1p, as the program does; ``log1p_math`` keeps the rule it had before,
 math.log1p per entry, which the ufunc must meet within one ulp.
@@ -476,7 +477,7 @@ def waterfill_loop(weights, offsets, budget):
         csum += c[i]
         osum += offsets[i]
         cand = csum / (budget + osum)
-        if cand < c[i] / offsets[i]:
+        if rank == 1 or cand < c[i] / offsets[i]:   # the first user joins at any budget > 0
             nu = cand
             n_active = rank
     levels = [0.0] * n
@@ -487,7 +488,7 @@ def waterfill_loop(weights, offsets, budget):
 
 def waterfill_budget_loop(weights, offsets, objective) -> float:
     """``allocation.waterfill_budget`` over Python floats as it ran before
-    the sum-SE problem kept its breakpoints: one pass over the users in
+    the fill order built its segments as arrays: one pass over the users in
     activation order, stopping at the segment that holds the objective."""
     users = sorted(zip(weights, offsets), key=lambda wo: wo[0] / wo[1], reverse=True)
     ratios = [w / o for w, o in users]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,22 @@ class TestWaterfill:
         # It used to return zero levels with a NaN water level.
         with pytest.raises(ValueError, match="budget"):
             waterfill((1.0, 1.0), (1.0, 2.0), math.nan)
+
+    @pytest.mark.parametrize("weights, offsets, budget", [
+        ((1.0,), (1.0,), 1e-20),
+        ((1.0, 2.0), (1e3, 4e3), 1e-14),
+        ((1.5, 1.0, 1.0), (0.4, 3.0, 0.4), 1e-17),
+    ])
+    def test_budget_below_the_offsets_rounding_keeps_a_finite_water_level(
+            self, weights, offsets, budget):
+        # budget + o_1 rounds to o_1, so no candidate passed the strict test
+        # and the water level was NaN; c_1/(budget + o_1) < c_1/o_1 holds for
+        # any positive budget, so the first user joins.
+        levels, nu = waterfill(weights, offsets, budget)
+        assert math.isfinite(nu) and nu > 0.0
+        assert all(p >= 0.0 for p in levels)
+        assert waterfill_kkt_violation(weights, offsets, levels, nu) <= 1e-10
+        assert (tuple(levels.tolist()), nu) == oracles.waterfill_loop(weights, offsets, budget)
 
     @settings(max_examples=60)
     @given(
@@ -184,6 +201,30 @@ class TestWaterfillBudget:
         for offset in (math.nan, math.inf):
             with pytest.raises(ValueError, match="offsets"):
                 waterfill_budget((1.0, 1.0), (offset, 1.0), 1.0)
+
+    @pytest.mark.parametrize("weights, offsets", [
+        ((1e-300, 1.0), (1e300, 1.0)),
+        ((1e-300, 1e-300, 1.0), (1e300, 1e300, 1.0)),
+        ((1e-300, 1.0, 1e-300), (1e300, 1.0, 2e300)),
+    ])
+    def test_users_whose_ratio_underflows_never_join(self, weights, offsets):
+        # w/o = 1e-600 underflows to zero: such a user would join at an
+        # infinite budget, so it adds no segment.  It used to divide by
+        # its ratio and raise ZeroDivisionError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = waterfill_budget(weights, offsets, 1.0)
+            fill = allocation._FillOrder(np.array(weights), np.array(offsets))
+            assert np.isfinite(fill.segments).all()
+        assert got == math.e - 1.0 == 1.718281828459045
+        levels, _ = waterfill(weights, offsets, got)   # the round trip, users in order
+        assert levels.tolist() == [got if w == 1.0 else 0.0 for w in weights]
+        assert log_utility(weights, offsets, levels) == pytest.approx(1.0, rel=1e-15)
+
+    def test_users_who_all_never_join_are_rejected(self):
+        # It used to raise ZeroDivisionError.
+        with pytest.raises(ValueError, match="none ever joins"):
+            waterfill_budget((1e-300, 2e-300), (1e300, 1e300), 1.0)
 
 
 class TestMmfMrt:
@@ -304,6 +345,21 @@ class TestSseMrt:
         cfg, fading = single_group_instance()
         with pytest.raises(DegenerateInputError):
             solve_sse(cfg, fading, 5.0, MRT)
+
+    def test_budget_below_the_offsets_rounding_keeps_a_finite_water_level(self):
+        # The unicast budget P - nextafter(P, 0) = 1.1e-13 vanishes against
+        # offsets of about 6e4, where the water level used to be NaN.
+        cfg = dataclasses.replace(make_config(n_unicast=2, group_sizes=(2,), n_antennas=16,
+                                              total_power=1e3),
+                                  unicast_energy_caps=(1e-3, 1e-3))
+        fading = FadingProfile(unicast_gains=(1.0, 0.5), multicast_gains=((1.0, 1.0),))
+        p_mu = math.nextafter(cfg.total_power, 0.0)
+        sol = solve_sse(cfg, fading, p_mu, MRT)
+        offsets = allocation._sse_problem(cfg, fading, MRT).offsets.tolist()
+        assert math.isfinite(sol.water_level) and sol.water_level > 0.0
+        assert waterfill_kkt_violation(cfg.sse_weights.tolist(), offsets,
+                                       sol.downlink_powers.tolist(), sol.water_level) <= 1e-10
+        assert sse_se_report(cfg, fading, sol, p_mu).unicast_se.tolist() == [0.0, 0.0]
 
 
 class TestSseZf:
@@ -700,11 +756,11 @@ def tied_stack(rng, n_drops):
 
 
 class TestCachedWaterfill:
-    """The sum-SE problem works out its water-filling order and its
-    breakpoints once.  Its solves give the levels, water levels and
-    objectives ``_waterfill`` gives and the one-user-at-a-time loop
-    (``oracles.waterfill_loop``) gives, and its inverse the budget
-    ``waterfill_budget`` and the loop it ran before
+    """The sum-SE problem works out its fill order, and from it the
+    segments of the inverse, once.  Its solves give the levels, water
+    levels and objectives ``_FillOrder.levels`` gives and the
+    one-user-at-a-time loop (``oracles.waterfill_loop``) gives, and its
+    inverse the budget ``waterfill_budget`` and the loop it ran before
     (``oracles.waterfill_budget_loop``) give, all bit for bit: on one drop
     and on stacks, at a zero budget, with tied ratios and on the
     breakpoints themselves."""
@@ -724,7 +780,8 @@ class TestCachedWaterfill:
         for p_mu in (P, 0.0, P / 2.0, float(rng.uniform(0.0, P))):   # P: a zero budget
             budget = P - p_mu
             levels, nu, objectives = problem._fill(p_mu)
-            want_levels, want_nu = allocation._waterfill(weights, problem.offsets, budget)
+            want_levels, want_nu = allocation._FillOrder(weights, problem.offsets).levels(
+                budget)
             assert np.array_equal(bits(levels), bits(want_levels))
             assert np.array_equal(bits(nu), bits(want_nu))
             for d, one in enumerate(ones):
@@ -735,7 +792,7 @@ class TestCachedWaterfill:
                 assert (sol.downlink_powers.tolist(), sol.water_level, sol.objective) == \
                     (levels[d].tolist(), float(nu[d]), float(objectives[d]))
         for d, one in enumerate(ones):   # every budget on a breakpoint
-            for budget in one._breakpoints.budgets:
+            for budget in one._fill_order.segments[1].tolist():
                 levels, nu = problem._fill_order.levels(budget)
                 assert (tuple(levels[d].tolist()), float(nu[d])) == oracles.waterfill_loop(
                     weights.tolist(), problem.offsets[d].tolist(), budget)
@@ -757,24 +814,35 @@ class TestCachedWaterfill:
             want = waterfill_budget(weights, offsets, f)
             assert problem.power_for(objective) == want
             assert want == oracles.waterfill_budget_loop(weights.tolist(), offsets, f)
-        breakpoints = problem._breakpoints   # objectives on and beside every breakpoint
-        for f in breakpoints.level_sums + [math.nextafter(f, math.inf)
-                                           for f in breakpoints.level_sums]:
-            assert breakpoints.budget(f) == waterfill_budget(weights, offsets, f) == \
+        fill = problem._fill_order   # objectives on and beside every breakpoint
+        level_sums = fill.segments[2].tolist()
+        for f in level_sums + [math.nextafter(f, math.inf) for f in level_sums]:
+            assert fill.budget(f) == waterfill_budget(weights, offsets, f) == \
                 oracles.waterfill_budget_loop(weights.tolist(), offsets, f)
+
+    @pytest.mark.parametrize("offset", [math.inf, math.nan])
+    def test_power_for_checks_the_offsets_as_waterfill_budget_does(self, offset):
+        cfg = make_config(n_unicast=2, group_sizes=(), pilot_length=2)
+        fading = FadingProfile(unicast_gains=(1.0, 0.1), multicast_gains=())
+        problem = allocation._sse_problem(cfg, fading, MRT)
+        offsets = problem.offsets.copy()
+        offsets[0] = offset
+        object.__setattr__(problem, "offsets", offsets)
+        with pytest.raises(ValueError, match="offsets must be positive and finite"):
+            problem.power_for(1.0)
 
     def test_tied_ratios_and_their_breakpoints(self):
         # Three users at one ratio w/o = 2 and one below it: the ties add
-        # no segment of their own, and the loop and the kept breakpoints
-        # take them in input order alike.
+        # no segment of their own, and the loop and the fill order's
+        # segments take them in input order alike.
         weights, offsets = (1.0, 1.0, 2.0, 1.0), (0.5, 0.5, 1.0, 2.0)
-        breakpoints = allocation._Breakpoints(np.array(weights), np.array(offsets))
-        assert breakpoints.level_sums[:3] == [0.0, 0.0, 0.0]
-        for f in (0.0, 0.5, breakpoints.level_sums[-1], 7.0):
-            assert breakpoints.budget(f) == waterfill_budget(weights, offsets, f) == \
+        fill = allocation._FillOrder(np.array(weights), np.array(offsets))
+        _, budgets, level_sums, _ = fill.segments.tolist()
+        assert level_sums[:3] == [0.0, 0.0, 0.0]
+        for f in (0.0, 0.5, level_sums[-1], 7.0):
+            assert fill.budget(f) == waterfill_budget(weights, offsets, f) == \
                 oracles.waterfill_budget_loop(list(weights), list(offsets), f)
-        for budget in (0.0, *breakpoints.budgets, 3.0):
-            levels, nu = allocation._FillOrder(np.array(weights), np.array(offsets)).levels(
-                budget)
+        for budget in (0.0, *budgets, 3.0):
+            levels, nu = fill.levels(budget)
             assert (tuple(levels.tolist()), float(nu)) == oracles.waterfill_loop(
                 list(weights), list(offsets), budget)

@@ -214,6 +214,21 @@ class TestValidate:
                  "--trials", 10, "--out", tmp_path / "x.json")
         assert rc == 1
 
+    def test_trial_ceiling_enforced_before_any_trial(self, scenario_path, tmp_path, capsys,
+                                                     monkeypatch):
+        import mimocast.cli as cli_mod
+
+        def no_run(*a, **k):
+            raise AssertionError("ran the validator past the trial range")
+
+        monkeypatch.setattr(cli_mod.montecarlo, "validate_closed_form", no_run)
+        rc = run("validate", "--scenario", scenario_path, "--precoder", "mrt",
+                 "--trials", 5_000_000_000, "--seed", 1, "--out", tmp_path / "x.json")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --trials must lie in [100, 4294967296]"), err
+        assert not (tmp_path / "x.json").exists()
+
     def test_low_pass_rate_exits_nonzero(self, scenario_path, tmp_path, monkeypatch, capsys):
         import mimocast.cli as cli_mod
         from mimocast.montecarlo import ValidationReport

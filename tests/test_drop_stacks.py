@@ -204,7 +204,7 @@ class TestStackedSolvers:
         offsets = rng.choice([0.25, 0.5, 1.0, 3.0], (n_drops, n)) * rng.choice([1.0, 1.1],
                                                                                (n_drops, n))
         for budget in (0.0, float(rng.uniform(0.0, 3.0 * n))):
-            levels, nu = allocation._waterfill(weights, offsets, budget)
+            levels, nu = allocation._FillOrder(weights, offsets).levels(budget)
             for d in range(n_drops):
                 levels_d, nu_d = waterfill(weights, offsets[d], budget)
                 assert levels[d].tolist() == levels_d.tolist()

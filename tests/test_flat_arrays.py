@@ -660,13 +660,17 @@ class TestNoArrayCanBeMadeWriteable:
             allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast),
             place_users(CellGeometry(), 4, (3, 3), 11)[1],
             Placement(unicast=[[30.0, 0.5]], multicast=([[40.0, 1.0], [50.0, 2.0]],)),
+            validate_closed_form(*small_mc_cell(3, precoder), precoder, 100, 5),
         ]
+        levels, _ = allocation.waterfill((1.0, 2.0), (0.5, 1.0), 1.0)
         for record in records:
             arrays = list(array_fields(record))
             assert arrays, type(record).__name__
             for a in arrays:
                 with pytest.raises(ValueError):
                     a.setflags(write=True)
+        with pytest.raises(ValueError):
+            levels.setflags(write=True)
 
 
 class TestResultArrays:

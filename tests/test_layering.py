@@ -40,6 +40,11 @@ nothing in ``_Kernel`` names the estimate variances (``stats``,
 ``EstimationStats``) or ``_se_report``, as a name, attribute, parameter,
 keyword or string.
 
+Only ``allocation._FillOrder`` orders users: nothing else in
+``allocation.py`` names an ``argsort``, ``sorted``, ``sort``, ``bisect``
+or any other sort or binary search, so water-filling and its inverse read
+one order of the users.
+
 The estimation rule is the model's (``model._mmse_variances``):
 ``allocation.py`` reaches it only through ``model``, naming
 ``_estimation_variances`` in ``_score_stats`` and ``_mmse_variances`` in
@@ -436,3 +441,50 @@ def test_allocation_reaches_the_estimation_rule_only_through_the_model():
     assert owners(source, ESTIMATION_PIECES) == []
     assert kernel_mentions(MONTECARLO.read_text(encoding="utf-8"),
                            ESTIMATION_RULE | ESTIMATION_PIECES - {"_group_others"}) == []
+
+
+ORDERING = {"argsort", "sorted", "sort", "lexsort", "bisect", "bisect_left", "bisect_right",
+            "insort", "searchsorted"}
+
+
+def top_level_mentions(source: str, names: set[str]) -> list[str]:
+    """``owner: name`` for every name, attribute, import or string in
+    ``names``, in source order; the owner is the top-level function or
+    class that holds it, or ``<module>``."""
+    found = []
+    for statement in ast.parse(source).body:
+        owner = (statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                 else "<module>")
+        for node in ast.walk(statement):
+            idents = (node.id if isinstance(node, ast.Name)
+                      else node.attr if isinstance(node, ast.Attribute)
+                      else node.name if isinstance(node, ast.alias)
+                      else node.value if isinstance(node, ast.Constant) else None)
+            if isinstance(idents, str) and idents in names:
+                found.append(f"{owner}: {idents}")
+    return found
+
+
+def test_only_the_fill_order_orders_users_in_allocation():
+    found = top_level_mentions(ALLOCATION.read_text(encoding="utf-8"), ORDERING)
+    assert [mention for mention in found if not mention.startswith("_FillOrder: ")] == []
+    assert {"_FillOrder: argsort", "_FillOrder: searchsorted"} <= set(found)
+
+
+def test_check_sees_every_ordering():
+    source = """
+import bisect
+from heapq import nsmallest
+class _FillOrder:
+    def __init__(self, w, o):
+        self.order = np.argsort(-(w / o), kind="stable")
+class _Breakpoints:
+    def __init__(self, users):
+        self.users = sorted(users, key=lambda u: u[0] / u[1])
+        users.sort(reverse=True)
+def budget(level_sums, f):
+    return bisect.bisect_right(level_sums, f), getattr(np, "searchsorted")(level_sums, f)
+"""
+    assert top_level_mentions(source, ORDERING) == [
+        "<module>: bisect", "_FillOrder: argsort", "_Breakpoints: sorted",
+        "_Breakpoints: sort", "budget: bisect_right", "budget: bisect", "budget: searchsorted"]
