@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,8 +50,8 @@ from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_sha
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
                     _Shared, _estimation_variances, _freeze, _group_min, _group_sums,
-                    _mmse_variances, _per_member, _pilot_arrays, _read_only, _row_sums, _sizes,
-                    _within, require_valid)
+                    _mmse_variances, _per_member, _pilot_arrays, _read_only, _real, _row_sums,
+                    _sizes, _vector, _within, require_valid)
 
 
 def _problem_field():
@@ -112,11 +113,13 @@ class SseSolution(_ArrayRecord):
 
 def _waterfill_users(weights: Sequence[float],
                      offsets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The users' weights and offsets as float arrays, once checked."""
-    if len(weights) != len(offsets):
+    """The users' weights and offsets, 1-D, as float arrays converted as
+    records convert their fields (``model._vector``), once checked."""
+    if np.ndim(weights) != 1 or np.ndim(offsets) != 1:
+        raise ValueError("weights and offsets must be 1-D")
+    w, o = _vector(weights), _vector(offsets)
+    if w.size != o.size:
         raise ValueError("weights and offsets must have equal length")
-    w = np.asarray(weights, dtype=np.float64)
-    o = np.asarray(offsets, dtype=np.float64)
     if not _within(w, 0.0):
         raise ValueError("weights must be positive and finite")
     if not _within(o, 0.0):
@@ -157,9 +160,18 @@ class _FillOrder:
         # at any positive budget, also where rounding loses the budget.
         last = np.where(cand < self.ratios, self.ranks, 0).max(axis=1)
         nu = cand[self.rows[:, 0], last]
+        # Where nu underflows, c/nu is lost; there the level c (b + O_k)/C_k
+        # - o, C_k and O_k the sums over the active set, is formed as
+        # (c/C_k) b + ((c/C_k) O_k - o), which gives one active user all of b.
+        lost = nu < sys.float_info.min
+        fill = self.c / np.where(lost, 1.0, nu)[:, None] - self.o
+        if lost.any():
+            active = self.rows[lost, 0], last[lost]
+            share = self.c[lost] / self.c_sums[active][:, None]
+            fill[lost] = share * budget + (share * self.o_sums[active][:, None] - self.o[lost])
         levels = np.zeros(self.shape)
         levels.reshape(self.o.shape)[self.rows, self.order] = np.where(
-            self.ranks <= last[:, None], np.maximum(0.0, self.c / nu[:, None] - self.o), 0.0)
+            self.ranks <= last[:, None], np.maximum(0.0, fill), 0.0)
         return levels, nu.reshape(self.shape[:-1])
 
     @functools.cached_property
@@ -201,6 +213,7 @@ def waterfill(weights: Sequence[float], offsets: Sequence[float],
     a read-only float64 array.
     """
     w, o = _waterfill_users(weights, offsets)
+    budget = _real(budget)
     if not 0.0 <= budget < math.inf:
         raise ValueError(f"budget must be non-negative and finite, got {budget}")
     levels, nu = _FillOrder(w, o).levels(budget)
@@ -222,7 +235,7 @@ def waterfill_budget(weights: Sequence[float], offsets: Sequence[float],
     non-negative, and expm1 keeps budgets near zero accurate.  A user whose
     r underflows to zero would join at an infinite budget, so never does.
     """
-    return _FillOrder(*_waterfill_users(weights, offsets)).budget(objective)
+    return _FillOrder(*_waterfill_users(weights, offsets)).budget(_real(objective))
 
 
 def _check_split(total: float, fixed: float, name: str) -> float:

@@ -11,6 +11,7 @@ users in the default geometry.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -132,10 +133,12 @@ def drop_means(configs: Sequence[SystemConfig], objective: str, n_drops: int,
     and each precoder solves every drop in one pass (see ``_shape_means``).
     Each cell gives the numbers, and the grid the error, that the cells
     placed, validated and solved one by one in order would give: the first
-    failing cell's.
+    failing cell's.  ``n_drops`` and ``seed`` are integers
+    (``operator.index``).
     """
     if objective not in _PROBLEMS:
         raise ValueError(f"unknown objective {objective!r}, expected one of {sorted(_PROBLEMS)}")
+    n_drops, seed = operator.index(n_drops), operator.index(seed)
     if n_drops < 1:
         raise ValueError(f"need at least one drop, got {n_drops}")
     if seed < 0:

@@ -255,6 +255,11 @@ def _count(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _group_counts(sizes) -> tuple[int, ...]:
+    """Every group size through ``_count``, named by its index."""
+    return tuple(_count(k, f"group_sizes[{g}]") for g, k in enumerate(sizes))
+
+
 @dataclass(frozen=True, eq=False)
 class SystemConfig(_ArrayRecord):
     """Static system parameters, powers normalized to unit noise.
@@ -287,7 +292,9 @@ class SystemConfig(_ArrayRecord):
     group_offsets: np.ndarray = _flat_field()
 
     def __post_init__(self):
-        sizes = tuple(map(operator.index, self.group_sizes))
+        for name in ("n_antennas", "coherence_length", "n_unicast", "pilot_length"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        sizes = _group_counts(self.group_sizes)
         object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(self, "group_offsets", _offsets(sizes))
         _freeze(self, ("unicast_energy_caps", "sse_weights"), ("multicast_energy_caps",))
@@ -316,14 +323,14 @@ class SystemConfig(_ArrayRecord):
     @classmethod
     def from_dict(cls, d: dict) -> "SystemConfig":
         """The config a ``to_dict`` document describes.  A count that is not
-        an integer (64.0, 6.5) raises TypeError naming its field."""
+        an integer (64.0, 6.5) raises TypeError naming its field, as it does
+        in any config."""
         return cls(
-            n_antennas=_count(d["n_antennas"], "n_antennas"),
-            coherence_length=_count(d["coherence_length"], "coherence_length"),
-            n_unicast=_count(d["n_unicast"], "n_unicast"),
-            group_sizes=tuple(_count(k, f"group_sizes[{g}]")
-                              for g, k in enumerate(d["group_sizes"])),
-            pilot_length=_count(d["pilot_length"], "pilot_length"),
+            n_antennas=d["n_antennas"],
+            coherence_length=d["coherence_length"],
+            n_unicast=d["n_unicast"],
+            group_sizes=d["group_sizes"],
+            pilot_length=d["pilot_length"],
             total_power=d["total_power"],
             unicast_energy_caps=d["unicast_energy_caps"],
             multicast_energy_caps=d["multicast_energy_caps"],

@@ -51,7 +51,7 @@ d is a constant, m1 up to rounding, ||T_j||^2 = D_j^2, and a trial reads only
 off R^-1, which a blocked triangular inversion gives for a whole block of
 factors at once (``_zf_row_norms``), and discards a draw whose equilibrated
 estimate Gram may be too ill-conditioned to invert, by a bound read off the
-same row norms (``_require_rank``); no LU inverse or eigensolve runs.  By
+same row norms and masked for the block; no LU inverse or eigensolve runs.  By
 the tower rule, these terms have the same means as the terms of a full channel draw,
 with less spread (Rao-Blackwellization).  The trial kernel works out the weights, the
 precoders' diagonal and each UT's coefficients once per run, after the run
@@ -85,19 +85,19 @@ sequences keep the trial streams independent.  Trials run in blocks of
 BLOCK_TRIALS, one after another: a block's seed words come from one pass of
 the seed hash (``seeds.SpawnHash``), its trials draw into their rows of the
 block's draw buffers, from which the block's factors are formed in the
-run's one factor stack, and ZF inverts the stack as one.  Within a block,
-each trial's own step (the reductions that read its whole factor, and ZF's
-rank rule) runs in trial order; a discarded draw drops only its own trial,
-and a trial that raises stops the run.  The per-UT gathers and
-coefficients then run once for the block's kept trials, elementwise, and
-each kept trial's terms enter the sums in trial order.  So the sums do not
-depend on the block size, and the run holds one block's buffers, whatever
-its trial count.  The moment tests run as array passes over the UTs; only
-the exponentials, erfc, the normal quantile and its tail series run per
-UT, through ``math`` and ``statistics``.  The report keeps one array per
-field of its per-UT record, the closed-form SINR among them; its pass rate,
-gate and other summaries reduce those arrays, and it builds its
-``UserValidation`` records only when they are read.
+run's one factor stack, and ZF inverts the stack as one.  The block step
+is a trial's only step, and none of it raises or catches: ZF's rank rule
+masks the block's bounds, so a discarded draw drops only its own trial, and
+the reductions that read a kept trial's whole factor run in trial order.
+The per-UT gathers and coefficients then run once for the block's kept
+trials, elementwise, and each kept trial's terms enter the sums in trial
+order.  So the sums do not depend on the block size, and the run holds one
+block's buffers, whatever its trial count.  The moment tests run as array
+passes over the UTs; only the exponentials, erfc, the normal quantile and
+its tail series run per UT, through ``math`` and ``statistics``.  The
+report keeps one array per field of its per-UT record, the closed-form SINR
+among them; its pass rate, gate and other summaries reduce those arrays,
+and it builds its ``UserValidation`` records only when they are read.
 """
 
 from __future__ import annotations
@@ -143,8 +143,9 @@ WEAK_SIGNAL = 2.0
 EXACT_RTOL = 1e-12
 # A ZF draw whose equilibrated Gram may have a condition number beyond this
 # is treated as rank-deficient (a probability-zero event) and the trial
-# discarded.  ``_require_rank`` tests an upper bound on the condition number,
-# S * trace(inverse Gram), which is about 10^4 on the paper cell.
+# discarded: a trial keeps a draw whose upper bound on the condition number,
+# S * trace(inverse Gram) (``_zf_row_norms``), is at most this; a NaN bound
+# is not.  The bound is about 10^4 on the paper cell.
 MAX_GRAM_COND = 1e12
 # Trials per block: a block's trials are seeded by one pass of the seed hash
 # and draw into one factor stack, which ZF inverts as one.  Every trial
@@ -296,10 +297,6 @@ def _cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class RankDeficientDraw(RuntimeError):
-    """The stacked estimate matrix lost rank in one draw; discard the trial."""
-
-
 def _require_estimates(powers: DownlinkPowers, stats: EstimationStats, precoder: str):
     """Under either precoder, a stream with power needs a channel estimate to
     point it: a unicast UT or group with no pilot power must get no power.
@@ -315,12 +312,6 @@ def _require_estimates(powers: DownlinkPowers, stats: EstimationStats, precoder:
             raise DegenerateInputError(
                 f"{what} {np.flatnonzero(dead)[0]} has no channel estimate, which "
                 "zero-forcing needs for every stream")
-
-
-def _mrt_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """MRT: each column is the matching unit observation, R in their basis,
-    scaled to its power (a stream with no power has a zero column)."""
-    return R * diag
 
 
 def _diagonal_blocks(X: np.ndarray, size: int) -> np.ndarray:
@@ -360,8 +351,8 @@ def _zf_row_norms(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank rule reads the Gram of unit-norm columns.  That Gram has trace S >=
     lambda_max, and its inverse has trace sum_s ||R e_s||^2 ||e_s^T R^-1||^2
     >= 1/lambda_min, so S times that sum bounds the condition number from
-    above, with no eigensolve (``_require_rank``).  A singular or
-    non-finite factor gives an infinite or NaN bound, without a warning.
+    above, with no eigensolve.  A singular or non-finite factor gives an
+    infinite or NaN bound, without a warning, and MAX_GRAM_COND drops it.
     """
     stack, S = R.shape[0], R.shape[-1]
     parts = R.view(np.float64)   # each entry's real and imaginary parts
@@ -395,13 +386,6 @@ def _zf_row_norms(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return rows, S * np.einsum("bs,bs->b", columns, rows)
 
 
-def _require_rank(bound: float) -> None:
-    """Raise RankDeficientDraw, so that the caller discards the trial, when a
-    ZF draw's condition bound exceeds MAX_GRAM_COND or is not a number."""
-    if not bound <= MAX_GRAM_COND:   # NaN fails the comparison too
-        raise RankDeficientDraw(f"Gram condition bound {bound:.3g} exceeds {MAX_GRAM_COND:g}")
-
-
 # A block's terms, given each trial's observations: every UT's received
 # power summed over all streams and its (real) effective channel on its own
 # stream, one row per kept trial in trial order and one column per UT; and
@@ -425,7 +409,8 @@ class _Kernel:
     A block's trials draw one at a time, each from its own generator, into
     their rows of the block's draw buffers; ``_complete`` then places each
     trial's normals in its factor and forms every diagonal of the block in
-    one pass.  The reductions that read a whole factor run per trial; the
+    one pass.  ZF keeps a block's draws by one mask on their condition
+    bounds.  The reductions that read a whole factor run per kept trial; the
     per-UT gathers and coefficients, which are elementwise, run once per
     block.
     """
@@ -465,11 +450,12 @@ class _Kernel:
         # The block's draws, one row per trial, and the run's factor stack,
         # one k x S factor per trial of a block.  A trial draws its upper
         # trapezoid row by row, and ``upper`` holds where those entries go
-        # in a flattened factor.  The draws fill each upper trapezoid, and
-        # ZF's inverses are upper triangular too, so the strict lower
-        # triangle stays as zeroed here.
-        self.upper = np.flatnonzero(np.triu(np.ones((k, S), dtype=bool)))
-        self.normals = np.empty((BLOCK_TRIALS, self.upper.size), dtype=complex)
+        # in the flattened stack, one row per trial.  The draws fill each
+        # upper trapezoid, and ZF's inverses are upper triangular too, so
+        # the strict lower triangle stays as zeroed here.
+        upper = np.flatnonzero(np.triu(np.ones((k, S), dtype=bool)))
+        self.upper = np.arange(BLOCK_TRIALS)[:, None] * (k * S) + upper
+        self.normals = np.empty((BLOCK_TRIALS, upper.size), dtype=complex)
         self.gammas = np.empty((BLOCK_TRIALS, k))
         self.factors = np.zeros((BLOCK_TRIALS, k, S), dtype=complex)
 
@@ -497,9 +483,8 @@ class _Kernel:
         """The first n factors of the stack, from the first n trials' draws:
         the k x S upper-trapezoidal factors, whose Gram R^H R has the law of
         Y^H Y, each with a zero strict lower triangle."""
+        self.factors.reshape(-1)[self.upper[:n]] = self.normals[:n]
         R = self.factors[:n]
-        for factor, normals in zip(R.reshape(n, -1), self.normals):
-            factor[self.upper] = normals
         # R_ii^2 = |z_ii|^2 + 2 Gamma(N - 1 - i): chi-square with 2 (N - i)
         # degrees of freedom, as |z|^2 is chi-square with 2.
         z = R.reshape(n, -1)[:, ::R.shape[2] + 1]
@@ -509,31 +494,26 @@ class _Kernel:
     def __call__(self, start: int, stop: int) -> _Block:
         """Run trials start, ..., stop - 1: the terms of those kept, in
         trial order, as fresh arrays, which ``_Sums.commit`` overwrites, and
-        the count of those discarded because their draw lost rank.  Each
-        trial's own step (``_mrt_trial``, ``_zf_trial``) runs in trial order
-        and writes the trial's reductions into the next row of the block's
-        buffers; a trial that raises anything else stops the run."""
+        the count of those discarded because their draw lost rank.  Each kept
+        trial's reductions of its whole factor fill the next buffer row."""
         R = self._draw(start, stop)
-        trial = self._zf_trial if self.zf else self._mrt_trial
-        kept = 0
-        for given in zip(*_zf_row_norms(R)) if self.zf else zip(R):
-            try:
-                trial(kept, *given)
-            except RankDeficientDraw:
-                continue
-            kept += 1
-        received, desired = self._terms(kept)
-        return received, desired, len(R) - kept
-
-    def _mrt_trial(self, row: int, R: np.ndarray) -> None:
-        """MRT's trial step: the reductions of one trial's factor R into
-        the given row of the block's buffers."""
-        R_x = _mrt_factor(R, self.diag)
-        T = R.T @ R_x.conj()   # T[j, s] = x_s^H y_j
-        parts = T.view(np.float64)
-        self.coherent_rows[row] = np.einsum("ij,ij->i", parts, parts)   # ||T_j||^2
-        self.frobenius[row] = np.vdot(R_x, R_x).real
-        self.own_channel[row] = T.real.diagonal()
+        if self.zf:
+            rows, bounds = _zf_row_norms(R)
+            kept = rows[bounds <= MAX_GRAM_COND]   # NaN fails the comparison too
+            for row, norms in enumerate(kept):
+                # ||R_x||_F^2 = sum_s D_s^2 ||row s of R^-1||^2, all that varies.
+                self.frobenius[row] = np.vdot(self.power, norms)
+        else:
+            kept = R
+            for row, factor in enumerate(R):
+                R_x = factor * self.diag   # R D: each stream's unit observation, scaled
+                T = factor.T @ R_x.conj()   # T[j, s] = x_s^H y_j
+                parts = T.view(np.float64)
+                self.coherent_rows[row] = np.einsum("ij,ij->i", parts, parts)   # ||T_j||^2
+                self.frobenius[row] = np.vdot(R_x, R_x).real
+                self.own_channel[row] = T.real.diagonal()
+        received, desired = self._terms(len(kept))
+        return received, desired, len(R) - len(kept)
 
     def _terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Every UT's terms in the block's first n trials, from their rows
@@ -545,13 +525,6 @@ class _Kernel:
         desired = self.own_channel[:n].take(self.own, axis=1)
         desired *= self.own_scale
         return received, desired
-
-    def _zf_trial(self, row: int, rows: np.ndarray, bound: float) -> None:
-        """ZF's trial step, from the squared row norms of R^-1 and the
-        condition bound of one trial (``_zf_row_norms``)."""
-        _require_rank(bound)
-        # ||R_x||_F^2 = sum_s D_s^2 ||row s of R^-1||^2, all that varies.
-        self.frobenius[row] = np.vdot(self.power, rows)
 
 
 class _Sums:

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PlacementError
-from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _matrix, _offsets,
-                    _read_only, _Shared, _views)
+from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _count,
+                    _group_counts, _matrix, _offsets, _read_only, _Shared, _views)
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,11 @@ def default_normalized_config(n_antennas: int,
 
     It is built once, in normalized units, and equals
     ``normalize_powers(radio, ...)`` of the same config in physical units:
-    each power is the same product with the same scale factor.
+    each power is the same product with the same scale factor.  Counts are
+    read as the config reads them.
     """
-    group_sizes = tuple(int(k) for k in group_sizes)
+    n_unicast = _count(n_unicast, "n_unicast")
+    group_sizes = _group_counts(group_sizes)
     scale = _noise_scale(radio)
     e = default_energy_cap_physical(coherence_length) * scale
     # A negative count gives an empty field, which validation reports.

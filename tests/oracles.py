@@ -87,7 +87,10 @@ factor array per trial, ZF's row norms from an LU inverse
 (``zf_row_norms_lu``), MRT's per-UT terms formed one trial at a time
 (``mrt_terms_per_trial``) and each trial's terms added to the sums before
 the next draws.  The blocked run's sums must equal its sums bit for bit
-under MRT and within 1e-12 under ZF, at any block size.
+under MRT and within 1e-12 under ZF, at any block size.  It also keeps
+the per-trial steps the kernel had before its block step became its only
+one: ``mrt_factor``, MRT's factor R D, and ``require_rank``, which raises
+``RankDeficientDraw`` where the kernel's mask drops a ZF draw.
 ``zf_interference_exact`` gives the closed form's ZF interference in
 rational arithmetic, which the library must meet within 1e-14 at any pilot
 energy.
@@ -159,7 +162,7 @@ from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleEr
 from mimocast.model import (MIN_GAIN, EstimationStats, FadingProfile, PowerSplit, SystemConfig,
                             Violation, _estimation_variances, _group_sums, _per_member,
                             _pilot_arrays, _views, estimation_variances, require_valid)
-from mimocast.montecarlo import EXACT_RTOL, MAX_GRAM_COND, Z95, RankDeficientDraw
+from mimocast.montecarlo import EXACT_RTOL, MAX_GRAM_COND, Z95
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
 from mimocast.scenario import (CellGeometry, Placement, RadioParams,
                                default_energy_cap_physical, noise_power_w_per_hz,
@@ -168,6 +171,11 @@ from mimocast.scenario import (CellGeometry, Placement, RadioParams,
 LN2 = math.log(2.0)
 
 log = logging.getLogger(__name__)
+
+
+class RankDeficientDraw(RuntimeError):
+    """The stacked estimate matrix lost rank in one draw; discard the trial.
+    The oracles raise it where the trial kernel drops the draw by a mask."""
 
 
 def _normal_parts(rng: np.random.Generator, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -980,15 +988,15 @@ def observation_basis(O: np.ndarray) -> np.ndarray:
 def zf_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """ZF's factor R^-H D of the observations' factor R, which the trial
     kernel never forms, for a draw its rank rule keeps (the bound of
-    ``montecarlo._zf_row_norms`` on a copy of R, which
-    ``montecarlo._require_rank`` turns into RankDeficientDraw for any
-    other).  That rule reads upper-triangular factors, as a trial draws
-    them; the square observations of N = S antennas, which are their own
-    factor here and which ZF never serves, are triangularized by a QR
-    first, which leaves the bound as it is."""
+    ``montecarlo._zf_row_norms`` on a copy of R, which ``require_rank``
+    turns into RankDeficientDraw for any other).  That rule reads
+    upper-triangular factors, as a trial draws them; the square
+    observations of N = S antennas, which are their own factor here and
+    which ZF never serves, are triangularized by a QR first, which leaves
+    the bound as it is."""
     triangle = R if np.array_equal(R, np.triu(R)) else np.linalg.qr(R, mode="r")
     _, (bound,) = montecarlo._zf_row_norms(triangle[None].copy())
-    montecarlo._require_rank(bound)
+    require_rank(bound)
     return np.linalg.inv(R).conj().T * diag
 
 
@@ -1048,7 +1056,7 @@ class FullDrawKernel:
         """(received, desired) of every UT for the observations' factor R and
         residuals drawn from rng; None when ZF discards R."""
         try:
-            R_x = (zf_factor if self.zf else montecarlo._mrt_factor)(R, self.diag)
+            R_x = (zf_factor if self.zf else mrt_factor)(R, self.diag)
         except RankDeficientDraw:
             return None
         # UT i of pilot j has h_i = c_i o_j + e_i, where e_i = z_i - c_i
@@ -1355,6 +1363,21 @@ def zf_row_norms_lu(R: np.ndarray) -> np.ndarray:
     return rows
 
 
+def mrt_factor(R: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """MRT: each column is the matching unit observation, R in their basis,
+    scaled to its power (a stream with no power has a zero column)."""
+    return R * diag
+
+
+def require_rank(bound: float) -> None:
+    """Raise RankDeficientDraw, so that the caller discards the trial, when a
+    ZF draw's condition bound exceeds ``montecarlo.MAX_GRAM_COND`` or is not
+    a number: the draws the kernel's mask drops."""
+    if not bound <= montecarlo.MAX_GRAM_COND:   # NaN fails the comparison too
+        raise RankDeficientDraw(f"Gram condition bound {bound:.3g} exceeds "
+                                f"{montecarlo.MAX_GRAM_COND:g}")
+
+
 def trial_kernel(cfg, fading, pilot_powers_unicast, pilot_powers_multicast, powers,
                  precoder, seed) -> montecarlo._Kernel:
     """A run's trial kernel, given the pilot powers as the run converts them
@@ -1381,7 +1404,7 @@ def mrt_terms_per_trial(kernel, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One trial's MRT terms (received, desired) as the kernel formed them
     before a block's per-UT gathers and coefficients ran as one: from
     R^T conj(R_x), with R_x = R D, one trial at a time."""
-    R_x = montecarlo._mrt_factor(R, kernel.diag)
+    R_x = mrt_factor(R, kernel.diag)
     T = R.T @ R_x.conj()   # T[j, s] = x_s^H y_j
     parts = T.view(np.float64)
     rows = np.einsum("ij,ij->i", parts, parts)[kernel.own]   # ||T_j||^2

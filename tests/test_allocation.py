@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from mimocast import allocation
 from mimocast.allocation import (mmf_se_report, solve_mmf, solve_sse, sse_se_report,
                                  waterfill, waterfill_budget)
-from mimocast.closed_form import (MRT, PRECODERS, ZF, DownlinkPowers, _precoder_factors,
-                                  se_from_sinr, se_report)
+from mimocast.closed_form import (BUDGET_RTOL, MRT, PRECODERS, ZF, DownlinkPowers,
+                                  _precoder_factors, se_from_sinr, se_report)
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, FadingStack, SystemConfig, estimation_variances
 
@@ -101,6 +101,40 @@ class TestWaterfill:
         assert all(p >= 0.0 for p in levels)
         assert waterfill_kkt_violation(weights, offsets, levels, nu) <= 1e-10
         assert (tuple(levels.tolist()), nu) == oracles.waterfill_loop(weights, offsets, budget)
+
+    @pytest.mark.parametrize("weights, offsets, budget", [
+        ((1e-300,), (1e-10,), 1e100),
+        ((1e-300,), (1e300,), 1.0),   # its ratio c/o underflows too
+        ((1e-300, 1e-300), (1e-10, 2e-10), 1e100),
+    ])
+    def test_water_level_that_underflows_keeps_the_budget(self, weights, offsets, budget):
+        # nu = c/(budget + o) underflows to zero, and c/nu gave infinite
+        # levels, with numpy's "divide by zero" warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels, nu = waterfill(weights, offsets, budget)
+        assert nu == 0.0 and np.isfinite(levels).all() and (levels >= 0.0).all()
+        assert abs(levels.sum() - budget) <= BUDGET_RTOL * budget
+        if len(weights) == 1:
+            assert levels.tolist() == [budget]
+
+    @pytest.mark.parametrize("solve", [waterfill, waterfill_budget])
+    @pytest.mark.parametrize("weights, offsets, target, error", [
+        (np.array([1 + 1j, 2]), [1.0, 1.0], 1.0, TypeError),
+        ([1.0, 2.0], np.array([1.0, 1 + 1j]), 1.0, TypeError),
+        ([1.0, None], [1.0, 1.0], 1.0, TypeError),
+        ([1.0, 1.0], [1.0, 1.0], np.complex128(1.0), TypeError),
+        (np.array([[1.0, 1.0]]), [[1.0, 1.0]], 1.0, ValueError),
+    ], ids=["complex weight", "complex offset", "None weight", "complex target", "2-D"])
+    def test_inputs_convert_as_records_do(self, solve, weights, offsets, target, error):
+        # Weights, offsets and the budget (or objective) are read with
+        # ``model._vector`` and ``model._real``: a complex entry used to lose
+        # its imaginary part with a ComplexWarning, and 2-D users raised
+        # IndexError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                solve(weights, offsets, target)
 
     @settings(max_examples=60)
     @given(

@@ -26,7 +26,9 @@ A Monte Carlo run checks its inputs once, before its first trial: no code
 a trial runs names a check.  The walk starts at the block step,
 ``_Kernel.__call__``, and takes every ``montecarlo`` function or
 ``_Kernel`` method it names, directly or through another; it must reach
-each step of a trial, from the draw to both precoders' terms.
+each step of a trial, from the draw to both precoders' terms.  None of
+those steps raises or catches: a lost-rank ZF draw is dropped by a mask,
+not by an exception.
 
 The per-UT pilot order is the model's: ``SystemConfig.pilot_offsets``
 holds the pilot boundaries, and no other module derives them.  Outside
@@ -265,11 +267,11 @@ def trial_walk(source: str) -> tuple[list[str], set[str]]:
     return sorted(found), seen
 
 
-# Every step of a trial: the block's draws and their completion, ZF's row
-# norms and rank rule, MRT's factor, and both precoders' terms.
+# Every step of a trial: the block step, which also holds ZF's rank rule and
+# MRT's reductions, the block's draws and their completion, ZF's row norms,
+# and both precoders' terms.
 TRIAL_STEPS = {"__call__", "_draw", "_factor", "_cn", "_complete", "_zf_row_norms",
-               "_diagonal_blocks", "_require_rank", "_zf_trial", "_mrt_trial", "_mrt_factor",
-               "_terms"}
+               "_diagonal_blocks", "_terms"}
 
 
 def test_trials_run_no_check():
@@ -299,6 +301,48 @@ class _Kernel:
 """
     assert trial_walk(source)[0] == ["_precode: _require_estimates",
                                        "_scaled: require_valid"]
+
+
+def trial_control(source: str) -> list[str]:
+    """``function: raise`` or ``function: try`` for every raise statement or
+    try block in a function or method that ``trial_walk`` reaches from
+    ``_Kernel.__call__``, sorted."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Kernel")
+    methods = {node.name: node for node in kernel.body if isinstance(node, ast.FunctionDef)}
+    kinds = {ast.Raise: "raise", ast.Try: "try", ast.TryStar: "try"}
+    return sorted(f"{name}: {kinds[type(node)]}" for name in trial_walk(source)[1]
+                  for node in ast.walk(functions.get(name) or methods[name])
+                  if type(node) in kinds)
+
+
+def test_no_trial_step_raises_or_catches():
+    assert trial_control(MONTECARLO.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_every_raise_and_try_a_trial_reaches():
+    source = """
+def _rank(bound):
+    if not bound <= 1e12:
+        raise RankDeficientDraw(bound)
+def _unused(powers):
+    raise ValueError(powers)
+class _Kernel:
+    def __init__(self, cfg):
+        raise TypeError(cfg)
+    def _step(self, bound):
+        try:
+            _rank(bound)
+        except RankDeficientDraw:
+            return None
+    def __call__(self, start, stop):
+        with np.errstate(all="ignore"):
+            assert start < stop
+            return [self._step(b) for b in range(start, stop)]
+"""
+    assert trial_control(source) == ["_rank: raise", "_step: try"]
 
 
 CLOSED_FORM_SIDE = {"_estimation_variances", "_sinr_terms"}

@@ -1,14 +1,18 @@
+import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mimocast import figures
 from mimocast.errors import InvalidConfigError
 from mimocast.model import (FadingProfile, PowerSplit, SystemConfig,
                             estimation_variances, require_valid,
                             validate_config)
+from mimocast.scenario import default_normalized_config
 
 
 def make_config(n_unicast=0, group_sizes=(1,), pilot_length=None, n_antennas=100,
@@ -90,6 +94,40 @@ class TestValidateConfig:
                                multicast_gains=((1.0, 2.0), (3.0,)))
         assert SystemConfig.from_dict(cfg.to_dict()) == cfg
         assert FadingProfile.from_dict(fading.to_dict()) == fading
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_antennas", 64.5, "n_antennas must be an integer, got 64.5"),
+        ("coherence_length", 200.5, "coherence_length must be an integer, got 200.5"),
+        ("n_unicast", np.float64(2.0), "n_unicast must be an integer, got np.float64(2.0)"),
+        ("pilot_length", 3.0, "pilot_length must be an integer, got 3.0"),
+        ("group_sizes", (2, 1.5), "group_sizes[1] must be an integer, got 1.5"),
+    ])
+    def test_every_config_reads_its_counts_as_integers(self, field, value, message):
+        # A fractional n_antennas used to pass validation and reach the
+        # solvers as an array gain of 56.5; only from_dict checked counts.
+        cfg = make_config(n_unicast=2, group_sizes=(2, 1))
+        with pytest.raises(TypeError, match=re.escape(message)):
+            dataclasses.replace(cfg, **{field: value})
+        with pytest.raises(TypeError, match=re.escape(message)):
+            SystemConfig.from_dict({**cfg.to_dict(), field: value})
+
+    def test_default_config_reads_its_counts_as_the_config_does(self):
+        # Group sizes (2.7, 3.2) used to be truncated to (2, 3).
+        with pytest.raises(TypeError, match=re.escape("group_sizes[0] must be an integer")):
+            default_normalized_config(100, 200, 5, (2.7, 3.2))
+        with pytest.raises(TypeError, match="n_unicast must be an integer"):
+            default_normalized_config(100, 200, 5.0, (2, 3))
+        cfg = default_normalized_config(np.int64(100), 200, np.int64(5), (np.int64(2), 3))
+        assert (type(cfg.n_antennas), type(cfg.n_unicast), type(cfg.group_sizes[0])) == \
+            (int, int, int)
+
+    @pytest.mark.parametrize("n_drops, seed", [(2.5, 1), (1, 1.0)])
+    def test_drop_means_reads_drops_and_seed_as_integers(self, n_drops, seed):
+        # 2.5 drops used to run 3, and a float seed raised AttributeError.
+        cfg = default_normalized_config(100, 200, 5, (2, 3))
+        with pytest.raises(TypeError):
+            figures.drop_means([cfg], "mmf", n_drops, seed)
 
 
 # A bad pilot power entry and the error it raises.

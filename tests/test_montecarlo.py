@@ -69,7 +69,7 @@ def kernel_trials(cfg, fading, pilots_un, pilots_mu, seed, n_trials=1, powers=No
         if precoder == ZF:
             factor, diag = oracles.zf_factor, scales / factors
         else:
-            factor, diag = montecarlo._mrt_factor, scales * factors
+            factor, diag = oracles.mrt_factor, scales * factors
     for t in range(n_trials):
         rng = trial_rng(seed, t)
         O = oracles.cn(rng, (cfg.n_antennas, cfg.n_streams)) * spread
@@ -267,7 +267,7 @@ class TestZfPrecoders:
         (_, C, _), = kernel_trials(cfg, fading, pilots_un, pilots_mu, 900)
         zf_of_estimates(C, scales)   # the draw itself has full rank
         C[:, stream] = scale * C[:, copy_of]
-        with pytest.raises(montecarlo.RankDeficientDraw):
+        with pytest.raises(oracles.RankDeficientDraw):
             zf_of_estimates(C, scales)
 
     @pytest.mark.parametrize("silent", ["unicast UT 1", "group 0"])
@@ -292,7 +292,7 @@ class TestZfPrecoders:
         with pytest.raises(DegenerateInputError,
                            match=f"{silent} has no channel estimate, which zero-forcing"):
             montecarlo._require_estimates(powers, stats, ZF)
-        with pytest.raises(montecarlo.RankDeficientDraw, match="Gram condition bound (inf|nan)"):
+        with pytest.raises(oracles.RankDeficientDraw, match="Gram condition bound (inf|nan)"):
             zf_of_estimates(C, oracles.column_scales(cfg, powers, stats, ZF))
 
     def test_minimal_antenna_margin_keeps_rank(self):
@@ -313,9 +313,10 @@ def zf_of_estimates(C, scales):
 
 class TestZfRuleAgainstEigensolve:
     """``_zf_row_norms``, which inverts the estimates' factor R by back
-    substitution, and ``_require_rank``, which discards a draw on the bound
+    substitution, and the rank rule, which discards a draw on the bound
     S * trace(inverse equilibrated Gram) of its condition number, read off
-    that inverse's row norms, with the columns R^-H D it keeps, against
+    that inverse's row norms (``oracles.require_rank`` raises where the
+    kernel's mask drops), with the columns R^-H D it keeps, against
     ``oracles.zf_columns_eigensolve``, which discarded on the condition
     number from ``eigvalsh`` and solved the Gram system."""
 
@@ -359,7 +360,7 @@ class TestZfRuleAgainstEigensolve:
         def kept(columns):
             try:
                 columns(C, scales)
-            except montecarlo.RankDeficientDraw:
+            except oracles.RankDeficientDraw:
                 return False
             return True
 
@@ -378,16 +379,33 @@ class TestZfRuleAgainstEigensolve:
         R[35, 36] = 1.0
         return R
 
-    @pytest.mark.parametrize("R", [
-        np.array([[1e-200, 1.0], [0.0, 1e-200]], dtype=complex),   # an inverse entry -inf
-        np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex),      # a NaN inverse
-        later_leaf_overflow(),
-    ], ids=["overflow", "nan", "overflow in a later leaf"])
-    def test_non_finite_inverse_is_discarded_quietly(self, R):
-        # Discarded without a RuntimeWarning, which this suite makes an error.
-        _, (bound,) = montecarlo._zf_row_norms(R[None].copy())
-        with pytest.raises(montecarlo.RankDeficientDraw, match="Gram condition bound nan"):
-            montecarlo._require_rank(bound)
+    @pytest.mark.parametrize("R, bound", [
+        (np.array([[1e-200, 1.0], [0.0, 1e-200]], dtype=complex), "nan"),  # an inverse entry -inf
+        (np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), "nan"),     # a NaN inverse
+        (later_leaf_overflow(), "nan"),
+        (np.array([[1e-160, 0.0], [0.0, 1.0]], dtype=complex), "inf"),     # a row norm inf
+    ], ids=["overflow", "nan", "overflow in a later leaf", "infinite bound"])
+    def test_non_finite_inverse_is_discarded_quietly(self, monkeypatch, R, bound):
+        # A ZF run whose trial 3 draws R discards that trial alone, without
+        # a RuntimeWarning, which this suite makes an error.
+        _, got = montecarlo._zf_row_norms(R[None].copy())
+        assert str(float(got[0])) == bound
+        S = len(R)
+        cfg, fading = small_system(n_antennas=S + 4, n_unicast=S - 1, group_sizes=(1,))
+        complete, blocks = montecarlo._Kernel._complete, []
+
+        def drawing_R(self, n):
+            stack = complete(self, n)
+            if not blocks:   # the first block, trials 0 to 7
+                stack[3] = R
+            blocks.append(n)
+            return stack
+
+        monkeypatch.setattr(montecarlo._Kernel, "_complete", drawing_R)
+        half = cfg.total_power / 2.0
+        powers = DownlinkPowers.equal_split(half, cfg.n_unicast, half, cfg.n_groups)
+        report = validate_closed_form(cfg, fading, *cap_pilots(cfg), powers, ZF, 100, 4)
+        assert (report.n_trials, report.n_discarded, sum(blocks)) == (99, 1, 100)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(streams=st.integers(min_value=1, max_value=80),
@@ -715,8 +733,13 @@ class TestValidateClosedForm:
                                multicast_gains=((0.05, 0.05),))
         pilots_un, pilots_mu = cap_pilots(cfg)
         nominal = DownlinkPowers(unicast=(2.0, 1.0), multicast=(3.0,))
-        factor = montecarlo._mrt_factor
-        monkeypatch.setattr(montecarlo, "_mrt_factor", lambda *args: 1.1 * factor(*args))
+        init = montecarlo._Kernel.__init__
+
+        def misscaled(self, *args):
+            init(self, *args)
+            self.diag = 1.1 * self.diag   # the precoders' diagonal kappa sqrt(p)
+
+        monkeypatch.setattr(montecarlo._Kernel, "__init__", misscaled)
         rec = record(validate_closed_form(cfg, fading, pilots_un, pilots_mu, nominal, "mrt",
                                           8000, 11), "multicast", (0, 0))
         assert rec.empirical > rec.closed_form
@@ -756,9 +779,9 @@ class TestValidateClosedForm:
     def test_diagnostics_summarise_the_records(self, monkeypatch):
         cfg, fading = small_system(n_antennas=32, n_unicast=2, group_sizes=(2, 2))
         pilots_un, pilots_mu = cap_pilots(cfg)
-        fail_in_trials(monkeypatch, dict.fromkeys((4, 9, 30), montecarlo.RankDeficientDraw))
+        fail_in_trials(monkeypatch, dict.fromkeys((4, 9, 30), oracles.RankDeficientDraw))
         powers = DownlinkPowers(unicast=(0.0, 4.0), multicast=(3.0, 3.0))
-        report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "mrt", 120, 6)
+        report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, "zf", 120, 6)
         doc = report.to_dict()
         zs = {kind: [r.z for r in report.records if r.kind == kind]
               for kind in ("unicast", "multicast")}
@@ -1237,43 +1260,54 @@ class TestMemory:
 
 
 def fail_in_trials(monkeypatch, errors):
-    """Make the precoder cores raise ``errors[t](...)`` in trial t: the
-    trial kernel's per-trial steps, and the loop builders the serial oracle
-    calls.  The kernel's block step numbers its trials from the block's
-    first, and each call of a per-trial step, which runs once per trial in
-    trial order (``_mrt_factor`` under MRT, ``_require_rank`` under ZF),
-    takes the next number; ``trial_rng`` tags each trial the oracle draws."""
+    """Make trial t fail with ``errors[t]``: ``oracles.RankDeficientDraw``
+    discards it, and any other error is raised as ``errors[t]("forced in
+    trial t")``.  In the trial kernel a discard is forced through the
+    condition bounds ``_zf_row_norms`` returns for the block, the trial's set
+    to NaN, and an error is raised from ``_Kernel._factor``, which runs once
+    per trial in trial order: the block step numbers its trials from the
+    block's first, and each call takes the next number.  The loop builders
+    the serial oracle calls raise both in the trial ``trial_rng`` tags."""
     current = {}
-    trial_rng_ = montecarlo.trial_rng
-    block = montecarlo._Kernel.__call__
+    trial_rng_, row_norms = montecarlo.trial_rng, montecarlo._zf_row_norms
+    block, factor = montecarlo._Kernel.__call__, montecarlo._Kernel._factor
+    lost = {t for t, error in errors.items() if error is oracles.RankDeficientDraw}
 
     def tagged_rng(seed, t):
         current["trial"] = t
         return trial_rng_(seed, t)
 
     def numbered_block(self, start, stop):
-        current["next"] = start
+        current["start"] = current["next"] = start
         return block(self, start, stop)
 
-    def next_trial():
+    def failing_factor(self, *args):
+        t = current["next"]
         current["next"] += 1
-        return current["next"] - 1
+        if t in errors and t not in lost:
+            raise errors[t](f"forced in trial {t}")
+        return factor(self, *args)
 
-    def failing(build, trial):
+    def losing_rank(R):
+        rows, bounds = row_norms(R)
+        start = current["start"]
+        bounds[[t - start for t in range(start, start + len(R)) if t in lost]] = math.nan
+        return rows, bounds
+
+    def failing(build):
         def step(*args):
-            t = trial()
+            t = current["trial"]
             if t in errors:
                 raise errors[t](f"forced in trial {t}")
             return build(*args)
         return step
 
     monkeypatch.setattr(montecarlo, "trial_rng", tagged_rng)
+    monkeypatch.setattr(montecarlo, "_zf_row_norms", losing_rank)
     monkeypatch.setattr(montecarlo._Kernel, "__call__", numbered_block)
-    for name in ("_mrt_factor", "_require_rank"):
-        monkeypatch.setattr(montecarlo, name, failing(getattr(montecarlo, name), next_trial))
+    monkeypatch.setattr(montecarlo._Kernel, "_factor", failing_factor)
     for name in ("build_mrt_precoders_loop", "build_zf_precoders_loop"):
-        monkeypatch.setattr(oracles, name,
-                            failing(getattr(oracles, name), lambda: current["trial"]))
+        monkeypatch.setattr(oracles, name, failing(getattr(oracles, name)))
 
 
 def bits(a):
@@ -1487,8 +1521,9 @@ class TestTrialOrder:
     """Trials run in trial order on the calling thread, against the serial
     loop (``oracles``, serial streamed section)."""
 
-    # The first trial, a run of neighbours and the last one.
-    DISCARDED = (0, 1, 2, 40, 41, 99)
+    # The first trial, a run of neighbours and the last one; or every trial
+    # of one block, which then keeps none.
+    DISCARDED = {"scattered": (0, 1, 2, 40, 41, 99), "a whole block": tuple(range(8, 16))}
 
     @staticmethod
     def cell(precoder):
@@ -1498,20 +1533,21 @@ class TestTrialOrder:
         powers = DownlinkPowers.equal_split(half, cfg.n_unicast, half, cfg.n_groups)
         return cfg, fading, pilots_un, pilots_mu, powers, precoder
 
-    @pytest.mark.parametrize("precoder", PRECODERS)
-    def test_discarded_trials_leave_the_rest_in_order(self, monkeypatch, precoder):
-        args = (*self.cell(precoder), 100, 19)
-        fail_in_trials(monkeypatch, dict.fromkeys(self.DISCARDED, montecarlo.RankDeficientDraw))
+    @pytest.mark.parametrize("discarded", DISCARDED)
+    def test_discarded_trials_leave_the_rest_in_order(self, monkeypatch, discarded):
+        # Only ZF's rank rule discards a draw; MRT has none.
+        args = (*self.cell("zf"), 100, 19)
+        lost = self.DISCARDED[discarded]
+        fail_in_trials(monkeypatch, dict.fromkeys(lost, oracles.RankDeficientDraw))
         serial = oracles.run_trials_serial(*args)
-        assert (serial.kept, serial.discarded) == (100 - len(self.DISCARDED),
-                                                   len(self.DISCARDED))
+        assert (serial.kept, serial.discarded) == (100 - len(lost), len(lost))
         assert_matches_serial(args, *recorded_run(args), serial)
 
     @pytest.mark.parametrize("errors, raised, trial", [
-        ({3: montecarlo.RankDeficientDraw, 23: DegenerateInputError, 24: ValueError},
+        ({3: oracles.RankDeficientDraw, 23: DegenerateInputError, 24: ValueError},
          DegenerateInputError, 23),
         ({0: ValueError, 1: DegenerateInputError}, ValueError, 0),
-        ({**dict.fromkeys(range(99), montecarlo.RankDeficientDraw), 99: DegenerateInputError},
+        ({**dict.fromkeys(range(99), oracles.RankDeficientDraw), 99: DegenerateInputError},
          DegenerateInputError, 99),
     ], ids=["middle", "first", "last"])
     def test_lowest_failing_trial_raises(self, monkeypatch, errors, raised, trial):
@@ -1534,7 +1570,7 @@ class TestTrialOrder:
         # does, and two give a report.
         args = (*self.cell("zf"), 100, 13)
         lost = range(100 - kept) if where == "last" else range(kept, 100)
-        fail_in_trials(monkeypatch, dict.fromkeys(lost, montecarlo.RankDeficientDraw))
+        fail_in_trials(monkeypatch, dict.fromkeys(lost, oracles.RankDeficientDraw))
         if kept < 2:
             for run in (oracles.run_trials_serial, validate_closed_form):
                 with pytest.raises(DegenerateInputError, match="fewer than 2 usable trials"):
