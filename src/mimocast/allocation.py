@@ -49,9 +49,9 @@ from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_sha
                           se_from_sinr)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
-                    _Shared, _estimation_variances, _freeze, _group_min, _group_sums,
-                    _mmse_variances, _per_member, _pilot_arrays, _read_only, _real, _row_sums,
-                    _sizes, _vector, _within, require_valid)
+                    _estimation_variances, _freeze, _group_min, _group_sums, _mmse_variances,
+                    _owned, _per_member, _pilot_arrays, _read_only, _real, _row_sums, _side,
+                    _sizes, _store, _vector, _within, require_valid)
 
 
 def _problem_field():
@@ -68,24 +68,28 @@ class MmfSolution(_ArrayRecord):
     pilot energies (power * pilot length, capped by the energy budgets);
     b_values the per-group interference loads B_j, to which the downlink
     powers are proportional after the precoder's offset (B_j - c*P).
-    Per-UT and per-group fields are read-only float64 arrays, the per-UT
-    ones one view per group.
+    Fields are read-only float64 arrays; the per-UT ones are stored in
+    ``ut_pilot_powers`` and ``ut_x_caps`` and read as one view per group.
     """
 
     precoder: str
     objective: float
     pilot_length: int
-    uplink_pilot_powers: tuple[np.ndarray, ...]
+    uplink_pilot_powers: tuple[np.ndarray, ...] = _side("ut_pilot_powers", slice(None),
+                                                        "group_offsets")
     downlink_powers: np.ndarray
     gamma: float
     upsilon: np.ndarray
-    x_caps: tuple[np.ndarray, ...]
+    x_caps: tuple[np.ndarray, ...] = _side("ut_x_caps", slice(None), "group_offsets")
     b_values: np.ndarray
     _problem: _MmfProblem | None = _problem_field()
+    ut_pilot_powers: np.ndarray = dataclasses.field(init=False, repr=False)
+    ut_x_caps: np.ndarray = dataclasses.field(init=False, repr=False)
+    group_offsets: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        _freeze(self, ("downlink_powers", "upsilon", "b_values"),
-                ("uplink_pilot_powers", "x_caps"))
+        _store(self)
+        _freeze(self, ("downlink_powers", "upsilon", "b_values"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,9 +256,9 @@ def _check_split(total: float, fixed: float, name: str) -> float:
 def _pilot_qualities(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> np.ndarray:
     """Each multicast UT's individually attainable pilot quality E*g^2/(1+g*P)
     at its energy cap E (flat, one per multicast UT)."""
-    gains = fading.multicast_gains_flat
+    gains = fading.ut_gains[..., cfg.n_unicast:]
     # Worked out in two buffers shaped like the gains, with the same roundings.
-    per_user = cfg.multicast_energy_caps_flat * gains
+    per_user = cfg.ut_energy_caps[cfg.n_unicast:] * gains
     per_user *= gains
     load = gains * cfg.total_power
     load += 1.0
@@ -267,7 +271,8 @@ def _pilot_qualities(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> 
 def _inverse_sums(cfg: SystemConfig, fading: FadingProfile | FadingStack,
                   upsilon: np.ndarray) -> np.ndarray:
     """1/upsilon_j + sum 1/g over group j's members, per group."""
-    return 1.0 / upsilon + _group_sums(1.0 / fading.multicast_gains_flat, cfg.group_offsets)
+    return 1.0 / upsilon + _group_sums(1.0 / fading.ut_gains[..., cfg.n_unicast:],
+                                       cfg.group_offsets)
 
 
 def _solver_prelog(cfg: SystemConfig) -> float:
@@ -288,12 +293,6 @@ def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
     prelog * sum a*log2(1 + p/o), with the SEs' one log1p rule
     (``closed_form.se_from_sinr``) and the terms added left to right."""
     return prelog * _row_sums(weights * np.log1p(levels / offsets) / LN2)
-
-
-def _built_by(problem: _Problem, solution):
-    """The solution, with the problem that built it recorded on it."""
-    object.__setattr__(solution, "_problem", problem)
-    return solution
 
 
 def _at_pilot_length(cfg: SystemConfig, pilot_length: int) -> SystemConfig:
@@ -320,8 +319,8 @@ class _Problem:
     (the subclass's own fields) and the precoder's factors.  With one
     antenna count per drop of a stack, each drop gets its own array gain
     (see ``_precoder_factors``).  Each subclass names the solution it
-    builds (``_solution``) and the arrays every solve's record shares
-    (``_shared``, the pilot powers first)."""
+    builds (``_solution``); every solve's record shares the problem's
+    read-only arrays, its pilot powers among them."""
 
     cfg: SystemConfig
     fading: FadingProfile | FadingStack
@@ -340,15 +339,15 @@ class _Problem:
         """The one drop's objective with the whole budget."""
         return float(self.objectives(0.0))
 
-    @functools.cached_property
-    def _scoring(self) -> tuple[SystemConfig, EstimationStats]:
-        """What a score of any solve reads besides the split: the config at
-        the solver's pilot length and the estimate variances of the pilots
-        every solve's record shares and full-cap pilots for the others."""
-        cfg_at = _at_pilot_length(self.cfg, self.cfg.n_streams)
-        pilots = self._shared[0]
-        return cfg_at, _score_stats(cfg_at, self.fading, self._solution,
-                                    pilots.view if pilots.rows is None else pilots.rows)
+    def _scoring(self, sol) -> tuple[SystemConfig, EstimationStats]:
+        """What a score of any solve ``sol`` reads besides the split, worked
+        out on the first: the config at the solver's pilot length and the
+        estimate variances of the pilots every solve shares."""
+        if "_scores" not in self.__dict__:
+            cfg_at = _at_pilot_length(self.cfg, self.cfg.n_streams)
+            self.__dict__["_scores"] = cfg_at, _score_stats(cfg_at, self.fading, self._solution,
+                                                            sol.uplink_pilot_powers)
+        return self.__dict__["_scores"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +368,7 @@ class _MmfProblem(_Problem):
         # the digits of its 1/upsilon_j + 1/g under ZF at any budget P.
         sizes, power = _sizes(self.cfg.group_offsets), self.cfg.total_power
         loads = self.inverse_sums + (sizes - self.c) * power
-        object.__setattr__(self, "b_values", self.inverse_sums + sizes * power)
+        object.__setattr__(self, "b_values", _read_only(self.inverse_sums + sizes * power))
         object.__setattr__(self, "loads", loads)
         object.__setattr__(self, "spread", _row_sums(loads))
 
@@ -379,8 +378,13 @@ class _MmfProblem(_Problem):
         energy down to match its group's floor, so the floor member sits
         exactly at its cap."""
         cfg = self.cfg
-        return cfg.multicast_energy_caps_flat * (_per_member(self.upsilon, cfg.group_offsets)
-                                                 / self.qualities)
+        return _read_only(cfg.ut_energy_caps[cfg.n_unicast:]
+                          * (_per_member(self.upsilon, cfg.group_offsets) / self.qualities))
+
+    @functools.cached_property
+    def pilot_powers(self) -> np.ndarray:
+        """The optimal pilot powers x/tau at the solvers' pilot length."""
+        return _read_only(self.x_caps / self.cfg.n_streams)
 
     def _gamma(self, p_unicast_fixed: float):
         """The multicast power and the SINR gain*p_mu / sum_j (B_j - c*P)."""
@@ -391,30 +395,24 @@ class _MmfProblem(_Problem):
         """``solve_mmf``'s objective, one per drop."""
         return _solver_prelog(self.cfg) * np.log1p(self._gamma(p_unicast_fixed)[1]) / LN2
 
-    @functools.cached_property
-    def _shared(self) -> tuple[_Shared, _Shared, _Shared, _Shared]:
-        """The one drop's pilot powers x/tau, pilot energies x, upsilon and
-        B_j, which every solve's record shares."""
-        offsets = self.cfg.group_offsets
-        return (_Shared(self.x_caps / self.cfg.n_streams, offsets),
-                _Shared(self.x_caps, offsets), _Shared(self.upsilon), _Shared(self.b_values))
-
     def solve(self, p_unicast_fixed: float) -> MmfSolution:
         """``solve_mmf`` on the one drop."""
         p_mu, gamma = self._gamma(p_unicast_fixed)
         gamma = float(gamma)
-        pilot_powers, x_caps, upsilon, b_values = self._shared
-        return _built_by(self, MmfSolution(
+        return _owned(
+            MmfSolution,
             precoder=self.precoder,
             objective=se_from_sinr(_solver_prelog(self.cfg), gamma),
             pilot_length=self.cfg.n_streams,
-            uplink_pilot_powers=pilot_powers,
-            downlink_powers=p_mu * self.loads / self.spread,
+            downlink_powers=_read_only(p_mu * self.loads / self.spread),
             gamma=gamma,
-            upsilon=upsilon,
-            x_caps=x_caps,
-            b_values=b_values,
-        ))
+            upsilon=self.upsilon,
+            b_values=self.b_values,
+            _problem=self,
+            ut_pilot_powers=self.pilot_powers,
+            ut_x_caps=self.x_caps,
+            group_offsets=self.cfg.group_offsets,
+        )
 
     def power_for(self, objective: float) -> float:
         """The multicast power at which the one drop's objective is
@@ -431,7 +429,7 @@ def _mmf_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precode
     if cfg.n_groups == 0:
         raise DegenerateInputError("max-min multicast needs at least one group")
     qualities = _pilot_qualities(cfg, fading)
-    upsilon = _group_min(qualities, cfg.group_offsets)   # each group's worst quality
+    upsilon = _read_only(_group_min(qualities, cfg.group_offsets))   # each group's worst quality
     return _MmfProblem(cfg, fading, precoder, gain, c, qualities, upsilon,
                        _inverse_sums(cfg, fading, upsilon))
 
@@ -450,7 +448,8 @@ class _SseProblem(_Problem):
     def __post_init__(self):
         gain = self.gain if np.ndim(self.gain) == 0 else self.gain[:, None]   # per drop
         object.__setattr__(self, "offsets", _unicast_offsets(
-            self.cfg, self.fading.unicast_gains, self.theta, self.error, gain, self.c))
+            self.cfg, self.fading.ut_gains[..., :self.cfg.n_unicast], self.theta, self.error,
+            gain, self.c))
 
     @functools.cached_property
     def _fill_order(self) -> _FillOrder:
@@ -468,25 +467,20 @@ class _SseProblem(_Problem):
         """``solve_sse``'s objective, one per drop."""
         return self._fill(p_multicast_fixed)[2]
 
-    @functools.cached_property
-    def _shared(self) -> tuple[_Shared, _Shared]:
-        """The one drop's full-cap pilot powers at the solvers' pilot length
-        and theta, which every solve's record shares."""
-        return _Shared(self.pilot_powers), _Shared(self.theta)
-
     def solve(self, p_multicast_fixed: float) -> SseSolution:
         """``solve_sse`` on the one drop."""
         levels, nu, objective = self._fill(p_multicast_fixed)
-        pilot_powers, theta = self._shared
-        return _built_by(self, SseSolution(
+        return _owned(
+            SseSolution,
             precoder=self.precoder,
             objective=float(objective),
             pilot_length=self.cfg.n_streams,
-            uplink_pilot_powers=pilot_powers,
-            downlink_powers=levels,
+            uplink_pilot_powers=self.pilot_powers,
+            downlink_powers=_read_only(levels),
             water_level=float(nu),
-            effective_vars=theta,
-        ))
+            effective_vars=self.theta,
+            _problem=self,
+        )
 
     def power_for(self, objective: float) -> float:
         """The unicast power at which the one drop's objective is
@@ -502,12 +496,13 @@ def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precode
     gain, c = _precoder_factors(cfg, precoder, n_antennas)   # its error comes first
     if cfg.n_unicast == 0:
         raise DegenerateInputError("sum-SE allocation needs at least one unicast UT")
-    pilot_powers = cfg.unicast_energy_caps / cfg.n_streams
-    _, theta, error = _mmse_variances(cfg.n_streams, pilot_powers, fading.unicast_gains,
-                                      cfg.pilot_offsets[:cfg.n_unicast + 1])
+    u = cfg.n_unicast
+    pilot_powers = _read_only(cfg.ut_energy_caps[:u] / cfg.n_streams)
+    _, theta, error = _mmse_variances(cfg.n_streams, pilot_powers, fading.ut_gains[..., :u],
+                                      cfg.pilot_offsets[:u + 1])
     if not theta.all():
         raise DegenerateInputError("a unicast UT's estimate variance underflows to zero")
-    return _SseProblem(cfg, fading, precoder, gain, c, pilot_powers, theta, error)
+    return _SseProblem(cfg, fading, precoder, gain, c, pilot_powers, _read_only(theta), error)
 
 
 def solve_mmf(cfg: SystemConfig, fading: FadingProfile, p_unicast_fixed: float,
@@ -543,7 +538,7 @@ def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolut
         raise TypeError(f"expected a {kind.__name__}, got {type(sol).__name__}")
     problem = sol._problem
     if problem is not None and problem.cfg is cfg and problem.fading is fading:
-        cfg_at, stats = problem._scoring
+        cfg_at, stats = problem._scoring(sol)
         gain, c = _precoder_factors(cfg_at, sol.precoder)
     else:
         cfg_at = _at_pilot_length(cfg, sol.pilot_length)

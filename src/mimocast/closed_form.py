@@ -19,14 +19,14 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, ZfInfeasibleError
-from .model import (EstimationStats, FadingProfile, SystemConfig, _ArrayRecord, _flat_field,
-                    _freeze, _per_member, _read_only, _Shared, require_valid)
+from .model import (EstimationStats, FadingProfile, SystemConfig, _ArrayRecord, _owned,
+                    _per_member, _read_only, _side, _store, require_valid)
 
 MRT = "mrt"
 ZF = "zf"
@@ -41,21 +41,23 @@ BUDGET_RTOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class DownlinkPowers(_ArrayRecord):
     """Per-stream downlink powers: one entry per unicast UT and per group,
-    as read-only float64 arrays."""
+    stored in stream order in ``stream_powers``, read as slices of it."""
 
-    unicast: np.ndarray
-    multicast: np.ndarray
+    unicast: np.ndarray = _side("stream_powers", 0, "stream_offsets")
+    multicast: np.ndarray = _side("stream_powers", 1, "stream_offsets")
+    stream_powers: np.ndarray = field(init=False, repr=False)
+    stream_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _freeze(self, ("unicast", "multicast"))
+        _store(self)
 
     @property
     def p_unicast(self) -> float:
-        return sum(self.unicast.tolist())
+        return sum(self.stream_powers[:self.stream_offsets[1]].tolist())
 
     @property
     def p_multicast(self) -> float:
-        return sum(self.multicast.tolist())
+        return sum(self.stream_powers[self.stream_offsets[1]:].tolist())
 
     @property
     def total(self) -> float:
@@ -81,23 +83,26 @@ def _equal_shares(p: float, n: int, side: str) -> np.ndarray:
 class SeReport(_ArrayRecord):
     """Achievable SEs (bits/s/Hz) and the SINRs they derive from.
 
-    Per-UT fields are read-only float64 arrays; the multicast ones hold one
-    view per group into ``multicast_se_flat`` / ``multicast_sinr_flat``.
+    Every UT's SE and SINR are stored in ``ut_se`` and ``ut_sinr``, read as
+    read-only float64 views of them, the multicast ones one per group.
     """
 
     prelog: float
-    unicast_se: np.ndarray
-    multicast_se: tuple[np.ndarray, ...]
-    unicast_sinr: np.ndarray
-    multicast_sinr: tuple[np.ndarray, ...]
-    multicast_se_flat: np.ndarray = _flat_field()
-    multicast_sinr_flat: np.ndarray = _flat_field()
+    unicast_se: np.ndarray = _side("ut_se", 0)
+    multicast_se: tuple[np.ndarray, ...] = _side("ut_se", slice(1, None))
+    unicast_sinr: np.ndarray = _side("ut_sinr", 0)
+    multicast_sinr: tuple[np.ndarray, ...] = _side("ut_sinr", slice(1, None))
+    ut_se: np.ndarray = field(init=False, repr=False)
+    ut_sinr: np.ndarray = field(init=False, repr=False)
+    ut_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _freeze(self, ("unicast_se", "unicast_sinr"), ("multicast_se", "multicast_sinr"))
+        _store(self)
 
     def min_multicast_se(self) -> float:
-        return float(self.multicast_se_flat.min())
+        if self.ut_se.size == self.ut_offsets[1]:
+            raise DegenerateInputError("the minimum multicast SE needs at least one group")
+        return float(self.ut_se[self.ut_offsets[1]:].min())
 
     def weighted_sum_unicast_se(self, weights: Sequence[float]) -> float:
         """sum_m weights[m] * unicast_se[m]; one weight per unicast UT."""
@@ -106,11 +111,11 @@ class SeReport(_ArrayRecord):
 
 def _check_powers(cfg: SystemConfig, powers: DownlinkPowers) -> float:
     """Check the power lists against the config and return their total."""
-    if len(powers.unicast) != cfg.n_unicast or len(powers.multicast) != cfg.n_groups:
+    if powers.stream_offsets.tolist() != [0, cfg.n_unicast, cfg.n_streams]:
         raise ValueError(f"power lists must have {cfg.n_unicast} unicast and "
                          f"{cfg.n_groups} multicast entries")
     # Written so that NaN, which fails every comparison, fails both checks.
-    if not ((powers.unicast >= 0).all() and (powers.multicast >= 0).all()):
+    if not (powers.stream_powers >= 0).all():
         raise ValueError("downlink powers must be non-negative")
     total = powers.total
     if not total <= cfg.total_power * (1.0 + BUDGET_RTOL):
@@ -188,11 +193,10 @@ def _sinr_terms(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile
     gain*p*var, so SINR = m1^2 / (1 + m2 - m1^2).
     """
     total = _check_powers(cfg, powers)
-    if (stats.unicast_var.shape != fading.unicast_gains.shape
-            or tuple(map(len, stats.multicast_var)) != cfg.group_sizes):
+    if stats.ut_offsets.tolist() != cfg.ut_offsets.tolist():
         raise ValueError("estimation stats must be shaped like the config")
     var = stats.ut_var
-    p = _per_member(np.concatenate([powers.unicast, powers.multicast]), cfg.pilot_offsets)
+    p = _per_member(powers.stream_powers, cfg.pilot_offsets)
     leaked = _interference_gain(c, fading.ut_gains, var, stats.ut_error)
     return gain * p * var, leaked * total
 
@@ -203,8 +207,6 @@ def _se_report(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
     precoder's factors already looked up."""
     signal, interference = _sinr_terms(cfg, stats, fading, powers, gain, c)
     sinr = _read_only(signal / (1.0 + interference))
-    prelog, u, offsets = cfg.prelog, cfg.n_unicast, cfg.group_offsets
+    prelog = cfg.prelog
     se = _read_only(prelog * np.log1p(sinr) / LN2)
-    return SeReport(prelog=prelog,
-                    unicast_se=_Shared(se[:u]), multicast_se=_Shared(se[u:], offsets),
-                    unicast_sinr=_Shared(sinr[:u]), multicast_sinr=_Shared(sinr[u:], offsets))
+    return _owned(SeReport, prelog=prelog, ut_se=se, ut_sinr=sinr, ut_offsets=cfg.ut_offsets)

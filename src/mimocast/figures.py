@@ -43,9 +43,7 @@ def _shape(cfg: SystemConfig) -> tuple:
     shape hold the very same values."""
     return (repr((cfg.coherence_length, cfg.n_unicast, cfg.group_sizes, cfg.pilot_length,
                   cfg.total_power)),
-            tuple(map(len, cfg.multicast_energy_caps)),
-            *(a.tobytes() for a in (cfg.unicast_energy_caps, cfg.multicast_energy_caps_flat,
-                                    cfg.sse_weights)))
+            *(a.tobytes() for a in (cfg.ut_offsets, cfg.ut_energy_caps, cfg.sse_weights)))
 
 
 def _shapes(configs: Sequence[SystemConfig]) -> list[list[int]]:

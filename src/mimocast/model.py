@@ -5,14 +5,15 @@ All powers are stored pre-normalized to unit noise variance; the scenario
 module owns the physical-unit conversion.  Types are immutable after
 construction and all operations are pure functions.
 
-Per-UT data is stored flat.  Every per-UT field is a read-only float64
-array; the multicast UTs of all groups share one array, group after group,
-and ``group_offsets`` (G + 1 entries) marks where each group starts in it.
-The per-group fields (``multicast_gains[g]``, ...) are read-only views into
-that array.  Arrays over every UT (``FadingProfile.ut_gains``, ...) hold
-them in pilot order, ``SystemConfig.pilot_offsets``: the unicast UTs, each
-a pilot of one, then each group's members on the group's shared pilot.
-Constructors accept any (nested) sequence of numbers.
+Per-UT data is stored once, as one read-only float64 array in pilot order
+(``SystemConfig.pilot_offsets``): the unicast UTs, each on a pilot of its
+own, then each group's members on the group's pilot.  ``ut_offsets`` (G + 2
+entries) marks where the unicast UTs and each group start, then the length.
+A constructor takes the two sides (``unicast_gains``, and
+``multicast_gains`` with one row per group), accepting any (nested)
+sequence of numbers, and copies them into that array (``_store``).  Read
+back, a side is built from the array on first read and then kept: the
+unicast side a slice, the multicast side one view per group (``_side``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import functools
 import itertools
 import math
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -45,32 +47,31 @@ def _cast_converts(xs) -> bool:
 
 def _real(x) -> float:
     """float(x), except that a numpy complex scalar raises TypeError as a
-    Python complex does; float() would drop its imaginary part."""
+    Python complex does (float() would drop its imaginary part), and a
+    number too large for a float raises ValueError naming it."""
     if isinstance(x, np.complexfloating):
         raise TypeError(f"expected a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{reprlib.repr(x)} is too large for a float") from None
 
 
 def _vector(xs) -> np.ndarray:
-    """Read-only float64 copy of a flat sequence of numbers, or the view a
-    ``_Shared`` array carries.
+    """Read-only float64 copy of a flat sequence of numbers.
 
     Anything but a 1-D array that ``_cast_converts`` is converted entry by
     entry with ``_real``, so a non-numeric or complex entry raises TypeError.
     """
-    if isinstance(xs, _Shared):
-        return xs.view
     if _cast_converts(xs) and xs.ndim == 1:
         return _read_only(xs.astype(np.float64))
     return _read_only(np.array([_real(x) for x in xs], dtype=np.float64))
 
 
 def _matrix(xs) -> np.ndarray:
-    """Read-only float64 copy of rows of numbers, or the view a ``_Shared``
-    array carries.  Anything but an array that ``_cast_converts`` is
-    converted entry by entry with ``_real``, as ``_vector`` converts."""
-    if isinstance(xs, _Shared):
-        return xs.view
+    """Read-only float64 copy of rows of numbers.  Anything but an array
+    that ``_cast_converts`` is converted entry by entry with ``_real``, as
+    ``_vector`` converts."""
     if _cast_converts(xs):
         return _read_only(xs.astype(np.float64))
     return _read_only(np.array([[_real(x) for x in row] for row in xs], dtype=np.float64))
@@ -85,27 +86,18 @@ def _read_only(owner: np.ndarray) -> np.ndarray:
 
 
 def _offsets(sizes) -> np.ndarray:
-    """Where each group starts in a flat per-member array, then its length."""
+    """Where each part starts in a flat array of consecutive parts, then
+    its length."""
     return _read_only(np.array([0, *itertools.accumulate(sizes)], dtype=np.intp))
 
 
-def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
-    bounds = offsets.tolist()
-    return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
-
-
-class _Shared:
-    """A float64 array the package computed and owns (or a slice of one
-    already read-only), made read-only, which records store without
-    copying: as ``view`` for a flat field, or as ``rows``, one view per
-    group at ``offsets``, for a per-group field.  Whatever else a record is
-    given it copies, so no caller's array is shared."""
-
-    __slots__ = ("view", "rows")
-
-    def __init__(self, array: np.ndarray, offsets: np.ndarray | None = None):
-        self.view = _read_only(array)
-        self.rows = None if offsets is None else _views(array, offsets)
+def _views(values, bounds: list[int], slot: int | slice):
+    """The parts of an array (views) or list that start at ``bounds``: the
+    one part at an index, or a tuple of the parts in a slice."""
+    if isinstance(slot, int):
+        return values[bounds[slot]:bounds[slot + 1]]
+    edges = bounds[slot]
+    return tuple(values[a:b] for a, b in zip(edges, edges[1:]))
 
 
 def _vectors(rows) -> list[np.ndarray]:
@@ -115,22 +107,11 @@ def _vectors(rows) -> list[np.ndarray]:
     return [row if _cast_converts(row) and row.ndim == 1 else _vector(row) for row in rows]
 
 
-def _flat(vectors: list[np.ndarray]) -> np.ndarray:
+def _joined(vectors: list[np.ndarray]) -> np.ndarray:
     """``_vectors`` rows as one read-only float64 array, copied by the
     concatenation alone."""
     return _read_only(np.concatenate(vectors, dtype=np.float64, casting="unsafe") if vectors
                       else np.empty(0))
-
-
-def _grouped(rows) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Rows of numbers as one read-only float64 array (``_flat``) and a
-    read-only view per row.  A ``_Shared`` array's views are kept as they
-    are."""
-    if isinstance(rows, _Shared):
-        return rows.view, rows.rows
-    vectors = _vectors(rows)
-    flat = _flat(vectors)
-    return flat, _views(flat, _offsets(map(len, vectors)))
 
 
 def _sizes(offsets: np.ndarray) -> np.ndarray:
@@ -211,9 +192,27 @@ def _plain(v):
     return v
 
 
+def _side(array: str, slot: int | slice, offsets: str = "ut_offsets"):
+    """A constructor field stored in ``array`` (an init=False field, as are
+    its ``offsets``), read back as the part(s) of it at ``slot``
+    (``_views``).  One array's sides are declared in the order of its parts."""
+    return field(compare=False, metadata={"side": (array, offsets, slot)})
+
+
 class _ArrayRecord:
     """Value equality, hashing and ``to_dict`` for frozen dataclasses
-    holding arrays."""
+    holding arrays.  A record compares and hashes by what it stores, so the
+    offsets tell two groupings of the same values apart."""
+
+    def __getattr__(self, name):
+        # Reached only for what the record does not hold: a side not read yet.
+        f = self.__dataclass_fields__.get(name)
+        if f is None or "side" not in f.metadata:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        array, offsets, slot = f.metadata["side"]
+        object.__setattr__(self, name, _views(getattr(self, array),
+                                              getattr(self, offsets).tolist(), slot))
+        return self.__dict__[name]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
@@ -231,21 +230,41 @@ class _ArrayRecord:
         return hash(_hashable(self._values()))
 
 
-def _flat_field():
-    return field(init=False, repr=False, compare=False)
+def _store(record):
+    """Copy a record's sides (``_side`` fields), converted by ``_vectors``,
+    into their arrays in field order, each array's offsets beside it; the
+    sides are dropped, to be built again when read.  Arrays that share
+    offsets must have parts of the same lengths."""
+    parts = {}
+    for f in record.__dataclass_fields__.values():
+        if "side" in f.metadata:
+            array, offsets, slot = f.metadata["side"]
+            value = record.__dict__.pop(f.name)
+            parts.setdefault((array, offsets), []).extend(
+                [value] if isinstance(slot, int) else value)
+    for (array, offsets), rows in parts.items():
+        vectors = _vectors(rows)
+        bounds = _offsets(map(len, vectors))
+        if offsets in record.__dict__ and record.__dict__[offsets].tolist() != bounds.tolist():
+            raise ValueError(f"the parts stored at {offsets} must have equal lengths")
+        object.__setattr__(record, array, _joined(vectors))
+        object.__setattr__(record, offsets, bounds)
 
 
-def _freeze(record, vectors=(), grouped=()):
-    """Store fields of a frozen record as read-only float64 arrays: each field
-    named in ``vectors`` as one array, each in ``grouped`` as one view per
-    row, whose flat array goes to ``<name>_flat`` where the record has it."""
-    for name in vectors:
+def _owned(cls, **values):
+    """A ``cls`` record holding ``values`` as they are: the one path that
+    stores an array without a copy or a check, for read-only arrays the
+    package built.  Constructors copy whatever they are given."""
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record
+
+
+def _freeze(record, names):
+    """Store each named field of a frozen record as a read-only float64
+    array (``_vector``)."""
+    for name in names:
         object.__setattr__(record, name, _vector(getattr(record, name)))
-    for name in grouped:
-        flat, rows = _grouped(getattr(record, name))
-        object.__setattr__(record, name, rows)
-        if name + "_flat" in record.__dataclass_fields__:
-            object.__setattr__(record, name + "_flat", flat)
 
 
 def _count(value, name: str) -> int:
@@ -274,9 +293,10 @@ class SystemConfig(_ArrayRecord):
     multicast_energy_caps same, per multicast UT, one row per group
     sse_weights           per-unicast-UT weight in the weighted sum SE
 
-    ``multicast_energy_caps`` rows are views into
-    ``multicast_energy_caps_flat``; ``group_offsets`` is derived from
-    ``group_sizes``, and ``pilot_offsets`` from both on first read.
+    The energy caps are stored in ``ut_energy_caps``, at offsets set by the
+    sides' lengths, which ``validate_config`` checks against the counts;
+    ``group_offsets`` is derived from ``group_sizes``, ``pilot_offsets`` from
+    both on first read.
     """
 
     n_antennas: int
@@ -285,19 +305,21 @@ class SystemConfig(_ArrayRecord):
     group_sizes: tuple[int, ...]
     pilot_length: int
     total_power: float
-    unicast_energy_caps: np.ndarray
-    multicast_energy_caps: tuple[np.ndarray, ...]
+    unicast_energy_caps: np.ndarray = _side("ut_energy_caps", 0)
+    multicast_energy_caps: tuple[np.ndarray, ...] = _side("ut_energy_caps", slice(1, None))
     sse_weights: np.ndarray
-    multicast_energy_caps_flat: np.ndarray = _flat_field()
-    group_offsets: np.ndarray = _flat_field()
+    ut_energy_caps: np.ndarray = field(init=False, repr=False)
+    ut_offsets: np.ndarray = field(init=False, repr=False)
+    group_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n_antennas", "coherence_length", "n_unicast", "pilot_length"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
-        sizes = _group_counts(self.group_sizes)
-        object.__setattr__(self, "group_sizes", sizes)
-        object.__setattr__(self, "group_offsets", _offsets(sizes))
-        _freeze(self, ("unicast_energy_caps", "sse_weights"), ("multicast_energy_caps",))
+        object.__setattr__(self, "group_sizes", _group_counts(self.group_sizes))
+        object.__setattr__(self, "group_offsets", _offsets(self.group_sizes))
+        object.__setattr__(self, "total_power", _real(self.total_power))
+        _store(self)
+        _freeze(self, ("sse_weights",))
 
     @functools.cached_property
     def pilot_offsets(self) -> np.ndarray:
@@ -325,81 +347,62 @@ class SystemConfig(_ArrayRecord):
         """The config a ``to_dict`` document describes.  A count that is not
         an integer (64.0, 6.5) raises TypeError naming its field, as it does
         in any config."""
-        return cls(
-            n_antennas=d["n_antennas"],
-            coherence_length=d["coherence_length"],
-            n_unicast=d["n_unicast"],
-            group_sizes=d["group_sizes"],
-            pilot_length=d["pilot_length"],
-            total_power=d["total_power"],
-            unicast_energy_caps=d["unicast_energy_caps"],
-            multicast_energy_caps=d["multicast_energy_caps"],
-            sse_weights=d["sse_weights"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
 
 
 @dataclass(frozen=True, eq=False)
 class FadingProfile(_ArrayRecord):
-    """Large-scale fading coefficients for every UT in the system.
+    """Large-scale fading coefficients for every UT in the system, stored
+    in ``ut_gains``, in pilot order, at ``ut_offsets``."""
 
-    ``multicast_gains`` rows are views into ``multicast_gains_flat``;
-    ``group_offsets`` marks where each row starts in it.
-    """
-
-    unicast_gains: np.ndarray
-    multicast_gains: tuple[np.ndarray, ...]
-    multicast_gains_flat: np.ndarray = _flat_field()
-    group_offsets: np.ndarray = _flat_field()
+    unicast_gains: np.ndarray = _side("ut_gains", 0)
+    multicast_gains: tuple[np.ndarray, ...] = _side("ut_gains", slice(1, None))
+    ut_gains: np.ndarray = field(init=False, repr=False)
+    ut_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _freeze(self, ("unicast_gains",), ("multicast_gains",))
-        object.__setattr__(self, "group_offsets", _offsets(map(len, self.multicast_gains)))
-
-    @functools.cached_property
-    def ut_gains(self) -> np.ndarray:
-        """Every UT's gain, in pilot order (``SystemConfig.pilot_offsets``)."""
-        return _read_only(np.concatenate([self.unicast_gains, self.multicast_gains_flat]))
+        _store(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FadingProfile":
-        return cls(unicast_gains=d["unicast_gains"], multicast_gains=d["multicast_gains"])
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
 
 
 @dataclass(frozen=True, eq=False)
 class FadingStack:
-    """Large-scale fading of several drops of one cell, one row per drop:
-    (drops, U) unicast gains and (drops, sum K) multicast gains, each row
-    laid out like ``FadingProfile.multicast_gains_flat``.  An allocation
-    problem (``allocation._mmf_problem``, ``_sse_problem``) reads either
-    this or a FadingProfile, and gives one row of results per drop.
+    """Large-scale fading of several drops of one cell: (drops, UTs) gains,
+    each row laid out like ``FadingProfile.ut_gains``, copied by ``_matrix``.
+    An allocation problem (``allocation._mmf_problem``, ``_sse_problem``)
+    reads this or a FadingProfile, and gives one row of results per drop."""
 
-    The gains are converted as ``_matrix`` converts, so a ``_Shared`` array
-    is stored without a copy."""
-
-    unicast_gains: np.ndarray
-    multicast_gains_flat: np.ndarray
-    group_offsets: np.ndarray
+    ut_gains: np.ndarray
+    n_unicast: int
+    group_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("unicast_gains", "multicast_gains_flat"):
-            object.__setattr__(self, name, _matrix(getattr(self, name)))
-        object.__setattr__(self, "group_offsets",
-                           _read_only(np.array(self.group_offsets, dtype=np.intp)))
+        object.__setattr__(self, "ut_gains", _matrix(self.ut_gains))
+        object.__setattr__(self, "n_unicast", _count(self.n_unicast, "n_unicast"))
+        object.__setattr__(self, "group_sizes", _group_counts(self.group_sizes))
+        if self.ut_gains.ndim != 2 or self.ut_gains.shape[1] != self.ut_offsets[-1]:
+            raise ValueError(f"ut_gains must hold one row of {self.ut_offsets[-1]} gains per "
+                             f"drop, got shape {self.ut_gains.shape}")
+
+    @functools.cached_property
+    def ut_offsets(self) -> np.ndarray:
+        """Where the unicast UTs and then each group start in a row, then its length."""
+        return _offsets([self.n_unicast, *self.group_sizes])
 
     @property
     def n_drops(self) -> int:
-        return len(self.unicast_gains)
+        return len(self.ut_gains)
 
     def rows(self, start: int, stop: int) -> "FadingStack":
         """The stack of drops ``start`` to ``stop - 1``, viewing this one's gains."""
-        return FadingStack(unicast_gains=_Shared(self.unicast_gains[start:stop]),
-                           multicast_gains_flat=_Shared(self.multicast_gains_flat[start:stop]),
-                           group_offsets=self.group_offsets)
+        return _owned(FadingStack, ut_gains=self.ut_gains[start:stop], n_unicast=self.n_unicast,
+                      group_sizes=self.group_sizes, ut_offsets=self.ut_offsets)
 
     def drop(self, d: int) -> FadingProfile:
-        return FadingProfile(unicast_gains=self.unicast_gains[d],
-                             multicast_gains=_views(self.multicast_gains_flat[d],
-                                                    self.group_offsets))
+        return _owned(FadingProfile, ut_gains=self.ut_gains[d], ut_offsets=self.ut_offsets)
 
 
 @dataclass(frozen=True)
@@ -437,30 +440,24 @@ class EstimationStats(_ArrayRecord):
     ut_error[i]          every UT's estimation-error variance beta - var, in
                          pilot order, as formed without subtracting, or None
 
-    Stored as one read-only float64 array, which the fields view: every
-    UT's variance in pilot order (``ut_var``), then each group's, with
-    ``multicast_var`` rows viewing ``multicast_var_flat``.
+    Both per-UT sides are stored in ``ut_var``.
     """
 
-    unicast_var: np.ndarray
-    multicast_var: tuple[np.ndarray, ...]
+    unicast_var: np.ndarray = _side("ut_var", 0)
+    multicast_var: tuple[np.ndarray, ...] = _side("ut_var", slice(1, None))
     group_var: np.ndarray
     ut_error: np.ndarray | None = None
-    multicast_var_flat: np.ndarray = _flat_field()
-    ut_var: np.ndarray = _flat_field()
+    ut_var: np.ndarray = field(init=False, repr=False)
+    ut_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        variances, views = _grouped([self.unicast_var, *self.multicast_var, self.group_var])
-        u, n = views[0].size, variances.size - views[-1].size
-        for name, value in (("unicast_var", views[0]), ("multicast_var", views[1:-1]),
-                            ("group_var", views[-1]), ("multicast_var_flat", variances[u:n]),
-                            ("ut_var", variances[:n])):
-            object.__setattr__(self, name, value)
-        if self.ut_error is not None:
-            _freeze(self, ("ut_error",))
-            if self.ut_error.shape != self.ut_var.shape:
-                raise ValueError(f"ut_error must hold one variance per UT ({n}), "
-                                 f"got {self.ut_error.size}")
+        _store(self)
+        _freeze(self, ("group_var",) if self.ut_error is None else ("group_var", "ut_error"))
+        for name, what, n in (("group_var", "group", len(self.ut_offsets) - 2),
+                              ("ut_error", "UT", self.ut_var.size)):
+            if (value := getattr(self, name)) is not None and value.size != n:
+                raise ValueError(f"{name} must hold one variance per {what} ({n}), "
+                                 f"got {value.size}")
 
 
 @dataclass(frozen=True)
@@ -486,14 +483,13 @@ def _outside(values: np.ndarray, lower: float) -> np.ndarray:
 
 
 def _flag(out: list[Violation], name: str, values: np.ndarray, lower: float,
-          message: str, offsets: np.ndarray | None = None):
+          message: str, bounds: list[int] | None = None):
     """One Violation per entry outside (lower, inf), NaN included, in index
-    order.  With group offsets the entries are named ``name[group][member]``,
-    else ``name[index]``."""
+    order.  With group bounds (where each group starts in ``values``) the
+    entries are named ``name[group][member]``, else ``name[index]``."""
     if _within(values, lower):
         return
     bad = _outside(values, lower)
-    bounds = None if offsets is None else offsets.tolist()
     for i in np.flatnonzero(bad).tolist():
         if bounds is None:
             where = f"[{i}]"
@@ -511,6 +507,8 @@ def validate_config(cfg: SystemConfig, fading: FadingProfile) -> list[Violation]
     v: list[Violation] = []
     if cfg.n_antennas < 1:
         v.append(Violation("n_antennas", cfg.n_antennas, "must be a positive integer"))
+    elif cfg.n_antennas > sys.float_info.max:
+        v.append(Violation("n_antennas", cfg.n_antennas, "must be a count a float can hold"))
     if cfg.coherence_length < 1:
         v.append(Violation("coherence_length", cfg.coherence_length, "must be a positive integer"))
     if cfg.n_unicast < 0:
@@ -524,29 +522,33 @@ def validate_config(cfg: SystemConfig, fading: FadingProfile) -> list[Violation]
     if cfg.pilot_length > cfg.coherence_length:
         v.append(Violation("pilot_length", cfg.pilot_length,
                            "cannot exceed the coherence length"))
+    elif cfg.pilot_length > sys.float_info.max:
+        v.append(Violation("pilot_length", cfg.pilot_length, "must be a count a float can hold"))
     if not (math.isfinite(cfg.total_power) and cfg.total_power > 0):
         v.append(Violation("total_power", cfg.total_power, "must be positive and finite"))
 
-    # The per-UT fields: name, every entry, the per-group rows (None for a
-    # per-unicast-UT field), the bound every entry must exceed, and why.
+    # The per-UT fields: name, the array that stores it, where its parts
+    # start there, the bound every entry must exceed, and why.
+    caps, gains = cfg.ut_offsets.tolist(), fading.ut_offsets.tolist()
     per_ut = (
-        ("unicast_energy_caps", cfg.unicast_energy_caps, None, 0.0, "energy cap must be positive"),
-        ("multicast_energy_caps", cfg.multicast_energy_caps_flat, cfg.multicast_energy_caps, 0.0,
+        ("unicast_energy_caps", cfg.ut_energy_caps, caps[:2], 0.0, "energy cap must be positive"),
+        ("multicast_energy_caps", cfg.ut_energy_caps, caps[1:], 0.0,
          "energy cap must be positive"),
-        ("sse_weights", cfg.sse_weights, None, 0.0, "weight must be positive"),
-        ("unicast_gains", fading.unicast_gains, None, MIN_GAIN, _BAD_GAIN),
-        ("multicast_gains", fading.multicast_gains_flat, fading.multicast_gains, MIN_GAIN,
-         _BAD_GAIN),
+        ("sse_weights", cfg.sse_weights, [0, cfg.sse_weights.size], 0.0, "weight must be positive"),
+        ("unicast_gains", fading.ut_gains, gains[:2], MIN_GAIN, _BAD_GAIN),
+        ("multicast_gains", fading.ut_gains, gains[1:], MIN_GAIN, _BAD_GAIN),
     )
-    for name, values, rows, lower, message in per_ut:
-        if rows is None:
-            got, want, rule = len(values), cfg.n_unicast, "length must equal n_unicast"
+    for name, values, bounds, lower, message in per_ut:
+        got = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        if grouped := name.startswith("multicast"):
+            want, rule = cfg.group_sizes, "shape must match group_sizes"
         else:
-            got, want, rule = tuple(map(len, rows)), cfg.group_sizes, "shape must match group_sizes"
+            (got,), want, rule = got, cfg.n_unicast, "length must equal n_unicast"
         if got != want:
             v.append(Violation(name, got, f"{rule} = {want}"))
         else:
-            _flag(v, name, values, lower, message, None if rows is None else cfg.group_offsets)
+            _flag(v, name, values[bounds[0]:bounds[-1]], lower, message,
+                  [b - bounds[0] for b in bounds] if grouped else None)
     return v
 
 
@@ -562,14 +564,13 @@ def require_valid_drops(cfg: SystemConfig, drops: FadingStack) -> FadingStack:
     """``require_valid`` for every drop of a stack, with ``validate_config``
     run once: on the config and the first drop.  The other drops share its
     shapes, so only their gains are left, and one check over the whole gain
-    matrices covers them.  An invalid drop raises what ``require_valid`` on
+    matrix covers them.  An invalid drop raises what ``require_valid`` on
     the first invalid one raises."""
     if drops.n_drops == 0:
         raise ValueError("need at least one drop")
     require_valid(cfg, drops.drop(0))
-    gains = (drops.unicast_gains, drops.multicast_gains_flat)
-    if not all(_within(g, MIN_GAIN) for g in gains):
-        bad = np.logical_or(*(_outside(g, MIN_GAIN).any(axis=-1) for g in gains))
+    if not _within(drops.ut_gains, MIN_GAIN):
+        bad = _outside(drops.ut_gains, MIN_GAIN).any(axis=-1)
         require_valid(cfg, drops.drop(int(np.argmax(bad))))
     return drops
 
@@ -588,7 +589,7 @@ def _pilot_arrays(cfg: SystemConfig,
     if shape != cfg.group_sizes:
         raise ValueError(f"multicast pilot powers must be shaped like group_sizes "
                          f"{cfg.group_sizes}, got {shape}")
-    powers = _flat(_vectors([pilot_powers_unicast, *pilot_powers_multicast]))
+    powers = _joined(_vectors([pilot_powers_unicast, *pilot_powers_multicast]))
     # NaN fails every comparison, so it is caught with the infinities.
     if powers.size and not (powers.min() >= 0.0 and powers.max() < math.inf):
         i = int(np.argmin((powers >= 0.0) & (powers < math.inf)))
@@ -629,7 +630,7 @@ def _estimation_variances(cfg: SystemConfig, fading: FadingProfile,
     them.  Its rule's other caller is ``allocation._sse_problem``."""
     s, variances, errors = _mmse_variances(cfg.pilot_length, pilot_powers, fading.ut_gains,
                                            cfg.pilot_offsets)
-    u, groups = cfg.n_unicast, s[cfg.n_unicast:]
-    return EstimationStats(unicast_var=variances[:u],
-                           multicast_var=_views(variances[u:], cfg.group_offsets),
-                           group_var=groups * groups / (1.0 + groups), ut_error=errors)
+    groups = s[cfg.n_unicast:]
+    return _owned(EstimationStats, ut_var=_read_only(variances), ut_offsets=cfg.ut_offsets,
+                  group_var=_read_only(groups * groups / (1.0 + groups)),
+                  ut_error=_read_only(errors))

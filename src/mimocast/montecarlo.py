@@ -419,7 +419,7 @@ class _Kernel:
                  powers: DownlinkPowers, precoder: str, seed: int):
         self.seeds, self.zf = SpawnHash(seed), precoder == ZF
         N, S = cfg.n_antennas, cfg.n_streams
-        power = np.concatenate([powers.unicast, powers.multicast])
+        power = powers.stream_powers
         self.diag = np.sqrt(2.0 * (N - S) * power) if self.zf else np.sqrt(power / (2.0 * N))
         # The pilot weights w_i = sqrt(tau * power * gain) of unit-variance
         # draws, 1 + s_j per pilot, and each UT's error variance

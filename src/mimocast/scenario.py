@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import PlacementError
 from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _count,
-                    _group_counts, _matrix, _offsets, _read_only, _Shared, _views)
+                    _group_counts, _matrix, _owned, _read_only)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def _unit_draws(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[in
         np.random.default_rng(seed).random(out=row)
     # A block starting at UT s with b UTs holds draws [2s, 2s + 2b): its
     # radii, then its angles.
-    return u, np.arange(n) + np.repeat(_offsets(sizes)[:-1], sizes), sizes
+    return u, np.arange(n) + np.repeat(np.cumsum(sizes) - sizes, sizes), sizes
 
 
 def _radii(geometry: CellGeometry, u: np.ndarray) -> np.ndarray:
@@ -150,11 +150,10 @@ def place_drops(geometry: CellGeometry,
     gains ``place_users(geometry, n_unicast, group_sizes, seeds[d])`` gives.
     Only the radii are mapped, in place in the arrays that the stack then
     owns; the angles feed nothing here."""
-    u, radii, _ = _unit_draws(geometry, n_unicast, group_sizes, seeds)
-    unicast, multicast = (_Shared(_gains(geometry, _radii(geometry, np.take(u, cols, axis=1))))
-                          for cols in (radii[:n_unicast], radii[n_unicast:]))
-    return FadingStack(unicast_gains=unicast, multicast_gains_flat=multicast,
-                       group_offsets=_offsets(group_sizes))
+    u, radii, sizes = _unit_draws(geometry, n_unicast, group_sizes, seeds)
+    gains = _gains(geometry, _radii(geometry, np.take(u, radii, axis=1)))
+    return _owned(FadingStack, ut_gains=_read_only(gains), n_unicast=sizes[0],
+                  group_sizes=tuple(sizes[1:]))
 
 
 def place_users(geometry: CellGeometry,
@@ -173,12 +172,11 @@ def place_users(geometry: CellGeometry,
     polar[:, 0] = _radii(geometry, u[radii])
     polar[:, 1] = _uniform(u[radii + np.repeat(sizes, sizes)], 0.0, 2.0 * math.pi)
     gains = _gains(geometry, polar[:, 0].copy())
-    offsets = _offsets(group_sizes)
-    profile = FadingProfile(unicast_gains=gains[:n_unicast],
-                            multicast_gains=_views(gains[n_unicast:], offsets))
-    placement = Placement(unicast=polar[:n_unicast],
-                          multicast=_views(polar[n_unicast:], offsets))
-    return profile, placement
+    # One block per part: the unicast UTs, then each group.
+    (unicast_gains, *multicast_gains), (unicast, *multicast) = (
+        np.split(a, np.cumsum(sizes)[:-1]) for a in (gains, polar))
+    return (FadingProfile(unicast_gains=unicast_gains, multicast_gains=multicast_gains),
+            Placement(unicast=unicast, multicast=multicast))
 
 
 def noise_power_w_per_hz(radio: RadioParams) -> float:
@@ -238,7 +236,7 @@ def default_normalized_config(n_antennas: int,
         group_sizes=group_sizes,
         pilot_length=n_unicast + len(group_sizes),
         total_power=radio.tx_power_watts * scale,
-        unicast_energy_caps=_Shared(np.full(n_users, e)),
-        multicast_energy_caps=_Shared(np.full(sum(members), e), _offsets(members)),
-        sse_weights=_Shared(np.ones(n_users)),
+        unicast_energy_caps=np.full(n_users, e),
+        multicast_energy_caps=[np.full(k, e) for k in members],
+        sse_weights=np.ones(n_users),
     )

@@ -161,7 +161,7 @@ from mimocast.closed_form import (PRECODERS, ZF, DownlinkPowers, SeReport, _chec
 from mimocast.errors import DegenerateInputError, PlacementError, ZfInfeasibleError
 from mimocast.model import (MIN_GAIN, EstimationStats, FadingProfile, PowerSplit, SystemConfig,
                             Violation, _estimation_variances, _group_sums, _per_member,
-                            _pilot_arrays, _views, estimation_variances, require_valid)
+                            _pilot_arrays, estimation_variances, require_valid)
 from mimocast.montecarlo import EXACT_RTOL, MAX_GRAM_COND, Z95
 from mimocast.pareto import OperatingPoint, ParetoBoundary, _point, _problems, solve_split
 from mimocast.scenario import (CellGeometry, Placement, RadioParams,
@@ -1615,6 +1615,17 @@ def select_operating_point_rebuilt(boundary: ParetoBoundary, ratio=None, target_
 # ---------------------------------------------- per-side closed form
 
 
+def _rows(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The per-group parts of a flat per-member array."""
+    bounds = offsets.tolist()
+    return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _joined_rows(rows) -> np.ndarray:
+    """Per-group rows as one flat float64 array, group after group."""
+    return np.array([x for row in rows for x in row], dtype=np.float64)
+
+
 def estimation_variances_per_side(cfg: SystemConfig, fading: FadingProfile,
                                   pilot_powers_unicast, pilot_powers_multicast) -> EstimationStats:
     """The estimate variances with one formula per side, for a valid pair
@@ -1625,17 +1636,17 @@ def estimation_variances_per_side(cfg: SystemConfig, fading: FadingProfile,
     summed in a loop, those before k from the group's start and those after
     it from its end."""
     p = np.array(pilot_powers_unicast, dtype=np.float64)
-    q = np.array([x for row in pilot_powers_multicast for x in row], dtype=np.float64)
+    q = _joined_rows(pilot_powers_multicast)
     tau = cfg.pilot_length
     offsets = cfg.group_offsets
 
     b = fading.unicast_gains
     tpb = tau * p * b
-    e = fading.multicast_gains_flat
+    e = _joined_rows(fading.multicast_gains)
     tqe = tau * q * e
     s = _group_sums(tqe, offsets)
     others = []
-    for row in _views(tqe, offsets):
+    for row in _rows(tqe, offsets):
         row = row.tolist()
         for k in range(len(row)):
             before = after = 0.0
@@ -1646,7 +1657,7 @@ def estimation_variances_per_side(cfg: SystemConfig, fading: FadingProfile,
             others.append(before + after)
     total = 1.0 + _per_member(s, offsets)
     return EstimationStats(unicast_var=tpb * b / (1.0 + tpb),
-                           multicast_var=_views(tqe * e / total, offsets),
+                           multicast_var=_rows(tqe * e / total, offsets),
                            group_var=s * s / (1.0 + s),
                            ut_error=np.concatenate([b / (1.0 + tpb),
                                                     e * (1.0 + np.array(others)) / total]))
@@ -1666,7 +1677,8 @@ def sinr_terms_per_side(cfg: SystemConfig, stats: EstimationStats, fading: Fadin
 
     return (terms(powers.unicast, stats.unicast_var, fading.unicast_gains, stats.ut_error[:u]),
             terms(_per_member(powers.multicast, cfg.group_offsets),
-                  stats.multicast_var_flat, fading.multicast_gains_flat, stats.ut_error[u:]))
+                  _joined_rows(stats.multicast_var), _joined_rows(fading.multicast_gains),
+                  stats.ut_error[u:]))
 
 
 def se_report_per_side(cfg: SystemConfig, stats: EstimationStats, fading: FadingProfile,
@@ -1681,9 +1693,9 @@ def se_report_per_side(cfg: SystemConfig, stats: EstimationStats, fading: Fading
     return SeReport(
         prelog=prelog,
         unicast_se=prelog * np.log1p(uni_sinr) / LN2,
-        multicast_se=_views(prelog * np.log1p(mu_sinr) / LN2, offsets),
+        multicast_se=_rows(prelog * np.log1p(mu_sinr) / LN2, offsets),
         unicast_sinr=uni_sinr,
-        multicast_sinr=_views(mu_sinr, offsets),
+        multicast_sinr=_rows(mu_sinr, offsets),
     )
 
 

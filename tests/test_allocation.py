@@ -761,8 +761,7 @@ class TestOneLog1pRule:
                 assert sol.objective == sse.objectives(p_mu)[d]
                 reports.append(sse_se_report(cfg, fading, sol, p_mu))
             for report in reports:
-                sinr = np.concatenate([report.unicast_sinr, report.multicast_sinr_flat])
-                se = np.concatenate([report.unicast_se, report.multicast_se_flat])
+                sinr, se = report.ut_sinr, report.ut_se
                 assert se.tolist() == [se_from_sinr(report.prelog, x) for x in sinr.tolist()]
                 assert within_one_ulp(np.log1p(sinr), oracles.log1p_math(sinr))
 
@@ -783,9 +782,9 @@ def tied_stack(rng, n_drops):
     cfg = dataclasses.replace(cfg, n_unicast=u, pilot_length=u + cfg.n_groups,
                               sse_weights=rng.choice([0.5, 1.0], u),
                               unicast_energy_caps=rng.choice([1.0, 2.0], u))
-    stack = FadingStack(unicast_gains=rng.choice([0.5, 1.0], (n_drops, u)),
-                        multicast_gains_flat=stack.multicast_gains_flat,
-                        group_offsets=stack.group_offsets)
+    stack = FadingStack(ut_gains=np.hstack([rng.choice([0.5, 1.0], (n_drops, u)),
+                                            stack.ut_gains[:, stack.n_unicast:]]),
+                        n_unicast=u, group_sizes=stack.group_sizes)
     return cfg, stack
 
 

@@ -464,6 +464,30 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("section, field", [
+        ("system", "total_power"), ("system", "unicast_energy_caps"),
+        ("fading", "unicast_gains"), ("system", "n_antennas")])
+    def test_number_a_float_cannot_hold_is_usage_error(self, scenario_path, tmp_path, capsys,
+                                                       section, field):
+        # A 401-digit integer used to escape as OverflowError (exit 3).
+        doc = json.loads(scenario_path.read_text())
+        if isinstance(doc[section][field], list):
+            doc[section][field][0] = 10 ** 400
+        else:
+            doc[section][field] = 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (("mmf", "--split-ratio", "1:1"), ("sse", "--split-ratio", "1:1"),
+                     ("validate", "--trials", 100, "--seed", 1), ("pareto", "--points", 3)):
+            out = tmp_path / "x.out"
+            assert run(*argv, "--scenario", bad, "--precoder", "mrt", "--out", out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: "), err
+            assert "is too large for a float" in err or "n_antennas" in err
+            assert "Traceback" not in err and "internal error" not in err
+            assert not out.exists()
+
     def test_scenario_file_not_utf8_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes('{"system": "caf\u00e9"}'.encode("latin-1"))

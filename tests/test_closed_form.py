@@ -8,6 +8,7 @@ from mimocast import closed_form
 from mimocast.closed_form import MRT, PRECODERS, ZF, DownlinkPowers, se_report
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import EstimationStats, FadingProfile, estimation_variances
+from mimocast.scenario import default_normalized_config
 
 import oracles
 from test_model import make_config
@@ -172,6 +173,16 @@ class TestSeReport:
     def test_unknown_precoder_rejected(self):
         with pytest.raises(ValueError):
             se_report(self.cfg, self.stats, self.fading, self.powers, "rzf")
+
+    def test_min_multicast_se_needs_a_group(self):
+        # A cell without groups used to raise numpy's zero-size reduction error.
+        cfg = default_normalized_config(16, 200, 2, ())
+        fading = FadingProfile(unicast_gains=(1e-9, 2e-9), multicast_gains=())
+        stats = estimation_variances(cfg, fading, [1.0, 1.0], [])
+        powers = DownlinkPowers.equal_split(cfg.total_power, 2, 0.0, 0)
+        rep = se_report(cfg, stats, fading, powers, MRT)
+        with pytest.raises(DegenerateInputError, match="at least one group"):
+            rep.min_multicast_se()
 
     def test_weighted_sum_needs_one_weight_per_unicast_ut(self):
         # With 4 unicast UTs, 1 weight used to sum one term and 9 were accepted.

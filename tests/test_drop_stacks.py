@@ -100,10 +100,9 @@ class TestStackedPlacement:
 
     def test_stack_is_read_only(self):
         stack = place_drops(CellGeometry(), 2, (3,), drop_seeds(1, 2))
-        for a in (stack.unicast_gains, stack.multicast_gains_flat):
-            assert a.dtype == np.float64 and not a.flags.writeable
-        assert stack.unicast_gains.shape == (2, 2)
-        assert stack.multicast_gains_flat.shape == (2, 3)
+        assert stack.ut_gains.dtype == np.float64 and not stack.ut_gains.flags.writeable
+        assert stack.ut_gains.shape == (2, 5)
+        assert stack.ut_offsets.tolist() == [0, 2, 5]
 
     @pytest.mark.parametrize("n_unicast, sizes", [(-1, ()), (2, (0,)), (2, (3, -1))])
     def test_bad_counts_rejected(self, n_unicast, sizes):
@@ -120,9 +119,7 @@ def desk_stack(rng, n_drops, n_range=(50, 200)):
         gains = rng.choice([0.1, 0.5, 1.0, 2.0], (n_drops, users))
     else:
         gains = np.exp(rng.uniform(np.log(0.05), np.log(2.0), (n_drops, users)))
-    stack = FadingStack(unicast_gains=gains[:, :cfg.n_unicast],
-                        multicast_gains_flat=gains[:, cfg.n_unicast:],
-                        group_offsets=cfg.group_offsets)
+    stack = FadingStack(ut_gains=gains, n_unicast=cfg.n_unicast, group_sizes=cfg.group_sizes)
     return cfg, stack
 
 
@@ -236,13 +233,13 @@ class TestStackedValidation:
     @pytest.mark.parametrize("where", ["unicast", "multicast"])
     def test_first_bad_drop_is_named(self, where, bad):
         cfg, stack = desk_stack(np.random.default_rng(3), 5)
-        uni, mu = stack.unicast_gains.copy(), stack.multicast_gains_flat.copy()
-        target = uni if where == "unicast" and cfg.n_unicast else mu
+        gains = stack.ut_gains.copy()
+        u = cfg.n_unicast
+        target = gains[:, :u] if where == "unicast" and u else gains[:, u:]
         target[3, -1] = bad
         target[2, 0] = bad
         target[4, 0] = bad
-        bad_stack = FadingStack(unicast_gains=uni, multicast_gains_flat=mu,
-                                group_offsets=stack.group_offsets)
+        bad_stack = dataclasses.replace(stack, ut_gains=gains)
         with pytest.raises(InvalidConfigError) as e:
             require_valid_drops(cfg, bad_stack)
         assert str(e.value) == error_of(cfg, bad_stack.drop(2))
@@ -253,19 +250,16 @@ class TestStackedValidation:
             "n_antennas", "coherence_length", "n_unicast", "group_sizes",
             "unicast_energy_caps", "multicast_energy_caps", "sse_weights")},
             "pilot_length": cfg.coherence_length + 1, "total_power": cfg.total_power})
-        mu = stack.multicast_gains_flat.copy()
-        mu[1, 0] = math.nan
-        bad_stack = FadingStack(unicast_gains=stack.unicast_gains, multicast_gains_flat=mu,
-                                group_offsets=stack.group_offsets)
+        gains = stack.ut_gains.copy()
+        gains[1, cfg.n_unicast] = math.nan
+        bad_stack = dataclasses.replace(stack, ut_gains=gains)
         with pytest.raises(InvalidConfigError) as e:
             require_valid_drops(bad_cfg, bad_stack)
         assert str(e.value) == error_of(bad_cfg, bad_stack.drop(0))
 
     def test_empty_stack_rejected(self):
         cfg, stack = desk_stack(np.random.default_rng(6), 2)
-        empty = FadingStack(unicast_gains=stack.unicast_gains[:0],
-                            multicast_gains_flat=stack.multicast_gains_flat[:0],
-                            group_offsets=stack.group_offsets)
+        empty = dataclasses.replace(stack, ut_gains=stack.ut_gains[:0])
         with pytest.raises(ValueError):
             require_valid_drops(cfg, empty)
 

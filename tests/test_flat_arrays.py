@@ -41,24 +41,65 @@ def desk_cell(seed):
     return random_desk_instance(np.random.default_rng(seed))
 
 
+# The sides each record type reads back from the one array it stores them
+# in: the unicast part (a slice) and the per-group parts (a tuple of views),
+# or a solution's per-group parts alone.
+SIDES = {
+    SystemConfig: {"unicast_energy_caps": "ut_energy_caps",
+                   "multicast_energy_caps": "ut_energy_caps"},
+    FadingProfile: {"unicast_gains": "ut_gains", "multicast_gains": "ut_gains"},
+    EstimationStats: {"unicast_var": "ut_var", "multicast_var": "ut_var"},
+    DownlinkPowers: {"unicast": "stream_powers", "multicast": "stream_powers"},
+    closed_form.SeReport: {"unicast_se": "ut_se", "multicast_se": "ut_se",
+                           "unicast_sinr": "ut_sinr", "multicast_sinr": "ut_sinr"},
+    allocation.MmfSolution: {"uplink_pilot_powers": "ut_pilot_powers", "x_caps": "ut_x_caps"},
+    allocation.SseSolution: {},
+}
+
+
+def built_records():
+    """One record of each type in ``SIDES`` as the package builds it, none
+    of whose sides has been read."""
+    cfg, fading = random_desk_instance(np.random.default_rng(14), u_range=(1, 4),
+                                       g_range=(2, 3))
+    point = solve_split(cfg, fading, "mrt", cfg.total_power / 3.0)
+    stats = model._estimation_variances(cfg, fading, cfg.ut_energy_caps / cfg.pilot_length)
+    powers = DownlinkPowers.equal_split(1.0, cfg.n_unicast, 1.0, cfg.n_groups)
+    return [cfg, fading, place_drops(CellGeometry(), 2, (3, 1), [5, 6]).drop(1), stats, powers,
+            closed_form.se_report(cfg, stats, fading, powers, "mrt"),
+            point.mmf_solution, point.sse_solution]
+
+
+def fresh_records():
+    """``built_records``, then the same records as their constructors build
+    them from their ``to_dict`` documents."""
+    return built_records() + [type(r)(**r.to_dict()) for r in built_records()]
+
+
+def scaled(value):
+    return tuple(row * 2.0 for row in value) if isinstance(value, tuple) else value * 2.0
+
+
 class TestLayout:
     def test_per_ut_fields_are_read_only_float_arrays(self):
         cfg, fading = desk_cell(3)
-        for a in (cfg.unicast_energy_caps, cfg.sse_weights, cfg.multicast_energy_caps_flat,
-                  fading.unicast_gains, fading.multicast_gains_flat,
+        for a in (cfg.unicast_energy_caps, cfg.sse_weights, cfg.ut_energy_caps,
+                  fading.unicast_gains, fading.ut_gains,
                   *cfg.multicast_energy_caps, *fading.multicast_gains):
             assert a.dtype == np.float64 and not a.flags.writeable
         with pytest.raises(ValueError):
             fading.multicast_gains[0][0] = 1.0
 
-    def test_rows_view_the_flat_array_at_the_group_offsets(self):
+    def test_rows_view_the_pilot_order_array_at_the_ut_offsets(self):
         cfg, fading = desk_cell(4)
-        bounds = fading.group_offsets.tolist()
-        assert bounds == [0, *np.cumsum(cfg.group_sizes).tolist()]
-        assert cfg.group_offsets.tolist() == bounds
+        bounds = fading.ut_offsets.tolist()
+        u = cfg.n_unicast
+        assert bounds == [0, u, *(u + np.cumsum(cfg.group_sizes)).tolist()]
+        assert cfg.ut_offsets.tolist() == bounds
+        assert cfg.group_offsets.tolist() == [b - u for b in bounds[1:]]
         for g, row in enumerate(fading.multicast_gains):
-            assert np.shares_memory(row, fading.multicast_gains_flat)
-            assert row.tolist() == fading.multicast_gains_flat[bounds[g]:bounds[g + 1]].tolist()
+            assert np.shares_memory(row, fading.ut_gains)
+            assert row.tolist() == fading.ut_gains[bounds[g + 1]:bounds[g + 2]].tolist()
 
     def test_pilot_offsets_are_derived_and_read_only(self):
         cfg, _ = desk_cell(4)
@@ -78,16 +119,16 @@ class TestLayout:
         stats = model.estimation_variances(cfg, fading, cfg.unicast_energy_caps / tau,
                                            [caps / tau for caps in cfg.multicast_energy_caps])
         assert stats.ut_var.tolist() == [*stats.unicast_var.tolist(),
-                                         *stats.multicast_var_flat.tolist()]
+                                         *flat(r.tolist() for r in stats.multicast_var)]
         assert fading.ut_gains.tolist() == [*fading.unicast_gains.tolist(),
-                                            *fading.multicast_gains_flat.tolist()]
+                                            *flat(r.tolist() for r in fading.multicast_gains)]
         half = cfg.total_power / 2.0
         report = closed_form.se_report(
             cfg, stats, fading,
             DownlinkPowers.equal_split(half, cfg.n_unicast, half, cfg.n_groups), "mrt")
-        for a, b in ((stats.unicast_var, stats.group_var), (stats.ut_var, stats.group_var),
-                     (report.unicast_se, report.multicast_se_flat),
-                     (report.unicast_sinr, report.multicast_sinr_flat)):
+        for a, b in ((stats.unicast_var, stats.ut_var), (stats.multicast_var[-1], stats.ut_var),
+                     (report.unicast_se, report.ut_se), (report.multicast_se[0], report.ut_se),
+                     (report.unicast_sinr, report.ut_sinr)):
             assert a.base is b.base and not a.base.flags.writeable
             assert not (a.flags.writeable or b.flags.writeable)
 
@@ -107,26 +148,24 @@ class TestLayout:
         rows = [base[:1]]
         fading = FadingProfile(unicast_gains=gains, multicast_gains=rows)
         assert not np.shares_memory(fading.unicast_gains, base)
-        assert not np.shares_memory(fading.multicast_gains_flat, base)
+        assert not np.shares_memory(fading.multicast_gains[0], base)
         base.setflags(write=True)
         base[:] = 9.0
         assert fading.unicast_gains.tolist() == [2.0, 3.0]
-        assert fading.multicast_gains_flat.tolist() == [1.0]
+        assert fading.multicast_gains[0].tolist() == [1.0]
 
-    def test_shared_arrays_are_kept_as_read_only_views(self):
-        flat = np.arange(5.0)
-        shared = model._Shared(flat, np.array([0, 2, 5]))
-        assert not flat.flags.writeable
-        kept_flat, kept = model._grouped(shared)
-        assert kept_flat is shared.view and kept_flat.base is flat
-        assert all(row.base is flat for row in kept)
-        assert [row.tolist() for row in kept] == [[0.0, 1.0], [2.0, 3.0, 4.0]]
-        assert model._vector(shared) is shared.view
+    def test_owned_arrays_are_kept_without_a_copy(self):
+        gains = model._read_only(np.arange(5.0))
+        offsets = model._offsets([1, 1, 3])
+        kept = model._owned(FadingProfile, ut_gains=gains, ut_offsets=offsets)
+        assert kept.ut_gains is gains and kept.ut_offsets is offsets
+        assert all(row.base is gains.base for row in kept.multicast_gains)
+        assert [row.tolist() for row in kept.multicast_gains] == [[1.0], [2.0, 3.0, 4.0]]
         with pytest.raises(ValueError):
-            kept[0].setflags(write=True)
-        copied_flat, copied = model._grouped(tuple(kept))
-        assert not np.shares_memory(copied_flat, flat)
-        assert [row.tolist() for row in copied] == [[0.0, 1.0], [2.0, 3.0, 4.0]]
+            kept.multicast_gains[0].setflags(write=True)
+        copied = FadingProfile(unicast_gains=kept.unicast_gains,
+                               multicast_gains=kept.multicast_gains)
+        assert copied == kept and not np.shares_memory(copied.ut_gains, gains)
 
     def test_equality_and_hash_follow_the_values(self):
         cfg, fading = desk_cell(5)
@@ -136,8 +175,78 @@ class TestLayout:
         moved = dataclasses.replace(cfg, sse_weights=cfg.sse_weights * 2.0)
         assert moved != cfg
         regrouped = FadingProfile(unicast_gains=fading.unicast_gains,
-                                  multicast_gains=[fading.multicast_gains_flat])
+                                  multicast_gains=[fading.ut_gains[cfg.n_unicast:]])
         assert regrouped != fading or cfg.n_groups == 1
+
+    def test_sides_are_views_of_the_stored_array_built_on_first_read(self):
+        for record in fresh_records():
+            parts = {}
+            for side, stored in SIDES[type(record)].items():
+                assert side not in vars(record), (type(record).__name__, side)
+                value = getattr(record, side)
+                assert vars(record)[side] is value and getattr(record, side) is value
+                rows = value if isinstance(value, tuple) else (value,)
+                assert all(np.shares_memory(row, getattr(record, stored)) for row in rows)
+                parts.setdefault(stored, []).extend(rows)
+            for stored, rows in parts.items():
+                assert np.concatenate(rows).tolist() == getattr(record, stored).tolist()
+
+    def test_replace_by_side_names_gives_the_constructors_record(self):
+        for record in fresh_records():
+            changed = {side: scaled(getattr(record, side)) for side in SIDES[type(record)]}
+            want = type(record)(**{**record.to_dict(), **changed})
+            got = dataclasses.replace(record, **changed)
+            assert got == want and hash(got) == hash(want)
+            assert got != record or not changed
+            assert dataclasses.replace(record) == record
+
+    def test_to_dict_round_trips(self):
+        for record in fresh_records():
+            d = record.to_dict()
+            cls = type(record)
+            again = cls.from_dict(d) if hasattr(cls, "from_dict") else cls(**d)
+            assert again == record and hash(again) == hash(record)
+            assert json.dumps(again.to_dict()) == json.dumps(d)
+            for side in SIDES[cls]:
+                value = getattr(record, side)
+                assert d[side] == ([row.tolist() for row in value] if isinstance(value, tuple)
+                                   else value.tolist())
+
+    def test_another_grouping_of_the_same_values_is_another_record(self):
+        one, other = ([1.0, 2.0], [3.0]), ([1.0], [2.0, 3.0])
+        cfg = {"n_antennas": 8, "coherence_length": 20, "n_unicast": 1, "group_sizes": (2, 1),
+               "pilot_length": 3, "total_power": 1.0, "unicast_energy_caps": [1.0],
+               "sse_weights": [1.0]}
+        mmf = {"precoder": "mrt", "objective": 1.0, "pilot_length": 3, "gamma": 1.0,
+               "downlink_powers": [1.0, 1.0], "upsilon": [1.0, 1.0], "b_values": [1.0, 1.0]}
+        cases = [
+            (SystemConfig, cfg, ("multicast_energy_caps",)),
+            (FadingProfile, {"unicast_gains": [1.0]}, ("multicast_gains",)),
+            (EstimationStats, {"unicast_var": [1.0], "group_var": [1.0, 1.0]},
+             ("multicast_var",)),
+            (closed_form.SeReport, {"prelog": 0.5, "unicast_se": [1.0], "unicast_sinr": [1.0]},
+             ("multicast_se", "multicast_sinr")),
+            (allocation.MmfSolution, mmf, ("uplink_pilot_powers", "x_caps")),
+        ]
+        pairs = [(cls(**base, **dict.fromkeys(names, one)),
+                  cls(**base, **dict.fromkeys(names, other))) for cls, base, names in cases]
+        # The boundary between the unicast and the multicast side moves too.
+        pairs += [(DownlinkPowers((1.0, 2.0), (3.0,)), DownlinkPowers((1.0,), (2.0, 3.0))),
+                  (FadingProfile(unicast_gains=[1.0, 2.0], multicast_gains=([3.0],)),
+                   FadingProfile(unicast_gains=[1.0], multicast_gains=([2.0, 3.0],)))]
+        for a, b in pairs:
+            stored = {SIDES[type(a)][side] for side in SIDES[type(a)]}
+            assert all(getattr(a, n).tolist() == getattr(b, n).tolist() for n in stored)
+            assert a != b and hash(a) != hash(b), type(a).__name__
+
+    def test_arrays_sharing_offsets_need_parts_of_equal_lengths(self):
+        with pytest.raises(ValueError, match="ut_offsets must have equal lengths"):
+            closed_form.SeReport(prelog=0.5, unicast_se=[1.0], multicast_se=([1.0, 2.0],),
+                                 unicast_sinr=[1.0], multicast_sinr=([1.0], [2.0]))
+        with pytest.raises(ValueError, match="group_offsets must have equal lengths"):
+            allocation.MmfSolution(precoder="mrt", objective=1.0, pilot_length=2,
+                                   uplink_pilot_powers=([1.0, 2.0],), downlink_powers=[1.0],
+                                   gamma=1.0, upsilon=[1.0], x_caps=([1.0],), b_values=[1.0])
 
     def test_non_numbers_raise_what_float_raises(self):
         with pytest.raises(TypeError):
@@ -159,41 +268,41 @@ class TestLayout:
         fading = FadingProfile(unicast_gains=np.array([1.0, 2], dtype=object),
                                multicast_gains=[np.array([0.5], dtype=object)])
         assert fading.unicast_gains.tolist() == [1.0, 2.0]
-        assert fading.multicast_gains_flat.tolist() == [0.5]
+        assert [row.tolist() for row in fading.multicast_gains] == [[0.5]]
 
     def test_fading_stack_converts_entry_by_entry(self):
         # A cast would keep only the real parts of a complex stack and
         # store None as NaN.
-        for bad in (np.ones((2, 3), dtype=complex), [[1.0, 2.0], [1.0, 1j]],
+        for bad in (np.ones((2, 2), dtype=complex), [[1.0, 2.0], [1.0, 1j]],
                     [[1.0, np.complex128(2.0)]], np.array([[1.0, None]], dtype=object),
                     [[1.0, None]]):
-            for field in ("unicast_gains", "multicast_gains_flat"):
-                good = {"unicast_gains": np.ones((1, 2)), "multicast_gains_flat": np.ones((1, 2))}
-                with pytest.raises(TypeError):
-                    FadingStack(**{**good, field: bad}, group_offsets=[0, 2])
-        stack = FadingStack(unicast_gains=np.array([[1.0, 2]], dtype=object),
-                            multicast_gains_flat=[[0.5, 3]], group_offsets=[0, 2])
-        assert stack.unicast_gains.tolist() == [[1.0, 2.0]]
-        assert stack.multicast_gains_flat.tolist() == [[0.5, 3.0]]
-        for a in (stack.unicast_gains, stack.multicast_gains_flat):
-            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(TypeError):
+                FadingStack(ut_gains=bad, n_unicast=1, group_sizes=(1,))
+        stack = FadingStack(ut_gains=np.array([[1.0, 2, 0.5]], dtype=object), n_unicast=2,
+                            group_sizes=(1,))
+        assert stack.ut_gains.tolist() == [[1.0, 2.0, 0.5]]
+        assert stack.ut_gains.dtype == np.float64 and not stack.ut_gains.flags.writeable
+
+    def test_fading_stack_rows_must_hold_every_ut(self):
+        for gains in (np.ones((2, 2)), np.ones(3), np.ones((1, 2, 3))):
+            with pytest.raises(ValueError, match="one row of 3 gains per drop"):
+                FadingStack(ut_gains=gains, n_unicast=1, group_sizes=(2,))
 
     def test_fading_stack_copies_caller_arrays(self):
         gains = np.ones((2, 3))
-        stack = FadingStack(unicast_gains=gains[:, :1], multicast_gains_flat=gains[:, 1:],
-                            group_offsets=[0, 2])
+        stack = FadingStack(ut_gains=gains, n_unicast=1, group_sizes=(2,))
         gains[:] = 9.0
-        assert stack.unicast_gains.tolist() == [[1.0], [1.0]]
-        assert stack.multicast_gains_flat.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert stack.ut_gains.tolist() == [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+        assert stack.drop(1).multicast_gains[0].tolist() == [1.0, 1.0]
 
     def test_placed_stacks_keep_the_arrays_placement_built(self):
-        # The stack and its row ranges view the arrays the placement built.
+        # The stack, its row ranges and its drops view the array the
+        # placement built.
         stack = place_drops(CellGeometry(), 2, (3, 1), [5, 6, 7])
-        for a in (stack.unicast_gains, stack.multicast_gains_flat):
-            assert a.base.flags.owndata and a.base.flags.c_contiguous
+        assert stack.ut_gains.base.flags.owndata and stack.ut_gains.base.flags.c_contiguous
         part = stack.rows(1, 3)
-        assert np.shares_memory(part.unicast_gains, stack.unicast_gains)
-        assert np.shares_memory(part.multicast_gains_flat, stack.multicast_gains_flat)
+        assert np.shares_memory(part.ut_gains, stack.ut_gains)
+        assert np.shares_memory(stack.drop(2).ut_gains, stack.ut_gains)
         assert part.drop(0) == stack.drop(1) and part.drop(1) == stack.drop(2)
         assert part.n_drops == 2
 
@@ -647,9 +756,8 @@ class TestNoArrayCanBeMadeWriteable:
         gains = np.ones((2, cfg.n_unicast + sum(cfg.group_sizes)))
         records = [
             cfg, fading, stats, point.mmf_solution, point.sse_solution,
-            FadingStack(unicast_gains=gains[:, :cfg.n_unicast],
-                        multicast_gains_flat=gains[:, cfg.n_unicast:],
-                        group_offsets=np.array(cfg.group_offsets)),
+            FadingStack(ut_gains=gains, n_unicast=cfg.n_unicast, group_sizes=cfg.group_sizes),
+            place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]).drop(1),
             place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]),
             place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]).rows(1, 2),
             EstimationStats(unicast_var=[0.5] * cfg.n_unicast,
@@ -661,6 +769,7 @@ class TestNoArrayCanBeMadeWriteable:
             place_users(CellGeometry(), 4, (3, 3), 11)[1],
             Placement(unicast=[[30.0, 0.5]], multicast=([[40.0, 1.0], [50.0, 2.0]],)),
             validate_closed_form(*small_mc_cell(3, precoder), precoder, 100, 5),
+            *fresh_records(),   # each view a side builds on read, as well
         ]
         levels, _ = allocation.waterfill((1.0, 2.0), (0.5, 1.0), 1.0)
         for record in records:
@@ -684,13 +793,13 @@ class TestResultArrays:
         for a in (mmf.downlink_powers, mmf.upsilon, mmf.b_values, *mmf.uplink_pilot_powers,
                   *mmf.x_caps, sse.uplink_pilot_powers, sse.downlink_powers,
                   sse.effective_vars, report.unicast_se, report.unicast_sinr,
-                  *report.multicast_se, *report.multicast_sinr, report.multicast_sinr_flat,
+                  *report.multicast_se, *report.multicast_sinr, report.ut_sinr,
                   powers.unicast, powers.multicast):
             assert a.dtype == np.float64 and not a.flags.writeable
         for rows in (mmf.uplink_pilot_powers, mmf.x_caps, report.multicast_se,
                      report.multicast_sinr):
             assert type(rows) is tuple and tuple(map(len, rows)) == cfg.group_sizes
-        assert np.shares_memory(report.multicast_sinr[-1], report.multicast_sinr_flat)
+        assert np.shares_memory(report.multicast_sinr[-1], report.ut_sinr)
         for x in (mmf.objective, mmf.gamma, sse.objective, sse.water_level, report.prelog,
                   point.p_unicast, point.p_multicast):
             assert type(x) is float

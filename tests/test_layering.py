@@ -54,6 +54,12 @@ The estimation rule is the model's (``model._mmse_variances``):
 (``_group_others``, ``ut_error``, ``ut_var``).  Nothing in ``_Kernel``
 names the rule or the stats' fields; it derives its own error terms from
 the pilot weights, with ``_group_others``.
+
+The per-UT layout is the model's: each record stores a per-UT field once,
+in pilot order, and builds its per-group views when they are read.  Only
+``model.py`` names ``_views`` or ``_offsets``, the helpers that cut a
+stored array into its parts and mark where they start, and no module names
+anything ending in ``_flat``: there is no second, flat copy of a field.
 """
 
 import ast
@@ -532,3 +538,52 @@ def budget(level_sums, f):
     assert top_level_mentions(source, ORDERING) == [
         "<module>: bisect", "_FillOrder: argsort", "_Breakpoints: sorted",
         "_Breakpoints: sort", "budget: bisect_right", "budget: bisect", "budget: searchsorted"]
+
+
+LAYOUT_HELPERS = {"_views", "_offsets"}
+
+
+def layout_mentions(source: str) -> list[str]:
+    """``owner: name`` for every name, attribute, keyword, import or string
+    that is one of ``LAYOUT_HELPERS`` or ends in ``_flat``, sorted; the
+    owner is the top-level function or class that holds it, or ``<module>``."""
+    found = []
+    for statement in ast.parse(source).body:
+        owner = (statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                 else "<module>")
+        for node in ast.walk(statement):
+            ident = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.arg if isinstance(node, ast.keyword)
+                     else node.name if isinstance(node, ast.alias)
+                     else node.value if isinstance(node, ast.Constant) else None)
+            if isinstance(ident, str) and (ident in LAYOUT_HELPERS or ident.endswith("_flat")):
+                found.append(f"{owner}: {ident}")
+    return sorted(found)
+
+
+def test_only_the_model_lays_out_per_ut_arrays():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := [m for m in layout_mentions(path.read_text(encoding="utf-8"))
+                           if path.name != "model.py" or m.endswith("_flat")])}
+    assert found == {}
+    model_helpers = {m.split(": ")[1]
+                     for m in layout_mentions((PACKAGE / "model.py").read_text(encoding="utf-8"))}
+    assert model_helpers == LAYOUT_HELPERS
+
+
+def test_check_sees_every_layout_helper_and_flat_name():
+    source = """
+from .model import _offsets as offsets, _views
+bounds = model._offsets(sizes)
+class Record:
+    gains_flat: np.ndarray = field(init=False)
+    def rows(self):
+        return _views(self.gains_flat, self.bounds), getattr(self, "caps_flat")
+def build(cfg, flat):
+    return Record(gains_flat=cfg.multicast_gains_flat), np.ravel(flat), _offsets_of(cfg)
+"""
+    assert layout_mentions(source) == sorted([
+        "<module>: _offsets", "<module>: _views", "<module>: _offsets", "Record: gains_flat",
+        "Record: _views", "Record: gains_flat", "Record: caps_flat", "build: gains_flat",
+        "build: multicast_gains_flat"])

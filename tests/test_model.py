@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from mimocast import figures
 from mimocast.errors import InvalidConfigError
-from mimocast.model import (FadingProfile, PowerSplit, SystemConfig,
+from mimocast.model import (EstimationStats, FadingProfile, PowerSplit, SystemConfig,
                             estimation_variances, require_valid,
                             validate_config)
 from mimocast.scenario import default_normalized_config
@@ -112,6 +112,14 @@ class TestValidateConfig:
         with pytest.raises(TypeError, match=re.escape(message)):
             SystemConfig.from_dict({**cfg.to_dict(), field: value})
 
+    @pytest.mark.parametrize("field", ["n_antennas", "pilot_length"])
+    def test_count_a_float_cannot_hold_is_flagged(self, field):
+        # Such a count used to pass and overflow in a solver or the estimator.
+        cfg = dataclasses.replace(make_config(n_unicast=1, group_sizes=(2,)),
+                                  coherence_length=10 ** 400, **{field: 10 ** 400})
+        assert [v.message for v in validate_config(cfg, flat_profile(cfg)) if v.field == field] \
+            == ["must be a count a float can hold"]
+
     def test_default_config_reads_its_counts_as_the_config_does(self):
         # Group sizes (2.7, 3.2) used to be truncated to (2, 3).
         with pytest.raises(TypeError, match=re.escape("group_sizes[0] must be an integer")):
@@ -207,6 +215,16 @@ class TestEstimationVariances:
             estimation_variances(cfg, fading, [1.0], [[1.0]])
         with pytest.raises(ValueError):
             estimation_variances(cfg, fading, [-1.0], [[1.0, 1.0]])
+
+    def test_stats_hold_one_group_variance_per_group(self):
+        # Any number of group variances used to construct.
+        for group_var in ([1.0, 2.0, 3.0], [], [1.0]):
+            with pytest.raises(ValueError, match=r"one variance per group \(2\), got"):
+                EstimationStats(unicast_var=[1.0], multicast_var=([1.0, 2.0], [3.0]),
+                                group_var=group_var)
+        stats = EstimationStats(unicast_var=[1.0], multicast_var=([1.0, 2.0], [3.0]),
+                                group_var=[0.5, 0.25])
+        assert stats.group_var.tolist() == [0.5, 0.25]
 
     @pytest.mark.parametrize("side", ["unicast", "multicast"])
     @pytest.mark.parametrize("value, error", BAD_PILOT_POWERS)

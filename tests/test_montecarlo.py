@@ -528,7 +528,7 @@ class TestValidationRecords:
             report = validate_closed_form(cfg, fading, pilots_un, pilots_mu, powers, precoder,
                                           3000, 41)
             assert bits(np.array([r.closed_form for r in report.records])).tolist() == bits(
-                np.concatenate([closed.unicast_sinr, closed.multicast_sinr_flat])).tolist()
+                closed.ut_sinr).tolist()
             rec = record(report, "unicast", (ut,))
             assert 0.0 < rec.ci_low < rec.empirical < rec.ci_high
             assert report.n_trials == 3000
