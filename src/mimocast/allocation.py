@@ -49,9 +49,10 @@ from .closed_form import (BUDGET_RTOL, LN2, DownlinkPowers, SeReport, _equal_sha
                           se_from_sinr)
 from .errors import DegenerateInputError
 from .model import (EstimationStats, FadingProfile, FadingStack, SystemConfig, _ArrayRecord,
-                    _estimation_variances, _freeze, _group_min, _group_sums, _mmse_variances,
-                    _owned, _per_member, _pilot_arrays, _read_only, _real, _row_sums, _side,
-                    _sizes, _store, _vector, _within, require_valid)
+                    _estimation_variances, _freeze, _group_min, _group_sums, _laid_out,
+                    _mmse_variances, _owned, _per_member, _pilot_arrays, _read_only, _real,
+                    _row_sums, _side, _sizes, _store, _vector, _with_count, _within,
+                    require_valid)
 
 
 def _problem_field():
@@ -297,7 +298,7 @@ def _sum_se(prelog: float, weights: np.ndarray, levels: np.ndarray,
 
 def _at_pilot_length(cfg: SystemConfig, pilot_length: int) -> SystemConfig:
     return (cfg if pilot_length == cfg.pilot_length
-            else dataclasses.replace(cfg, pilot_length=pilot_length))
+            else _with_count(cfg, "pilot_length", pilot_length))
 
 
 def _score_stats(cfg_at: SystemConfig, fading: FadingProfile, kind: type,
@@ -548,6 +549,14 @@ def _score(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution | SseSolut
     return _se_report(cfg_at, stats, fading, powers, gain, c)
 
 
+def _score_powers(unicast: np.ndarray, multicast: np.ndarray) -> DownlinkPowers:
+    """``DownlinkPowers(unicast, multicast)``, its two sides converted as
+    its constructor converts them and joined once: a score's equal share
+    of one side and its solution's read-only powers of the other."""
+    powers, offsets = _laid_out([unicast, multicast])
+    return _owned(DownlinkPowers, stream_powers=powers, stream_offsets=offsets)
+
+
 def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
                   p_unicast_fixed: float) -> SeReport:
     """Score a max-min solution through the closed-form SE expressions.
@@ -557,8 +566,8 @@ def mmf_se_report(cfg: SystemConfig, fading: FadingProfile, sol: MmfSolution,
     affect the multicast SEs (only the unicast total enters them).
     """
     return _score(cfg, fading, sol, MmfSolution,
-                  DownlinkPowers(_equal_shares(p_unicast_fixed, cfg.n_unicast, "unicast"),
-                                 sol.downlink_powers))
+                  _score_powers(_equal_shares(p_unicast_fixed, cfg.n_unicast, "unicast"),
+                                sol.downlink_powers))
 
 
 def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
@@ -569,5 +578,5 @@ def sse_se_report(cfg: SystemConfig, fading: FadingProfile, sol: SseSolution,
     pilots and an equal split; the unicast SEs only see the multicast total.
     """
     return _score(cfg, fading, sol, SseSolution,
-                  DownlinkPowers(sol.downlink_powers,
-                                 _equal_shares(p_multicast_fixed, cfg.n_groups, "multicast")))
+                  _score_powers(sol.downlink_powers,
+                                _equal_shares(p_multicast_fixed, cfg.n_groups, "multicast")))

@@ -301,8 +301,7 @@ def _grid_rows(args, seed, cells, objective):
     formatted drop mean and feasibility of ``figures.drop_means``."""
     if args.drops < 1:
         raise UsageError(f"--drops must be at least 1, got {args.drops}")
-    configs = [default_normalized_config(n, args.coherence, u, (k,) * g)
-               for n, u, g, k in cells]
+    configs = figures.grid_configs(cells, args.coherence)
     means, feasible = figures.drop_means(configs, objective, args.drops, seed)
     return [(cell, prec, _fmt(mean), ok)
             for cell, cell_means, cell_ok in zip(cells, means.tolist(), feasible.tolist())
@@ -340,9 +339,9 @@ def _figure_rows_fig4(args, seed):
     n_list = _int_list(args.antennas_list, "--antennas-list")
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
-    sizes = (args.group_size,) * _group_count(args.groups, "--groups")
-    configs = [default_normalized_config(n, args.coherence, args.unicast, sizes)
-               for n in n_list]
+    g = _group_count(args.groups, "--groups")
+    configs = figures.grid_configs([(n, args.unicast, g, args.group_size) for n in n_list],
+                                   args.coherence)
     rows = [[args.figure, b.precoder, b.cfg.n_antennas, _fmt(p.p_unicast),
              _fmt(p.p_multicast), _fmt(p.mmf_objective), _fmt(p.sse_objective)]
             for b in figures.boundaries(configs, args.points, seed) for p in b.points]

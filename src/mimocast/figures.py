@@ -1,27 +1,54 @@
 """The paper's figure grids as arrays.
 
-``drop_means`` gives fig2 and fig3: per grid cell (a config) and precoder,
-the mean max-min or sum-SE objective at an even power split over random
-user placements, and whether the precoder can serve the cell.  It works
-shape by shape: the cells alike but for their antenna counts are placed,
-validated and solved together.  ``boundaries`` gives fig4: the trade-off
-boundary of one placement under each config and precoder.  Both place
-users in the default geometry.
+``grid_configs`` builds a grid's stock configs, one per cell (N, U, G, K):
+each (U, G, K) shape once, and its cells at other antenna counts as
+siblings that share its arrays.  ``drop_means`` gives fig2 and fig3: per
+grid cell (a config) and precoder, the mean max-min or sum-SE objective at
+an even power split over random user placements, and whether the precoder
+can serve the cell.  It works shape by shape: the cells alike but for
+their antenna counts are placed, validated and solved together, and each
+objective places only the gains it reads (max-min every UT's, sum SE the
+unicast UTs').  ``boundaries`` gives fig4: the trade-off boundary of one
+placement under each config and precoder.  All place users in the default
+geometry.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+import sys
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import allocation, pareto
 from .closed_form import PRECODERS, _precoder_factors
 from .errors import InvalidConfigError, ZfInfeasibleError
-from .model import FadingStack, SystemConfig, _row_sums, require_valid_drops
-from .scenario import CellGeometry, place_drops
+from .model import (FadingProfile, FadingStack, SystemConfig, _row_sums, _with_count,
+                    require_valid_drops)
+from .scenario import CellGeometry, default_normalized_config, place_drops, place_users
 from .seeds import SpawnedSeed, SpawnHash
+
+
+def grid_configs(cells: Sequence[tuple[int, int, int, int]],
+                 coherence_length: int) -> list[SystemConfig]:
+    """The stock config of each grid cell (N, U, G, K): N antennas, U
+    unicast UTs and G groups of K, ``default_normalized_config(N,
+    coherence_length, U, (K,) * G)``.  It is built once per (U, G, K)
+    shape, at the shape's first cell; the shape's later cells are its
+    siblings at their own antenna counts, which share its arrays and equal
+    the configs built afresh.  A cell raises what its config built afresh
+    raises, and the first failing cell's error is the one raised."""
+    shapes: dict[str, SystemConfig] = {}
+    configs = []
+    for n, u, g, k in cells:
+        key = repr((u, g, k))   # so that 2 and 2.0 are different shapes
+        if key in shapes:
+            configs.append(_with_count(shapes[key], "n_antennas", n))
+        else:
+            configs.append(shapes.setdefault(
+                key, default_normalized_config(n, coherence_length, u, (k,) * g)))
+    return configs
 
 
 def _drop_states(seed: int, n_cells: int, n_drops: int) -> np.ndarray:
@@ -55,26 +82,50 @@ def _shapes(configs: Sequence[SystemConfig]) -> list[list[int]]:
 
 
 def _valid_cells(cfgs: Sequence[SystemConfig], drops: FadingStack,
+                 profile: Callable[[int], FadingProfile],
                  n_drops: int) -> tuple[int, InvalidConfigError | None]:
     """How many cells of one shape, in order, are valid with their drops,
     and the error of the first that is not (None if every cell is valid).
 
-    The cells differ only in their antenna counts, so when the first is
-    valid with every drop and every count is positive, all are, and
+    Each cell is validated against its first drop placed in full, and a
+    drop with a bad gain against that drop in full (``profile(d)``, drop d
+    of the stack; see ``require_valid_drops``).  The cells differ only in
+    their antenna counts, so when the first is valid with every drop and
+    every count is one ``validate_config`` accepts, all are, and
     ``validate_config`` runs once.  Otherwise each cell is validated in
     turn, as it would be on its own."""
-    if min(cfg.n_antennas for cfg in cfgs) >= 1:
+    if all(1 <= cfg.n_antennas <= sys.float_info.max for cfg in cfgs):
         try:
-            require_valid_drops(cfgs[0], drops)
+            require_valid_drops(cfgs[0], drops, profile)
             return len(cfgs), None
         except InvalidConfigError:
             pass
     for i, cfg in enumerate(cfgs):
+        start = i * n_drops
         try:
-            require_valid_drops(cfg, drops.rows(i * n_drops, (i + 1) * n_drops))
+            require_valid_drops(cfg, drops.rows(start, start + n_drops),
+                                lambda d: profile(start + d))
         except InvalidConfigError as e:
             return i, e
     return len(cfgs), None
+
+
+def _placed(cfg: SystemConfig, objective: str,
+            seeds: list[SpawnedSeed]) -> tuple[FadingStack, Callable[[int], FadingProfile]]:
+    """The drops of ``seeds`` stacked as far as the objective reads them,
+    and ``profile(d)``, drop d placed in full.  Max-min reads every gain,
+    so its stack holds every drop in full.  Sum SE reads the unicast gains
+    alone (``allocation._sse_problem``), the first of each placement's
+    draws, so its stack holds those, and a drop is placed in full only
+    where it is validated.  The multicast gains it leaves out are valid:
+    in the default geometry the weakest gain, at the cell edge, exceeds
+    ``MIN_GAIN`` by far."""
+    geometry, u, sizes = CellGeometry(), cfg.n_unicast, cfg.group_sizes
+    if objective == "mmf":
+        drops = place_drops(geometry, u, sizes, seeds)
+        return drops, drops.drop
+    return (place_drops(geometry, u, (), seeds),
+            lambda d: place_users(geometry, u, sizes, seeds[d])[0])
 
 
 def _shape_means(cfgs: Sequence[SystemConfig], states: np.ndarray,
@@ -92,9 +143,8 @@ def _shape_means(cfgs: Sequence[SystemConfig], states: np.ndarray,
     a precoder that cannot serve a cell's antenna count leaves it
     infeasible."""
     first, n_drops = cfgs[0], states.shape[1]
-    drops = place_drops(CellGeometry(), first.n_unicast, first.group_sizes,
-                        [SpawnedSeed(s) for s in states.reshape(-1, 4)])
-    n_valid, invalid = _valid_cells(cfgs, drops, n_drops)
+    drops, profile = _placed(first, objective, [SpawnedSeed(s) for s in states.reshape(-1, 4)])
+    n_valid, invalid = _valid_cells(cfgs, drops, profile, n_drops)
     if n_valid == 0:
         raise invalid
     n_antennas = np.array([cfg.n_antennas for cfg in cfgs[:n_valid]])
@@ -126,7 +176,8 @@ def drop_means(configs: Sequence[SystemConfig], objective: str, n_drops: int,
     spawn_key=(c, d))``; the seeds of every drop come from one pass.  Cells
     that differ only in their antenna counts share a shape: in the model
     the count enters nothing but the precoder's array gain.  The drops of a
-    shape's cells are placed as one stack and validated once, the problem's
+    shape's cells are placed as one stack, as far as the objective reads
+    them (``_placed``), and validated once, the problem's
     precoder-free arrays are worked out once for both precoders (``under``),
     and each precoder solves every drop in one pass (see ``_shape_means``).
     Each cell gives the numbers, and the grid the error, that the cells

@@ -25,8 +25,8 @@ import math
 import operator
 import reprlib
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,6 +114,13 @@ def _joined(vectors: list[np.ndarray]) -> np.ndarray:
                       else np.empty(0))
 
 
+def _laid_out(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of numbers as one array, each converted by ``_vectors`` and the
+    whole copied once (``_joined``), and the offsets where they start."""
+    vectors = _vectors(rows)
+    return _joined(vectors), _offsets(map(len, vectors))
+
+
 def _sizes(offsets: np.ndarray) -> np.ndarray:
     return offsets[1:] - offsets[:-1]
 
@@ -192,6 +199,15 @@ def _plain(v):
     return v
 
 
+def _refrozen(value):
+    """``value`` with each array in it, or in a tuple of it, read-only."""
+    if isinstance(value, np.ndarray):
+        return _read_only(value) if value.flags.writeable else value
+    if isinstance(value, tuple):
+        return tuple(_refrozen(v) for v in value)
+    return value
+
+
 def _side(array: str, slot: int | slice, offsets: str = "ut_offsets"):
     """A constructor field stored in ``array`` (an init=False field, as are
     its ``offsets``), read back as the part(s) of it at ``slot``
@@ -213,6 +229,18 @@ class _ArrayRecord:
         object.__setattr__(self, name, _views(getattr(self, array),
                                               getattr(self, offsets).tolist(), slot))
         return self.__dict__[name]
+
+    def __getstate__(self):
+        # What pickle and deepcopy carry: the stored fields, not what is
+        # built on read (sides, cached properties), nor a field the record
+        # may go without (init=False with a default: a solve's problem).
+        return {f.name: self.__dict__[f.name] for f in fields(self)
+                if f.name in self.__dict__ and "side" not in f.metadata
+                and (f.init or f.default is MISSING)}
+
+    def __setstate__(self, state):
+        # Both give back writeable copies of the arrays.
+        self.__dict__.update((name, _refrozen(value)) for name, value in state.items())
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
@@ -243,11 +271,10 @@ def _store(record):
             parts.setdefault((array, offsets), []).extend(
                 [value] if isinstance(slot, int) else value)
     for (array, offsets), rows in parts.items():
-        vectors = _vectors(rows)
-        bounds = _offsets(map(len, vectors))
+        values, bounds = _laid_out(rows)
         if offsets in record.__dict__ and record.__dict__[offsets].tolist() != bounds.tolist():
             raise ValueError(f"the parts stored at {offsets} must have equal lengths")
-        object.__setattr__(record, array, _joined(vectors))
+        object.__setattr__(record, array, values)
         object.__setattr__(record, offsets, bounds)
 
 
@@ -277,6 +304,14 @@ def _count(value, name: str) -> int:
 def _group_counts(sizes) -> tuple[int, ...]:
     """Every group size through ``_count``, named by its index."""
     return tuple(_count(k, f"group_sizes[{g}]") for g, k in enumerate(sizes))
+
+
+def _with_count(cfg: "SystemConfig", name: str, value) -> "SystemConfig":
+    """``cfg`` with another ``n_antennas`` or ``pilot_length``, read through
+    ``_count``: a record that shares every other field with ``cfg``, and
+    all it built from them.  Nothing else a config stores or derives
+    depends on either count, so it equals the config built afresh."""
+    return _owned(SystemConfig, **{**cfg.__dict__, name: _count(value, name)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,11 +404,13 @@ class FadingProfile(_ArrayRecord):
 
 
 @dataclass(frozen=True, eq=False)
-class FadingStack:
+class FadingStack(_ArrayRecord):
     """Large-scale fading of several drops of one cell: (drops, UTs) gains,
     each row laid out like ``FadingProfile.ut_gains``, copied by ``_matrix``.
     An allocation problem (``allocation._mmf_problem``, ``_sse_problem``)
-    reads this or a FadingProfile, and gives one row of results per drop."""
+    reads this or a FadingProfile, and gives one row of results per drop.
+    The sum-SE problem reads the unicast gains alone, so a stack of those
+    (``n_unicast`` UTs and no groups) serves it as well."""
 
     ut_gains: np.ndarray
     n_unicast: int
@@ -469,7 +506,16 @@ class Violation:
     message: str
 
     def __str__(self):
-        return f"{self.field}={self.value!r}: {self.message}"
+        return f"{self.field}={_cut(repr(self.value))}: {self.message}"
+
+
+def _cut(text: str, limit: int = 80) -> str:
+    """``text`` cut in the middle to ``limit`` characters when longer, as
+    ``reprlib`` cuts the repr of a long int."""
+    if len(text) <= limit:
+        return text
+    head = (limit - 3) // 2
+    return f"{text[:head]}...{text[len(text) - (limit - 3 - head):]}"
 
 
 def _within(values: np.ndarray, lower: float) -> bool:
@@ -560,18 +606,25 @@ def require_valid(cfg: SystemConfig, fading: FadingProfile) -> tuple[SystemConfi
     return cfg, fading
 
 
-def require_valid_drops(cfg: SystemConfig, drops: FadingStack) -> FadingStack:
+def require_valid_drops(cfg: SystemConfig, drops: FadingStack,
+                        profile: Callable[[int], FadingProfile] | None = None) -> FadingStack:
     """``require_valid`` for every drop of a stack, with ``validate_config``
     run once: on the config and the first drop.  The other drops share its
     shapes, so only their gains are left, and one check over the whole gain
     matrix covers them.  An invalid drop raises what ``require_valid`` on
-    the first invalid one raises."""
+    the first invalid one raises.
+
+    ``profile(d)`` gives drop d in full, for a stack that holds a part of
+    each drop's gains (a leading block of each row): the first drop, and a
+    drop with a bad gain, are validated in full, and the gains the stack
+    leaves out are the caller's to vouch for."""
     if drops.n_drops == 0:
         raise ValueError("need at least one drop")
-    require_valid(cfg, drops.drop(0))
+    profile = drops.drop if profile is None else profile
+    require_valid(cfg, profile(0))
     if not _within(drops.ut_gains, MIN_GAIN):
         bad = _outside(drops.ut_gains, MIN_GAIN).any(axis=-1)
-        require_valid(cfg, drops.drop(int(np.argmax(bad))))
+        require_valid(cfg, profile(int(np.argmax(bad))))
     return drops
 
 

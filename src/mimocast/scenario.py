@@ -107,19 +107,22 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def _unit_draws(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[int],
-                seeds: Sequence) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Each seed's ``rng.random(2 * users)`` row, one row per seed, with the
+                seeds: Sequence, angles: bool) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each seed's first ``rng.random`` draws, one row per seed, with the
     columns that hold the radius draws and the block sizes.
 
-    Block by block (the unicast UTs, then each group) a row gives that
-    block's squared-radius draws and then its angle draws.
+    Block by block (the unicast UTs, then each group) a stream gives that
+    block's squared-radius draws and then its angle draws.  A row holds the
+    whole placement, 2 * users draws, or, without ``angles``, the draws up
+    to the last block's radii: 2 * users - (the last block's size).  The
+    first draws of a stream are the same however many are drawn.
     """
     geometry.validate()
     if n_unicast < 0 or any(k < 1 for k in group_sizes):
         raise PlacementError("need n_unicast >= 0 and every group size >= 1")
     sizes = [n_unicast, *group_sizes]
     n = sum(sizes)
-    u = np.empty((len(seeds), 2 * n))
+    u = np.empty((len(seeds), 2 * n - (0 if angles else sizes[-1])))
     for row, seed in zip(u, seeds):
         np.random.default_rng(seed).random(out=row)
     # A block starting at UT s with b UTs holds draws [2s, 2s + 2b): its
@@ -148,9 +151,12 @@ def place_drops(geometry: CellGeometry,
                 seeds: Sequence) -> FadingStack:
     """The fading gains of one placement per seed, stacked: row d holds the
     gains ``place_users(geometry, n_unicast, group_sizes, seeds[d])`` gives.
-    Only the radii are mapped, in place in the arrays that the stack then
-    owns; the angles feed nothing here."""
-    u, radii, sizes = _unit_draws(geometry, n_unicast, group_sizes, seeds)
+    Each stream is drawn up to its last radius, and only the radii are
+    mapped, in place in the arrays that the stack then owns; the angles
+    feed nothing here.  The unicast radii are a stream's first draws, so
+    ``place_drops(geometry, n_unicast, (), seeds)`` stacks the unicast
+    gains of these placements alone, from n_unicast draws per seed."""
+    u, radii, sizes = _unit_draws(geometry, n_unicast, group_sizes, seeds, angles=False)
     gains = _gains(geometry, _radii(geometry, np.take(u, radii, axis=1)))
     return _owned(FadingStack, ut_gains=_read_only(gains), n_unicast=sizes[0],
                   group_sizes=tuple(sizes[1:]))
@@ -167,7 +173,8 @@ def place_users(geometry: CellGeometry,
     (radii, then angles), bit for bit and on every platform.  Only the
     distances feed the fading model.
     """
-    (u,), radii, sizes = _unit_draws(geometry, n_unicast, group_sizes, [rng_seed])
+    (u,), radii, sizes = _unit_draws(geometry, n_unicast, group_sizes, [rng_seed],
+                                     angles=True)
     polar = np.empty((radii.size, 2))
     polar[:, 0] = _radii(geometry, u[radii])
     polar[:, 1] = _uniform(u[radii + np.repeat(sizes, sizes)], 0.0, 2.0 * math.pi)

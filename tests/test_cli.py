@@ -488,6 +488,21 @@ class TestExitCodes:
             assert "Traceback" not in err and "internal error" not in err
             assert not out.exists()
 
+    def test_huge_count_is_cut_in_the_message(self, scenario_path, tmp_path, capsys):
+        # The 401-digit count used to be printed whole, in a line over 400 characters long.
+        doc = json.loads(scenario_path.read_text())
+        doc["system"]["n_antennas"] = 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "x.json"
+        assert run("validate", "--scenario", bad, "--precoder", "mrt", "--trials", 100,
+                   "--seed", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 160, err
+        assert "n_antennas=1" + "0" * 37 + "..." + "0" * 39 + ":" in err
+        assert not out.exists()
+
     def test_scenario_file_not_utf8_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes('{"system": "caf\u00e9"}'.encode("latin-1"))

@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimocast import allocation, cli, closed_form, figures, model, seeds
+from mimocast import allocation, cli, closed_form, figures, model, scenario, seeds
 from mimocast.allocation import solve_mmf, solve_sse, waterfill
 from mimocast.closed_form import PRECODERS
 from mimocast.errors import DegenerateInputError, InvalidConfigError, ZfInfeasibleError
 from mimocast.model import FadingStack, require_valid, require_valid_drops
 from mimocast.pareto import sweep_boundary
-from mimocast.scenario import CellGeometry, default_normalized_config, place_drops, place_users
+from mimocast.scenario import (CellGeometry, default_normalized_config, pathloss, place_drops,
+                               place_users)
 
 import oracles
 from oracles import random_desk_instance
@@ -97,6 +98,45 @@ class TestStackedPlacement:
             # ...and both equal one rng.uniform call per block and quantity.
             assert (profile, placement) == oracles.place_users_loop(geometry, n_unicast,
                                                                     sizes, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds_, n_unicast=st.integers(0, 5),
+           sizes=st.lists(st.integers(1, 4), max_size=3), n_drops=st.integers(1, 4))
+    def test_unicast_block_is_the_first_columns(self, seed, n_unicast, sizes, n_drops):
+        # What a sum-SE shape places: the first draws of every stream.
+        seeds = drop_seeds(seed, n_drops)
+        full = place_drops(CellGeometry(), n_unicast, sizes, seeds)
+        block = place_drops(CellGeometry(), n_unicast, (), seeds)
+        assert block.ut_gains.shape == (n_drops, n_unicast)
+        assert block.ut_gains.tobytes() == full.ut_gains[:, :n_unicast].tobytes()
+        assert block.ut_offsets.tolist() == [0, n_unicast]
+
+    def test_default_geometry_gains_exceed_min_gain(self):
+        # Why a sum-SE shape may leave its multicast gains unplaced: no gain
+        # the default geometry gives fails validation.  The weakest is at
+        # the cell edge.
+        geometry = CellGeometry()
+        weakest = pathloss(geometry, geometry.cell_radius)
+        assert weakest == pytest.approx(2.2e-14, rel=0.01)
+        assert weakest > model.MIN_GAIN
+        assert pathloss(geometry, geometry.exclusion_radius) > weakest
+
+    def test_streams_are_drawn_up_to_their_last_radius(self, monkeypatch):
+        widths = []
+        real = scenario._unit_draws
+
+        def spy(*args, **kwargs):
+            drawn = real(*args, **kwargs)
+            widths.append(drawn[0].shape)
+            return drawn
+
+        monkeypatch.setattr(scenario, "_unit_draws", spy)
+        seeds = drop_seeds(3, 2)
+        place_drops(CellGeometry(), 2, (3, 4), seeds)   # 2 * 9 - 4
+        place_drops(CellGeometry(), 2, (), seeds)       # the unicast radii alone
+        place_drops(CellGeometry(), 0, (3,), seeds)
+        place_users(CellGeometry(), 2, (3, 4), seeds[0])   # the angles too
+        assert widths == [(2, 14), (2, 2), (2, 3), (1, 18)]
 
     def test_stack_is_read_only(self):
         stack = place_drops(CellGeometry(), 2, (3,), drop_seeds(1, 2))
@@ -372,6 +412,24 @@ class TestFigureGridOracle:
     def test_one_placement_per_cell_shape(self, monkeypatch, argv, shapes):
         assert self.count_calls(monkeypatch, figures, "place_drops", argv) == shapes
 
+    @pytest.mark.parametrize("argv, shapes", SHAPE_GRIDS)
+    def test_one_config_per_cell_shape(self, monkeypatch, argv, shapes):
+        assert self.count_calls(monkeypatch, figures, "default_normalized_config", argv) == shapes
+
+    @pytest.mark.parametrize("argv", [
+        ("fig2", "--g-list", "1", "--k-list", "2", "--unicast", "2"),
+        ("fig3", "--u-list", "2", "--groups", "1", "--group-size", "2"),
+    ])
+    def test_later_count_a_float_cannot_hold_fails_its_cell(self, argv):
+        # Such a count after a valid one used to pass the shape's one
+        # validation and overflow in the sum-SE solver (exit 3).
+        argv = ["figure", *argv, "--antennas-list", f"16,{10 ** 400}", "--drops", "2",
+                "--seed", "4"]
+        got = run_figure(argv)
+        with mock.patch.object(figures, "drop_means", oracles.drop_means_loop):
+            assert got == run_figure(argv)
+        assert got[0] == 1 and "n_antennas=1000" in got[1]
+
     @pytest.mark.parametrize("n_antennas, g_list, message", [
         ("32,0", "1,2", "n_antennas=0"),
         ("0,32", "1,2", "n_antennas=0"),
@@ -411,6 +469,37 @@ class TestFigureLibrary:
         got = figures.drop_means(configs, objective, 3, 7)
         want = oracles.drop_means_loop(configs, objective, 3, 7)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    def test_grid_configs_equal_configs_built_afresh(self):
+        cells = [(16, 2, 1, 3), (32, 2, 1, 3), (16, 3, 2, 2), (64, 2, 1, 3), (8, 3, 2, 2),
+                 (32, 2, 1, 3)]
+        configs = figures.grid_configs(cells, 200)
+        for (n, u, g, k), cfg in zip(cells, configs):
+            fresh = default_normalized_config(n, 200, u, (k,) * g)
+            assert cfg == fresh and hash(cfg) == hash(fresh) and cfg.to_dict() == fresh.to_dict()
+            assert type(cfg.n_antennas) is int and cfg.pilot_offsets.tolist() == \
+                fresh.pilot_offsets.tolist()
+        # A shape's later cells share its arrays.
+        for c in (1, 3, 5):
+            for name in ("ut_energy_caps", "ut_offsets", "sse_weights", "group_offsets"):
+                assert getattr(configs[c], name) is getattr(configs[0], name)
+        assert configs[4].ut_energy_caps is configs[2].ut_energy_caps
+        assert configs[2].ut_energy_caps is not configs[0].ut_energy_caps
+
+    def test_grid_configs_read_counts_as_configs_do(self):
+        with pytest.raises(TypeError, match="n_antennas must be an integer, got 32.0"):
+            figures.grid_configs([(16, 2, 1, 3), (32.0, 2, 1, 3)], 200)
+        # 2.0 unicast UTs are another shape, and raise as built afresh.
+        with pytest.raises(TypeError, match="n_unicast must be an integer"):
+            figures.grid_configs([(16, 2, 1, 3), (16, 2.0, 1, 3)], 200)
+        base = default_normalized_config(16, 200, 2, (3,))
+        with pytest.raises(TypeError, match="pilot_length must be an integer, got 6.5"):
+            model._with_count(base, "pilot_length", 6.5)
+        longer = allocation._at_pilot_length(base, np.int64(7))
+        assert longer == dataclasses.replace(base, pilot_length=7)
+        assert hash(longer) == hash(dataclasses.replace(base, pilot_length=7))
+        assert type(longer.pilot_length) is int and longer.ut_energy_caps is base.ut_energy_caps
+        assert allocation._at_pilot_length(base, base.pilot_length) is base
 
     def test_boundaries_sweep_one_placement(self):
         # N=4 serves U+G=4 streams: no ZF boundary there.

@@ -2,9 +2,11 @@
 over tuples that it replaced (``oracles``, tuple-loop section): the array
 code must give the same numbers bit for bit and the same violation lists."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -247,6 +249,23 @@ class TestLayout:
             allocation.MmfSolution(precoder="mrt", objective=1.0, pilot_length=2,
                                    uplink_pilot_powers=([1.0, 2.0],), downlink_powers=[1.0],
                                    gamma=1.0, upsilon=[1.0], x_caps=([1.0],), b_values=[1.0])
+
+    def test_score_powers_equal_the_constructors(self):
+        cfg, fading = desk_cell(6)
+        point = solve_split(cfg, fading, "zf", cfg.total_power / 2.0)
+        for sides in ((np.full(cfg.n_unicast, 0.5), point.mmf_solution.downlink_powers),
+                      (point.sse_solution.downlink_powers, np.full(cfg.n_groups, 0.25)),
+                      ([1, 2], np.array([3.0], dtype=np.float32)), (np.empty(0), [1.5])):
+            got, want = allocation._score_powers(*sides), DownlinkPowers(*sides)
+            assert got == want and hash(got) == hash(want)
+            assert got.stream_offsets.tolist() == want.stream_offsets.tolist()
+            for a in (got.stream_powers, got.stream_offsets, got.unicast, got.multicast):
+                assert not a.flags.writeable
+        for sides in ((np.array([1j]), np.ones(1)), (np.ones(1), [None])):
+            with pytest.raises(TypeError):
+                DownlinkPowers(*sides)
+            with pytest.raises(TypeError):
+                allocation._score_powers(*sides)
 
     def test_non_numbers_raise_what_float_raises(self):
         with pytest.raises(TypeError):
@@ -745,41 +764,83 @@ def array_fields(record):
             yield from value
 
 
+def every_record(precoder):
+    """Records of every type, as the package and their constructors build them."""
+    cfg, fading = desk_cell(12)
+    point = solve_split(cfg, fading, precoder, cfg.total_power / 3.0)
+    tau = cfg.pilot_length
+    stats = model.estimation_variances(cfg, fading, cfg.unicast_energy_caps / tau,
+                                       [caps / tau for caps in cfg.multicast_energy_caps])
+    gains = np.ones((2, cfg.n_unicast + sum(cfg.group_sizes)))
+    return [
+        cfg, fading, stats, point.mmf_solution, point.sse_solution,
+        FadingStack(ut_gains=gains, n_unicast=cfg.n_unicast, group_sizes=cfg.group_sizes),
+        place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]).drop(1),
+        place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]),
+        place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]).rows(1, 2),
+        EstimationStats(unicast_var=[0.5] * cfg.n_unicast,
+                        multicast_var=[[0.5] * k for k in cfg.group_sizes],
+                        group_var=np.ones(cfg.n_groups)),
+        DownlinkPowers.equal_split(1.0, cfg.n_unicast, 1.0, cfg.n_groups),
+        allocation.mmf_se_report(cfg, fading, point.mmf_solution, point.p_unicast),
+        allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast),
+        place_users(CellGeometry(), 4, (3, 3), 11)[1],
+        Placement(unicast=[[30.0, 0.5]], multicast=([[40.0, 1.0], [50.0, 2.0]],)),
+        validate_closed_form(*small_mc_cell(3, precoder), precoder, 100, 5),
+        *fresh_records(),   # each view a side builds on read, as well
+    ]
+
+
+def assert_read_only(record):
+    arrays = list(array_fields(record))
+    assert arrays, type(record).__name__
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+
+
 class TestNoArrayCanBeMadeWriteable:
     @pytest.mark.parametrize("precoder", PRECODERS)
     def test_every_record_type(self, precoder):
-        cfg, fading = desk_cell(12)
-        point = solve_split(cfg, fading, precoder, cfg.total_power / 3.0)
-        tau = cfg.pilot_length
-        stats = model.estimation_variances(cfg, fading, cfg.unicast_energy_caps / tau,
-                                           [caps / tau for caps in cfg.multicast_energy_caps])
-        gains = np.ones((2, cfg.n_unicast + sum(cfg.group_sizes)))
-        records = [
-            cfg, fading, stats, point.mmf_solution, point.sse_solution,
-            FadingStack(ut_gains=gains, n_unicast=cfg.n_unicast, group_sizes=cfg.group_sizes),
-            place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]).drop(1),
-            place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]),
-            place_drops(CellGeometry(), 4, (3, 3), [11, 12, 13]).rows(1, 2),
-            EstimationStats(unicast_var=[0.5] * cfg.n_unicast,
-                            multicast_var=[[0.5] * k for k in cfg.group_sizes],
-                            group_var=np.ones(cfg.n_groups)),
-            DownlinkPowers.equal_split(1.0, cfg.n_unicast, 1.0, cfg.n_groups),
-            allocation.mmf_se_report(cfg, fading, point.mmf_solution, point.p_unicast),
-            allocation.sse_se_report(cfg, fading, point.sse_solution, point.p_multicast),
-            place_users(CellGeometry(), 4, (3, 3), 11)[1],
-            Placement(unicast=[[30.0, 0.5]], multicast=([[40.0, 1.0], [50.0, 2.0]],)),
-            validate_closed_form(*small_mc_cell(3, precoder), precoder, 100, 5),
-            *fresh_records(),   # each view a side builds on read, as well
-        ]
+        for record in every_record(precoder):
+            assert_read_only(record)
         levels, _ = allocation.waterfill((1.0, 2.0), (0.5, 1.0), 1.0)
-        for record in records:
-            arrays = list(array_fields(record))
-            assert arrays, type(record).__name__
-            for a in arrays:
-                with pytest.raises(ValueError):
-                    a.setflags(write=True)
         with pytest.raises(ValueError):
             levels.setflags(write=True)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    @pytest.mark.parametrize("copy_of", [
+        lambda r: pickle.loads(pickle.dumps(r, protocol=4)),
+        lambda r: pickle.loads(pickle.dumps(r, protocol=5)),
+        copy.deepcopy, copy.copy], ids=["pickle4", "pickle5", "deepcopy", "copy"])
+    def test_copies_keep_every_array_read_only(self, precoder, copy_of):
+        # pickle and deepcopy used to give records writeable arrays.
+        records = every_record(precoder)
+        assert {SystemConfig, FadingProfile, FadingStack, EstimationStats, DownlinkPowers,
+                closed_form.SeReport, allocation.MmfSolution, allocation.SseSolution, Placement,
+                montecarlo.ValidationReport} <= set(map(type, records))
+        for record in records:
+            again = copy_of(record)
+            assert type(again) is type(record)
+            assert again == record and hash(again) == hash(record)
+            assert_read_only(again)
+
+    def test_copies_leave_out_what_is_built_on_read(self):
+        cfg, fading = desk_cell(6)
+        sol = solve_split(cfg, fading, "mrt", cfg.total_power / 2.0).mmf_solution
+        # Read, and so built and kept, before the copies are made.
+        assert cfg.multicast_energy_caps and cfg.pilot_offsets.size
+        assert fading.multicast_gains and sol.x_caps and sol._problem is not None
+        for record, built in ((cfg, {"multicast_energy_caps", "pilot_offsets"}),
+                              (fading, {"multicast_gains"}), (sol, {"x_caps", "_problem"})):
+            for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+                assert not built & set(vars(again)) and again == record
+        again = copy.deepcopy(fading)
+        assert np.shares_memory(again.multicast_gains[0], again.ut_gains)
+        # A copied solution leaves its problem behind, and scores the same.
+        p_unicast = cfg.total_power / 2.0
+        assert allocation.mmf_se_report(cfg, fading, copy.deepcopy(sol), p_unicast) == \
+            allocation.mmf_se_report(cfg, fading, sol, p_unicast)
 
 
 class TestResultArrays:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import reprlib
 import sys
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from mimocast import figures
 from mimocast.errors import InvalidConfigError
 from mimocast.model import (EstimationStats, FadingProfile, PowerSplit, SystemConfig,
-                            estimation_variances, require_valid,
+                            Violation, estimation_variances, require_valid,
                             validate_config)
 from mimocast.scenario import default_normalized_config
 
@@ -119,6 +120,21 @@ class TestValidateConfig:
                                   coherence_length=10 ** 400, **{field: 10 ** 400})
         assert [v.message for v in validate_config(cfg, flat_profile(cfg)) if v.field == field] \
             == ["must be a count a float can hold"]
+
+    def test_long_values_are_cut_in_the_message(self):
+        # A 401-digit count used to give a message over 400 characters long.
+        huge = Violation("n_antennas", 10 ** 400, "must be a count a float can hold")
+        assert str(huge) == "n_antennas=1" + "0" * 37 + "..." + "0" * 39 + \
+            ": must be a count a float can hold"
+        # Cut as reprlib cuts a long int, at 80 characters.
+        cut = reprlib.Repr()
+        cut.maxlong = 80
+        for value in (10 ** 80, -10 ** 400, 7 ** 1000):
+            assert str(Violation("f", value, "m")) == f"f={cut.repr(value)}: m"
+        # Reprs of up to 80 characters are printed whole, as they always were.
+        for value in (10 ** 79, -10 ** 78, (3, 4), 1e-300, math.nan, "x" * 78):
+            assert len(repr(value)) <= 80
+            assert str(Violation("f", value, "m")) == f"f={value!r}: m"
 
     def test_default_config_reads_its_counts_as_the_config_does(self):
         # Group sizes (2.7, 3.2) used to be truncated to (2, 3).
