@@ -483,12 +483,17 @@ class _SseProblem(_Problem):
             _problem=self,
         )
 
+    @functools.cached_property
+    def _checked_fill_order(self) -> _FillOrder:
+        """The fill order, its offsets checked as ``waterfill_budget`` checks them."""
+        _waterfill_users(self.cfg.sse_weights, self.offsets)
+        return self._fill_order
+
     def power_for(self, objective: float) -> float:
         """The unicast power at which the one drop's objective is
-        ``objective``: ``waterfill_budget`` over the solver's offsets, once
-        checked as it checks them, from the fill order's segments."""
-        _waterfill_users(self.cfg.sse_weights, self.offsets)
-        return self._fill_order.budget(objective * LN2 / _solver_prelog(self.cfg))
+        ``objective``: ``waterfill_budget`` over the solver's offsets, from
+        the fill order's segments."""
+        return self._checked_fill_order.budget(objective * LN2 / _solver_prelog(self.cfg))
 
 
 def _sse_problem(cfg: SystemConfig, fading: FadingProfile | FadingStack, precoder: str,

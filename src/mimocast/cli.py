@@ -160,7 +160,7 @@ def _group_count(count: int, flag: str) -> int:
 
 
 def _group_sizes_from_args(args) -> tuple[int, ...]:
-    if args.group_sizes:
+    if args.group_sizes is not None:
         return tuple(_int_list(args.group_sizes, "--group-sizes"))
     return (args.group_size,) * _group_count(args.groups, "--groups")
 

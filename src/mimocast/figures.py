@@ -6,27 +6,27 @@ siblings that share its arrays.  ``drop_means`` gives fig2 and fig3: per
 grid cell (a config) and precoder, the mean max-min or sum-SE objective at
 an even power split over random user placements, and whether the precoder
 can serve the cell.  It works shape by shape: the cells alike but for
-their antenna counts are placed, validated and solved together, and each
-objective places only the gains it reads (max-min every UT's, sum SE the
-unicast UTs').  ``boundaries`` gives fig4: the trade-off boundary of one
-placement under each config and precoder.  All place users in the default
-geometry.
+their antenna counts are placed as one stack, validated by the model's one
+check of a config and a stack (``require_valid``), and solved together,
+and each objective places only the gains it reads (max-min every UT's, sum
+SE the unicast UTs').  ``boundaries`` gives fig4: the trade-off boundary of
+one placement under each config and precoder.  All place users in the
+default geometry.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import allocation, pareto
 from .closed_form import PRECODERS, _precoder_factors
 from .errors import InvalidConfigError, ZfInfeasibleError
-from .model import (FadingProfile, FadingStack, SystemConfig, _row_sums, _with_count,
-                    require_valid_drops)
-from .scenario import CellGeometry, default_normalized_config, place_drops, place_users
+from .model import FadingStack, SystemConfig, _row_sums, _with_count, require_valid
+from .scenario import CellGeometry, _check_counts, default_normalized_config, place_drops
 from .seeds import SpawnedSeed, SpawnHash
 
 
@@ -82,50 +82,35 @@ def _shapes(configs: Sequence[SystemConfig]) -> list[list[int]]:
 
 
 def _valid_cells(cfgs: Sequence[SystemConfig], drops: FadingStack,
-                 profile: Callable[[int], FadingProfile],
                  n_drops: int) -> tuple[int, InvalidConfigError | None]:
     """How many cells of one shape, in order, are valid with their drops,
     and the error of the first that is not (None if every cell is valid).
 
-    Each cell is validated against its first drop placed in full, and a
-    drop with a bad gain against that drop in full (``profile(d)``, drop d
-    of the stack; see ``require_valid_drops``).  The cells differ only in
-    their antenna counts, so when the first is valid with every drop and
-    every count is one ``validate_config`` accepts, all are, and
-    ``validate_config`` runs once.  Otherwise each cell is validated in
-    turn, as it would be on its own."""
-    if all(1 <= cfg.n_antennas <= sys.float_info.max for cfg in cfgs):
-        try:
-            require_valid_drops(cfgs[0], drops, profile)
-            return len(cfgs), None
-        except InvalidConfigError:
-            pass
+    The cells differ only in their antenna counts, so the first is
+    validated with the drops of all, and a later one only if a config
+    rejects its count.  A bad gain, which the default geometry never gives
+    (``_placed``), fails the first cell with its first bad drop's error."""
     for i, cfg in enumerate(cfgs):
-        start = i * n_drops
-        try:
-            require_valid_drops(cfg, drops.rows(start, start + n_drops),
-                                lambda d: profile(start + d))
-        except InvalidConfigError as e:
-            return i, e
+        if i == 0 or not 1 <= cfg.n_antennas <= sys.float_info.max:
+            try:
+                require_valid(cfg, drops if i == 0 else drops.rows(i * n_drops,
+                                                                    (i + 1) * n_drops))
+            except InvalidConfigError as e:
+                return i, e
     return len(cfgs), None
 
 
-def _placed(cfg: SystemConfig, objective: str,
-            seeds: list[SpawnedSeed]) -> tuple[FadingStack, Callable[[int], FadingProfile]]:
-    """The drops of ``seeds`` stacked as far as the objective reads them,
-    and ``profile(d)``, drop d placed in full.  Max-min reads every gain,
-    so its stack holds every drop in full.  Sum SE reads the unicast gains
-    alone (``allocation._sse_problem``), the first of each placement's
-    draws, so its stack holds those, and a drop is placed in full only
-    where it is validated.  The multicast gains it leaves out are valid:
-    in the default geometry the weakest gain, at the cell edge, exceeds
-    ``MIN_GAIN`` by far."""
-    geometry, u, sizes = CellGeometry(), cfg.n_unicast, cfg.group_sizes
-    if objective == "mmf":
-        drops = place_drops(geometry, u, sizes, seeds)
-        return drops, drops.drop
-    return (place_drops(geometry, u, (), seeds),
-            lambda d: place_users(geometry, u, sizes, seeds[d])[0])
+def _placed(cfg: SystemConfig, objective: str, seeds: list[SpawnedSeed]) -> FadingStack:
+    """The drops of ``seeds`` stacked as far as the objective reads them:
+    max-min every gain, sum SE the unicast gains alone, the first of each
+    placement's draws, with the counts checked as for every UT.  Any gain
+    left out or placed is valid: in the default geometry the weakest, at
+    the cell edge, exceeds ``MIN_GAIN`` by far."""
+    sizes = cfg.group_sizes
+    if objective == "sse":
+        _check_counts(cfg.n_unicast, sizes)
+        sizes = ()
+    return place_drops(CellGeometry(), cfg.n_unicast, sizes, seeds)
 
 
 def _shape_means(cfgs: Sequence[SystemConfig], states: np.ndarray,
@@ -143,8 +128,8 @@ def _shape_means(cfgs: Sequence[SystemConfig], states: np.ndarray,
     a precoder that cannot serve a cell's antenna count leaves it
     infeasible."""
     first, n_drops = cfgs[0], states.shape[1]
-    drops, profile = _placed(first, objective, [SpawnedSeed(s) for s in states.reshape(-1, 4)])
-    n_valid, invalid = _valid_cells(cfgs, drops, profile, n_drops)
+    drops = _placed(first, objective, [SpawnedSeed(s) for s in states.reshape(-1, 4)])
+    n_valid, invalid = _valid_cells(cfgs, drops, n_drops)
     if n_valid == 0:
         raise invalid
     n_antennas = np.array([cfg.n_antennas for cfg in cfgs[:n_valid]])

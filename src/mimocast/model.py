@@ -14,6 +14,8 @@ A constructor takes the two sides (``unicast_gains``, and
 sequence of numbers, and copies them into that array (``_store``).  Read
 back, a side is built from the array on first read and then kept: the
 unicast side a slice, the multicast side one view per group (``_side``).
+``validate_config`` and ``require_valid``, the one validation path, check
+a config with one drop (a FadingProfile) or a stack of drops (a FadingStack).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import operator
 import reprlib
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -528,28 +530,32 @@ def _outside(values: np.ndarray, lower: float) -> np.ndarray:
     return ~((values > lower) & (values < math.inf))
 
 
-def _flag(out: list[Violation], name: str, values: np.ndarray, lower: float,
-          message: str, bounds: list[int] | None = None):
-    """One Violation per entry outside (lower, inf), NaN included, in index
-    order.  With group bounds (where each group starts in ``values``) the
-    entries are named ``name[group][member]``, else ``name[index]``."""
-    if _within(values, lower):
-        return
-    bad = _outside(values, lower)
-    for i in np.flatnonzero(bad).tolist():
-        if bounds is None:
-            where = f"[{i}]"
+def _parts(cfg: SystemConfig, values: np.ndarray, parts: list[tuple[str, list[int]]],
+           lower: float, message: str) -> list[Violation]:
+    """The violations of per-UT fields stored in ``values``, each given as
+    its name and where its parts start, then its end: a shape unlike the
+    config's, else each entry outside (lower, inf), NaN included, in index
+    order, as ``name[group][member]`` or ``name[index]``."""
+    v = []
+    for name, bounds in parts:
+        got = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        if grouped := name.startswith("multicast"):
+            want, rule = cfg.group_sizes, "shape must match group_sizes"
         else:
-            g = bisect.bisect_right(bounds, i) - 1
-            where = f"[{g}][{i - bounds[g]}]"
-        out.append(Violation(f"{name}{where}", float(values[i]), message))
+            (got,), want, rule = got, cfg.n_unicast, "length must equal n_unicast"
+        part, starts = values[bounds[0]:bounds[-1]], [b - bounds[0] for b in bounds]
+        if got != want:
+            v.append(Violation(name, got, f"{rule} = {want}"))
+        elif not _within(part, lower):
+            for i in np.flatnonzero(_outside(part, lower)).tolist():
+                g = bisect.bisect_right(starts, i) - 1
+                where = f"[{g}][{i - starts[g]}]" if grouped else f"[{i}]"
+                v.append(Violation(f"{name}{where}", float(part[i]), message))
+    return v
 
 
-_BAD_GAIN = "non-positive, sub-normal, or non-finite gain"
-
-
-def validate_config(cfg: SystemConfig, fading: FadingProfile) -> list[Violation]:
-    """Check every type invariant; return the (possibly empty) violation list."""
+def _config_violations(cfg: SystemConfig) -> list[Violation]:
+    """The config's violations: counts, pilot length, power, caps, weights."""
     v: list[Violation] = []
     if cfg.n_antennas < 1:
         v.append(Violation("n_antennas", cfg.n_antennas, "must be a positive integer"))
@@ -572,60 +578,55 @@ def validate_config(cfg: SystemConfig, fading: FadingProfile) -> list[Violation]
         v.append(Violation("pilot_length", cfg.pilot_length, "must be a count a float can hold"))
     if not (math.isfinite(cfg.total_power) and cfg.total_power > 0):
         v.append(Violation("total_power", cfg.total_power, "must be positive and finite"))
-
-    # The per-UT fields: name, the array that stores it, where its parts
-    # start there, the bound every entry must exceed, and why.
-    caps, gains = cfg.ut_offsets.tolist(), fading.ut_offsets.tolist()
-    per_ut = (
-        ("unicast_energy_caps", cfg.ut_energy_caps, caps[:2], 0.0, "energy cap must be positive"),
-        ("multicast_energy_caps", cfg.ut_energy_caps, caps[1:], 0.0,
-         "energy cap must be positive"),
-        ("sse_weights", cfg.sse_weights, [0, cfg.sse_weights.size], 0.0, "weight must be positive"),
-        ("unicast_gains", fading.ut_gains, gains[:2], MIN_GAIN, _BAD_GAIN),
-        ("multicast_gains", fading.ut_gains, gains[1:], MIN_GAIN, _BAD_GAIN),
-    )
-    for name, values, bounds, lower, message in per_ut:
-        got = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-        if grouped := name.startswith("multicast"):
-            want, rule = cfg.group_sizes, "shape must match group_sizes"
-        else:
-            (got,), want, rule = got, cfg.n_unicast, "length must equal n_unicast"
-        if got != want:
-            v.append(Violation(name, got, f"{rule} = {want}"))
-        else:
-            _flag(v, name, values[bounds[0]:bounds[-1]], lower, message,
-                  [b - bounds[0] for b in bounds] if grouped else None)
-    return v
+    caps = cfg.ut_offsets.tolist()
+    v += _parts(cfg, cfg.ut_energy_caps, [("unicast_energy_caps", caps[:2]),
+                                          ("multicast_energy_caps", caps[1:])],
+                0.0, "energy cap must be positive")
+    return v + _parts(cfg, cfg.sse_weights, [("sse_weights", [0, cfg.sse_weights.size])], 0.0,
+                      "weight must be positive")
 
 
-def require_valid(cfg: SystemConfig, fading: FadingProfile) -> tuple[SystemConfig, FadingProfile]:
-    """Return the pair unchanged when valid, raise InvalidConfigError otherwise."""
+def _gain_violations(cfg: SystemConfig, fading: FadingProfile | FadingStack,
+                     search: bool) -> list[Violation]:
+    """The gains' violations against the config's layout, of one drop (a
+    profile is one): drop 0, or with ``search`` the first with any, found
+    by one check over the gain matrix.  A stack without groups holds the
+    unicast block alone, and is checked on that block."""
+    rows, offsets = np.atleast_2d(fading.ut_gains), fading.ut_offsets.tolist()
+    if not len(rows):
+        raise ValueError("need at least one drop")
+    parts = [("unicast_gains", offsets[:2]), ("multicast_gains", offsets[1:])]
+    if isinstance(fading, FadingStack) and not fading.group_sizes:
+        parts = parts[:1]
+
+    def drop(d: int) -> list[Violation]:
+        return _parts(cfg, rows[d], parts, MIN_GAIN, "non-positive, sub-normal, or non-finite gain")
+
+    v = drop(0)
+    if v or not search or len(rows) == 1 or _within(rows, MIN_GAIN):
+        return v
+    return drop(int(np.argmax(_outside(rows, MIN_GAIN).any(axis=-1))))
+
+
+def validate_config(cfg: SystemConfig, fading: FadingProfile | FadingStack) -> list[Violation]:
+    """Check every type invariant; return the (possibly empty) violation
+    list: the config's, then those of the first drop (of a stack) whose
+    pair with ``cfg`` has any, as checking each drop in turn would find."""
+    v = _config_violations(cfg)
+    return v + _gain_violations(cfg, fading, search=not v)
+
+
+def require_valid(cfg: SystemConfig, fading: FadingProfile | FadingStack
+                  ) -> tuple[SystemConfig, FadingProfile | FadingStack]:
+    """Return the pair unchanged when valid, raise InvalidConfigError
+    otherwise.  Of a FadingStack (one drop at least) the config is checked
+    once and the gain matrix once, and it raises what its first invalid
+    drop raises; a stack of the unicast block alone (no groups, all a
+    sum-SE problem reads) is checked on that block."""
     violations = validate_config(cfg, fading)
     if violations:
         raise InvalidConfigError(violations)
     return cfg, fading
-
-
-def require_valid_drops(cfg: SystemConfig, drops: FadingStack,
-                        profile: Callable[[int], FadingProfile] | None = None) -> FadingStack:
-    """``require_valid`` for every drop of a stack, with ``validate_config``
-    run once: on the config and the first drop.  The other drops share its
-    shapes, so only their gains are left, and one check over the whole gain
-    matrix covers them.  An invalid drop raises what ``require_valid`` on
-    the first invalid one raises.
-
-    ``profile(d)`` gives drop d in full, for a stack that holds a part of
-    each drop's gains (a leading block of each row): the first drop, and a
-    drop with a bad gain, are validated in full, and the gains the stack
-    leaves out are the caller's to vouch for."""
-    if drops.n_drops == 0:
-        raise ValueError("need at least one drop")
-    profile = drops.drop if profile is None else profile
-    require_valid(cfg, profile(0))
-    if not _within(drops.ut_gains, MIN_GAIN):
-        bad = _outside(drops.ut_gains, MIN_GAIN).any(axis=-1)
-        require_valid(cfg, profile(int(np.argmax(bad))))
-    return drops
 
 
 def _pilot_arrays(cfg: SystemConfig,

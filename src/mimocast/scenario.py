@@ -17,6 +17,13 @@ from .model import (FadingProfile, FadingStack, SystemConfig, _ArrayRecord, _cou
                     _group_counts, _matrix, _owned, _read_only)
 
 
+def _check_above(params, **lower: float):
+    """Each named parameter must lie in (its lower bound, inf), so not be NaN."""
+    for name, low in lower.items():
+        if not low < getattr(params, name) < math.inf:
+            raise ValueError(f"{name} must lie in ({low}, inf), got {getattr(params, name)}")
+
+
 @dataclass(frozen=True)
 class CellGeometry:
     """Single-cell disc with an exclusion zone around the BS."""
@@ -27,13 +34,11 @@ class CellGeometry:
     attenuation_const: float = 10.0 ** -3.5
 
     def validate(self):
-        if not (0.0 < self.exclusion_radius < self.cell_radius):
-            raise ValueError(f"need 0 < exclusion_radius < cell_radius, got "
+        # NaN fails every comparison, so it is caught with the infinities.
+        if not (0.0 < self.exclusion_radius < self.cell_radius < math.inf):
+            raise ValueError(f"need 0 < exclusion_radius < cell_radius < inf, got "
                              f"({self.exclusion_radius}, {self.cell_radius})")
-        if self.pathloss_exponent <= 2.0:
-            raise ValueError(f"pathloss_exponent must exceed 2, got {self.pathloss_exponent}")
-        if self.attenuation_const <= 0.0:
-            raise ValueError(f"attenuation_const must be positive, got {self.attenuation_const}")
+        _check_above(self, pathloss_exponent=2.0, attenuation_const=0.0)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -52,10 +57,7 @@ class RadioParams:
     tx_power_watts: float = 10.0
 
     def validate(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
-        if self.tx_power_watts <= 0:
-            raise ValueError(f"tx_power_watts must be positive, got {self.tx_power_watts}")
+        _check_above(self, bandwidth_hz=0.0, noise_psd_dbm_hz=-math.inf, tx_power_watts=0.0)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -92,6 +94,7 @@ class Placement(_ArrayRecord):
 
 def pathloss(geometry: CellGeometry, distance_m: float) -> float:
     """Distance-based channel gain in the annulus: attenuation_const / distance^exponent."""
+    geometry.validate()
     if not (geometry.exclusion_radius <= distance_m <= geometry.cell_radius):
         raise ValueError(f"distance {distance_m} m outside the annulus "
                          f"[{geometry.exclusion_radius}, {geometry.cell_radius}]")
@@ -106,6 +109,12 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return u
 
 
+def _check_counts(n_unicast: int, group_sizes: Sequence[int]):
+    """Placement's rule on the UT counts."""
+    if n_unicast < 0 or any(k < 1 for k in group_sizes):
+        raise PlacementError("need n_unicast >= 0 and every group size >= 1")
+
+
 def _unit_draws(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[int],
                 seeds: Sequence, angles: bool) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Each seed's first ``rng.random`` draws, one row per seed, with the
@@ -118,8 +127,7 @@ def _unit_draws(geometry: CellGeometry, n_unicast: int, group_sizes: Sequence[in
     first draws of a stream are the same however many are drawn.
     """
     geometry.validate()
-    if n_unicast < 0 or any(k < 1 for k in group_sizes):
-        raise PlacementError("need n_unicast >= 0 and every group size >= 1")
+    _check_counts(n_unicast, group_sizes)
     sizes = [n_unicast, *group_sizes]
     n = sum(sizes)
     u = np.empty((len(seeds), 2 * n - (0 if angles else sizes[-1])))

@@ -14,6 +14,7 @@ from mimocast.closed_form import (BUDGET_RTOL, MRT, PRECODERS, ZF, DownlinkPower
                                   _precoder_factors, se_from_sinr, se_report)
 from mimocast.errors import DegenerateInputError, ZfInfeasibleError
 from mimocast.model import FadingProfile, FadingStack, SystemConfig, estimation_variances
+from mimocast.pareto import select_operating_point, sweep_boundary
 
 import oracles
 from oracles import bisect_waterfill, random_desk_instance, waterfill_kkt_violation
@@ -863,6 +864,22 @@ class TestCachedWaterfill:
         object.__setattr__(problem, "offsets", offsets)
         with pytest.raises(ValueError, match="offsets must be positive and finite"):
             problem.power_for(1.0)
+        with pytest.raises(ValueError, match="offsets must be positive and finite"):
+            problem.power_for(1.0)   # a failed check is not kept
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_power_for_checks_the_offsets_once(self, monkeypatch, precoder):
+        cfg, stack = desk_stack(np.random.default_rng(12), 1)
+        boundary = sweep_boundary(cfg, stack.drop(0), precoder, 5)
+        calls = []
+        real = allocation._waterfill_users
+        monkeypatch.setattr(allocation, "_waterfill_users",
+                            lambda *a: calls.append(1) or real(*a))
+        targets = [p.sse_objective for p in boundary.points[1:-1]] * 2
+        got = [select_operating_point(boundary, target_sse=t).point.p_unicast for t in targets]
+        assert len(calls) == 1
+        problem = boundary.problems[1]
+        assert got == [min(cfg.total_power, problem.power_for(t)) for t in targets]
 
     def test_tied_ratios_and_their_breakpoints(self):
         # Three users at one ratio w/o = 2 and one below it: the ties add

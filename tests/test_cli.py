@@ -394,6 +394,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {flag} must be non-negative")
         assert not out.exists()
 
+    def test_empty_group_sizes_is_usage_error(self, tmp_path, capsys):
+        # It used to fall back to --groups/--group-size and exit 0, while an
+        # empty --antennas-list was already a usage error.
+        out = tmp_path / "x"
+        assert run("scenario", "--group-sizes", "", "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --group-sizes must be comma-separated integers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--bandwidth", "nan", "bandwidth_hz"), ("--tx-power", "inf", "tx_power_watts"),
+        ("--noise-psd", "nan", "noise_psd_dbm_hz"), ("--cell-radius", "inf", "cell_radius"),
+        ("--pathloss-exponent", "nan", "pathloss_exponent"),
+        ("--attenuation-const", "inf", "attenuation_const")])
+    def test_non_finite_physical_parameter_is_named(self, tmp_path, capsys, flag, value,
+                                                     field):
+        # --bandwidth nan used to exit 1 with over 1000 energy-cap violations.
+        out = tmp_path / "x"
+        assert run("scenario", flag, value, "--seed", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "energy" not in err
+        assert not out.exists()
+
     def test_library_value_error_is_internal(self, scenario_path, tmp_path, capsys,
                                              monkeypatch):
         import mimocast.cli as cli_mod

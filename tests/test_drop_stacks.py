@@ -25,7 +25,7 @@ from mimocast import allocation, cli, closed_form, figures, model, scenario, see
 from mimocast.allocation import solve_mmf, solve_sse, waterfill
 from mimocast.closed_form import PRECODERS
 from mimocast.errors import DegenerateInputError, InvalidConfigError, ZfInfeasibleError
-from mimocast.model import FadingStack, require_valid, require_valid_drops
+from mimocast.model import FadingProfile, FadingStack, require_valid
 from mimocast.pareto import sweep_boundary
 from mimocast.scenario import (CellGeometry, default_normalized_config, pathloss, place_drops,
                                place_users)
@@ -190,7 +190,7 @@ class TestStackedSolvers:
     def test_objectives_equal_per_drop_solves(self, seed, n_drops, precoder):
         rng = np.random.default_rng(seed)
         cfg, stack = desk_stack(rng, n_drops, n_range=(4, 60))   # ZF infeasible at times
-        require_valid_drops(cfg, stack)
+        require_valid(cfg, stack)
         feasible = precoder == "mrt" or cfg.n_antennas > cfg.n_streams
         gain, c = (cfg.n_antennas, 0.0) if precoder == "mrt" else \
             (cfg.n_antennas - cfg.n_streams, 1.0)
@@ -213,7 +213,7 @@ class TestStackedSolvers:
         # config with that count; ZF leaves the counts it cannot serve NaN.
         rng = np.random.default_rng(seed)
         cfg, stack = desk_stack(rng, n_drops, n_range=(4, 60))
-        require_valid_drops(cfg, stack)
+        require_valid(cfg, stack)
         counts = rng.integers(1, 60, n_drops)
         gains, c = closed_form._precoder_factors(cfg, precoder, counts)
         p = float(rng.uniform(0.0, cfg.total_power))
@@ -281,7 +281,7 @@ class TestStackedValidation:
         target[4, 0] = bad
         bad_stack = dataclasses.replace(stack, ut_gains=gains)
         with pytest.raises(InvalidConfigError) as e:
-            require_valid_drops(cfg, bad_stack)
+            require_valid(cfg, bad_stack)
         assert str(e.value) == error_of(cfg, bad_stack.drop(2))
 
     def test_invalid_config_is_reported_with_the_first_drop(self):
@@ -294,14 +294,33 @@ class TestStackedValidation:
         gains[1, cfg.n_unicast] = math.nan
         bad_stack = dataclasses.replace(stack, ut_gains=gains)
         with pytest.raises(InvalidConfigError) as e:
-            require_valid_drops(bad_cfg, bad_stack)
+            require_valid(bad_cfg, bad_stack)
         assert str(e.value) == error_of(bad_cfg, bad_stack.drop(0))
+
+    def test_unicast_block_is_checked_on_that_block(self):
+        # What a sum-SE figure shape places; any other layout is still
+        # checked against the config's.
+        cfg = default_normalized_config(16, 200, 3, (2, 2))
+        seeds = drop_seeds(5, 3)
+        full, block = (place_drops(CellGeometry(), 3, sizes, seeds) for sizes in ((2, 2), ()))
+        assert require_valid(cfg, block)[1] is block
+        gains = full.ut_gains.copy()
+        gains[2, 1] = math.nan
+        with pytest.raises(InvalidConfigError) as e:
+            require_valid(cfg, dataclasses.replace(block, ut_gains=gains[:, :3]))
+        assert str(e.value) == error_of(cfg, dataclasses.replace(full, ut_gains=gains).drop(2))
+        for other, name in ((dataclasses.replace(block, ut_gains=gains[:, :2], n_unicast=2),
+                             "unicast_gains"),
+                            (dataclasses.replace(full, group_sizes=(1, 3)), "multicast_gains"),
+                            (FadingProfile(unicast_gains=gains[0, :3], multicast_gains=()),
+                             "multicast_gains")):
+            assert error_of(cfg, other).startswith(f"invalid configuration: {name}=")
 
     def test_empty_stack_rejected(self):
         cfg, stack = desk_stack(np.random.default_rng(6), 2)
         empty = dataclasses.replace(stack, ut_gains=stack.ut_gains[:0])
         with pytest.raises(ValueError):
-            require_valid_drops(cfg, empty)
+            require_valid(cfg, empty)
 
     def test_valid_stack_runs_validate_config_once(self, monkeypatch):
         cfg, stack = desk_stack(np.random.default_rng(5), 4)
@@ -309,7 +328,7 @@ class TestStackedValidation:
         real = model.validate_config
         monkeypatch.setattr(model, "validate_config",
                             lambda *a: calls.append(1) or real(*a))
-        assert require_valid_drops(cfg, stack) is stack
+        assert require_valid(cfg, stack)[1] is stack
         assert len(calls) == 1
 
 

@@ -60,6 +60,12 @@ in pilot order, and builds its per-group views when they are read.  Only
 ``model.py`` names ``_views`` or ``_offsets``, the helpers that cut a
 stored array into its parts and mark where they start, and no module names
 anything ending in ``_flat``: there is no second, flat copy of a field.
+
+Validation is the model's: only ``model.py`` names ``Violation`` or the two
+halves of ``validate_config`` (``_config_violations``,
+``_gain_violations``), and only ``validate_config`` joins them.
+``figures.py`` names no ``place_users``: a figure grid validates the stack
+it places, and places nothing only to validate it.
 """
 
 import ast
@@ -587,3 +593,34 @@ def build(cfg, flat):
         "<module>: _offsets", "<module>: _views", "<module>: _offsets", "Record: gains_flat",
         "Record: _views", "Record: gains_flat", "Record: caps_flat", "build: gains_flat",
         "build: multicast_gains_flat"])
+
+
+VALIDATION = {"Violation", "_config_violations", "_gain_violations"}
+
+
+def test_only_the_model_validates():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "model.py"
+             and (names := top_level_mentions(path.read_text(encoding="utf-8"), VALIDATION))}
+    assert found == {}
+    halves = top_level_mentions((PACKAGE / "model.py").read_text(encoding="utf-8"),
+                                VALIDATION - {"Violation"})
+    assert halves == ["validate_config: _config_violations", "validate_config: _gain_violations"]
+    figures = (PACKAGE / "figures.py").read_text(encoding="utf-8")
+    assert top_level_mentions(figures, {"place_users"}) == []
+
+
+def test_check_sees_every_validation_and_placement():
+    source = """
+from .model import Violation, _gain_violations as gains
+extra = model.Violation("n_antennas", 0, "must be a positive integer")
+def check(cfg, fading):
+    return model._config_violations(cfg) + gains(cfg, fading, True)
+def placed(seeds):
+    return scenario.place_users(CellGeometry(), 1, (), seeds[0])[0], getattr(
+        scenario, "place_users")
+"""
+    assert top_level_mentions(source, VALIDATION) == [
+        "<module>: Violation", "<module>: _gain_violations", "<module>: Violation",
+        "check: _config_violations"]
+    assert top_level_mentions(source, {"place_users"}) == ["placed: place_users"] * 2

@@ -82,6 +82,32 @@ class TestPlaceUsers:
             place_users(CellGeometry(), -1, (), 0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteParameters:
+    """A NaN or infinite physical parameter raises ValueError naming its
+    field where it enters: it used to give NaN or zero gains and powers."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["cell_radius", "pathloss_exponent", "attenuation_const"])
+    def test_geometry(self, name, value):
+        geometry = CellGeometry(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            place_users(geometry, 2, (2,), 1)
+        with pytest.raises(ValueError, match=name):
+            pathloss(geometry, 100.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["bandwidth_hz", "tx_power_watts", "noise_psd_dbm_hz"])
+    def test_radio(self, name, value):
+        radio = RadioParams(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            default_normalized_config(8, 200, 2, (2,), radio)
+        with pytest.raises(ValueError, match=name):
+            normalize_powers(radio, default_normalized_config(8, 200, 2, (2,)))
+
+
 class TestNormalizePowers:
     def test_reference_normalization(self):
         # 10 W over 20 MHz at -174 dBm/Hz: sigma2 = 3.981e-21 W/Hz,
